@@ -49,11 +49,14 @@ report:
 		-progress -report report.json
 	@echo "wrote report.json"
 
-# CPU + heap profiles of the heaviest single experiment (the 15-hop WAN
-# diurnal path of fig8b); inspect with `go tool pprof cpu.prof`.
-PROFILE_EXP = fig8b
+# CPU + heap profiles of the heaviest single experiment: the SDA league
+# (ext-sda-arms-race), nearly all of it the ML estimator's EM refresh
+# under adaptive dummies. Any scale up to 0.3125 runs its 2500-round
+# floor, about 13 s on a 2-core Xeon. Inspect with `go tool pprof cpu.prof`.
+PROFILE_EXP = ext-sda-arms-race
+PROFILE_SCALE = 0.25
 profile:
-	$(GO) run ./cmd/linkpadsim -exp $(PROFILE_EXP) -scale 0.5 \
+	$(GO) run ./cmd/linkpadsim -exp $(PROFILE_EXP) -scale $(PROFILE_SCALE) \
 		-cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; try: $(GO) tool pprof -top cpu.prof"
 

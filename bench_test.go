@@ -254,6 +254,16 @@ func BenchmarkExtDisclosure(b *testing.B) {
 	})
 }
 
+// BenchmarkExtSDAArmsRace runs the 27-cell SDA league (estimator × mix ×
+// dummy policy). Its ML cells under adaptive dummies refresh EM every
+// round, which makes it the heaviest runner of the trajectory.
+func BenchmarkExtSDAArmsRace(b *testing.B) {
+	runFigure(b, "ext-sda-arms-race", map[string][2]string{
+		"rounds_classic_threshold_none": {"mean_rounds", "first"},
+		"anon_ml_timed_adaptive":        {"mean_anonymity", "last"},
+	})
+}
+
 // BenchmarkAblationPopulationPadding measures the per-flow correlation
 // attack across padding policies at matched overhead.
 func BenchmarkAblationPopulationPadding(b *testing.B) {

@@ -2,7 +2,9 @@ package population
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"linkpad/internal/traffic"
@@ -324,5 +326,58 @@ func TestResumeDisclosureValidates(t *testing.T) {
 	uw.Idx[0], uw.Idx[1] = uw.Idx[1], uw.Idx[0]
 	if _, err := buildEngine(t, 12, false).ResumeDisclosure(cfg, &unsorted); err == nil {
 		t.Error("snapshot with non-ascending estimator coordinates resumed")
+	}
+}
+
+// TestMLRestoreRejectsInconsistentGroups: an ML snapshot whose groups
+// contradict themselves or the round counts must be refused, with an
+// error naming the group (or group set) at fault — never resumed into a
+// different estimate. A group's deliveries must total c·n, the a > 0
+// groups must hold n_with rounds, and all groups n_with + n_without.
+func TestMLRestoreRejectsInconsistentGroups(t *testing.T) {
+	recs := collectMixRounds(t, MixSpec{Kind: MixTimed}, 3, 120)
+	var good TargetEstimatorState
+	feedEstimator(EstimatorML, recs).snapshot(&good)
+	blob, err := json.Marshal(&good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newEstimator(EstimatorML).restore(&good, leagueRecipients); err != nil {
+		t.Fatalf("consistent snapshot rejected: %v", err)
+	}
+	// Corrupt a group the target sent in, somewhere in the middle.
+	gi := len(good.ML.Groups) / 2
+	for good.ML.Groups[gi].A == 0 {
+		gi++
+	}
+	cases := []struct {
+		name   string
+		mutate func(ts *TargetEstimatorState)
+		want   string
+	}{
+		{"group-deliveries", func(ts *TargetEstimatorState) { ts.ML.Groups[gi].Y.Val[0]++ },
+			fmt.Sprintf("ML group %d (a=", gi)},
+		{"group-fractional-delivery", func(ts *TargetEstimatorState) { ts.ML.Groups[gi].Y.Val[0] -= 0.5 },
+			fmt.Sprintf("ML group %d has delivery count", gi)},
+		{"with-rounds", func(ts *TargetEstimatorState) { ts.NWith++; ts.NWithout-- },
+			"ML groups with a > 0 hold"},
+		{"all-rounds", func(ts *TargetEstimatorState) { ts.NWithout++ },
+			"ML groups hold"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var ts TargetEstimatorState
+			if err := json.Unmarshal(blob, &ts); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&ts)
+			err := newEstimator(EstimatorML).restore(&ts, leagueRecipients)
+			if err == nil {
+				t.Fatal("inconsistent ML snapshot restored")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the fault (%q)", err, tc.want)
+			}
+		})
 	}
 }

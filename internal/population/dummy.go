@@ -1,6 +1,10 @@
 package population
 
-import "fmt"
+import (
+	"fmt"
+
+	"linkpad/internal/par"
+)
 
 // Dummy policies (dummy.go): the resistance side of the SDA arms race —
 // how a target user addresses its cover messages. The engine generates
@@ -21,14 +25,19 @@ import "fmt"
 //
 // Determinism: re-addressing happens in the sequential Step loop —
 // after the mix flushes a round, before the estimators observe it — so
-// it is worker-count-invariant by construction. The suspects a target
-// aims at are computed from the estimator's state as of the *previous*
-// rounds (estimators observe a round only after the dummy policy has
-// acted on it), so there is no feedback race within a round; and the
-// rotation over suspects uses a plain message counter (dumCount, part
-// of the disclosure checkpoint), not a random stream, so a resumed run
-// re-addresses identically. Reading Round.Dummy here is legitimate:
-// the policy is the *defender*, and a sender knows which of its own
+// it is worker-count-invariant by construction. The one parallel step
+// comes before it: the estimators of the targets with a dummy in the
+// round are brought up to date on up to Workers goroutines. Each
+// estimator is private to its target and its estimate is a pure
+// function of its own accumulators, so the sequential pass reads the
+// same suspects at any width. The suspects a target aims at are
+// computed from the estimator's state as of the *previous* rounds
+// (estimators observe a round only after the dummy policy has acted on
+// it), so there is no feedback race within a round; and the rotation
+// over suspects uses a plain message counter (dumCount, part of the
+// disclosure checkpoint), not a random stream, so a resumed run
+// re-addresses identically. Reading Round.Dummy here is legitimate: the
+// policy is the *defender*, and a sender knows which of its own
 // messages are dummies — the adversary's estimators still never read
 // the flag.
 type DummyPolicy int
@@ -68,15 +77,27 @@ func validDummyPolicy(p DummyPolicy) bool {
 // applyDummies runs the dummy policy over a freshly flushed round,
 // before any estimator observes it. None and uniform are no-ops here —
 // the engine's native cover already addresses dummies uniformly — so
-// only the adaptive policy rewrites recipients. Allocation-free in
-// steady state.
+// only the adaptive policy rewrites recipients. It first collects the
+// targets with a dummy in the round and brings their estimators up to
+// date in parallel (for ML, one EM refresh per target); the sequential
+// re-addressing loop's suspects calls then find every estimator clean.
+// Allocation-free in steady state at one worker.
 func (d *disclosure) applyDummies(r *Round) {
 	if d.cfg.Dummies != DummyAdaptive {
 		return
 	}
 	for i := range d.targets {
 		d.targets[i].susFresh = false
+		d.targets[i].due = false
 	}
+	d.due = d.due[:0]
+	for k, u := range r.Users {
+		if ti := d.targetIdx[u]; r.Dummy[k] && ti >= 0 && !d.targets[ti].due {
+			d.targets[ti].due = true
+			d.due = append(d.due, ti)
+		}
+	}
+	_ = par.MapWorker(len(d.due), d.workers, d.readyDue) // readyDue never fails
 	for k, u := range r.Users {
 		if !r.Dummy[k] {
 			continue

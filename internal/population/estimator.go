@@ -3,6 +3,7 @@ package population
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -316,17 +317,28 @@ type mlGroup struct {
 }
 
 // mlEstimator is the iterative ML (EM) estimator for the round mixture
-// model. Memory is O(distinct (a, n) keys × observed support); the
+// model. Memory is O(distinct (a, n) keys × observed support) plus two
+// recipient-indexed slot maps bounded by the recipient space; the
 // estimate p (and the background q it is jointly fitted with) is
 // refreshed lazily at checkpoint boundaries.
+//
+// refresh does no searching. observe keeps q's and p's EM initializers
+// as running counts (allCnt over every round, withCnt over the rounds
+// the target sent in), and refresh resolves each recipient to its q and
+// p slot once, into qs and ps, before the sweeps. The counts are
+// integer-valued float64s, so their sums are exact in any order and
+// equal, bit for bit, a sum over the groups.
 type mlEstimator struct {
 	groups   []mlGroup // ascending by (a, n)
 	nWith    int
 	nWithout int
 	dirty    bool
+	allCnt   sparseVec // Σy over all groups: q's EM initializer
+	withCnt  sparseVec // Σy over groups with a > 0: p's EM initializer
 	p        sparseVec // target estimate over the with-round support
 	q        sparseVec // background estimate over the full support
 	tp, tq   []float64 // M-step scratch aligned with p.idx / q.idx
+	qs, ps   []int32   // recipient -> q / p slot (ps: -1 where p is absent)
 }
 
 // group locates or inserts the (a, n) group, keeping the slice sorted.
@@ -349,6 +361,10 @@ func (m *mlEstimator) observe(r *Round, sent bool, cnt int) {
 	g.c++
 	for _, rc := range r.Rcpts {
 		g.y.add(rc, 1)
+		m.allCnt.add(rc, 1)
+		if cnt > 0 {
+			m.withCnt.add(rc, 1)
+		}
 	}
 	if sent {
 		m.nWith++
@@ -374,25 +390,36 @@ func (m *mlEstimator) ready() bool {
 // deliveries, then run mlEMIters E+M sweeps. Initializing q from every
 // round keeps q positive on the whole observed support, so every
 // E-step denominator a·p[r] + b·q[r] is positive wherever y[r] > 0.
+//
+// The initializers are the running counts observe keeps, and the
+// E-step reads each entry's q and p slot from the slot maps, filled
+// once here: p's and q's supports are fixed for the sweeps, and p's is
+// a subset of q's. The sweeps visit groups and entries in ascending
+// order, so every float operation matches a search-per-entry E-step
+// (the oracle in estimator_ref_test.go) bit for bit.
 func (m *mlEstimator) refresh() {
-	m.p.idx, m.p.val = m.p.idx[:0], m.p.val[:0]
-	m.q.idx, m.q.val = m.q.idx[:0], m.q.val[:0]
-	for gi := range m.groups {
-		g := &m.groups[gi]
-		for k, r := range g.y.idx {
-			m.q.add(r, g.y.val[k])
-			if g.a > 0 {
-				m.p.add(r, g.y.val[k])
-			}
-		}
-	}
+	m.p.setPairs(m.withCnt.idx, m.withCnt.val)
+	m.q.setPairs(m.allCnt.idx, m.allCnt.val)
 	normalizeVec(&m.p)
 	normalizeVec(&m.q)
 	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
 		return
 	}
-	m.tp = growZero(m.tp, len(m.p.idx))
-	m.tq = growZero(m.tq, len(m.q.idx))
+	// The maps span q's largest recipient, so they stay within the
+	// recipient space. Only q's coordinates are ever read, and each is
+	// overwritten here, so stale slots from a smaller support are inert.
+	span := int(m.q.idx[len(m.q.idx)-1]) + 1
+	m.qs = resize(m.qs, span)
+	m.ps = resize(m.ps, span)
+	for k, r := range m.q.idx {
+		m.qs[r] = int32(k)
+		m.ps[r] = -1
+	}
+	for k, r := range m.p.idx {
+		m.ps[r] = int32(k)
+	}
+	m.tp = resize(m.tp, len(m.p.idx))
+	m.tq = resize(m.tq, len(m.q.idx))
 	for iter := 0; iter < mlEMIters; iter++ {
 		for i := range m.tp {
 			m.tp[i] = 0
@@ -405,10 +432,9 @@ func (m *mlEstimator) refresh() {
 			a, b := float64(g.a), float64(g.n-g.a)
 			for k, r := range g.y.idx {
 				y := g.y.val[k]
-				qi, _ := m.q.find(r) // q spans the full support
+				qi, pi := m.qs[r], m.ps[r] // q spans the full support
 				var pv float64
-				pi, pok := m.p.find(r)
-				if pok {
+				if pi >= 0 {
 					pv = m.p.val[pi]
 				}
 				den := a*pv + b*m.q.val[qi]
@@ -417,7 +443,7 @@ func (m *mlEstimator) refresh() {
 				}
 				// E-step: expected target-origin mass of the y deliveries.
 				w := a * pv / den
-				if pok {
+				if pi >= 0 {
 					m.tp[pi] += y * w
 				}
 				m.tq[qi] += y * (1 - w)
@@ -474,10 +500,14 @@ func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 	if ts.NWith < 0 || ts.NWithout < 0 {
 		return errors.New("population: snapshot has negative round counts")
 	}
-	m.groups = m.groups[:0]
+	// The groups must agree with themselves and with the round counts:
+	// every round of a group delivers n messages, and the rounds the
+	// target sent in are exactly those of the a > 0 groups. All the
+	// quantities are counts, so the sums are exact.
+	var with, all float64
 	for gi := range ts.ML.Groups {
 		gs := &ts.ML.Groups[gi]
-		if gs.A < 0 || gs.N < 1 || gs.A > gs.N || gs.C < 1 {
+		if gs.A < 0 || gs.N < 1 || gs.A > gs.N || gs.C < 1 || !isCount(gs.C) {
 			return fmt.Errorf("population: snapshot ML group %d has invalid (a=%d, n=%d, c=%v)",
 				gi, gs.A, gs.N, gs.C)
 		}
@@ -490,14 +520,55 @@ func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 		if err := gs.Y.validate(fmt.Sprintf("ml group %d", gi), nrcpt); err != nil {
 			return err
 		}
+		var sum float64
+		for _, y := range gs.Y.Val {
+			if !isCount(y) {
+				return fmt.Errorf("population: snapshot ML group %d has delivery count %v", gi, y)
+			}
+			sum += y
+		}
+		if want := gs.C * float64(gs.N); sum != want {
+			return fmt.Errorf("population: snapshot ML group %d (a=%d, n=%d) holds %v deliveries, want c·n = %v",
+				gi, gs.A, gs.N, sum, want)
+		}
+		if gs.A > 0 {
+			with += gs.C
+		}
+		all += gs.C
+	}
+	if with != float64(ts.NWith) {
+		return fmt.Errorf("population: snapshot ML groups with a > 0 hold %v rounds, n_with is %d",
+			with, ts.NWith)
+	}
+	if all != float64(ts.NWith+ts.NWithout) {
+		return fmt.Errorf("population: snapshot ML groups hold %v rounds in all, n_with + n_without is %d",
+			all, ts.NWith+ts.NWithout)
+	}
+	m.groups = m.groups[:0]
+	m.allCnt = sparseVec{}
+	m.withCnt = sparseVec{}
+	for gi := range ts.ML.Groups {
+		gs := &ts.ML.Groups[gi]
 		g := mlGroup{a: gs.A, n: gs.N, c: gs.C}
 		g.y.setPairs(gs.Y.Idx, gs.Y.Val)
+		for k, r := range g.y.idx {
+			m.allCnt.add(r, g.y.val[k])
+			if g.a > 0 {
+				m.withCnt.add(r, g.y.val[k])
+			}
+		}
 		m.groups = append(m.groups, g)
 	}
 	m.nWith = ts.NWith
 	m.nWithout = ts.NWithout
 	m.dirty = true
 	return nil
+}
+
+// isCount reports whether x is a non-negative integer-valued float64 in
+// the range where float64 sums of such values are exact.
+func isCount(x float64) bool {
+	return x >= 0 && x <= 1<<53 && x == math.Trunc(x)
 }
 
 // normalizeVec scales a non-negative sparse vector to unit sum in place
@@ -516,10 +587,10 @@ func normalizeVec(v *sparseVec) {
 	}
 }
 
-// growZero returns s resized to n elements without preserving contents.
-func growZero(s []float64, n int) []float64 {
+// resize returns s resized to n elements without preserving contents.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -1,8 +1,11 @@
 package population
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
+
+	"linkpad/internal/xrand"
 )
 
 // estimator_ref_test.go: closed-form references for the arms-race
@@ -11,7 +14,8 @@ import (
 // equations by a different algorithm, and bit-identically with a dense
 // mirror of its own accumulators; the ML estimator's EM refresh must
 // agree with a reference EM whose E-step is the exhaustive Bayesian
-// posterior enumerated over all 2^n per-message origin assignments.
+// posterior enumerated over all 2^n per-message origin assignments, and
+// bit-identically with the search-per-entry refresh it replaced.
 
 // collectRounds drives an engine for R rounds through the threshold mix
 // and records each round's egress (recipients) and per-target ingress
@@ -378,4 +382,239 @@ func TestMLGroupingIsExact(t *testing.T) {
 	if totalRounds != float64(rounds) {
 		t.Fatalf("groups account for %v rounds, want %d", totalRounds, rounds)
 	}
+}
+
+// refreshSearchReference is the ML refresh before the running counts
+// and slot maps, kept verbatim as the oracle: it rebuilds p's and q's
+// initializers from the groups with a search-and-insert per entry, and
+// its E-step binary-searches p and q for every entry of every sweep.
+// Run it on an estimator holding a copy of the groups (cloneGroups).
+func refreshSearchReference(m *mlEstimator) {
+	m.p.idx, m.p.val = m.p.idx[:0], m.p.val[:0]
+	m.q.idx, m.q.val = m.q.idx[:0], m.q.val[:0]
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		for k, r := range g.y.idx {
+			m.q.add(r, g.y.val[k])
+			if g.a > 0 {
+				m.p.add(r, g.y.val[k])
+			}
+		}
+	}
+	normalizeVec(&m.p)
+	normalizeVec(&m.q)
+	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
+		return
+	}
+	m.tp = resize(m.tp, len(m.p.idx))
+	m.tq = resize(m.tq, len(m.q.idx))
+	for iter := 0; iter < mlEMIters; iter++ {
+		for i := range m.tp {
+			m.tp[i] = 0
+		}
+		for i := range m.tq {
+			m.tq[i] = 0
+		}
+		for gi := range m.groups {
+			g := &m.groups[gi]
+			a, b := float64(g.a), float64(g.n-g.a)
+			for k, r := range g.y.idx {
+				y := g.y.val[k]
+				qi, _ := m.q.find(r) // q spans the full support
+				var pv float64
+				pi, pok := m.p.find(r)
+				if pok {
+					pv = m.p.val[pi]
+				}
+				den := a*pv + b*m.q.val[qi]
+				if den <= 0 {
+					continue
+				}
+				// E-step: expected target-origin mass of the y deliveries.
+				w := a * pv / den
+				if pok {
+					m.tp[pi] += y * w
+				}
+				m.tq[qi] += y * (1 - w)
+			}
+		}
+		// M-step: renormalize both components.
+		var sp, sq float64
+		for _, v := range m.tp {
+			sp += v
+		}
+		for _, v := range m.tq {
+			sq += v
+		}
+		if sp > 0 {
+			for i := range m.tp {
+				m.p.val[i] = m.tp[i] / sp
+			}
+		}
+		if sq > 0 {
+			for i := range m.tq {
+				m.q.val[i] = m.tq[i] / sq
+			}
+		}
+	}
+}
+
+// cloneGroups deep-copies ML groups, so the reference cannot touch the
+// estimator under test.
+func cloneGroups(gs []mlGroup) []mlGroup {
+	out := make([]mlGroup, len(gs))
+	for i, g := range gs {
+		out[i] = mlGroup{a: g.a, n: g.n, c: g.c}
+		out[i].y.setPairs(g.y.idx, g.y.val)
+	}
+	return out
+}
+
+// sameBits reports whether two sparse vectors have equal supports and
+// bit-identical values.
+func sameBits(a, b *sparseVec) bool {
+	if len(a.idx) != len(b.idx) || len(a.val) != len(b.val) {
+		return false
+	}
+	for k := range a.idx {
+		if a.idx[k] != b.idx[k] || math.Float64bits(a.val[k]) != math.Float64bits(b.val[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// League geometry: ext-sda-arms-race's population and mix batch.
+const leagueUsers, leagueRecipients, leagueBatch = 24, 60, 48
+
+// collectMixRounds drives a league-shaped engine with cover through the
+// given mix policy and records target's observation stream. Pool and
+// timed rounds vary in size, so the ML estimator sees many (a, n) keys.
+func collectMixRounds(tb testing.TB, spec MixSpec, target int32, rounds int) []recordedRound {
+	tb.Helper()
+	e, err := NewEngine(refUsers(tb, leagueUsers, leagueRecipients, true, false), leagueRecipients)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.SetWorkers(1)
+	mix, err := e.NewMix(spec, leagueBatch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var r Round
+	out := make([]recordedRound, 0, rounds)
+	for i := 0; i < rounds; i++ {
+		if err := mix.NextRound(&r); err != nil {
+			tb.Fatal(err)
+		}
+		rec := recordedRound{rcpts: append([]int32(nil), r.Rcpts...)}
+		for _, u := range r.Users {
+			if u == target {
+				rec.cnt++
+			}
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestMLRefreshMatchesSearchReference: after every observed round the
+// search-free refresh must reproduce the search-per-entry reference
+// exactly — equal supports and bit-identical p and q — over pool and
+// timed rounds of varying size. An estimator restored from a JSON
+// snapshot at a seeded random round rebuilds its running counts from
+// the groups; it must hold the same counts as the original and keep
+// matching the reference as rounds continue.
+func TestMLRefreshMatchesSearchReference(t *testing.T) {
+	const rounds = 240
+	for _, spec := range []MixSpec{{Kind: MixPool, Seed: 5}, {Kind: MixTimed}} {
+		t.Run(spec.Kind.String(), func(t *testing.T) {
+			recs := collectMixRounds(t, spec, 3, rounds)
+			sizes := map[int]bool{}
+			for _, rec := range recs {
+				sizes[len(rec.rcpts)] = true
+			}
+			if len(sizes) < 2 {
+				t.Fatalf("every round has the same size; the test needs varying n")
+			}
+			kill := 1 + xrand.New(2026).Intn(rounds-1)
+			est := newEstimator(EstimatorML).(*mlEstimator)
+			var resumed *mlEstimator
+			var r Round
+			for i, rec := range recs {
+				r.Rcpts = rec.rcpts
+				est.observe(&r, rec.cnt > 0, rec.cnt)
+				if resumed != nil {
+					resumed.observe(&r, rec.cnt > 0, rec.cnt)
+				}
+				if i+1 == kill {
+					resumed = jsonRoundTrip(t, est)
+				}
+				for _, m := range []*mlEstimator{est, resumed} {
+					if m == nil {
+						continue
+					}
+					m.refresh()
+					ref := &mlEstimator{groups: cloneGroups(m.groups)}
+					refreshSearchReference(ref)
+					if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
+						t.Fatalf("round %d (resumed=%t): refresh differs from the search reference",
+							i+1, m == resumed)
+					}
+				}
+			}
+			if resumed == nil {
+				t.Fatal("the restore point was never reached")
+			}
+		})
+	}
+}
+
+// jsonRoundTrip snapshots an ML estimator through JSON into a fresh one
+// and checks the rebuilt running counts against the original's.
+func jsonRoundTrip(t *testing.T, m *mlEstimator) *mlEstimator {
+	t.Helper()
+	var ts TargetEstimatorState
+	m.snapshot(&ts)
+	data, err := json.Marshal(&ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded TargetEstimatorState
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	out := newEstimator(EstimatorML).(*mlEstimator)
+	if err := out.restore(&decoded, leagueRecipients); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(&out.allCnt, &m.allCnt) || !sameBits(&out.withCnt, &m.withCnt) {
+		t.Fatal("restored running counts differ from the original's")
+	}
+	return out
+}
+
+// BenchmarkMLRefresh times one ML refresh over grouped statistics shaped
+// like the league's timed-mix cells after their 240-round budget, for
+// the search-free refresh and the search-per-entry reference.
+func BenchmarkMLRefresh(b *testing.B) {
+	m := newEstimator(EstimatorML).(*mlEstimator)
+	var r Round
+	for _, rec := range collectMixRounds(b, MixSpec{Kind: MixTimed}, 3, 240) {
+		r.Rcpts = rec.rcpts
+		m.observe(&r, rec.cnt > 0, rec.cnt)
+	}
+	b.Run("slot-map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.refresh()
+		}
+	})
+	b.Run("search-reference", func(b *testing.B) {
+		ref := &mlEstimator{groups: cloneGroups(m.groups)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			refreshSearchReference(ref)
+		}
+	})
 }

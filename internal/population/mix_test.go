@@ -432,4 +432,48 @@ func TestDisclosureWorkerInvarianceMatrix(t *testing.T) {
 			}
 		})
 	}
+	// The league's own geometry, where several targets have a dummy in
+	// the same round, so the parallel ML refresh phase really runs more
+	// than one target at a time.
+	for _, kind := range []MixKind{MixPool, MixTimed} {
+		t.Run("league-"+kind.String()+"-ml-adaptive", func(t *testing.T) {
+			cfg := DisclosureConfig{
+				Batch:      leagueBatch,
+				Mix:        MixSpec{Kind: kind},
+				Estimator:  EstimatorML,
+				Dummies:    DummyAdaptive,
+				MaxRounds:  240,
+				CheckEvery: 25,
+			}
+			run := func(workers int) (*DisclosureResult, int) {
+				e, err := NewEngine(refUsers(t, leagueUsers, leagueRecipients, true, false), leagueRecipients)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := cfg
+				c.Workers = workers
+				run, err := e.StartDisclosure(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxDue := 0
+				for !run.Done() {
+					if _, err := run.Step(1); err != nil {
+						t.Fatal(err)
+					}
+					maxDue = max(maxDue, len(run.d.due))
+				}
+				return run.Result(), maxDue
+			}
+			ref, due := run(1)
+			if due < 2 {
+				t.Fatalf("at most %d target due per round; the parallel phase is not exercised", due)
+			}
+			for _, w := range []int{2, 4} {
+				if got, _ := run(w); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("workers=%d: result differs from workers=1", w)
+				}
+			}
+		})
+	}
 }

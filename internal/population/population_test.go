@@ -146,46 +146,60 @@ func TestEngineWorkerInvariance(t *testing.T) {
 	}
 }
 
-// The round loop — NextRound plus the SDA estimator update — must not
-// allocate in steady state (single-worker generation exercises the
-// sequential refill path; parallel refills allocate only goroutine
-// bookkeeping per slab, never per round).
+// The round loop — NextRound, the dummy policy and the SDA estimator
+// update — must not allocate in steady state (single-worker generation
+// exercises the sequential refill path; parallel refills allocate only
+// goroutine bookkeeping per slab, never per round). The ML cell runs
+// adaptive dummies at one worker, so every round refreshes EM through
+// the inline parallel phase.
 func TestRoundLoopAllocFree(t *testing.T) {
-	users, recipients := testUsers(t, 16, true)
-	e, err := NewEngine(users, recipients)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		cfg  DisclosureConfig
+	}{
+		{"classic", DisclosureConfig{Batch: 8, Targets: []int{0, 5, 10}}},
+		{"ml-adaptive", DisclosureConfig{Batch: 8, Targets: []int{0, 5, 10},
+			Estimator: EstimatorML, Dummies: DummyAdaptive, Workers: 1}},
 	}
-	e.SetWorkers(1)
-	cfg := DisclosureConfig{Batch: 8, Targets: []int{0, 5, 10}}.withDefaults(len(users))
-	d, err := newDisclosure(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r Round
-	// Warm up buffers (slab, queue, round slices) past their growth.
-	for i := 0; i < 500; i++ {
-		if err := e.NextRound(8, &r); err != nil {
-			t.Fatal(err)
-		}
-		d.observe(&r)
-	}
-	d.checkpoint(500)
-	avg := testing.AllocsPerRun(300, func() {
-		if err := e.NextRound(8, &r); err != nil {
-			t.Fatal(err)
-		}
-		d.observe(&r)
-	})
-	if avg > 0.05 {
-		t.Errorf("round loop allocates %.3f objects/round, want 0", avg)
-	}
-	// Checkpoints reuse the estimate and top-k scratch.
-	avg = testing.AllocsPerRun(50, func() {
-		d.checkpoint(1000)
-	})
-	if avg > 0 {
-		t.Errorf("checkpoint allocates %.3f objects, want 0", avg)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			users, recipients := testUsers(t, 16, true)
+			e, err := NewEngine(users, recipients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetWorkers(1)
+			d, err := newDisclosure(e, tc.cfg.withDefaults(len(users)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r Round
+			round := func() {
+				if err := e.NextRound(8, &r); err != nil {
+					t.Fatal(err)
+				}
+				d.applyDummies(&r)
+				d.observe(&r)
+			}
+			// Warm up buffers (slab, queue, round slices, estimator
+			// supports) past their growth.
+			for i := 0; i < 500; i++ {
+				round()
+			}
+			d.checkpoint(500)
+			if avg := testing.AllocsPerRun(300, round); avg > 0.05 {
+				t.Errorf("round loop allocates %.3f objects/round, want 0", avg)
+			}
+			// Checkpoints reuse the estimate and top-k scratch; the ML
+			// estimators are dirty, so each one refreshes.
+			avg := testing.AllocsPerRun(50, func() {
+				d.observe(&r)
+				d.checkpoint(1000)
+			})
+			if avg > 0 {
+				t.Errorf("checkpoint allocates %.3f objects, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -85,8 +85,9 @@ type DisclosureConfig struct {
 	// without-rounds (ablation-churn quantifies the trade). No-op without
 	// churn.
 	ChurnAware bool
-	// Workers bounds the engine's per-user generation parallelism;
-	// results are identical at any width. Zero means all CPUs.
+	// Workers bounds the engine's per-user generation parallelism and,
+	// for the ML estimator, how many targets refresh their EM estimate
+	// at once; results are identical at any width. Zero means all CPUs.
 	Workers int
 }
 
@@ -212,6 +213,7 @@ type targetState struct {
 	dumCount   int     // adaptive dummies re-addressed so far (rotation cursor)
 	sus        []int32 // adaptive-dummy suspect scratch, refreshed per round
 	susFresh   bool
+	due        bool // per-round scratch: the target has a dummy in the round
 	sent       bool // per-round scratch
 	cnt        int  // per-round scratch: the target's send count
 }
@@ -220,17 +222,30 @@ type targetState struct {
 // scratch, sized once so the round loop allocates nothing in steady
 // state (estimator inserts stop once each target's observed support
 // saturates).
+//
+// The expensive per-target work — an estimator's ready(), which for ML
+// reruns EM — happens in a parallel phase ahead of each sequential pass
+// that needs it (checkpoint, applyDummies): due collects the targets,
+// and par.MapWorker brings their estimators up to date, one target per
+// index. Each target's estimator is private to it, and the sequential
+// pass then reads the same state it would have computed itself, so
+// results do not depend on the worker count.
 type disclosure struct {
 	eng       *Engine
 	mix       MixPolicy
 	cfg       DisclosureConfig
 	nrcpt     int
+	workers   int
 	targets   []targetState
 	targetIdx []int32 // user -> target index, -1 if not a target
 	topIdx    []int32
 	topVal    []float64
 	setScr    []int32
 	susVal    []float64 // suspect-selection scratch (adaptive dummies)
+	due       []int32   // targets of the current parallel phase
+	// readyDue is the parallel phase's body, built once so that a phase
+	// run inline (one worker) allocates nothing.
+	readyDue func(worker, i int) error
 }
 
 // newDisclosure validates cfg and sizes the estimators. It materializes
@@ -241,8 +256,15 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 		eng:       e,
 		cfg:       cfg,
 		nrcpt:     e.nrcpt,
+		workers:   1,
 		targets:   make([]targetState, len(cfg.Targets)),
 		targetIdx: make([]int32, e.n),
+		due:       make([]int32, 0, len(cfg.Targets)),
+	}
+	if cfg.Estimator == EstimatorML {
+		// Only ML's ready() (an EM refresh) costs more than a goroutine;
+		// the others cache two reciprocals.
+		d.workers = par.Workers(cfg.Workers)
 	}
 	for i := range d.targetIdx {
 		d.targetIdx[i] = -1
@@ -277,6 +299,10 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 	d.topVal = make([]float64, maxK)
 	d.setScr = make([]int32, maxK)
 	d.susVal = make([]float64, maxK)
+	d.readyDue = func(_, i int) error {
+		d.targets[d.due[i]].est.ready()
+		return nil
+	}
 	return d, nil
 }
 
@@ -309,8 +335,17 @@ func (d *disclosure) observe(r *Round) {
 
 // checkpoint tests every undisclosed target's estimate against its true
 // contact set, advancing disclosure streaks; it returns true once every
-// target is disclosed. Allocation-free.
+// target is disclosed. The undisclosed targets' estimators are brought
+// up to date in parallel first, so the sequential test below finds them
+// clean. Allocation-free at one worker.
 func (d *disclosure) checkpoint(round int) (allDone bool) {
+	d.due = d.due[:0]
+	for i := range d.targets {
+		if !d.targets[i].disclosed {
+			d.due = append(d.due, int32(i))
+		}
+	}
+	_ = par.MapWorker(len(d.due), d.workers, d.readyDue) // readyDue never fails
 	allDone = true
 	for i := range d.targets {
 		t := &d.targets[i]

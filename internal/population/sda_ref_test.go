@@ -259,7 +259,7 @@ func runDenseReference(t *testing.T, e *Engine, cfg DisclosureConfig) *Disclosur
 // refUsers builds a deterministic population over a parameterizable
 // recipient space (testUsers pins 40; the sparse/dense property wants
 // spaces much larger than the observed support too).
-func refUsers(t *testing.T, n, recipients int, cover, churn bool) []User {
+func refUsers(t testing.TB, n, recipients int, cover, churn bool) []User {
 	t.Helper()
 	users := make([]User, n)
 	for u := 0; u < n; u++ {
