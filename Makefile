@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet test race bench bench-json bench-compare bench-gate \
 	bench-selftest profile staticcheck docs golden golden-check resume-check \
-	scale-smoke report ci clean
+	scale-smoke scale report ci clean
 
 all: vet build test
 
@@ -149,7 +149,7 @@ scale:
 ci: vet build test race bench-selftest staticcheck docs golden-check resume-check scale-smoke
 
 clean:
-	rm -f linkpad.test cpu.prof mem.prof
+	rm -f linkpad.test cpu.prof mem.prof report.json
 
 # Race-detector pass over the full test suite; nested parallelism
 # (sweep points x sessions x trials) is load-bearing, so run this before

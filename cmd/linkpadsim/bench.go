@@ -100,13 +100,19 @@ func gitTreeCommit() string {
 // payload + dummy emissions plus timed-mix packets, from the obs
 // counter delta around the run) — a deterministic function of
 // (experiment, scale, seed), so packets/sec trends are comparable
-// across records at the same options even as the code changes.
+// across records at the same options even as the code changes. Messages
+// is the population runners' work unit, the real messages put into mix
+// rounds (the population_message counter delta). It is omitted where it
+// is 0, so rewriting the trajectory leaves the records written before it
+// existed as they were.
 type benchPoint struct {
-	ID            string  `json:"id"`
-	Seconds       float64 `json:"seconds"`
-	Rows          int     `json:"rows"`
-	Packets       uint64  `json:"packets"`
-	PacketsPerSec float64 `json:"packets_per_sec"`
+	ID             string  `json:"id"`
+	Seconds        float64 `json:"seconds"`
+	Rows           int     `json:"rows"`
+	Packets        uint64  `json:"packets"`
+	PacketsPerSec  float64 `json:"packets_per_sec"`
+	Messages       uint64  `json:"messages,omitempty"`
+	MessagesPerSec float64 `json:"messages_per_sec,omitempty"`
 }
 
 // runBenchJSON executes the selected experiments, timing each, and
@@ -137,12 +143,15 @@ func runBenchJSON(ids []string, opts experiment.Options, path string) error {
 			delta[c] = after[c] - before[c]
 		}
 		packets := obs.Packets(delta)
+		messages := delta[obs.PopulationMessage]
 		rec.Experiments = append(rec.Experiments, benchPoint{
-			ID:            id,
-			Seconds:       elapsed.Seconds(),
-			Rows:          len(tbl.Rows),
-			Packets:       packets,
-			PacketsPerSec: perSecond(packets, elapsed),
+			ID:             id,
+			Seconds:        elapsed.Seconds(),
+			Rows:           len(tbl.Rows),
+			Packets:        packets,
+			PacketsPerSec:  perSecond(packets, elapsed),
+			Messages:       messages,
+			MessagesPerSec: perSecond(messages, elapsed),
 		})
 		fmt.Fprintf(os.Stderr, "%s: %v\n", id, elapsed.Round(time.Millisecond))
 	}

@@ -159,4 +159,32 @@ func TestRunReportSmoke(t *testing.T) {
 	if rep.Totals.Packets != e.Packets {
 		t.Errorf("totals.packets = %d, want %d", rep.Totals.Packets, e.Packets)
 	}
+
+	// A disclosure runner moves no padded packets; its work unit is the
+	// population's messages, which must be reported and non-zero.
+	err, _ = tryRun(t, "-exp", "scale-disclosure", "-scale", "0.001", "-seed", "3", "-report", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	rep = RunReport{}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report does not decode: %v", err)
+	}
+	if len(rep.Experiments) != 1 {
+		t.Fatalf("report experiments = %+v", rep.Experiments)
+	}
+	e = rep.Experiments[0]
+	if e.Messages == 0 || e.MessagesPerSec <= 0 {
+		t.Errorf("disclosure runner reports messages=%d messages_per_sec=%v, want both non-zero",
+			e.Messages, e.MessagesPerSec)
+	}
+	if want := e.Counters["population_message"]; e.Messages != want {
+		t.Errorf("messages = %d, want the population_message delta %d", e.Messages, want)
+	}
+	if rep.Totals.Messages != e.Messages || rep.Totals.MessagesPerSec <= 0 {
+		t.Errorf("totals messages = %d (%v/s), want %d", rep.Totals.Messages, rep.Totals.MessagesPerSec, e.Messages)
+	}
 }

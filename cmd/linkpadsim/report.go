@@ -16,8 +16,8 @@ import (
 // deltas of the obs collector, so an "all" run decomposes cleanly even
 // though the collector itself is process-global. Counter values are
 // deterministic functions of (experiment, scale, seed) — identical at
-// any -workers width — while seconds and packets/sec are wall-clock
-// measurements and vary run to run.
+// any -workers width — while seconds, packets/sec and messages/sec are
+// wall-clock measurements and vary run to run.
 type RunReport struct {
 	Timestamp   string             `json:"timestamp"`
 	GitCommit   string             `json:"git_commit"`
@@ -38,17 +38,25 @@ type ExperimentReport struct {
 	// Packets is the simulated packet volume this experiment pushed
 	// through the padded links: gateway payload + dummy emissions plus
 	// timed-mix packets (obs.Packets over the counter delta).
-	Packets       uint64            `json:"packets"`
-	PacketsPerSec float64           `json:"packets_per_sec"`
-	Counters      map[string]uint64 `json:"counters"`
+	Packets       uint64  `json:"packets"`
+	PacketsPerSec float64 `json:"packets_per_sec"`
+	// Messages is the population work unit: real messages the population
+	// engine put into mix rounds (the population_message counter delta).
+	// Population runners push no padded packets, so without it they would
+	// report zero throughput.
+	Messages       uint64            `json:"messages"`
+	MessagesPerSec float64           `json:"messages_per_sec"`
+	Counters       map[string]uint64 `json:"counters"`
 }
 
 // ReportTotals aggregates the whole invocation.
 type ReportTotals struct {
-	Seconds       float64           `json:"seconds"`
-	Packets       uint64            `json:"packets"`
-	PacketsPerSec float64           `json:"packets_per_sec"`
-	Counters      map[string]uint64 `json:"counters"`
+	Seconds        float64           `json:"seconds"`
+	Packets        uint64            `json:"packets"`
+	PacketsPerSec  float64           `json:"packets_per_sec"`
+	Messages       uint64            `json:"messages"`
+	MessagesPerSec float64           `json:"messages_per_sec"`
+	Counters       map[string]uint64 `json:"counters"`
 }
 
 // runReport accumulates per-experiment counter deltas during the run
@@ -80,14 +88,17 @@ func (r *runReport) add(id string, elapsed time.Duration, rows int, before, afte
 		counters[c.Name()] = delta[c]
 	}
 	packets := obs.Packets(delta)
+	messages := delta[obs.PopulationMessage]
 	r.total += elapsed
 	r.rep.Experiments = append(r.rep.Experiments, ExperimentReport{
-		ID:            id,
-		Seconds:       elapsed.Seconds(),
-		Rows:          rows,
-		Packets:       packets,
-		PacketsPerSec: perSecond(packets, elapsed),
-		Counters:      counters,
+		ID:             id,
+		Seconds:        elapsed.Seconds(),
+		Rows:           rows,
+		Packets:        packets,
+		PacketsPerSec:  perSecond(packets, elapsed),
+		Messages:       messages,
+		MessagesPerSec: perSecond(messages, elapsed),
+		Counters:       counters,
 	})
 }
 
@@ -99,11 +110,13 @@ func (r *runReport) write(path string) error {
 	}
 	for _, e := range r.rep.Experiments {
 		totals.Packets += e.Packets
+		totals.Messages += e.Messages
 		for name, n := range e.Counters {
 			totals.Counters[name] += n
 		}
 	}
 	totals.PacketsPerSec = perSecond(totals.Packets, r.total)
+	totals.MessagesPerSec = perSecond(totals.Messages, r.total)
 	r.rep.Totals = totals
 	data, err := json.MarshalIndent(&r.rep, "", "  ")
 	if err != nil {
@@ -115,9 +128,9 @@ func (r *runReport) write(path string) error {
 // perSecond guards the throughput division against a sub-resolution
 // elapsed time (trivial experiments at tiny -scale can finish in 0ns on
 // coarse clocks).
-func perSecond(packets uint64, elapsed time.Duration) float64 {
+func perSecond(n uint64, elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(packets) / elapsed.Seconds()
+	return float64(n) / elapsed.Seconds()
 }

@@ -75,9 +75,10 @@ func validEstimator(k EstimatorKind) bool {
 // estimator is one target's running disclosure estimator. The contract
 // the shared harness (topK, anonymity, checkpoint) relies on:
 //
-//   - observe folds one round; sent/cnt are the target's presence and
-//     send count in it (the ingress view). Rounds masked by the
-//     churn-aware filter never reach observe.
+//   - observe folds one round, given as its recipient histogram (the
+//     egress view); sent/cnt are the target's presence and send count
+//     in it (the ingress view). Rounds masked by the churn-aware filter
+//     never reach observe.
 //   - ready reports whether a pointwise estimate exists, caching
 //     whatever reciprocals estimateAt needs; it must be called before
 //     estimateAt and is idempotent between observes.
@@ -87,7 +88,7 @@ func validEstimator(k EstimatorKind) bool {
 //   - snapshot/restore serialize the accumulators into the target's
 //     slot of a disclosure checkpoint.
 type estimator interface {
-	observe(r *Round, sent bool, cnt int)
+	observe(h *rcptHist, sent bool, cnt int)
 	ready() bool
 	support() []int32
 	estimateAt(i int32) float64
@@ -120,7 +121,7 @@ type classicEstimator struct {
 	iw, iwo    float64 // 1/nWith, 1/nWithout, refreshed by ready
 }
 
-func (c *classicEstimator) observe(r *Round, sent bool, _ int) {
+func (c *classicEstimator) observe(h *rcptHist, sent bool, _ int) {
 	dst := &c.sumWithout
 	if sent {
 		dst = &c.sumWith
@@ -128,9 +129,7 @@ func (c *classicEstimator) observe(r *Round, sent bool, _ int) {
 	} else {
 		c.nWithout++
 	}
-	for _, rc := range r.Rcpts {
-		dst.add(rc, 1)
-	}
+	dst.fold(h.idx, h.cnt, 1)
 }
 
 func (c *classicEstimator) ready() bool {
@@ -197,7 +196,8 @@ func (c *classicEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 // the two right-hand-side vectors accumulate sparsely: Say[r] gains a_i
 // per delivery to r (only in rounds the target sent, so its support —
 // the only place a positive estimate can live — stays as small as the
-// classic estimator's), Sby[r] gains b_i per delivery. All accumulator
+// classic estimator's), Sby[r] gains b_i per delivery. A round folds in
+// as a_i·c and b_i·c for a recipient delivered c times. All accumulator
 // values are integer-valued float64s, exact below 2^53, so the sparse
 // accumulation agrees bit-for-bit with a dense mirror.
 type lsEstimator struct {
@@ -208,9 +208,9 @@ type lsEstimator struct {
 	inv           float64 // 1/det, refreshed by ready
 }
 
-func (l *lsEstimator) observe(r *Round, sent bool, cnt int) {
+func (l *lsEstimator) observe(h *rcptHist, sent bool, cnt int) {
 	a := float64(cnt)
-	b := float64(len(r.Rcpts) - cnt)
+	b := float64(h.n - cnt)
 	l.saa += a * a
 	l.sab += a * b
 	l.sbb += b * b
@@ -220,14 +220,10 @@ func (l *lsEstimator) observe(r *Round, sent bool, cnt int) {
 		l.nWithout++
 	}
 	if a > 0 {
-		for _, rc := range r.Rcpts {
-			l.say.add(rc, a)
-		}
+		l.say.fold(h.idx, h.cnt, a)
 	}
 	if b > 0 {
-		for _, rc := range r.Rcpts {
-			l.sby.add(rc, b)
-		}
+		l.sby.fold(h.idx, h.cnt, b)
 	}
 }
 
@@ -356,15 +352,13 @@ func (m *mlEstimator) group(a, n int32) *mlGroup {
 	return &m.groups[lo]
 }
 
-func (m *mlEstimator) observe(r *Round, sent bool, cnt int) {
-	g := m.group(int32(cnt), int32(len(r.Rcpts)))
+func (m *mlEstimator) observe(h *rcptHist, sent bool, cnt int) {
+	g := m.group(int32(cnt), int32(h.n))
 	g.c++
-	for _, rc := range r.Rcpts {
-		g.y.add(rc, 1)
-		m.allCnt.add(rc, 1)
-		if cnt > 0 {
-			m.withCnt.add(rc, 1)
-		}
+	g.y.fold(h.idx, h.cnt, 1)
+	m.allCnt.fold(h.idx, h.cnt, 1)
+	if cnt > 0 {
+		m.withCnt.fold(h.idx, h.cnt, 1)
 	}
 	if sent {
 		m.nWith++
@@ -551,11 +545,10 @@ func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 		gs := &ts.ML.Groups[gi]
 		g := mlGroup{a: gs.A, n: gs.N, c: gs.C}
 		g.y.setPairs(gs.Y.Idx, gs.Y.Val)
-		for k, r := range g.y.idx {
-			m.allCnt.add(r, g.y.val[k])
-			if g.a > 0 {
-				m.withCnt.add(r, g.y.val[k])
-			}
+		// Each group's y is ascending, so it folds like a round.
+		m.allCnt.fold(g.y.idx, g.y.val, 1)
+		if g.a > 0 {
+			m.withCnt.fold(g.y.idx, g.y.val, 1)
 		}
 		m.groups = append(m.groups, g)
 	}

@@ -48,12 +48,18 @@ func collectTargetRounds(t *testing.T, e *Engine, target int32, batch, rounds in
 // given kind, exactly as disclosure.observe would.
 func feedEstimator(k EstimatorKind, rounds []recordedRound) estimator {
 	est := newEstimator(k)
-	var r Round
+	var h rcptHist
 	for _, rec := range rounds {
-		r.Rcpts = rec.rcpts
-		est.observe(&r, rec.cnt > 0, rec.cnt)
+		observeRecorded(est, &h, rec)
 	}
 	return est
+}
+
+// observeRecorded folds one recorded round into est through the
+// histogram scratch h, as disclosure.observe does.
+func observeRecorded(est estimator, h *rcptHist, rec recordedRound) {
+	h.build(rec.rcpts)
+	est.observe(h, rec.cnt > 0, rec.cnt)
 }
 
 // solve2x2Gauss solves [saa sab; sab sbb]·[p;q] = [say;sby] by Gaussian
@@ -349,10 +355,9 @@ func TestMLGroupingIsExact(t *testing.T) {
 	recs := collectTargetRounds(t, e, 5, batch, rounds)
 	fwd := feedEstimator(EstimatorML, recs).(*mlEstimator)
 	rev := newEstimator(EstimatorML).(*mlEstimator)
-	var r Round
+	var h rcptHist
 	for i := len(recs) - 1; i >= 0; i-- {
-		r.Rcpts = recs[i].rcpts
-		rev.observe(&r, recs[i].cnt > 0, recs[i].cnt)
+		observeRecorded(rev, &h, recs[i])
 	}
 	if len(fwd.groups) != len(rev.groups) {
 		t.Fatalf("group counts differ: %d forward vs %d reversed", len(fwd.groups), len(rev.groups))
@@ -540,12 +545,11 @@ func TestMLRefreshMatchesSearchReference(t *testing.T) {
 			kill := 1 + xrand.New(2026).Intn(rounds-1)
 			est := newEstimator(EstimatorML).(*mlEstimator)
 			var resumed *mlEstimator
-			var r Round
+			var h rcptHist
 			for i, rec := range recs {
-				r.Rcpts = rec.rcpts
-				est.observe(&r, rec.cnt > 0, rec.cnt)
+				observeRecorded(est, &h, rec)
 				if resumed != nil {
-					resumed.observe(&r, rec.cnt > 0, rec.cnt)
+					observeRecorded(resumed, &h, rec)
 				}
 				if i+1 == kill {
 					resumed = jsonRoundTrip(t, est)
@@ -599,10 +603,9 @@ func jsonRoundTrip(t *testing.T, m *mlEstimator) *mlEstimator {
 // the search-free refresh and the search-per-entry reference.
 func BenchmarkMLRefresh(b *testing.B) {
 	m := newEstimator(EstimatorML).(*mlEstimator)
-	var r Round
+	var h rcptHist
 	for _, rec := range collectMixRounds(b, MixSpec{Kind: MixTimed}, 3, 240) {
-		r.Rcpts = rec.rcpts
-		m.observe(&r, rec.cnt > 0, rec.cnt)
+		observeRecorded(m, &h, rec)
 	}
 	b.Run("slot-map", func(b *testing.B) {
 		b.ReportAllocs()

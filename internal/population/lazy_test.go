@@ -18,7 +18,7 @@ import (
 
 // refBuilder returns a pure per-user builder over the refUsers
 // population: building user u twice yields identically seeded stacks.
-func refBuilder(t *testing.T, recipients int, cover, churn bool) Builder {
+func refBuilder(t testing.TB, recipients int, cover, churn bool) Builder {
 	t.Helper()
 	return func(u int) (User, error) {
 		master := xrand.New(uint64(3000 + u))
@@ -52,7 +52,7 @@ func refBuilder(t *testing.T, recipients int, cover, churn bool) Builder {
 }
 
 // collectRounds drains n rounds into deep copies.
-func collectRounds(t *testing.T, e *Engine, n, batch int) []Round {
+func collectRounds(t testing.TB, e *Engine, n, batch int) []Round {
 	t.Helper()
 	out := make([]Round, n)
 	var r Round
@@ -70,22 +70,79 @@ func collectRounds(t *testing.T, e *Engine, n, batch int) []Round {
 	return out
 }
 
+// tiedBuilder returns a pure builder whose payload and cover are
+// jitter-free CBR sources at one rate, so every user's first payload
+// and cover gaps are equal. Superpose gives such a tie to the payload
+// (the lower index); the lazy engine's init pass, which reads the
+// frontier without a Superpose, must too.
+func tiedBuilder(recipients int) Builder {
+	return func(u int) (User, error) {
+		rate := 5 + float64(u%4)*3
+		msgs, err := traffic.NewCBR(rate, 0, nil)
+		if err != nil {
+			return User{}, err
+		}
+		cov, err := traffic.NewCBR(rate, 0, nil)
+		if err != nil {
+			return User{}, err
+		}
+		prng := xrand.New(uint64(9000 + u))
+		prof, err := NewProfile(recipients, 3, 0.7, prng)
+		if err != nil {
+			return User{}, err
+		}
+		return User{Class: u % 3, Messages: msgs, Cover: cov, Profile: prof, RNG: prng}, nil
+	}
+}
+
 // TestLazyEngineMatchesEager: a lazily materialized engine emits the
-// byte-identical round stream of an eager engine over the same users.
+// byte-identical round stream of an eager engine over the same users —
+// with and without cover, and with payload and cover tied on every
+// user's first arrival.
 func TestLazyEngineMatchesEager(t *testing.T) {
 	const n, recipients = 60, 80
-	eager, err := NewEngine(refUsers(t, n, recipients, true, false), recipients)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		build Builder
+		// payloadFirst: every user's first arrival must be its payload's
+		// (no cover source, or a cover source that only ties).
+		payloadFirst bool
+	}{
+		{"cover", refBuilder(t, recipients, true, false), false},
+		{"no-cover", refBuilder(t, recipients, false, false), true},
+		{"tied-first-gaps", tiedBuilder(recipients), true},
 	}
-	lazy, err := NewLazyEngine(n, recipients, refBuilder(t, recipients, true, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectRounds(t, eager, 300, 8)
-	got := collectRounds(t, lazy, 300, 8)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("lazy engine round stream differs from eager engine")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			users := make([]User, n)
+			for u := range users {
+				var err error
+				if users[u], err = tc.build(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eager, err := NewEngine(users, recipients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lazy, err := NewLazyEngine(n, recipients, tc.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lazy.nextT, eager.nextT) || !reflect.DeepEqual(lazy.nextCover, eager.nextCover) {
+				t.Fatal("lazy init frontier differs from the eager engine's")
+			}
+			for u, cover := range lazy.nextCover {
+				if cover && tc.payloadFirst {
+					t.Fatalf("user %d: frontier is a cover arrival; ties and cover-less users must start on the payload", u)
+				}
+			}
+			want := collectRounds(t, eager, 300, 8)
+			got := collectRounds(t, lazy, 300, 8)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("lazy engine round stream differs from eager engine")
+			}
+		})
 	}
 }
 
@@ -275,5 +332,51 @@ func TestLazyDisclosureKillAndResume(t *testing.T) {
 			t.Fatalf("kill=%d: resumed result differs from uninterrupted run\ngot  %+v\nwant %+v",
 				kill, got, base)
 		}
+	}
+}
+
+// BenchmarkLazyEngineInit times NewLazyEngine over 1e5 users with
+// cover: the init pass builds every user once and reads its frontier.
+func BenchmarkLazyEngineInit(b *testing.B) {
+	const n, recipients = 100_000, 10_000
+	build := refBuilder(b, recipients, true, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewLazyEngine(n, recipients, build); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDisclosureObserve times disclosure.observe, the sequential
+// fold of each round into every target's estimator, from fresh
+// estimators over 64 rounds shaped like population-scale cells: 8
+// targets, 10,000 recipients, batch 1024. ns/round is the per-round
+// cost, accumulator growth included.
+func BenchmarkDisclosureObserve(b *testing.B) {
+	const n, recipients, batch, rounds = 10_000, 10_000, 1024, 64
+	e, err := NewLazyEngine(n, recipients, refBuilder(b, recipients, true, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.SetWorkers(1)
+	rs := collectRounds(b, e, rounds, batch)
+	for _, k := range []EstimatorKind{EstimatorClassic, EstimatorLeastSquares} {
+		b.Run(k.String(), func(b *testing.B) {
+			cfg := DisclosureConfig{Estimator: k}.withDefaults(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d, err := newDisclosure(e, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for r := range rs {
+					d.observe(&rs[r])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
+		})
 	}
 }

@@ -294,11 +294,11 @@ func NewEngine(users []User, recipients int) (*Engine, error) {
 // NewLazyEngine assembles an engine over n users materialized on demand
 // from a pure Builder. Construction makes one pass over the population
 // (in parallel shards) to validate every user and record its compact
-// frontier — first arrival time, origin, aggregate rate — and then
-// discards the built source stacks. A user's full state is rebuilt from
-// the builder the first time it sends; users that never send within the
-// observed horizon never hold source state at all, which is what keeps
-// million-user populations resident-memory-cheap.
+// frontier — first arrival time, origin, aggregate rate — read straight
+// off the built sources, and then discards them. A user's full state is
+// rebuilt from the builder the first time it sends; users that never
+// send within the observed horizon never hold source state at all, which
+// is what keeps million-user populations resident-memory-cheap.
 func NewLazyEngine(n, recipients int, build Builder) (*Engine, error) {
 	return newLazyEngine(n, recipients, defaultShardSize, build)
 }
@@ -315,9 +315,9 @@ func newLazyEngine(n, recipients, shardSize int, build Builder) (*Engine, error)
 	}
 	e.build = build
 	// Init pass: one parallel sweep over the shards builds each user once,
-	// records its frontier, and drops the materialized state. Per-shard
-	// rate partials summed in shard order keep the aggregate-rate float
-	// identical at any worker count.
+	// records its frontier, and drops the materialized state without ever
+	// merging its sources. Per-shard rate partials summed in shard order
+	// keep the aggregate-rate float identical at any worker count.
 	nshards := e.numShards()
 	partial := make([]float64, nshards)
 	err = par.MapWorker(nshards, 0, func(_, sh int) error {
@@ -331,14 +331,9 @@ func newLazyEngine(n, recipients, shardSize int, build Builder) (*Engine, error)
 			if err := validateUser(&usr, u, recipients); err != nil {
 				return err
 			}
-			sup, err := superposeUser(&usr)
-			if err != nil {
-				return err
-			}
-			gap, src := sup.NextFrom()
-			e.nextT[u] = gap
-			e.nextCover[u] = src == 1
-			rate += sup.Rate()
+			var r float64
+			e.nextT[u], e.nextCover[u], r = frontier(&usr)
+			rate += r
 		}
 		partial[sh] = rate
 		return nil
@@ -400,6 +395,24 @@ func validateUser(usr *User, u, recipients int) error {
 	return nil
 }
 
+// frontier reads a freshly built user's first arrival and aggregate rate
+// without merging its sources: the first Next of each source, a tie
+// going to the payload (the lower index, as Superpose.NextFrom breaks
+// it), and the sources' rates summed in source order, as Superpose.Rate
+// sums them. The first NextFrom of superposeUser's merge returns the
+// same arrival bit for bit, which is what warmUp replays.
+func frontier(usr *User) (t float64, cover bool, rate float64) {
+	t = usr.Messages.Next()
+	rate += usr.Messages.Rate()
+	if usr.Cover != nil {
+		if tc := usr.Cover.Next(); tc < t {
+			t, cover = tc, true
+		}
+		rate += usr.Cover.Rate()
+	}
+	return t, cover, rate
+}
+
 // superposeUser merges a user's payload and cover sources.
 func superposeUser(usr *User) (*traffic.Superpose, error) {
 	srcs := []traffic.Source{usr.Messages}
@@ -446,9 +459,10 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replay the frontier draw: the init pass consumed one NextFrom to
-	// record (nextT, nextCover); re-consuming it aligns the fresh stream
-	// with the stored frontier.
+	// Replay the frontier draw: the init pass read (nextT, nextCover) off
+	// the sources' first arrivals (frontier), which is what the first
+	// NextFrom returns; consuming it aligns the fresh stream with the
+	// stored frontier.
 	sup.NextFrom()
 	st := &userState{usr: usr, sup: sup}
 	e.warm[u] = st

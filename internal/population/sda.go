@@ -31,7 +31,9 @@ import (
 // The estimators are sparse (sparse.go): each target accumulates only
 // the recipients actually delivered in its observed rounds, never a
 // dense length-R vector, so estimator memory scales with observed
-// support rather than with the recipient space. Every quantity the
+// support rather than with the recipient space. A round reaches them as
+// one sorted recipient histogram (rcptHist), which each accumulator
+// folds in a single merge pass (sparseVec.fold). Every quantity the
 // attack reports — the estimate, the top-k contact test, the entropy —
 // is computed from the sparse accumulators bit-identically to the dense
 // formulation (absent coordinates are exactly zero, and zero
@@ -243,6 +245,7 @@ type disclosure struct {
 	setScr    []int32
 	susVal    []float64 // suspect-selection scratch (adaptive dummies)
 	due       []int32   // targets of the current parallel phase
+	hist      rcptHist  // the current round's recipient histogram
 	// readyDue is the parallel phase's body, built once so that a phase
 	// run inline (one worker) allocates nothing.
 	readyDue func(worker, i int) error
@@ -306,11 +309,14 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 	return d, nil
 }
 
-// observe folds one round into every target's estimator. A churn-aware
-// run skips rounds in which the target was offline at the flush instant
-// — see DisclosureConfig.ChurnAware. Allocation-free once the
-// estimators' supports saturate.
+// observe folds one round into every target's estimator. The round's
+// recipients are sorted once into an ascending histogram, which every
+// estimator merges into its sparse accumulators in one pass. A
+// churn-aware run skips rounds in which the target was offline at the
+// flush instant — see DisclosureConfig.ChurnAware. Allocation-free once
+// the estimators' supports saturate.
 func (d *disclosure) observe(r *Round) {
+	d.hist.build(r.Rcpts)
 	for i := range d.targets {
 		d.targets[i].sent = false
 		d.targets[i].cnt = 0
@@ -329,7 +335,7 @@ func (d *disclosure) observe(r *Round) {
 			t.masked++
 			continue
 		}
-		t.est.observe(r, t.sent, t.cnt)
+		t.est.observe(&d.hist, t.sent, t.cnt)
 	}
 }
 
