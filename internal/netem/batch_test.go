@@ -12,9 +12,11 @@ import (
 // independent implementation of the same stream — a different code path
 // that must emit the bit-identical sequence. Without ref the element is
 // its own reference, which checks that its output does not depend on
-// how it is chunked.
+// how it is chunked. chunks, when set, replaces the default chunk sizes
+// the element under test is pulled with.
 type netemCase struct {
 	mk, ref func(seed uint64) BatchStream
+	chunks  []int
 }
 
 // netemBatchCases builds the table. Each factory is called once per
@@ -22,18 +24,22 @@ type netemCase struct {
 // identically-seeded generators.
 func netemBatchCases(t *testing.T) map[string]netemCase {
 	t.Helper()
-	base := func(master *xrand.Rand) TimeStream {
-		p, err := traffic.NewPoisson(100, master.Split())
+	baseAt := func(rate float64, master *xrand.Rand) TimeStream {
+		p, err := traffic.NewPoisson(rate, master.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
 		// An absolute-time stream: cumulative Poisson arrivals.
 		return &cumStream{src: p}
 	}
-	fast := func(util Util) func(seed uint64) BatchStream {
+	base := func(master *xrand.Rand) TimeStream { return baseAt(100, master) }
+	// fastAt builds a FastRouter behind a Poisson upstream of the given
+	// rate; a low rate makes each slab span minutes to hours of the
+	// diurnal profile.
+	fastAt := func(rate float64, util Util) func(seed uint64) BatchStream {
 		return func(seed uint64) BatchStream {
 			master := xrand.New(seed)
-			up := base(master)
+			up := baseAt(rate, master)
 			r, err := NewFastRouter(up, 1e-4, util, 1e-3, master.Split())
 			if err != nil {
 				t.Fatal(err)
@@ -41,6 +47,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 			return r
 		}
 	}
+	fast := func(util Util) func(seed uint64) BatchStream { return fastAt(100, util) }
 	impair := func(im *Impairment) func(seed uint64) BatchStream {
 		return func(seed uint64) BatchStream {
 			master := xrand.New(seed)
@@ -75,10 +82,18 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		}
 	}
 	// generic wraps a profile in a UtilFunc, which the FastRouter cannot
-	// devirtualize: the oracle for its inlined constant and diurnal paths.
+	// devirtualize: the oracle for its bounded-ρ constant and diurnal loop.
 	generic := func(u Util) Util { return UtilFunc(u.At) }
 	one := func(mk func(seed uint64) BatchStream) netemCase { return netemCase{mk: mk} }
+	// vsGeneric pits the devirtualized loop for a profile, behind an
+	// upstream of the given rate, against the same profile's generic path.
+	vsGeneric := func(rate float64, u Util) netemCase {
+		return netemCase{mk: fastAt(rate, u), ref: fastAt(rate, generic(u))}
+	}
 	diurnal := DiurnalUtil(traffic.Diurnal{Trough: 0.2, Peak: 0.7, TroughHour: 3}, 9)
+	profile := func(trough, peak, startHour float64) Util {
+		return DiurnalUtil(traffic.Diurnal{Trough: trough, Peak: peak, TroughHour: 3}, startHour)
+	}
 	return map[string]netemCase{
 		"fastrouter-idle":     one(fast(ConstUtil(0))),
 		"fastrouter-const":    one(fast(ConstUtil(0.6))),
@@ -87,12 +102,27 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		"fastrouter-func": one(fast(UtilFunc(func(t float64) float64 {
 			return 0.3 + 0.2*float64(int(t)%2)
 		}))),
-		"fastrouter-idle-generic":     {mk: fast(ConstUtil(0)), ref: fast(generic(ConstUtil(0)))},
-		"fastrouter-const-generic":    {mk: fast(ConstUtil(0.6)), ref: fast(generic(ConstUtil(0.6)))},
-		"fastrouter-overload-generic": {mk: fast(ConstUtil(1.4)), ref: fast(generic(ConstUtil(1.4)))},
-		"fastrouter-diurnal-generic":  {mk: fast(diurnal), ref: fast(generic(diurnal))},
-		"router-exact":                one(exact(false)),
-		"router-exact-unbuffered":     {mk: exact(false), ref: exact(true)},
+		"fastrouter-idle-generic":     vsGeneric(100, ConstUtil(0)),
+		"fastrouter-const-generic":    vsGeneric(100, ConstUtil(0.6)),
+		"fastrouter-overload-generic": vsGeneric(100, ConstUtil(1.4)),
+		"fastrouter-diurnal-generic":  vsGeneric(100, diurnal),
+		// The slab bound straddles 0 around the trough: the exact path.
+		"fastrouter-diurnal-trough0-generic": vsGeneric(100, profile(0, 0.4, 2.99)),
+		// A run that crosses ρ = maxRho (10.77 h past the trough), so the
+		// clamp falls inside slab bounds.
+		"fastrouter-diurnal-clamp-generic": vsGeneric(1, profile(0.2, 0.97, 13.7)),
+		// 23 h start, about 33 h long: the hour wraps through math.Mod twice.
+		"fastrouter-diurnal-wrap-generic": vsGeneric(0.05, profile(0.05, 0.3, 23)),
+		// DiurnalUtil does not validate: Peak below Trough.
+		"fastrouter-diurnal-inverted-generic": vsGeneric(100, profile(0.4, 0.1, 9)),
+		// Slabs spanning hours: bounds wider than the K = 1 band.
+		"fastrouter-diurnal-wide-generic": vsGeneric(0.2, profile(0.05, 0.6, 0)),
+		// One-packet slabs skip the bound.
+		"fastrouter-diurnal-chunk1-generic": {
+			mk: fast(diurnal), ref: fast(generic(diurnal)), chunks: []int{1},
+		},
+		"router-exact":            one(exact(false)),
+		"router-exact-unbuffered": {mk: exact(false), ref: exact(true)},
 		"router-cbr-cross": one(func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)
@@ -187,12 +217,15 @@ func (c *cumStream) NextBatch(dst []float64) {
 // a time through Next: bit-identical output streams.
 func TestNetemBatchMatchesPull(t *testing.T) {
 	const total = 6000
-	chunks := []int{1, 3, 17, 255, 4096}
 	for name, c := range netemBatchCases(t) {
 		t.Run(name, func(t *testing.T) {
 			ref := c.ref
 			if ref == nil {
 				ref = c.mk
+			}
+			chunks := c.chunks
+			if chunks == nil {
+				chunks = []int{1, 3, 17, 255, 4096}
 			}
 			for _, seed := range []uint64{2, 23} {
 				pull := ref(seed)
@@ -302,6 +335,53 @@ func BenchmarkPathHop(b *testing.B) {
 	b.Run("diurnal", func(b *testing.B) {
 		benchPullBatch(b, mk(DiurnalUtil(traffic.Diurnal{Trough: 0.2, Peak: 0.7, TroughHour: 3}, 9)))
 	})
+	// wan15 is the Fig. 8b path: a pre-generated padded stream through
+	// 15 OC-12 hops (622 Mb/s, 1500 B) at the WAN diurnal load, pulled a
+	// 1000-PIAT window at a time. The upstream is a replayed slice, so
+	// the time is the hops'; ns/pkt-hop is the cost the benchmark's
+	// netem.share measures.
+	b.Run("wan15", func(b *testing.B) {
+		const nHops = 15
+		r := xrand.New(1)
+		gaps := make([]float64, 4096)
+		for i := range gaps {
+			gaps[i] = r.TruncNormal(0.01, 20e-6, 0) // 100 pps CIT timer jitter
+		}
+		util := DiurnalUtil(traffic.Diurnal{Trough: 0.05, Peak: 0.30, TroughHour: 3}, 0)
+		path, err := NewPath(&replayStream{gaps: gaps}, UniformHops(nHops, ServiceTime(622e6, 1500), util, 2e-3), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := path.(BatchStream)
+		buf := make([]float64, 1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		pkts := 0
+		for ; pkts < b.N; pkts += len(buf) {
+			s.NextBatch(buf)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts*nHops), "ns/pkt-hop")
+	})
+}
+
+// replayStream is an absolute-time stream that cycles a fixed gap
+// sequence: a padded stream that costs one add per packet to produce.
+type replayStream struct {
+	gaps []float64
+	i    int
+	now  float64
+}
+
+func (p *replayStream) Next() float64 {
+	p.now += p.gaps[p.i]
+	p.i = (p.i + 1) % len(p.gaps)
+	return p.now
+}
+
+func (p *replayStream) NextBatch(dst []float64) {
+	for i := range dst {
+		dst[i] = p.Next()
+	}
 }
 
 // BenchmarkExactHop measures the exact FIFO router with Poisson cross

@@ -172,9 +172,10 @@ type FastRouter struct {
 	upstream feed
 	service  float64
 	util     Util
-	// rho and logRho are the constant profile's clamped utilization and
-	// its logarithm, computed once so a short batch pays no extra
-	// transcendental; unused for other profiles.
+	// constant marks a constant profile with a non-NaN utilization;
+	// rho and logRho are its clamped utilization and logarithm, computed
+	// once so a short batch pays no extra transcendental.
+	constant    bool
 	rho, logRho float64
 	prop        float64
 	rng         *xrand.Rand
@@ -201,7 +202,10 @@ func NewFastRouter(upstream TimeStream, service float64, util Util, prop float64
 		return nil, errors.New("netem: nil rng")
 	}
 	r := &FastRouter{upstream: newFeed(upstream), service: service, util: util, prop: prop, rng: rng, lastOut: math.Inf(-1)}
-	if c, ok := util.(constUtil); ok {
+	// A NaN constant keeps the generic path, whose ladder draws a uniform
+	// for it; the bounded loop below would draw none.
+	if c, ok := util.(constUtil); ok && !math.IsNaN(float64(c)) {
+		r.constant = true
 		r.rho = min(max(float64(c), 0), maxRho)
 		r.logRho = math.Log(r.rho)
 	}
@@ -226,6 +230,68 @@ func sampleMD1Wait(rho, s float64, rng *xrand.Rand) float64 {
 	return w
 }
 
+// Slab bounds on a diurnal ρ. minBoundLen is the shortest slab worth
+// one cosine for its bound; shorter ones (one-packet pulls) take the
+// exact path per packet. boundHours caps the magnitude of every hour in
+// the phase computation so its rounding stays far below boundMargin,
+// the absolute slack (per unit of profile amplitude) that covers the
+// rounding of the phase and of cos between the midpoint and any packet.
+// kOneSlack is the relative slack inside the K = 1 band of the ladder,
+// hi²(1+kOneSlack) < x <= lo(1−kOneSlack): it keeps log x / log ρ at
+// least kOneSlack/745 ≈ 1e-12 inside (1, 2) for every ρ in [lo, hi] ⊂
+// (0, maxRho], a thousand times math.Log's error.
+const (
+	minBoundLen = 8
+	boundHours  = 1e6
+	boundMargin = 1e-9
+	kOneSlack   = 1e-9
+)
+
+// bounds returns lo <= hi such that lo <= min(u.At(t), maxRho) <= hi for
+// every t in a non-empty ts, as computed, or lo = hi = 0 (no bound) for
+// out-of-range times. ρ moves at most |Peak−Trough|·π/86400 per
+// second, so one evaluation at the midpoint of [min t, max t] bounds the
+// whole slab.
+func (u diurnalUtil) bounds(ts []float64) (lo, hi float64) {
+	tmin, tmax := ts[0], ts[0]
+	for _, t := range ts[1:] {
+		tmin, tmax = min(tmin, t), max(tmax, t)
+	}
+	// NaN anywhere fails the comparison, so non-finite times get no
+	// bound; a non-finite profile leaves lo NaN or -Inf below.
+	if !(max(math.Abs(u.startHour), math.Abs(u.d.TroughHour), math.Abs(tmin)/3600, math.Abs(tmax)/3600) <= boundHours) {
+		return 0, 0
+	}
+	amp := math.Abs(u.d.Peak - u.d.Trough)
+	mid := u.At(tmin + (tmax-tmin)/2)
+	half := amp*math.Pi/86400*(tmax-tmin)/2 + boundMargin*(1+math.Abs(u.d.Trough)+amp)
+	return min(mid-half, maxRho), min(mid+half, maxRho)
+}
+
+// rhoAt returns the clamped utilization of a constant or diurnal profile
+// at t; du is the profile when it is diurnal.
+func (r *FastRouter) rhoAt(du diurnalUtil, t float64) float64 {
+	if r.constant {
+		return r.rho
+	}
+	return min(du.At(t), maxRho)
+}
+
+// ladder returns the M/D/1 wait for a ladder uniform x <= ρ: K =
+// floor(log x / log ρ) uniform heights, drawn as sampleMD1Wait draws
+// them.
+func (r *FastRouter) ladder(x, rho float64) float64 {
+	logRho := r.logRho
+	if !r.constant {
+		logRho = math.Log(rho)
+	}
+	var w float64
+	for k := math.Floor(math.Log(x) / logRho); k > 0; k-- {
+		w += r.service * r.rng.Float64()
+	}
+	return w
+}
+
 // Next returns the departure time of the next padded packet from this
 // router: a one-packet NextBatch.
 func (r *FastRouter) Next() float64 {
@@ -239,62 +305,52 @@ func (r *FastRouter) Next() float64 {
 // reorder: a packet leaves no earlier than one service time after its
 // predecessor.
 //
-// The constant and diurnal profiles are devirtualized: a constant one
-// uses the ρ and log ρ cached at construction, a diurnal one inlines
-// the profile; any other Util goes through the interface per packet.
-// All three replay sampleMD1Wait's draws in its order, so they are
-// bit-identical to the generic path (enforced by the equivalence tests,
-// which wrap each profile in a UtilFunc).
+// The constant and diurnal profiles share one loop that bounds ρ over
+// the slab, lo <= ρ <= hi (exact for a constant profile). With lo > 0
+// the ladder uniform x is drawn first and settles most packets without
+// ρ: x > hi means K = 0, and x in the K = 1 band (see kOneSlack) means
+// one ladder step. Any other packet computes ρ and the ladder count
+// floor(log x / log ρ) exactly as sampleMD1Wait does. Any other Util
+// goes through sampleMD1Wait per packet. The draws and their order are
+// sampleMD1Wait's throughout, so every path is bit-identical to the
+// generic one (enforced by the equivalence tests, which wrap each
+// profile in a UtilFunc).
 func (r *FastRouter) NextBatch(dst []float64) {
 	r.upstream.fill(dst)
 	rng, s, prop := r.rng, r.service, r.prop
-	switch u := r.util.(type) {
-	case constUtil:
-		rho, logRho := r.rho, r.logRho
-		for i, t := range dst {
-			// GeometricLog(0) draws nothing: a dedicated link never waits.
-			var w float64
-			for k := rng.GeometricLog(rho, logRho); k > 0; k-- {
-				w += s * rng.Float64()
-			}
-			dst[i] = t + w + s + prop
-		}
-	case diurnalUtil:
-		// Diurnal.At and sampleMD1Wait are manually inlined here — both
-		// exceed the compiler's inlining budget, and at one call per
-		// packet per hop the call overhead is measurable. The arithmetic
-		// replays the originals' operations in the originals' order.
-		d, startHour := u.d, u.startHour
-		trough, peak, troughHour := d.Trough, d.Peak, d.TroughHour
-		diff := peak - trough
-		for i, t := range dst {
-			hour := startHour + t/3600
-			if hour < 0 || hour >= 24 {
-				hour = math.Mod(hour, 24)
-			}
-			phase := 2 * math.Pi * (hour - troughHour) / 24
-			rho := trough + diff*(0.5*(1-math.Cos(phase)))
-			var w float64
-			if rho > 0 {
-				if rho > maxRho {
-					rho = maxRho
-				}
-				// Geometric(rho) inlined: one uniform resolves the
-				// dominant K = 0 case; u <= rho implies
-				// log(u)/log(rho) >= 1, so the floor is the ladder
-				// count directly (Geometric's K < 0 guard is
-				// unreachable here).
-				if u := rng.Float64Open(); u <= rho {
-					for k := math.Floor(math.Log(u) / math.Log(rho)); k > 0; k-- {
-						w += s * rng.Float64()
-					}
-				}
-			}
-			dst[i] = t + w + s + prop
-		}
-	default:
+	du, diurnal := r.util.(diurnalUtil)
+	if !diurnal && !r.constant {
 		for i, t := range dst {
 			dst[i] = t + sampleMD1Wait(max(r.util.At(t), 0), s, rng) + s + prop
+		}
+	} else {
+		lo, hi := r.rho, r.rho
+		if diurnal {
+			lo, hi = 0, 0
+			if len(dst) >= minBoundLen {
+				lo, hi = du.bounds(dst)
+			}
+		}
+		oneLo, oneHi := hi*hi*(1+kOneSlack), lo*(1-kOneSlack)
+		for i, t := range dst {
+			var w float64
+			if lo > 0 {
+				// ρ > 0 is known, so the uniform comes first.
+				switch x := rng.Float64Open(); {
+				case x > hi: // K = 0
+				case oneLo < x && x <= oneHi: // K = 1
+					w = s * rng.Float64()
+				default:
+					if rho := r.rhoAt(du, t); x <= rho {
+						w = r.ladder(x, rho)
+					}
+				}
+			} else if rho := r.rhoAt(du, t); rho > 0 {
+				if x := rng.Float64Open(); x <= rho {
+					w = r.ladder(x, rho)
+				}
+			}
+			dst[i] = t + w + s + prop
 		}
 	}
 	lastOut := r.lastOut

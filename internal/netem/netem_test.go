@@ -255,6 +255,60 @@ func TestFastRouterFIFONeverReorders(t *testing.T) {
 	}
 }
 
+// TestLadderShortcutExact checks the K = 1 band FastRouter resolves
+// without logarithms: for every ρ in (0, 0.95] and every x with
+// ρ²(1+kOneSlack) < x <= ρ(1−kOneSlack), the exact ladder count
+// floor(log x / log ρ) is 1. ρ is sampled log-uniformly over
+// (1e-300, 0.95] plus the end points; x at both band edges and inside.
+func TestLadderShortcutExact(t *testing.T) {
+	r := xrand.New(15)
+	rhos := []float64{maxRho, math.Nextafter(1e-300, 1)}
+	for range 200000 {
+		rhos = append(rhos, maxRho*math.Exp(r.Float64Open()*math.Log(1e-300/maxRho)))
+	}
+	for _, rho := range rhos {
+		xlo, xhi := math.Nextafter(rho*rho*(1+kOneSlack), 1), rho*(1-kOneSlack)
+		xs := []float64{xlo, xhi, min(xlo+(xhi-xlo)*r.Float64(), xhi)}
+		if xlo > 0 {
+			// Log-uniform inside the band reaches its lower decades.
+			xs = append(xs, min(xlo*math.Exp(r.Float64()*math.Log(xhi/xlo)), xhi))
+		}
+		for _, x := range xs {
+			if !(xlo <= x && x <= xhi) {
+				t.Fatalf("ρ=%v: x=%v outside the band [%v, %v]", rho, x, xlo, xhi)
+			}
+			if k := math.Floor(math.Log(x) / math.Log(rho)); k != 1 {
+				t.Fatalf("ρ=%v x=%v: floor(log x / log ρ) = %v, want 1", rho, x, k)
+			}
+		}
+	}
+}
+
+// TestDiurnalBoundsHold checks that a slab bound covers the clamped
+// utilization the exact path computes at every time in the slab, over
+// profiles, start hours and slab spans from seconds to days.
+func TestDiurnalBoundsHold(t *testing.T) {
+	r := xrand.New(8)
+	ts := make([]float64, 64)
+	for range 20000 {
+		d := traffic.Diurnal{Trough: r.Float64(), Peak: 1.2 * r.Float64(), TroughHour: 24 * r.Float64()}
+		u := DiurnalUtil(d, 48*r.Float64()-12).(diurnalUtil)
+		t0, span := 1e5*r.Float64(), math.Pow(10, 6*r.Float64()-1)
+		for i := range ts {
+			ts[i] = t0 + span*r.Float64()
+		}
+		lo, hi := u.bounds(ts)
+		if lo == 0 && hi == 0 {
+			t.Fatalf("%+v over [%v, %v]: no bound", u, t0, t0+span)
+		}
+		for _, tt := range ts {
+			if rho := min(u.At(tt), maxRho); !(lo <= rho && rho <= hi) {
+				t.Fatalf("%+v at t=%v: ρ=%v outside [%v, %v]", u, tt, rho, lo, hi)
+			}
+		}
+	}
+}
+
 func TestConstructorValidation(t *testing.T) {
 	up := NewSliceStream(periodicTimes(1, 1))
 	if _, err := NewFastRouter(nil, svc, ConstUtil(0), 0, xrand.New(1)); err == nil {

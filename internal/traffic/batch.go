@@ -1,5 +1,7 @@
 package traffic
 
+import "math"
+
 // Batched generation (batch.go): the memoryless sources (Poisson, CBR)
 // can fill a flat slab of inter-arrival gaps in one call, hoisting the
 // per-call setup out of the loop. A NextBatch(gaps) call is exactly
@@ -19,12 +21,19 @@ type BatchSource interface {
 	NextBatch(gaps []float64)
 }
 
-// NextBatch fills gaps with i.i.d. exponential inter-arrival gaps.
+// NextBatch fills gaps with i.i.d. exponential inter-arrival gaps. The
+// loop inlines rng.Exp, which the compiler does not: for mean > 0 it is
+// the same expression, and an infinite rate (mean 0) draws nothing, as
+// Exp(0) does.
 func (p *Poisson) NextBatch(gaps []float64) {
 	mean := 1 / p.rate
+	if mean == 0 {
+		clear(gaps)
+		return
+	}
 	rng := p.rng
 	for i := range gaps {
-		gaps[i] = rng.Exp(mean)
+		gaps[i] = -mean * math.Log(rng.Float64Open())
 	}
 }
 

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"linkpad/internal/xrand"
@@ -66,6 +67,26 @@ func TestNextBatchMatchesNext(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPoissonInfiniteRateBatch checks the one input where the batch
+// loop does not inline the exponential: an infinite rate emits zero gaps
+// and, as Next does, draws nothing from the generator.
+func TestPoissonInfiniteRateBatch(t *testing.T) {
+	rng := xrand.New(5)
+	p, err := NewPoisson(math.Inf(1), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rng.State()
+	gaps := []float64{1, 2, 3}
+	p.NextBatch(gaps)
+	if gaps[0] != 0 || gaps[1] != 0 || gaps[2] != 0 || math.Signbit(gaps[0]) {
+		t.Fatalf("gaps %v, want +0", gaps)
+	}
+	if p.Next() != 0 || rng.State() != before {
+		t.Fatalf("generator advanced: %+v -> %+v", before, rng.State())
 	}
 }
 

@@ -238,30 +238,6 @@ func (r *Rand) Geometric(p float64) int {
 	return int(k)
 }
 
-// GeometricLog is Geometric with the logarithm of p precomputed by the
-// caller: logp must equal math.Log(p). Batched samplers at a constant
-// utilization draw one geometric per packet, and caching log(p) removes
-// one of the two logarithms from the slow branch without changing a
-// single draw — given the same p and uniform stream, GeometricLog and
-// Geometric return bit-identical sequences.
-func (r *Rand) GeometricLog(p, logp float64) int {
-	if p < 0 || p >= 1 {
-		panic("xrand: GeometricLog requires 0 <= p < 1")
-	}
-	if p == 0 {
-		return 0
-	}
-	u := r.Float64Open()
-	if u > p {
-		return 0
-	}
-	k := math.Floor(math.Log(u) / logp)
-	if k < 0 {
-		return 0
-	}
-	return int(k)
-}
-
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p

@@ -338,26 +338,3 @@ func BenchmarkPoissonSmall(b *testing.B) {
 	}
 	_ = sink
 }
-
-func TestGeometricLogMatchesGeometric(t *testing.T) {
-	for _, p := range []float64{1e-6, 0.01, 0.1, 0.5, 0.9, 0.999} {
-		logp := math.Log(p)
-		a, b := New(42), New(42)
-		for i := 0; i < 10000; i++ {
-			ka, kb := a.Geometric(p), b.GeometricLog(p, logp)
-			if ka != kb {
-				t.Fatalf("p=%g draw %d: Geometric=%d GeometricLog=%d", p, i, ka, kb)
-			}
-		}
-	}
-}
-
-func BenchmarkGeometricLog(b *testing.B) {
-	r := New(1)
-	logp := math.Log(0.4)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += r.GeometricLog(0.4, logp)
-	}
-	_ = sink
-}
