@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet test race bench bench-json bench-compare bench-gate \
 	bench-selftest profile staticcheck docs golden golden-check resume-check \
-	scale-smoke scale report ci clean
+	scale-smoke scale trace-smoke report ci clean
 
 all: vet build test
 
@@ -31,7 +31,7 @@ bench-json:
 	$(GO) run ./cmd/linkpadsim -exp all -scale 0.5 -bench-json BENCH.json
 
 # Per-experiment wall-clock deltas between the last two comparable
-# BENCH.json records (same scale/seed/workers).
+# BENCH.json records (same scale/seed/workers and effective parallelism).
 bench-compare:
 	$(GO) run ./cmd/linkpadsim -bench-compare BENCH.json
 
@@ -145,8 +145,29 @@ scale:
 	$(GO) run ./cmd/linkpadsim -exp scale-disclosure -scale 1 -seed 3 -max-rss-mb 2048
 	$(GO) run ./cmd/linkpadsim -exp scale-sda-ls -scale 1 -seed 3 -max-rss-mb 2048
 
+# The stand-alone attacker end to end: padtrace captures training and
+# evaluation traces (20k PIATs each) for both payload classes of the CIT
+# lab system, and advclassify trains on the first pair and classifies the
+# second. Fails unless advclassify exits 0 and reports a detection rate.
+TRACE_N = 20000
+trace-smoke:
+	@tmp=$$(mktemp -d) || exit 1; \
+	$(GO) build -o $$tmp/padtrace ./cmd/padtrace && \
+	$(GO) build -o $$tmp/advclassify ./cmd/advclassify || { rm -rf $$tmp; exit 1; }; \
+	for c in 0 1; do \
+		$$tmp/padtrace -class $$c -n $(TRACE_N) -stream 1 -o $$tmp/train-$$c.piat && \
+		$$tmp/padtrace -class $$c -n $(TRACE_N) -stream 2 -o $$tmp/eval-$$c.piat || { rm -rf $$tmp; exit 1; }; \
+	done; \
+	$$tmp/advclassify -train $$tmp/train-0.piat,$$tmp/train-1.piat \
+		-eval $$tmp/eval-0.piat,$$tmp/eval-1.piat -feature entropy -window 200 > $$tmp/out.txt \
+		|| { cat $$tmp/out.txt; rm -rf $$tmp; echo "advclassify failed"; exit 1; }; \
+	cat $$tmp/out.txt; \
+	grep -q '^detection rate: ' $$tmp/out.txt || { rm -rf $$tmp; \
+		echo "advclassify printed no detection rate"; exit 1; }; \
+	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify ok"
+
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet build test race bench-selftest staticcheck docs golden-check resume-check scale-smoke
+ci: vet build test race bench-selftest staticcheck docs golden-check resume-check scale-smoke trace-smoke
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof report.json

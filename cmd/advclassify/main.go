@@ -131,8 +131,9 @@ func classify(w io.Writer, opts options) error {
 		return fmt.Errorf("training traces too short for window size %d", opts.window)
 	}
 
+	ext := adversary.Extractor{Feature: opts.feature, EntropyBinWidth: opts.binWidth}
 	att, err := adversary.Train(adversary.TrainConfig{
-		Extractor:       adversary.Extractor{Feature: opts.feature, EntropyBinWidth: opts.binWidth},
+		Extractor:       ext,
 		WindowSize:      opts.window,
 		WindowsPerClass: minWindows,
 	}, labels, sources)
@@ -140,6 +141,13 @@ func classify(w io.Writer, opts options) error {
 		return err
 	}
 
+	// Evaluation reduces each window through the same streaming pipeline
+	// that training used, then applies the trained Bayes rule.
+	pipe, err := adversary.NewPipeline(ext)
+	if err != nil {
+		return err
+	}
+	cls := att.Classifier()
 	cm := bayes.NewConfusion(labels)
 	for class, p := range opts.evalPaths {
 		_, piats, err := trace.ReadFile(p)
@@ -152,11 +160,11 @@ func classify(w io.Writer, opts options) error {
 			return fmt.Errorf("evaluation trace %s shorter than one window", p)
 		}
 		for w := 0; w < windows; w++ {
-			pred, err := att.ClassifyNext(src)
+			f, err := pipe.ExtractFrom(src, opts.window)
 			if err != nil {
 				return err
 			}
-			cm.Add(class, pred)
+			cm.Add(class, cls.Classify(f))
 		}
 	}
 	fmt.Fprintf(w, "feature: %s  window: %d  training windows/class: %d\n",

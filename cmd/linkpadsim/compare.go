@@ -4,14 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
 
 // comparablePair loads the trajectory at path and returns its last record
-// plus the most recent earlier record with the same scale, seed and
-// effective parallelism (equal workers, and equal GOMAXPROCS when
-// workers is 0 = all CPUs) — the pair that is actually comparable.
+// plus the most recent earlier record with the same scale, seed, workers
+// and effective parallelism — the pair that is actually comparable.
 func comparablePair(path string) (prev, last *benchRecord, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -27,19 +27,24 @@ func comparablePair(path string) (prev, last *benchRecord, err error) {
 	last = &trajectory[len(trajectory)-1]
 	for i := len(trajectory) - 2; i >= 0; i-- {
 		r := &trajectory[i]
-		if r.Scale != last.Scale || r.Seed != last.Seed || r.Workers != last.Workers {
-			continue
-		}
-		// Workers 0 means "all CPUs", so the effective parallelism is
-		// GOMAXPROCS: records from machines of different widths are not
-		// comparable then.
-		if last.Workers == 0 && r.GOMAXPROCS != last.GOMAXPROCS {
+		if r.Scale != last.Scale || r.Seed != last.Seed || r.Workers != last.Workers ||
+			r.parallelism() != last.parallelism() {
 			continue
 		}
 		return r, last, nil
 	}
 	return nil, nil, fmt.Errorf("no earlier record matches the last one (scale %v, seed %d, workers %d, GOMAXPROCS %d)",
 		last.Scale, last.Seed, last.Workers, last.GOMAXPROCS)
+}
+
+// parallelism is the record's effective parallelism, min(workers,
+// GOMAXPROCS) with workers 0 meaning all of GOMAXPROCS: a run at
+// -workers 2 on one core is a one-wide run and times like one.
+func (r *benchRecord) parallelism() int {
+	if r.Workers <= 0 {
+		return r.GOMAXPROCS
+	}
+	return min(r.Workers, r.GOMAXPROCS)
 }
 
 // runBenchCompare prints per-experiment wall-clock deltas between the
@@ -65,8 +70,8 @@ const benchGateFloorSeconds = 0.05
 // slowdowns gate — totals shift with experiment membership, new and
 // removed experiments have no baseline, and speedups are never an error.
 func runBenchGate(w io.Writer, path string, gatePct float64) error {
-	if gatePct <= 0 {
-		return fmt.Errorf("bench-gate: threshold must be positive, got %v", gatePct)
+	if !(gatePct > 0) || math.IsInf(gatePct, 1) {
+		return fmt.Errorf("bench-gate: threshold must be a positive finite percentage, got %v", gatePct)
 	}
 	if err := benchDiff(w, path, gatePct); err != nil {
 		return fmt.Errorf("bench-gate: %w", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,8 +142,17 @@ func TestBenchGate(t *testing.T) {
 	if err := runBenchGate(&strings.Builder{}, path, 250); err != nil {
 		t.Errorf("250%% threshold should pass: %v", err)
 	}
-	if err := runBenchGate(&strings.Builder{}, path, 0); err == nil {
-		t.Error("non-positive threshold should be rejected")
+	// A threshold every comparison fails against would turn the gate
+	// off: zero, negative, NaN and infinite thresholds are refused.
+	for _, pct := range []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := runBenchGate(&strings.Builder{}, path, pct); err == nil {
+			t.Errorf("threshold %v should be rejected", pct)
+		}
+	}
+	// The CLI path too: -bench-gate-pct NaN must not pass the regression.
+	if err, _ := tryRun(t, "-bench-gate", path, "-bench-gate-pct", "NaN"); err == nil ||
+		!strings.Contains(err.Error(), "positive finite") {
+		t.Errorf("-bench-gate-pct NaN: err = %v, want a threshold error", err)
 	}
 }
 
@@ -164,5 +174,36 @@ func TestDeltaPct(t *testing.T) {
 	}
 	if got := deltaPct(0, 2); got != "n/a" {
 		t.Errorf("deltaPct(0, 2) = %q", got)
+	}
+}
+
+// Records pair by effective parallelism, min(workers, GOMAXPROCS): at
+// -workers 2 a run on one core is a one-wide run, so it is never the
+// baseline of a run on two cores, however recent it is.
+func TestBenchComparePairsByEffectiveParallelism(t *testing.T) {
+	path := writeTrajectory(t, `[
+  {"timestamp":"t1","gomaxprocs":2,"scale":0.05,"seed":3,"workers":2,"total_seconds":2,
+   "experiments":[{"id":"fig8b","seconds":2,"rows":5}]},
+  {"timestamp":"t2","gomaxprocs":1,"scale":0.05,"seed":3,"workers":2,"total_seconds":4,
+   "experiments":[{"id":"fig8b","seconds":4,"rows":5}]},
+  {"timestamp":"t3","gomaxprocs":4,"scale":0.05,"seed":3,"workers":2,"total_seconds":2.1,
+   "experiments":[{"id":"fig8b","seconds":2.1,"rows":5}]}
+]`)
+	prev, last, err := comparablePair(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Timestamp != "t3" || prev.Timestamp != "t1" {
+		t.Errorf("paired %s with %s; want t3 with the two-wide t1, never the one-core t2",
+			last.Timestamp, prev.Timestamp)
+	}
+	only := writeTrajectory(t, `[
+  {"timestamp":"t1","gomaxprocs":1,"scale":0.05,"seed":3,"workers":2,"total_seconds":4,
+   "experiments":[{"id":"fig8b","seconds":4,"rows":5}]},
+  {"timestamp":"t2","gomaxprocs":2,"scale":0.05,"seed":3,"workers":2,"total_seconds":2,
+   "experiments":[{"id":"fig8b","seconds":2,"rows":5}]}
+]`)
+	if prev, _, err := comparablePair(only); err == nil {
+		t.Errorf("a GOMAXPROCS-1 record (%s) became the baseline of a GOMAXPROCS-2 run", prev.Timestamp)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		progress     = fs.Bool("progress", false, "emit a live progress line with a cells-completed ETA on stderr")
 		metricsAddr  = fs.String("metrics-addr", "", "serve expvar counters and net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 		benchJSON    = fs.String("bench-json", "", "time the experiments and append a run record to this JSON trajectory file instead of printing tables")
-		benchCompare = fs.String("bench-compare", "", "print per-experiment wall-clock deltas between the last two comparable records (same scale/seed/workers) of this bench trajectory file")
+		benchCompare = fs.String("bench-compare", "", "print per-experiment wall-clock deltas between the last two comparable records (same scale, seed, workers and effective parallelism) of this bench trajectory file")
 		benchGate    = fs.String("bench-gate", "", "like -bench-compare, but exit non-zero if any experiment slowed down past -bench-gate-pct")
 		benchGatePct = fs.Float64("bench-gate-pct", 25, "per-experiment slowdown threshold for -bench-gate, in percent")
 		checkpoint   = fs.String("checkpoint", "", "persist per-cell progress of a checkpointable experiment to this file and resume from it if present")
@@ -140,6 +141,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *format != "text" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
+	}
+	// Options treats a scale of 0 as 1; anything else non-positive or
+	// non-finite would silently run at a floor or fail only when the
+	// results are encoded, so it is refused before any work.
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale < 0 {
+		return fmt.Errorf("-scale must be a finite number >= 0 (0 means 1), got %v", *scale)
 	}
 
 	ids := []string{*expID}

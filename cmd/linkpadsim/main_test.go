@@ -36,6 +36,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{"non-checkpointable", []string{"-exp", "fig4b", "-checkpoint", "cp.json"}, "does not support checkpointing"},
 		{"report and bench-json", []string{"-exp", "fig4b", "-report", "r.json", "-bench-json", "b.json"}, "mutually exclusive"},
 		{"negative max-rss-mb", []string{"-exp", "fig4b", "-max-rss-mb", "-1"}, "must be non-negative"},
+		{"NaN scale", []string{"-exp", "fig4b", "-scale", "NaN"}, "-scale must be a finite number"},
+		{"NaN scale with checkpoint", []string{"-exp", "ext-disclosure", "-scale", "NaN", "-checkpoint", "cp.json"}, "-scale must be a finite number"},
+		{"NaN scale with bench-json", []string{"-exp", "fig4b", "-scale", "NaN", "-bench-json", "b.json"}, "-scale must be a finite number"},
+		{"infinite scale", []string{"-exp", "fig4b", "-scale", "+Inf"}, "-scale must be a finite number"},
+		{"negative scale", []string{"-exp", "fig4b", "-scale", "-1"}, "-scale must be a finite number"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

@@ -359,12 +359,6 @@ func NewEngine(flows, hops int, mode Mode, chips int, period float64, decoys []*
 // Flows returns the number of watermarked flows.
 func (e *Engine) Flows() int { return e.flows }
 
-// Hops returns the route length in padded hops.
-func (e *Engine) Hops() int { return e.hops }
-
-// Mode returns the watermark mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // Flow builds flow f's observation.
 func (e *Engine) Flow(f int) (*Flow, error) {
 	if f < 0 || f >= e.flows {

@@ -222,8 +222,8 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Flows() != 4 || e.Hops() != 0 || e.Mode() != ModeChaff {
-		t.Fatalf("engine accessors: %d flows, %d hops, mode %v", e.Flows(), e.Hops(), e.Mode())
+	if e.Flows() != 4 || e.hops != 0 || e.mode != ModeChaff {
+		t.Fatalf("engine accessors: %d flows, %d hops, mode %v", e.Flows(), e.hops, e.mode)
 	}
 	if _, err := e.Flow(4); err == nil {
 		t.Error("out-of-range flow should fail")

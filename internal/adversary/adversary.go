@@ -56,42 +56,6 @@ func (e Extractor) binWidth() float64 {
 	return DefaultEntropyBinWidth
 }
 
-// Extract computes the feature statistic of one window.
-func (e Extractor) Extract(window []float64) (float64, error) {
-	if len(window) < 2 {
-		return 0, errors.New("adversary: window must hold at least two PIATs")
-	}
-	switch e.Feature {
-	case analytic.FeatureMean:
-		return stats.Mean(window), nil
-	case analytic.FeatureVariance:
-		return stats.Variance(window), nil
-	case analytic.FeatureEntropy:
-		return stats.Entropy(window, e.binWidth())
-	case analytic.FeatureIQR:
-		q1, err := stats.Quantile(window, 0.25)
-		if err != nil {
-			return 0, err
-		}
-		q3, err := stats.Quantile(window, 0.75)
-		if err != nil {
-			return 0, err
-		}
-		return q3 - q1, nil
-	default:
-		return 0, fmt.Errorf("adversary: unknown feature %v", e.Feature)
-	}
-}
-
-// Window reads one window of n PIATs from src.
-func Window(src PIATSource, n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = src.Next()
-	}
-	return w
-}
-
 // Features reads `windows` consecutive windows of size n from src and
 // returns their feature values. Each window is reduced in one streaming
 // pass through a reusable Pipeline, so beyond the returned slice the
@@ -198,23 +162,6 @@ func Train(cfg TrainConfig, labels []string, sources []PIATSource) (*Attacker, e
 
 // Classifier exposes the underlying Bayes classifier.
 func (a *Attacker) Classifier() *bayes.Classifier { return a.classifier }
-
-// WindowSize returns the run-time sample size n.
-func (a *Attacker) WindowSize() int { return a.windowSize }
-
-// ClassifyWindow applies the run-time attack to one PIAT sample.
-func (a *Attacker) ClassifyWindow(window []float64) (int, error) {
-	f, err := a.extractor.Extract(window)
-	if err != nil {
-		return 0, err
-	}
-	return a.classifier.Classify(f), nil
-}
-
-// ClassifyNext reads one window from src and classifies it.
-func (a *Attacker) ClassifyNext(src PIATSource) (int, error) {
-	return a.ClassifyWindow(Window(src, a.windowSize))
-}
 
 // Evaluate estimates the detection rate by classifying windowsPerClass
 // fresh windows from each class source (which must be independent of the

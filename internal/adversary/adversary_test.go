@@ -256,19 +256,21 @@ func TestClassifyWindowDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.WindowSize() != 100 {
-		t.Errorf("WindowSize = %d", a.WindowSize())
-	}
-	low := Window(gaussSource(62, 0.01, 2e-6), 100)
-	high := Window(gaussSource(63, 0.01, 6e-6), 100)
-	cl, err := a.ClassifyWindow(low)
+	// One window at a time, the way cmd/advclassify evaluates traces:
+	// extract through a pipeline, then apply the trained Bayes rule.
+	p, err := NewPipeline(cfg.Extractor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := a.ClassifyWindow(high)
-	if err != nil {
-		t.Fatal(err)
+	classify := func(src PIATSource) int {
+		f, err := p.ExtractFrom(src, cfg.WindowSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Classifier().Classify(f)
 	}
+	cl := classify(gaussSource(62, 0.01, 2e-6))
+	ch := classify(gaussSource(63, 0.01, 6e-6))
 	if cl != 0 || ch != 1 {
 		t.Errorf("classified %d/%d, want 0/1", cl, ch)
 	}

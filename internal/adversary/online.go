@@ -19,26 +19,16 @@ import (
 // across streams, never within one (windows of one stream are inherently
 // sequential).
 type OnlineExtractor struct {
-	src     PIATSource
-	mp      *MultiPipeline
-	n       int
-	windows int
+	src PIATSource
+	mp  *MultiPipeline
+	n   int
 }
 
-// NewOnlineExtractor wraps a continuous PIAT stream for windowed
-// extraction with the given extractor set and window size n.
-func NewOnlineExtractor(src PIATSource, exts []Extractor, n int) (*OnlineExtractor, error) {
-	mp, err := NewMultiPipeline(exts)
-	if err != nil {
-		return nil, err
-	}
-	return NewOnlineExtractorShared(mp, src, n)
-}
-
-// NewOnlineExtractorShared wraps src with a caller-owned pipeline, so a
-// worker evaluating many sessions in turn reuses one pipeline's scratch
-// buffers across them (the session engine's hot path). The pipeline must
-// not be shared across concurrent extractors.
+// NewOnlineExtractorShared wraps a continuous PIAT stream for windowed
+// extraction of size n with a caller-owned pipeline, so a worker
+// evaluating many sessions in turn reuses one pipeline's scratch buffers
+// across them (the session engine's hot path). The pipeline must not be
+// shared across concurrent extractors.
 func NewOnlineExtractorShared(mp *MultiPipeline, src PIATSource, n int) (*OnlineExtractor, error) {
 	if src == nil {
 		return nil, errors.New("adversary: nil PIAT source")
@@ -55,18 +45,8 @@ func NewOnlineExtractorShared(mp *MultiPipeline, src PIATSource, n int) (*Online
 // NextWindow consumes the next n PIATs of the stream and writes each
 // extractor's statistic to out[i]. Steady state allocates nothing.
 func (o *OnlineExtractor) NextWindow(out []float64) error {
-	if err := o.mp.ExtractFrom(o.src, o.n, out); err != nil {
-		return err
-	}
-	o.windows++
-	return nil
+	return o.mp.ExtractFrom(o.src, o.n, out)
 }
-
-// Windows returns how many windows have been extracted so far.
-func (o *OnlineExtractor) Windows() int { return o.windows }
-
-// WindowSize returns the per-window sample size n.
-func (o *OnlineExtractor) WindowSize() int { return o.n }
 
 // SessionFactory builds the continuous PIAT stream for one session index:
 // a fresh, deterministic realization of the system, already warmed past

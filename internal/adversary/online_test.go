@@ -33,7 +33,11 @@ func TestOnlineExtractorMatchesManualSlicing(t *testing.T) {
 	for i := range stream {
 		stream[i] = raw.Next()
 	}
-	online, err := NewOnlineExtractor(&rngSource{rng: xrand.New(42), mean: 10e-3}, exts, n)
+	shared, err := NewMultiPipeline(exts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, err := NewOnlineExtractorShared(shared, &rngSource{rng: xrand.New(42), mean: 10e-3}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +60,6 @@ func TestOnlineExtractorMatchesManualSlicing(t *testing.T) {
 			}
 		}
 	}
-	if online.Windows() != windows {
-		t.Errorf("Windows() = %d, want %d", online.Windows(), windows)
-	}
-	if online.WindowSize() != n {
-		t.Errorf("WindowSize() = %d, want %d", online.WindowSize(), n)
-	}
 }
 
 type sliceSrc struct {
@@ -76,14 +74,20 @@ func (s *sliceSrc) Next() float64 {
 }
 
 func TestOnlineExtractorValidation(t *testing.T) {
-	exts := []Extractor{{Feature: analytic.FeatureMean}}
-	if _, err := NewOnlineExtractor(nil, exts, 10); err == nil {
+	mp, err := NewMultiPipeline([]Extractor{{Feature: analytic.FeatureMean}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewOnlineExtractorShared(mp, nil, 10); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := NewOnlineExtractor(&rngSource{rng: xrand.New(1), mean: 1}, exts, 1); err == nil {
+	if _, err := NewOnlineExtractorShared(mp, &rngSource{rng: xrand.New(1), mean: 1}, 1); err == nil {
 		t.Error("window size 1 accepted")
 	}
-	if _, err := NewOnlineExtractor(&rngSource{rng: xrand.New(1), mean: 1}, nil, 10); err == nil {
+	if _, err := NewOnlineExtractorShared(nil, &rngSource{rng: xrand.New(1), mean: 1}, 10); err == nil {
+		t.Error("nil pipeline accepted")
+	}
+	if _, err := NewMultiPipeline(nil); err == nil {
 		t.Error("empty extractor set accepted")
 	}
 }

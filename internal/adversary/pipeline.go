@@ -72,31 +72,6 @@ func NewPipeline(e Extractor) (*Pipeline, error) {
 	return p, nil
 }
 
-// Extract computes the feature statistic of one in-memory window, equal
-// to Extractor.Extract up to float summation order but without the
-// per-window histogram and sort allocations.
-func (p *Pipeline) Extract(window []float64) (float64, error) {
-	if len(window) < 2 {
-		return 0, errors.New("adversary: window must hold at least two PIATs")
-	}
-	switch p.ext.Feature {
-	case analytic.FeatureMean:
-		return stats.Mean(window), nil
-	case analytic.FeatureVariance:
-		return stats.Variance(window), nil
-	case analytic.FeatureEntropy:
-		p.hist.Reset()
-		p.hist.AddAll(window)
-		return p.hist.Entropy(), nil
-	case analytic.FeatureIQR:
-		p.window(len(window))
-		copy(p.buf, window)
-		return p.iqrInPlace(len(window))
-	default:
-		return 0, fmt.Errorf("adversary: unknown feature %v", p.ext.Feature)
-	}
-}
-
 // ExtractFrom reads one window of n PIATs from src and reduces it in a
 // single streaming pass: mean and variance through a one-pass accumulator
 // and entropy through the reusable histogram, with the raw window

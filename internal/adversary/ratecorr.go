@@ -151,9 +151,3 @@ func (r *Replay) NextBatch(dst []float64) {
 		}
 	}
 }
-
-// Remaining returns how many recorded PIATs are left to read.
-func (r *Replay) Remaining() int { return len(r.xs) - r.i }
-
-// Reset rewinds the replay to the first PIAT.
-func (r *Replay) Reset() { r.i = 0 }

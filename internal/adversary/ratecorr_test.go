@@ -68,17 +68,16 @@ func TestPearson(t *testing.T) {
 
 func TestReplay(t *testing.T) {
 	r := NewReplay([]float64{1, 2, 3})
-	if r.Remaining() != 3 {
-		t.Fatalf("remaining = %d, want 3", r.Remaining())
+	if len(r.xs) != 3 || r.i != 0 {
+		t.Fatalf("replay holds %d PIATs at %d, want 3 at 0", len(r.xs), r.i)
 	}
 	for _, want := range []float64{1, 2, 3, 3, 3} { // saturates at the end
 		if got := r.Next(); got != want {
 			t.Fatalf("Next = %v, want %v", got, want)
 		}
 	}
-	r.Reset()
-	if got := r.Next(); got != 1 {
-		t.Fatalf("after Reset, Next = %v, want 1", got)
+	if r2 := NewReplay([]float64{1, 2, 3}); r2.Next() != 1 {
+		t.Fatal("a fresh replay must start at the first PIAT")
 	}
 	empty := NewReplay(nil)
 	if got := empty.Next(); got != 0 {

@@ -191,15 +191,6 @@ func SampleSizeEntropy(r, p float64) (float64, error) {
 	return c / (1 - p), nil
 }
 
-// R composes the paper's variance ratio (eq. 16) from the PIAT variance
-// of each class. Returns an error unless both are positive.
-func R(varLow, varHigh float64) (float64, error) {
-	if !(varLow > 0) || !(varHigh > 0) {
-		return 0, errors.New("analytic: class variances must be positive")
-	}
-	return varHigh / varLow, nil
-}
-
 // RWithNetwork extends a gateway-level variance ratio with network
 // queueing noise: each of the two classes gains the same additional PIAT
 // variance 2·Σ Var(W_hop) (waiting times enter consecutive PIATs as a

@@ -286,14 +286,15 @@ func TestSampleSizeErrors(t *testing.T) {
 }
 
 func TestRHelpers(t *testing.T) {
-	r, err := R(2.58e-11, 4.9e-11)
+	// Without hops, r is the plain gateway variance ratio (eq. 16).
+	r, err := RWithNetwork(2.58e-11, 4.9e-11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(r, 1.8992, 0.001) {
-		t.Errorf("R = %v", r)
+		t.Errorf("r = %v", r)
 	}
-	if _, err := R(0, 1); err == nil {
+	if _, err := RWithNetwork(0, 1, nil); err == nil {
 		t.Error("zero variance should fail")
 	}
 	// Network noise drives r toward 1.

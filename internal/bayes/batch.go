@@ -65,57 +65,15 @@ func (c *Classifier) ClassifyBatch(s []float64, out []int) []int {
 	return out
 }
 
-// PosteriorsBatch returns P(ω_i | s_j) for every class i and feature
-// value s_j, as one row of length NumClasses per feature value. Rows
-// where every class density is zero fall back to the priors, matching
-// Posteriors.
-func (c *Classifier) PosteriorsBatch(s []float64) [][]float64 {
-	m := len(c.classes)
-	post := make([][]float64, len(s))
-	flat := make([]float64, len(s)*m)
-	for j := range post {
-		post[j] = flat[j*m : (j+1)*m : (j+1)*m]
-	}
-	scores := make([]float64, len(s))
-	for i := range c.classes {
-		scores = c.pdfBatch(i, s, scores)
-		prior := c.classes[i].Prior
-		for j, p := range scores {
-			post[j][i] = prior * p
-		}
-	}
-	for j := range post {
-		var total float64
-		for _, v := range post[j] {
-			total += v
-		}
-		if total <= 0 {
-			for i := range c.classes {
-				post[j][i] = c.classes[i].Prior
-			}
-			continue
-		}
-		for i := range post[j] {
-			post[j][i] /= total
-		}
-	}
-	return post
-}
-
-// LogPosteriors returns log P(ω_i | s) for every class, computed in log
-// space with a log-sum-exp normalization so that feature values deep in
-// every class's tail (where linear densities underflow to zero) still
-// yield finite, correctly normalized log posteriors whenever the
-// densities expose LogPDF. If the value has zero density under every
-// class, the log priors are returned, matching Posteriors.
-func (c *Classifier) LogPosteriors(s float64) []float64 {
-	return c.LogPosteriorsInto(s, nil)
-}
-
-// LogPosteriorsInto is LogPosteriors writing into out (grown if needed)
-// and returning it, so per-observation scoring loops — the population
-// flow-correlation attack evaluates one posterior row per (user, flow)
-// pair — stay allocation-free with a reused buffer.
+// LogPosteriorsInto writes log P(ω_i | s) for every class into out
+// (grown if needed) and returns it. It works in log space with a
+// log-sum-exp normalization, so feature values deep in every class's tail
+// (where linear densities underflow to zero) still yield finite,
+// correctly normalized log posteriors whenever the densities expose
+// LogPDF. If the value has zero density under every class, the log
+// priors are returned. With a reused buffer, per-observation scoring
+// loops — the population flow-correlation attack evaluates one posterior
+// row per (user, flow) pair — stay allocation-free.
 func (c *Classifier) LogPosteriorsInto(s float64, out []float64) []float64 {
 	if cap(out) < len(c.classes) {
 		out = make([]float64, len(c.classes))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"linkpad/internal/dist"
+	"linkpad/internal/kde"
 	"linkpad/internal/xrand"
 )
 
@@ -67,28 +68,10 @@ func TestClassifyBatchTieBreak(t *testing.T) {
 	}
 }
 
-func TestPosteriorsBatchMatchesScalar(t *testing.T) {
-	c, xs := trainedKDEClassifier(t)
-	rows := c.PosteriorsBatch(xs)
-	for j, x := range xs {
-		want := c.Posteriors(x)
-		for i := range want {
-			if math.Abs(rows[j][i]-want[i]) > 1e-14 {
-				t.Fatalf("sample %d class %d: batch %v vs scalar %v", j, i, rows[j][i], want[i])
-			}
-		}
-	}
-	// Out-of-support values fall back to the priors.
-	far := c.PosteriorsBatch([]float64{1e9})
-	if math.Abs(far[0][0]-0.5) > 1e-12 || math.Abs(far[0][1]-0.5) > 1e-12 {
-		t.Errorf("far-outside posteriors = %v, want priors", far[0])
-	}
-}
-
 func TestLogPosteriors(t *testing.T) {
 	c := twoGaussians(0, 1, 0, 2, 1, 1)
 	for _, x := range []float64{-3, 0, 1.5, 4} {
-		lp := c.LogPosteriors(x)
+		lp := c.LogPosteriorsInto(x, nil)
 		p := c.Posteriors(x)
 		for i := range p {
 			if math.Abs(math.Exp(lp[i])-p[i]) > 1e-12 {
@@ -98,7 +81,7 @@ func TestLogPosteriors(t *testing.T) {
 	}
 	// Far outside a KDE's support every log density is -Inf: log priors.
 	ck, _ := trainedKDEClassifier(t)
-	lp := ck.LogPosteriors(1e9)
+	lp := ck.LogPosteriorsInto(1e9, nil)
 	for i, v := range lp {
 		if math.Abs(v-math.Log(0.5)) > 1e-12 {
 			t.Errorf("class %d far-outside log posterior = %v, want log(1/2)", i, v)
@@ -136,7 +119,16 @@ func TestTrainKDEGridMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := TrainKDEExact([]string{"l", "h"}, feat, nil)
+	// The reference: the same classes over the exact kernel-sum KDEs.
+	exactClasses := make([]Class, len(feat))
+	for i, f := range feat {
+		k, err := kde.New(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactClasses[i] = Class{Prior: 1, Density: k}
+	}
+	exact, err := New(exactClasses...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +146,13 @@ func TestTrainKDEGridMatchesExact(t *testing.T) {
 	}
 }
 
-// LogPosteriorsInto must agree with LogPosteriors and reuse its buffer
-// without allocating.
+// LogPosteriorsInto must return the same row with and without a buffer,
+// and reuse a sized buffer without allocating.
 func TestLogPosteriorsInto(t *testing.T) {
 	cls, _ := trainedKDEClassifier(t)
 	buf := make([]float64, 2)
 	for _, x := range []float64{-3, -1, 0, 0.5, 2, 10} {
-		want := cls.LogPosteriors(x)
+		want := cls.LogPosteriorsInto(x, nil)
 		got := cls.LogPosteriorsInto(x, buf)
 		for i := range want {
 			if got[i] != want[i] {

@@ -10,11 +10,9 @@
 // index; entropy terms sum in class order), so classifiers trained from
 // the same corpus produce byte-identical decisions everywhere.
 //
-// Allocation discipline: the batch entry points (ClassifyBatch,
-// PosteriorsBatch, LogPosteriorsInto) score whole evaluation sets
-// against precomputed per-class density grids with log-sum-exp
-// normalization, writing into caller-owned rows — the evaluation hot
-// loop allocates nothing.
+// Allocation discipline: ClassifyBatch and LogPosteriorsInto score
+// evaluation sets against precomputed per-class density grids, writing
+// into caller-owned buffers — the evaluation hot loop allocates nothing.
 package bayes
 
 import (
@@ -95,43 +93,6 @@ func (c *Classifier) Classify(s float64) int {
 	return best
 }
 
-// Posteriors returns P(ω_i | s) for every class. If the feature value has
-// zero density under every class (it fell outside all training supports),
-// the priors are returned: the observation carries no information.
-func (c *Classifier) Posteriors(s float64) []float64 {
-	post := make([]float64, len(c.classes))
-	var total float64
-	for i, cl := range c.classes {
-		post[i] = cl.Prior * cl.Density.PDF(s)
-		total += post[i]
-	}
-	if total <= 0 {
-		for i, cl := range c.classes {
-			post[i] = cl.Prior
-		}
-		return post
-	}
-	for i := range post {
-		post[i] /= total
-	}
-	return post
-}
-
-// TwoClassThreshold solves f(s|ω_0)P(ω_0) = f(s|ω_1)P(ω_1) for the decision
-// threshold d (paper eq. 3), searching inside [lo, hi]. The score
-// difference must change sign on the interval (the paper's unique-solution
-// assumption, Fig. 2).
-func (c *Classifier) TwoClassThreshold(lo, hi float64) (float64, error) {
-	if len(c.classes) != 2 {
-		return 0, errors.New("bayes: TwoClassThreshold requires exactly two classes")
-	}
-	diff := func(s float64) float64 {
-		return c.classes[0].Prior*c.classes[0].Density.PDF(s) -
-			c.classes[1].Prior*c.classes[1].Density.PDF(s)
-	}
-	return dist.FindRoot(diff, lo, hi, (hi-lo)*1e-12)
-}
-
 // DetectionRate numerically evaluates the Bayes detection rate
 // (paper eq. 7 generalized to m classes):
 //
@@ -152,15 +113,6 @@ func (c *Classifier) DetectionRate(lo, hi float64, n int) (float64, error) {
 	return dist.Integrate(f, lo, hi, n)
 }
 
-// ErrorRate is 1 - DetectionRate (paper eq. 5/6).
-func (c *Classifier) ErrorRate(lo, hi float64, n int) (float64, error) {
-	v, err := c.DetectionRate(lo, hi, n)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - v, nil
-}
-
 // TrainKDE performs the paper's off-line training: one Gaussian KDE per
 // class fitted to that class's feature samples, with the given priors
 // (nil means equal priors). labels[i], features[i] and priors[i] describe
@@ -168,19 +120,8 @@ func (c *Classifier) ErrorRate(lo, hi float64, n int) (float64, error) {
 //
 // The class densities are precomputed log-density grids (kde.Grid) so
 // run-time classification costs O(1) per density query instead of a
-// kernel sum; the exact KDE stays reachable via Grid.Exact, and
-// TrainKDEExact keeps the kernel-sum densities for reference runs.
+// kernel sum.
 func TrainKDE(labels []string, features [][]float64, priors []float64) (*Classifier, error) {
-	return trainKDE(labels, features, priors, false)
-}
-
-// TrainKDEExact is TrainKDE with the exact kernel-sum densities: the
-// reference path the grid is validated against.
-func TrainKDEExact(labels []string, features [][]float64, priors []float64) (*Classifier, error) {
-	return trainKDE(labels, features, priors, true)
-}
-
-func trainKDE(labels []string, features [][]float64, priors []float64, exact bool) (*Classifier, error) {
 	if len(labels) != len(features) {
 		return nil, errors.New("bayes: labels/features length mismatch")
 	}
@@ -197,11 +138,7 @@ func trainKDE(labels []string, features [][]float64, priors []float64, exact boo
 		if priors != nil {
 			p = priors[i]
 		}
-		var d Density = k
-		if !exact {
-			d = k.Grid()
-		}
-		classes[i] = Class{Label: labels[i], Prior: p, Density: d}
+		classes[i] = Class{Label: labels[i], Prior: p, Density: k.Grid()}
 	}
 	return New(classes...)
 }
@@ -235,26 +172,4 @@ func TrainGaussian(labels []string, features [][]float64, priors []float64) (*Cl
 		}
 	}
 	return New(classes...)
-}
-
-// FeatureSupport returns an interval covering the numeric support of all
-// class densities in the classifier, for use as integration bounds. It
-// relies on each density exposing Support() (KDEs do); parametric normals
-// use mean ± 9 sigma.
-func (c *Classifier) FeatureSupport() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, cl := range c.classes {
-		var a, b float64
-		switch d := cl.Density.(type) {
-		case interface{ Support() (float64, float64) }:
-			a, b = d.Support()
-		case dist.Normal:
-			a, b = d.Mu-9*d.Sigma, d.Mu+9*d.Sigma
-		default:
-			continue
-		}
-		lo = math.Min(lo, a)
-		hi = math.Max(hi, b)
-	}
-	return lo, hi
 }

@@ -11,6 +11,46 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Posteriors is the linear-space reference for LogPosteriorsInto: P(ω_i | s)
+// for every class, or the priors when every class density is zero at s.
+func (c *Classifier) Posteriors(s float64) []float64 {
+	post := make([]float64, len(c.classes))
+	var total float64
+	for i, cl := range c.classes {
+		post[i] = cl.Prior * cl.Density.PDF(s)
+		total += post[i]
+	}
+	if total <= 0 {
+		for i, cl := range c.classes {
+			post[i] = cl.Prior
+		}
+		return post
+	}
+	for i := range post {
+		post[i] /= total
+	}
+	return post
+}
+
+// twoClassThreshold solves f(s|ω_0)P(ω_0) = f(s|ω_1)P(ω_1) for the
+// decision threshold d (paper eq. 3) inside [lo, hi]: the analytic
+// boundary Classify must reproduce.
+func twoClassThreshold(t *testing.T, c *Classifier, lo, hi float64) float64 {
+	t.Helper()
+	if len(c.classes) != 2 {
+		t.Fatalf("twoClassThreshold needs two classes, got %d", len(c.classes))
+	}
+	diff := func(s float64) float64 {
+		return c.classes[0].Prior*c.classes[0].Density.PDF(s) -
+			c.classes[1].Prior*c.classes[1].Density.PDF(s)
+	}
+	d, err := dist.FindRoot(diff, lo, hi, (hi-lo)*1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func twoGaussians(mu0, s0, mu1, s1, p0, p1 float64) *Classifier {
 	c, err := New(
 		Class{Label: "l", Prior: p0, Density: dist.Normal{Mu: mu0, Sigma: s0}},
@@ -56,19 +96,22 @@ func TestClassifyPriorShift(t *testing.T) {
 	// Heavier prior on class 0 moves the threshold toward class 1.
 	equal := twoGaussians(0, 1, 4, 1, 1, 1)
 	skewed := twoGaussians(0, 1, 4, 1, 9, 1)
-	dEq, err := equal.TwoClassThreshold(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dSk, err := skewed.TwoClassThreshold(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dEq := twoClassThreshold(t, equal, 0, 4)
+	dSk := twoClassThreshold(t, skewed, 0, 4)
 	if !almostEq(dEq, 2, 1e-9) {
 		t.Errorf("equal-prior threshold = %v, want 2", dEq)
 	}
 	if dSk <= dEq {
 		t.Errorf("skewed-prior threshold %v should exceed %v", dSk, dEq)
+	}
+	// Classify switches class at the analytic threshold.
+	for _, tc := range []struct {
+		c *Classifier
+		d float64
+	}{{equal, dEq}, {skewed, dSk}} {
+		if tc.c.Classify(tc.d-1e-6) != 0 || tc.c.Classify(tc.d+1e-6) != 1 {
+			t.Errorf("Classify does not switch class at the eq. 3 threshold %v", tc.d)
+		}
 	}
 }
 
@@ -154,32 +197,30 @@ func TestDetectionRateEqualMeanVarianceRatio(t *testing.T) {
 	}
 }
 
+// The Bayes error is the complement of the detection rate (paper eqs.
+// 5-7): Classify's empirical error rate on draws from the class
+// densities matches 1 − DetectionRate within a binomial tolerance.
 func TestErrorRateComplement(t *testing.T) {
 	c := twoGaussians(0, 1, 2, 1, 1, 1)
 	v, err := c.DetectionRate(-9, 11, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := c.ErrorRate(-9, 11, 4000)
-	if err != nil {
-		t.Fatal(err)
+	r := xrand.New(5)
+	const n = 20000
+	wrong := 0
+	for i := 0; i < n; i++ {
+		if c.Classify(r.Normal(0, 1)) != 0 {
+			wrong++
+		}
+		if c.Classify(r.Normal(2, 1)) != 1 {
+			wrong++
+		}
 	}
-	if !almostEq(v+e, 1, 1e-12) {
-		t.Errorf("v + e = %v", v+e)
-	}
-}
-
-func TestTwoClassThresholdErrors(t *testing.T) {
-	three, err := New(
-		Class{Prior: 1, Density: dist.Normal{Mu: 0, Sigma: 1}},
-		Class{Prior: 1, Density: dist.Normal{Mu: 1, Sigma: 1}},
-		Class{Prior: 1, Density: dist.Normal{Mu: 2, Sigma: 1}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := three.TwoClassThreshold(0, 2); err == nil {
-		t.Error("want error for three classes")
+	e := float64(wrong) / (2 * n)
+	// Four binomial standard errors at 2n draws.
+	if tol := 4 * math.Sqrt((1-v)*v/(2*n)); math.Abs(e-(1-v)) > tol {
+		t.Errorf("empirical error %v vs 1 - detection rate %v (tol %v)", e, 1-v, tol)
 	}
 }
 
@@ -264,14 +305,6 @@ func TestTrainGaussianErrors(t *testing.T) {
 	}
 	if _, err := TrainGaussian([]string{"a", "b"}, [][]float64{{1, 2}, {3, 3}}, nil); err == nil {
 		t.Error("want error for zero-spread class")
-	}
-}
-
-func TestFeatureSupportCoversClasses(t *testing.T) {
-	c := twoGaussians(0, 1, 10, 2, 1, 1)
-	lo, hi := c.FeatureSupport()
-	if lo > -8 || hi < 28 {
-		t.Errorf("support = [%v, %v]", lo, hi)
 	}
 }
 

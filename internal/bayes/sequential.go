@@ -122,30 +122,6 @@ func (s *Sequential) Observe(x float64) (window int) {
 // Reset.
 func (s *Sequential) Windows() int { return s.windows }
 
-// LogPosteriors writes the normalized log posteriors log P(ω_i | s_1..s_k)
-// into out (grown if needed) and returns it.
-func (s *Sequential) LogPosteriors(out []float64) []float64 {
-	if cap(out) < len(s.logw) {
-		out = make([]float64, len(s.logw))
-	}
-	out = out[:len(s.logw)]
-	z := logSumExp(s.logw)
-	for i, lw := range s.logw {
-		out[i] = lw - z
-	}
-	return out
-}
-
-// Posteriors writes the normalized posteriors P(ω_i | s_1..s_k) into out
-// (grown if needed) and returns it.
-func (s *Sequential) Posteriors(out []float64) []float64 {
-	out = s.LogPosteriors(out)
-	for i, lp := range out {
-		out[i] = math.Exp(lp)
-	}
-	return out
-}
-
 // Best returns the current maximum-posterior class and its posterior
 // probability. Ties break toward the lowest index, like Classify.
 func (s *Sequential) Best() (class int, posterior float64) {

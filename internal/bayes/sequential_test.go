@@ -8,6 +8,29 @@ import (
 	"linkpad/internal/xrand"
 )
 
+// LogPosteriors writes the normalized log posteriors log P(ω_i | s_1..s_k)
+// into out (grown if needed) and returns it.
+func (s *Sequential) LogPosteriors(out []float64) []float64 {
+	if cap(out) < len(s.logw) {
+		out = make([]float64, len(s.logw))
+	}
+	out = out[:len(s.logw)]
+	z := logSumExp(s.logw)
+	for i, lw := range s.logw {
+		out[i] = lw - z
+	}
+	return out
+}
+
+// Posteriors is LogPosteriors in linear space.
+func (s *Sequential) Posteriors(out []float64) []float64 {
+	out = s.LogPosteriors(out)
+	for i, lp := range out {
+		out[i] = math.Exp(lp)
+	}
+	return out
+}
+
 // seqTwoGaussians builds a classifier over N(0,1) and N(mu,1).
 func seqTwoGaussians(t *testing.T, mu float64) *Classifier {
 	t.Helper()

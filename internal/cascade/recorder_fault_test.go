@@ -18,7 +18,7 @@ import (
 func TestRecorderUnderImpairedTap(t *testing.T) {
 	im := &netem.Impairment{DupProb: 0.1, ReorderProb: 0.2, ReorderDepth: 4}
 	var rec Recorder
-	record, err := im.WrapRecord(rec.Record, xrand.New(55))
+	record, err := im.WrapRecordObs(rec.Record, xrand.New(55), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

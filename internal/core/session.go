@@ -44,9 +44,6 @@ func (s *System) NewSession(class int, sessionID uint64) (*Session, error) {
 // Class returns the payload class this session observes.
 func (sn *Session) Class() int { return sn.class }
 
-// ID returns the session identifier.
-func (sn *Session) ID() uint64 { return sn.id }
-
 // Source exposes the session's continuous PIAT stream.
 func (sn *Session) Source() adversary.PIATSource { return sn.tap }
 

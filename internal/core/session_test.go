@@ -107,8 +107,8 @@ func TestSessionClockAndWarmup(t *testing.T) {
 			t.Fatalf("post-warm-up PIAT %d = %v, want continuation %v", i, got, refAll[200+i])
 		}
 	}
-	if sess.Class() != 0 || sess.ID() != 3 {
-		t.Errorf("identity = (%d, %d)", sess.Class(), sess.ID())
+	if sess.Class() != 0 || sess.id != 3 {
+		t.Errorf("identity = (%d, %d)", sess.Class(), sess.id)
 	}
 }
 

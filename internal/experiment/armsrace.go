@@ -107,12 +107,6 @@ var extSDAArmsRaceCells = &cellExperiment{
 	},
 }
 
-// ExtSDAArmsRace runs the arms-race league table without checkpointing;
-// see extSDAArmsRaceCells.
-func ExtSDAArmsRace(o Options) (*Table, error) {
-	return runCells("ext-sda-arms-race", extSDAArmsRaceCells, o, "", 0)
-}
-
 // scaleSDALSCells proves the least-squares estimator at the engine's
 // design point: the same million-user population, batch and round
 // budget as scale-disclosure, but with the sparse least-squares
@@ -159,10 +153,4 @@ var scaleSDALSCells = &cellExperiment{
 		t.Notef("same geometry as scale-disclosure: the pair prices the LS accumulators (Saa/Sab/Sbb + sparse Say/Sby) at scale")
 		t.Notef("disclosed_frac 0 at large N is the expected reading; the cells gate engine+estimator throughput and memory")
 	},
-}
-
-// ScaleSDALS runs the least-squares scale cells without checkpointing;
-// see scaleSDALSCells.
-func ScaleSDALS(o Options) (*Table, error) {
-	return runCells("scale-sda-ls", scaleSDALSCells, o, "", 0)
 }

@@ -83,12 +83,6 @@ var extDisclosureCells = &cellExperiment{
 	},
 }
 
-// ExtDisclosure runs the ext-disclosure sweep without checkpointing;
-// see extDisclosureCells.
-func ExtDisclosure(o Options) (*Table, error) {
-	return runCells("ext-disclosure", extDisclosureCells, o, "", 0)
-}
-
 // AblationPopulationPadding compares the padding policies at matched
 // egress bandwidth against the per-flow population attack: every user's
 // link emits ~100 pps whether the policy is CIT, VIT, or a per-user

@@ -85,9 +85,3 @@ var scaleDisclosureCells = &cellExperiment{
 		t.Notef("near-uniform anonymity are the expected reading; the cells gate engine throughput and memory")
 	},
 }
-
-// ScaleDisclosure runs the million-user engine cells without
-// checkpointing; see scaleDisclosureCells.
-func ScaleDisclosure(o Options) (*Table, error) {
-	return runCells("scale-disclosure", scaleDisclosureCells, o, "", 0)
-}

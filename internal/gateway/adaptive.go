@@ -66,8 +66,5 @@ func (a *Adaptive) IntervalVar() float64 { return 0 }
 // MaxInterval returns the idle interval.
 func (a *Adaptive) MaxInterval() float64 { return a.tauIdle }
 
-// Name returns "ADAPTIVE".
-func (a *Adaptive) Name() string { return "ADAPTIVE" }
-
 var _ TimerPolicy = (*Adaptive)(nil)
 var _ QueueObserver = (*Adaptive)(nil)

@@ -41,7 +41,7 @@ func TestAdaptiveStateMachine(t *testing.T) {
 	if a.NextInterval() != 10e-3 {
 		t.Fatal("expected busy interval after non-empty queue")
 	}
-	if a.Mean() != 10e-3 || a.IntervalVar() != 0 || a.MaxInterval() != 40e-3 || a.Name() != "ADAPTIVE" {
+	if a.Mean() != 10e-3 || a.IntervalVar() != 0 || a.MaxInterval() != 40e-3 {
 		t.Error("adaptive metadata broken")
 	}
 }
@@ -130,6 +130,19 @@ func TestPayloadDelayAccounting(t *testing.T) {
 	if s.DelayMax > bound {
 		t.Errorf("measured max delay %v exceeds bound %v (maxQueue %d)", s.DelayMax, bound, s.MaxQueue)
 	}
+}
+
+// DelayBound returns the worst-case queueing delay of a payload packet
+// that arrives to find q packets already queued: it departs within q+1
+// timer intervals, each at most policy.MaxInterval(), plus the bounded
+// per-fire jitter. This is the NetCamo-style admission bound coupling
+// padding rate to payload QoS, the reference measured delays must obey.
+func DelayBound(policy TimerPolicy, j JitterModel, q int) float64 {
+	slack := 4 * j.SigmaOS
+	if j.BlockCap > 0 {
+		slack += j.BlockCap
+	}
+	return float64(q+1)*policy.MaxInterval() + slack
 }
 
 func TestDelayBoundScalesWithQueue(t *testing.T) {

@@ -8,6 +8,15 @@ import (
 	"linkpad/internal/xrand"
 )
 
+// NextPacket advances the gateway by one timer fire and returns the
+// departure time of the emitted padded packet and whether it was a dummy:
+// the one-packet pull the batched paths are checked against.
+func (g *Gateway) NextPacket() (departure float64, dummy bool) {
+	var flag [1]uint8
+	g.nextSlab(g.one[:], flag[:])
+	return g.one[0], flag[0] != 0
+}
+
 // mkGateway builds a gateway from a seed; called twice per case so the
 // pull-driven and batched instances are identically seeded.
 func gatewayCases(t *testing.T) map[string]func(seed uint64) *Gateway {

@@ -17,10 +17,10 @@
 // Determinism contract: a Gateway draws every variate from the single
 // *xrand.Rand it was built with, in arrival order — it is a pure
 // function of (payload source, rng) — and carries its clock across
-// calls (Now), so continuous sessions and cold-start replicas share one
+// calls, so continuous sessions and cold-start replicas share one
 // implementation. One event body (nextSlab) emits any number of fires per
 // call, so the draws are the same however a caller chunks its pulls;
-// NextPacket and Next are its one-packet views. Allocation discipline:
+// Next is its one-packet view. Allocation discipline:
 // O(1) state beyond the payload queue and no per-packet buffering; a
 // warmed gateway allocates nothing.
 package gateway
@@ -49,8 +49,6 @@ type TimerPolicy interface {
 	// QoS delay bounds. For unbounded distributions it is a practical
 	// quantile (VIT uses mean + 8σ).
 	MaxInterval() float64
-	// Name identifies the policy in reports, e.g. "CIT" or "VIT".
-	Name() string
 }
 
 // QueueObserver is implemented by timer policies that adapt to the
@@ -84,9 +82,6 @@ func (c *CIT) IntervalVar() float64 { return 0 }
 
 // MaxInterval returns τ.
 func (c *CIT) MaxInterval() float64 { return c.tau }
-
-// Name returns "CIT".
-func (c *CIT) Name() string { return "CIT" }
 
 // VIT is the variable interval timer policy: T ~ N(τ, σ_T²), truncated
 // below at a small positive floor so intervals stay physical.
@@ -126,9 +121,6 @@ func (v *VIT) IntervalVar() float64 { return v.sigmaT * v.sigmaT }
 // MaxInterval returns the practical upper bound τ + 8σ_T
 // (P(T > τ+8σ) ≈ 6e-16 for the truncated normal).
 func (v *VIT) MaxInterval() float64 { return v.tau + 8*v.sigmaT }
-
-// Name returns "VIT".
-func (v *VIT) Name() string { return "VIT" }
 
 // JitterModel is the gateway host's timer-disturbance model: the source of
 // δ_gw in the paper's PIAT decomposition (eq. 8).
@@ -190,18 +182,6 @@ func (j JitterModel) blockSecondMoment() float64 {
 	}
 	c := j.BlockCap
 	return 2*m*m - math.Exp(-c/m)*(2*m*m+2*m*c)
-}
-
-// blockMeanCapped returns E[min(X, cap)].
-func (j JitterModel) blockMeanCapped() float64 {
-	m := j.BlockMean
-	if m == 0 {
-		return 0
-	}
-	if j.BlockCap <= 0 {
-		return m
-	}
-	return m * (1 - math.Exp(-j.BlockCap/m))
 }
 
 // DeltaVar returns the per-fire variance of δ_gw when Poisson payload at
@@ -278,15 +258,6 @@ type Stats struct {
 	DelayMax float64
 }
 
-// OverheadRatio returns the fraction of sent packets that were dummies —
-// the bandwidth cost of the countermeasure.
-func (s Stats) OverheadRatio() float64 {
-	if s.Fires == 0 {
-		return 0
-	}
-	return float64(s.Dummies) / float64(s.Fires)
-}
-
 // MeanPayloadDelay returns the average queueing delay of sent payload
 // packets (0 if none were sent).
 func (s Stats) MeanPayloadDelay() float64 {
@@ -296,22 +267,9 @@ func (s Stats) MeanPayloadDelay() float64 {
 	return s.DelaySum / float64(s.PayloadSent)
 }
 
-// DelayBound returns the worst-case queueing delay of a payload packet
-// that arrives to find q packets already queued: it departs within q+1
-// timer intervals, each at most policy.MaxInterval(), plus the bounded
-// per-fire jitter. This is the NetCamo-style admission bound coupling
-// padding rate to payload QoS.
-func DelayBound(policy TimerPolicy, j JitterModel, q int) float64 {
-	slack := 4 * j.SigmaOS
-	if j.BlockCap > 0 {
-		slack += j.BlockCap
-	}
-	return float64(q+1)*policy.MaxInterval() + slack
-}
-
 // Gateway is a running sender gateway. It produces the padded packet
 // departure process a slab at a time (NextSlab, NextBatch) or one packet
-// at a time (NextPacket, Next); it is not safe for concurrent use.
+// at a time (Next); it is not safe for concurrent use.
 type Gateway struct {
 	cfg   Config
 	stats Stats
@@ -324,8 +282,7 @@ type Gateway struct {
 	started     bool
 	qobs        QueueObserver // cfg.Policy, when it adapts to the queue
 	cit         *CIT          // cfg.Policy, when it is the constant timer
-	one         [1]float64    // NextPacket's and Next's one-packet slab
-	oneFlag     [1]uint8
+	one         [1]float64    // Next's one-packet slab
 }
 
 // minSpacing keeps departures strictly increasing even when jitter draws
@@ -353,14 +310,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.qobs, _ = cfg.Policy.(QueueObserver)
 	g.cit, _ = cfg.Policy.(*CIT)
 	return g, nil
-}
-
-// NextPacket advances the gateway by one timer fire and returns the
-// departure time of the emitted padded packet and whether it was a dummy:
-// a one-packet batch. Departure times are strictly increasing.
-func (g *Gateway) NextPacket() (departure float64, dummy bool) {
-	g.nextSlab(g.one[:], g.oneFlag[:])
-	return g.one[0], g.oneFlag[0] != 0
 }
 
 // Next returns the next padded-packet departure time, implementing the
@@ -473,15 +422,6 @@ func (g *Gateway) nextSlab(dst []float64, flags []uint8) {
 	}
 }
 
-// Now returns the gateway's stream clock: the departure time of the most
-// recently emitted padded packet (0 before the first fire). The clock
-// advances monotonically across observation windows instead of
-// restarting at zero per window; it is the gateway-level accessor for
-// standalone gateway studies — a full observation chain reads the clock
-// at the tap instead (netem.Differ.Now, via core.Session.Now), which
-// also reflects network delay.
-func (g *Gateway) Now() float64 { return g.lastDepart }
-
 // Stats returns a copy of the activity counters.
 func (g *Gateway) Stats() Stats { return g.stats }
 
@@ -491,16 +431,3 @@ func (g *Gateway) SetProbe(s *obs.Shard) { g.cfg.Probe = s }
 
 // QueueLen returns the current payload queue length.
 func (g *Gateway) QueueLen() int { return len(g.queue) - g.qhead }
-
-// PIATs collects the next n packet inter-arrival times of the padded
-// stream as observed at the gateway output (σ_net = 0).
-func (g *Gateway) PIATs(n int) []float64 {
-	out := make([]float64, n)
-	prev := g.Next()
-	for i := 0; i < n; i++ {
-		t := g.Next()
-		out[i] = t - prev
-		prev = t
-	}
-	return out
-}

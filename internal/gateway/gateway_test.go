@@ -12,6 +12,32 @@ import (
 
 const tau = 10e-3
 
+// PIATs collects the next n packet inter-arrival times of the padded
+// stream as observed at the gateway output (σ_net = 0).
+func (g *Gateway) PIATs(n int) []float64 {
+	out := make([]float64, n)
+	prev := g.Next()
+	for i := 0; i < n; i++ {
+		t := g.Next()
+		out[i] = t - prev
+		prev = t
+	}
+	return out
+}
+
+// blockMeanCapped returns E[min(X, cap)], the first blocking moment
+// beside the blockSecondMoment the jitter model uses.
+func (j JitterModel) blockMeanCapped() float64 {
+	m := j.BlockMean
+	if m == 0 {
+		return 0
+	}
+	if j.BlockCap <= 0 {
+		return m
+	}
+	return m * (1 - math.Exp(-j.BlockCap/m))
+}
+
 func mustCIT(t testing.TB) *CIT {
 	t.Helper()
 	c, err := NewCIT(tau)
@@ -228,7 +254,8 @@ func TestOverheadRatio(t *testing.T) {
 		for i := 0; i < 200000; i++ {
 			g.Next()
 		}
-		if got := g.Stats().OverheadRatio(); math.Abs(got-tc.want) > 0.01 {
+		st := g.Stats()
+		if got := float64(st.Dummies) / float64(st.Fires); math.Abs(got-tc.want) > 0.01 {
 			t.Errorf("rate %v: overhead = %v, want ~%v", tc.rate, got, tc.want)
 		}
 	}
@@ -409,8 +436,8 @@ func TestGatewaySessionClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Now() != 0 {
-		t.Fatalf("fresh gateway clock = %v", g.Now())
+	if g.lastDepart != 0 {
+		t.Fatalf("fresh gateway clock = %v", g.lastDepart)
 	}
 	for i := 0; i < 500; i++ {
 		g.NextPacket()
@@ -419,18 +446,18 @@ func TestGatewaySessionClock(t *testing.T) {
 	if st.Fires != 500 {
 		t.Fatalf("after 500 fires: fires = %d", st.Fires)
 	}
-	if got, want := g.Now(), 500*tau; got < 0.9*want || got > 1.1*want {
+	if got, want := g.lastDepart, 500*tau; got < 0.9*want || got > 1.1*want {
 		t.Errorf("clock after 500 fires = %v, want ~%v", got, want)
 	}
 	// Observation continues the same timeline: the next departure
 	// advances past the current clock, never restarts at zero.
-	warm := g.Now()
+	warm := g.lastDepart
 	next := g.Next()
 	if next <= warm {
 		t.Errorf("post-warm-up departure %v restarted the clock (warmed to %v)", next, warm)
 	}
-	if next-g.Now() != 0 {
-		t.Errorf("Now (%v) should track the last departure (%v)", g.Now(), next)
+	if next-g.lastDepart != 0 {
+		t.Errorf("clock (%v) should track the last departure (%v)", g.lastDepart, next)
 	}
 }
 

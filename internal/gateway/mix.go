@@ -145,9 +145,6 @@ func (m *Mix) MeanDelay() float64 {
 // MaxDelay returns the largest observed packet delay.
 func (m *Mix) MaxDelay() float64 { return m.delayMax }
 
-// Bursts returns the number of flushed batches so far.
-func (m *Mix) Bursts() uint64 { return m.bursts }
-
 // Packets returns the number of packets emitted so far.
 func (m *Mix) Packets() uint64 { return m.packets }
 

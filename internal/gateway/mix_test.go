@@ -61,7 +61,7 @@ func TestMixDeparturesIncrease(t *testing.T) {
 	if m.Packets() != 10000 {
 		t.Errorf("packets = %d", m.Packets())
 	}
-	if got, want := m.Bursts(), uint64(10000/8); got != want {
+	if got, want := m.bursts, uint64(10000/8); got != want {
 		t.Errorf("bursts = %d, want %d", got, want)
 	}
 }

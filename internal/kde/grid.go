@@ -114,25 +114,6 @@ func (g *Grid) build() {
 	}
 }
 
-// Exact returns the underlying exact KDE (the reference density).
-func (g *Grid) Exact() *KDE { return g.exact }
-
-// Bandwidth returns the kernel bandwidth in data units.
-func (g *Grid) Bandwidth() float64 { return g.exact.bandwidth }
-
-// N returns the training sample size.
-func (g *Grid) N() int { return g.exact.N() }
-
-// Nodes returns the grid resolution.
-func (g *Grid) Nodes() int { return len(g.logp) }
-
-// Support returns the exact KDE's support.
-func (g *Grid) Support() (lo, hi float64) { return g.exact.Support() }
-
-// CDF delegates to the exact KDE; the distribution function is not on the
-// classification hot path.
-func (g *Grid) CDF(x float64) float64 { return g.exact.CDF(x) }
-
 // locate resolves x to a cell index and intra-cell fraction; ok is false
 // outside the support (where the density is numerically zero).
 func (g *Grid) locate(x float64) (i int, frac float64, ok bool) {
@@ -187,15 +168,6 @@ func (g *Grid) PDFBatch(xs, out []float64) []float64 {
 	return out
 }
 
-// LogPDFBatch evaluates the log density at every xs[i] into out.
-func (g *Grid) LogPDFBatch(xs, out []float64) []float64 {
-	out = sizeBatch(out, len(xs))
-	for i, x := range xs {
-		out[i] = g.LogPDF(x)
-	}
-	return out
-}
-
 // sizeBatch returns out resized to n, reusing its capacity when possible.
 func sizeBatch(out []float64, n int) []float64 {
 	if cap(out) < n {
@@ -210,15 +182,6 @@ func (k *KDE) PDFBatch(xs, out []float64) []float64 {
 	out = sizeBatch(out, len(xs))
 	for i, x := range xs {
 		out[i] = k.PDF(x)
-	}
-	return out
-}
-
-// LogPDFBatch is the exact KDE's batch log-density evaluation.
-func (k *KDE) LogPDFBatch(xs, out []float64) []float64 {
-	out = sizeBatch(out, len(xs))
-	for i, x := range xs {
-		out[i] = k.LogPDF(x)
 	}
 	return out
 }

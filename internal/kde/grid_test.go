@@ -18,19 +18,19 @@ const gridAccuracyFloor = 1e-12
 // the worst relative error of the grid density against the exact KDE.
 func maxRelErr(t *testing.T, g *Grid) float64 {
 	t.Helper()
-	lo, hi := g.Support()
+	lo, hi := g.exact.Support()
 	peak := 0.0
-	steps := 4 * g.Nodes()
+	steps := 4 * len(g.logp)
 	for i := 0; i <= steps; i++ {
 		x := lo + (hi-lo)*float64(i)/float64(steps)
-		if p := g.Exact().PDF(x); p > peak {
+		if p := g.exact.PDF(x); p > peak {
 			peak = p
 		}
 	}
 	worst := 0.0
 	for i := 0; i <= steps; i++ {
 		x := lo + (hi-lo)*float64(i)/float64(steps)
-		want := g.Exact().PDF(x)
+		want := g.exact.PDF(x)
 		if want < gridAccuracyFloor*peak {
 			continue
 		}
@@ -94,7 +94,7 @@ func TestGridErrorProperty(t *testing.T) {
 			return true // degenerate sample, rejected by construction
 		}
 		g := k.Grid()
-		lo, hi := g.Support()
+		lo, hi := g.exact.Support()
 		peak := 0.0
 		for i := 0; i <= 200; i++ {
 			x := lo + (hi-lo)*float64(i)/200
@@ -125,7 +125,7 @@ func TestGridOutsideSupportAndLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := k.Grid()
-	lo, hi := g.Support()
+	lo, hi := g.exact.Support()
 	for _, x := range []float64{lo - 1, hi + 1, lo - 1e-9, hi + 1e-9, math.NaN()} {
 		if p := g.PDF(x); p != 0 {
 			t.Errorf("PDF(%v) = %v outside support", x, p)
@@ -140,11 +140,8 @@ func TestGridOutsideSupportAndLog(t *testing.T) {
 			t.Errorf("LogPDF(%v) = %v, want %v", x, got, want)
 		}
 	}
-	if g.N() != k.N() || g.Bandwidth() != k.Bandwidth() {
+	if g.exact != k {
 		t.Error("grid does not mirror its KDE")
-	}
-	if g.CDF(0) != k.CDF(0) {
-		t.Error("CDF should delegate to the exact KDE")
 	}
 }
 
@@ -200,14 +197,10 @@ func TestGridBatchMatchesScalar(t *testing.T) {
 		xs[i] = r.Normal(5, 4)
 	}
 	out := g.PDFBatch(xs, nil)
-	lout := g.LogPDFBatch(xs, nil)
 	eout := k.PDFBatch(xs, nil)
 	for i, x := range xs {
 		if out[i] != g.PDF(x) {
 			t.Fatalf("PDFBatch[%d] != PDF", i)
-		}
-		if lout[i] != g.LogPDF(x) {
-			t.Fatalf("LogPDFBatch[%d] != LogPDF", i)
 		}
 		if eout[i] != k.PDF(x) {
 			t.Fatalf("exact PDFBatch[%d] != PDF", i)

@@ -80,12 +80,6 @@ func NewWithBandwidth(data []float64, h float64) (*KDE, error) {
 	}, nil
 }
 
-// Bandwidth returns the kernel bandwidth in data units.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
-// N returns the training sample size.
-func (k *KDE) N() int { return len(k.data) }
-
 // Support returns the interval outside which the density is numerically
 // zero: [min - cutoff*h, max + cutoff*h].
 func (k *KDE) Support() (lo, hi float64) {

@@ -72,7 +72,7 @@ func TestRecoverGaussianDensity(t *testing.T) {
 	// The expected value of a Gaussian KDE is the truth convolved with the
 	// kernel: N(mu, sigma^2 + h^2). Comparing against that isolates the
 	// sampling error from the (known, intended) smoothing bias.
-	h := k.Bandwidth()
+	h := k.bandwidth
 	smoothed := dist.Normal{Mu: mu, Sigma: math.Sqrt(sigma*sigma + h*h)}
 	for _, x := range []float64{-2, -1, 0, 1, 2} {
 		got, want := k.PDF(x), smoothed.PDF(x)
@@ -168,8 +168,8 @@ func TestBandwidthShrinksWithN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2.Bandwidth() >= k1.Bandwidth() {
-		t.Errorf("bandwidth should shrink with n: %v vs %v", k1.Bandwidth(), k2.Bandwidth())
+	if k2.bandwidth >= k1.bandwidth {
+		t.Errorf("bandwidth should shrink with n: %v vs %v", k1.bandwidth, k2.bandwidth)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestWindowedPDFMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	brute := func(x float64) float64 {
-		h := k.Bandwidth()
+		h := k.bandwidth
 		var sum float64
 		for _, xi := range xs {
 			z := (x - xi) / h
@@ -220,7 +220,7 @@ func TestPDFUpperBound(t *testing.T) {
 		if err != nil {
 			return true // zero-spread corner: rejected by construction
 		}
-		bound := 1/(k.Bandwidth()*math.Sqrt(2*math.Pi)) + 1e-9
+		bound := 1/(k.bandwidth*math.Sqrt(2*math.Pi)) + 1e-9
 		for i := 0; i < 20; i++ {
 			if k.PDF(r.Normal(0, 2)) > bound {
 				return false

@@ -95,16 +95,16 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		return DiurnalUtil(traffic.Diurnal{Trough: trough, Peak: peak, TroughHour: 3}, startHour)
 	}
 	return map[string]netemCase{
-		"fastrouter-idle":     one(fast(ConstUtil(0))),
-		"fastrouter-const":    one(fast(ConstUtil(0.6))),
-		"fastrouter-overload": one(fast(ConstUtil(1.4))),
+		"fastrouter-idle":     one(fast(constUtil(0))),
+		"fastrouter-const":    one(fast(constUtil(0.6))),
+		"fastrouter-overload": one(fast(constUtil(1.4))),
 		"fastrouter-diurnal":  one(fast(diurnal)),
 		"fastrouter-func": one(fast(UtilFunc(func(t float64) float64 {
 			return 0.3 + 0.2*float64(int(t)%2)
 		}))),
-		"fastrouter-idle-generic":     vsGeneric(100, ConstUtil(0)),
-		"fastrouter-const-generic":    vsGeneric(100, ConstUtil(0.6)),
-		"fastrouter-overload-generic": vsGeneric(100, ConstUtil(1.4)),
+		"fastrouter-idle-generic":     vsGeneric(100, constUtil(0)),
+		"fastrouter-const-generic":    vsGeneric(100, constUtil(0.6)),
+		"fastrouter-overload-generic": vsGeneric(100, constUtil(1.4)),
 		"fastrouter-diurnal-generic":  vsGeneric(100, diurnal),
 		// The slab bound straddles 0 around the trough: the exact path.
 		"fastrouter-diurnal-trough0-generic": vsGeneric(100, profile(0, 0.4, 2.99)),
@@ -176,7 +176,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		"differ-chain": one(func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)
-			r, err := NewFastRouter(up, 1e-4, ConstUtil(0.5), 1e-3, master.Split())
+			r, err := NewFastRouter(up, 1e-4, constUtil(0.5), 1e-3, master.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestDifferSkipAndPIATsBatched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewFastRouter(&cumStream{src: p}, 1e-4, ConstUtil(0.5), 1e-3, master.Split())
+		r, err := NewFastRouter(&cumStream{src: p}, 1e-4, constUtil(0.5), 1e-3, master.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func BenchmarkPathHop(b *testing.B) {
 			return r
 		}
 	}
-	b.Run("const", func(b *testing.B) { benchPullBatch(b, mk(ConstUtil(0.6))) })
+	b.Run("const", func(b *testing.B) { benchPullBatch(b, mk(constUtil(0.6))) })
 	b.Run("diurnal", func(b *testing.B) {
 		benchPullBatch(b, mk(DiurnalUtil(traffic.Diurnal{Trough: 0.2, Peak: 0.7, TroughHour: 3}, 9)))
 	})
@@ -348,7 +348,7 @@ func BenchmarkPathHop(b *testing.B) {
 			gaps[i] = r.TruncNormal(0.01, 20e-6, 0) // 100 pps CIT timer jitter
 		}
 		util := DiurnalUtil(traffic.Diurnal{Trough: 0.05, Peak: 0.30, TroughHour: 3}, 0)
-		path, err := NewPath(&replayStream{gaps: gaps}, UniformHops(nHops, ServiceTime(622e6, 1500), util, 2e-3), r)
+		path, err := NewPath(&replayStream{gaps: gaps}, uniformHops(nHops, ServiceTime(622e6, 1500), util, 2e-3), r)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,7 @@
 package netem
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 
 	"linkpad/internal/obs"
 	"linkpad/internal/xrand"
@@ -116,26 +113,6 @@ func (im *Impairment) Validate() error {
 // Enabled reports whether the profile does anything at all.
 func (im *Impairment) Enabled() bool {
 	return im != nil && (im.LossProb > 0 || im.GE != nil || im.DupProb > 0 || im.ReorderProb > 0)
-}
-
-// ParseImpairment decodes a JSON impairment profile and validates it.
-// Unknown fields are rejected, so a typo'd knob cannot silently select
-// the identity profile.
-func ParseImpairment(data []byte) (*Impairment, error) {
-	var im Impairment
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&im); err != nil {
-		return nil, fmt.Errorf("netem: bad impairment config: %w", err)
-	}
-	// Trailing garbage after the JSON value is an error too.
-	if dec.More() {
-		return nil, errors.New("netem: bad impairment config: trailing data")
-	}
-	if err := im.Validate(); err != nil {
-		return nil, err
-	}
-	return &im, nil
 }
 
 // geChain is the running Gilbert-Elliott state.
@@ -304,7 +281,7 @@ func (p *Impairer) NextBatch(dst []float64) {
 	}
 }
 
-// WrapRecord wraps an ingress-tap record callback (e.g. a
+// WrapRecordObs wraps an ingress-tap record callback (e.g. a
 // cascade.Recorder) with the impairment: lost observations never reach
 // the recorder, duplicated ones reach it twice, and a reordered one is
 // recorded late — after up to ReorderDepth subsequent observations — with
@@ -312,14 +289,9 @@ func (p *Impairer) NextBatch(dst []float64) {
 // order, exactly what a mis-sequenced capture produces. Observations
 // still held when the stream ends are never recorded (the capture
 // stopped first); at most ReorderDepth observations are in flight.
-// A nil or all-zero impairment returns record unchanged.
-func (im *Impairment) WrapRecord(record func(float64), rng *xrand.Rand) (func(float64), error) {
-	return im.WrapRecordObs(record, rng, nil)
-}
-
-// WrapRecordObs is WrapRecord with a telemetry shard: missed, doubled
-// and mis-sequenced observations count as NetemDrop/NetemDup/
-// NetemReorder. A nil probe counts nothing (identical to WrapRecord).
+// A nil or all-zero impairment returns record unchanged. Missed, doubled
+// and mis-sequenced observations count into probe as NetemDrop/NetemDup/
+// NetemReorder; a nil probe counts nothing.
 func (im *Impairment) WrapRecordObs(record func(float64), rng *xrand.Rand, probe *obs.Shard) (func(float64), error) {
 	if err := im.Validate(); err != nil {
 		return nil, err

@@ -51,27 +51,6 @@ func TestGilbertElliottMeanLoss(t *testing.T) {
 	}
 }
 
-func TestParseImpairment(t *testing.T) {
-	im, err := ParseImpairment([]byte(`{"loss_prob":0.05,"reorder_prob":0.02,"reorder_depth":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.LossProb != 0.05 || im.ReorderDepth != 4 {
-		t.Errorf("parsed %+v", im)
-	}
-	for _, bad := range []string{
-		`{"loss_prob":2}`,            // invalid value
-		`{"loss_probb":0.1}`,         // typo'd knob must not be ignored
-		`{"loss_prob":0.1} trailing`, // trailing data
-		`[0.1]`,                      // wrong shape
-		``,                           // empty
-	} {
-		if _, err := ParseImpairment([]byte(bad)); err == nil {
-			t.Errorf("ParseImpairment(%q) should fail", bad)
-		}
-	}
-}
-
 // drainImpairer pulls n outputs (upstream is an infinite periodic clock).
 func drainImpairer(t *testing.T, im *Impairment, seed uint64, n int) []float64 {
 	t.Helper()
@@ -235,19 +214,19 @@ func TestWrapRecordIdentityWhenDisabled(t *testing.T) {
 	var got []float64
 	record := func(t float64) { got = append(got, t) }
 	var nilIm *Impairment
-	wrapped, err := nilIm.WrapRecord(record, nil)
+	wrapped, err := nilIm.WrapRecordObs(record, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrapped(1)
 	zero := &Impairment{}
-	wrapped2, err := zero.WrapRecord(record, nil)
+	wrapped2, err := zero.WrapRecordObs(record, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrapped2(2)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("disabled WrapRecord altered the callback: %v", got)
+		t.Errorf("disabled WrapRecordObs altered the callback: %v", got)
 	}
 }
 
@@ -257,7 +236,7 @@ func TestWrapRecordOutOfOrder(t *testing.T) {
 	// order, unlike the forward path's displaced-timestamp discipline.
 	im := &Impairment{ReorderProb: 0.2, ReorderDepth: 3}
 	var got []float64
-	wrapped, err := im.WrapRecord(func(t float64) { got = append(got, t) }, xrand.New(10))
+	wrapped, err := im.WrapRecordObs(func(t float64) { got = append(got, t) }, xrand.New(10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +277,7 @@ func TestWrapRecordOutOfOrder(t *testing.T) {
 func TestWrapRecordLossAndDup(t *testing.T) {
 	im := &Impairment{LossProb: 0.1, DupProb: 0.05}
 	var got []float64
-	wrapped, err := im.WrapRecord(func(t float64) { got = append(got, t) }, xrand.New(11))
+	wrapped, err := im.WrapRecordObs(func(t float64) { got = append(got, t) }, xrand.New(11), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +292,10 @@ func TestWrapRecordLossAndDup(t *testing.T) {
 	}
 }
 
-// FuzzParseImpairment: arbitrary config bytes must parse or error
-// cleanly, never panic; a successful parse must validate, and
-// re-encoding it must parse to the same profile (the config is
-// canonical under round trip).
+// FuzzParseImpairment: arbitrary JSON profiles either fail Validate or
+// build both impairment shapes. NewImpairer and WrapRecordObs must agree
+// with Validate, never panic, and the tap wrapper must record at most
+// two observations per input, each one an input timestamp.
 func FuzzParseImpairment(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"loss_prob":0.05}`))
@@ -325,33 +304,34 @@ func FuzzParseImpairment(f *testing.F) {
 	f.Add([]byte(`{"loss_prob":1e-300,"dup_prob":0.999}`))
 	f.Add([]byte(`{"loss_prob":0.1}garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		im, err := ParseImpairment(data)
-		if err != nil {
+		var im Impairment
+		if json.Unmarshal(data, &im) != nil {
 			return
 		}
-		if err := im.Validate(); err != nil {
-			t.Fatalf("parsed profile fails validation: %v", err)
+		valid := im.Validate() == nil
+		_, errImp := NewImpairer(NewSliceStream(periodicTimes(4, 1e-3)), &im, xrand.New(1))
+		if valid != (errImp == nil) && im.Enabled() {
+			t.Fatalf("Validate ok=%v but NewImpairer err=%v for %+v", valid, errImp, im)
 		}
-		// JSON cannot encode NaN, so a parsed profile re-encodes and
-		// re-parses to the identical value.
-		data2, err := json.Marshal(im)
-		if err != nil {
-			t.Fatalf("re-encoding a parsed profile failed: %v", err)
+		var got []float64
+		record, err := im.WrapRecordObs(func(t float64) { got = append(got, t) }, xrand.New(2), nil)
+		if valid != (err == nil) {
+			t.Fatalf("Validate ok=%v but WrapRecordObs err=%v for %+v", valid, err, im)
 		}
-		again, err := ParseImpairment(data2)
-		if err != nil {
-			t.Fatalf("re-parsing an encoded profile failed: %v", err)
+		if !valid {
+			return
 		}
-		if scalarPart(*again) != scalarPart(*im) ||
-			(again.GE == nil) != (im.GE == nil) ||
-			(again.GE != nil && *again.GE != *im.GE) {
-			t.Fatalf("round trip changed the profile: %+v != %+v", again, im)
+		const n = 256
+		for i := 0; i < n; i++ {
+			record(float64(i))
+		}
+		if len(got) > 2*n {
+			t.Fatalf("recorded %d observations from %d inputs", len(got), n)
+		}
+		for _, x := range got {
+			if x != math.Trunc(x) || x < 0 || x >= n {
+				t.Fatalf("recorded %v, not an input timestamp", x)
+			}
 		}
 	})
-}
-
-// scalarPart strips the GE pointer so profiles compare with ==.
-func scalarPart(im Impairment) Impairment {
-	im.GE = nil
-	return im
 }

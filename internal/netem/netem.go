@@ -98,12 +98,6 @@ func ServiceTime(capacityBps float64, packetBytes int) float64 {
 	return float64(packetBytes*8) / capacityBps
 }
 
-// MD1WaitMean returns the mean stationary M/D/1 waiting time at
-// utilization rho and deterministic service time s: ρs / (2(1−ρ)).
-func MD1WaitMean(rho, s float64) float64 {
-	return rho * s / (2 * (1 - rho))
-}
-
 // MD1WaitVar returns the stationary M/D/1 waiting-time variance at
 // utilization rho and service s, from the ladder representation:
 // (ρ/(1−ρ))·s²/12 + (ρ/(1−ρ)²)·s²/4.
@@ -134,9 +128,6 @@ type constUtil float64
 
 // At returns the constant utilization.
 func (c constUtil) At(float64) float64 { return float64(c) }
-
-// ConstUtil returns a Util that is flat at u.
-func ConstUtil(u float64) Util { return constUtil(u) }
 
 // diurnalUtil anchors a traffic.Diurnal profile to a run's start hour,
 // recognized by the router loop.
@@ -491,15 +482,6 @@ func NewPath(upstream TimeStream, hops []Hop, rng *xrand.Rand) (TimeStream, erro
 	return s, nil
 }
 
-// UniformHops builds n identical hops.
-func UniformHops(n int, service float64, util Util, prop float64) []Hop {
-	hops := make([]Hop, n)
-	for i := range hops {
-		hops[i] = Hop{Service: service, Util: util, Prop: prop}
-	}
-	return hops
-}
-
 // Differ converts a TimeStream into its inter-arrival (PIAT) sequence.
 // A Differ is the session-facing face of the network path: it carries the
 // absolute stream clock across consecutive observation windows, so one
@@ -576,13 +558,6 @@ func (d *Differ) Skip(n int) {
 		d.NextBatch(buf[:k])
 		n -= k
 	}
-}
-
-// PIATs collects n inter-arrival times.
-func (d *Differ) PIATs(n int) []float64 {
-	out := make([]float64, n)
-	d.NextBatch(out)
-	return out
 }
 
 // LossyTap models an adversary capture that misses packets independently

@@ -14,6 +14,29 @@ import (
 // service time of a 1500-byte packet on 100 Mbit/s
 const svc = 120e-6
 
+// MD1WaitMean returns the mean stationary M/D/1 waiting time at
+// utilization rho and deterministic service time s: ρs / (2(1−ρ)), the
+// reference the routers' simulated waits are checked against.
+func MD1WaitMean(rho, s float64) float64 {
+	return rho * s / (2 * (1 - rho))
+}
+
+// uniformHops builds n identical hops.
+func uniformHops(n int, service float64, util Util, prop float64) []Hop {
+	hops := make([]Hop, n)
+	for i := range hops {
+		hops[i] = Hop{Service: service, Util: util, Prop: prop}
+	}
+	return hops
+}
+
+// PIATs collects n inter-arrival times.
+func (d *Differ) PIATs(n int) []float64 {
+	out := make([]float64, n)
+	d.NextBatch(out)
+	return out
+}
+
 func periodicTimes(n int, period float64) []float64 {
 	ts := make([]float64, n)
 	for i := range ts {
@@ -50,7 +73,7 @@ func TestFastRouterMatchesMD1Moments(t *testing.T) {
 	for _, rho := range []float64{0.1, 0.3, 0.5} {
 		const n = 300000
 		in := periodicTimes(n, 10e-3)
-		fr, err := NewFastRouter(NewSliceStream(in), svc, ConstUtil(rho), 0, xrand.New(1))
+		fr, err := NewFastRouter(NewSliceStream(in), svc, constUtil(rho), 0, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +142,7 @@ func TestFastVsExactRouterDistributions(t *testing.T) {
 	const n = 100000
 	in := periodicTimes(n, 10e-3)
 
-	fr, err := NewFastRouter(NewSliceStream(in), svc, ConstUtil(rho), 0, xrand.New(3))
+	fr, err := NewFastRouter(NewSliceStream(in), svc, constUtil(rho), 0, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +259,7 @@ func TestFastRouterFIFONeverReorders(t *testing.T) {
 			tt += r.Exp(svc / 2)
 			times[i] = tt
 		}
-		fr, err := NewFastRouter(NewSliceStream(times), svc, ConstUtil(0.5), 0, r.Split())
+		fr, err := NewFastRouter(NewSliceStream(times), svc, constUtil(0.5), 0, r.Split())
 		if err != nil {
 			return false
 		}
@@ -311,19 +334,19 @@ func TestDiurnalBoundsHold(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	up := NewSliceStream(periodicTimes(1, 1))
-	if _, err := NewFastRouter(nil, svc, ConstUtil(0), 0, xrand.New(1)); err == nil {
+	if _, err := NewFastRouter(nil, svc, constUtil(0), 0, xrand.New(1)); err == nil {
 		t.Error("nil upstream")
 	}
-	if _, err := NewFastRouter(up, 0, ConstUtil(0), 0, xrand.New(1)); err == nil {
+	if _, err := NewFastRouter(up, 0, constUtil(0), 0, xrand.New(1)); err == nil {
 		t.Error("zero service")
 	}
 	if _, err := NewFastRouter(up, svc, nil, 0, xrand.New(1)); err == nil {
 		t.Error("nil util")
 	}
-	if _, err := NewFastRouter(up, svc, ConstUtil(0), -1, xrand.New(1)); err == nil {
+	if _, err := NewFastRouter(up, svc, constUtil(0), -1, xrand.New(1)); err == nil {
 		t.Error("negative prop")
 	}
-	if _, err := NewFastRouter(up, svc, ConstUtil(0), 0, nil); err == nil {
+	if _, err := NewFastRouter(up, svc, constUtil(0), 0, nil); err == nil {
 		t.Error("nil rng")
 	}
 	if _, err := NewRouter(nil, nil, svc, 0); err == nil {
@@ -344,7 +367,7 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewPath(nil, nil, nil); err == nil {
 		t.Error("path nil upstream")
 	}
-	if _, err := NewPath(up, UniformHops(1, svc, ConstUtil(0.1), 0), nil); err == nil {
+	if _, err := NewPath(up, uniformHops(1, svc, constUtil(0.1), 0), nil); err == nil {
 		t.Error("path nil rng")
 	}
 }
@@ -366,7 +389,7 @@ func TestPathNoiseGrowsWithHops(t *testing.T) {
 	const n = 60000
 	variance := func(hops int) float64 {
 		up := NewSliceStream(periodicTimes(n+1, 10e-3))
-		p, err := NewPath(up, UniformHops(hops, svc, ConstUtil(0.2), 1e-3), xrand.New(42))
+		p, err := NewPath(up, uniformHops(hops, svc, constUtil(0.2), 1e-3), xrand.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +493,7 @@ func BenchmarkFastRouterNext(b *testing.B) {
 	for i := range in {
 		in[i] = float64(i) * 10e-3
 	}
-	fr, err := NewFastRouter(NewSliceStream(in), svc, ConstUtil(0.4), 0, xrand.New(1))
+	fr, err := NewFastRouter(NewSliceStream(in), svc, constUtil(0.4), 0, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

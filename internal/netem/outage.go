@@ -97,10 +97,6 @@ func (o *OutageStream) Next() float64 {
 	return out
 }
 
-// Affected returns how many packets hit a dark interval, and how many of
-// those diverted to the spare route.
-func (o *OutageStream) Affected() (hit, diverted int) { return o.affected, o.diverted }
-
 // GateStream drops packets that fall in the schedule's DOWN intervals:
 // the egress of a churned user's padded link, which emits nothing while
 // the user is offline (unlike an OutageStream, nothing is deferred — the

@@ -66,9 +66,9 @@ func TestOutageStreamWaitPolicy(t *testing.T) {
 			t.Fatalf("packet %d departed at %v before recovery %v", i, out, recov)
 		}
 	}
-	gotHit, diverted := o.Affected()
+	gotHit, diverted := o.affected, o.diverted
 	if gotHit != hit {
-		t.Errorf("Affected() = %d, schedule says %d packets hit outages", gotHit, hit)
+		t.Errorf("affected = %d, schedule says %d packets hit outages", gotHit, hit)
 	}
 	if diverted != 0 {
 		t.Errorf("wait policy diverted %d packets", diverted)
@@ -154,9 +154,9 @@ func TestOutageStreamSparePolicy(t *testing.T) {
 			t.Fatalf("packet %d departed at %v, want %v (spare) or %v (clamp)", i, out, want+spare, prev)
 		}
 	}
-	hit, diverted := o.Affected()
+	hit, diverted := o.affected, o.diverted
 	if hit == 0 || hit != diverted {
-		t.Errorf("Affected() = (%d, %d): every affected packet should divert", hit, diverted)
+		t.Errorf("affected = (%d, %d): every affected packet should divert", hit, diverted)
 	}
 }
 

@@ -153,8 +153,8 @@ func TestEngineSnapshotRestore(t *testing.T) {
 		if err := twin.Restore(&decoded); err != nil {
 			t.Fatal(err)
 		}
-		if twin.Rounds() != orig.Rounds() {
-			t.Fatalf("restored round counter %d, want %d", twin.Rounds(), orig.Rounds())
+		if twin.rounds != orig.rounds {
+			t.Fatalf("restored round counter %d, want %d", twin.rounds, orig.rounds)
 		}
 		var ra, rb Round
 		for i := 0; i < 100; i++ {
@@ -206,7 +206,7 @@ func disclosureCfg(aware bool) DisclosureConfig {
 func TestDisclosureKillAndResume(t *testing.T) {
 	for _, churn := range []bool{false, true} {
 		cfg := disclosureCfg(churn)
-		base, err := buildEngine(t, 12, churn).RunDisclosure(cfg)
+		base, err := runDisclosure(buildEngine(t, 12, churn), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -289,7 +289,7 @@ func TestLazyDisclosureKillAndResume(t *testing.T) {
 		return e
 	}
 	cfg := DisclosureConfig{Batch: 8, MaxRounds: 500, CheckEvery: 25, ChurnAware: true, Workers: 1}
-	base, err := build().RunDisclosure(cfg)
+	base, err := runDisclosure(build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

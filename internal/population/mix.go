@@ -147,8 +147,6 @@ func (m MixSpec) validate() error {
 // pool, timed — selected by MixSpec.Kind) are the complete set, which is
 // what lets a disclosure checkpoint serialize any policy's state.
 type MixPolicy interface {
-	// Kind reports which batching discipline the policy implements.
-	Kind() MixKind
 	// NextRound cuts the next observable round into r. Rounds that
 	// would emit nothing (a fully retained pool, an empty timed window)
 	// are skipped — the adversary observes batches leaving the mix, and
@@ -198,8 +196,6 @@ type thresholdMix struct {
 	batch int
 }
 
-func (m *thresholdMix) Kind() MixKind { return MixThreshold }
-
 func (m *thresholdMix) NextRound(r *Round) error {
 	return m.eng.NextRound(m.batch, r)
 }
@@ -225,8 +221,6 @@ type poolMix struct {
 	pool   []event
 	rng    *xrand.Rand
 }
-
-func (m *poolMix) Kind() MixKind { return MixPool }
 
 func (m *poolMix) NextRound(r *Round) error {
 	e := m.eng
@@ -326,8 +320,6 @@ type timedMix struct {
 	peeked    bool
 	peek      event
 }
-
-func (m *timedMix) Kind() MixKind { return MixTimed }
 
 func (m *timedMix) NextRound(r *Round) error {
 	e := m.eng

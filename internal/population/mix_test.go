@@ -256,7 +256,7 @@ func TestDisclosureKillAndResumeMatrix(t *testing.T) {
 				CheckEvery: 25,
 				Workers:    1,
 			}
-			base, err := buildEngine(t, 12, false).RunDisclosure(cfg)
+			base, err := runDisclosure(buildEngine(t, 12, false), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func TestDisclosureSnapshotBackCompat(t *testing.T) {
 	if _, err := resumed.Step(cfg.MaxRounds); err != nil {
 		t.Fatal(err)
 	}
-	base, err := buildEngine(t, 12, false).RunDisclosure(cfg)
+	base, err := runDisclosure(buildEngine(t, 12, false), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestDisclosureWorkerInvarianceMatrix(t *testing.T) {
 			run := func(workers int) *DisclosureResult {
 				c := cfg
 				c.Workers = workers
-				res, err := buildEngine(t, 12, false).RunDisclosure(c)
+				res, err := runDisclosure(buildEngine(t, 12, false), c)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -262,35 +262,6 @@ const targetSlabEvents = 4096
 // large enough that the per-shard fan-out overhead amortizes.
 const defaultShardSize = 1024
 
-// NewEngine assembles an engine over pre-built users and the shared
-// recipient space. Each user's sources and RNG must be non-nil (Cover
-// may be nil) and private to that user. Every user is warm from the
-// start; for large populations prefer NewLazyEngine, which materializes
-// users on demand.
-func NewEngine(users []User, recipients int) (*Engine, error) {
-	e, err := newEngine(len(users), recipients, defaultShardSize)
-	if err != nil {
-		return nil, err
-	}
-	var totalRate float64
-	for u := range users {
-		usr := &users[u]
-		if err := validateUser(usr, u, recipients); err != nil {
-			return nil, err
-		}
-		sup, err := superposeUser(usr)
-		if err != nil {
-			return nil, err
-		}
-		gap, src := sup.NextFrom()
-		e.nextT[u] = gap
-		e.nextCover[u] = src == 1
-		e.warm[u] = &userState{usr: *usr, sup: sup}
-		totalRate += sup.Rate()
-	}
-	return e, e.finishInit(totalRate)
-}
-
 // NewLazyEngine assembles an engine over n users materialized on demand
 // from a pure Builder. Construction makes one pass over the population
 // (in parallel shards) to validate every user and record its compact
@@ -483,9 +454,6 @@ func (e *Engine) mustUser(u int) *userState {
 // Users returns the population size.
 func (e *Engine) Users() int { return e.n }
 
-// Recipients returns the size of the recipient space.
-func (e *Engine) Recipients() int { return e.nrcpt }
-
 // WarmUsers returns how many users hold materialized source state — the
 // resident-memory-relevant population, as opposed to Users().
 func (e *Engine) WarmUsers() int {
@@ -510,9 +478,6 @@ func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).usr.Profile.Co
 // under query; the engine and any estimator holding it must not be used
 // concurrently.
 func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule { return e.mustUser(u).usr.Presence }
-
-// Rounds returns how many rounds have been emitted so far.
-func (e *Engine) Rounds() int { return e.rounds }
 
 // SetWorkers bounds the per-shard generation parallelism (values < 1
 // mean all CPUs). Results are identical at any width.

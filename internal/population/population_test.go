@@ -7,6 +7,35 @@ import (
 	"linkpad/internal/xrand"
 )
 
+// NewEngine assembles an eager engine over pre-built users and the shared
+// recipient space: every user is warm from the start. It is the
+// reference the lazily materializing NewLazyEngine is checked against.
+// Each user's sources and RNG must be non-nil (Cover may be nil) and
+// private to that user.
+func NewEngine(users []User, recipients int) (*Engine, error) {
+	e, err := newEngine(len(users), recipients, defaultShardSize)
+	if err != nil {
+		return nil, err
+	}
+	var totalRate float64
+	for u := range users {
+		usr := &users[u]
+		if err := validateUser(usr, u, recipients); err != nil {
+			return nil, err
+		}
+		sup, err := superposeUser(usr)
+		if err != nil {
+			return nil, err
+		}
+		gap, src := sup.NextFrom()
+		e.nextT[u] = gap
+		e.nextCover[u] = src == 1
+		e.warm[u] = &userState{usr: *usr, sup: sup}
+		totalRate += sup.Rate()
+	}
+	return e, e.finishInit(totalRate)
+}
+
 // testUsers builds a deterministic heterogeneous population: two rate
 // classes, per-user streams seeded by user index.
 func testUsers(t *testing.T, n int, cover bool) ([]User, int) {

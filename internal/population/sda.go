@@ -476,12 +476,13 @@ func (d *disclosure) anonymity(t *targetState) float64 {
 	return h / math.Log(float64(d.nrcpt))
 }
 
-// DisclosureRun is a statistical-disclosure attack in progress: the same
-// attack RunDisclosure executes, broken into resumable steps so a run
-// can be checkpointed (Snapshot) mid-flight and continued on a freshly
-// rebuilt engine (ResumeDisclosure). Observing all MaxRounds rounds
-// through any sequence of Step calls produces byte-identical results to
-// one uninterrupted RunDisclosure.
+// DisclosureRun is a statistical-disclosure attack in progress: rounds
+// are observed until every target's contact set is identified or the
+// budget runs out, in resumable steps so a run can be checkpointed
+// (Snapshot) mid-flight and continued on a freshly rebuilt engine
+// (ResumeDisclosure). Observing all MaxRounds rounds through any sequence
+// of Step calls produces byte-identical results to one Step over the
+// whole budget, at any Workers width.
 type DisclosureRun struct {
 	d        *disclosure
 	observed int
@@ -580,20 +581,4 @@ func (run *DisclosureRun) Result() *DisclosureResult {
 	res.DisclosedFrac = float64(disclosed) / n
 	res.MeanAnonymity = sumAnon / n
 	return res
-}
-
-// RunDisclosure runs the statistical disclosure attack against the
-// engine's population: rounds are observed until every target's contact
-// set is identified or the budget runs out. One run consumes the engine
-// (build a fresh engine per run); results are identical at any Workers
-// width. It is StartDisclosure + one Step over the full budget.
-func (e *Engine) RunDisclosure(cfg DisclosureConfig) (*DisclosureResult, error) {
-	run, err := e.StartDisclosure(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := run.Step(run.d.cfg.MaxRounds); err != nil {
-		return nil, err
-	}
-	return run.Result(), nil
 }

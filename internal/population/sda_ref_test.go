@@ -52,7 +52,7 @@ func newDenseRef(t *testing.T, e *Engine, cfg DisclosureConfig) *denseRef {
 		cfg:       cfg,
 		targets:   make([]denseRefTarget, len(cfg.Targets)),
 		targetIdx: make([]int32, e.Users()),
-		est:       make([]float64, e.Recipients()),
+		est:       make([]float64, e.nrcpt),
 	}
 	for i := range d.targetIdx {
 		d.targetIdx[i] = -1
@@ -72,8 +72,8 @@ func newDenseRef(t *testing.T, e *Engine, cfg DisclosureConfig) *denseRef {
 		d.targets[i] = denseRefTarget{
 			user:       int32(u),
 			contacts:   cs,
-			sumWith:    make([]float64, e.Recipients()),
-			sumWithout: make([]float64, e.Recipients()),
+			sumWith:    make([]float64, e.nrcpt),
+			sumWithout: make([]float64, e.nrcpt),
 		}
 		if cfg.ChurnAware {
 			d.targets[i].presence = e.PresenceOf(u)
@@ -330,7 +330,7 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 				return e
 			}
 			want := runDenseReference(t, build(), cfg)
-			got, err := build().RunDisclosure(cfg)
+			got, err := runDisclosure(build(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

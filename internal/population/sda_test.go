@@ -5,6 +5,19 @@ import "testing"
 // Without cover traffic a small population must disclose its targets'
 // contact sets quickly, and the reported rounds must reflect the
 // checkpoint granularity.
+// runDisclosure runs the attack to completion: StartDisclosure plus one
+// Step over the full round budget.
+func runDisclosure(e *Engine, cfg DisclosureConfig) (*DisclosureResult, error) {
+	run, err := e.StartDisclosure(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := run.Step(run.d.cfg.MaxRounds); err != nil {
+		return nil, err
+	}
+	return run.Result(), nil
+}
+
 func TestDisclosureIdentifiesContacts(t *testing.T) {
 	users, recipients := testUsers(t, 16, false)
 	e, err := NewEngine(users, recipients)
@@ -16,7 +29,7 @@ func TestDisclosureIdentifiesContacts(t *testing.T) {
 		Targets:   []int{0, 3, 8, 13},
 		MaxRounds: 3000,
 	}
-	res, err := e.RunDisclosure(cfg)
+	res, err := runDisclosure(e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +68,7 @@ func TestDisclosureCoverResists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.RunDisclosure(DisclosureConfig{
+		res, err := runDisclosure(e, DisclosureConfig{
 			Batch:     6,
 			Targets:   []int{0, 3, 8, 13},
 			MaxRounds: 3000,
@@ -83,15 +96,15 @@ func TestDisclosureValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunDisclosure(DisclosureConfig{Targets: []int{99}}); err == nil {
+	if _, err := runDisclosure(e, DisclosureConfig{Targets: []int{99}}); err == nil {
 		t.Error("out-of-range target should fail")
 	}
 	e2, _ := NewEngine(users, recipients)
-	if _, err := e2.RunDisclosure(DisclosureConfig{Targets: []int{1, 1}}); err == nil {
+	if _, err := runDisclosure(e2, DisclosureConfig{Targets: []int{1, 1}}); err == nil {
 		t.Error("duplicate target should fail")
 	}
 	e3, _ := NewEngine(users, recipients)
-	if _, err := e3.RunDisclosure(DisclosureConfig{Batch: -1}); err == nil {
+	if _, err := runDisclosure(e3, DisclosureConfig{Batch: -1}); err == nil {
 		t.Error("negative batch should fail")
 	}
 }

@@ -93,9 +93,6 @@ func (v *sparseVec) seek(p int, i int32) int {
 	return p + q
 }
 
-// nnz returns the support size.
-func (v *sparseVec) nnz() int { return len(v.idx) }
-
 // setPairs replaces the vector's contents with the given coordinate
 // pairs (already validated: equal lengths, idx strictly ascending).
 func (v *sparseVec) setPairs(idx []int32, val []float64) {

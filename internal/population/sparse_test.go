@@ -51,6 +51,9 @@ func foldCheck(t *testing.T, start []int32, rounds [][]int32, scale func(k int) 
 	}
 }
 
+// nnz returns the support size.
+func (v *sparseVec) nnz() int { return len(v.idx) }
+
 func TestFoldMatchesAdd(t *testing.T) {
 	one := func(int) float64 { return 1 }
 	t.Run("empty-accumulator", func(t *testing.T) {

@@ -78,12 +78,6 @@ func (p *Profile) Sample(r *xrand.Rand) int {
 	return p.sizes[i]
 }
 
-// Mean returns the expected packet size in bytes.
-func (p *Profile) Mean() float64 { return p.mean }
-
-// Max returns the largest packet size in the profile.
-func (p *Profile) Max() int { return p.sizes[len(p.sizes)-1] }
-
 // Interactive returns an SSH/telnet-like profile: dominated by tiny
 // keystroke/echo packets (the paper's reference [18] attack surface).
 func Interactive() *Profile {
@@ -101,17 +95,6 @@ func Bulk() *Profile {
 	p, err := NewProfile(
 		[]int{64, 576, 1500},
 		[]float64{0.30, 0.05, 0.65})
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Web returns a mixed HTTP-like profile.
-func Web() *Profile {
-	p, err := NewProfile(
-		[]int{64, 128, 576, 1024, 1500},
-		[]float64{0.30, 0.15, 0.20, 0.10, 0.25})
 	if err != nil {
 		panic(err)
 	}

@@ -31,11 +31,11 @@ func TestProfileNormalizationAndMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p.Mean()-200) > 1e-12 {
-		t.Errorf("mean = %v, want 200", p.Mean())
+	if math.Abs(p.mean-200) > 1e-12 {
+		t.Errorf("mean = %v, want 200", p.mean)
 	}
-	if p.Max() != 300 {
-		t.Errorf("max = %d", p.Max())
+	if p.sizes[len(p.sizes)-1] != 300 {
+		t.Errorf("max = %d", p.sizes[len(p.sizes)-1])
 	}
 }
 
@@ -58,11 +58,23 @@ func TestSampleMatchesDistribution(t *testing.T) {
 	}
 }
 
+// Web returns a mixed HTTP-like profile, between the two built-in
+// profiles in mean size.
+func Web() *Profile {
+	p, err := NewProfile(
+		[]int{64, 128, 576, 1024, 1500},
+		[]float64{0.30, 0.15, 0.20, 0.10, 0.25})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestBuiltinProfiles(t *testing.T) {
 	inter, bulk, web := Interactive(), Bulk(), Web()
-	if !(inter.Mean() < web.Mean() && web.Mean() < bulk.Mean()) {
+	if !(inter.mean < web.mean && web.mean < bulk.mean) {
 		t.Errorf("expected interactive < web < bulk mean sizes: %v %v %v",
-			inter.Mean(), web.Mean(), bulk.Mean())
+			inter.mean, web.mean, bulk.mean)
 	}
 }
 

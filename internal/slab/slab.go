@@ -48,9 +48,6 @@ func New(n int) *Slab {
 	}
 }
 
-// Len returns the number of events currently in the slab.
-func (s *Slab) Len() int { return len(s.Times) }
-
 // Reset empties the slab, keeping capacity.
 func (s *Slab) Reset() {
 	s.Times = s.Times[:0]

@@ -4,26 +4,26 @@ import "testing"
 
 func TestGrowReuse(t *testing.T) {
 	s := New(8)
-	if s.Len() != 0 {
-		t.Fatalf("new slab: Len = %d, want 0", s.Len())
+	if len(s.Times) != 0 {
+		t.Fatalf("new slab: Len = %d, want 0", len(s.Times))
 	}
 	s.Grow(8)
-	if s.Len() != 8 {
-		t.Fatalf("after Grow(8): Len = %d, want 8", s.Len())
+	if len(s.Times) != 8 {
+		t.Fatalf("after Grow(8): Len = %d, want 8", len(s.Times))
 	}
 	s.Times[0] = 1.5
 	s.Flags[0] = FlagDummy
 	p := &s.Times[0]
 	s.Grow(4)
-	if s.Len() != 4 {
-		t.Fatalf("after Grow(4): Len = %d, want 4", s.Len())
+	if len(s.Times) != 4 {
+		t.Fatalf("after Grow(4): Len = %d, want 4", len(s.Times))
 	}
 	if &s.Times[0] != p {
 		t.Fatal("Grow within capacity reallocated")
 	}
 	s.Grow(32)
-	if s.Len() != 32 {
-		t.Fatalf("after Grow(32): Len = %d, want 32", s.Len())
+	if len(s.Times) != 32 {
+		t.Fatalf("after Grow(32): Len = %d, want 32", len(s.Times))
 	}
 	if len(s.Flags) != 32 {
 		t.Fatalf("Flags length = %d, want 32", len(s.Flags))
@@ -37,8 +37,8 @@ func TestReset(t *testing.T) {
 	s.Grow(4)
 	s.Times[2] = 9
 	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("after Reset: Len = %d, want 0", s.Len())
+	if len(s.Times) != 0 {
+		t.Fatalf("after Reset: Len = %d, want 0", len(s.Times))
 	}
 	s.Grow(4)
 	if s.Times[2] != 9 {

@@ -27,12 +27,6 @@ func NewHistogram(width float64) (*Histogram, error) {
 	return &Histogram{width: width, counts: make(map[int]int)}, nil
 }
 
-// Width returns the bin width.
-func (h *Histogram) Width() float64 { return h.width }
-
-// N returns the number of observations added.
-func (h *Histogram) N() int { return h.n }
-
 // Add places one observation into its bin. Non-finite values are counted
 // into the extreme bins so that outliers produced by pathological
 // configurations cannot crash a run; they carry negligible probability
@@ -72,9 +66,6 @@ func (h *Histogram) binIndex(x float64) int {
 // Count returns the number of observations in the bin containing x.
 func (h *Histogram) Count(x float64) int { return h.counts[h.binIndex(x)] }
 
-// Bins returns the number of non-empty bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
 // Entropy returns the normalized histogram entropy of the sample,
 //
 //	H ≈ −Σ_i (k_i/n) log(k_i/n)
@@ -103,16 +94,6 @@ func (h *Histogram) Entropy() float64 {
 	return sum
 }
 
-// DifferentialEntropy returns the full eq. 24 estimate,
-// H ≈ −Σ (k_i/n) log(k_i/n) + log Δh, which estimates the differential
-// entropy of the underlying continuous distribution.
-func (h *Histogram) DifferentialEntropy() float64 {
-	if h.n == 0 {
-		return math.Inf(-1)
-	}
-	return h.Entropy() + math.Log(h.width)
-}
-
 // Entropy computes the eq. 25 histogram entropy of xs with the given
 // constant bin width in one call. This is the adversary's sample-entropy
 // feature statistic.
@@ -132,29 +113,4 @@ func (h *Histogram) EntropyDensity(x float64) float64 {
 		return 0
 	}
 	return float64(h.Count(x)) / (float64(h.n) * h.width)
-}
-
-// DensityPoints returns (x, density) pairs at the center of every
-// non-empty bin, sorted by x, for plotting estimated PDFs.
-func (h *Histogram) DensityPoints() (xs, ds []float64) {
-	if h.n == 0 {
-		return nil, nil
-	}
-	idxs := make([]int, 0, len(h.counts))
-	for i := range h.counts {
-		idxs = append(idxs, i)
-	}
-	// insertion sort; bin counts are small
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
-	xs = make([]float64, len(idxs))
-	ds = make([]float64, len(idxs))
-	for k, i := range idxs {
-		xs[k] = h.origin + (float64(i)+0.5)*h.width
-		ds[k] = float64(h.counts[i]) / (float64(h.n) * h.width)
-	}
-	return xs, ds
 }

@@ -8,6 +8,25 @@ import (
 	"linkpad/internal/xrand"
 )
 
+// Test accessors of the two histogram types.
+
+func (h *Histogram) N() int         { return h.n }
+func (h *Histogram) Width() float64 { return h.width }
+func (h *Histogram) Bins() int      { return len(h.counts) }
+func (h *StreamHist) N() int        { return h.n }
+func (h *StreamHist) Bins() int     { return len(h.touch) + len(h.spill) }
+
+// DifferentialEntropy is the full eq. 24 estimate,
+// H ≈ −Σ (k_i/n) log(k_i/n) + log Δh: the eq. 25 Entropy feature plus
+// the bin-width term, which estimates the differential entropy of the
+// underlying continuous distribution.
+func (h *Histogram) DifferentialEntropy() float64 {
+	if h.n == 0 {
+		return math.Inf(-1)
+	}
+	return h.Entropy() + math.Log(h.width)
+}
+
 func TestNewHistogramValidation(t *testing.T) {
 	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := NewHistogram(w); err == nil {
@@ -162,20 +181,23 @@ func TestHistogramNonFiniteInputsDoNotCrash(t *testing.T) {
 	}
 }
 
+// The density estimate is k(x)/(n·Δh) at every point of a bin, so it
+// integrates to one over the non-empty bins.
 func TestDensityPoints(t *testing.T) {
 	h, _ := NewHistogram(1)
 	h.AddAll([]float64{0.5, 0.6, 2.5, 2.6, 2.7})
-	xs, ds := h.DensityPoints()
-	if len(xs) != 2 || len(ds) != 2 {
-		t.Fatalf("points = %v %v", xs, ds)
+	if d := h.EntropyDensity(0.5); !almostEq(d, 0.4, 1e-12) {
+		t.Errorf("density at bin 0 = %v, want 0.4", d)
 	}
-	if xs[0] != 0.5 || xs[1] != 2.5 {
-		t.Errorf("bin centers = %v", xs)
+	if d := h.EntropyDensity(2.99); !almostEq(d, 0.6, 1e-12) {
+		t.Errorf("density at bin 2 = %v, want 0.6", d)
 	}
-	// Density integrates to 1: sum(d_i * width) = 1.
+	if d := h.EntropyDensity(1.5); d != 0 {
+		t.Errorf("density in an empty bin = %v", d)
+	}
 	var integral float64
-	for _, d := range ds {
-		integral += d * h.Width()
+	for _, x := range []float64{0.5, 1.5, 2.5} {
+		integral += h.EntropyDensity(x) * h.width
 	}
 	if !almostEq(integral, 1, 1e-12) {
 		t.Errorf("density integral = %v", integral)
@@ -184,9 +206,8 @@ func TestDensityPoints(t *testing.T) {
 
 func TestDensityPointsEmpty(t *testing.T) {
 	h, _ := NewHistogram(1)
-	xs, ds := h.DensityPoints()
-	if xs != nil || ds != nil {
-		t.Error("empty histogram should give nil density points")
+	if d := h.EntropyDensity(0.5); d != 0 {
+		t.Errorf("empty histogram density = %v, want 0", d)
 	}
 }
 

@@ -69,14 +69,6 @@ func (m *Moments) Variance() float64 {
 	return m.m2 / float64(m.n-1)
 }
 
-// PopVariance returns the population (n denominator) variance.
-func (m *Moments) PopVariance() float64 {
-	if m.n < 1 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
 // StdDev returns the square root of the unbiased sample variance.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 

@@ -65,8 +65,10 @@ func TestMomentsMinMax(t *testing.T) {
 func TestPopVsSampleVariance(t *testing.T) {
 	var m Moments
 	m.AddAll([]float64{1, 2, 3, 4})
-	if !almostEq(m.PopVariance()*4/3, m.Variance(), 1e-12) {
-		t.Errorf("pop %v sample %v", m.PopVariance(), m.Variance())
+	// Population variance of 1..4 is 1.25; the sample variance uses the
+	// n-1 denominator.
+	if !almostEq(1.25*4/3, m.Variance(), 1e-12) {
+		t.Errorf("sample variance %v, want %v", m.Variance(), 1.25*4/3)
 	}
 }
 

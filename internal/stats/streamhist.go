@@ -43,15 +43,6 @@ func NewStreamHist(width float64) (*StreamHist, error) {
 	return &StreamHist{width: width, margin: 256}, nil
 }
 
-// Width returns the bin width.
-func (h *StreamHist) Width() float64 { return h.width }
-
-// N returns the number of observations since the last Reset.
-func (h *StreamHist) N() int { return h.n }
-
-// Bins returns the number of non-empty bins.
-func (h *StreamHist) Bins() int { return len(h.touch) + len(h.spill) }
-
 // binIndex mirrors Histogram.binIndex: floor(x/width) with NaN in bin 0
 // and ±Inf (or finite overflow) clamped to the extreme int32 bins.
 func (h *StreamHist) binIndex(x float64) int {

@@ -156,16 +156,6 @@ func (s *OnOff) Rate() float64 {
 	return s.peakRate * s.meanOn / (s.meanOn + s.meanOff)
 }
 
-// State reports the modulating chain's current phase: whether the source
-// is in an ON burst and how much holding time remains. A fresh replica
-// always reports (true, full holding time); in a continuous session the
-// state drifts toward the stationary ON fraction meanOn/(meanOn+meanOff),
-// which is what makes consecutive windows of bursty payload correlated —
-// the structure the i.i.d.-replica protocol erases.
-func (s *OnOff) State() (on bool, remaining float64) {
-	return s.on, s.stateLeft
-}
-
 // Train is a batch-Poisson ("packet train") process: train starts arrive
 // as a Poisson process; each train carries a geometrically distributed
 // number of packets (mean TrainLen >= 1) separated by a short fixed

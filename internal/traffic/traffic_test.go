@@ -303,7 +303,7 @@ func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on, left := fresh.State(); !on || left <= 0 {
+	if on, left := fresh.on, fresh.stateLeft; !on || left <= 0 {
 		t.Fatalf("fresh source state = (%v, %v), want ON with positive holding time", on, left)
 	}
 	// An uninterrupted run and a windowed run of the same seed must
@@ -329,7 +329,7 @@ func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
 		}
 		// The carried holding time shrinks as stream time passes; a
 		// rebuilt replica would reset it to a fresh draw each window.
-		if _, left := windowed.State(); left <= 0 {
+		if left := windowed.stateLeft; left <= 0 {
 			t.Fatalf("window %d: non-positive holding time %v", w, left)
 		}
 	}
@@ -339,7 +339,7 @@ func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on, _ := replica.State(); !on {
+	if on := replica.on; !on {
 		t.Error("replica should restart in the ON state")
 	}
 	if got := replica.Next(); got != ref[0] {

@@ -242,14 +242,3 @@ func (r *Rand) Geometric(p float64) int {
 func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -253,18 +253,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBernoulliRate(t *testing.T) {
 	r := New(41)
 	const n = 100000
