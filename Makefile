@@ -72,14 +72,16 @@ docs:
 	$(GO) vet ./...
 
 # The golden determinism gate: one small-scale experiment per observation
-# protocol (replica, session, population, cascade, active), committed as
-# text tables. golden-check regenerates them into a scratch directory and
+# protocol (replica, session, population, cascade, active), plus the
+# population flow-correlation and watermark-defense ablations that drive
+# the shared matching core, committed as text tables. golden-check regenerates them into a scratch directory and
 # byte-diffs against the committed copies — the mechanical version of the
 # "prior tables byte-identical" check every PR used to run by hand.
 # After an *intentional* table change, run `make golden` and commit.
 GOLDEN_SCALE = 0.05
 GOLDEN_SEED = 3
-GOLDEN_EXPS = fig4b ext-online ext-disclosure ext-cascade ext-active ext-sda-arms-race
+GOLDEN_EXPS = fig4b ext-online ext-disclosure ext-cascade ext-active ext-sda-arms-race \
+	ablation-population-padding ablation-watermark-defenses
 
 golden:
 	@for e in $(GOLDEN_EXPS); do \
