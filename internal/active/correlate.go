@@ -125,14 +125,11 @@ const channels = 3
 // flowObs is the reduced observation of one flow: per-slot channel
 // vectors plus the bookkeeping the sequential reduction needs.
 type flowObs struct {
-	class     int
 	key       *Key
 	k0        int       // first whole slot of the observation window
 	start     float64   // absolute start of the observation window
 	end       float64   // absolute end of the observation window
 	stats     []float64 // [channels][slots] flattened
-	logPost   []float64 // class log posteriors (clamped); nil without classifiers
-	hops      []cascade.HopStats
 	inject    InjectStats
 	exitCount int
 }
@@ -156,11 +153,11 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 	if !(cfg.Duration > 0) {
 		return nil, errors.New("active: observation duration must be positive")
 	}
-	if len(cfg.Classifiers) != len(cfg.Extractors) {
-		return nil, errors.New("active: classifiers and extractors must parallel each other")
-	}
-	if cfg.FeatureWindow < 2 {
-		return nil, errors.New("active: feature window must be at least 2")
+	flows := e.flows
+	workers := min(par.Workers(cfg.Workers), flows)
+	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
+	if err != nil {
+		return nil, fmt.Errorf("active: %w", err)
 	}
 	if !(cfg.Threshold > 0) {
 		return nil, errors.New("active: detection threshold must be positive")
@@ -170,34 +167,18 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		return nil, errors.New("active: need at least eight whole slots over the duration")
 	}
 
-	flows := e.flows
 	obs := make([]flowObs, flows)
-	workers := par.Workers(cfg.Workers)
-	if workers > flows {
-		workers = flows
-	}
-	pipes := make([]*adversary.MultiPipeline, workers)
-	outs := make([][]float64, workers)
+	classes := make([]int, flows)
+	posts := make([][]float64, flows) // exit class log posteriors
+	hopStats := make([][]cascade.HopStats, flows)
 	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
-	piats := make([][]float64, workers)
-	lps := make([][]float64, workers)
-	for i := range pipes {
-		if len(cfg.Extractors) > 0 {
-			mp, err := adversary.NewMultiPipeline(cfg.Extractors)
-			if err != nil {
-				return nil, err
-			}
-			pipes[i] = mp
-			outs[i] = make([]float64, len(cfg.Extractors))
-		}
-	}
-	err := par.MapWorker(flows, workers, func(worker, f int) error {
+	err = par.MapWorker(flows, workers, func(worker, f int) error {
 		flow, err := e.Flow(f)
 		if err != nil {
 			return fmt.Errorf("active: flow %d: %w", f, err)
 		}
 		o := &obs[f]
-		o.class = flow.Class
+		classes[f] = flow.Class
 		o.key = flow.Key
 		if flow.Start > 0 {
 			o.k0 = int(flow.Start/e.period) + 1
@@ -229,36 +210,12 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		if flow.Inject != nil {
 			o.inject = flow.Inject()
 		}
-		o.hops = make([]cascade.HopStats, len(flow.Hops))
+		hopStats[f] = make([]cascade.HopStats, len(flow.Hops))
 		for h, probe := range flow.Hops {
-			o.hops[h] = probe()
+			hopStats[f][h] = probe()
 		}
-		if len(cfg.Classifiers) == 0 {
-			return nil
-		}
-		// Reduce the exit flow's first FeatureWindow PIATs to one value
-		// per feature, then to clamped class log posteriors.
-		if len(buf) < cfg.FeatureWindow+1 {
-			return fmt.Errorf("active: flow %d has %d exit packets, need %d for the feature window",
-				f, len(buf), cfg.FeatureWindow+1)
-		}
-		pb := piats[worker]
-		if cap(pb) < cfg.FeatureWindow {
-			pb = make([]float64, cfg.FeatureWindow)
-		}
-		pb = pb[:cfg.FeatureWindow]
-		for i := range pb {
-			pb[i] = buf[i+1] - buf[i]
-		}
-		piats[worker] = pb
-		if err := pipes[worker].ExtractFrom(adversary.NewReplay(pb), cfg.FeatureWindow, outs[worker]); err != nil {
-			return err
-		}
-		o.logPost = make([]float64, cfg.Classifiers[0].NumClasses())
-		for fi, cls := range cfg.Classifiers {
-			lp := cls.LogPosteriorsInto(outs[worker][fi], lps[worker])
-			lps[worker] = lp
-			adversary.AddClampedLogPosts(o.logPost, lp)
+		if posts[f], err = exitClasses.LogPosts(worker, buf); err != nil {
+			return fmt.Errorf("active: flow %d: %w", f, err)
 		}
 		return nil
 	})
@@ -305,16 +262,17 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 			score[u*flows+f] = best
 		}
 	}
-	assignedF, err := adversary.GreedyMatch(score, flows)
+	sum, err := adversary.SummarizeMatch(score, flows, posts, classes)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Flows: flows, Hops: e.hops, Mode: e.mode.String(), Slots: slots,
-		ZTrue: make([]float64, flows)}
-	detected, correct, classCorrect := 0, 0, 0
-	var zSum, rankSum, anonSum float64
-	post := make([]float64, flows)
+	res := &Result{
+		Flows: flows, Hops: e.hops, Mode: e.mode.String(), Slots: slots, ZTrue: make([]float64, flows),
+		MatchAccuracy: sum.Accuracy, MeanRank: sum.MeanRank, ClassAccuracy: sum.ClassAccuracy,
+		DegreeOfAnonymity: adversary.MeanAnonymity(score, flows),
+	}
+	detected := 0
+	var zSum float64
 	for f := 0; f < flows; f++ {
 		z := score[f*flows+f]
 		res.ZTrue[f] = z
@@ -322,41 +280,20 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		if z >= cfg.Threshold {
 			detected++
 		}
-		if assignedF[f] == f {
-			correct++
-		}
-		rankSum += float64(adversary.TrueRank(score, flows, f))
-		anonSum += columnAnonymity(score, flows, f, post)
-		if obs[f].logPost != nil {
-			best, bestV := 0, obs[f].logPost[0]
-			for c := 1; c < len(obs[f].logPost); c++ {
-				if obs[f].logPost[c] > bestV {
-					best, bestV = c, obs[f].logPost[c]
-				}
-			}
-			if best == obs[f].class {
-				classCorrect++
-			}
-		}
 	}
-	n := float64(flows)
-	res.DetectionRate = float64(detected) / n
-	res.MeanZ = zSum / n
-	res.MatchAccuracy = float64(correct) / n
-	res.MeanRank = rankSum / n
-	res.DegreeOfAnonymity = anonSum / n
-	if len(cfg.Classifiers) > 0 {
-		res.ClassAccuracy = float64(classCorrect) / n
+	res.DetectionRate = float64(detected) / float64(flows)
+	res.MeanZ = zSum / float64(flows)
+	if err := reduceOverhead(res, obs, hopStats, e.hops); err != nil {
+		return nil, fmt.Errorf("active: %w", err)
 	}
-	reduceOverhead(res, obs, e.hops)
 	return res, nil
 }
 
 // reduceOverhead accounts the injection cost and the defense's bandwidth
-// in flow order, mirroring the cascade accounting. Hop and injection
-// counters cover each flow's whole timeline [0, end] (warm-up included),
-// so rates divide by the end time, not the observation duration.
-func reduceOverhead(res *Result, obs []flowObs, hops int) {
+// in flow order. Hop and injection counters cover each flow's whole
+// timeline [0, end] (warm-up included), so rates divide by the summed
+// end times, not the observation duration.
+func reduceOverhead(res *Result, obs []flowObs, hopStats [][]cascade.HopStats, hops int) error {
 	var endSum, chaffSum, delaySum, payloadSum float64
 	for f := range obs {
 		endSum += obs[f].end
@@ -370,28 +307,12 @@ func reduceOverhead(res *Result, obs []flowObs, hops int) {
 	if payloadSum > 0 {
 		res.MeanAddedDelay = delaySum / payloadSum
 	}
-	if hops > 0 {
-		res.HopPPS = make([]float64, hops)
-		res.HopDummyFrac = make([]float64, hops)
-		var emittedAll, dummiesAll float64
-		for h := 0; h < hops; h++ {
-			var emitted, dummies float64
-			for f := range obs {
-				emitted += float64(obs[f].hops[h].Emitted)
-				dummies += float64(obs[f].hops[h].Dummies)
-			}
-			res.HopPPS[h] = emitted / endSum
-			if emitted > 0 {
-				res.HopDummyFrac[h] = dummies / emitted
-			}
-			res.RoutePPS += res.HopPPS[h]
-			emittedAll += emitted
-			dummiesAll += dummies
-		}
-		if emittedAll > 0 {
-			res.DummyFrac = dummiesAll / emittedAll
-		}
-	} else {
+	ov, err := cascade.ReduceHops(hopStats, hops, endSum)
+	if err != nil {
+		return err
+	}
+	res.HopPPS, res.HopDummyFrac, res.RoutePPS, res.DummyFrac = ov.HopPPS, ov.HopDummyFrac, ov.RoutePPS, ov.DummyFrac
+	if hops == 0 {
 		// Unpadded flows: the exit counts cover only the observed window
 		// (start, end] — warm-up packets of a session scenario were
 		// discarded — so the rate averages over the window, not the
@@ -405,6 +326,7 @@ func reduceOverhead(res *Result, obs []flowObs, hops int) {
 			res.RoutePPS = exitAll / obsSum
 		}
 	}
+	return nil
 }
 
 // slotStats reduces an ascending timestamp slice to the three matched-
@@ -490,29 +412,4 @@ func meanStd(xs []float64) (mean, std float64) {
 		std = math.Sqrt(s2 / (n - 1))
 	}
 	return mean, std
-}
-
-// columnAnonymity returns the normalized entropy of the softmax over
-// exit flow f's score column — the degree of anonymity of that flow's
-// match posterior. tmp must have length n.
-func columnAnonymity(score []float64, n, f int, tmp []float64) float64 {
-	max := math.Inf(-1)
-	for u := 0; u < n; u++ {
-		if s := score[u*n+f]; s > max {
-			max = s
-		}
-	}
-	var sum float64
-	for u := 0; u < n; u++ {
-		tmp[u] = math.Exp(score[u*n+f] - max)
-		sum += tmp[u]
-	}
-	var h float64
-	for u := 0; u < n; u++ {
-		p := tmp[u] / sum
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h / math.Log(float64(n))
 }

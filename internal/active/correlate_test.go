@@ -4,9 +4,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"linkpad/internal/adversary"
+	"linkpad/internal/analytic"
+	"linkpad/internal/cascade"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
 )
@@ -142,6 +145,30 @@ func TestDetectValidation(t *testing.T) {
 	}
 	if _, err := Detect(e, Config{Duration: 20, Threshold: -1}); err == nil {
 		t.Error("negative threshold should fail")
+	}
+	for _, cfg := range []Config{
+		{Duration: 20, FeatureWindow: 1},
+		{Duration: 20, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
+	} {
+		if _, err := Detect(e, cfg); err == nil || !strings.HasPrefix(err.Error(), "active: ") {
+			t.Errorf("tiny feature window or unpaired extractor: got %v, want an active error", err)
+		}
+	}
+
+	// A flow reporting the wrong hop count is a wiring bug, not data.
+	bad, err := NewEngine(4, 2, ModeChaff, e.chips, e.period, e.decoys, func(f int) (*Flow, error) {
+		fl, err := e.build(f)
+		if err != nil {
+			return nil, err
+		}
+		fl.Hops = []cascade.HopProbe{func() cascade.HopStats { return cascade.HopStats{Emitted: 1000} }}
+		return fl, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Detect(bad, Config{Duration: 20}); err == nil || !strings.Contains(err.Error(), "hops") {
+		t.Errorf("hop-count mismatch not rejected: %v", err)
 	}
 }
 

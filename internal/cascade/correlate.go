@@ -3,7 +3,6 @@ package cascade
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/bayes"
@@ -112,11 +111,8 @@ type Result struct {
 
 // routeObs is the reduced observation of one route.
 type routeObs struct {
-	class     int
 	ingRate   []float64
 	egRate    []float64
-	logPost   []float64 // class log posteriors of the exit flow (clamped)
-	hops      []HopStats
 	exitCount int
 }
 
@@ -134,11 +130,11 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 	if !(cfg.Duration > 0) {
 		return nil, errors.New("cascade: observation duration must be positive")
 	}
-	if len(cfg.Classifiers) != len(cfg.Extractors) {
-		return nil, errors.New("cascade: classifiers and extractors must parallel each other")
-	}
-	if cfg.FeatureWindow < 2 {
-		return nil, errors.New("cascade: feature window must be at least 2")
+	flows := e.Flows()
+	workers := min(par.Workers(cfg.Workers), flows)
+	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
+	if err != nil {
+		return nil, fmt.Errorf("cascade: %w", err)
 	}
 	// Floor with an epsilon so a float-noisy integral ratio keeps its
 	// last window instead of silently dropping the tail of both
@@ -148,28 +144,12 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 		return nil, errors.New("cascade: need at least two rate windows over the duration")
 	}
 
-	flows := e.Flows()
 	obs := make([]routeObs, flows)
-	workers := par.Workers(cfg.Workers)
-	if workers > flows {
-		workers = flows
-	}
-	pipes := make([]*adversary.MultiPipeline, workers)
-	outs := make([][]float64, workers)
+	classes := make([]int, flows)
+	posts := make([][]float64, flows) // exit class log posteriors
+	hopStats := make([][]HopStats, flows)
 	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
-	piats := make([][]float64, workers)
-	lps := make([][]float64, workers)
-	for i := range pipes {
-		if len(cfg.Extractors) > 0 {
-			mp, err := adversary.NewMultiPipeline(cfg.Extractors)
-			if err != nil {
-				return nil, err
-			}
-			pipes[i] = mp
-			outs[i] = make([]float64, len(cfg.Extractors))
-		}
-	}
-	err := par.MapWorker(flows, workers, func(worker, f int) error {
+	err = par.MapWorker(flows, workers, func(worker, f int) error {
 		route, err := e.Route(f)
 		if err != nil {
 			return fmt.Errorf("cascade: route %d: %w", f, err)
@@ -192,7 +172,7 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 		// telemetry shard: publish the chain's counters (nil-safe).
 		route.Probe.Flush()
 		o := &obs[f]
-		o.class = route.Class
+		classes[f] = route.Class
 		o.exitCount = len(buf)
 		o.ingRate = make([]float64, bins)
 		o.egRate = make([]float64, bins)
@@ -202,36 +182,12 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 		if _, err := adversary.RateVector(buf, 0, cfg.RateWindow, o.egRate); err != nil {
 			return err
 		}
-		o.hops = make([]HopStats, len(route.Hops))
+		hopStats[f] = make([]HopStats, len(route.Hops))
 		for h, probe := range route.Hops {
-			o.hops[h] = probe()
+			hopStats[f][h] = probe()
 		}
-		if len(cfg.Classifiers) == 0 {
-			return nil
-		}
-		// Reduce the exit flow's first FeatureWindow PIATs to one value
-		// per feature, then to clamped class log posteriors.
-		if len(buf) < cfg.FeatureWindow+1 {
-			return fmt.Errorf("cascade: route %d has %d exit packets, need %d for the feature window",
-				f, len(buf), cfg.FeatureWindow+1)
-		}
-		pb := piats[worker]
-		if cap(pb) < cfg.FeatureWindow {
-			pb = make([]float64, cfg.FeatureWindow)
-		}
-		pb = pb[:cfg.FeatureWindow]
-		for i := range pb {
-			pb[i] = buf[i+1] - buf[i]
-		}
-		piats[worker] = pb
-		if err := pipes[worker].ExtractFrom(adversary.NewReplay(pb), cfg.FeatureWindow, outs[worker]); err != nil {
-			return err
-		}
-		o.logPost = make([]float64, cfg.Classifiers[0].NumClasses())
-		for fi, cls := range cfg.Classifiers {
-			lp := cls.LogPosteriorsInto(outs[worker][fi], lps[worker])
-			lps[worker] = lp
-			adversary.AddClampedLogPosts(o.logPost, lp)
+		if posts[f], err = exitClasses.LogPosts(worker, buf); err != nil {
+			return fmt.Errorf("cascade: route %d: %w", f, err)
 		}
 		return nil
 	})
@@ -250,8 +206,8 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 				return nil, err
 			}
 			v := cfg.CorrWeight * corr
-			if obs[f].logPost != nil {
-				v += obs[f].logPost[obs[u].class]
+			if posts[f] != nil {
+				v += posts[f][classes[u]]
 			}
 			score[u*flows+f] = v
 			if u == f {
@@ -259,69 +215,23 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	assignedF, err := adversary.GreedyMatch(score, flows)
+	sum, err := adversary.SummarizeMatch(score, flows, posts, classes)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Flows: flows, Hops: e.Hops(), MeanCorrTrue: corrTrue / float64(flows)}
-	correct, classCorrect := 0, 0
-	var rankSum, anonSum float64
-	post := make([]float64, flows)
-	for f := 0; f < flows; f++ {
-		if assignedF[f] == f {
-			correct++
-		}
-		rankSum += float64(adversary.TrueRank(score, flows, f))
-		anonSum += columnAnonymity(score, flows, f, post)
-		if obs[f].logPost != nil {
-			best, bestV := 0, obs[f].logPost[0]
-			for c := 1; c < len(obs[f].logPost); c++ {
-				if obs[f].logPost[c] > bestV {
-					best, bestV = c, obs[f].logPost[c]
-				}
-			}
-			if best == obs[f].class {
-				classCorrect++
-			}
-		}
+	// Matched-overhead accounting over every flow's observed duration.
+	ov, err := ReduceHops(hopStats, e.Hops(), float64(flows)*cfg.Duration)
+	if err != nil {
+		return nil, err
 	}
-	res.Accuracy = float64(correct) / float64(flows)
-	res.MeanRank = rankSum / float64(flows)
-	res.DegreeOfAnonymity = anonSum / float64(flows)
-	if len(cfg.Classifiers) > 0 {
-		res.ClassAccuracy = float64(classCorrect) / float64(flows)
+	res := &Result{
+		Flows: flows, Hops: e.Hops(),
+		Accuracy: sum.Accuracy, ClassAccuracy: sum.ClassAccuracy, MeanRank: sum.MeanRank,
+		MeanCorrTrue:      corrTrue / float64(flows),
+		DegreeOfAnonymity: adversary.MeanAnonymity(score, flows),
+		HopPPS:            ov.HopPPS, HopDummyFrac: ov.HopDummyFrac, RoutePPS: ov.RoutePPS, DummyFrac: ov.DummyFrac,
 	}
-
-	// Matched-overhead accounting, reduced in flow order: each hop's
-	// emitted rate and dummy fraction, averaged over flows.
-	hops := e.Hops()
-	if hops > 0 {
-		res.HopPPS = make([]float64, hops)
-		res.HopDummyFrac = make([]float64, hops)
-		var emittedAll, dummiesAll float64
-		for h := 0; h < hops; h++ {
-			var emitted, dummies float64
-			for f := 0; f < flows; f++ {
-				if len(obs[f].hops) != hops {
-					return nil, fmt.Errorf("cascade: route %d reports %d hops, engine has %d",
-						f, len(obs[f].hops), hops)
-				}
-				emitted += float64(obs[f].hops[h].Emitted)
-				dummies += float64(obs[f].hops[h].Dummies)
-			}
-			res.HopPPS[h] = emitted / (float64(flows) * cfg.Duration)
-			if emitted > 0 {
-				res.HopDummyFrac[h] = dummies / emitted
-			}
-			res.RoutePPS += res.HopPPS[h]
-			emittedAll += emitted
-			dummiesAll += dummies
-		}
-		if emittedAll > 0 {
-			res.DummyFrac = dummiesAll / emittedAll
-		}
-	} else {
+	if e.Hops() == 0 {
 		// An unpadded route's wire rate is the exit stream itself.
 		var exitAll float64
 		for f := range obs {
@@ -332,27 +242,52 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// columnAnonymity returns the normalized entropy of the softmax over
-// exit flow f's score column — the degree of anonymity of that flow's
-// match posterior. tmp must have length n.
-func columnAnonymity(score []float64, n, f int, tmp []float64) float64 {
-	max := math.Inf(-1)
-	for u := 0; u < n; u++ {
-		if s := score[u*n+f]; s > max {
-			max = s
+// HopOverhead is the matched-overhead accounting of a route's padded
+// hops.
+type HopOverhead struct {
+	// HopPPS is each hop's mean emitted packet rate per flow, entry hop
+	// first; HopDummyFrac is each hop's dummy fraction.
+	HopPPS       []float64
+	HopDummyFrac []float64
+	// RoutePPS sums HopPPS; DummyFrac is dummies over emitted packets,
+	// summed across hops and flows.
+	RoutePPS  float64
+	DummyFrac float64
+}
+
+// ReduceHops accounts hop overhead in flow order. perFlow[f] holds flow
+// f's HopStats, entry hop first, and must have length hops; span is the
+// flows' summed observed time that each hop's emitted count divides
+// into a rate. With zero hops the accounting is empty.
+func ReduceHops(perFlow [][]HopStats, hops int, span float64) (HopOverhead, error) {
+	var ov HopOverhead
+	for f, hs := range perFlow {
+		if len(hs) != hops {
+			return ov, fmt.Errorf("cascade: flow %d reports %d hops, engine has %d", f, len(hs), hops)
 		}
 	}
-	var sum float64
-	for u := 0; u < n; u++ {
-		tmp[u] = math.Exp(score[u*n+f] - max)
-		sum += tmp[u]
+	if hops == 0 {
+		return ov, nil
 	}
-	var h float64
-	for u := 0; u < n; u++ {
-		p := tmp[u] / sum
-		if p > 0 {
-			h -= p * math.Log(p)
+	ov.HopPPS = make([]float64, hops)
+	ov.HopDummyFrac = make([]float64, hops)
+	var emittedAll, dummiesAll float64
+	for h := 0; h < hops; h++ {
+		var emitted, dummies float64
+		for _, hs := range perFlow {
+			emitted += float64(hs[h].Emitted)
+			dummies += float64(hs[h].Dummies)
 		}
+		ov.HopPPS[h] = emitted / span
+		if emitted > 0 {
+			ov.HopDummyFrac[h] = dummies / emitted
+		}
+		ov.RoutePPS += ov.HopPPS[h]
+		emittedAll += emitted
+		dummiesAll += dummies
 	}
-	return h / math.Log(float64(n))
+	if emittedAll > 0 {
+		ov.DummyFrac = dummiesAll / emittedAll
+	}
+	return ov, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"linkpad/internal/adversary"
+	"linkpad/internal/analytic"
 	"linkpad/internal/netem"
 )
 
@@ -147,8 +149,13 @@ func TestCorrelateValidation(t *testing.T) {
 	if _, err := Correlate(e, Config{Duration: 4, RateWindow: 4}); err == nil {
 		t.Error("single rate window accepted")
 	}
-	if _, err := Correlate(e, Config{Duration: 4, FeatureWindow: 1}); err == nil {
-		t.Error("tiny feature window accepted")
+	for _, cfg := range []Config{
+		{Duration: 4, FeatureWindow: 1},
+		{Duration: 4, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
+	} {
+		if _, err := Correlate(e, cfg); err == nil || !strings.HasPrefix(err.Error(), "cascade: ") {
+			t.Errorf("tiny feature window or unpaired extractor: got %v, want a cascade error", err)
+		}
 	}
 	// Routes without an entry recorder cannot be correlated.
 	blind, err := NewEngine(2, 0, func(f int) (*Route, error) {
@@ -159,26 +166,5 @@ func TestCorrelateValidation(t *testing.T) {
 	}
 	if _, err := Correlate(blind, Config{Duration: 4}); err == nil {
 		t.Error("entry-less route accepted")
-	}
-}
-
-func TestColumnAnonymity(t *testing.T) {
-	// Peaked column: one score dominates.
-	n := 4
-	score := make([]float64, n*n)
-	for u := 0; u < n; u++ {
-		score[u*n+1] = -50
-	}
-	score[2*n+1] = 0
-	tmp := make([]float64, n)
-	if a := columnAnonymity(score, n, 1, tmp); a > 1e-9 {
-		t.Errorf("peaked column anonymity %v, want ~0", a)
-	}
-	// Flat column: uniform posterior.
-	for u := 0; u < n; u++ {
-		score[u*n+3] = 1.5
-	}
-	if a := columnAnonymity(score, n, 3, tmp); math.Abs(a-1) > 1e-12 {
-		t.Errorf("flat column anonymity %v, want 1", a)
 	}
 }

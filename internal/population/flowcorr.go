@@ -125,10 +125,8 @@ type FlowCorrResult struct {
 // windows only; the Pearson scoring sees the exact dense vectors
 // RateVector produced.
 type flowObs struct {
-	class   int
-	ing     sparseVec
-	eg      sparseVec
-	logPost []float64 // class log posteriors of the egress flow (clamped)
+	ing sparseVec
+	eg  sparseVec
 }
 
 // CorrelateFlows runs the attack end to end: simulate every user's flow
@@ -148,11 +146,10 @@ func CorrelateFlows(sim FlowSimulator, users int, cfg FlowCorrConfig) (*FlowCorr
 	if !(cfg.Duration > 0) {
 		return nil, errors.New("population: flow duration must be positive")
 	}
-	if len(cfg.Classifiers) != len(cfg.Extractors) {
-		return nil, errors.New("population: classifiers and extractors must parallel each other")
-	}
-	if cfg.FeatureWindow < 2 {
-		return nil, errors.New("population: feature window must be at least 2")
+	workers := min(par.Workers(cfg.Workers), users)
+	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
+	if err != nil {
+		return nil, fmt.Errorf("population: %w", err)
 	}
 	// Floor with an epsilon so a float-noisy integral ratio (60*0.7/1 =
 	// 41.99999...) keeps its last window instead of silently dropping the
@@ -163,33 +160,19 @@ func CorrelateFlows(sim FlowSimulator, users int, cfg FlowCorrConfig) (*FlowCorr
 	}
 
 	obs := make([]flowObs, users)
-	workers := par.Workers(cfg.Workers)
-	if workers > users {
-		workers = users
-	}
-	pipes := make([]*adversary.MultiPipeline, workers)
-	outs := make([][]float64, workers)
-	piats := make([][]float64, workers)
-	lps := make([][]float64, workers)
+	classes := make([]int, users)
+	posts := make([][]float64, users)     // egress class log posteriors
 	rateScr := make([][]float64, workers) // per-worker dense bin scratch
-	for i := range pipes {
+	for i := range rateScr {
 		rateScr[i] = make([]float64, bins)
-		if len(cfg.Extractors) > 0 {
-			mp, err := adversary.NewMultiPipeline(cfg.Extractors)
-			if err != nil {
-				return nil, err
-			}
-			pipes[i] = mp
-			outs[i] = make([]float64, len(cfg.Extractors))
-		}
 	}
-	err := par.MapWorker(users, workers, func(worker, u int) error {
+	err = par.MapWorker(users, workers, func(worker, u int) error {
 		flow, err := sim(u, cfg.Duration)
 		if err != nil {
 			return fmt.Errorf("population: flow %d: %w", u, err)
 		}
 		o := &obs[u]
-		o.class = flow.Class
+		classes[u] = flow.Class
 		dense := rateScr[worker]
 		for i := range dense {
 			dense[i] = 0
@@ -205,32 +188,8 @@ func CorrelateFlows(sim FlowSimulator, users int, cfg FlowCorrConfig) (*FlowCorr
 			return err
 		}
 		o.eg.compress(dense)
-		if len(cfg.Classifiers) == 0 {
-			return nil
-		}
-		// Reduce the egress flow's first FeatureWindow PIATs to one value
-		// per feature, then to clamped class log posteriors.
-		if len(flow.Egress) < cfg.FeatureWindow+1 {
-			return fmt.Errorf("population: flow %d has %d egress packets, need %d for the feature window",
-				u, len(flow.Egress), cfg.FeatureWindow+1)
-		}
-		pb := piats[worker]
-		if cap(pb) < cfg.FeatureWindow {
-			pb = make([]float64, cfg.FeatureWindow)
-		}
-		pb = pb[:cfg.FeatureWindow]
-		for i := range pb {
-			pb[i] = flow.Egress[i+1] - flow.Egress[i]
-		}
-		piats[worker] = pb
-		if err := pipes[worker].ExtractFrom(adversary.NewReplay(pb), cfg.FeatureWindow, outs[worker]); err != nil {
-			return err
-		}
-		o.logPost = make([]float64, cfg.Classifiers[0].NumClasses())
-		for fi, cls := range cfg.Classifiers {
-			lp := cls.LogPosteriorsInto(outs[worker][fi], lps[worker])
-			lps[worker] = lp
-			adversary.AddClampedLogPosts(o.logPost, lp)
+		if posts[u], err = exitClasses.LogPosts(worker, flow.Egress); err != nil {
+			return fmt.Errorf("population: flow %d: %w", u, err)
 		}
 		return nil
 	})
@@ -272,8 +231,8 @@ func CorrelateFlows(sim FlowSimulator, users int, cfg FlowCorrConfig) (*FlowCorr
 				return nil, err
 			}
 			v := cfg.CorrWeight * corr
-			if obs[f].logPost != nil {
-				v += obs[f].logPost[obs[u].class]
+			if posts[f] != nil {
+				v += posts[f][classes[u]]
 			}
 			score[u*users+f] = v
 			if u == f {
@@ -282,38 +241,10 @@ func CorrelateFlows(sim FlowSimulator, users int, cfg FlowCorrConfig) (*FlowCorr
 		}
 	}
 
-	// Greedy matching: highest score first, deterministic tie-break on
-	// (user, flow) order.
-	assignedF, err := adversary.GreedyMatch(score, users) // flow -> user
+	sum, err := adversary.SummarizeMatch(score, users, posts, classes)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &FlowCorrResult{Users: users, MeanCorrTrue: corrTrue / float64(users)}
-	correct, classCorrect := 0, 0
-	var rankSum float64
-	for f := 0; f < users; f++ {
-		if assignedF[f] == f {
-			correct++
-		}
-		// Rank of the true user in flow f's score column.
-		rankSum += float64(adversary.TrueRank(score, users, f))
-		if obs[f].logPost != nil {
-			best, bestV := 0, obs[f].logPost[0]
-			for c := 1; c < len(obs[f].logPost); c++ {
-				if obs[f].logPost[c] > bestV {
-					best, bestV = c, obs[f].logPost[c]
-				}
-			}
-			if best == obs[f].class {
-				classCorrect++
-			}
-		}
-	}
-	res.Accuracy = float64(correct) / float64(users)
-	res.MeanRank = rankSum / float64(users)
-	if len(cfg.Classifiers) > 0 {
-		res.ClassAccuracy = float64(classCorrect) / float64(users)
-	}
-	return res, nil
+	return &FlowCorrResult{Users: users, Accuracy: sum.Accuracy, ClassAccuracy: sum.ClassAccuracy,
+		MeanRank: sum.MeanRank, MeanCorrTrue: corrTrue / float64(users)}, nil
 }

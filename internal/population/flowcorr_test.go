@@ -1,8 +1,11 @@
 package population
 
 import (
+	"strings"
 	"testing"
 
+	"linkpad/internal/adversary"
+	"linkpad/internal/analytic"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
 )
@@ -113,5 +116,13 @@ func TestCorrelateFlowsValidation(t *testing.T) {
 	}
 	if _, err := CorrelateFlows(rawFlowSim, 4, FlowCorrConfig{Duration: 1}); err == nil {
 		t.Error("sub-window duration should fail")
+	}
+	for _, cfg := range []FlowCorrConfig{
+		{Duration: 10, FeatureWindow: 1},
+		{Duration: 10, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
+	} {
+		if _, err := CorrelateFlows(rawFlowSim, 4, cfg); err == nil || !strings.HasPrefix(err.Error(), "population: ") {
+			t.Errorf("tiny feature window or unpaired extractor: got %v, want a population error", err)
+		}
 	}
 }
