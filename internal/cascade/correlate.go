@@ -220,7 +220,8 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Matched-overhead accounting over every flow's observed duration.
-	ov, err := ReduceHops(hopStats, e.Hops(), float64(flows)*cfg.Duration)
+	span := float64(flows) * cfg.Duration
+	ov, err := ReduceHops(hopStats, e.Hops(), span)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +238,7 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 		for f := range obs {
 			exitAll += float64(obs[f].exitCount)
 		}
-		res.RoutePPS = exitAll / (float64(flows) * cfg.Duration)
+		res.RoutePPS = exitAll / span
 	}
 	return res, nil
 }
