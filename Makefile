@@ -97,25 +97,31 @@ golden-check:
 		echo "golden tables differ: intentional? regenerate with 'make golden' and commit"; exit 1; }; \
 	rm -rf $$tmp; echo "golden tables byte-identical"
 
-# The resume-determinism gate: run the checkpointable population sweep,
-# kill it mid-flight (simulated crash after 3 cells, exit code 3), resume
-# from the checkpoint file, and byte-diff the finished table against the
-# committed golden copy — a resumed run must be indistinguishable from
-# one that never crashed.
+# The resume-determinism gate: run each checkpointable sweep below, kill
+# it mid-flight (simulated crash after the listed number of cells, exit
+# code 3), resume from the checkpoint file, and byte-diff the finished
+# table against the committed golden copy — a resumed run must be
+# indistinguishable from one that never crashed. Entries are
+# experiment:cells-before-the-kill.
+RESUME_EXPS = ext-disclosure:3 ext-active:4
+
 resume-check:
 	@tmp=$$(mktemp -d) || exit 1; \
 	$(GO) build -o $$tmp/linkpadsim ./cmd/linkpadsim || { rm -rf $$tmp; exit 1; }; \
-	$$tmp/linkpadsim -exp ext-disclosure -scale $(GOLDEN_SCALE) -seed $(GOLDEN_SEED) \
-		-checkpoint $$tmp/cp.json -checkpoint-kill 3 -o $$tmp; \
-	status=$$?; \
-	if [ $$status -ne 3 ]; then rm -rf $$tmp; \
-		echo "expected simulated-crash exit code 3, got $$status"; exit 1; fi; \
-	[ -f $$tmp/cp.json ] || { rm -rf $$tmp; echo "no checkpoint file persisted"; exit 1; }; \
-	$$tmp/linkpadsim -exp ext-disclosure -scale $(GOLDEN_SCALE) -seed $(GOLDEN_SEED) \
-		-checkpoint $$tmp/cp.json -o $$tmp || { rm -rf $$tmp; exit 1; }; \
-	diff testdata/golden/ext-disclosure.txt $$tmp/ext-disclosure.txt || { rm -rf $$tmp; \
-		echo "resumed table differs from the uninterrupted golden"; exit 1; }; \
-	rm -rf $$tmp; echo "kill-and-resume run byte-identical to golden"
+	for ek in $(RESUME_EXPS); do \
+		e=$${ek%%:*}; kill=$${ek##*:}; \
+		$$tmp/linkpadsim -exp $$e -scale $(GOLDEN_SCALE) -seed $(GOLDEN_SEED) \
+			-checkpoint $$tmp/$$e.json -checkpoint-kill $$kill -o $$tmp; \
+		status=$$?; \
+		if [ $$status -ne 3 ]; then rm -rf $$tmp; \
+			echo "$$e: expected simulated-crash exit code 3, got $$status"; exit 1; fi; \
+		[ -f $$tmp/$$e.json ] || { rm -rf $$tmp; echo "$$e: no checkpoint file persisted"; exit 1; }; \
+		$$tmp/linkpadsim -exp $$e -scale $(GOLDEN_SCALE) -seed $(GOLDEN_SEED) \
+			-checkpoint $$tmp/$$e.json -o $$tmp || { rm -rf $$tmp; exit 1; }; \
+		diff testdata/golden/$$e.txt $$tmp/$$e.txt || { rm -rf $$tmp; \
+			echo "$$e: resumed table differs from the uninterrupted golden"; exit 1; }; \
+	done; \
+	rm -rf $$tmp; echo "kill-and-resume runs byte-identical to golden: $(RESUME_EXPS)"
 
 # The scale gate: drive the sharded population engine at 1e5 users (a
 # tenth of the million-user design point — big enough to exercise lazy

@@ -87,8 +87,9 @@ func (p *progressReporter) line() {
 		elapsed.Round(time.Second))
 	// ETA from the cell completion rate: cells are the finest-grained
 	// deterministic unit of work, so the rate is meaningful as soon as a
-	// few have landed. Experiments without cell decomposition contribute
-	// nothing here; the exp counter still moves.
+	// few have landed. Every sweep runs as cells; only the four plain
+	// runners (fig4a, fig4b, multirate, ablation-training) contribute
+	// nothing here, and the exp counter still moves for them.
 	if pr.CellsDone > 0 && pr.CellsDone < pr.CellsTotal {
 		perCell := elapsed / time.Duration(pr.CellsDone)
 		eta := perCell * time.Duration(pr.CellsTotal-pr.CellsDone)

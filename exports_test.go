@@ -51,14 +51,6 @@ var exportAllowlist = map[string]string{
 	"stats.Autocorr":                    "gateway tests check the PIAT autocorrelation structure",
 	"stats.Entropy":                     "the adversary tests' reference Extract computes the entropy feature with it",
 	"stats.KSDistance":                  "gateway and netem tests compare distributions with it",
-
-	// Only their own unit tests call these; deleting one deletes its tests
-	// too, which is left for a follow-up change.
-	"dist.Normal.CDF":    "only TestNormalCDF calls it",
-	"dist.StdPhiInv":     "only TestStdPhiInv calls it",
-	"kde.KDE.CDF":        "only TestCDFMonotoneAndLimits calls it",
-	"slab.Slab.Reset":    "only TestReset calls it",
-	"xrand.Rand.Poisson": "only TestPoissonMoments, TestPoissonZero and TestQuickProperties call it",
 }
 
 // TestInternalExportsHaveProductionCallers pins the rule that every

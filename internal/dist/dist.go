@@ -42,31 +42,10 @@ func (n Normal) LogPDF(x float64) float64 {
 	return -0.5*z*z - math.Log(n.Sigma*math.Sqrt(2*math.Pi))
 }
 
-// CDF evaluates P(X <= x).
-func (n Normal) CDF(x float64) float64 {
-	if !(n.Sigma > 0) {
-		if x < n.Mu {
-			return 0
-		}
-		return 1
-	}
-	return StdPhi((x - n.Mu) / n.Sigma)
-}
-
 // StdPhi is the standard normal CDF Φ(z), evaluated via the complementary
 // error function to keep full relative accuracy deep in the left tail.
 func StdPhi(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// StdPhiInv returns the z with Φ(z) = p for p in (0, 1), by bisection on
-// the monotone CDF; accurate to ~1e-12 in z, which is ample for the
-// design-guideline inversions.
-func StdPhiInv(p float64) (float64, error) {
-	if !(p > 0 && p < 1) {
-		return 0, errors.New("dist: StdPhiInv requires p in (0,1)")
-	}
-	return FindRoot(func(z float64) float64 { return StdPhi(z) - p }, -40, 40, 1e-12)
 }
 
 // FindRoot locates a root of f on [lo, hi] by bisection. The function

@@ -41,23 +41,6 @@ func TestNormalLogPDF(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	n := Normal{Mu: 0, Sigma: 1}
-	if got := n.CDF(0); !almostEq(got, 0.5, 1e-15) {
-		t.Errorf("CDF(0) = %v", got)
-	}
-	// Known value: Φ(1.96) ≈ 0.9750021048517795.
-	if got := n.CDF(1.96); !almostEq(got, 0.9750021048517795, 1e-12) {
-		t.Errorf("CDF(1.96) = %v", got)
-	}
-	// Complement symmetry.
-	for _, z := range []float64{0.3, 1, 2.5} {
-		if got, want := n.CDF(-z), 1-n.CDF(z); !almostEq(got, want, 1e-14) {
-			t.Errorf("CDF(-%v) = %v, want %v", z, got, want)
-		}
-	}
-}
-
 func TestStdPhi(t *testing.T) {
 	if got := StdPhi(0); got != 0.5 {
 		t.Errorf("Phi(0) = %v", got)
@@ -68,24 +51,6 @@ func TestStdPhi(t *testing.T) {
 	}
 	if got := StdPhi(10); got != 1 && !(1-got < 1e-20) {
 		t.Errorf("Phi(10) = %v", got)
-	}
-}
-
-func TestStdPhiInv(t *testing.T) {
-	for _, p := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
-		z, err := StdPhiInv(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(StdPhi(z), p, 1e-10) {
-			t.Errorf("Phi(PhiInv(%v)) = %v", p, StdPhi(z))
-		}
-	}
-	if _, err := StdPhiInv(0); err == nil {
-		t.Error("p=0 should fail")
-	}
-	if _, err := StdPhiInv(1); err == nil {
-		t.Error("p=1 should fail")
 	}
 }
 

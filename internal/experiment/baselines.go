@@ -3,87 +3,69 @@ package experiment
 import (
 	"fmt"
 
-	"linkpad/internal/analytic"
 	"linkpad/internal/core"
 )
 
 func init() {
-	register("baseline-policies", BaselinePolicies)
+	registerCells("baseline-policies", baselinePolicyCells)
 }
 
-// BaselinePolicies compares the three padding policies the paper's
+// baselinePolicies is the baseline-policies sweep axis.
+var baselinePolicies = []struct {
+	code float64
+	name string
+	mut  func(*core.Config)
+}{
+	{0, "CIT", func(*core.Config) {}},
+	{1, "VIT-30us", func(c *core.Config) { c.SigmaT = 30e-6 }},
+	{2, "ADAPTIVE-x4", func(c *core.Config) {
+		c.Adaptive = &core.AdaptiveSpec{IdleFactor: 4, IdleAfter: 3}
+	}},
+	{3, "MIX-8", func(c *core.Config) {
+		c.Mix = &core.MixSpec{K: 8}
+	}},
+}
+
+// baselinePolicyCells compares the three padding policies the paper's
 // narrative contrasts — the common CIT, the proposed VIT, and the
 // related-work adaptive masking (Timmerman 1997, §2) — on all three axes
 // of the trade-off: security (detection rate per feature), bandwidth
 // (padded packet rate at low payload), and QoS (mean payload queueing
 // delay).
-func BaselinePolicies(o Options) (*Table, error) {
-	o = o.withDefaults()
-	type policy struct {
-		code float64
-		name string
-		mut  func(*core.Config)
-	}
-	policies := []policy{
-		{0, "CIT", func(*core.Config) {}},
-		{1, "VIT-30us", func(c *core.Config) { c.SigmaT = 30e-6 }},
-		{2, "ADAPTIVE-x4", func(c *core.Config) {
-			c.Adaptive = &core.AdaptiveSpec{IdleFactor: 4, IdleAfter: 3}
-		}},
-		{3, "MIX-8", func(c *core.Config) {
-			c.Mix = &core.MixSpec{K: 8}
-		}},
-	}
-	t := &Table{
-		ID:      "baseline-policies",
-		Title:   "Padding policies: security vs bandwidth vs QoS (CIT / VIT / adaptive masking)",
-		Columns: []string{"policy", "mean_emp", "var_emp", "ent_emp", "padded_pps_low", "mean_delay_ms"},
-	}
-	const n = 1000
-	rows := make([][]float64, len(policies))
-	err := parMap(len(policies), o.workers(), func(i int) error {
+var baselinePolicyCells = &cellExperiment{
+	title:   "Padding policies: security vs bandwidth vs QoS (CIT / VIT / adaptive masking)",
+	columns: []string{"policy", "mean_emp", "var_emp", "ent_emp", "padded_pps_low", "mean_delay_ms"},
+	ncells:  func(Options) int { return len(baselinePolicies) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		const n = 1000
+		p := baselinePolicies[cell]
 		cfg := labConfig(o)
-		policies[i].mut(&cfg)
+		p.mut(&cfg)
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		set, err := runAttackSet(sys, core.AttackConfig{
+		row, err := detectionRow(sys, p.code, core.AttackConfig{
 			WindowSize:     n,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        o.nestedWorkers(len(policies)),
+			Workers:        nested,
 			SkipEmpiricalR: true,
-		}, []analytic.Feature{analytic.FeatureMean, analytic.FeatureVariance, analytic.FeatureEntropy})
+		}, paperFeatures)
 		if err != nil {
-			return err
-		}
-		row := []float64{policies[i].code}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
-		}
-		pps, delay, err := padCost(sys, 0, o.windows(120)*n/4)
-		if err != nil {
-			return err
-		}
-		rows[i] = append(row, pps, delay*1e3)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
-	}
-	for _, p := range policies {
-		t.Notef("policy %d = %s", int(p.code), p.name)
-	}
-	t.Notef("padded_pps_low: padded packet rate under the low (10pps) payload; CIT/VIT pay 100pps always")
-	t.Notef("adaptive masking saves bandwidth but leaks the rate at first order: the mean feature alone defeats it")
-	t.Notef("the Chaum mix (no dummies) is cheapest and leaks most: burst gaps are Erlang(K, lambda)")
-	return t, nil
+		pps, delay, err := padCost(sys, 0, o.windows(120)*n/4)
+		return append(row, pps, delay*1e3), err
+	},
+	notes: func(o Options, t *Table) {
+		for _, p := range baselinePolicies {
+			t.Notef("policy %d = %s", int(p.code), p.name)
+		}
+		t.Notef("padded_pps_low: padded packet rate under the low (10pps) payload; CIT/VIT pay 100pps always")
+		t.Notef("adaptive masking saves bandwidth but leaks the rate at first order: the mean feature alone defeats it")
+		t.Notef("the Chaum mix (no dummies) is cheapest and leaks most: burst gaps are Erlang(K, lambda)")
+	},
 }
 
 // padCost measures the padded packet rate and the mean payload queueing

@@ -5,27 +5,33 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 
 	"linkpad/internal/obs"
+	"linkpad/internal/par"
 )
 
 // Cell experiments and checkpoint/resume (checkpoint.go).
 //
-// A cell experiment is a runner whose table decomposes into independent
-// cells: row i is a pure function of (Options, i) — the same contract
-// that makes sweeps worker-invariant also makes them *resumable*. The
-// framework here executes cells in parallel, persists each finished
-// row to a JSON checkpoint file, and on restart recomputes only the
-// missing cells; because rows never depend on execution history, a
-// resumed table is byte-identical to an uninterrupted one, no matter
-// where the previous run died or how many workers either run used. CI
-// enforces this by killing a run mid-flight (ErrKilled via killAfter),
-// resuming it, and diffing the output against the golden table.
+// Every sweep runs here. A cell experiment is a runner whose table
+// decomposes into independent cells: row i is a pure function of
+// (Options, i) — the same contract that makes sweeps worker-invariant
+// also makes them *resumable*. The framework executes cells in
+// parallel under a nested worker budget, checks every row's width and
+// finiteness, feeds the progress counters, persists each finished row
+// to a JSON checkpoint file, and on restart recomputes only the missing
+// cells; because rows never depend on execution history, a resumed
+// table is byte-identical to an uninterrupted one, no matter where the
+// previous run died or how many workers either run used. CI enforces
+// this by killing a run mid-flight (ErrKilled via killAfter), resuming
+// it, and diffing the output against the golden table. Only fig4a,
+// fig4b, multirate and ablation-training are plain runners: their rows
+// share one measurement, so they are not cells.
 
-// cellExperiment describes one checkpointable runner: a fixed column
-// set, a cell count, a per-cell row function, and the trailing notes.
+// cellExperiment describes one sweep runner: a fixed column set, a
+// cell count, a per-cell row function, and the trailing notes.
 type cellExperiment struct {
 	title   string
 	columns []string
@@ -213,7 +219,7 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 		mu        sync.Mutex
 		completed int
 	)
-	err := parMap(len(todo), o.workers(), func(k int) error {
+	err := par.Map(len(todo), o.workers(), func(k int) error {
 		i := todo[k]
 		row, err := ce.run(o, i, nested)
 		if err != nil {
@@ -222,6 +228,11 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 		if len(row) != len(ce.columns) {
 			return fmt.Errorf("experiment: %s cell %d produced %d values for %d columns",
 				id, i, len(row), len(ce.columns))
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("experiment: %s cell %d column %s is %v", id, i, ce.columns[j], v)
+			}
 		}
 		mu.Lock()
 		defer mu.Unlock()

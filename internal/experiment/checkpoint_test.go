@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"linkpad/internal/xrand"
@@ -35,20 +37,51 @@ func tableBytes(t *testing.T, tbl *Table) []byte {
 	return buf.Bytes()
 }
 
+// TestCheckpointable pins the one sweep path: every runner is a cell
+// experiment except the four whose rows share one measurement, so a new
+// sweep written as a plain runner fails here.
 func TestCheckpointable(t *testing.T) {
-	for _, id := range []string{"ext-disclosure", "ext-impairments", "ablation-churn"} {
-		if !Checkpointable(id) {
-			t.Errorf("%s should be checkpointable", id)
+	plain := map[string]bool{"fig4a": true, "fig4b": true, "multirate": true, "ablation-training": true}
+	for _, id := range Names() {
+		if Checkpointable(id) == plain[id] {
+			t.Errorf("%s: Checkpointable = %v, want %v", id, Checkpointable(id), !plain[id])
 		}
-	}
-	if Checkpointable("fig4b") {
-		t.Error("fig4b is not a cell experiment")
 	}
 	if _, err := RunCheckpointed("fig4b", fastOpts, "x.json", 0); err == nil {
 		t.Error("RunCheckpointed should reject a non-cell experiment")
 	}
 	if _, err := RunCheckpointed("ext-disclosure", fastOpts, "", 0); err == nil {
 		t.Error("RunCheckpointed should reject an empty path")
+	}
+}
+
+// TestRunCellsRejectsNonFinite: a cell that computes NaN or ±Inf fails
+// the run with an error naming the experiment, cell and column, instead
+// of printing the value or failing later inside the checkpoint encoder.
+func TestRunCellsRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ce := &cellExperiment{
+			title:   "non-finite probe",
+			columns: []string{"cell", "value"},
+			ncells:  func(Options) int { return 3 },
+			run: func(o Options, cell, nested int) ([]float64, error) {
+				if cell == 2 {
+					return []float64{float64(cell), bad}, nil
+				}
+				return []float64{float64(cell), 1}, nil
+			},
+		}
+		for _, path := range []string{"", filepath.Join(t.TempDir(), "cp.json")} {
+			_, err := runCells("probe", ce, Options{Seed: 1, Workers: 1}, path, 0)
+			if err == nil {
+				t.Fatalf("value %v (checkpoint %q): run succeeded", bad, path)
+			}
+			for _, want := range []string{"probe", "cell 2", "column value"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("value %v (checkpoint %q): error %q does not name %q", bad, path, err, want)
+				}
+			}
+		}
 	}
 }
 

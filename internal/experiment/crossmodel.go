@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"linkpad/internal/adversary"
-	"linkpad/internal/analytic"
 	"linkpad/internal/core"
 	"linkpad/internal/netem"
 	"linkpad/internal/traffic"
@@ -12,108 +11,96 @@ import (
 )
 
 func init() {
-	register("ablation-crossmodel", AblationCrossModel)
+	registerCells("ablation-crossmodel", ablationCrossModelCells)
 }
 
-// AblationCrossModel replays the Fig. 6 setting through the *exact*
-// per-packet router with two crossover-traffic models at equal
-// utilization: Poisson (the lab generator assumption) and packet trains
-// (bursty, back-to-back batches — closer to real campus traffic). Longer
-// busy periods disturb the padded PIATs more per cross-byte, so burstier
-// cross traffic is better cover at the same utilization — a dimension the
-// paper's lab generator could not sweep.
-func AblationCrossModel(o Options) (*Table, error) {
-	o = o.withDefaults()
-	const (
-		u   = 0.3
-		svc = 16e-6 // 200 B on 100 Mbit/s, as in fig6
-		n   = 1000
-	)
-	sys, err := core.NewSystem(labConfig(o))
+// The ablation-crossmodel operating point: the Fig. 6 link at one
+// utilization.
+const (
+	crossModelUtil = 0.3
+	crossModelSvc  = 16e-6 // 200 B on 100 Mbit/s, as in fig6
+)
+
+// crossModelSource assembles gateway → exact router with the chosen
+// cross model → PIAT stream, one independent replica per (model, class,
+// phase).
+func crossModelSource(o Options, sys *core.System, model, class int, streamID uint64) (adversary.PIATSource, error) {
+	gw, err := sys.Gateway(class, streamID)
 	if err != nil {
 		return nil, err
 	}
-
-	// makeSource assembles gateway → exact router with the chosen cross
-	// model → PIAT stream, one independent replica per (model, class,
-	// phase).
-	makeSource := func(model int, class int, streamID uint64) (adversary.PIATSource, error) {
-		gw, err := sys.Gateway(class, streamID)
-		if err != nil {
-			return nil, err
-		}
-		rng := xrand.New(o.Seed ^ streamID*0x9e3779b97f4a7c15 ^ uint64(model+1)<<32 ^ uint64(class+1)<<48)
-		var cross traffic.Source
-		switch model {
-		case 0:
-			cross, err = traffic.NewPoisson(u/svc, rng)
-		case 1:
-			// mean train length 5, arriving nearly at once (a burst from
-			// a faster upstream link), so a whole train piles into the
-			// queue ahead of an unlucky padded packet
-			cross, err = traffic.NewTrain(u/svc, 5, svc/10, rng)
-		default:
-			return nil, fmt.Errorf("experiment: unknown cross model %d", model)
-		}
-		if err != nil {
-			return nil, err
-		}
-		router, err := netem.NewRouter(gw, cross, svc, 0)
-		if err != nil {
-			return nil, err
-		}
-		return netem.NewDiffer(router), nil
+	rng := xrand.New(o.Seed ^ streamID*0x9e3779b97f4a7c15 ^ uint64(model+1)<<32 ^ uint64(class+1)<<48)
+	var cross traffic.Source
+	switch model {
+	case 0:
+		cross, err = traffic.NewPoisson(crossModelUtil/crossModelSvc, rng)
+	case 1:
+		// mean train length 5, arriving nearly at once (a burst from
+		// a faster upstream link), so a whole train piles into the
+		// queue ahead of an unlucky padded packet
+		cross, err = traffic.NewTrain(crossModelUtil/crossModelSvc, 5, crossModelSvc/10, rng)
+	default:
+		return nil, fmt.Errorf("experiment: unknown cross model %d", model)
 	}
-
-	t := &Table{
-		ID:      "ablation-crossmodel",
-		Title:   "Cross-traffic burstiness at equal utilization (exact router), CIT, n=1000",
-		Columns: []string{"model", "var_emp", "ent_emp"},
+	if err != nil {
+		return nil, err
 	}
-	windows := o.windows(60)
-	rows := make([][]float64, 2)
-	err = parMap(2, o.workers(), func(model int) error {
+	router, err := netem.NewRouter(gw, cross, crossModelSvc, 0)
+	if err != nil {
+		return nil, err
+	}
+	return netem.NewDiffer(router), nil
+}
+
+// ablationCrossModelCells replays the Fig. 6 setting through the
+// *exact* per-packet router with two crossover-traffic models at equal
+// utilization: Poisson (the lab generator assumption) and packet trains
+// (bursty, back-to-back batches — closer to real campus traffic). Longer
+// busy periods disturb the padded PIATs more per cross-byte, so burstier
+// cross traffic is better cover at the same utilization — a dimension
+// the paper's lab generator could not sweep. Cell i is cross model i.
+var ablationCrossModelCells = &cellExperiment{
+	title:   "Cross-traffic burstiness at equal utilization (exact router), CIT, n=1000",
+	columns: []string{"model", "var_emp", "ent_emp"},
+	ncells:  func(Options) int { return 2 },
+	run: func(o Options, model, _ int) ([]float64, error) {
+		sys, err := core.NewSystem(labConfig(o))
+		if err != nil {
+			return nil, err
+		}
+		windows := o.windows(60)
 		row := []float64{float64(model)}
-		for _, f := range []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy} {
+		for _, f := range secondOrderFeatures {
 			train := make([]adversary.PIATSource, 2)
 			eval := make([]adversary.PIATSource, 2)
 			for class := 0; class < 2; class++ {
-				var err error
 				// distinct replicas per feature and phase
 				base := uint64(1000*int(f) + 1)
-				if train[class], err = makeSource(model, class, base); err != nil {
-					return err
+				if train[class], err = crossModelSource(o, sys, model, class, base); err != nil {
+					return nil, err
 				}
-				if eval[class], err = makeSource(model, class, base+1); err != nil {
-					return err
+				if eval[class], err = crossModelSource(o, sys, model, class, base+1); err != nil {
+					return nil, err
 				}
 			}
 			att, err := adversary.Train(adversary.TrainConfig{
 				Extractor:       adversary.Extractor{Feature: f},
-				WindowSize:      n,
+				WindowSize:      1000,
 				WindowsPerClass: windows,
 			}, sys.Labels(), train)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cm, err := att.Evaluate(eval, windows)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			row = append(row, cm.DetectionRate())
 		}
-		rows[model] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("model codes: 0=poisson 1=trains(mean length 5, back-to-back); utilization %.1f on both", u)
-	t.Notef("%d train/%d eval windows per class", windows, windows)
-	return t, nil
+		return row, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("model codes: 0=poisson 1=trains(mean length 5, back-to-back); utilization %.1f on both", crossModelUtil)
+		t.Notef("%d train/%d eval windows per class", o.windows(60), o.windows(60))
+	},
 }

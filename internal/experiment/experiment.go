@@ -9,12 +9,12 @@
 // matched budgets; PAPER.md maps every paper claim to its runner.
 //
 // Determinism contract: a Table is a pure function of (experiment ID,
-// Options.Scale, Options.Seed). Runners fan sweep cells out through
-// parMap, every cell derives its randomness from its own (seed, cell)
-// streams, and nested engines receive bounded nested workers — so
-// tables are byte-identical at any Options.Workers, a property CI
-// enforces with golden tables (testdata/golden/) and the
-// worker-invariance tests.
+// Options.Scale, Options.Seed). Every sweep is a cell experiment
+// (checkpoint.go): runCells fans its cells out, every cell derives its
+// randomness from its own (seed, cell) streams, and nested engines
+// receive bounded nested workers — so tables are byte-identical at any
+// Options.Workers, a property CI enforces with golden tables
+// (testdata/golden/) and the worker-invariance tests.
 package experiment
 
 import (

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,8 +28,32 @@ func runTable(t *testing.T, id string) *Table {
 		if len(row) != len(tbl.Columns) {
 			t.Fatalf("%s row %d: %d cells for %d columns", id, i, len(row), len(tbl.Columns))
 		}
+		for j, v := range row {
+			c := tbl.Columns[j]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("%s row %d column %s: non-finite value %v", id, i, c, v)
+			}
+			if isRateColumn(c) && (v < 0 || v > 1) {
+				t.Errorf("%s row %d column %s: rate %v outside [0, 1]", id, i, c, v)
+			}
+		}
 	}
 	return tbl
+}
+
+// isRateColumn reports whether a column holds a probability, fraction
+// or normalized entropy, which must lie in [0, 1].
+func isRateColumn(name string) bool {
+	for _, suffix := range []string{"_emp", "_theory", "_acc", "_frac", "_det"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	switch name {
+	case "det_rate", "anonymity", "mean_anonymity", "detection", "accuracy", "recall":
+		return true
+	}
+	return false
 }
 
 func col(tbl *Table, name string) []float64 {
@@ -560,39 +585,6 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestParMap(t *testing.T) {
-	// All indices visited exactly once.
-	n := 100
-	visited := make([]int, n)
-	if err := parMap(n, 7, func(i int) error { visited[i]++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range visited {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-	// Errors propagate and stop the sweep early.
-	boom := func(i int) error {
-		if i == 3 {
-			return errTest
-		}
-		return nil
-	}
-	if err := parMap(10, 2, boom); err != errTest {
-		t.Errorf("error not propagated: %v", err)
-	}
-	if err := parMap(0, 4, func(int) error { return errTest }); err != nil {
-		t.Errorf("empty sweep should not error: %v", err)
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
 
 func TestTableWriters(t *testing.T) {
 	tbl := &Table{

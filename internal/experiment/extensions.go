@@ -8,141 +8,105 @@ import (
 
 func init() {
 	register("multirate", MultiRate)
-	register("ext-sizes", ExtSizes)
-	register("ext-features", ExtFeatures)
-	register("validate-exactnet", ValidateExactNet)
-	register("ablation-binwidth", AblationBinWidth)
+	registerCells("ext-sizes", extSizesCells)
+	registerCells("ext-features", extFeaturesCells)
+	registerCells("validate-exactnet", validateExactNetCells)
+	registerCells("ablation-binwidth", ablationBinWidthCells)
 	register("ablation-training", AblationTraining)
-	register("ablation-payload", AblationPayload)
-	register("ablation-tap", AblationTap)
-	register("ablation-theorygap", AblationTheoryGap)
+	registerCells("ablation-payload", ablationPayloadCells)
+	registerCells("ablation-tap", ablationTapCells)
+	registerCells("ablation-theorygap", ablationTheoryGapCells)
 }
 
-// ExtFeatures extends the paper's feature set with the interquartile
-// range — another robust second-order statistic — and compares all
-// second-order features across sample sizes under CIT at the gateway.
-func ExtFeatures(o Options) (*Table, error) {
-	o = o.withDefaults()
-	sys, err := core.NewSystem(labConfig(o))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "ext-features",
-		Title:   "Second-order feature statistics compared (variance / entropy / IQR), CIT lab",
-		Columns: []string{"n", "var_emp", "ent_emp", "iqr_emp"},
-	}
-	ns := []int{200, 500, 1000}
-	rows := make([][]float64, len(ns))
-	err = parMap(len(ns), o.workers(), func(i int) error {
-		set, err := runAttackSet(sys, core.AttackConfig{
-			WindowSize:     ns[i],
+// extFeaturesSizes is the ext-features sweep axis: the window size n.
+var extFeaturesSizes = []int{200, 500, 1000}
+
+// extFeaturesCells extends the paper's feature set with the
+// interquartile range — another robust second-order statistic — and
+// compares all second-order features across sample sizes under CIT at
+// the gateway.
+var extFeaturesCells = &cellExperiment{
+	title:   "Second-order feature statistics compared (variance / entropy / IQR), CIT lab",
+	columns: []string{"n", "var_emp", "ent_emp", "iqr_emp"},
+	ncells:  func(Options) int { return len(extFeaturesSizes) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		sys, err := core.NewSystem(labConfig(o))
+		if err != nil {
+			return nil, err
+		}
+		n := extFeaturesSizes[cell]
+		return detectionRow(sys, float64(n), core.AttackConfig{
+			WindowSize:     n,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        o.nestedWorkers(len(ns)),
+			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy, analytic.FeatureIQR})
-		if err != nil {
-			return err
-		}
-		row := []float64{float64(ns[i])}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("IQR has no closed-form theorem (paper covers mean/variance/entropy); it behaves like a robust variance")
-	return t, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("IQR has no closed-form theorem (paper covers mean/variance/entropy); it behaves like a robust variance")
+	},
 }
 
-// ValidateExactNet cross-validates the fast stationary-sampler network
-// path against the exact per-packet FIFO router simulation at the attack
-// level: the measured detection rates must agree within Monte Carlo
-// noise. This is the license for using the fast path in the big sweeps.
-func ValidateExactNet(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "validate-exactnet",
-		Title:   "Fast M/D/1-sampler path vs exact per-packet router simulation",
-		Columns: []string{"exact", "var_emp", "ent_emp"},
-	}
-	const u = 0.3
-	const n = 1000
-	rows := make([][]float64, 2)
-	err := parMap(2, o.workers(), func(i int) error {
+// validateExactNetCells cross-validates the fast stationary-sampler
+// network path against the exact per-packet FIFO router simulation at
+// the attack level: the measured detection rates must agree within
+// Monte Carlo noise. This is the license for using the fast path in the
+// big sweeps. Cell 0 runs the fast sampler, cell 1 the exact router.
+var validateExactNetCells = &cellExperiment{
+	title:   "Fast M/D/1-sampler path vs exact per-packet router simulation",
+	columns: []string{"exact", "var_emp", "ent_emp"},
+	ncells:  func(Options) int { return 2 },
+	run: func(o Options, cell, nested int) ([]float64, error) {
 		cfg := labConfig(o)
-		cfg.Hops = []core.HopSpec{labHop(u)}
-		cfg.ExactNetwork = i == 1
+		cfg.Hops = []core.HopSpec{labHop(0.3)}
+		cfg.ExactNetwork = cell == 1
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
-			return err
-		}
-		set, err := runAttackSet(sys, core.AttackConfig{
-			WindowSize:     n,
-			TrainWindows:   o.windows(80),
-			EvalWindows:    o.windows(80),
-			Workers:        o.nestedWorkers(2),
-			SkipEmpiricalR: true,
-		}, []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy})
-		if err != nil {
-			return err
-		}
-		row := []float64{float64(i)}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
-	}
-	t.Notef("one router at u=%.1f; row 0 = fast sampler, row 1 = exact FIFO simulation of every cross packet", u)
-	return t, nil
+		return detectionRow(sys, float64(cell), core.AttackConfig{
+			WindowSize:     1000,
+			TrainWindows:   o.windows(80),
+			EvalWindows:    o.windows(80),
+			Workers:        nested,
+			SkipEmpiricalR: true,
+		}, secondOrderFeatures)
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("one router at u=0.3; row 0 = fast sampler, row 1 = exact FIFO simulation of every cross packet")
+	},
 }
 
-// ExtSizes implements the packet-size extension the paper defers to its
-// companion work [7]: with variable packet sizes, an adversary can
-// identify the application (interactive vs bulk) from wire sizes alone.
-// Constant-size padding — the main paper's §3.2 assumption — erases the
-// leak completely; bucket padding only dilutes it. Rows report the
-// detection rate and the byte overhead each scheme costs per profile.
-func ExtSizes(o Options) (*Table, error) {
-	o = o.withDefaults()
-	labels := []string{"interactive", "bulk"}
-	profiles := []*sizes.Profile{sizes.Interactive(), sizes.Bulk()}
+// extSizesProfiles and extSizesPadders span the ext-sizes table: one row
+// per padder (its index is the row's padder code), one overhead column
+// per application profile.
+var (
+	extSizesProfiles = []*sizes.Profile{sizes.Interactive(), sizes.Bulk()}
+	extSizesPadders  = []func() (sizes.Padder, error){
+		func() (sizes.Padder, error) { return sizes.NoPad{}, nil },
+		func() (sizes.Padder, error) { return sizes.NewBucketPad([]int{128, 576, 1500}) },
+		func() (sizes.Padder, error) { return sizes.NewConstantPad(1500) },
+	}
+)
 
-	constant, err := sizes.NewConstantPad(1500)
-	if err != nil {
-		return nil, err
-	}
-	bucket, err := sizes.NewBucketPad([]int{128, 576, 1500})
-	if err != nil {
-		return nil, err
-	}
-	padders := []sizes.Padder{sizes.NoPad{}, bucket, constant}
-
-	t := &Table{
-		ID:      "ext-sizes",
-		Title:   "Application identification from packet sizes vs padding scheme (paper [7] extension)",
-		Columns: []string{"padder", "detection", "overhead_interactive", "overhead_bulk"},
-	}
-	for code, pd := range padders {
-		res, err := sizes.Detect(labels, profiles, pd, sizes.AttackConfig{
+// extSizesCells implements the packet-size extension the paper defers
+// to its companion work [7]: with variable packet sizes, an adversary
+// can identify the application (interactive vs bulk) from wire sizes
+// alone. Constant-size padding — the main paper's §3.2 assumption —
+// erases the leak completely; bucket padding only dilutes it. Rows
+// report the detection rate and the byte overhead each scheme costs per
+// profile.
+var extSizesCells = &cellExperiment{
+	title:   "Application identification from packet sizes vs padding scheme (paper [7] extension)",
+	columns: []string{"padder", "detection", "overhead_interactive", "overhead_bulk"},
+	ncells:  func(Options) int { return len(extSizesPadders) },
+	run: func(o Options, cell, _ int) ([]float64, error) {
+		pd, err := extSizesPadders[cell]()
+		if err != nil {
+			return nil, err
+		}
+		res, err := sizes.Detect([]string{"interactive", "bulk"}, extSizesProfiles, pd, sizes.AttackConfig{
 			WindowSize:   100,
 			TrainWindows: o.windows(150),
 			EvalWindows:  o.windows(150),
@@ -151,20 +115,20 @@ func ExtSizes(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.AddRow(float64(code), res.DetectionRate,
-			sizes.Overhead(profiles[0], pd), sizes.Overhead(profiles[1], pd)); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("padder codes: 0=none 1=bucket{128,576,1500} 2=constant(1500)")
-	t.Notef("constant-size padding achieves exact size secrecy (detection 0.5) at the listed byte overhead")
-	return t, nil
+		return []float64{float64(cell), res.DetectionRate,
+			sizes.Overhead(extSizesProfiles[0], pd), sizes.Overhead(extSizesProfiles[1], pd)}, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("padder codes: 0=none 1=bucket{128,576,1500} 2=constant(1500)")
+		t.Notef("constant-size padding achieves exact size secrecy (detection 0.5) at the listed byte overhead")
+	},
 }
 
 // MultiRate implements the paper's §6 extension: classification over more
 // than two payload rates ("our technique can be easily extended to
 // multiple ones by performing more off-line training"). Four rate classes
-// are attacked with the entropy feature under CIT.
+// are attacked with the entropy feature under CIT. It stays a plain
+// runner: its rows are the classes of one confusion matrix.
 func MultiRate(o Options) (*Table, error) {
 	o = o.withDefaults()
 	cfg := labConfig(o)
@@ -204,43 +168,41 @@ func MultiRate(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationBinWidth sweeps the entropy estimator's constant bin width Δh:
-// too coarse merges the class peaks, too fine starves the bins. The paper
-// fixes Δh across the experiment (eq. 25); this quantifies the choice.
-func AblationBinWidth(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "ablation-binwidth",
-		Title:   "Entropy detection vs histogram bin width, CIT lab, n=1000",
-		Columns: []string{"bin_width_us", "ent_emp"},
-	}
-	sys, err := core.NewSystem(labConfig(o))
-	if err != nil {
-		return nil, err
-	}
-	for _, wUS := range []float64{0.5, 1, 2, 5, 10, 20, 50} {
-		res, err := runAttack(sys, core.AttackConfig{
-			Feature:         analytic.FeatureEntropy,
+// ablationBinWidths is the ablation-binwidth sweep axis, in µs.
+var ablationBinWidths = []float64{0.5, 1, 2, 5, 10, 20, 50}
+
+// ablationBinWidthCells sweeps the entropy estimator's constant bin
+// width Δh: too coarse merges the class peaks, too fine starves the
+// bins. The paper fixes Δh across the experiment (eq. 25); this
+// quantifies the choice.
+var ablationBinWidthCells = &cellExperiment{
+	title:   "Entropy detection vs histogram bin width, CIT lab, n=1000",
+	columns: []string{"bin_width_us", "ent_emp"},
+	ncells:  func(Options) int { return len(ablationBinWidths) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		sys, err := core.NewSystem(labConfig(o))
+		if err != nil {
+			return nil, err
+		}
+		wUS := ablationBinWidths[cell]
+		return detectionRow(sys, wUS, core.AttackConfig{
 			WindowSize:      1000,
 			TrainWindows:    o.windows(120),
 			EvalWindows:     o.windows(120),
 			EntropyBinWidth: wUS * 1e-6,
-			Workers:         o.Workers,
+			Workers:         nested,
 			SkipEmpiricalR:  true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(wUS, res.DetectionRate); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("reproduction default is 2us (adversary.DefaultEntropyBinWidth)")
-	return t, nil
+		}, []analytic.Feature{analytic.FeatureEntropy})
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("reproduction default is 2us (adversary.DefaultEntropyBinWidth)")
+	},
 }
 
 // AblationTraining compares the paper's Gaussian-KDE training against a
 // parametric Gaussian fit of the feature densities, for each feature.
+// It stays a plain runner: its rows are features of two shared-window
+// runs, not independent cells.
 func AblationTraining(o Options) (*Table, error) {
 	o = o.withDefaults()
 	t := &Table{
@@ -252,7 +214,6 @@ func AblationTraining(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	features := []analytic.Feature{analytic.FeatureMean, analytic.FeatureVariance, analytic.FeatureEntropy}
 	// One shared-window pass per training mode; each reuses the same
 	// simulated windows across all three features.
 	byMode := make([][]*core.AttackResult, 2)
@@ -264,13 +225,13 @@ func AblationTraining(o Options) (*Table, error) {
 			GaussianFit:    gaussian,
 			Workers:        o.Workers,
 			SkipEmpiricalR: true,
-		}, features)
+		}, paperFeatures)
 		if err != nil {
 			return nil, err
 		}
 		byMode[mode] = set
 	}
-	for i, f := range features {
+	for i, f := range paperFeatures {
 		if err := t.AddRow(float64(f), byMode[0][i].DetectionRate, byMode[1][i].DetectionRate); err != nil {
 			return nil, err
 		}
@@ -279,61 +240,51 @@ func AblationTraining(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationPayload swaps the payload arrival process: the leak persists
-// for Poisson, CBR and bursty on-off payloads because it is driven by the
-// arrival *rate*, not the process shape.
-func AblationPayload(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "ablation-payload",
-		Title:   "Detection vs payload arrival model, CIT lab, n=1000",
-		Columns: []string{"model", "var_emp", "ent_emp"},
-	}
-	for _, m := range []core.PayloadModel{core.PayloadPoisson, core.PayloadCBR, core.PayloadOnOff} {
+// ablationPayloadModels is the ablation-payload sweep axis.
+var ablationPayloadModels = []core.PayloadModel{core.PayloadPoisson, core.PayloadCBR, core.PayloadOnOff}
+
+// ablationPayloadCells swaps the payload arrival process: the leak
+// persists for Poisson, CBR and bursty on-off payloads because it is
+// driven by the arrival *rate*, not the process shape.
+var ablationPayloadCells = &cellExperiment{
+	title:   "Detection vs payload arrival model, CIT lab, n=1000",
+	columns: []string{"model", "var_emp", "ent_emp"},
+	ncells:  func(Options) int { return len(ablationPayloadModels) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
 		cfg := labConfig(o)
-		cfg.Payload = m
+		cfg.Payload = ablationPayloadModels[cell]
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		set, err := runAttackSet(sys, core.AttackConfig{
+		return detectionRow(sys, float64(cfg.Payload), core.AttackConfig{
 			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        o.Workers,
+			Workers:        nested,
 			SkipEmpiricalR: true,
-		}, []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy})
-		if err != nil {
-			return nil, err
-		}
-		row := []float64{float64(m)}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
-		}
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("model codes: 0=poisson 1=cbr 2=onoff")
-	return t, nil
+		}, secondOrderFeatures)
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("model codes: 0=poisson 1=cbr 2=onoff")
+	},
 }
 
-// AblationTap degrades the adversary's capture: timestamp quantization
-// (analyzer clock resolution) and packet loss at the tap.
-func AblationTap(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "ablation-tap",
-		Title:   "Entropy detection vs tap imperfections, CIT lab, n=1000",
-		Columns: []string{"resolution_us", "loss_prob", "ent_emp"},
-	}
-	for _, tc := range []struct {
-		resUS float64
-		loss  float64
-	}{
-		{0, 0}, {1, 0}, {5, 0}, {20, 0},
-		{0, 0.01}, {0, 0.05}, {1, 0.01},
-	} {
+// ablationTapCases is the ablation-tap sweep axis: the analyzer clock
+// resolution and the tap's packet-loss probability.
+var ablationTapCases = []struct{ resUS, loss float64 }{
+	{0, 0}, {1, 0}, {5, 0}, {20, 0},
+	{0, 0.01}, {0, 0.05}, {1, 0.01},
+}
+
+// ablationTapCells degrades the adversary's capture: timestamp
+// quantization (analyzer clock resolution) and packet loss at the tap.
+var ablationTapCells = &cellExperiment{
+	title:   "Entropy detection vs tap imperfections, CIT lab, n=1000",
+	columns: []string{"resolution_us", "loss_prob", "ent_emp"},
+	ncells:  func(Options) int { return len(ablationTapCases) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		tc := ablationTapCases[cell]
 		cfg := labConfig(o)
 		cfg.TapResolution = tc.resUS * 1e-6
 		cfg.TapLossProb = tc.loss
@@ -346,40 +297,52 @@ func AblationTap(o Options) (*Table, error) {
 			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        o.Workers,
+			Workers:        nested,
 			SkipEmpiricalR: true,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := t.AddRow(tc.resUS, tc.loss, res.DetectionRate); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("a coarse analyzer clock (>= the PIAT sigma of a few us) erases the leak; tap loss mostly does not")
-	return t, nil
+		return []float64{tc.resUS, tc.loss, res.DetectionRate}, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("a coarse analyzer clock (>= the PIAT sigma of a few us) erases the leak; tap loss mostly does not")
+	},
 }
 
-// AblationTheoryGap quantifies where the closed-form theorems are
+// ablationTheoryGapSigmas is the ablation-theorygap sweep axis: the VIT
+// σ_T in µs.
+var ablationTheoryGapSigmas = []float64{0, 5, 10, 20, 50}
+
+// ablationTheoryGapCells quantifies where the closed-form theorems are
 // conservative: the mechanistic gateway's blocking mixture leaks shape
 // information beyond the Gaussian model, so the empirical entropy attack
 // exceeds Theorem 3 at small σ_T.
-func AblationTheoryGap(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "ablation-theorygap",
-		Title:   "Empirical vs Theorem-3 entropy detection across sigma_T, n=1000",
-		Columns: []string{"sigma_t_us", "ent_emp", "ent_theory"},
-	}
-	for _, sigmaUS := range []float64{0, 5, 10, 20, 50} {
-		emp, theory, err := theoryGapRow(o, sigmaUS*1e-6)
+var ablationTheoryGapCells = &cellExperiment{
+	title:   "Empirical vs Theorem-3 entropy detection across sigma_T, n=1000",
+	columns: []string{"sigma_t_us", "ent_emp", "ent_theory"},
+	ncells:  func(Options) int { return len(ablationTheoryGapSigmas) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		sigmaUS := ablationTheoryGapSigmas[cell]
+		cfg := labConfig(o)
+		cfg.SigmaT = sigmaUS * 1e-6
+		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := t.AddRow(sigmaUS, emp, theory); err != nil {
+		res, err := runAttack(sys, core.AttackConfig{
+			Feature:      analytic.FeatureEntropy,
+			WindowSize:   1000,
+			TrainWindows: o.windows(120),
+			EvalWindows:  o.windows(120),
+			Workers:      nested,
+		})
+		if err != nil {
 			return nil, err
 		}
-	}
-	t.Notef("theory evaluates Theorem 3 at the measured variance ratio; gaps above ~0.05 mark shape leakage beyond the Gaussian model")
-	return t, nil
+		return []float64{sigmaUS, res.DetectionRate, res.TheoryDetectionRate}, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("theory evaluates Theorem 3 at the measured variance ratio; gaps above ~0.05 mark shape leakage beyond the Gaussian model")
+	},
 }

@@ -139,7 +139,7 @@ var extImpairmentCells = &cellExperiment{
 				Flows: 16,
 			}, core.CascadeCorrConfig{
 				Duration:     cascadeDuration(o),
-				Features:     cascadeFeatures,
+				Features:     secondOrderFeatures,
 				TrainWindows: o.windows(120),
 				Workers:      nested,
 			})

@@ -11,11 +11,20 @@ import (
 func init() {
 	register("fig4a", Fig4a)
 	register("fig4b", Fig4b)
-	register("fig5a", Fig5a)
-	register("fig5b", Fig5b)
-	register("fig6", Fig6)
-	register("fig8a", Fig8a)
-	register("fig8b", Fig8b)
+	registerCells("fig5a", fig5aCells)
+	registerCells("fig5b", fig5bCells)
+	registerCells("fig6", fig6Cells)
+	// Fig. 8(a): a campus path of a few lightly loaded routers.
+	registerCells("fig8a", fig8Cells(
+		"Detection rate over 24h, campus path, CIT, n=1000 (paper Fig. 8a)",
+		campusHops(),
+		"campus: 3 routers, diurnal utilization 2-8% — detection stays high all day (CIT unsafe on enterprise networks)"))
+	// Fig. 8(b): a wide-area path of 15 routers with heavy diurnal
+	// congestion.
+	registerCells("fig8b", fig8Cells(
+		"Detection rate over 24h, WAN path (15 routers), CIT, n=1000 (paper Fig. 8b)",
+		wanHops(),
+		"WAN: 15 routers, diurnal utilization 5-30% — detection lower overall but peaks at night (~2-4 AM): CIT unsafe even remotely"))
 }
 
 // labConfig is the paper's §5.1 laboratory setup (tap at GW1, no cross
@@ -25,6 +34,10 @@ func labConfig(o Options) core.Config {
 	cfg.Seed = o.Seed
 	return cfg
 }
+
+// paperFeatures are the paper's three feature statistics, in the order
+// its figures plot them.
+var paperFeatures = []analytic.Feature{analytic.FeatureMean, analytic.FeatureVariance, analytic.FeatureEntropy}
 
 // labHop is the Marconi-router hop of the §5.2 experiment. The shared
 // 100 Mbit/s link carries small cross packets (~200 B, service 16 µs):
@@ -77,7 +90,8 @@ func wanHops() []core.HopSpec {
 // Fig4a reproduces Fig. 4(a): the padded traffic's PIAT probability
 // density under low-rate and high-rate payload for CIT padding with zero
 // cross traffic. Columns: PIAT offset from τ in µs, density for 10 pps,
-// density for 40 pps (densities in 1/s, estimated with 2 µs bins).
+// density for 40 pps (densities in 1/s, estimated with 2 µs bins). It
+// stays a plain runner: its rows are the bins of one histogram pass.
 func Fig4a(o Options) (*Table, error) {
 	o = o.withDefaults()
 	sys, err := core.NewSystem(labConfig(o))
@@ -130,7 +144,9 @@ func Fig4a(o Options) (*Table, error) {
 
 // Fig4b reproduces Fig. 4(b): detection rate vs sample size for the three
 // feature statistics under CIT at the gateway output, with the
-// closed-form theory evaluated at the measured variance ratio.
+// closed-form theory evaluated at the measured variance ratio. It stays
+// a plain runner: its note reports the n=2000 point's measured r, which
+// no column holds.
 func Fig4b(o Options) (*Table, error) {
 	o = o.withDefaults()
 	sys, err := core.NewSystem(labConfig(o))
@@ -145,115 +161,95 @@ func Fig4b(o Options) (*Table, error) {
 			"var_emp", "var_theory",
 			"ent_emp", "ent_theory"},
 	}
-	features := []analytic.Feature{analytic.FeatureMean, analytic.FeatureVariance, analytic.FeatureEntropy}
 	ns := []int{100, 200, 500, 1000, 2000}
-	rows := make([][]float64, len(ns))
-	rs := make([]float64, len(ns))
-	err = parMap(len(ns), o.workers(), func(i int) error {
-		n := ns[i]
+	var r float64
+	for _, n := range ns {
 		set, err := runAttackSet(sys, core.AttackConfig{
 			WindowSize:   n,
 			TrainWindows: o.windows(150),
 			EvalWindows:  o.windows(150),
-			Workers:      o.nestedWorkers(len(ns)),
-		}, features)
+			Workers:      o.Workers,
+		}, paperFeatures)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := []float64{float64(n)}
 		for _, res := range set {
 			row = append(row, res.DetectionRate, res.TheoryDetectionRate)
 		}
-		rs[i] = set[0].EmpiricalR
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
 		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
+		r = set[0].EmpiricalR
 	}
-	t.Notef("measured r=%.3f at the gateway output; theory columns evaluate Theorems 1-3 at the measured r", rs[len(rs)-1])
+	t.Notef("measured r=%.3f at the gateway output; theory columns evaluate Theorems 1-3 at the measured r", r)
 	t.Notef("%d training and %d evaluation windows per class per point", o.windows(150), o.windows(150))
 	return t, nil
 }
 
-// Fig5a reproduces Fig. 5(a): empirical detection rate vs the VIT
+// fig5aSigmas is the Fig. 5(a) sweep axis: the VIT σ_T in µs.
+var fig5aSigmas = []float64{0, 2, 5, 10, 15, 20, 30, 50, 100}
+
+// fig5aCells reproduces Fig. 5(a): empirical detection rate vs the VIT
 // interval standard deviation σ_T at sample size 2000. As σ_T grows the
 // ratio r falls toward 1 and every feature collapses to guessing.
-func Fig5a(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "fig5a",
-		Title:   "Detection rate vs sigma_T, VIT, n=2000 (paper Fig. 5a)",
-		Columns: []string{"sigma_t_us", "var_emp", "ent_emp", "mean_emp", "model_r"},
-	}
-	const n = 2000
-	sigmas := []float64{0, 2, 5, 10, 15, 20, 30, 50, 100}
-	rows := make([][]float64, len(sigmas))
-	err := parMap(len(sigmas), o.workers(), func(i int) error {
+var fig5aCells = &cellExperiment{
+	title:   "Detection rate vs sigma_T, VIT, n=2000 (paper Fig. 5a)",
+	columns: []string{"sigma_t_us", "var_emp", "ent_emp", "mean_emp", "model_r"},
+	ncells:  func(Options) int { return len(fig5aSigmas) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
 		cfg := labConfig(o)
-		cfg.SigmaT = sigmas[i] * 1e-6
+		cfg.SigmaT = fig5aSigmas[cell] * 1e-6
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		set, err := runAttackSet(sys, core.AttackConfig{
-			WindowSize:     n,
+		row, err := detectionRow(sys, fig5aSigmas[cell], core.AttackConfig{
+			WindowSize:     2000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        o.nestedWorkers(len(sigmas)),
+			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy, analytic.FeatureMean})
 		if err != nil {
-			return err
-		}
-		row := []float64{sigmas[i]}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
-		}
-		r, err := sys.ModelR(0)
-		if err != nil {
-			return err
-		}
-		rows[i] = append(row, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
-	}
-	t.Notef("sample size n=%d; %d train/%d eval windows per class per point", n, o.windows(120), o.windows(120))
-	t.Notef("VIT with sigma_T >= ~30us drives r to 1 and detection to 0.5: the paper's core defense result")
-	return t, nil
+		r, err := sys.ModelR(0)
+		return append(row, r), err
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("sample size n=2000; %d train/%d eval windows per class per point", o.windows(120), o.windows(120))
+		t.Notef("VIT with sigma_T >= ~30us drives r to 1 and detection to 0.5: the paper's core defense result")
+	},
 }
 
-// Fig5b reproduces Fig. 5(b): the theoretical sample size n(99%) required
-// for a 99% detection rate as a function of σ_T, from Theorems 2 and 3
-// with the calibrated gateway's class variances.
-func Fig5b(o Options) (*Table, error) {
-	o = o.withDefaults()
+// fig5bSigmas is the Fig. 5(b) sweep axis: the VIT σ_T in µs.
+var fig5bSigmas = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+
+// gatewayClassVars returns the calibrated CIT gateway's PIAT variance
+// under the low and the high payload rate.
+func gatewayClassVars(o Options) (varL, varH float64, err error) {
 	cfg := labConfig(o)
 	cit, err := gateway.NewCIT(cfg.Tau)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	varL := gateway.PIATVar(cit, cfg.Jitter, cfg.Rates[0].PPS)
-	varH := gateway.PIATVar(cit, cfg.Jitter, cfg.Rates[1].PPS)
+	return gateway.PIATVar(cit, cfg.Jitter, cfg.Rates[0].PPS), gateway.PIATVar(cit, cfg.Jitter, cfg.Rates[1].PPS), nil
+}
 
-	t := &Table{
-		ID:      "fig5b",
-		Title:   "Theoretical sample size for 99% detection vs sigma_T (paper Fig. 5b)",
-		Columns: []string{"sigma_t_us", "r", "n99_variance", "n99_entropy"},
-	}
-	for _, sigmaUS := range []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000} {
+// fig5bCells reproduces Fig. 5(b): the theoretical sample size n(99%)
+// required for a 99% detection rate as a function of σ_T, from Theorems
+// 2 and 3 with the calibrated gateway's class variances.
+var fig5bCells = &cellExperiment{
+	title:   "Theoretical sample size for 99% detection vs sigma_T (paper Fig. 5b)",
+	columns: []string{"sigma_t_us", "r", "n99_variance", "n99_entropy"},
+	ncells:  func(Options) int { return len(fig5bSigmas) },
+	run: func(o Options, cell, _ int) ([]float64, error) {
+		varL, varH, err := gatewayClassVars(o)
+		if err != nil {
+			return nil, err
+		}
+		sigmaUS := fig5bSigmas[cell]
 		s2 := sigmaUS * 1e-6 * sigmaUS * 1e-6
 		r := (varH + s2) / (varL + s2)
 		nv, err := analytic.SampleSizeVariance(r, 0.99)
@@ -261,163 +257,82 @@ func Fig5b(o Options) (*Table, error) {
 			return nil, err
 		}
 		ne, err := analytic.SampleSizeEntropy(r, 0.99)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(sigmaUS, r, nv, ne); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("gateway class variances: low %.4g s^2, high %.4g s^2", varL, varH)
-	t.Notef("paper's benchmark: sigma_T=1ms needs n > 1e11 — see the last row")
-	return t, nil
+		return []float64{sigmaUS, r, nv, ne}, err
+	},
+	notes: func(o Options, t *Table) {
+		// Every cell already computed these without error.
+		varL, varH, _ := gatewayClassVars(o)
+		t.Notef("gateway class variances: low %.4g s^2, high %.4g s^2", varL, varH)
+		t.Notef("paper's benchmark: sigma_T=1ms needs n > 1e11 — see the last row")
+	},
 }
 
-// Fig6 reproduces Fig. 6: detection rate vs shared-link utilization with
-// lab cross traffic through one router, CIT padding, n = 1000.
-func Fig6(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:      "fig6",
-		Title:   "Detection rate vs link utilization, CIT, one router (paper Fig. 6)",
-		Columns: []string{"utilization", "mean_emp", "var_emp", "ent_emp", "model_r"},
-	}
-	const n = 1000
-	utils := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
-	rows := make([][]float64, len(utils))
-	err := parMap(len(utils), o.workers(), func(i int) error {
+// fig6Utils is the Fig. 6 sweep axis: the shared link's utilization.
+var fig6Utils = []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
+
+// fig6Cells reproduces Fig. 6: detection rate vs shared-link utilization
+// with lab cross traffic through one router, CIT padding, n = 1000.
+var fig6Cells = &cellExperiment{
+	title:   "Detection rate vs link utilization, CIT, one router (paper Fig. 6)",
+	columns: []string{"utilization", "mean_emp", "var_emp", "ent_emp", "model_r"},
+	ncells:  func(Options) int { return len(fig6Utils) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
 		cfg := labConfig(o)
-		cfg.Hops = []core.HopSpec{labHop(utils[i])}
+		cfg.Hops = []core.HopSpec{labHop(fig6Utils[cell])}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		set, err := runAttackSet(sys, core.AttackConfig{
-			WindowSize:     n,
+		row, err := detectionRow(sys, fig6Utils[cell], core.AttackConfig{
+			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        o.nestedWorkers(len(utils)),
+			Workers:        nested,
 			SkipEmpiricalR: true,
-		}, []analytic.Feature{analytic.FeatureMean, analytic.FeatureVariance, analytic.FeatureEntropy})
+		}, paperFeatures)
 		if err != nil {
-			return err
-		}
-		row := []float64{utils[i]}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
+			return nil, err
 		}
 		r, err := sys.ModelR(0)
-		if err != nil {
-			return err
-		}
-		rows[i] = append(row, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("sample size n=%d; 100 Mbit/s shared link, 200 B cross packets (service 16us)", n)
-	t.Notef("expected shape: detection falls with utilization; entropy > variance (outlier robustness); mean ~ 0.5")
-	return t, nil
+		return append(row, r), err
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("sample size n=1000; 100 Mbit/s shared link, 200 B cross packets (service 16us)")
+		t.Notef("expected shape: detection falls with utilization; entropy > variance (outlier robustness); mean ~ 0.5")
+	},
 }
 
-// fig8 runs the 24-hour detection-rate sweep for a given path.
-func fig8(o Options, id, title string, hops []core.HopSpec, note string) (*Table, error) {
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Columns: []string{"hour", "mean_emp", "var_emp", "ent_emp"},
-	}
-	const n = 1000
-	hours := make([]float64, 0, 12)
-	for hour := 0.0; hour < 24; hour += 2 {
-		hours = append(hours, hour)
-	}
-	rows := make([][]float64, len(hours))
-	err := parMap(len(hours), o.workers(), func(i int) error {
-		hour := hours[i]
-		cfg := labConfig(o)
-		cfg.Hops = hops
-		cfg.StartHour = hour
-		// decorrelate the hour points without changing the system identity
-		cfg.Seed = o.Seed + uint64(hour*1e3)
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return err
-		}
-		set, err := runAttackSet(sys, core.AttackConfig{
-			WindowSize:     n,
-			TrainWindows:   o.windows(100),
-			EvalWindows:    o.windows(100),
-			Workers:        o.nestedWorkers(len(hours)),
-			SkipEmpiricalR: true,
-		}, []analytic.Feature{analytic.FeatureMean, analytic.FeatureVariance, analytic.FeatureEntropy})
-		if err != nil {
-			return err
-		}
-		row := []float64{hour}
-		for _, res := range set {
-			row = append(row, res.DetectionRate)
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("sample size n=%d, %d train/%d eval windows per class per point", n, o.windows(100), o.windows(100))
-	t.Notef("%s", note)
-	return t, nil
-}
+// fig8Hours is the Fig. 8 sweep axis: the capture's start hour.
+var fig8Hours = []float64{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}
 
-// Fig8a reproduces Fig. 8(a): detection rate over a 24 h capture across a
-// campus network (few lightly loaded routers).
-func Fig8a(o Options) (*Table, error) {
-	o = o.withDefaults()
-	return fig8(o, "fig8a",
-		"Detection rate over 24h, campus path, CIT, n=1000 (paper Fig. 8a)",
-		campusHops(),
-		"campus: 3 routers, diurnal utilization 2-8% — detection stays high all day (CIT unsafe on enterprise networks)")
-}
-
-// Fig8b reproduces Fig. 8(b): detection rate over a 24 h capture across a
-// wide-area path (15 routers, heavy diurnal congestion).
-func Fig8b(o Options) (*Table, error) {
-	o = o.withDefaults()
-	return fig8(o, "fig8b",
-		"Detection rate over 24h, WAN path (15 routers), CIT, n=1000 (paper Fig. 8b)",
-		wanHops(),
-		"WAN: 15 routers, diurnal utilization 5-30% — detection lower overall but peaks at night (~2-4 AM): CIT unsafe even remotely")
-}
-
-// theoryGapRow is shared with the ablation file: empirical vs theorem
-// detection at one σ_T.
-func theoryGapRow(o Options, sigmaT float64) (emp, theory float64, err error) {
-	cfg := labConfig(o)
-	cfg.SigmaT = sigmaT
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return 0, 0, err
+// fig8Cells builds the 24-hour detection-rate sweep for a given path.
+func fig8Cells(title string, hops []core.HopSpec, note string) *cellExperiment {
+	return &cellExperiment{
+		title:   title,
+		columns: []string{"hour", "mean_emp", "var_emp", "ent_emp"},
+		ncells:  func(Options) int { return len(fig8Hours) },
+		run: func(o Options, cell, nested int) ([]float64, error) {
+			hour := fig8Hours[cell]
+			cfg := labConfig(o)
+			cfg.Hops = hops
+			cfg.StartHour = hour
+			// decorrelate the hour points without changing the system identity
+			cfg.Seed = o.Seed + uint64(hour*1e3)
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return detectionRow(sys, hour, core.AttackConfig{
+				WindowSize:     1000,
+				TrainWindows:   o.windows(100),
+				EvalWindows:    o.windows(100),
+				Workers:        nested,
+				SkipEmpiricalR: true,
+			}, paperFeatures)
+		},
+		notes: func(o Options, t *Table) {
+			t.Notef("sample size n=1000, %d train/%d eval windows per class per point", o.windows(100), o.windows(100))
+			t.Notef("%s", note)
+		},
 	}
-	res, err := runAttack(sys, core.AttackConfig{
-		Feature:      analytic.FeatureEntropy,
-		WindowSize:   1000,
-		TrainWindows: o.windows(120),
-		EvalWindows:  o.windows(120),
-		Workers:      o.Workers,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.DetectionRate, res.TheoryDetectionRate, nil
 }

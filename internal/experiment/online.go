@@ -6,109 +6,102 @@ import (
 )
 
 func init() {
-	register("ext-online", ExtOnline)
-	register("ablation-windowing", AblationWindowing)
+	registerCells("ext-online", extOnlineCells)
+	registerCells("ablation-windowing", ablationWindowingCells)
 }
 
-// ExtOnline measures the continuous-stream adversary end to end: anytime
-// (SPRT-style) detection against the CIT lab system across window sizes.
-// Where the batch protocol fixes the sample budget in advance, the online
-// adversary taps one continuous padded stream, accumulates the
-// log-posterior window by window, and stops at 99% confidence — so the
-// natural security metric becomes *time to detection* in stream seconds,
-// not detection rate at a fixed n. Small windows decide in more windows
-// but less stream time: the sequential rule recovers the information the
-// batch rule wastes by oversizing its single window.
-func ExtOnline(o Options) (*Table, error) {
-	o = o.withDefaults()
-	sys, err := core.NewSystem(labConfig(o))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "ext-online",
-		Title: "Anytime detection on one continuous stream vs window size, CIT lab, 99% confidence",
-		Columns: []string{"n", "anytime_det", "decided_frac",
-			"mean_windows_to_dec", "mean_seconds_to_dec"},
-	}
-	ns := []int{100, 200, 500, 1000}
-	rows := make([][]float64, len(ns))
-	err = parMap(len(ns), o.workers(), func(i int) error {
+// extOnlineSizes is the ext-online sweep axis: the window size n.
+var extOnlineSizes = []int{100, 200, 500, 1000}
+
+// extOnlineCells measures the continuous-stream adversary end to end:
+// anytime (SPRT-style) detection against the CIT lab system across
+// window sizes. Where the batch protocol fixes the sample budget in
+// advance, the online adversary taps one continuous padded stream,
+// accumulates the log-posterior window by window, and stops at 99%
+// confidence — so the natural security metric becomes *time to
+// detection* in stream seconds, not detection rate at a fixed n. Small
+// windows decide in more windows but less stream time: the sequential
+// rule recovers the information the batch rule wastes by oversizing its
+// single window.
+var extOnlineCells = &cellExperiment{
+	title: "Anytime detection on one continuous stream vs window size, CIT lab, 99% confidence",
+	columns: []string{"n", "anytime_det", "decided_frac",
+		"mean_windows_to_dec", "mean_seconds_to_dec"},
+	ncells: func(Options) int { return len(extOnlineSizes) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		sys, err := core.NewSystem(labConfig(o))
+		if err != nil {
+			return nil, err
+		}
+		n := extOnlineSizes[cell]
 		res, err := runSessionAttack(sys, core.SessionAttackConfig{
 			Feature:       analytic.FeatureEntropy,
-			WindowSize:    ns[i],
+			WindowSize:    n,
 			TrainSessions: 8,
 			TrainWindows:  o.windows(120),
 			EvalSessions:  o.windows(60),
 			MaxWindows:    12,
 			Confidence:    0.99,
-			Workers:       o.nestedWorkers(len(ns)),
+			Workers:       nested,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Per-window accuracy under an anytime stop is selection-biased
 		// (easy sessions stop early); ablation-windowing reports the
 		// unbiased full-budget number instead.
-		rows[i] = []float64{float64(ns[i]), res.DetectionRate, res.DecidedRate,
-			res.MeanWindowsToDecision, res.MeanTimeToDecision}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	t.Notef("%d training windows over 8 continuous sessions, %d eval sessions per class, budget 12 windows, warm-up 100 packets",
-		o.windows(120), o.windows(60))
-	t.Notef("the adversary stops at the decision: mean_seconds_to_dec is the stream time a CIT deployment buys before identification")
-	return t, nil
+		return []float64{float64(n), res.DetectionRate, res.DecidedRate,
+			res.MeanWindowsToDecision, res.MeanTimeToDecision}, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("%d training windows over 8 continuous sessions, %d eval sessions per class, budget 12 windows, warm-up 100 packets",
+			o.windows(120), o.windows(60))
+		t.Notef("the adversary stops at the decision: mean_seconds_to_dec is the stream time a CIT deployment buys before identification")
+	},
 }
 
-// AblationWindowing quantifies the i.i.d.-replica protocol deviation that
-// DESIGN.md's determinism model documents: the replica protocol rebuilds
-// the system per window (every window starts at time zero in a fresh ON
-// burst), where the session protocol slices consecutive windows from one
-// continuous stream, as the paper's adversary does. For memoryless
-// (Poisson) payload the two protocols must agree within Monte Carlo noise
-// — the license for using the fast replica protocol in the figure sweeps
-// — while bursty on-off payload shows the gap: replica windows always
-// begin ON, session windows sample the stationary ON/OFF mix.
-func AblationWindowing(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:    "ablation-windowing",
-		Title: "i.i.d.-replica vs continuous-stream window protocol, CIT lab, entropy, n=1000",
-		Columns: []string{"model", "replica_det", "stream_det",
-			"anytime_det", "mean_windows_to_dec"},
-	}
-	const n = 1000
-	const maxWindows = 6
-	models := []core.PayloadModel{core.PayloadPoisson, core.PayloadCBR, core.PayloadOnOff}
-	evalSessions := o.windows(40)
-	trainWindows := o.windows(120)
-	rows := make([][]float64, len(models))
-	err := parMap(len(models), o.workers(), func(i int) error {
+// windowingModels is the ablation-windowing sweep axis.
+var windowingModels = []core.PayloadModel{core.PayloadPoisson, core.PayloadCBR, core.PayloadOnOff}
+
+// windowingMaxWindows is the session protocol's per-session window
+// budget in ablation-windowing.
+const windowingMaxWindows = 6
+
+// ablationWindowingCells quantifies the i.i.d.-replica protocol
+// deviation that DESIGN.md's determinism model documents: the replica
+// protocol rebuilds the system per window (every window starts at time
+// zero in a fresh ON burst), where the session protocol slices
+// consecutive windows from one continuous stream, as the paper's
+// adversary does. For memoryless (Poisson) payload the two protocols
+// must agree within Monte Carlo noise — the license for using the fast
+// replica protocol in the figure sweeps — while bursty on-off payload
+// shows the gap: replica windows always begin ON, session windows sample
+// the stationary ON/OFF mix.
+var ablationWindowingCells = &cellExperiment{
+	title: "i.i.d.-replica vs continuous-stream window protocol, CIT lab, entropy, n=1000",
+	columns: []string{"model", "replica_det", "stream_det",
+		"anytime_det", "mean_windows_to_dec"},
+	ncells: func(Options) int { return len(windowingModels) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		const n = 1000
+		evalSessions := o.windows(40)
 		cfg := labConfig(o)
-		cfg.Payload = models[i]
+		cfg.Payload = windowingModels[cell]
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		workers := o.nestedWorkers(len(models))
 		// Replica protocol: i.i.d. windows, matched sample budget.
-		set, err := runAttackSet(sys, core.AttackConfig{
+		replica, err := runAttack(sys, core.AttackConfig{
+			Feature:        analytic.FeatureEntropy,
 			WindowSize:     n,
-			TrainWindows:   trainWindows,
-			EvalWindows:    evalSessions * maxWindows,
-			Workers:        workers,
+			TrainWindows:   o.windows(120),
+			EvalWindows:    evalSessions * windowingMaxWindows,
+			Workers:        nested,
 			SkipEmpiricalR: true,
-		}, []analytic.Feature{analytic.FeatureEntropy})
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Session protocol: consecutive windows of continuous streams,
 		// trained once and evaluated under two run-time rules.
@@ -120,45 +113,37 @@ func AblationWindowing(o Options) (*Table, error) {
 			Feature:       analytic.FeatureEntropy,
 			WindowSize:    n,
 			TrainSessions: 8,
-			TrainWindows:  trainWindows,
-			Workers:       workers,
+			TrainWindows:  o.windows(120),
+			Workers:       nested,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		stream, err := att.Evaluate(core.SessionAttackConfig{
 			EvalSessions: evalSessions,
-			MaxWindows:   maxWindows,
+			MaxWindows:   windowingMaxWindows,
 			Confidence:   1,
-			Workers:      workers,
+			Workers:      nested,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		anytime, err := att.Evaluate(core.SessionAttackConfig{
 			EvalSessions: evalSessions,
-			MaxWindows:   maxWindows,
+			MaxWindows:   windowingMaxWindows,
 			Confidence:   0.99,
-			Workers:      workers,
+			Workers:      nested,
 		})
 		if err != nil {
-			return err
-		}
-		rows[i] = []float64{float64(models[i]), set[0].DetectionRate,
-			stream.WindowDetectionRate, anytime.DetectionRate,
-			anytime.MeanWindowsToDecision}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
-	}
-	t.Notef("model codes: 0=poisson 1=cbr 2=onoff")
-	t.Notef("replica_det and stream_det classify single windows on matched budgets (%d windows per class); anytime_det accumulates evidence at 99%% confidence",
-		evalSessions*maxWindows)
-	return t, nil
+		return []float64{float64(cfg.Payload), replica.DetectionRate,
+			stream.WindowDetectionRate, anytime.DetectionRate,
+			anytime.MeanWindowsToDecision}, nil
+	},
+	notes: func(o Options, t *Table) {
+		t.Notef("model codes: 0=poisson 1=cbr 2=onoff")
+		t.Notef("replica_det and stream_det classify single windows on matched budgets (%d windows per class); anytime_det accumulates evidence at 99%% confidence",
+			o.windows(40)*windowingMaxWindows)
+	},
 }

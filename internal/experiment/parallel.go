@@ -32,12 +32,3 @@ func (o Options) nestedWorkers(points int) int {
 	}
 	return inner
 }
-
-// parMap executes fn(i) for every i in [0, n) on up to `workers`
-// goroutines and returns the first error encountered. Each point is
-// responsible for writing its result into a pre-indexed slot, so results
-// are identical regardless of the worker count — every experiment point
-// derives its randomness from its own seed, never from execution order.
-func parMap(n, workers int, fn func(i int) error) error {
-	return par.Map(n, workers, fn)
-}

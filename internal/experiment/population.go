@@ -1,14 +1,13 @@
 package experiment
 
 import (
-	"linkpad/internal/analytic"
 	"linkpad/internal/core"
 	"linkpad/internal/population"
 )
 
 func init() {
 	registerCells("ext-disclosure", extDisclosureCells)
-	register("ablation-population-padding", AblationPopulationPadding)
+	registerCells("ablation-population-padding", ablationPopulationPaddingCells)
 }
 
 // disclosureRounds resolves the SDA observation budget. Unlike window
@@ -83,83 +82,70 @@ var extDisclosureCells = &cellExperiment{
 	},
 }
 
-// AblationPopulationPadding compares the padding policies at matched
-// egress bandwidth against the per-flow population attack: every user's
-// link emits ~100 pps whether the policy is CIT, VIT, or a per-user
-// batching mix whose users add cover up to 100 pps (the raw, unpadded
-// link is the no-countermeasure anchor). The attack combines the
-// throughput fingerprint (windowed rate correlation) with the paper's
-// PIAT class features. Timer policies erase the throughput fingerprint —
-// the flow-level anonymity set collapses only to the rate class, and
-// under VIT not even that — while batching leaves arrival-rate
-// fluctuations on the wire, so the mix loses every flow at the same
-// bandwidth price.
-func AblationPopulationPadding(o Options) (*Table, error) {
-	o = o.withDefaults()
-	type policy struct {
-		code  float64
-		name  string
-		mut   func(*core.Config)
-		raw   bool
-		cover float64 // CoverToPPS matching the timer policies' egress rate
-	}
-	policies := []policy{
-		{0, "NONE", func(*core.Config) {}, true, 0},
-		{1, "CIT", func(*core.Config) {}, false, 0},
-		{2, "VIT-30us", func(c *core.Config) { c.SigmaT = 30e-6 }, false, 0},
-		{3, "MIX-8", func(c *core.Config) { c.Mix = &core.MixSpec{K: 8} }, false, 100},
-	}
-	t := &Table{
-		ID:    "ablation-population-padding",
-		Title: "Per-flow correlation vs padding policy at matched overhead (24 users, 60 s flows)",
-		Columns: []string{"policy", "flow_acc", "class_acc", "mean_rank",
-			"mean_corr_true"},
-	}
-	duration := 60 * o.Scale
-	if duration < 30 {
-		duration = 30
-	}
-	rows := make([][]float64, len(policies))
-	err := parMap(len(policies), o.workers(), func(i int) error {
+// populationPaddingPolicies is the ablation-population-padding sweep
+// axis.
+var populationPaddingPolicies = []struct {
+	code  float64
+	name  string
+	mut   func(*core.Config)
+	raw   bool
+	cover float64 // CoverToPPS matching the timer policies' egress rate
+}{
+	{0, "NONE", func(*core.Config) {}, true, 0},
+	{1, "CIT", func(*core.Config) {}, false, 0},
+	{2, "VIT-30us", func(c *core.Config) { c.SigmaT = 30e-6 }, false, 0},
+	{3, "MIX-8", func(c *core.Config) { c.Mix = &core.MixSpec{K: 8} }, false, 100},
+}
+
+// ablationPopulationPaddingCells compares the padding policies at
+// matched egress bandwidth against the per-flow population attack:
+// every user's link emits ~100 pps whether the policy is CIT, VIT, or a
+// per-user batching mix whose users add cover up to 100 pps (the raw,
+// unpadded link is the no-countermeasure anchor). The attack combines
+// the throughput fingerprint (windowed rate correlation) with the
+// paper's PIAT class features. Timer policies erase the throughput
+// fingerprint — the flow-level anonymity set collapses only to the rate
+// class, and under VIT not even that — while batching leaves
+// arrival-rate fluctuations on the wire, so the mix loses every flow at
+// the same bandwidth price.
+var ablationPopulationPaddingCells = &cellExperiment{
+	title: "Per-flow correlation vs padding policy at matched overhead (24 users, 60 s flows)",
+	columns: []string{"policy", "flow_acc", "class_acc", "mean_rank",
+		"mean_corr_true"},
+	ncells: func(Options) int { return len(populationPaddingPolicies) },
+	run: func(o Options, cell, nested int) ([]float64, error) {
+		p := populationPaddingPolicies[cell]
 		cfg := labConfig(o)
-		policies[i].mut(&cfg)
+		p.mut(&cfg)
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := runFlowCorrelation(sys, core.PopulationSpec{
 			Users:      24,
 			Recipients: 60,
-			CoverToPPS: policies[i].cover,
+			CoverToPPS: p.cover,
 		}, core.FlowCorrConfig{
-			Duration:     duration,
-			Raw:          policies[i].raw,
-			Features:     []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy},
+			Duration:     cascadeDuration(o),
+			Raw:          p.raw,
+			Features:     secondOrderFeatures,
 			TrainWindows: o.windows(120),
-			Workers:      o.nestedWorkers(len(policies)),
+			Workers:      nested,
 		})
 		if err != nil {
-			return err
-		}
-		rows[i] = []float64{policies[i].code, res.Accuracy, res.ClassAccuracy,
-			res.MeanRank, res.MeanCorrTrue}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
-	}
-	for _, p := range policies {
-		t.Notef("policy %d = %s", int(p.code), p.name)
-	}
-	t.Notef("matched overhead: CIT/VIT links emit 1/tau = 100 pps; mix users add cover up to 100 pps; NONE is the unpadded anchor")
-	t.Notef("%.0f s flows, rate window 1 s, class features variance+entropy at window 200, %d training windows/class on population links",
-		duration, o.windows(120))
-	t.Notef("mean_rank is the true user's rank in a flow's score ordering (1 = identified, %d/2 = chance within class)", 24)
-	t.Notef("the SDA side of the trade-off is in ext-disclosure: batching mixes lose flows here but resist SDA only via cover")
-	return t, nil
+		return []float64{p.code, res.Accuracy, res.ClassAccuracy,
+			res.MeanRank, res.MeanCorrTrue}, nil
+	},
+	notes: func(o Options, t *Table) {
+		for _, p := range populationPaddingPolicies {
+			t.Notef("policy %d = %s", int(p.code), p.name)
+		}
+		t.Notef("matched overhead: CIT/VIT links emit 1/tau = 100 pps; mix users add cover up to 100 pps; NONE is the unpadded anchor")
+		t.Notef("%.0f s flows, rate window 1 s, class features variance+entropy at window 200, %d training windows/class on population links",
+			cascadeDuration(o), o.windows(120))
+		t.Notef("mean_rank is the true user's rank in a flow's score ordering (1 = identified, %d/2 = chance within class)", 24)
+		t.Notef("the SDA side of the trade-off is in ext-disclosure: batching mixes lose flows here but resist SDA only via cover")
+	},
 }

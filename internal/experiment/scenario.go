@@ -43,6 +43,20 @@ func runAttack(sys *core.System, cfg core.AttackConfig) (*core.AttackResult, err
 	return set[0], nil
 }
 
+// detectionRow runs one attack set and returns key followed by each
+// feature's detection rate: the row of a replica sweep cell.
+func detectionRow(sys *core.System, key float64, cfg core.AttackConfig, features []analytic.Feature) ([]float64, error) {
+	set, err := runAttackSet(sys, cfg, features)
+	if err != nil {
+		return nil, err
+	}
+	row := []float64{key}
+	for _, res := range set {
+		row = append(row, res.DetectionRate)
+	}
+	return row, nil
+}
+
 func runSessionAttack(sys *core.System, cfg core.SessionAttackConfig) (*core.SessionAttackResult, error) {
 	res, err := runScenario(sys, core.SessionAttackSpec{Session: cfg})
 	if err != nil {

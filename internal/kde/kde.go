@@ -111,14 +111,3 @@ func (k *KDE) LogPDF(x float64) float64 {
 	}
 	return math.Log(p)
 }
-
-// CDF evaluates the distribution estimate P(X <= x): the average of
-// per-kernel normal CDFs.
-func (k *KDE) CDF(x float64) float64 {
-	h := k.bandwidth
-	var sum float64
-	for _, xi := range k.data {
-		sum += 0.5 * math.Erfc(-(x-xi)/(h*math.Sqrt2))
-	}
-	return sum / float64(len(k.data))
-}

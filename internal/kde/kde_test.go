@@ -122,28 +122,6 @@ func TestLogPDFFarOutside(t *testing.T) {
 	}
 }
 
-func TestCDFMonotoneAndLimits(t *testing.T) {
-	k, err := New(gaussianSample(9, 400, 5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := k.Support()
-	if c := k.CDF(lo); c > 1e-9 {
-		t.Errorf("CDF(lo) = %v", c)
-	}
-	if c := k.CDF(hi); c < 1-1e-9 {
-		t.Errorf("CDF(hi) = %v", c)
-	}
-	prev := -1.0
-	for x := lo; x <= hi; x += (hi - lo) / 200 {
-		c := k.CDF(x)
-		if c < prev-1e-12 {
-			t.Fatalf("CDF not monotone at %v", x)
-		}
-		prev = c
-	}
-}
-
 func TestSymmetricDataSymmetricDensity(t *testing.T) {
 	// Mirror-symmetric training set => PDF(x) == PDF(-x).
 	xs := []float64{-3, -2, -1, -0.5, 0.5, 1, 2, 3}

@@ -48,12 +48,6 @@ func New(n int) *Slab {
 	}
 }
 
-// Reset empties the slab, keeping capacity.
-func (s *Slab) Reset() {
-	s.Times = s.Times[:0]
-	s.Flags = s.Flags[:0]
-}
-
 // Grow sets the slab's length to n (n must not exceed the capacity it
 // was built with unless reallocation is acceptable), so producers can
 // fill s.Times[:n]/s.Flags[:n] in place.

@@ -31,17 +31,3 @@ func TestGrowReuse(t *testing.T) {
 	s.Times[31] = 2.0
 	s.Flags[31] = FlagDummy
 }
-
-func TestReset(t *testing.T) {
-	s := New(4)
-	s.Grow(4)
-	s.Times[2] = 9
-	s.Reset()
-	if len(s.Times) != 0 {
-		t.Fatalf("after Reset: Len = %d, want 0", len(s.Times))
-	}
-	s.Grow(4)
-	if s.Times[2] != 9 {
-		t.Fatal("Reset must not clear backing storage")
-	}
-}

@@ -177,41 +177,6 @@ func (r *Rand) Exp(mean float64) float64 {
 	return -mean * math.Log(r.Float64Open())
 }
 
-// Poisson returns a Poisson variate with the given rate parameter lambda.
-// For small lambda it uses Knuth multiplication; for large lambda the
-// PTRS transformed-rejection method would be ideal, but the simulator only
-// draws Poisson counts with lambda up to a few hundred, where the simple
-// normal-approximation fallback with continuity correction is adequate and
-// branch-free. Counts are never negative.
-func (r *Rand) Poisson(lambda float64) int {
-	switch {
-	case lambda < 0:
-		panic("xrand: Poisson with negative lambda")
-	case lambda == 0:
-		return 0
-	case lambda < 30:
-		// Knuth's product-of-uniforms method.
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64Open()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		// Normal approximation with continuity correction; error is
-		// negligible for lambda >= 30 at the precision the simulator needs.
-		x := math.Floor(lambda + math.Sqrt(lambda)*r.Norm() + 0.5)
-		if x < 0 {
-			return 0
-		}
-		return int(x)
-	}
-}
-
 // Geometric returns a variate K >= 0 with P(K = k) = (1-p) * p^k,
 // i.e. the number of failures before the first success when the success
 // probability is 1-p. This is the ladder-count distribution used by the

@@ -146,38 +146,6 @@ func TestExpZeroMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, lambda := range []float64{0.1, 0.4, 3, 25, 80} {
-		r := New(17)
-		const n = 100000
-		var sum, sumsq float64
-		for i := 0; i < n; i++ {
-			k := r.Poisson(lambda)
-			if k < 0 {
-				t.Fatalf("negative Poisson count")
-			}
-			x := float64(k)
-			sum += x
-			sumsq += x * x
-		}
-		m := sum / n
-		v := sumsq/n - m*m
-		tol := 4 * math.Sqrt(lambda/n) // ~4 standard errors
-		if math.Abs(m-lambda) > tol+0.02 {
-			t.Errorf("lambda=%v: mean = %v", lambda, m)
-		}
-		if math.Abs(v-lambda)/lambda > 0.1 {
-			t.Errorf("lambda=%v: variance = %v", lambda, v)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-}
-
 func TestGeometricMoments(t *testing.T) {
 	for _, p := range []float64{0, 0.1, 0.4, 0.9} {
 		r := New(23)
@@ -268,7 +236,7 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-// Property: Float64 always in [0,1) and Exp/Poisson non-negative,
+// Property: Float64 always in [0,1) and Exp non-negative,
 // for arbitrary seeds.
 func TestQuickProperties(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -278,9 +246,6 @@ func TestQuickProperties(t *testing.T) {
 				return false
 			}
 			if r.Exp(1e-6) < 0 {
-				return false
-			}
-			if r.Poisson(0.5) < 0 {
 				return false
 			}
 		}
@@ -314,15 +279,6 @@ func BenchmarkExp(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += r.Exp(1)
-	}
-	_ = sink
-}
-
-func BenchmarkPoissonSmall(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += r.Poisson(0.4)
 	}
 	_ = sink
 }
