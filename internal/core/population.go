@@ -207,65 +207,143 @@ func (spec PopulationSpec) coverPPS(payload float64) float64 {
 // private message source (the system's payload model at its class rate),
 // an optional cover source, and a recipient profile, all derived from
 // (seed, class, userID) role streams in the population domain. The
-// engine materializes users lazily — the builder below is a pure
-// function of the user index, so users hold no resident state until the
-// simulation horizon first reaches one of their arrivals.
+// engine materializes users lazily: its init pass reads each user's
+// frontier (first arrival, origin, rate) from popBuilder.Frontier, which
+// builds no user, and popBuilder.Build — a pure function of the user
+// index — runs only when the simulation horizon first reaches one of a
+// user's arrivals. Since no user is built up front, every error Build
+// could report is ruled out here, by validatePopulation and the system's
+// own validation, before the engine is made.
 func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) {
 	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
-	cum := s.classCum(spec.ClassMix)
-	build := func(u int) (population.User, error) {
-		class := classOf(u, spec.Users, cum)
-		pps := s.cfg.Rates[class].PPS
-		payload, err := s.payloadSource(class,
-			xrand.New(s.streamSeed(class, populationStreamID(u, popRolePayload))))
-		if err != nil {
-			return population.User{}, err
-		}
-		var cover traffic.Source
-		if c := spec.coverPPS(pps); c > 0 {
-			cover, err = traffic.NewPoisson(c,
-				xrand.New(s.streamSeed(class, populationStreamID(u, popRoleCover))))
-			if err != nil {
-				return population.User{}, err
-			}
-		}
-		prng := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleProfile)))
-		profile, err := population.NewProfile(spec.Recipients, spec.Contacts, spec.ContactWeight, prng)
-		if err != nil {
-			return population.User{}, err
-		}
-		presence, err := s.presenceSchedule(spec, class, u)
-		if err != nil {
-			return population.User{}, err
-		}
-		// The profile construction consumed a prefix of the role stream;
-		// the same stream continues as the user's per-message recipient
-		// draws, keeping every draw a function of (seed, class, userID).
-		return population.User{
-			Class:    class,
-			Messages: payload,
-			Cover:    cover,
-			Profile:  profile,
-			RNG:      prng,
-			Presence: presence,
-		}, nil
+	b, err := s.newPopBuilder(spec)
+	if err != nil {
+		return nil, err
 	}
-	return population.NewLazyEngine(spec.Users, spec.Recipients, build)
+	return population.NewLazyEngine(spec.Users, spec.Recipients, b)
 }
 
-// presenceSchedule builds user u's churn presence schedule from its
-// popRoleChurn stream, or nil for a static population. The schedule is a
-// pure function of (seed, class, userID), so rebuilding the population
-// reproduces it exactly — checkpoints never serialize it.
-func (s *System) presenceSchedule(spec PopulationSpec, class, user int) (*traffic.OnOffSchedule, error) {
+// popBuilder is NewPopulation's population.Builder. The class striping
+// and the profile shape (the contact-set Zipf weights) are computed once
+// per population; everything per user derives from its role streams.
+type popBuilder struct {
+	s     *System
+	spec  PopulationSpec
+	cum   []float64
+	shape *population.ProfileShape
+}
+
+// newPopBuilder prepares the per-population state of a validated spec.
+func (s *System) newPopBuilder(spec PopulationSpec) (*popBuilder, error) {
+	shape, err := population.NewProfileShape(spec.Recipients, spec.Contacts, spec.ContactWeight)
+	if err != nil {
+		return nil, err
+	}
+	return &popBuilder{s: s, spec: spec, cum: s.classCum(spec.ClassMix), shape: shape}, nil
+}
+
+// roleSeed is the seed of user u's role stream.
+func (b *popBuilder) roleSeed(class, u int, role uint64) uint64 {
+	return b.s.streamSeed(class, populationStreamID(u, role))
+}
+
+// userStreams holds a built user's role streams in one allocation.
+type userStreams struct {
+	payload, cover, profile, churn xrand.Rand
+}
+
+// Build materializes user u.
+func (b *popBuilder) Build(u int) (population.User, error) {
+	class := classOf(u, b.spec.Users, b.cum)
+	rs := new(userStreams)
+	rs.payload.Seed(b.roleSeed(class, u, popRolePayload))
+	payload, err := b.s.payloadSource(class, &rs.payload)
+	if err != nil {
+		return population.User{}, err
+	}
+	var cover traffic.Source
+	if c := b.spec.coverPPS(b.s.cfg.Rates[class].PPS); c > 0 {
+		rs.cover.Seed(b.roleSeed(class, u, popRoleCover))
+		cover, err = traffic.NewPoisson(c, &rs.cover)
+		if err != nil {
+			return population.User{}, err
+		}
+	}
+	rs.profile.Seed(b.roleSeed(class, u, popRoleProfile))
+	profile, err := b.shape.NewProfile(&rs.profile)
+	if err != nil {
+		return population.User{}, err
+	}
+	presence, err := b.s.presenceSchedule(b.spec, class, u, &rs.churn)
+	if err != nil {
+		return population.User{}, err
+	}
+	// The profile construction consumed a prefix of the role stream;
+	// the same stream continues as the user's per-message recipient
+	// draws, keeping every draw a function of (seed, class, userID).
+	return population.User{
+		Class:    class,
+		Messages: payload,
+		Cover:    cover,
+		Profile:  profile,
+		RNG:      &rs.profile,
+		Presence: presence,
+	}, nil
+}
+
+// Frontier reports what Build(u)'s merged sources yield first, without
+// building the user: the payload and cover sources are made from the
+// same role-stream seeds by the same constructors, each draws its first
+// gap, the earlier wins (a tie goes to the payload, as Superpose breaks
+// it), and the rates add in source order, as Superpose.Rate adds them.
+// For the Poisson payload the concrete sources never leave this frame,
+// so escape analysis keeps them and their streams on the stack and the
+// call allocates nothing; the other payload models go through the
+// Source interface and may allocate.
+func (b *popBuilder) Frontier(u int) (population.Frontier, error) {
+	class := classOf(u, b.spec.Users, b.cum)
+	pps := b.s.cfg.Rates[class].PPS
+	var f population.Frontier
+	if b.s.cfg.Payload == PayloadPoisson {
+		payload, err := traffic.NewPoisson(pps, xrand.New(b.roleSeed(class, u, popRolePayload)))
+		if err != nil {
+			return f, err
+		}
+		f.T, f.Rate = payload.Next(), payload.Rate()
+	} else {
+		payload, err := b.s.payloadSource(class, xrand.New(b.roleSeed(class, u, popRolePayload)))
+		if err != nil {
+			return f, err
+		}
+		f.T, f.Rate = payload.Next(), payload.Rate()
+	}
+	if c := b.spec.coverPPS(pps); c > 0 {
+		cover, err := traffic.NewPoisson(c, xrand.New(b.roleSeed(class, u, popRoleCover)))
+		if err != nil {
+			return f, err
+		}
+		if tc := cover.Next(); tc < f.T {
+			f.T, f.Cover = tc, true
+		}
+		f.Rate += cover.Rate()
+	}
+	return f, nil
+}
+
+// presenceSchedule builds user u's churn presence schedule on rng,
+// seeding it from the user's popRoleChurn stream, or returns nil for a
+// static population (rng untouched). The schedule is a pure function of
+// (seed, class, userID), so rebuilding the population reproduces it
+// exactly — checkpoints never serialize it.
+func (s *System) presenceSchedule(spec PopulationSpec, class, user int, rng *xrand.Rand) (*traffic.OnOffSchedule, error) {
 	if spec.Churn == nil {
 		return nil, nil
 	}
-	return traffic.NewOnOffSchedule(spec.Churn.MeanOn, spec.Churn.MeanOff,
-		xrand.New(s.streamSeed(class, populationStreamID(user, popRoleChurn))))
+	rng.Seed(s.streamSeed(class, populationStreamID(user, popRoleChurn)))
+	return traffic.NewOnOffSchedule(spec.Churn.MeanOn, spec.Churn.MeanOff, rng)
 }
 
 // FlowCorrConfig parameterizes the population flow-correlation attack
@@ -508,7 +586,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*popu
 			// Training flows churn exactly as run-time flows do (their own
 			// presence realizations), so the classifiers are trained on the
 			// gap structure they will be asked to classify.
-			presence, err := s.presenceSchedule(spec, class, phantom)
+			presence, err := s.presenceSchedule(spec, class, phantom, new(xrand.Rand))
 			if err != nil {
 				return nil, err
 			}
@@ -530,7 +608,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*popu
 		class := classOf(u, spec.Users, cum)
 		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
 		flow := &population.Flow{Class: class}
-		presence, err := s.presenceSchedule(spec, class, u)
+		presence, err := s.presenceSchedule(spec, class, u, new(xrand.Rand))
 		if err != nil {
 			return nil, err
 		}

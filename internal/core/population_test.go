@@ -121,6 +121,12 @@ func TestPopulationSpecValidation(t *testing.T) {
 		{Users: 8, Recipients: 40, CoverRate: 1, CoverToPPS: 100},
 		{Users: 8, Recipients: 40, ClassMix: []float64{1}},
 		{Users: 8, Recipients: 40, ClassMix: []float64{1, 0}},
+		// The init pass builds no user, so what a user build would have
+		// rejected must be rejected here: churn periods and the dummy
+		// policy.
+		{Users: 8, Recipients: 40, Churn: &ChurnSpec{MeanOn: 0, MeanOff: 1}},
+		{Users: 8, Recipients: 40, Churn: &ChurnSpec{MeanOn: 1, MeanOff: -1}},
+		{Users: 8, Recipients: 40, CoverRate: 1, Dummies: population.DummyPolicy(99)},
 	}
 	for i, spec := range bad {
 		if _, err := sys.NewPopulation(spec); err == nil {
@@ -188,5 +194,116 @@ func TestFlowCorrelationHonorsNetworkPath(t *testing.T) {
 	}
 	if *netRes.FlowCorr == *cleanRes.FlowCorr {
 		t.Error("network path and tap loss left the flow observations unchanged")
+	}
+}
+
+// TestPopulationFrontierMatchesBuild: for every user, the init pass's
+// Frontier is bit for bit what the built user's merged sources yield
+// first — first arrival, origin and summed rate — across the three
+// payload models, the three cover settings and churn on and off.
+func TestPopulationFrontierMatchesBuild(t *testing.T) {
+	covers := []struct {
+		name string
+		spec PopulationSpec
+	}{
+		{"none", PopulationSpec{}},
+		{"rate", PopulationSpec{CoverRate: 0.7}},
+		{"to-pps", PopulationSpec{CoverToPPS: 60}},
+	}
+	for _, payload := range []PayloadModel{PayloadPoisson, PayloadCBR, PayloadOnOff} {
+		cfg := DefaultLabConfig()
+		cfg.Payload = payload
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cv := range covers {
+			for _, churn := range []*ChurnSpec{nil, {MeanOn: 2, MeanOff: 1}} {
+				spec := cv.spec
+				spec.Users, spec.Recipients, spec.Churn = 2000, 400, churn
+				spec = spec.withDefaults()
+				if err := sys.validatePopulation(spec); err != nil {
+					t.Fatal(err)
+				}
+				b, err := sys.newPopBuilder(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				covered := 0
+				for u := 0; u < spec.Users; u++ {
+					f, err := b.Frontier(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					usr, err := b.Build(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (usr.Presence != nil) != (churn != nil) {
+						t.Fatalf("%v/%s: user %d presence %v with churn %v", payload, cv.name, u, usr.Presence, churn)
+					}
+					srcs := []traffic.Source{usr.Messages}
+					if usr.Cover != nil {
+						srcs = append(srcs, usr.Cover)
+					}
+					sup, err := traffic.NewSuperpose(srcs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gap, src := sup.NextFrom()
+					want := population.Frontier{T: gap, Cover: src == 1, Rate: sup.Rate()}
+					if f != want {
+						t.Fatalf("%v/%s/churn=%t: user %d Frontier %+v, built user yields %+v",
+							payload, cv.name, churn != nil, u, f, want)
+					}
+					if f.Cover {
+						covered++
+					}
+				}
+				if cv.name != "none" && covered == 0 {
+					t.Errorf("%v/%s: no user starts on a cover arrival; the cover branch is untested", payload, cv.name)
+				}
+			}
+		}
+	}
+}
+
+// TestPopulationFrontierAllocs: with the Poisson payload the init pass's
+// per-user Frontier allocates nothing, cover included.
+func TestPopulationFrontierAllocs(t *testing.T) {
+	sys, err := NewSystem(DefaultLabConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := PopulationSpec{Users: 1000, Recipients: 400, CoverRate: 1}.withDefaults()
+	b, err := sys.newPopBuilder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := b.Frontier(u % spec.Users); err != nil {
+			t.Fatal(err)
+		}
+		u++
+	})
+	if allocs != 0 {
+		t.Fatalf("Frontier allocates %v times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkNewPopulation times the production init pass: NewPopulation
+// over 1e5 users with cover at the payload rate.
+func BenchmarkNewPopulation(b *testing.B) {
+	sys, err := NewSystem(DefaultLabConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := PopulationSpec{Users: 100_000, Recipients: 10_000, CoverRate: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.NewPopulation(spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

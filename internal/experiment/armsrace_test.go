@@ -63,6 +63,7 @@ func readGoldenTable(t *testing.T, path string) (cols []string, rows [][]float64
 // on the committed golden table (testdata/golden, scale 0.05 seed 3).
 func TestArmsRaceGoldenMonotone(t *testing.T) {
 	cols, rows := readGoldenTable(t, "../../testdata/golden/ext-sda-arms-race.txt")
+	checkTable(t, "ext-sda-arms-race", cols, rows)
 	idx := func(name string) int {
 		for i, c := range cols {
 			if c == name {

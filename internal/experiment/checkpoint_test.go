@@ -256,10 +256,7 @@ func FuzzParseCheckpoint(f *testing.F) {
 var faultOpts = Options{Scale: 0.05, Seed: 3}
 
 func TestExtImpairmentsShape(t *testing.T) {
-	tbl, err := Run("ext-impairments", faultOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTableWith(t, "ext-impairments", faultOpts)
 	if len(tbl.Rows) != 18 {
 		t.Fatalf("got %d rows, want 18 (3 protocols x 6 scenarios)", len(tbl.Rows))
 	}
@@ -286,10 +283,7 @@ func TestExtImpairmentsShape(t *testing.T) {
 }
 
 func TestAblationChurnShape(t *testing.T) {
-	tbl, err := Run("ablation-churn", faultOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runTableWith(t, "ablation-churn", faultOpts)
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("got %d rows, want 8 (4 fractions x 2 estimators)", len(tbl.Rows))
 	}

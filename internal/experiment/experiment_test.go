@@ -14,22 +14,37 @@ var fastOpts = Options{Scale: 0.25, Seed: 7}
 
 func runTable(t *testing.T, id string) *Table {
 	t.Helper()
-	tbl, err := Run(id, fastOpts)
+	return runTableWith(t, id, fastOpts)
+}
+
+// runTableWith is runTable at the given options.
+func runTableWith(t *testing.T, id string, o Options) *Table {
+	t.Helper()
+	tbl, err := Run(id, o)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	if tbl.ID != id {
 		t.Fatalf("table ID = %q, want %q", tbl.ID, id)
 	}
-	if len(tbl.Rows) == 0 {
+	checkTable(t, id, tbl.Columns, tbl.Rows)
+	return tbl
+}
+
+// checkTable asserts what every runner's table must satisfy: it has
+// rows, every row is as wide as the header, every value is finite and
+// every rate column (isRateColumn) lies in [0, 1].
+func checkTable(t *testing.T, id string, cols []string, rows [][]float64) {
+	t.Helper()
+	if len(rows) == 0 {
 		t.Fatalf("%s: empty table", id)
 	}
-	for i, row := range tbl.Rows {
-		if len(row) != len(tbl.Columns) {
-			t.Fatalf("%s row %d: %d cells for %d columns", id, i, len(row), len(tbl.Columns))
+	for i, row := range rows {
+		if len(row) != len(cols) {
+			t.Fatalf("%s row %d: %d cells for %d columns", id, i, len(row), len(cols))
 		}
 		for j, v := range row {
-			c := tbl.Columns[j]
+			c := cols[j]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Errorf("%s row %d column %s: non-finite value %v", id, i, c, v)
 			}
@@ -38,7 +53,6 @@ func runTable(t *testing.T, id string) *Table {
 			}
 		}
 	}
-	return tbl
 }
 
 // isRateColumn reports whether a column holds a probability, fraction

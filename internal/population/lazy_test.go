@@ -3,7 +3,10 @@ package population
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"linkpad/internal/traffic"
@@ -16,10 +19,42 @@ import (
 // must leave never-sending users cold; and ResumeDisclosure must
 // round-trip the sharded engine state at arbitrary kill points.
 
+// funcBuilder adapts a build function to a Builder whose Frontier
+// builds the user and reads its first arrival off the sources: the first
+// Next of each source, a tie going to the payload (the lower index, as
+// Superpose.NextFrom breaks it), and the rates summed in source order,
+// as Superpose.Rate sums them.
+type funcBuilder func(u int) (User, error)
+
+func (f funcBuilder) Build(u int) (User, error) { return f(u) }
+
+func (f funcBuilder) Frontier(u int) (Frontier, error) {
+	usr, err := f(u)
+	if err != nil {
+		return Frontier{}, err
+	}
+	if usr.Messages == nil {
+		return Frontier{}, fmt.Errorf("user %d has no payload source", u)
+	}
+	fr := Frontier{T: usr.Messages.Next()}
+	fr.Rate += usr.Messages.Rate()
+	if usr.Cover != nil {
+		if tc := usr.Cover.Next(); tc < fr.T {
+			fr.T, fr.Cover = tc, true
+		}
+		fr.Rate += usr.Cover.Rate()
+	}
+	return fr, nil
+}
+
 // refBuilder returns a pure per-user builder over the refUsers
 // population: building user u twice yields identically seeded stacks.
-func refBuilder(t testing.TB, recipients int, cover, churn bool) Builder {
+func refBuilder(t testing.TB, recipients int, cover, churn bool) funcBuilder {
 	t.Helper()
+	shape, err := NewProfileShape(recipients, 3, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return func(u int) (User, error) {
 		master := xrand.New(uint64(3000 + u))
 		rate := 5 + float64(u%3)*20
@@ -35,7 +70,7 @@ func refBuilder(t testing.TB, recipients int, cover, churn bool) Builder {
 			}
 		}
 		prng := master.Split()
-		prof, err := NewProfile(recipients, 3, 0.7, prng)
+		prof, err := shape.NewProfile(prng)
 		if err != nil {
 			return User{}, err
 		}
@@ -73,9 +108,9 @@ func collectRounds(t testing.TB, e *Engine, n, batch int) []Round {
 // tiedBuilder returns a pure builder whose payload and cover are
 // jitter-free CBR sources at one rate, so every user's first payload
 // and cover gaps are equal. Superpose gives such a tie to the payload
-// (the lower index); the lazy engine's init pass, which reads the
-// frontier without a Superpose, must too.
-func tiedBuilder(recipients int) Builder {
+// (the lower index); the builder's Frontier, which the lazy engine's
+// init pass reads without a Superpose, must too.
+func tiedBuilder(recipients int) funcBuilder {
 	return func(u int) (User, error) {
 		rate := 5 + float64(u%4)*3
 		msgs, err := traffic.NewCBR(rate, 0, nil)
@@ -87,7 +122,7 @@ func tiedBuilder(recipients int) Builder {
 			return User{}, err
 		}
 		prng := xrand.New(uint64(9000 + u))
-		prof, err := NewProfile(recipients, 3, 0.7, prng)
+		prof, err := newProfile(recipients, 3, 0.7, prng)
 		if err != nil {
 			return User{}, err
 		}
@@ -103,7 +138,7 @@ func TestLazyEngineMatchesEager(t *testing.T) {
 	const n, recipients = 60, 80
 	cases := []struct {
 		name  string
-		build Builder
+		build funcBuilder
 		// payloadFirst: every user's first arrival must be its payload's
 		// (no cover source, or a cover source that only ties).
 		payloadFirst bool
@@ -193,7 +228,7 @@ func TestLazyEngineWorkerInvariance(t *testing.T) {
 func TestLazyEngineColdUsers(t *testing.T) {
 	const n, recipients = 2000, 40
 	const hot = 8
-	build := func(u int) (User, error) {
+	build := funcBuilder(func(u int) (User, error) {
 		master := xrand.New(uint64(5000 + u))
 		rate := 1e-6 // one arrival per ~11 simulated days
 		if u%(n/hot) == 0 {
@@ -204,12 +239,12 @@ func TestLazyEngineColdUsers(t *testing.T) {
 			return User{}, err
 		}
 		prng := master.Split()
-		prof, err := NewProfile(recipients, 3, 0.7, prng)
+		prof, err := newProfile(recipients, 3, 0.7, prng)
 		if err != nil {
 			return User{}, err
 		}
 		return User{Messages: msgs, Profile: prof, RNG: prng}, nil
-	}
+	})
 	e, err := NewLazyEngine(n, recipients, build)
 	if err != nil {
 		t.Fatal(err)
@@ -259,17 +294,50 @@ func TestLazyEngineAccessorsWarm(t *testing.T) {
 // constructor error, not a panic or a silent hole.
 func TestLazyEngineBuilderError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := NewLazyEngine(10, 40, func(u int) (User, error) {
+	_, err := NewLazyEngine(10, 40, funcBuilder(func(u int) (User, error) {
 		if u == 7 {
 			return User{}, boom
 		}
 		return refBuilder(t, 40, false, false)(u)
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("builder error not surfaced: %v", err)
 	}
 	if _, err := NewLazyEngine(10, 40, nil); err == nil {
 		t.Fatal("nil builder accepted")
+	}
+}
+
+// TestLazyEngineImpureBuilder: a builder that reseeds from a call
+// counter reports one first arrival from Frontier and builds another.
+// Warming such a user must fail naming it, not silently shift its stream
+// off the recorded frontier.
+func TestLazyEngineImpureBuilder(t *testing.T) {
+	const n, recipients = 20, 40
+	var calls atomic.Uint64
+	impure := funcBuilder(func(u int) (User, error) {
+		msgs, err := traffic.NewPoisson(10, xrand.New(calls.Add(1)))
+		if err != nil {
+			return User{}, err
+		}
+		prng := xrand.New(uint64(u))
+		prof, err := newProfile(recipients, 3, 0.7, prng)
+		if err != nil {
+			return User{}, err
+		}
+		return User{Messages: msgs, Profile: prof, RNG: prng}, nil
+	})
+	e, err := NewLazyEngine(n, recipients, impure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Round
+	err = e.NextRound(8, &r)
+	if err == nil {
+		t.Fatal("an impure builder warmed without error")
+	}
+	if !strings.Contains(err.Error(), "population: user ") || !strings.Contains(err.Error(), "frontier") {
+		t.Fatalf("error does not name the user and its frontier: %v", err)
 	}
 }
 
@@ -336,7 +404,10 @@ func TestLazyDisclosureKillAndResume(t *testing.T) {
 }
 
 // BenchmarkLazyEngineInit times NewLazyEngine over 1e5 users with
-// cover: the init pass builds every user once and reads its frontier.
+// cover through a funcBuilder, whose Frontier builds the user: the
+// engine's init pass plus one full build per user. BenchmarkNewPopulation
+// in internal/core times the production builder, whose Frontier builds
+// nothing.
 func BenchmarkLazyEngineInit(b *testing.B) {
 	const n, recipients = 100_000, 10_000
 	build := refBuilder(b, recipients, true, false)

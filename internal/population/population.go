@@ -31,11 +31,14 @@
 // reduction — an index min-heap over the shard frontiers — that replays
 // exactly the total (time, user) order the previous concat-and-sort
 // merge produced. Users are materialized lazily: a cold user holds only
-// its frontier (next arrival time and origin, ~9 bytes), and its full
-// source state is rebuilt from the pure per-user Builder the first time
-// it actually sends, so resident memory is dominated by the compact
-// frontier plus the users active so far, not by N fully built source
-// stacks. The round loop is allocation-free in steady state.
+// its frontier (next arrival time and origin, ~9 bytes), which the init
+// pass reads from the pure per-user Builder's Frontier without building
+// the user, and its full source state is built by Builder.Build the
+// first time it actually sends. Resident memory is thus dominated by the
+// compact frontier plus the users active so far, not by N fully built
+// source stacks, and the init pass costs one frontier read per user
+// rather than one build. The round loop is allocation-free in steady
+// state.
 package population
 
 import (
@@ -56,32 +59,58 @@ import (
 // and what "disclosure" means: identifying the contact set.
 type Profile struct {
 	contacts []int32
-	cum      []float64 // cumulative Zipf weights within the contact set
+	cum      []float64 // cumulative Zipf weights within the contact set, shared by the shape's profiles
 	weight   float64   // total mass on the contact set
 	nrcpt    int32
 }
 
-// NewProfile draws a profile with the given number of distinct contacts
-// among `recipients` possible recipients, placing `weight` of the
-// probability mass on the contact set (Zipf-weighted within it) and the
-// rest uniformly across all recipients. The contact set is drawn from
-// rng, so a profile is deterministic from its stream.
-func NewProfile(recipients, contacts int, weight float64, rng *xrand.Rand) (Profile, error) {
+// ProfileShape is what every profile of a population shares: the
+// recipient space, the contact-set size and mass, and the Zipf weights
+// within the set. The weights are computed once per shape, and every
+// profile drawn from it reads them, so a profile owns only its contact
+// set.
+type ProfileShape struct {
+	cum    []float64
+	weight float64
+	nrcpt  int32
+}
+
+// NewProfileShape validates a profile shape with the given number of
+// distinct contacts among `recipients` possible recipients, placing
+// `weight` of the probability mass on the contact set (Zipf-weighted
+// within it) and the rest uniformly across all recipients.
+func NewProfileShape(recipients, contacts int, weight float64) (*ProfileShape, error) {
 	if recipients < 2 {
-		return Profile{}, errors.New("population: need at least two recipients")
+		return nil, errors.New("population: need at least two recipients")
 	}
 	if contacts < 1 || contacts > recipients/2 {
-		return Profile{}, fmt.Errorf("population: contacts %d out of range [1, %d]", contacts, recipients/2)
+		return nil, fmt.Errorf("population: contacts %d out of range [1, %d]", contacts, recipients/2)
 	}
 	if !(weight > 0 && weight <= 1) {
-		return Profile{}, errors.New("population: contact weight must be in (0,1]")
+		return nil, errors.New("population: contact weight must be in (0,1]")
 	}
+	cum := make([]float64, contacts)
+	var tot float64
+	for i := range cum {
+		tot += 1 / float64(i+1)
+		cum[i] = tot
+	}
+	for i := range cum {
+		cum[i] /= tot
+	}
+	return &ProfileShape{cum: cum, weight: weight, nrcpt: int32(recipients)}, nil
+}
+
+// NewProfile draws one profile of the shape. The contact set is drawn
+// from rng, so a profile is deterministic from its stream.
+func (s *ProfileShape) NewProfile(rng *xrand.Rand) (Profile, error) {
 	if rng == nil {
 		return Profile{}, errors.New("population: nil rng")
 	}
+	contacts := len(s.cum)
 	cs := make([]int32, 0, contacts)
 	for len(cs) < contacts {
-		c := int32(rng.Intn(recipients))
+		c := int32(rng.Intn(int(s.nrcpt)))
 		dup := false
 		for _, x := range cs {
 			if x == c {
@@ -93,16 +122,7 @@ func NewProfile(recipients, contacts int, weight float64, rng *xrand.Rand) (Prof
 			cs = append(cs, c)
 		}
 	}
-	cum := make([]float64, contacts)
-	var tot float64
-	for i := range cum {
-		tot += 1 / float64(i+1)
-		cum[i] = tot
-	}
-	for i := range cum {
-		cum[i] /= tot
-	}
-	return Profile{contacts: cs, cum: cum, weight: weight, nrcpt: int32(recipients)}, nil
+	return Profile{contacts: cs, cum: s.cum, weight: s.weight, nrcpt: s.nrcpt}, nil
 }
 
 // Draw picks one recipient from the profile using rng.
@@ -150,13 +170,31 @@ type User struct {
 	Presence *traffic.OnOffSchedule
 }
 
-// Builder materializes one user from its index. A builder must be pure:
-// calling it twice with the same index must yield two fresh, identically
-// seeded source stacks (the repository's (seed, class, userID) stream
-// derivation satisfies this by construction). The engine relies on
-// purity twice — cold users are rebuilt on their first send, and
-// checkpoint resume rebuilds every user it restores state into.
-type Builder func(u int) (User, error)
+// Frontier is a cold user's generation cursor: the time of its first
+// arrival, whether that arrival is a cover message, and the user's
+// aggregate send rate (payload plus cover).
+type Frontier struct {
+	T     float64
+	Cover bool
+	Rate  float64
+}
+
+// Builder materializes users from their indices. A builder must be pure:
+// calling Build twice with the same index must yield two fresh,
+// identically seeded source stacks (the repository's (seed, class,
+// userID) stream derivation satisfies this by construction), and
+// Frontier(u) must report, bit for bit, what a fresh Build(u) would
+// yield first: the first arrival of the merged payload+cover stream (a
+// tie going to the payload, as Superpose breaks it) and the sum of the
+// sources' rates in source order, as Superpose.Rate sums them. The
+// engine reads every user's Frontier once at construction and calls
+// Build only when a user first sends, on checkpoint resume, and for the
+// read-only accessors; it checks the rebuilt first arrival against the
+// recorded frontier and fails naming the user when they differ.
+type Builder interface {
+	Build(u int) (User, error)
+	Frontier(u int) (Frontier, error)
+}
 
 // event is one message entering the shared infrastructure.
 type event struct {
@@ -264,12 +302,14 @@ const defaultShardSize = 1024
 
 // NewLazyEngine assembles an engine over n users materialized on demand
 // from a pure Builder. Construction makes one pass over the population
-// (in parallel shards) to validate every user and record its compact
-// frontier — first arrival time, origin, aggregate rate — read straight
-// off the built sources, and then discards them. A user's full state is
-// rebuilt from the builder the first time it sends; users that never
-// send within the observed horizon never hold source state at all, which
-// is what keeps million-user populations resident-memory-cheap.
+// (in parallel shards) that records each user's compact frontier — first
+// arrival time, origin, aggregate rate — from Builder.Frontier, without
+// building any user. A user's full state is built the first time it
+// sends; users that never send within the observed horizon never hold
+// source state at all, which is what keeps million-user populations
+// resident-memory-cheap. Build errors therefore surface when a user
+// warms (from NextRound, or as a panic from the read-only accessors), so
+// a builder should validate its parameters before the engine is made.
 func NewLazyEngine(n, recipients int, build Builder) (*Engine, error) {
 	return newLazyEngine(n, recipients, defaultShardSize, build)
 }
@@ -285,26 +325,22 @@ func newLazyEngine(n, recipients, shardSize int, build Builder) (*Engine, error)
 		return nil, err
 	}
 	e.build = build
-	// Init pass: one parallel sweep over the shards builds each user once,
-	// records its frontier, and drops the materialized state without ever
-	// merging its sources. Per-shard rate partials summed in shard order
-	// keep the aggregate-rate float identical at any worker count.
+	// Init pass: one parallel sweep over the shards records every user's
+	// frontier without building it. Per-shard rate partials summed in
+	// shard order keep the aggregate-rate float identical at any worker
+	// count.
 	nshards := e.numShards()
 	partial := make([]float64, nshards)
 	err = par.MapWorker(nshards, 0, func(_, sh int) error {
 		lo, hi := e.shardRange(sh)
 		var rate float64
 		for u := lo; u < hi; u++ {
-			usr, err := build(u)
+			f, err := build.Frontier(u)
 			if err != nil {
-				return fmt.Errorf("population: build user %d: %w", u, err)
+				return fmt.Errorf("population: frontier of user %d: %w", u, err)
 			}
-			if err := validateUser(&usr, u, recipients); err != nil {
-				return err
-			}
-			var r float64
-			e.nextT[u], e.nextCover[u], r = frontier(&usr)
-			rate += r
+			e.nextT[u], e.nextCover[u] = f.T, f.Cover
+			rate += f.Rate
 		}
 		partial[sh] = rate
 		return nil
@@ -366,31 +402,13 @@ func validateUser(usr *User, u, recipients int) error {
 	return nil
 }
 
-// frontier reads a freshly built user's first arrival and aggregate rate
-// without merging its sources: the first Next of each source, a tie
-// going to the payload (the lower index, as Superpose.NextFrom breaks
-// it), and the sources' rates summed in source order, as Superpose.Rate
-// sums them. The first NextFrom of superposeUser's merge returns the
-// same arrival bit for bit, which is what warmUp replays.
-func frontier(usr *User) (t float64, cover bool, rate float64) {
-	t = usr.Messages.Next()
-	rate += usr.Messages.Rate()
-	if usr.Cover != nil {
-		if tc := usr.Cover.Next(); tc < t {
-			t, cover = tc, true
-		}
-		rate += usr.Cover.Rate()
-	}
-	return t, cover, rate
-}
-
-// superposeUser merges a user's payload and cover sources.
+// superposeUser merges a user's payload and cover sources. Each call
+// site's argument list stays on the stack; NewSuperpose copies it.
 func superposeUser(usr *User) (*traffic.Superpose, error) {
-	srcs := []traffic.Source{usr.Messages}
-	if usr.Cover != nil {
-		srcs = append(srcs, usr.Cover)
+	if usr.Cover == nil {
+		return traffic.NewSuperpose(usr.Messages)
 	}
-	return traffic.NewSuperpose(srcs...)
+	return traffic.NewSuperpose(usr.Messages, usr.Cover)
 }
 
 // numShards returns the shard count of the fixed user partition.
@@ -408,10 +426,13 @@ func (e *Engine) shardRange(sh int) (lo, hi int) {
 	return lo, hi
 }
 
-// warmUp materializes user u: the pure builder recreates its source
-// stack and the superpose replays the one frontier draw construction
-// consumed, so the rebuilt cursor lands exactly on the recorded
-// frontier. Warm users stay warm.
+// warmUp materializes user u: the builder creates its source stack and
+// the superpose replays the first arrival the init pass recorded as the
+// user's frontier, so the built cursor lands exactly on it. A replayed
+// arrival that differs from the frontier means the builder broke its
+// contract (an impure Build, or a Frontier that disagrees with it); that
+// is an error naming the user, never a silent desync. Warm users stay
+// warm.
 func (e *Engine) warmUp(u int) (*userState, error) {
 	if st := e.warm[u]; st != nil {
 		return st, nil
@@ -419,9 +440,9 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	if e.build == nil {
 		return nil, fmt.Errorf("population: user %d has no state and the engine has no builder", u)
 	}
-	usr, err := e.build(u)
+	usr, err := e.build.Build(u)
 	if err != nil {
-		return nil, fmt.Errorf("population: rebuild user %d: %w", u, err)
+		return nil, fmt.Errorf("population: build user %d: %w", u, err)
 	}
 	if err := validateUser(&usr, u, e.nrcpt); err != nil {
 		return nil, err
@@ -430,19 +451,24 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replay the frontier draw: the init pass read (nextT, nextCover) off
-	// the sources' first arrivals (frontier), which is what the first
-	// NextFrom returns; consuming it aligns the fresh stream with the
+	// Replay the frontier draw: a cold user's (nextT, nextCover) is still
+	// the Frontier the init pass recorded, which is what the first
+	// NextFrom must return; consuming it aligns the fresh stream with the
 	// stored frontier.
-	sup.NextFrom()
+	t, src := sup.NextFrom()
+	if cover := src == 1; t != e.nextT[u] || cover != e.nextCover[u] {
+		return nil, fmt.Errorf("population: user %d built with first arrival %v (cover %t) but its frontier is %v (cover %t): the builder is impure or its Frontier disagrees with Build",
+			u, t, cover, e.nextT[u], e.nextCover[u])
+	}
 	st := &userState{usr: usr, sup: sup}
 	e.warm[u] = st
 	return st, nil
 }
 
 // mustUser materializes user u for the read-only accessors. A failure
-// here means the builder is impure (the init pass already built every
-// user once), which no error return can make safe — panic loudly.
+// here means the builder cannot build a user whose frontier it reported,
+// or breaks its purity contract; no error return can make that safe —
+// panic loudly.
 func (e *Engine) mustUser(u int) *userState {
 	st, err := e.warmUp(u)
 	if err != nil {

@@ -57,7 +57,7 @@ func testUsers(t *testing.T, n int, cover bool) ([]User, int) {
 			}
 		}
 		prng := master.Split()
-		prof, err := NewProfile(recipients, 3, 0.7, prng)
+		prof, err := newProfile(recipients, 3, 0.7, prng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func testUsers(t *testing.T, n int, cover bool) ([]User, int) {
 
 func TestProfileDraws(t *testing.T) {
 	rng := xrand.New(42)
-	p, err := NewProfile(50, 4, 0.8, rng)
+	p, err := newProfile(50, 4, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +124,25 @@ func TestProfileValidation(t *testing.T) {
 		{10, 2, 1.1},
 	}
 	for _, c := range cases {
-		if _, err := NewProfile(c.recipients, c.contacts, c.weight, rng); err == nil {
-			t.Errorf("NewProfile(%d, %d, %v) should fail", c.recipients, c.contacts, c.weight)
+		if _, err := NewProfileShape(c.recipients, c.contacts, c.weight); err == nil {
+			t.Errorf("NewProfileShape(%d, %d, %v) should fail", c.recipients, c.contacts, c.weight)
 		}
 	}
-	if _, err := NewProfile(10, 2, 0.5, nil); err == nil {
+	if _, err := newProfile(10, 2, 0.5, nil); err == nil {
 		t.Error("nil rng should fail")
 	}
+	if _, err := newProfile(10, 2, 0.5, rng); err != nil {
+		t.Errorf("valid profile rejected: %v", err)
+	}
+}
+
+// newProfile draws one profile of a freshly validated shape.
+func newProfile(recipients, contacts int, weight float64, rng *xrand.Rand) (Profile, error) {
+	shape, err := NewProfileShape(recipients, contacts, weight)
+	if err != nil {
+		return Profile{}, err
+	}
+	return shape.NewProfile(rng)
 }
 
 // The merged round stream must be identical at any generation width:

@@ -277,7 +277,7 @@ func refUsers(t testing.TB, n, recipients int, cover, churn bool) []User {
 			}
 		}
 		prng := master.Split()
-		prof, err := NewProfile(recipients, 3, 0.7, prng)
+		prof, err := newProfile(recipients, 3, 0.7, prng)
 		if err != nil {
 			t.Fatal(err)
 		}

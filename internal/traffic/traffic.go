@@ -221,6 +221,11 @@ type Superpose struct {
 	// heap's minimum identical to the linear scan's lowest-index-on-tie
 	// selection, so both implementations emit bit-identical streams.
 	heap []int32
+	// pairSrcs and pairNext back srcs and next for merges of up to two
+	// sources (a population user's payload and cover), so building one
+	// takes a single allocation.
+	pairSrcs [2]Source
+	pairNext [2]float64
 }
 
 // superposeLinearMax is the component count up to which the linear
@@ -233,9 +238,13 @@ func NewSuperpose(srcs ...Source) (*Superpose, error) {
 	if len(srcs) == 0 {
 		return nil, errors.New("traffic: Superpose needs at least one source")
 	}
-	s := &Superpose{
-		srcs: append([]Source(nil), srcs...),
-		next: make([]float64, len(srcs)),
+	s := &Superpose{}
+	if len(srcs) <= len(s.pairSrcs) {
+		s.srcs = append(s.pairSrcs[:0], srcs...)
+		s.next = s.pairNext[:len(srcs)]
+	} else {
+		s.srcs = append([]Source(nil), srcs...)
+		s.next = make([]float64, len(srcs))
 	}
 	for i, src := range srcs {
 		if src == nil {

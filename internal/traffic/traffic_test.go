@@ -417,3 +417,20 @@ func TestSuperposeValidation(t *testing.T) {
 		t.Error("nil component should fail")
 	}
 }
+
+// TestSuperposePairAllocs: a merge of one or two sources (a population
+// user's payload and cover) is built in a single allocation.
+func TestSuperposePairAllocs(t *testing.T) {
+	a, _ := NewPoisson(1, xrand.New(1))
+	b, _ := NewPoisson(2, xrand.New(2))
+	for _, srcs := range [][]Source{{a}, {a, b}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := NewSuperpose(srcs...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("NewSuperpose of %d sources allocates %v times, want 1", len(srcs), allocs)
+		}
+	}
+}

@@ -54,6 +54,13 @@ func New(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
+// Seed resets r in place to the stream New(seed) starts. It seeds a
+// generator held by value — several can share one allocation — without
+// allocating another.
+func (r *Rand) Seed(seed uint64) {
+	*r = Rand{state: seed}
+}
+
 // Split derives a new, statistically independent generator from r.
 // The derived stream depends on r's current state, so calling Split
 // repeatedly yields distinct generators.

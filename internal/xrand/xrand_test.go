@@ -282,3 +282,18 @@ func BenchmarkExp(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSeedMatchesNew: Seed resets a used generator, cached normal spare
+// included, to exactly the stream New starts.
+func TestSeedMatchesNew(t *testing.T) {
+	var r Rand
+	r.Seed(5)
+	r.Norm() // leaves a cached spare behind
+	r.Seed(42)
+	ref := New(42)
+	for i := 0; i < 100; i++ {
+		if got, want := r.Norm(), ref.Norm(); got != want {
+			t.Fatalf("draw %d: %v, want %v", i, got, want)
+		}
+	}
+}
