@@ -74,14 +74,15 @@ docs:
 # The golden determinism gate: one small-scale experiment per observation
 # protocol (replica, session, population, cascade, active), plus the
 # population flow-correlation and watermark-defense ablations that drive
-# the shared matching core, committed as text tables. golden-check regenerates them into a scratch directory and
+# the shared matching core and the cross-traffic ablation that trains on
+# continuous exact-router replicas, committed as text tables. golden-check regenerates them into a scratch directory and
 # byte-diffs against the committed copies — the mechanical version of the
 # "prior tables byte-identical" check every PR used to run by hand.
 # After an *intentional* table change, run `make golden` and commit.
 GOLDEN_SCALE = 0.05
 GOLDEN_SEED = 3
 GOLDEN_EXPS = fig4b ext-online ext-disclosure ext-cascade ext-active ext-sda-arms-race \
-	ablation-population-padding ablation-watermark-defenses
+	ablation-population-padding ablation-watermark-defenses ablation-crossmodel
 
 golden:
 	@for e in $(GOLDEN_EXPS); do \
@@ -156,7 +157,10 @@ scale:
 # The stand-alone attacker end to end: padtrace captures training and
 # evaluation traces (20k PIATs each) for both payload classes of the CIT
 # lab system, and advclassify trains on the first pair and classifies the
-# second. Fails unless advclassify exits 0 and reports a detection rate.
+# second with every feature at two window sizes. Fails unless advclassify
+# exits 0 each time and its output matches testdata/trace-smoke.txt byte
+# for byte; after an intentional change, replace that file with the
+# output the failing run prints.
 TRACE_N = 20000
 trace-smoke:
 	@tmp=$$(mktemp -d) || exit 1; \
@@ -166,13 +170,15 @@ trace-smoke:
 		$$tmp/padtrace -class $$c -n $(TRACE_N) -stream 1 -o $$tmp/train-$$c.piat && \
 		$$tmp/padtrace -class $$c -n $(TRACE_N) -stream 2 -o $$tmp/eval-$$c.piat || { rm -rf $$tmp; exit 1; }; \
 	done; \
-	$$tmp/advclassify -train $$tmp/train-0.piat,$$tmp/train-1.piat \
-		-eval $$tmp/eval-0.piat,$$tmp/eval-1.piat -feature entropy -window 200 > $$tmp/out.txt \
-		|| { cat $$tmp/out.txt; rm -rf $$tmp; echo "advclassify failed"; exit 1; }; \
+	for w in 200 1000; do for f in mean variance entropy; do \
+		$$tmp/advclassify -train $$tmp/train-0.piat,$$tmp/train-1.piat \
+			-eval $$tmp/eval-0.piat,$$tmp/eval-1.piat -feature $$f -window $$w >> $$tmp/out.txt \
+			|| { cat $$tmp/out.txt; rm -rf $$tmp; echo "advclassify failed"; exit 1; }; \
+	done; done; \
 	cat $$tmp/out.txt; \
-	grep -q '^detection rate: ' $$tmp/out.txt || { rm -rf $$tmp; \
-		echo "advclassify printed no detection rate"; exit 1; }; \
-	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify ok"
+	diff testdata/trace-smoke.txt $$tmp/out.txt || { rm -rf $$tmp; \
+		echo "advclassify output differs from testdata/trace-smoke.txt"; exit 1; }; \
+	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify byte-identical"
 
 # Everything the CI workflow runs, reproducible locally in one command.
 ci: vet build test race bench-selftest staticcheck docs golden-check resume-check scale-smoke trace-smoke
