@@ -21,7 +21,7 @@ func FuzzTraceRead(f *testing.F) {
 	f.Add("#\n#:\n# :\n0.01\n")
 	f.Add("not-a-float\n")
 	f.Add("0.01\n1e309\n")   // overflows float64
-	f.Add("NaN\n+Inf\n-Inf") // parse as non-finite floats
+	f.Add("NaN\n+Inf\n-Inf") // parse as floats, rejected as PIATs
 	f.Add("0.01\n0x1p-3\n0.01e\n")
 	f.Add(strings.Repeat("9", 400) + "\n")
 	f.Add("# k: v\r\n0.02\r\n") // CR line endings
@@ -40,9 +40,9 @@ func FuzzTraceRead(f *testing.F) {
 }
 
 // FuzzClassifyWindow fuzzes the classification core downstream of the
-// parser with whatever sample values survive parsing (including the
-// non-finite ones ParseFloat accepts): training on a fuzzed trace must
-// error cleanly or classify, never panic.
+// parser with whatever sample values survive parsing (finite,
+// non-negative PIATs, degenerate ones included): training on a fuzzed
+// trace must error cleanly or classify, never panic.
 func FuzzClassifyWindow(f *testing.F) {
 	f.Add("0.010\n0.011\n0.009\n0.012\n0.010\n0.011\n0.009\n0.012\n")
 	f.Add("NaN\nNaN\nNaN\nNaN\n")

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -51,6 +52,9 @@ func Write(w io.Writer, meta map[string]string, piats []float64) error {
 
 // Read parses a trace written by Write. Unknown '#' lines are tolerated
 // (they become metadata with an empty value when they lack a colon).
+// Every sample must be finite and non-negative: a tap's timestamps never
+// decrease, so NaN, an infinity or a negative PIAT is a corrupt trace,
+// reported with its line number.
 func Read(r io.Reader) (map[string]string, []float64, error) {
 	meta := make(map[string]string)
 	var piats []float64
@@ -75,6 +79,9 @@ func Read(r io.Reader) (map[string]string, []float64, error) {
 		x, err := strconv.ParseFloat(line, 64)
 		if err != nil {
 			return nil, nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, nil, fmt.Errorf("trace: line %d: PIAT %v is not finite and non-negative", lineNo, x)
 		}
 		piats = append(piats, x)
 	}

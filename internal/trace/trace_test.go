@@ -79,6 +79,20 @@ func TestReadErrors(t *testing.T) {
 	if _, _, err := Read(strings.NewReader("0.01\nnot-a-number\n")); err == nil {
 		t.Error("garbage line accepted")
 	}
+	// A PIAT is a difference of non-decreasing tap timestamps: finite
+	// and >= 0. Anything else is rejected with its line number.
+	for _, bad := range []string{"NaN", "nan", "+Inf", "Inf", "-Inf", "-1e-6", "-5e-324", "1e309"} {
+		_, _, err := Read(strings.NewReader("# k: v\n0.01\n" + bad + "\n0.02\n"))
+		if err == nil {
+			t.Errorf("PIAT %q accepted", bad)
+		} else if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("PIAT %q: error %q does not name line 3", bad, err)
+		}
+	}
+	// Zero (duplicates, quantized timestamps) and negative zero are valid.
+	if _, piats, err := Read(strings.NewReader("0\n-0\n0.01\n")); err != nil || len(piats) != 3 {
+		t.Errorf("zero PIATs rejected: %v %v", piats, err)
+	}
 }
 
 func TestWriteRejectsInvalidMeta(t *testing.T) {
