@@ -23,8 +23,9 @@ const benchScale = 0.5
 // runFigure executes one experiment per benchmark iteration, logs the
 // table once, and reports the requested (column, row) cells as metrics.
 // Allocation metrics are reported so regressions in the allocation-free
-// attack pipeline (adversary.Features/Evaluate draw and reduce windows
-// with reusable buffers) are visible in plain benchmark output.
+// attack pipeline (adversary.FeatureMatrix reduces windows through
+// per-worker reusable MultiPipelines) are visible in plain benchmark
+// output.
 func runFigure(b *testing.B, id string, metrics map[string][2]string) {
 	b.Helper()
 	b.ReportAllocs()

@@ -32,22 +32,6 @@ func main() {
 	}
 }
 
-// sliceSource replays a PIAT slice, erroring out via panic-free saturation
-// at the end (callers size their reads to the data).
-type sliceSource struct {
-	xs []float64
-	i  int
-}
-
-func (s *sliceSource) Next() float64 {
-	if s.i >= len(s.xs) {
-		return s.xs[len(s.xs)-1]
-	}
-	x := s.xs[s.i]
-	s.i++
-	return x
-}
-
 func parseFeature(name string) (analytic.Feature, error) {
 	switch name {
 	case "mean":
@@ -111,7 +95,7 @@ func classify(w io.Writer, opts options) error {
 	}
 
 	labels := make([]string, len(opts.trainPaths))
-	sources := make([]adversary.PIATSource, len(opts.trainPaths))
+	train := make([][]float64, len(opts.trainPaths))
 	minWindows := int(^uint(0) >> 1)
 	for i, p := range opts.trainPaths {
 		meta, piats, err := trace.ReadFile(p)
@@ -122,7 +106,7 @@ func classify(w io.Writer, opts options) error {
 		if labels[i] == "" {
 			labels[i] = fmt.Sprintf("class%d", i)
 		}
-		sources[i] = &sliceSource{xs: piats}
+		train[i] = piats
 		if w := len(piats) / opts.window; w < minWindows {
 			minWindows = w
 		}
@@ -131,40 +115,44 @@ func classify(w io.Writer, opts options) error {
 		return fmt.Errorf("training traces too short for window size %d", opts.window)
 	}
 
-	ext := adversary.Extractor{Feature: opts.feature, EntropyBinWidth: opts.binWidth}
-	att, err := adversary.Train(adversary.TrainConfig{
-		Extractor:       ext,
-		WindowSize:      opts.window,
-		WindowsPerClass: minWindows,
-	}, labels, sources)
+	// Training and evaluation reduce consecutive windows of each trace
+	// through the same streaming pipeline.
+	exts := []adversary.Extractor{{Feature: opts.feature, EntropyBinWidth: opts.binWidth}}
+	features := func(piats []float64, windows int) ([][]float64, error) {
+		replay := func(int) (adversary.PIATSource, error) { return adversary.NewReplay(piats), nil }
+		return adversary.SessionFeatureMatrix(replay, exts, 1, windows, opts.window, 1)
+	}
+	mats := make([][][]float64, len(train))
+	for i, piats := range train {
+		mat, err := features(piats, minWindows)
+		if err != nil {
+			return err
+		}
+		mats[i] = mat
+	}
+	cls, err := adversary.Fit(labels, mats, false)
 	if err != nil {
 		return err
 	}
 
-	// Evaluation reduces each window through the same streaming pipeline
-	// that training used, then applies the trained Bayes rule.
-	pipe, err := adversary.NewPipeline(ext)
-	if err != nil {
-		return err
-	}
-	cls := att.Classifier()
 	cm := bayes.NewConfusion(labels)
+	var preds []int
 	for class, p := range opts.evalPaths {
 		_, piats, err := trace.ReadFile(p)
 		if err != nil {
 			return fmt.Errorf("evaluation trace %s: %w", p, err)
 		}
-		src := &sliceSource{xs: piats}
 		windows := len(piats) / opts.window
 		if windows == 0 {
 			return fmt.Errorf("evaluation trace %s shorter than one window", p)
 		}
-		for w := 0; w < windows; w++ {
-			f, err := pipe.ExtractFrom(src, opts.window)
-			if err != nil {
-				return err
-			}
-			cm.Add(class, cls.Classify(f))
+		mat, err := features(piats, windows)
+		if err != nil {
+			return err
+		}
+		preds = cls[0].ClassifyBatch(mat[0], preds)
+		for _, pred := range preds {
+			cm.Add(class, pred)
 		}
 	}
 	fmt.Fprintf(w, "feature: %s  window: %d  training windows/class: %d\n",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -30,17 +31,6 @@ func TestParseFeature(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("parseFeature(%q) accepted", c.name)
-		}
-	}
-}
-
-// The slice source replays its data and saturates at the end instead of
-// panicking (callers size reads to the trace length).
-func TestSliceSource(t *testing.T) {
-	s := &sliceSource{xs: []float64{1, 2, 3}}
-	for i, want := range []float64{1, 2, 3, 3, 3} {
-		if got := s.Next(); got != want {
-			t.Fatalf("Next %d = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -150,6 +140,26 @@ func TestClassifyValidation(t *testing.T) {
 		window:     window,
 	}); err == nil {
 		t.Error("missing training trace accepted")
+	}
+	// A NaN or negative PIAT is a corrupt trace, not a window that
+	// silently classifies as class 0.
+	_, piats, err := trace.ReadFile(low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), -0.01} {
+		bad := filepath.Join(dir, "bad.piat")
+		if err := trace.WriteFile(bad, nil, append([]float64{x}, piats[1:]...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := classify(&strings.Builder{}, options{
+			trainPaths: []string{low, high},
+			evalPaths:  []string{bad, high},
+			feature:    analytic.FeatureVariance,
+			window:     window,
+		}); err == nil {
+			t.Errorf("evaluation trace with a %v PIAT accepted", x)
+		}
 	}
 }
 

@@ -6,22 +6,25 @@
 // samples with the Bayes rule. Detection rates are estimated by Monte
 // Carlo over fresh evaluation windows.
 //
+// Every attack takes the same path: MultiPipeline reduces windows,
+// SessionFeatureMatrix (or its one-window-per-replica form,
+// FeatureMatrix) collects a class's [extractor][window] matrix, Fit
+// trains one classifier per extractor, and the run-time windows are
+// scored with ClassifyBatch.
+//
 // Determinism contract: extractors are pure reductions — all randomness
 // lives in the PIAT sources the caller supplies — and the parallel
-// training/evaluation helpers (FeatureMatrix, SessionFeatureMatrix)
-// assign each window or session its own pre-seeded source, so matrices
-// are byte-identical at any worker count.
+// matrix drivers assign each replica or session its own pre-seeded
+// source, so matrices are byte-identical at any worker count.
 //
 // Allocation discipline: the hot path is allocation-free in steady
 // state. MultiPipeline reduces one simulated window through every
 // extractor in a single streaming pass (Welford moments, a reusable
-// dense histogram, quickselect quantiles), and Evaluate reuses
-// per-worker window buffers across trials.
+// dense histogram, quickselect quantiles) and is reused per worker.
 package adversary
 
 import (
 	"errors"
-	"fmt"
 
 	"linkpad/internal/analytic"
 	"linkpad/internal/bayes"
@@ -56,150 +59,36 @@ func (e Extractor) binWidth() float64 {
 	return DefaultEntropyBinWidth
 }
 
-// Features reads `windows` consecutive windows of size n from src and
-// returns their feature values. Each window is reduced in one streaming
-// pass through a reusable Pipeline, so beyond the returned slice the
-// steady state allocates nothing per window.
-func Features(src PIATSource, e Extractor, windows, n int) ([]float64, error) {
-	if windows <= 0 || n < 2 {
-		return nil, errors.New("adversary: need windows > 0 and n >= 2")
+// Fit runs the off-line phase on extracted training features: mats[c]
+// is class c's [extractor][window] matrix, as SessionFeatureMatrix
+// returns it, and Fit returns one classifier per extractor with equal
+// priors. The class-conditional densities are the paper's Gaussian KDE,
+// or a parametric normal fit when gaussian is set (ablation).
+func Fit(labels []string, mats [][][]float64, gaussian bool) ([]*bayes.Classifier, error) {
+	if len(mats) != len(labels) || len(mats) < 2 {
+		return nil, errors.New("adversary: need one feature matrix per class and at least two classes")
 	}
-	p, err := NewPipeline(e)
-	if err != nil {
-		return nil, err
+	for _, mat := range mats {
+		if len(mat) != len(mats[0]) {
+			return nil, errors.New("adversary: classes have different extractor counts")
+		}
 	}
-	out := make([]float64, windows)
-	for i := range out {
-		f, err := p.ExtractFrom(src, n)
-		if err != nil {
+	train := bayes.TrainKDE
+	if gaussian {
+		train = bayes.TrainGaussian
+	}
+	cls := make([]*bayes.Classifier, len(mats[0]))
+	for fi := range cls {
+		perClass := make([][]float64, len(mats))
+		for c, mat := range mats {
+			perClass[c] = mat[fi]
+		}
+		var err error
+		if cls[fi], err = train(labels, perClass, nil); err != nil {
 			return nil, err
 		}
-		out[i] = f
 	}
-	return out, nil
-}
-
-// TrainConfig describes the off-line training phase.
-type TrainConfig struct {
-	// Extractor selects the feature statistic.
-	Extractor Extractor
-	// WindowSize is the run-time sample size n.
-	WindowSize int
-	// WindowsPerClass is the number of training windows collected per
-	// class.
-	WindowsPerClass int
-	// GaussianFit selects a parametric normal fit of the feature
-	// densities instead of the paper's Gaussian KDE (ablation).
-	GaussianFit bool
-	// Priors are the a-priori class probabilities; nil means equal.
-	Priors []float64
-}
-
-// Validate checks the configuration.
-func (c TrainConfig) Validate() error {
-	if c.WindowSize < 2 {
-		return errors.New("adversary: window size must be at least 2")
-	}
-	if c.WindowsPerClass < 2 {
-		return errors.New("adversary: need at least two training windows per class")
-	}
-	return nil
-}
-
-// Attacker is a trained adversary ready for run-time classification.
-type Attacker struct {
-	classifier *bayes.Classifier
-	extractor  Extractor
-	windowSize int
-	labels     []string
-	// TrainFeatures keeps the per-class training feature samples for
-	// diagnostics (e.g. measuring the empirical variance ratio).
-	TrainFeatures [][]float64
-}
-
-// Train runs the off-line phase: for each class it draws training windows
-// from that class's PIAT source, extracts features, and fits the
-// class-conditional densities.
-func Train(cfg TrainConfig, labels []string, sources []PIATSource) (*Attacker, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(labels) != len(sources) {
-		return nil, errors.New("adversary: labels/sources length mismatch")
-	}
-	if len(labels) < 2 {
-		return nil, errors.New("adversary: need at least two classes")
-	}
-	features := make([][]float64, len(labels))
-	for i, src := range sources {
-		if src == nil {
-			return nil, fmt.Errorf("adversary: nil source for class %q", labels[i])
-		}
-		f, err := Features(src, cfg.Extractor, cfg.WindowsPerClass, cfg.WindowSize)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: class %q: %w", labels[i], err)
-		}
-		features[i] = f
-	}
-	var cls *bayes.Classifier
-	var err error
-	if cfg.GaussianFit {
-		cls, err = bayes.TrainGaussian(labels, features, cfg.Priors)
-	} else {
-		cls, err = bayes.TrainKDE(labels, features, cfg.Priors)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Attacker{
-		classifier:    cls,
-		extractor:     cfg.Extractor,
-		windowSize:    cfg.WindowSize,
-		labels:        append([]string(nil), labels...),
-		TrainFeatures: features,
-	}, nil
-}
-
-// Classifier exposes the underlying Bayes classifier.
-func (a *Attacker) Classifier() *bayes.Classifier { return a.classifier }
-
-// Evaluate estimates the detection rate by classifying windowsPerClass
-// fresh windows from each class source (which must be independent of the
-// training streams, mirroring the paper's off-line/run-time split).
-// Windows are reduced through a reusable streaming pipeline — zero
-// allocations per window — and each class's feature batch is scored with
-// one ClassifyBatch call.
-func (a *Attacker) Evaluate(sources []PIATSource, windowsPerClass int) (*bayes.Confusion, error) {
-	if len(sources) != len(a.labels) {
-		return nil, errors.New("adversary: evaluation sources do not match training classes")
-	}
-	if windowsPerClass <= 0 {
-		return nil, errors.New("adversary: need at least one evaluation window per class")
-	}
-	p, err := NewPipeline(a.extractor)
-	if err != nil {
-		return nil, err
-	}
-	cm := bayes.NewConfusion(a.labels)
-	feats := make([]float64, windowsPerClass)
-	var preds []int
-	for class, src := range sources {
-		if src == nil {
-			return nil, fmt.Errorf("adversary: nil evaluation source for class %q", a.labels[class])
-		}
-		for w := range feats {
-			f, err := p.ExtractFrom(src, a.windowSize)
-			if err != nil {
-				return nil, err
-			}
-			feats[w] = f
-		}
-		preds = a.classifier.ClassifyBatch(feats, preds)
-		for _, pred := range preds {
-			cm.Add(class, pred)
-		}
-	}
-	return cm, nil
+	return cls, nil
 }
 
 // EmpiricalR estimates the paper's variance ratio r = σ_h²/σ_l² from raw

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"linkpad/internal/analytic"
+	"linkpad/internal/bayes"
 	"linkpad/internal/stats"
 	"linkpad/internal/xrand"
 )
@@ -105,80 +106,109 @@ func TestExtractorErrors(t *testing.T) {
 	}
 }
 
+// Consecutive ExtractFrom calls on one source reduce consecutive windows
+// of it: nothing is skipped or re-read between windows.
 func TestFeaturesConsumesSequentially(t *testing.T) {
 	i := 0.0
 	src := funcSource(func() float64 { i++; return i })
-	fs, err := Features(src, Extractor{Feature: analytic.FeatureMean}, 3, 4)
+	mp, err := NewMultiPipeline([]Extractor{{Feature: analytic.FeatureMean}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{2.5, 6.5, 10.5}
-	for k := range want {
-		if math.Abs(fs[k]-want[k]) > 1e-12 {
-			t.Fatalf("features = %v, want %v", fs, want)
+	out := make([]float64, 1)
+	for k, want := range []float64{2.5, 6.5, 10.5} {
+		if err := mp.ExtractFrom(src, 4, out); err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(out[0]-want) > 1e-12 {
+			t.Fatalf("window %d mean = %v, want %v", k, out[0], want)
 		}
 	}
-	if _, err := Features(src, Extractor{}, 0, 4); err == nil {
-		t.Error("zero windows should fail")
-	}
-	if _, err := Features(src, Extractor{}, 1, 1); err == nil {
+	if err := mp.ExtractFrom(src, 1, out); err == nil {
 		t.Error("n=1 should fail")
 	}
 }
 
+// classMats reduces `windows` consecutive windows of size n from each
+// class source to that class's [extractor][window] matrix.
+func classMats(t testing.TB, exts []Extractor, windows, n int, srcs ...PIATSource) [][][]float64 {
+	t.Helper()
+	mats := make([][][]float64, len(srcs))
+	for c, src := range srcs {
+		mat, err := SessionFeatureMatrix(func(int) (PIATSource, error) { return src, nil }, exts, 1, windows, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mats[c] = mat
+	}
+	return mats
+}
+
+// detection fits one feature on the training sources and returns the
+// detection rate over `windows` fresh windows per evaluation source.
+func detection(t testing.TB, f analytic.Feature, n, windows int, gaussian bool, train, eval []PIATSource) float64 {
+	t.Helper()
+	exts := []Extractor{{Feature: f}}
+	labels := []string{"low", "high"}
+	cls, err := Fit(labels, classMats(t, exts, windows, n, train...), gaussian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cls) != 1 {
+		t.Fatalf("Fit returned %d classifiers for one extractor", len(cls))
+	}
+	cm := bayes.NewConfusion(labels)
+	var preds []int
+	for c, mat := range classMats(t, exts, windows, n, eval...) {
+		preds = cls[0].ClassifyBatch(mat[0], preds)
+		for _, pred := range preds {
+			cm.Add(c, pred)
+		}
+	}
+	return cm.DetectionRate()
+}
+
 func TestTrainValidation(t *testing.T) {
-	cfg := TrainConfig{Extractor: Extractor{Feature: analytic.FeatureVariance}, WindowSize: 10, WindowsPerClass: 10}
-	srcs := []PIATSource{gaussSource(1, 0.01, 1e-6), gaussSource(2, 0.01, 2e-6)}
-	if _, err := Train(TrainConfig{WindowSize: 1, WindowsPerClass: 10}, []string{"a", "b"}, srcs); err == nil {
-		t.Error("bad window size")
+	exts := []Extractor{{Feature: analytic.FeatureVariance}}
+	mats := classMats(t, exts, 10, 10, gaussSource(1, 0.01, 1e-6), gaussSource(2, 0.01, 2e-6))
+	if _, err := Fit([]string{"a", "b"}, mats, false); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Train(TrainConfig{WindowSize: 10, WindowsPerClass: 1}, []string{"a", "b"}, srcs); err == nil {
-		t.Error("bad windows per class")
+	if _, err := Fit([]string{"a", "b", "c"}, mats, false); err == nil {
+		t.Error("mismatched class counts should fail")
 	}
-	if _, err := Train(cfg, []string{"a"}, srcs[:1]); err == nil {
+	if _, err := Fit([]string{"a"}, mats[:1], false); err == nil {
 		t.Error("one class should fail")
 	}
-	if _, err := Train(cfg, []string{"a", "b"}, srcs[:1]); err == nil {
-		t.Error("mismatched lengths should fail")
+	if _, err := Fit(nil, nil, false); err == nil {
+		t.Error("no classes should fail")
 	}
-	if _, err := Train(cfg, []string{"a", "b"}, []PIATSource{srcs[0], nil}); err == nil {
-		t.Error("nil source should fail")
+	two := classMats(t, append(exts, Extractor{Feature: analytic.FeatureMean}), 10, 10,
+		gaussSource(3, 0.01, 1e-6))
+	if _, err := Fit([]string{"a", "b"}, [][][]float64{mats[0], two[0]}, false); err == nil {
+		t.Error("mismatched extractor counts should fail")
+	}
+	short := [][][]float64{{mats[0][0][:1]}, mats[1]}
+	for _, gaussian := range []bool{false, true} {
+		if _, err := Fit([]string{"a", "b"}, short, gaussian); err == nil {
+			t.Errorf("gaussian=%v: one training window should fail", gaussian)
+		}
 	}
 }
 
 // Two classes with clearly different PIAT variances: the variance-feature
 // attack should detect nearly perfectly; identical classes give ~0.5.
 func TestTrainEvaluateSeparatedAndIdentical(t *testing.T) {
-	cfg := TrainConfig{
-		Extractor:       Extractor{Feature: analytic.FeatureVariance},
-		WindowSize:      200,
-		WindowsPerClass: 150,
-	}
-	sep, err := Train(cfg, []string{"low", "high"},
-		[]PIATSource{gaussSource(10, 0.01, 2e-6), gaussSource(11, 0.01, 4e-6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := sep.Evaluate(
-		[]PIATSource{gaussSource(12, 0.01, 2e-6), gaussSource(13, 0.01, 4e-6)}, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := cm.DetectionRate(); v < 0.95 {
+	v := detection(t, analytic.FeatureVariance, 200, 150, false,
+		[]PIATSource{gaussSource(10, 0.01, 2e-6), gaussSource(11, 0.01, 4e-6)},
+		[]PIATSource{gaussSource(12, 0.01, 2e-6), gaussSource(13, 0.01, 4e-6)})
+	if v < 0.95 {
 		t.Errorf("separated detection = %v, want > 0.95", v)
 	}
-
-	same, err := Train(cfg, []string{"a", "b"},
-		[]PIATSource{gaussSource(20, 0.01, 3e-6), gaussSource(21, 0.01, 3e-6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err = same.Evaluate(
-		[]PIATSource{gaussSource(22, 0.01, 3e-6), gaussSource(23, 0.01, 3e-6)}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := cm.DetectionRate(); math.Abs(v-0.5) > 0.08 {
+	v = detection(t, analytic.FeatureVariance, 200, 200, false,
+		[]PIATSource{gaussSource(20, 0.01, 3e-6), gaussSource(21, 0.01, 3e-6)},
+		[]PIATSource{gaussSource(22, 0.01, 3e-6), gaussSource(23, 0.01, 3e-6)})
+	if math.Abs(v-0.5) > 0.08 {
 		t.Errorf("identical-class detection = %v, want ~0.5", v)
 	}
 }
@@ -186,95 +216,53 @@ func TestTrainEvaluateSeparatedAndIdentical(t *testing.T) {
 // The mean feature cannot separate equal-mean classes regardless of their
 // variance ratio — Theorem 1's point at the feature level.
 func TestMeanFeatureFailsOnEqualMeans(t *testing.T) {
-	cfg := TrainConfig{
-		Extractor:       Extractor{Feature: analytic.FeatureMean},
-		WindowSize:      500,
-		WindowsPerClass: 150,
-	}
-	a, err := Train(cfg, []string{"low", "high"},
-		[]PIATSource{gaussSource(30, 0.01, 2e-6), gaussSource(31, 0.01, 4e-6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := a.Evaluate(
-		[]PIATSource{gaussSource(32, 0.01, 2e-6), gaussSource(33, 0.01, 4e-6)}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := detection(t, analytic.FeatureMean, 500, 150, false,
+		[]PIATSource{gaussSource(30, 0.01, 2e-6), gaussSource(31, 0.01, 4e-6)},
+		[]PIATSource{gaussSource(32, 0.01, 2e-6), gaussSource(33, 0.01, 4e-6)})
 	// i.i.d. Gaussian PIATs: sample-mean ratio keeps r, detection ~0.58
 	// per the exact Theorem 1 value at r=4 (0.69); allow the whole
 	// sub-random-guessing band up to well below variance's performance.
-	if v := cm.DetectionRate(); v > 0.8 {
+	if v > 0.8 {
 		t.Errorf("mean-feature detection = %v, should stay far below variance's ~1.0", v)
 	}
 }
 
 func TestGaussianFitPath(t *testing.T) {
-	cfg := TrainConfig{
-		Extractor:       Extractor{Feature: analytic.FeatureVariance},
-		WindowSize:      200,
-		WindowsPerClass: 100,
-		GaussianFit:     true,
-	}
-	a, err := Train(cfg, []string{"low", "high"},
-		[]PIATSource{gaussSource(40, 0.01, 2e-6), gaussSource(41, 0.01, 4e-6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := a.Evaluate(
-		[]PIATSource{gaussSource(42, 0.01, 2e-6), gaussSource(43, 0.01, 4e-6)}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := cm.DetectionRate(); v < 0.9 {
+	v := detection(t, analytic.FeatureVariance, 200, 100, true,
+		[]PIATSource{gaussSource(40, 0.01, 2e-6), gaussSource(41, 0.01, 4e-6)},
+		[]PIATSource{gaussSource(42, 0.01, 2e-6), gaussSource(43, 0.01, 4e-6)})
+	if v < 0.9 {
 		t.Errorf("gaussian-fit detection = %v", v)
 	}
 }
 
-func TestEvaluateErrors(t *testing.T) {
-	cfg := TrainConfig{Extractor: Extractor{Feature: analytic.FeatureVariance}, WindowSize: 50, WindowsPerClass: 20}
-	a, err := Train(cfg, []string{"low", "high"},
-		[]PIATSource{gaussSource(50, 0.01, 2e-6), gaussSource(51, 0.01, 4e-6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Evaluate([]PIATSource{gaussSource(1, 0.01, 1e-6)}, 10); err == nil {
-		t.Error("wrong class count should fail")
-	}
-	if _, err := a.Evaluate([]PIATSource{gaussSource(1, 0.01, 1e-6), nil}, 10); err == nil {
-		t.Error("nil source should fail")
-	}
-	if _, err := a.Evaluate([]PIATSource{gaussSource(1, 0.01, 1e-6), gaussSource(2, 0.01, 1e-6)}, 0); err == nil {
-		t.Error("zero windows should fail")
-	}
-}
-
 func TestClassifyWindowDirect(t *testing.T) {
-	cfg := TrainConfig{Extractor: Extractor{Feature: analytic.FeatureVariance}, WindowSize: 100, WindowsPerClass: 80}
-	a, err := Train(cfg, []string{"low", "high"},
-		[]PIATSource{gaussSource(60, 0.01, 2e-6), gaussSource(61, 0.01, 6e-6)})
+	exts := []Extractor{{Feature: analytic.FeatureVariance}}
+	const n = 100
+	cls, err := Fit([]string{"low", "high"},
+		classMats(t, exts, 80, n, gaussSource(60, 0.01, 2e-6), gaussSource(61, 0.01, 6e-6)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One window at a time, the way cmd/advclassify evaluates traces:
-	// extract through a pipeline, then apply the trained Bayes rule.
-	p, err := NewPipeline(cfg.Extractor)
+	// One window at a time: extract through a pipeline, then apply the
+	// trained Bayes rule.
+	mp, err := NewMultiPipeline(exts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]float64, 1)
 	classify := func(src PIATSource) int {
-		f, err := p.ExtractFrom(src, cfg.WindowSize)
-		if err != nil {
+		if err := mp.ExtractFrom(src, n, out); err != nil {
 			t.Fatal(err)
 		}
-		return a.Classifier().Classify(f)
+		return cls[0].Classify(out[0])
 	}
 	cl := classify(gaussSource(62, 0.01, 2e-6))
 	ch := classify(gaussSource(63, 0.01, 6e-6))
 	if cl != 0 || ch != 1 {
 		t.Errorf("classified %d/%d, want 0/1", cl, ch)
 	}
-	if a.Classifier().Label(0) != "low" {
+	if cls[0].Label(0) != "low" || cls[0].Label(1) != "high" {
 		t.Error("labels lost")
 	}
 }
@@ -298,18 +286,8 @@ func TestEmpiricalR(t *testing.T) {
 
 func BenchmarkTrainEvaluateVariance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := TrainConfig{
-			Extractor:       Extractor{Feature: analytic.FeatureVariance},
-			WindowSize:      100,
-			WindowsPerClass: 50,
-		}
-		a, err := Train(cfg, []string{"low", "high"},
-			[]PIATSource{gaussSource(1, 0.01, 2e-6), gaussSource(2, 0.01, 4e-6)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := a.Evaluate([]PIATSource{gaussSource(3, 0.01, 2e-6), gaussSource(4, 0.01, 4e-6)}, 50); err != nil {
-			b.Fatal(err)
-		}
+		detection(b, analytic.FeatureVariance, 100, 50, false,
+			[]PIATSource{gaussSource(1, 0.01, 2e-6), gaussSource(2, 0.01, 4e-6)},
+			[]PIATSource{gaussSource(3, 0.01, 2e-6), gaussSource(4, 0.01, 4e-6)})
 	}
 }

@@ -48,108 +48,15 @@ func chunkLen(n int) int {
 	return min(n, slab.DefaultLen)
 }
 
-// Pipeline is a reusable feature-extraction engine for one Extractor: the
-// window buffer, the entropy histogram and the quantile scratch space are
-// allocated once and reused, so steady-state extraction of a window
-// performs no allocation. A Pipeline is not safe for concurrent use;
-// create one per goroutine.
-type Pipeline struct {
-	ext  Extractor
-	hist *stats.StreamHist // entropy feature only
-	buf  []float64         // window buffer / quickselect scratch
-}
-
-// NewPipeline creates a pipeline for the extractor.
-func NewPipeline(e Extractor) (*Pipeline, error) {
-	p := &Pipeline{ext: e}
-	if e.Feature == analytic.FeatureEntropy {
-		h, err := stats.NewStreamHist(e.binWidth())
-		if err != nil {
-			return nil, err
-		}
-		p.hist = h
-	}
-	return p, nil
-}
-
-// ExtractFrom reads one window of n PIATs from src and reduces it in a
-// single streaming pass: mean and variance through a one-pass accumulator
-// and entropy through the reusable histogram, with the raw window
-// buffered only when the feature (IQR) needs order statistics. PIATs are
-// pulled a slab at a time when the source supports batching; the
-// accumulators consume the slab in stream order, so the result is
-// identical to the per-packet pull.
-func (p *Pipeline) ExtractFrom(src PIATSource, n int) (float64, error) {
-	if n < 2 {
-		return 0, errors.New("adversary: window must hold at least two PIATs")
-	}
-	obs.Count(obs.AdvWindow, 1)
-	switch p.ext.Feature {
-	case analytic.FeatureMean, analytic.FeatureVariance:
-		var m stats.Moments
-		p.window(chunkLen(n))
-		for done := 0; done < n; {
-			k := min(len(p.buf), n-done)
-			fillPIATs(src, p.buf[:k])
-			m.AddAll(p.buf[:k])
-			done += k
-		}
-		if p.ext.Feature == analytic.FeatureMean {
-			return m.Mean(), nil
-		}
-		return m.Variance(), nil
-	case analytic.FeatureEntropy:
-		p.hist.Reset()
-		p.window(chunkLen(n))
-		for done := 0; done < n; {
-			k := min(len(p.buf), n-done)
-			fillPIATs(src, p.buf[:k])
-			p.hist.AddAll(p.buf[:k])
-			done += k
-		}
-		return p.hist.Entropy(), nil
-	case analytic.FeatureIQR:
-		p.window(n)
-		for done := 0; done < n; {
-			k := min(chunkLen(n), n-done)
-			fillPIATs(src, p.buf[done:done+k])
-			done += k
-		}
-		return p.iqrInPlace(n)
-	default:
-		return 0, fmt.Errorf("adversary: unknown feature %v", p.ext.Feature)
-	}
-}
-
-// window sizes the reusable buffer to n.
-func (p *Pipeline) window(n int) {
-	if cap(p.buf) < n {
-		p.buf = make([]float64, n)
-	}
-	p.buf = p.buf[:n]
-}
-
-// iqrInPlace computes Q3−Q1 of the buffered window with in-place
-// quickselect; the buffer is permuted but its multiset is preserved, so
-// the second selection stays correct.
-func (p *Pipeline) iqrInPlace(n int) (float64, error) {
-	q1, err := stats.QuantileInPlace(p.buf[:n], 0.25)
-	if err != nil {
-		return 0, err
-	}
-	q3, err := stats.QuantileInPlace(p.buf[:n], 0.75)
-	if err != nil {
-		return 0, err
-	}
-	return q3 - q1, nil
-}
-
-// MultiPipeline extracts several feature statistics from the same window
-// in one streaming pass over the PIATs: the window is generated once and
-// every extractor's accumulator consumes it simultaneously. This is the
-// heart of the batched Monte Carlo attack pipeline — the padded-stream
-// simulation dominates the attack cost, so multi-feature experiments
-// must not regenerate the stream per feature.
+// MultiPipeline extracts one or several feature statistics from the same
+// window in one streaming pass over the PIATs: the window is generated
+// once and every extractor's accumulator consumes it simultaneously. This
+// is the heart of the batched Monte Carlo attack pipeline — the
+// padded-stream simulation dominates the attack cost, so multi-feature
+// experiments must not regenerate the stream per feature. The window
+// buffer and histograms are allocated once and reused, and consecutive
+// ExtractFrom calls on one source read consecutive windows of it. A
+// MultiPipeline is not safe for concurrent use; create one per goroutine.
 type MultiPipeline struct {
 	exts    []Extractor
 	hists   []*stats.StreamHist // parallel to exts; nil unless entropy
@@ -256,23 +163,38 @@ func (m *MultiPipeline) ExtractFrom(src PIATSource, n int, out []float64) error 
 	return nil
 }
 
-// SourceFactory builds the independent PIAT source replica for one trial
-// window. Giving every window its own deterministic source is what makes
-// trial-level parallelism reproducible: the feature of window w depends
-// only on w's seed, never on which worker ran it or in what order.
-type SourceFactory func(window int) (PIATSource, error)
+// SourceFactory builds the PIAT source of one replica or session index:
+// a fresh, deterministic realization of the system, already warmed past
+// its transient if the protocol calls for warm-up. Giving every index its
+// own seeded source is what makes parallel extraction reproducible — the
+// features of index i depend only on i, never on which worker ran it or
+// in what order.
+type SourceFactory func(i int) (PIATSource, error)
 
-// FeatureMatrix draws `windows` independent windows of size n from the
-// factory and reduces each one through every extractor in a single pass,
-// on up to `workers` goroutines (values < 1 mean all CPUs). The result is
-// indexed [extractor][window] and is identical for any worker count.
+// FeatureMatrix is the independent-replica protocol: window w is the
+// first window of size n of its own source, so it is SessionFeatureMatrix
+// with one window per session. The result is indexed [extractor][window]
+// and is identical for any worker count (values < 1 mean all CPUs).
 func FeatureMatrix(factory SourceFactory, exts []Extractor, windows, n, workers int) ([][]float64, error) {
-	if windows <= 0 || n < 2 {
-		return nil, errors.New("adversary: need windows > 0 and n >= 2")
+	return SessionFeatureMatrix(factory, exts, windows, 1, n, workers)
+}
+
+// SessionFeatureMatrix draws windowsPerSession *consecutive* windows of
+// size n from each of `sessions` continuous streams (the paper's
+// observation protocol) and reduces every window through every extractor
+// in one streaming pass. Sessions run on up to `workers` goroutines
+// (values < 1 mean all CPUs), one reusable MultiPipeline each; windows
+// within a session stay sequential because they share carried stream
+// state. The result is indexed
+// [extractor][session*windowsPerSession + window] and is identical for
+// any worker count.
+func SessionFeatureMatrix(factory SourceFactory, exts []Extractor, sessions, windowsPerSession, n, workers int) ([][]float64, error) {
+	if sessions <= 0 || windowsPerSession <= 0 || n < 2 {
+		return nil, errors.New("adversary: need sessions > 0, windowsPerSession > 0 and n >= 2")
 	}
 	workers = par.Workers(workers)
-	if workers > windows {
-		workers = windows
+	if workers > sessions {
+		workers = sessions
 	}
 	pipes := make([]*MultiPipeline, workers)
 	outs := make([][]float64, workers)
@@ -284,22 +206,25 @@ func FeatureMatrix(factory SourceFactory, exts []Extractor, windows, n, workers 
 		pipes[i] = mp
 		outs[i] = make([]float64, len(exts))
 	}
+	total := sessions * windowsPerSession
 	mat := make([][]float64, len(exts))
-	flat := make([]float64, len(exts)*windows)
+	flat := make([]float64, len(exts)*total)
 	for i := range mat {
-		mat[i] = flat[i*windows : (i+1)*windows : (i+1)*windows]
+		mat[i] = flat[i*total : (i+1)*total : (i+1)*total]
 	}
-	err := par.MapWorker(windows, workers, func(worker, w int) error {
-		src, err := factory(w)
+	err := par.MapWorker(sessions, workers, func(worker, s int) error {
+		src, err := factory(s)
 		if err != nil {
 			return err
 		}
 		out := outs[worker]
-		if err := pipes[worker].ExtractFrom(src, n, out); err != nil {
-			return err
-		}
-		for i := range exts {
-			mat[i][w] = out[i]
+		for w := 0; w < windowsPerSession; w++ {
+			if err := pipes[worker].ExtractFrom(src, n, out); err != nil {
+				return err
+			}
+			for i := range exts {
+				mat[i][s*windowsPerSession+w] = out[i]
+			}
 		}
 		return nil
 	})

@@ -46,13 +46,14 @@ func (e Extractor) Extract(window []float64) (float64, error) {
 	}
 }
 
-// The streaming pipeline must reproduce the reference Extractor.Extract
-// to 1e-12 relative for every feature.
+// A single-extractor pipeline must reproduce the reference
+// Extractor.Extract to 1e-12 relative for every feature.
 func TestPipelineMatchesReferenceExtract(t *testing.T) {
 	r := xrand.New(101)
+	out := make([]float64, 1)
 	for _, f := range allFeatures {
 		e := Extractor{Feature: f}
-		p, err := NewPipeline(e)
+		p, err := NewMultiPipeline([]Extractor{e})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,12 +68,11 @@ func TestPipelineMatchesReferenceExtract(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := sliceSource(window)
-			got2, err := p.ExtractFrom(&src, n)
-			if err != nil {
+			if err := p.ExtractFrom(&src, n, out); err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(got2-want) > 1e-12*(1+math.Abs(want)) {
-				t.Fatalf("%v trial %d: ExtractFrom %v vs reference %v", f, trial, got2, want)
+			if math.Abs(out[0]-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("%v trial %d: ExtractFrom %v vs reference %v", f, trial, out[0], want)
 			}
 		}
 	}
@@ -102,7 +102,8 @@ func (s *repeatSource) Next() float64 {
 	return x
 }
 
-// Zero allocations per window in the steady state, for every feature.
+// Zero allocations per window in the steady state, for every feature on
+// its own.
 func TestPipelineSteadyStateAllocationFree(t *testing.T) {
 	r := xrand.New(5)
 	vals := make([]float64, 1000)
@@ -110,17 +111,18 @@ func TestPipelineSteadyStateAllocationFree(t *testing.T) {
 		vals[i] = r.Normal(10e-3, 5e-6)
 	}
 	src := &repeatSource{vals: vals}
+	out := make([]float64, 1)
 	for _, f := range allFeatures {
-		p, err := NewPipeline(Extractor{Feature: f})
+		p, err := NewMultiPipeline([]Extractor{{Feature: f}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Warm up once (histogram/scratch sizing), then measure.
-		if _, err := p.ExtractFrom(src, 1000); err != nil {
+		if err := p.ExtractFrom(src, 1000, out); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := p.ExtractFrom(src, 1000); err != nil {
+			if err := p.ExtractFrom(src, 1000, out); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -226,5 +228,133 @@ func TestFeatureMatrixWorkerInvariance(t *testing.T) {
 	}
 	if _, err := FeatureMatrix(factory, exts, 0, n, 1); err == nil {
 		t.Error("zero windows should fail")
+	}
+}
+
+// rngSource is a deterministic continuous PIAT stream for online tests.
+type rngSource struct {
+	rng  *xrand.Rand
+	mean float64
+}
+
+func (s *rngSource) Next() float64 { return s.rng.Exp(s.mean) }
+
+// Consecutive ExtractFrom calls on one continuous stream must equal
+// slicing the same stream by hand and extracting each slice: windowing
+// is observation, never perturbation.
+func TestExtractFromMatchesManualSlicing(t *testing.T) {
+	exts := []Extractor{
+		{Feature: analytic.FeatureMean},
+		{Feature: analytic.FeatureVariance},
+		{Feature: analytic.FeatureEntropy},
+	}
+	const n, windows = 64, 8
+	// Reference: collect the raw continuous stream, then extract slices.
+	raw := &rngSource{rng: xrand.New(42), mean: 10e-3}
+	stream := make([]float64, n*windows)
+	for i := range stream {
+		stream[i] = raw.Next()
+	}
+	shared, err := NewMultiPipeline(exts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online := &rngSource{rng: xrand.New(42), mean: 10e-3}
+	out := make([]float64, len(exts))
+	for w := 0; w < windows; w++ {
+		if err := shared.ExtractFrom(online, n, out); err != nil {
+			t.Fatal(err)
+		}
+		mp, err := NewMultiPipeline(exts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, len(exts))
+		slice := sliceSource(stream[w*n : (w+1)*n])
+		if err := mp.ExtractFrom(&slice, n, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range exts {
+			if out[i] != want[i] {
+				t.Fatalf("window %d extractor %d: online %v != manual %v", w, i, out[i], want[i])
+			}
+		}
+	}
+}
+
+// SessionFeatureMatrix must be byte-identical at any worker count: every
+// session derives its stream from its own index.
+func TestSessionFeatureMatrixWorkerInvariance(t *testing.T) {
+	exts := []Extractor{
+		{Feature: analytic.FeatureVariance},
+		{Feature: analytic.FeatureEntropy},
+	}
+	factory := func(s int) (PIATSource, error) {
+		return &rngSource{rng: xrand.New(uint64(1000 + s)), mean: 10e-3}, nil
+	}
+	const sessions, wps, n = 6, 5, 50
+	ref, err := SessionFeatureMatrix(factory, exts, sessions, wps, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) != len(exts) || len(ref[0]) != sessions*wps {
+		t.Fatalf("matrix shape [%d][%d], want [%d][%d]", len(ref), len(ref[0]), len(exts), sessions*wps)
+	}
+	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
+		got, err := SessionFeatureMatrix(factory, exts, sessions, wps, n, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref {
+			for j := range ref[i] {
+				if got[i][j] != ref[i][j] {
+					t.Fatalf("workers=%d: [%d][%d] = %v, want %v", workers, i, j, got[i][j], ref[i][j])
+				}
+			}
+		}
+	}
+}
+
+// Windows within one session must be consecutive (state carried), not
+// replicas: the matrix for one session equals manually reading
+// wps windows in a row from one stream.
+func TestSessionFeatureMatrixConsecutiveWindows(t *testing.T) {
+	exts := []Extractor{{Feature: analytic.FeatureMean}}
+	factory := func(s int) (PIATSource, error) {
+		return &rngSource{rng: xrand.New(77), mean: 1e-3}, nil
+	}
+	const wps, n = 4, 32
+	mat, err := SessionFeatureMatrix(factory, exts, 1, wps, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &rngSource{rng: xrand.New(77), mean: 1e-3}
+	p, err := NewMultiPipeline(exts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, 1)
+	for w := 0; w < wps; w++ {
+		if err := p.ExtractFrom(src, n, want); err != nil {
+			t.Fatal(err)
+		}
+		if mat[0][w] != want[0] {
+			t.Fatalf("window %d: %v != consecutive reference %v", w, mat[0][w], want[0])
+		}
+	}
+}
+
+func TestSessionFeatureMatrixErrors(t *testing.T) {
+	exts := []Extractor{{Feature: analytic.FeatureMean}}
+	bad := errors.New("factory failed")
+	_, err := SessionFeatureMatrix(func(int) (PIATSource, error) { return nil, bad }, exts, 2, 2, 10, 1)
+	if !errors.Is(err, bad) {
+		t.Errorf("factory error not propagated: %v", err)
+	}
+	if _, err := SessionFeatureMatrix(nil, exts, 0, 2, 10, 1); err == nil {
+		t.Error("zero sessions accepted")
+	}
+	if _, err := SessionFeatureMatrix(nil, exts, 2, 0, 10, 1); err == nil {
+		t.Error("zero windows accepted")
 	}
 }

@@ -184,17 +184,6 @@ func (s *System) validateActive(spec ActiveSpec) error {
 	return s.validateClassMix(spec.ClassMix)
 }
 
-// coverPPS returns the defensive cover rate for a payload rate.
-func (a ActiveSpec) coverPPS(payload float64) float64 {
-	if a.CoverToPPS > 0 {
-		if c := a.CoverToPPS - payload; c > 0 {
-			return c
-		}
-		return 0
-	}
-	return a.CoverRate * payload
-}
-
 // paddedHops returns the number of padded elements a flow crosses — the
 // length of the overhead probe vector.
 func (a ActiveSpec) paddedHops() int {
@@ -271,7 +260,7 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 		fl.Exit = exit
 		fl.Hops = probes
 	default:
-		if c := spec.coverPPS(s.cfg.Rates[class].PPS); c > 0 {
+		if c := coverPPS(spec.CoverRate, spec.CoverToPPS, s.cfg.Rates[class].PPS); c > 0 {
 			// The defense mints cover past the attacker's vantage point,
 			// so cover packets never carry the watermark.
 			cover, err := traffic.NewPoisson(c,

@@ -106,9 +106,15 @@ func TestRunAttackSetValidation(t *testing.T) {
 	if _, err := runSpec(sys, AttackSetSpec{}); err == nil {
 		t.Error("empty feature set should fail")
 	}
-	cfg := AttackConfig{TrainStreamID: 7, EvalStreamID: 7}
-	if _, err := runSpec(sys, AttackSetSpec{Attack: cfg, Features: []analytic.Feature{analytic.FeatureMean}}); err == nil {
-		t.Error("identical stream IDs should fail")
+	cfg := AttackConfig{TrainStreamID: 7, EvalStreamID: 7, Feature: analytic.FeatureVariance}
+	_, buildErr := sys.Build(AttackSetSpec{Attack: cfg, Features: []analytic.Feature{analytic.FeatureMean}})
+	if buildErr == nil {
+		t.Fatal("identical stream IDs should fail")
+	}
+	// CalibrateVIT reaches the attack set without Build; it must reject
+	// the same configuration with the same error.
+	if _, err := sys.CalibrateVIT(0.8, cfg); err == nil || err.Error() != buildErr.Error() {
+		t.Errorf("CalibrateVIT error %v, want Build's %v", err, buildErr)
 	}
 }
 

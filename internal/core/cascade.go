@@ -131,10 +131,6 @@ type CascadeSpec struct {
 // already far beyond deployed cascade lengths.
 const maxCascadeHops = 32
 
-// cascadeMixSpacing is the wire spacing of mix-hop burst packets
-// (1500 B at 100 Mbit/s, matching the single-link MixSpec default).
-const cascadeMixSpacing = 120e-6
-
 // validateCascade checks the spec against the system.
 func (s *System) validateCascade(spec CascadeSpec) error {
 	if spec.Flows < 2 {
@@ -300,7 +296,7 @@ func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster f
 				}
 				mix, err := gateway.NewMix(gateway.MixConfig{
 					K:           k,
-					SendSpacing: cascadeMixSpacing,
+					SendSpacing: defaultMixSpacing,
 					Payload:     src,
 					Jitter:      s.cfg.Jitter,
 					RNG:         master.Split(),

@@ -348,13 +348,16 @@ func (s *System) timerPolicy(master *xrand.Rand) (gateway.TimerPolicy, error) {
 	}
 }
 
-// mixSpacing resolves the configured mix burst spacing (default 120 µs:
-// 1500 B at 100 Mbit/s).
+// defaultMixSpacing is the wire spacing of mix burst packets, 1500 B at
+// 100 Mbit/s: the single-link default and every cascade mix hop's.
+const defaultMixSpacing = 120e-6
+
+// mixSpacing resolves the configured mix burst spacing.
 func (s *System) mixSpacing() float64 {
 	if s.cfg.Mix.SendSpacing != 0 {
 		return s.cfg.Mix.SendSpacing
 	}
-	return 120e-6
+	return defaultMixSpacing
 }
 
 // buildGateway assembles the payload source, timer policy and gateway for
@@ -586,6 +589,21 @@ type AttackResult struct {
 	TheoryDetectionRate float64
 }
 
+// validateAttackSet checks a defaulted attack configuration and its
+// feature set; Build and every attackSet caller go through it.
+func validateAttackSet(cfg AttackConfig, features []analytic.Feature) error {
+	if len(features) == 0 {
+		return errors.New("core: attack set needs at least one feature")
+	}
+	if uint32(cfg.TrainStreamID) == uint32(cfg.EvalStreamID) {
+		// Windows are spread across the high bits (windowStreamID), so
+		// bases sharing their low 32 bits would alias window streams
+		// between the phases, not just at equal IDs.
+		return errors.New("core: training and evaluation stream IDs must differ in their low 32 bits")
+	}
+	return nil
+}
+
 // attackSet runs the attack for several feature statistics against the
 // *same* Monte Carlo windows in one pass: every training and evaluation
 // window is simulated once and reduced by all feature extractors
@@ -612,14 +630,8 @@ type AttackResult struct {
 // the paper's consecutive-window observation directly.
 func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*AttackResult, error) {
 	cfg = cfg.withDefaults()
-	if uint32(cfg.TrainStreamID) == uint32(cfg.EvalStreamID) {
-		// Windows are spread across the high bits (windowStreamID), so
-		// bases sharing their low 32 bits would alias window streams
-		// between the phases, not just at equal IDs.
-		return nil, errors.New("core: training and evaluation stream IDs must differ in their low 32 bits")
-	}
-	if len(features) == 0 {
-		return nil, errors.New("core: empty feature set")
+	if err := validateAttackSet(cfg, features); err != nil {
+		return nil, err
 	}
 	exts := make([]adversary.Extractor, len(features))
 	for i, f := range features {
@@ -635,32 +647,18 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*At
 
 	// Off-line training: one streaming pass per class over shared windows,
 	// then one fitted classifier per feature.
-	trainPerClass := make([][][]float64, m) // [class][feature][window]
+	trainMats := make([][][]float64, m) // [class][feature][window]
 	for c := 0; c < m; c++ {
 		mat, err := adversary.FeatureMatrix(factory(c, cfg.TrainStreamID), exts,
 			cfg.TrainWindows, cfg.WindowSize, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
-		trainPerClass[c] = mat
+		trainMats[c] = mat
 	}
-	classifiers := make([]*bayes.Classifier, len(features))
-	for fi := range features {
-		perClass := make([][]float64, m)
-		for c := 0; c < m; c++ {
-			perClass[c] = trainPerClass[c][fi]
-		}
-		var cls *bayes.Classifier
-		var err error
-		if cfg.GaussianFit {
-			cls, err = bayes.TrainGaussian(labels, perClass, nil)
-		} else {
-			cls, err = bayes.TrainKDE(labels, perClass, nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		classifiers[fi] = cls
+	classifiers, err := adversary.Fit(labels, trainMats, cfg.GaussianFit)
+	if err != nil {
+		return nil, err
 	}
 
 	// Run-time classification: fresh replicas, batch-scored per class.
@@ -904,28 +902,19 @@ func (s *System) trainExitClassifiers(features []analytic.Feature, trainWindows,
 	}
 	m := len(s.cfg.Rates)
 	labels := s.Labels()
-	trainPerClass := make([][][]float64, m)
+	trainMats := make([][][]float64, m)
 	for c := 0; c < m; c++ {
-		class := c
-		factory := func(w int) (adversary.PIATSource, error) { return source(class, w) }
+		factory := func(w int) (adversary.PIATSource, error) { return source(c, w) }
 		mat, err := adversary.FeatureMatrix(factory, exts,
 			trainWindows, featureWindow, workers)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
-		trainPerClass[c] = mat
+		trainMats[c] = mat
 	}
-	classifiers := make([]*bayes.Classifier, len(exts))
-	for fi := range exts {
-		perClass := make([][]float64, m)
-		for c := 0; c < m; c++ {
-			perClass[c] = trainPerClass[c][fi]
-		}
-		cls, err := bayes.TrainKDE(labels, perClass, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		classifiers[fi] = cls
+	classifiers, err := adversary.Fit(labels, trainMats, false)
+	if err != nil {
+		return nil, nil, err
 	}
 	return classifiers, exts, nil
 }

@@ -192,15 +192,17 @@ func classOf(u, users int, cum []float64) int {
 	return len(cum) - 1
 }
 
-// coverPPS returns user-level cover rate for a payload rate.
-func (spec PopulationSpec) coverPPS(payload float64) float64 {
-	if spec.CoverToPPS > 0 {
-		if c := spec.CoverToPPS - payload; c > 0 {
+// coverPPS returns a flow's cover rate for its payload rate: the top-up
+// to coverToPPS when that is set, otherwise coverRate times the payload.
+// Population users and active-attack flows share this rule.
+func coverPPS(coverRate, coverToPPS, payload float64) float64 {
+	if coverToPPS > 0 {
+		if c := coverToPPS - payload; c > 0 {
 			return c
 		}
 		return 0
 	}
-	return spec.CoverRate * payload
+	return coverRate * payload
 }
 
 // NewPopulation instantiates the multi-user engine: every user gets a
@@ -265,7 +267,7 @@ func (b *popBuilder) Build(u int) (population.User, error) {
 		return population.User{}, err
 	}
 	var cover traffic.Source
-	if c := b.spec.coverPPS(b.s.cfg.Rates[class].PPS); c > 0 {
+	if c := coverPPS(b.spec.CoverRate, b.spec.CoverToPPS, b.s.cfg.Rates[class].PPS); c > 0 {
 		rs.cover.Seed(b.roleSeed(class, u, popRoleCover))
 		cover, err = traffic.NewPoisson(c, &rs.cover)
 		if err != nil {
@@ -320,7 +322,7 @@ func (b *popBuilder) Frontier(u int) (population.Frontier, error) {
 		}
 		f.T, f.Rate = payload.Next(), payload.Rate()
 	}
-	if c := b.spec.coverPPS(pps); c > 0 {
+	if c := coverPPS(b.spec.CoverRate, b.spec.CoverToPPS, pps); c > 0 {
 		cover, err := traffic.NewPoisson(c, xrand.New(b.roleSeed(class, u, popRoleCover)))
 		if err != nil {
 			return f, err
@@ -434,7 +436,7 @@ func (s *System) flowLink(spec PopulationSpec, class int, raw bool, presence *tr
 		return nil, err
 	}
 	var src traffic.Source = payload
-	if c := spec.coverPPS(s.cfg.Rates[class].PPS); c > 0 {
+	if c := coverPPS(spec.CoverRate, spec.CoverToPPS, s.cfg.Rates[class].PPS); c > 0 {
 		cover, err := traffic.NewPoisson(c, master.Split())
 		if err != nil {
 			return nil, err

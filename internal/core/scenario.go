@@ -170,12 +170,8 @@ func (s *System) Build(spec Spec) (Scenario, error) {
 	}
 	switch sp := spec.(type) {
 	case AttackSetSpec:
-		if len(sp.Features) == 0 {
-			return nil, errors.New("core: attack-set scenario needs at least one feature")
-		}
-		cfg := sp.Attack.withDefaults()
-		if uint32(cfg.TrainStreamID) == uint32(cfg.EvalStreamID) {
-			return nil, errors.New("core: training and evaluation stream IDs must differ in their low 32 bits")
+		if err := validateAttackSet(sp.Attack.withDefaults(), sp.Features); err != nil {
+			return nil, err
 		}
 	case SessionAttackSpec:
 		if err := sp.Session.withDefaults().validateEvalPhase(); err != nil {

@@ -202,7 +202,7 @@ func sessionID(base uint64, s int) uint64 {
 
 // trainSessionSource opens, warms and returns the continuous stream of
 // one training session.
-func (s *System) trainSessionSource(class int, base uint64, warmup int) adversary.SessionFactory {
+func (s *System) trainSessionSource(class int, base uint64, warmup int) adversary.SourceFactory {
 	return func(i int) (adversary.PIATSource, error) {
 		sess, err := s.NewSession(class, sessionID(base, i))
 		if err != nil {
@@ -253,7 +253,7 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, 
 	labels := s.Labels()
 	exts := []adversary.Extractor{{Feature: cfg.Feature, EntropyBinWidth: cfg.EntropyBinWidth}}
 	wps := (cfg.TrainWindows + cfg.TrainSessions - 1) / cfg.TrainSessions
-	perClass := make([][]float64, m)
+	mats := make([][][]float64, m)
 	for c := 0; c < m; c++ {
 		mat, err := adversary.SessionFeatureMatrix(
 			s.trainSessionSource(c, cfg.TrainBase, cfg.WarmupPackets), exts,
@@ -261,19 +261,13 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, 
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
-		perClass[c] = mat[0]
+		mats[c] = mat
 	}
-	var cls *bayes.Classifier
-	var err error
-	if cfg.GaussianFit {
-		cls, err = bayes.TrainGaussian(labels, perClass, nil)
-	} else {
-		cls, err = bayes.TrainKDE(labels, perClass, nil)
-	}
+	cls, err := adversary.Fit(labels, mats, cfg.GaussianFit)
 	if err != nil {
 		return nil, err
 	}
-	return &SessionAttacker{sys: s, cfg: cfg, cls: cls}, nil
+	return &SessionAttacker{sys: s, cfg: cfg, cls: cls[0]}, nil
 }
 
 // Evaluate runs the run-time phase against fresh evaluation sessions:
@@ -345,15 +339,13 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResul
 		}
 		sess.WarmUp(cfg.WarmupPackets)
 		obsStart := sess.Now()
-		ext, err := adversary.NewOnlineExtractorShared(pipes[worker], sess.Source(), cfg.WindowSize)
-		if err != nil {
-			return err
-		}
+		src := sess.Source()
 		seq := cls.NewSequential()
 		out := outs[worker]
 		rec := &outcomes[i]
 		for w := 0; w < cfg.MaxWindows; w++ {
-			if err := ext.NextWindow(out); err != nil {
+			// Consecutive windows of the one continuous stream.
+			if err := pipes[worker].ExtractFrom(src, cfg.WindowSize, out); err != nil {
 				return err
 			}
 			rec.windowTotal++

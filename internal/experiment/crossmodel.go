@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"linkpad/internal/adversary"
+	"linkpad/internal/bayes"
 	"linkpad/internal/core"
 	"linkpad/internal/netem"
 	"linkpad/internal/traffic"
@@ -70,30 +71,44 @@ var ablationCrossModelCells = &cellExperiment{
 		}
 		windows := o.windows(60)
 		row := []float64{float64(model)}
+		labels := sys.Labels()
 		for _, f := range secondOrderFeatures {
-			train := make([]adversary.PIATSource, 2)
-			eval := make([]adversary.PIATSource, 2)
-			for class := 0; class < 2; class++ {
-				// distinct replicas per feature and phase
-				base := uint64(1000*int(f) + 1)
-				if train[class], err = crossModelSource(o, sys, model, class, base); err != nil {
-					return nil, err
+			// One continuous replica per class and phase, distinct per
+			// feature; each reduces to `windows` consecutive windows.
+			base := uint64(1000*int(f) + 1)
+			phase := func(streamID uint64) ([][][]float64, error) {
+				mats := make([][][]float64, len(labels))
+				for class := range mats {
+					src := func(int) (adversary.PIATSource, error) {
+						return crossModelSource(o, sys, model, class, streamID)
+					}
+					mat, err := adversary.SessionFeatureMatrix(src, []adversary.Extractor{{Feature: f}}, 1, windows, 1000, 1)
+					if err != nil {
+						return nil, err
+					}
+					mats[class] = mat
 				}
-				if eval[class], err = crossModelSource(o, sys, model, class, base+1); err != nil {
-					return nil, err
-				}
+				return mats, nil
 			}
-			att, err := adversary.Train(adversary.TrainConfig{
-				Extractor:       adversary.Extractor{Feature: f},
-				WindowSize:      1000,
-				WindowsPerClass: windows,
-			}, sys.Labels(), train)
+			train, err := phase(base)
 			if err != nil {
 				return nil, err
 			}
-			cm, err := att.Evaluate(eval, windows)
+			eval, err := phase(base + 1)
 			if err != nil {
 				return nil, err
+			}
+			cls, err := adversary.Fit(labels, train, false)
+			if err != nil {
+				return nil, err
+			}
+			cm := bayes.NewConfusion(labels)
+			var preds []int
+			for class, mat := range eval {
+				preds = cls[0].ClassifyBatch(mat[0], preds)
+				for _, pred := range preds {
+					cm.Add(class, pred)
+				}
 			}
 			row = append(row, cm.DetectionRate())
 		}
