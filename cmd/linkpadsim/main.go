@@ -16,8 +16,8 @@
 //	linkpadsim -exp fig8b -metrics-addr localhost:6060
 //
 // Each experiment prints the series the corresponding paper figure plots;
-// see DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured comparisons.
+// see DESIGN.md for the experiment index, testdata/golden/ for the
+// recorded result tables and BENCH.json for the timing trajectory.
 package main
 
 import (

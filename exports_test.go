@@ -50,7 +50,7 @@ var exportAllowlist = map[string]string{
 	"population.Engine.Class":           "core tests check the population's class striping",
 	"stats.Autocorr":                    "gateway tests check the PIAT autocorrelation structure",
 	"stats.Entropy":                     "the adversary tests' reference Extract computes the entropy feature with it",
-	"stats.KSDistance":                  "gateway and netem tests compare distributions with it",
+	"stats.KSDistance":                  "gateway, netem and core tests compare distributions with it",
 }
 
 // TestInternalExportsHaveProductionCallers pins the rule that every

@@ -244,16 +244,11 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 	}
 	switch spec.Protocol {
 	case ActiveCascade:
-		stream, probes, err := s.hopChain(spec.Hops, src, func(h int) *xrand.Rand {
+		exit, probes, err := s.hopChain(spec.Hops, src, func(h int) *xrand.Rand {
 			return s.activeRand(spec.Protocol, class, flow, h, activeRoleHop)
 		}, func(h int) *xrand.Rand {
 			return s.activeRand(spec.Protocol, class, flow, h, activeRoleOutage)
-		}, nil, fl.Probe)
-		if err != nil {
-			return nil, err
-		}
-		exit, err := s.observationChain(stream,
-			s.activeRand(spec.Protocol, class, flow, len(spec.Hops), activeRoleExit), fl.Probe)
+		}, s.activeRand(spec.Protocol, class, flow, len(spec.Hops), activeRoleExit), nil, fl.Probe)
 		if err != nil {
 			return nil, err
 		}
@@ -384,8 +379,7 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*acti
 			if err != nil {
 				return nil, err
 			}
-			d := netem.NewDiffer(fl.Exit)
-			d.SetProbe(fl.Probe)
+			d := netem.NewDiffer(fl.Exit, fl.Probe)
 			// Training windows start where run-time observation does:
 			// past the session scenario's warm-up span.
 			for fl.Start > 0 && d.Now() <= fl.Start {

@@ -7,7 +7,6 @@ import (
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
-	"linkpad/internal/gateway"
 	"linkpad/internal/netem"
 	"linkpad/internal/obs"
 	"linkpad/internal/traffic"
@@ -57,7 +56,7 @@ type CascadeHop struct {
 	// Policy selects the hop's padding stage.
 	Policy CascadePolicy
 	// Tau is the hop's mean timer interval; 0 inherits the system Tau.
-	// Ignored by mix hops.
+	// Must be zero for mix hops.
 	Tau float64
 	// SigmaT is the interval standard deviation of a VIT hop (required
 	// positive for VIT; must be zero otherwise).
@@ -167,6 +166,9 @@ func (s *System) validateHops(hops []CascadeHop) error {
 			if h.SigmaT != 0 {
 				return fmt.Errorf("core: cascade hop %d sets SigmaT on a mix", i)
 			}
+			if h.Tau != 0 {
+				return fmt.Errorf("core: cascade hop %d sets Tau on a mix", i)
+			}
 			if h.MixK < 0 || h.MixK == 1 {
 				return fmt.Errorf("core: cascade hop %d mix batch must be at least 2", i)
 			}
@@ -174,15 +176,8 @@ func (s *System) validateHops(hops []CascadeHop) error {
 			return fmt.Errorf("core: cascade hop %d has unknown policy %v", i, h.Policy)
 		}
 		if h.Link != nil {
-			l := *h.Link
-			if !(l.CapacityBps > 0) || l.PacketBytes <= 0 {
-				return fmt.Errorf("core: cascade hop %d has invalid link parameters", i)
-			}
-			if err := l.Util.Validate(); err != nil {
+			if err := h.Link.validate(); err != nil {
 				return fmt.Errorf("core: cascade hop %d: %w", i, err)
-			}
-			if l.PropDelay < 0 {
-				return fmt.Errorf("core: cascade hop %d has negative propagation delay", i)
 			}
 		}
 		if err := h.Outage.Validate(); err != nil {
@@ -192,12 +187,22 @@ func (s *System) validateHops(hops []CascadeHop) error {
 	return nil
 }
 
-// hopTau resolves one hop's timer interval.
-func (s *System) hopTau(h CascadeHop) float64 {
-	if h.Tau > 0 {
-		return h.Tau
+// hopPad resolves one cascade hop's padding policy: a random-phased
+// timer at the hop's τ (the system Tau when zero), or a mix of MixK
+// (defaultMixK when zero).
+func (s *System) hopPad(h CascadeHop) padPolicy {
+	if h.Policy == CascadeMix {
+		k := h.MixK
+		if k == 0 {
+			k = defaultMixK
+		}
+		return padPolicy{name: h.Policy.String(), mixK: k, spacing: defaultMixSpacing}
 	}
-	return s.cfg.Tau
+	p := padPolicy{name: h.Policy.String(), tau: h.Tau, sigmaT: h.SigmaT, phased: true}
+	if p.tau == 0 {
+		p.tau = s.cfg.Tau
+	}
+	return p
 }
 
 // buildRoute assembles one flow's route: the class payload source feeds
@@ -229,19 +234,12 @@ func (s *System) buildRoute(spec CascadeSpec, class, flow int, withEntry bool) (
 	if err != nil {
 		return nil, err
 	}
-	stream, probes, err := s.hopChain(spec.Hops, payload, func(h int) *xrand.Rand {
+	exit, probes, err := s.hopChain(spec.Hops, payload, func(h int) *xrand.Rand {
 		return xrand.New(s.streamSeed(class, cascadeStreamID(flow, h, cascadeRoleHop)))
 	}, func(h int) *xrand.Rand {
 		return xrand.New(s.streamSeed(class, cascadeStreamID(flow, h, cascadeRoleOutage)))
-	}, entryTap, sh)
-	if err != nil {
-		return nil, err
-	}
-	// The system-level network path and tap imperfections form the exit
-	// observation chain, exactly as for the single padded link.
-	exitMaster := xrand.New(s.streamSeed(class,
-		cascadeStreamID(flow, len(spec.Hops), cascadeRoleExit)))
-	exit, err := s.observationChain(stream, exitMaster, sh)
+	}, xrand.New(s.streamSeed(class, cascadeStreamID(flow, len(spec.Hops), cascadeRoleExit))),
+		entryTap, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -254,123 +252,71 @@ func (s *System) buildRoute(spec CascadeSpec, class, flow int, withEntry bool) (
 }
 
 // hopChain threads an arrival process through a sequence of re-padding
-// hops: each hop composes its own timer policy (random-phased, so
-// unsynchronized per-hop clocks never sit grid-locked) or batching mix,
-// the system's host jitter model, and an optional outgoing link, with
-// the next hop consuming the previous hop's departure stream as its
-// payload. An empty hop list degenerates to the unpadded passthrough.
-// hopMaster supplies hop h's RNG, so the cascade and active protocols
-// can drive the same construction from their own stream domains;
-// outageRng supplies hop h's failure-schedule RNG (consulted only for
-// hops that carry an Outage spec, so outage-free chains draw nothing
-// from it); entryTap, when non-nil, observes the first stage's payload
-// arrivals. It returns the last stage's departure stream and one
+// hops, each built by padHop on its hopPad policy (a random-phased timer
+// or a batching mix) and followed by its optional outgoing link and
+// outage, with the next hop consuming the previous hop's departure
+// stream as its payload. An empty hop list degenerates to the unpadded
+// passthrough. The system's exit observation chain — network path and
+// tap imperfections, exactly as for the single padded link — follows the
+// last hop, drawing from exitRng. hopMaster supplies hop h's RNG, so the
+// cascade and active protocols can drive the same construction from
+// their own stream domains; outageRng supplies hop h's failure-schedule
+// RNG (consulted only for hops that carry an Outage spec, so outage-free
+// chains draw nothing from it); entryTap, when non-nil, observes the
+// first stage's payload arrivals. It returns the exit stream and one
 // overhead probe per hop.
-func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster func(h int) *xrand.Rand, outageRng func(h int) *xrand.Rand, entryTap func(float64), sh *obs.Shard) (netem.TimeStream, []cascade.HopProbe, error) {
+func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster, outageRng func(h int) *xrand.Rand, exitRng *xrand.Rand, entryTap func(float64), sh *obs.Shard) (netem.TimeStream, []cascade.HopProbe, error) {
 	var stream netem.TimeStream
 	var probes []cascade.HopProbe
 	var err error
 	if len(hops) == 0 {
 		stream = &rawLink{src: payload, tap: entryTap}
-	} else {
-		src := payload
-		for h, hop := range hops {
-			master := hopMaster(h)
-			var tap func(float64)
-			if h == 0 {
-				tap = entryTap
-			}
-			tau := s.hopTau(hop)
-			// A timer hop emits at its own 1/τ; a mix hop forwards at its
-			// input's rate. Resolve the nominal downstream rate before src
-			// is rebound to this hop's output.
-			outRate := 1 / tau
-			if hop.Policy == CascadeMix {
-				outRate = src.Rate()
-			}
-			switch hop.Policy {
-			case CascadeMix:
-				k := hop.MixK
-				if k == 0 {
-					k = 8
-				}
-				mix, err := gateway.NewMix(gateway.MixConfig{
-					K:           k,
-					SendSpacing: defaultMixSpacing,
-					Payload:     src,
-					Jitter:      s.cfg.Jitter,
-					RNG:         master.Split(),
-					ArrivalTap:  tap,
-					Probe:       sh,
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				probes = append(probes, func() cascade.HopStats {
-					return cascade.HopStats{Policy: "MIX", Emitted: mix.Packets()}
-				})
-				stream = mix
-			default:
-				var policy gateway.TimerPolicy
-				if hop.Policy == CascadeVIT {
-					policy, err = gateway.NewVIT(tau, hop.SigmaT, master.Split())
-				} else {
-					policy, err = gateway.NewCIT(tau)
-				}
-				if err != nil {
-					return nil, nil, err
-				}
-				// Hops share no clock: each timer grid gets a private
-				// random phase, or consecutive equal-τ hops would sit
-				// phase-locked on each other's grid boundaries.
-				policy, err = cascade.NewPhasedPolicy(policy, master.Split())
-				if err != nil {
-					return nil, nil, err
-				}
-				gw, err := gateway.New(gateway.Config{
-					Policy:     policy,
-					Jitter:     s.cfg.Jitter,
-					Payload:    src,
-					RNG:        master.Split(),
-					ArrivalTap: tap,
-					Probe:      sh,
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				name := hop.Policy.String()
-				probes = append(probes, func() cascade.HopStats {
-					st := gw.Stats()
-					return cascade.HopStats{Policy: name, Emitted: st.Fires, Dummies: st.Dummies}
-				})
-				stream = gw
-			}
-			if hop.Link != nil {
-				stream, err = netem.NewFastRouter(stream, hop.Link.service(),
-					netem.DiurnalUtil(hop.Link.Util, s.cfg.StartHour), hop.Link.PropDelay, master.Split())
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			if hop.Outage != nil {
-				sched, err := traffic.NewOnOffSchedule(hop.Outage.MeanUp, hop.Outage.MeanDown, outageRng(h))
-				if err != nil {
-					return nil, nil, err
-				}
-				os, err := netem.NewOutageStream(stream, sched, hop.Outage.Backoff, hop.Outage.SpareDelay)
-				if err != nil {
-					return nil, nil, err
-				}
-				os.SetProbe(sh)
-				stream = os
-			}
-			if h < len(hops)-1 {
-				src, err = cascade.NewStreamSource(stream, outRate)
-				if err != nil {
-					return nil, nil, err
-				}
+	}
+	src := payload
+	for h, hop := range hops {
+		master := hopMaster(h)
+		var tap func(float64)
+		if h == 0 {
+			tap = entryTap
+		}
+		p := s.hopPad(hop)
+		// A timer hop emits at its own 1/τ; a mix hop forwards at its
+		// input's rate. Resolve the nominal downstream rate before src is
+		// rebound to this hop's output.
+		outRate := src.Rate()
+		if p.mixK == 0 {
+			outRate = 1 / p.tau
+		}
+		var probe cascade.HopProbe
+		if stream, probe, err = s.padHop(p, src, master, tap, sh); err != nil {
+			return nil, nil, err
+		}
+		probes = append(probes, probe)
+		if hop.Link != nil {
+			stream, err = netem.NewFastRouter(stream, hop.Link.service(),
+				netem.DiurnalUtil(hop.Link.Util, s.cfg.StartHour), hop.Link.PropDelay, master.Split())
+			if err != nil {
+				return nil, nil, err
 			}
 		}
+		if hop.Outage != nil {
+			sched, err := traffic.NewOnOffSchedule(hop.Outage.MeanUp, hop.Outage.MeanDown, outageRng(h))
+			if err != nil {
+				return nil, nil, err
+			}
+			stream, err = netem.NewOutageStream(stream, sched, hop.Outage.Backoff, hop.Outage.SpareDelay, sh)
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		if h < len(hops)-1 {
+			if src, err = cascade.NewStreamSource(stream, outRate); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	if stream, err = s.observationChain(stream, exitRng, sh); err != nil {
+		return nil, nil, err
 	}
 	return stream, probes, nil
 }
@@ -467,9 +413,7 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*c
 			if err != nil {
 				return nil, err
 			}
-			d := netem.NewDiffer(route.Exit)
-			d.SetProbe(route.Probe)
-			return d, nil
+			return netem.NewDiffer(route.Exit, route.Probe), nil
 		})
 	if err != nil {
 		return nil, err

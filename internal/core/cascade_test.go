@@ -63,6 +63,7 @@ func TestCascadeSpecValidation(t *testing.T) {
 		{Flows: 8, Hops: []CascadeHop{{MixK: 8}}},
 		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeMix, MixK: 1}}},
 		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeMix, SigmaT: 1e-6}}},
+		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeMix, Tau: 5e-3}}},
 		{Flows: 8, Hops: []CascadeHop{{Tau: -1}}},
 		{Flows: 8, Hops: []CascadeHop{{Policy: CascadePolicy(99)}}},
 		{Flows: 8, Hops: []CascadeHop{{Link: &HopSpec{}}}},

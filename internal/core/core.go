@@ -8,6 +8,7 @@ import (
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/bayes"
+	"linkpad/internal/cascade"
 	"linkpad/internal/gateway"
 	"linkpad/internal/netem"
 	"linkpad/internal/obs"
@@ -60,6 +61,21 @@ type HopSpec struct {
 	Util traffic.Diurnal
 	// PropDelay is the constant propagation delay to the next hop.
 	PropDelay float64
+}
+
+// validate checks the link parameters; the system path and cascade hop
+// links share it.
+func (h HopSpec) validate() error {
+	if !(h.CapacityBps > 0) || h.PacketBytes <= 0 {
+		return errors.New("invalid link parameters")
+	}
+	if err := h.Util.Validate(); err != nil {
+		return err
+	}
+	if h.PropDelay < 0 {
+		return errors.New("negative propagation delay")
+	}
+	return nil
 }
 
 // service returns the hop's per-packet service time.
@@ -206,14 +222,8 @@ func (c Config) Validate() error {
 		seen[r.Label] = true
 	}
 	for i, h := range c.Hops {
-		if !(h.CapacityBps > 0) || h.PacketBytes <= 0 {
-			return fmt.Errorf("core: hop %d has invalid link parameters", i)
-		}
-		if err := h.Util.Validate(); err != nil {
+		if err := h.validate(); err != nil {
 			return fmt.Errorf("core: hop %d: %w", i, err)
-		}
-		if h.PropDelay < 0 {
-			return fmt.Errorf("core: hop %d has negative propagation delay", i)
 		}
 		if c.ExactNetwork && h.Util.Peak != h.Util.Trough {
 			return fmt.Errorf("core: hop %d: exact network requires constant utilization", i)
@@ -305,8 +315,11 @@ func (s *System) Gateway(class int, streamID uint64) (*gateway.Gateway, error) {
 	if s.cfg.Mix != nil {
 		return nil, errors.New("core: mix systems have no timer gateway; use MixGateway")
 	}
-	gw, _, err := s.buildGateway(class, streamID)
-	return gw, err
+	hop, _, err := s.replicaHop(class, streamID, nil)
+	if err != nil {
+		return nil, err
+	}
+	return hop.(*gateway.Gateway), nil
 }
 
 // MixGateway builds a fresh replica of the Chaum batching proxy for the
@@ -315,77 +328,145 @@ func (s *System) MixGateway(class int, streamID uint64) (*gateway.Mix, error) {
 	if s.cfg.Mix == nil {
 		return nil, errors.New("core: system is not configured as a mix")
 	}
+	hop, _, err := s.replicaHop(class, streamID, nil)
+	if err != nil {
+		return nil, err
+	}
+	return hop.(*gateway.Mix), nil
+}
+
+// replicaHop builds one replica's padded hop — the class payload source
+// through the system's padding policy — and returns it with the master
+// RNG of the downstream observation chain. The replica's stream seed
+// feeds the payload split and then padHop; a mix replica's downstream
+// chain draws from a distinct branch of the same seed instead.
+func (s *System) replicaHop(class int, streamID uint64, sh *obs.Shard) (netem.TimeStream, *xrand.Rand, error) {
 	if class < 0 || class >= len(s.cfg.Rates) {
-		return nil, fmt.Errorf("core: class %d out of range", class)
+		return nil, nil, fmt.Errorf("core: class %d out of range", class)
 	}
 	master := xrand.New(s.streamSeed(class, streamID))
 	payload, err := s.payloadSource(class, master.Split())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return gateway.NewMix(gateway.MixConfig{
-		K:           s.cfg.Mix.K,
-		SendSpacing: s.mixSpacing(),
-		Payload:     payload,
-		Jitter:      s.cfg.Jitter,
-		RNG:         master.Split(),
-	})
+	hop, _, err := s.padHop(s.systemPad(), payload, master, nil, sh)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.cfg.Mix != nil {
+		master = xrand.New(s.streamSeed(class, streamID) ^ 0xa5a5a5a5a5a5a5a5)
+	}
+	return hop, master, nil
 }
 
-// timerPolicy builds the configured timer policy (adaptive, VIT or CIT),
-// drawing any policy randomness from master. Shared by every protocol
-// that assembles a gateway, so a policy added or changed here changes
-// all of them together.
-func (s *System) timerPolicy(master *xrand.Rand) (gateway.TimerPolicy, error) {
-	switch {
-	case s.cfg.Adaptive != nil:
-		return gateway.NewAdaptive(s.cfg.Tau,
-			s.cfg.Adaptive.IdleFactor*s.cfg.Tau, s.cfg.Adaptive.IdleAfter)
-	case s.cfg.SigmaT > 0:
-		return gateway.NewVIT(s.cfg.Tau, s.cfg.SigmaT, master.Split())
-	default:
-		return gateway.NewCIT(s.cfg.Tau)
-	}
+// padPolicy is one padded hop's resolved padding stage: a timer gateway
+// (CIT, VIT when sigmaT > 0, or adaptive masking), optionally started at
+// a private random phase, or a batch-of-mixK mix when mixK > 0. systemPad
+// and hopPad resolve it; padHop builds it.
+type padPolicy struct {
+	// name labels the stage in overhead reports.
+	name     string
+	tau      float64
+	sigmaT   float64
+	adaptive *AdaptiveSpec
+	phased   bool
+	mixK     int
+	spacing  float64
 }
 
 // defaultMixSpacing is the wire spacing of mix burst packets, 1500 B at
 // 100 Mbit/s: the single-link default and every cascade mix hop's.
 const defaultMixSpacing = 120e-6
 
-// mixSpacing resolves the configured mix burst spacing.
-func (s *System) mixSpacing() float64 {
-	if s.cfg.Mix.SendSpacing != 0 {
-		return s.cfg.Mix.SendSpacing
+// defaultMixK is the batch size of a cascade mix hop that leaves MixK
+// zero.
+const defaultMixK = 8
+
+// systemPad resolves the system's padding policy.
+func (s *System) systemPad() padPolicy {
+	p := padPolicy{tau: s.cfg.Tau, sigmaT: s.cfg.SigmaT, adaptive: s.cfg.Adaptive}
+	switch {
+	case s.cfg.Mix != nil:
+		p.name, p.mixK, p.spacing = "MIX", s.cfg.Mix.K, s.cfg.Mix.SendSpacing
+		if p.spacing == 0 {
+			p.spacing = defaultMixSpacing
+		}
+	case s.cfg.Adaptive != nil:
+		p.name = "ADAPTIVE"
+	case s.cfg.SigmaT > 0:
+		p.name = "VIT"
+	default:
+		p.name = "CIT"
 	}
-	return defaultMixSpacing
+	return p
 }
 
-// buildGateway assembles the payload source, timer policy and gateway for
-// one class replica, returning the master RNG for downstream elements.
-func (s *System) buildGateway(class int, streamID uint64) (*gateway.Gateway, *xrand.Rand, error) {
-	if class < 0 || class >= len(s.cfg.Rates) {
-		return nil, nil, fmt.Errorf("core: class %d out of range", class)
+// timer builds the policy's timer, drawing a VIT's interval stream from
+// master; CIT and adaptive timers draw nothing.
+func (p padPolicy) timer(master *xrand.Rand) (gateway.TimerPolicy, error) {
+	switch {
+	case p.adaptive != nil:
+		return gateway.NewAdaptive(p.tau, p.adaptive.IdleFactor*p.tau, p.adaptive.IdleAfter)
+	case p.sigmaT > 0:
+		return gateway.NewVIT(p.tau, p.sigmaT, master.Split())
+	default:
+		return gateway.NewCIT(p.tau)
 	}
-	master := xrand.New(s.streamSeed(class, streamID))
+}
 
-	payload, err := s.payloadSource(class, master.Split())
+// padHop builds one padded hop of any protocol: src enters a timer
+// gateway or a mix under the system's host jitter, tap (when non-nil)
+// observes its arrivals, and sh counts its telemetry. It draws from
+// master in a fixed order — a timer hop splits for a VIT's intervals
+// (VIT only), then for its phase (phased only), then for the gateway; a
+// mix hop splits once — so every protocol's streams are pinned by its
+// own seeds. It returns the hop's departure stream and its overhead
+// probe.
+func (s *System) padHop(p padPolicy, src traffic.Source, master *xrand.Rand, tap func(float64), sh *obs.Shard) (netem.TimeStream, cascade.HopProbe, error) {
+	if p.mixK > 0 {
+		mix, err := gateway.NewMix(gateway.MixConfig{
+			K:           p.mixK,
+			SendSpacing: p.spacing,
+			Payload:     src,
+			Jitter:      s.cfg.Jitter,
+			RNG:         master.Split(),
+			ArrivalTap:  tap,
+			Probe:       sh,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return mix, func() cascade.HopStats {
+			return cascade.HopStats{Policy: p.name, Emitted: mix.Packets()}
+		}, nil
+	}
+	policy, err := p.timer(master)
 	if err != nil {
 		return nil, nil, err
 	}
-	policy, err := s.timerPolicy(master)
-	if err != nil {
-		return nil, nil, err
+	if p.phased {
+		// Hops share no clock: each timer grid gets a private random
+		// phase, or consecutive equal-τ hops would sit phase-locked on
+		// each other's grid boundaries.
+		if policy, err = cascade.NewPhasedPolicy(policy, master.Split()); err != nil {
+			return nil, nil, err
+		}
 	}
 	gw, err := gateway.New(gateway.Config{
-		Policy:  policy,
-		Jitter:  s.cfg.Jitter,
-		Payload: payload,
-		RNG:     master.Split(),
+		Policy:     policy,
+		Jitter:     s.cfg.Jitter,
+		Payload:    src,
+		RNG:        master.Split(),
+		ArrivalTap: tap,
+		Probe:      sh,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return gw, master, nil
+	return gw, func() cascade.HopStats {
+		st := gw.Stats()
+		return cascade.HopStats{Policy: p.name, Emitted: st.Fires, Dummies: st.Dummies}
+	}, nil
 }
 
 // PIATSource builds a fresh, independent realization of the padded-stream
@@ -405,33 +486,14 @@ func (s *System) tap(class int, streamID uint64) (*netem.Differ, error) {
 	// at slab boundaries. Nil (collection disabled) threads through every
 	// element for free.
 	sh := obs.NewShard()
-	var stream netem.TimeStream
-	var master *xrand.Rand
-	if s.cfg.Mix != nil {
-		mix, err := s.MixGateway(class, streamID)
-		if err != nil {
-			return nil, err
-		}
-		mix.SetProbe(sh)
-		// Derive the downstream RNG from a distinct branch of the same
-		// stream seed.
-		master = xrand.New(s.streamSeed(class, streamID) ^ 0xa5a5a5a5a5a5a5a5)
-		stream = mix
-	} else {
-		gw, m, err := s.buildGateway(class, streamID)
-		if err != nil {
-			return nil, err
-		}
-		gw.SetProbe(sh)
-		stream, master = gw, m
-	}
-	stream, err := s.observationChain(stream, master, sh)
+	stream, master, err := s.replicaHop(class, streamID, sh)
 	if err != nil {
 		return nil, err
 	}
-	d := netem.NewDiffer(stream)
-	d.SetProbe(sh)
-	return d, nil
+	if stream, err = s.observationChain(stream, master, sh); err != nil {
+		return nil, err
+	}
+	return netem.NewDiffer(stream, sh), nil
 }
 
 // observationChain layers the unprotected network path and the tap
@@ -477,20 +539,14 @@ func (s *System) observationChain(stream netem.TimeStream, master *xrand.Rand, p
 		}
 	}
 	if s.cfg.PathImpair.Enabled() {
-		imp, err := netem.NewImpairer(stream, s.cfg.PathImpair, master.Split())
-		if err != nil {
+		if stream, err = netem.NewImpairer(stream, s.cfg.PathImpair, master.Split(), probe); err != nil {
 			return nil, err
 		}
-		imp.SetProbe(probe)
-		stream = imp
 	}
 	if s.cfg.TapLossProb > 0 {
-		lt, err := netem.NewLossyTap(stream, s.cfg.TapLossProb, master.Split())
-		if err != nil {
+		if stream, err = netem.NewLossyTap(stream, s.cfg.TapLossProb, master.Split(), probe); err != nil {
 			return nil, err
 		}
-		lt.SetProbe(probe)
-		stream = lt
 	}
 	if s.cfg.TapResolution > 0 {
 		stream, err = netem.NewQuantizer(stream, s.cfg.TapResolution)
@@ -499,12 +555,9 @@ func (s *System) observationChain(stream netem.TimeStream, master *xrand.Rand, p
 		}
 	}
 	if s.cfg.TapImpair.Enabled() {
-		imp, err := netem.NewImpairer(stream, s.cfg.TapImpair, master.Split())
-		if err != nil {
+		if stream, err = netem.NewImpairer(stream, s.cfg.TapImpair, master.Split(), probe); err != nil {
 			return nil, err
 		}
-		imp.SetProbe(probe)
-		stream = imp
 	}
 	return stream, nil
 }
@@ -740,14 +793,8 @@ func (s *System) ModelR(hour float64) (float64, error) {
 	if s.cfg.Adaptive != nil || s.cfg.Mix != nil {
 		return 0, errors.New("core: the equal-mean variance-ratio model applies only to CIT/VIT padding")
 	}
-	var policy gateway.TimerPolicy
-	var err error
-	if s.cfg.SigmaT > 0 {
-		// Only Mean/IntervalVar are used; rng is irrelevant here.
-		policy, err = gateway.NewVIT(s.cfg.Tau, s.cfg.SigmaT, xrand.New(1))
-	} else {
-		policy, err = gateway.NewCIT(s.cfg.Tau)
-	}
+	// Only Mean/IntervalVar are used; the rng is irrelevant here.
+	policy, err := s.systemPad().timer(xrand.New(1))
 	if err != nil {
 		return 0, err
 	}

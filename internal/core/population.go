@@ -7,7 +7,6 @@ import (
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
-	"linkpad/internal/gateway"
 	"linkpad/internal/netem"
 	"linkpad/internal/obs"
 	"linkpad/internal/population"
@@ -466,82 +465,28 @@ func (s *System) flowLink(spec PopulationSpec, class int, raw bool, presence *tr
 }
 
 // padStream routes an arbitrary arrival process through the system's
-// padding policy (CIT/VIT/adaptive gateway, or mix, via the shared
-// timerPolicy / mixSpacing construction) and the system-level
-// observation chain — network path and tap imperfections — with an
-// optional ingress tap observing the arrivals before the padding. raw
-// bypasses the padding (the unpadded anchor still crosses the network
+// padding policy (padHop on systemPad) and the system-level observation
+// chain — network path and tap imperfections — with an optional ingress
+// tap observing the arrivals before the padding. raw bypasses the
+// padding with a rawLink (the unpadded anchor still crosses the network
 // and the tap, so comparisons isolate the policy alone). The returned
-// probe reads the padding stage's overhead counters (nil for raw
-// links). The population and active protocols share this construction;
-// master is consumed in a fixed order, so the chain is deterministic
-// from its stream seed.
+// probe reads the padding stage's overhead counters (nil for raw links).
+// The population and active protocols share this construction; master
+// feeds padHop and then the observation chain, so the chain is
+// deterministic from its stream seed.
 func (s *System) padStream(src traffic.Source, raw bool, master *xrand.Rand, tap func(t float64), sh *obs.Shard) (netem.TimeStream, cascade.HopProbe, error) {
 	var stream netem.TimeStream
 	var probe cascade.HopProbe
 	var err error
-	switch {
-	case raw:
+	if raw {
 		stream = &rawLink{src: src, tap: tap}
-	case s.cfg.Mix != nil:
-		mix, err := gateway.NewMix(gateway.MixConfig{
-			K:           s.cfg.Mix.K,
-			SendSpacing: s.mixSpacing(),
-			Payload:     src,
-			Jitter:      s.cfg.Jitter,
-			RNG:         master.Split(),
-			ArrivalTap:  tap,
-			Probe:       sh,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		probe = func() cascade.HopStats {
-			return cascade.HopStats{Policy: "MIX", Emitted: mix.Packets()}
-		}
-		stream = mix
-	default:
-		policy, err := s.timerPolicy(master)
-		if err != nil {
-			return nil, nil, err
-		}
-		gw, err := gateway.New(gateway.Config{
-			Policy:     policy,
-			Jitter:     s.cfg.Jitter,
-			Payload:    src,
-			RNG:        master.Split(),
-			ArrivalTap: tap,
-			Probe:      sh,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		name := s.policyName()
-		probe = func() cascade.HopStats {
-			st := gw.Stats()
-			return cascade.HopStats{Policy: name, Emitted: st.Fires, Dummies: st.Dummies}
-		}
-		stream = gw
+	} else if stream, probe, err = s.padHop(s.systemPad(), src, master, tap, sh); err != nil {
+		return nil, nil, err
 	}
-	stream, err = s.observationChain(stream, master, sh)
-	if err != nil {
+	if stream, err = s.observationChain(stream, master, sh); err != nil {
 		return nil, nil, err
 	}
 	return stream, probe, nil
-}
-
-// policyName names the system-level padding policy for overhead reports.
-func (s *System) policyName() string {
-	switch {
-	case s.cfg.Mix != nil:
-		return "MIX"
-	case s.cfg.Adaptive != nil:
-		return "ADAPTIVE"
-	case s.cfg.SigmaT > 0:
-		return "VIT"
-	default:
-		return "CIT"
-	}
 }
 
 // phantomUserBase offsets the user/flow indices of the adversary's
@@ -597,9 +542,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*popu
 			if err != nil {
 				return nil, err
 			}
-			d := netem.NewDiffer(link)
-			d.SetProbe(sh)
-			return d, nil
+			return netem.NewDiffer(link, sh), nil
 		})
 	if err != nil {
 		return nil, err

@@ -50,7 +50,7 @@ func crossModelSource(o Options, sys *core.System, model, class int, streamID ui
 	if err != nil {
 		return nil, err
 	}
-	return netem.NewDiffer(router), nil
+	return netem.NewDiffer(router, nil), nil
 }
 
 // ablationCrossModelCells replays the Fig. 6 setting through the

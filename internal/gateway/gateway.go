@@ -425,9 +425,5 @@ func (g *Gateway) nextSlab(dst []float64, flags []uint8) {
 // Stats returns a copy of the activity counters.
 func (g *Gateway) Stats() Stats { return g.stats }
 
-// SetProbe attaches a telemetry shard after construction (equivalent to
-// setting Config.Probe); call before the first fire.
-func (g *Gateway) SetProbe(s *obs.Shard) { g.cfg.Probe = s }
-
 // QueueLen returns the current payload queue length.
 func (g *Gateway) QueueLen() int { return len(g.queue) - g.qhead }

@@ -147,7 +147,3 @@ func (m *Mix) MaxDelay() float64 { return m.delayMax }
 
 // Packets returns the number of packets emitted so far.
 func (m *Mix) Packets() uint64 { return m.packets }
-
-// SetProbe attaches a telemetry shard after construction (equivalent to
-// setting MixConfig.Probe); call before the first flush.
-func (m *Mix) SetProbe(s *obs.Shard) { m.probe = s }

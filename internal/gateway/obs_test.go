@@ -15,7 +15,7 @@ func TestGatewayProbeAllocFree(t *testing.T) {
 	for name, mk := range gatewayCases(t) {
 		t.Run(name+"/disabled", func(t *testing.T) {
 			g := mk(1)
-			g.SetProbe(nil)
+			g.cfg.Probe = nil
 			s := slab.New(slab.DefaultLen)
 			g.NextSlab(s, slab.DefaultLen)
 			if n := testing.AllocsPerRun(10, func() { g.NextSlab(s, slab.DefaultLen) }); n != 0 {
@@ -24,7 +24,7 @@ func TestGatewayProbeAllocFree(t *testing.T) {
 		})
 		t.Run(name+"/enabled", func(t *testing.T) {
 			g := mk(1)
-			g.SetProbe(&obs.Shard{})
+			g.cfg.Probe = &obs.Shard{}
 			s := slab.New(slab.DefaultLen)
 			g.NextSlab(s, slab.DefaultLen)
 			if n := testing.AllocsPerRun(10, func() { g.NextSlab(s, slab.DefaultLen) }); n != 0 {
@@ -44,7 +44,7 @@ func TestGatewayProbeMatchesStats(t *testing.T) {
 			defer obs.Reset()
 			g := mk(1)
 			sh := &obs.Shard{}
-			g.SetProbe(sh)
+			g.cfg.Probe = sh
 			s := slab.New(slab.DefaultLen)
 			for i := 0; i < 50; i++ {
 				g.NextSlab(s, slab.DefaultLen)

@@ -52,7 +52,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		return func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)
-			p, err := NewImpairer(up, im, master.Split())
+			p, err := NewImpairer(up, im, master.Split(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		"lossytap": one(func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)
-			l, err := NewLossyTap(up, 0.07, master.Split())
+			l, err := NewLossyTap(up, 0.07, master.Split(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		"lossytap-lossless": one(func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)
-			l, err := NewLossyTap(up, 0, master.Split())
+			l, err := NewLossyTap(up, 0, master.Split(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewDiffer(r)
+			return NewDiffer(r, nil)
 		}),
 	}
 }
@@ -265,7 +265,7 @@ func TestDifferSkipAndPIATsBatched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewDiffer(r)
+		return NewDiffer(r, nil)
 	}
 	pull, batch := mk(7), mk(7)
 	for i := 0; i < 5000; i++ {
@@ -419,7 +419,7 @@ func BenchmarkImpairSlab(b *testing.B) {
 			LossProb: 0.05, DupProb: 0.1, ReorderProb: 0.08, ReorderDepth: 4,
 			GE: &GilbertElliott{PGoodBad: 0.01, PBadGood: 0.2, LossGood: 0, LossBad: 0.5},
 		}
-		imp, err := NewImpairer(&cumStream{src: p}, im, master.Split())
+		imp, err := NewImpairer(&cumStream{src: p}, im, master.Split(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

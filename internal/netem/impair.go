@@ -162,13 +162,11 @@ type Impairer struct {
 	one      [1]float64
 }
 
-// SetProbe attaches a telemetry shard; losses, duplicates and held-back
-// reorderings count into it.
-func (p *Impairer) SetProbe(s *obs.Shard) { p.probe = s }
-
 // NewImpairer wraps upstream with the impairment profile. A nil or
 // all-zero profile is rejected — the caller should simply not wrap.
-func NewImpairer(upstream TimeStream, im *Impairment, rng *xrand.Rand) (*Impairer, error) {
+// probe, when non-nil, is a telemetry shard; losses, duplicates and
+// held-back reorderings count into it.
+func NewImpairer(upstream TimeStream, im *Impairment, rng *xrand.Rand, probe *obs.Shard) (*Impairer, error) {
 	if upstream == nil {
 		return nil, errors.New("netem: nil upstream")
 	}
@@ -181,7 +179,7 @@ func NewImpairer(upstream TimeStream, im *Impairment, rng *xrand.Rand) (*Impaire
 	if rng == nil {
 		return nil, errors.New("netem: nil rng")
 	}
-	p := &Impairer{upstream: newFeed(upstream), im: *im, rng: rng}
+	p := &Impairer{upstream: newFeed(upstream), im: *im, rng: rng, probe: probe}
 	if im.GE != nil {
 		p.ge = &geChain{g: *im.GE}
 	}

@@ -55,7 +55,7 @@ func TestGilbertElliottMeanLoss(t *testing.T) {
 func drainImpairer(t *testing.T, im *Impairment, seed uint64, n int) []float64 {
 	t.Helper()
 	up := periodicTimes(4*n+1024, 1e-3)
-	p, err := NewImpairer(NewSliceStream(up), im, xrand.New(seed))
+	p, err := NewImpairer(NewSliceStream(up), im, xrand.New(seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestImpairerLossRate(t *testing.T) {
 	// cross the boundary without exhausting the finite SliceStream.
 	up := periodicTimes(n+1024, 1e-3)
 	for _, p := range []float64{0.02, 0.1, 0.3} {
-		imp, err := NewImpairer(NewSliceStream(up), &Impairment{LossProb: p}, xrand.New(5))
+		imp, err := NewImpairer(NewSliceStream(up), &Impairment{LossProb: p}, xrand.New(5), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestImpairerGEBursty(t *testing.T) {
 	g := &GilbertElliott{PGoodBad: 0.05, PBadGood: 0.5, LossBad: 0.5}
 	const n = 200000
 	up := periodicTimes(n+1024, 1e-3)
-	imp, err := NewImpairer(NewSliceStream(up), &Impairment{GE: g}, xrand.New(6))
+	imp, err := NewImpairer(NewSliceStream(up), &Impairment{GE: g}, xrand.New(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestImpairerGEBursty(t *testing.T) {
 func TestImpairerDuplication(t *testing.T) {
 	const n = 50000
 	up := periodicTimes(n+1024, 1e-3)
-	imp, err := NewImpairer(NewSliceStream(up), &Impairment{DupProb: 0.1}, xrand.New(7))
+	imp, err := NewImpairer(NewSliceStream(up), &Impairment{DupProb: 0.1}, xrand.New(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestImpairerReorderDisplacesTimestamps(t *testing.T) {
 	const n = 20000
 	const depth = 3
 	up := periodicTimes(n, 1e-3)
-	imp, err := NewImpairer(NewSliceStream(up), &Impairment{ReorderProb: 0.1, ReorderDepth: depth}, xrand.New(9))
+	imp, err := NewImpairer(NewSliceStream(up), &Impairment{ReorderProb: 0.1, ReorderDepth: depth}, xrand.New(9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func FuzzParseImpairment(f *testing.F) {
 			return
 		}
 		valid := im.Validate() == nil
-		_, errImp := NewImpairer(NewSliceStream(periodicTimes(4, 1e-3)), &im, xrand.New(1))
+		_, errImp := NewImpairer(NewSliceStream(periodicTimes(4, 1e-3)), &im, xrand.New(1), nil)
 		if valid != (errImp == nil) && im.Enabled() {
 			t.Fatalf("Validate ok=%v but NewImpairer err=%v for %+v", valid, errImp, im)
 		}

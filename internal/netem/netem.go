@@ -496,14 +496,14 @@ type Differ struct {
 	one     [1]float64
 }
 
-// NewDiffer wraps src.
-func NewDiffer(src TimeStream) *Differ { return &Differ{src: newFeed(src)} }
-
-// SetProbe attaches the observation chain's telemetry shard to the
-// Differ, making it the chain's flush point: the Differ is the single
-// element every chain ends in, so batched consumers can drain the whole
-// chain's counters through it (FlushObs) at slab boundaries.
-func (d *Differ) SetProbe(s *obs.Shard) { d.probe = s }
+// NewDiffer wraps src. probe, when non-nil, is the observation chain's
+// telemetry shard, making the Differ the chain's flush point: the Differ
+// is the single element every chain ends in, so batched consumers can
+// drain the whole chain's counters through it (FlushObs) at slab
+// boundaries.
+func NewDiffer(src TimeStream, probe *obs.Shard) *Differ {
+	return &Differ{src: newFeed(src), probe: probe}
+}
 
 // FlushObs drains the chain's telemetry shard into the global
 // collector; a no-op when no probe is attached. Implements obs.Flusher.
@@ -572,12 +572,10 @@ type LossyTap struct {
 	one      [1]float64
 }
 
-// SetProbe attaches a telemetry shard; missed captures count as
-// NetemDrop.
-func (l *LossyTap) SetProbe(s *obs.Shard) { l.probe = s }
-
 // NewLossyTap creates a lossy tap with loss probability 0 <= p < 1.
-func NewLossyTap(upstream TimeStream, p float64, rng *xrand.Rand) (*LossyTap, error) {
+// probe, when non-nil, is a telemetry shard; missed captures count into
+// it as NetemDrop.
+func NewLossyTap(upstream TimeStream, p float64, rng *xrand.Rand, probe *obs.Shard) (*LossyTap, error) {
 	if upstream == nil {
 		return nil, errors.New("netem: nil upstream")
 	}
@@ -587,7 +585,7 @@ func NewLossyTap(upstream TimeStream, p float64, rng *xrand.Rand) (*LossyTap, er
 	if p > 0 && rng == nil {
 		return nil, errors.New("netem: nil rng with non-zero loss")
 	}
-	return &LossyTap{upstream: newFeed(upstream), p: p, rng: rng}, nil
+	return &LossyTap{upstream: newFeed(upstream), p: p, rng: rng, probe: probe}, nil
 }
 
 // Next returns the next captured packet time: a one-packet NextBatch.

@@ -355,10 +355,10 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewRouter(up, nil, -1, 0); err == nil {
 		t.Error("router bad service")
 	}
-	if _, err := NewLossyTap(up, 1.0, xrand.New(1)); err == nil {
+	if _, err := NewLossyTap(up, 1.0, xrand.New(1), nil); err == nil {
 		t.Error("loss prob 1")
 	}
-	if _, err := NewLossyTap(up, 0.5, nil); err == nil {
+	if _, err := NewLossyTap(up, 0.5, nil, nil); err == nil {
 		t.Error("lossy nil rng")
 	}
 	if _, err := NewQuantizer(up, 0); err == nil {
@@ -393,7 +393,7 @@ func TestPathNoiseGrowsWithHops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.Variance(NewDiffer(p).PIATs(n))
+		return stats.Variance(NewDiffer(p, nil).PIATs(n))
 	}
 	v1, v5, v15 := variance(1), variance(5), variance(15)
 	if !(v1 < v5 && v5 < v15) {
@@ -417,7 +417,7 @@ func TestDiurnalUtil(t *testing.T) {
 }
 
 func TestDifferAndPIATs(t *testing.T) {
-	d := NewDiffer(NewSliceStream([]float64{1, 1.5, 2.5, 4}))
+	d := NewDiffer(NewSliceStream([]float64{1, 1.5, 2.5, 4}), nil)
 	got := d.PIATs(3)
 	want := []float64{0.5, 1, 1.5}
 	for i := range want {
@@ -430,7 +430,7 @@ func TestDifferAndPIATs(t *testing.T) {
 func TestLossyTapRate(t *testing.T) {
 	const n = 100000
 	in := periodicTimes(n, 10e-3)
-	lt, err := NewLossyTap(NewSliceStream(in), 0.2, xrand.New(6))
+	lt, err := NewLossyTap(NewSliceStream(in), 0.2, xrand.New(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestLossyTapRate(t *testing.T) {
 
 func TestLossyTapZeroLossPassThrough(t *testing.T) {
 	in := periodicTimes(10, 1)
-	lt, err := NewLossyTap(NewSliceStream(in), 0, nil)
+	lt, err := NewLossyTap(NewSliceStream(in), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func BenchmarkExactRouterNext(b *testing.B) {
 // advancing the clock, and Observed counts everything consumed.
 func TestDifferSessionClock(t *testing.T) {
 	times := []float64{1.0, 1.5, 2.5, 4.0, 6.0, 9.0}
-	d := NewDiffer(NewSliceStream(times))
+	d := NewDiffer(NewSliceStream(times), nil)
 	if d.Now() != 0 || d.Observed() != 0 {
 		t.Fatalf("fresh differ: now=%v observed=%d", d.Now(), d.Observed())
 	}

@@ -41,14 +41,12 @@ type OutageStream struct {
 	probe      *obs.Shard
 }
 
-// SetProbe attaches a telemetry shard; dark-interval hits and the extra
-// delay they cost count into it.
-func (o *OutageStream) SetProbe(s *obs.Shard) { o.probe = s }
-
 // NewOutageStream wraps upstream with the schedule. backoff and
 // spareDelay must not both be positive (a gateway either retries the
-// primary route or diverts to the spare, not both).
-func NewOutageStream(upstream TimeStream, sched *traffic.OnOffSchedule, backoff, spareDelay float64) (*OutageStream, error) {
+// primary route or diverts to the spare, not both). probe, when non-nil,
+// is a telemetry shard; dark-interval hits and the extra delay they cost
+// count into it.
+func NewOutageStream(upstream TimeStream, sched *traffic.OnOffSchedule, backoff, spareDelay float64, probe *obs.Shard) (*OutageStream, error) {
 	if upstream == nil {
 		return nil, errors.New("netem: nil upstream")
 	}
@@ -61,7 +59,7 @@ func NewOutageStream(upstream TimeStream, sched *traffic.OnOffSchedule, backoff,
 	if backoff > 0 && spareDelay > 0 {
 		return nil, errors.New("netem: outage backoff and spare failover are mutually exclusive")
 	}
-	return &OutageStream{upstream: upstream, sched: sched, backoff: backoff, spareDelay: spareDelay}, nil
+	return &OutageStream{upstream: upstream, sched: sched, backoff: backoff, spareDelay: spareDelay, probe: probe}, nil
 }
 
 // Next returns the departure time of the next packet under the outage

@@ -21,16 +21,16 @@ func outageSchedule(t *testing.T, seed uint64) *traffic.OnOffSchedule {
 func TestOutageStreamValidation(t *testing.T) {
 	up := NewSliceStream(periodicTimes(4, 1e-3))
 	sched := outageSchedule(t, 1)
-	if _, err := NewOutageStream(nil, sched, 0, 0); err == nil {
+	if _, err := NewOutageStream(nil, sched, 0, 0, nil); err == nil {
 		t.Error("nil upstream should fail")
 	}
-	if _, err := NewOutageStream(up, nil, 0, 0); err == nil {
+	if _, err := NewOutageStream(up, nil, 0, 0, nil); err == nil {
 		t.Error("nil schedule should fail")
 	}
-	if _, err := NewOutageStream(up, sched, -1, 0); err == nil {
+	if _, err := NewOutageStream(up, sched, -1, 0, nil); err == nil {
 		t.Error("negative backoff should fail")
 	}
-	if _, err := NewOutageStream(up, sched, 0.1, 0.2); err == nil {
+	if _, err := NewOutageStream(up, sched, 0.1, 0.2, nil); err == nil {
 		t.Error("backoff and spare together should fail")
 	}
 }
@@ -41,7 +41,7 @@ func TestOutageStreamWaitPolicy(t *testing.T) {
 	// holds throughout.
 	const n = 20000
 	in := periodicTimes(n, 1e-3)
-	o, err := NewOutageStream(NewSliceStream(in), outageSchedule(t, 2), 0, 0)
+	o, err := NewOutageStream(NewSliceStream(in), outageSchedule(t, 2), 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestOutageStreamBackoffOvershoot(t *testing.T) {
 	const n = 20000
 	const b = 0.01
 	in := periodicTimes(n, 1e-3)
-	o, err := NewOutageStream(NewSliceStream(in), outageSchedule(t, 3), b, 0)
+	o, err := NewOutageStream(NewSliceStream(in), outageSchedule(t, 3), b, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestOutageStreamSparePolicy(t *testing.T) {
 	const n = 10000
 	const spare = 0.02
 	in := periodicTimes(n, 1e-3)
-	o, err := NewOutageStream(NewSliceStream(in), outageSchedule(t, 4), 0, spare)
+	o, err := NewOutageStream(NewSliceStream(in), outageSchedule(t, 4), 0, spare, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@
 //     evaluation section by name (see ExperimentNames).
 //
 // The package root is a facade over the internal implementation packages;
-// see DESIGN.md for the system inventory and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// see DESIGN.md for the system inventory, testdata/golden/ for the
+// recorded result tables and BENCH.json for the timing trajectory.
 package linkpad
 
 import (
