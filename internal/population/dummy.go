@@ -128,7 +128,7 @@ func (d *disclosure) suspects(t *targetState) []int32 {
 	}
 	t.susFresh = true
 	t.sus = t.sus[:0]
-	if !t.est.ready() {
+	if !t.est.ready(&d.scratch[0]) {
 		return t.sus
 	}
 	k := len(t.contacts)

@@ -81,7 +81,8 @@ func validEstimator(k EstimatorKind) bool {
 //     never reach observe.
 //   - ready reports whether a pointwise estimate exists, caching
 //     whatever reciprocals estimateAt needs; it must be called before
-//     estimateAt and is idempotent between observes.
+//     estimateAt and is idempotent between observes. sc is the calling
+//     worker's refresh scratch, which only ML uses.
 //   - support returns the ascending coordinate set containing every
 //     strictly positive estimate; coordinates outside it evaluate to
 //     exactly 0.
@@ -89,7 +90,7 @@ func validEstimator(k EstimatorKind) bool {
 //     slot of a disclosure checkpoint.
 type estimator interface {
 	observe(h *rcptHist, sent bool, cnt int)
-	ready() bool
+	ready(sc *mlScratch) bool
 	support() []int32
 	estimateAt(i int32) float64
 	snapshot(ts *TargetEstimatorState)
@@ -132,7 +133,7 @@ func (c *classicEstimator) observe(h *rcptHist, sent bool, _ int) {
 	dst.fold(h.idx, h.cnt, 1)
 }
 
-func (c *classicEstimator) ready() bool {
+func (c *classicEstimator) ready(*mlScratch) bool {
 	if c.nWith == 0 || c.nWithout == 0 {
 		return false
 	}
@@ -230,7 +231,7 @@ func (l *lsEstimator) observe(h *rcptHist, sent bool, cnt int) {
 // ready requires a non-degenerate system: det = Saa·Sbb − Sab² is
 // positive once the observed (a_i, b_i) pairs are not all collinear —
 // in practice one round with and one without the target.
-func (l *lsEstimator) ready() bool {
+func (l *lsEstimator) ready(*mlScratch) bool {
 	det := l.saa*l.sbb - l.sab*l.sab
 	if !(det > 0) {
 		return false
@@ -313,17 +314,15 @@ type mlGroup struct {
 }
 
 // mlEstimator is the iterative ML (EM) estimator for the round mixture
-// model. Memory is O(distinct (a, n) keys × observed support) plus two
-// recipient-indexed slot maps bounded by the recipient space; the
+// model. Memory is O(distinct (a, n) keys × observed support); the
 // estimate p (and the background q it is jointly fitted with) is
-// refreshed lazily at checkpoint boundaries.
+// refreshed lazily at checkpoint boundaries, in the calling worker's
+// mlScratch, so a target holds no refresh scratch.
 //
-// refresh does no searching. observe keeps q's and p's EM initializers
-// as running counts (allCnt over every round, withCnt over the rounds
-// the target sent in), and refresh resolves each recipient to its q and
-// p slot once, into qs and ps, before the sweeps. The counts are
-// integer-valued float64s, so their sums are exact in any order and
-// equal, bit for bit, a sum over the groups.
+// observe keeps q's and p's EM initializers as running counts (allCnt
+// over every round, withCnt over the rounds the target sent in). The
+// counts are integer-valued float64s, so their sums are exact in any
+// order and equal, bit for bit, a sum over the groups.
 type mlEstimator struct {
 	groups   []mlGroup // ascending by (a, n)
 	nWith    int
@@ -333,9 +332,30 @@ type mlEstimator struct {
 	withCnt  sparseVec // Σy over groups with a > 0: p's EM initializer
 	p        sparseVec // target estimate over the with-round support
 	q        sparseVec // background estimate over the full support
-	tp, tq   []float64 // M-step scratch aligned with p.idx / q.idx
-	qs, ps   []int32   // recipient -> q / p slot (ps: -1 where p is absent)
 }
+
+// mlScratch is one worker's ML refresh scratch. A disclosure run owns
+// one per worker and hands it to every refresh that worker runs; each
+// slice grows geometrically and is reused across targets and refreshes,
+// so steady-state refreshes allocate nothing. Nothing a refresh reads
+// survives from an earlier one, so results never depend on which
+// worker's scratch a refresh gets.
+//
+// ent holds the E-step's a > 0 entries transposed from group-major to
+// recipient-major (CSR): q slot k's entries are ent[off[k]:off[k+1]],
+// in ascending group order.
+type mlScratch struct {
+	qs     []int32   // recipient -> q slot, over q's span
+	off    []int32   // CSR offsets, one per q slot plus one
+	fill   []int32   // CSR fill cursors, one per q slot
+	ent    []mlEntry // CSR entries
+	no     []float64 // per q slot: Σy over the a = 0 groups
+	tp, tq []float64 // M-step accumulators aligned with p.idx / q.idx
+}
+
+// mlEntry is one group's y deliveries to one recipient, with the
+// group's a and b = n − a, so the E-step reads one array.
+type mlEntry struct{ a, b, y float64 }
 
 // group locates or inserts the (a, n) group, keeping the slice sorted.
 func (m *mlEstimator) group(a, n int32) *mlGroup {
@@ -368,12 +388,12 @@ func (m *mlEstimator) observe(h *rcptHist, sent bool, cnt int) {
 	m.dirty = true
 }
 
-func (m *mlEstimator) ready() bool {
+func (m *mlEstimator) ready(sc *mlScratch) bool {
 	if m.nWith == 0 || m.nWithout == 0 {
 		return false
 	}
 	if m.dirty {
-		m.refresh()
+		m.refresh(sc)
 		m.dirty = false
 	}
 	return true
@@ -385,13 +405,21 @@ func (m *mlEstimator) ready() bool {
 // round keeps q positive on the whole observed support, so every
 // E-step denominator a·p[r] + b·q[r] is positive wherever y[r] > 0.
 //
-// The initializers are the running counts observe keeps, and the
-// E-step reads each entry's q and p slot from the slot maps, filled
-// once here: p's and q's supports are fixed for the sweeps, and p's is
-// a subset of q's. The sweeps visit groups and entries in ascending
-// order, so every float operation matches a search-per-entry E-step
-// (the oracle in estimator_ref_test.go) bit for bit.
-func (m *mlEstimator) refresh() {
+// The E-step runs recipient-major. p's and q's supports are fixed for
+// the sweeps, p's is a subset of q's, and every a > 0 entry lies in p's
+// (withCnt is the union of those groups' supports), so one walk over q
+// meets each p slot in turn and keeps p[r], q[r] and both accumulators
+// in registers. Each slot still receives its terms in ascending group
+// order, so every float operation matches the group-major,
+// search-per-entry E-step (the oracle in estimator_ref_test.go) bit for
+// bit.
+//
+// The a = 0 groups (rounds the target did not send in) sort first and
+// leave the CSR: their den = b·q[r] is positive exactly when q[r] > 0,
+// and then w = 0·p[r]/den is exactly +0, so each adds y to tq[r] and +0
+// to tp[r]. Their integer sum, allCnt − withCnt, is exact in any order,
+// so tq[r] starts from it whenever q[r] > 0.
+func (m *mlEstimator) refresh(sc *mlScratch) {
 	m.p.setPairs(m.withCnt.idx, m.withCnt.val)
 	m.q.setPairs(m.allCnt.idx, m.allCnt.val)
 	normalizeVec(&m.p)
@@ -399,69 +427,101 @@ func (m *mlEstimator) refresh() {
 	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
 		return
 	}
-	// The maps span q's largest recipient, so they stay within the
-	// recipient space. Only q's coordinates are ever read, and each is
-	// overwritten here, so stale slots from a smaller support are inert.
-	span := int(m.q.idx[len(m.q.idx)-1]) + 1
-	m.qs = resize(m.qs, span)
-	m.ps = resize(m.ps, span)
-	for k, r := range m.q.idx {
-		m.qs[r] = int32(k)
-		m.ps[r] = -1
-	}
-	for k, r := range m.p.idx {
-		m.ps[r] = int32(k)
-	}
-	m.tp = resize(m.tp, len(m.p.idx))
-	m.tq = resize(m.tq, len(m.q.idx))
+	m.transpose(sc)
+	pIdx, pVal, qIdx := m.p.idx, m.p.val, m.q.idx
+	// Lengths tied to qIdx let the compiler drop the sweep's bounds checks.
+	nq := len(qIdx)
+	qVal, no, tq, off := m.q.val[:nq], sc.no[:nq], sc.tq[:nq], sc.off[:nq+1]
+	ent, tp := sc.ent, sc.tp
 	for iter := 0; iter < mlEMIters; iter++ {
-		for i := range m.tp {
-			m.tp[i] = 0
-		}
-		for i := range m.tq {
-			m.tq[i] = 0
-		}
-		for gi := range m.groups {
-			g := &m.groups[gi]
-			a, b := float64(g.a), float64(g.n-g.a)
-			for k, r := range g.y.idx {
-				y := g.y.val[k]
-				qi, pi := m.qs[r], m.ps[r] // q spans the full support
-				var pv float64
-				if pi >= 0 {
-					pv = m.p.val[pi]
-				}
-				den := a*pv + b*m.q.val[qi]
-				if den <= 0 {
-					continue
-				}
-				// E-step: expected target-origin mass of the y deliveries.
-				w := a * pv / den
-				if pi >= 0 {
-					m.tp[pi] += y * w
-				}
-				m.tq[qi] += y * (1 - w)
+		var sp, sq float64
+		j := 0
+		for k, r := range qIdx {
+			qv := qVal[k]
+			var t float64
+			if qv > 0 {
+				t = no[k]
 			}
+			if j < len(pIdx) && pIdx[j] == r {
+				pv := pVal[j]
+				var s float64
+				for _, e := range ent[off[k]:off[k+1]] {
+					den := e.a*pv + e.b*qv
+					if den <= 0 {
+						continue
+					}
+					// E-step: expected target-origin mass of the y deliveries.
+					w := e.a * pv / den
+					s += e.y * w
+					t += e.y * (1 - w)
+				}
+				tp[j] = s
+				sp += s
+				j++
+			}
+			tq[k] = t
+			sq += t
 		}
 		// M-step: renormalize both components.
-		var sp, sq float64
-		for _, v := range m.tp {
-			sp += v
-		}
-		for _, v := range m.tq {
-			sq += v
-		}
 		if sp > 0 {
-			for i := range m.tp {
-				m.p.val[i] = m.tp[i] / sp
+			for i := range tp {
+				pVal[i] = tp[i] / sp
 			}
 		}
 		if sq > 0 {
-			for i := range m.tq {
-				m.q.val[i] = m.tq[i] / sq
+			for i := range tq {
+				qVal[i] = tq[i] / sq
 			}
 		}
 	}
+}
+
+// transpose fills sc for one refresh: the CSR of the a > 0 entries by q
+// slot (counted, prefix-summed, then filled group by group, so each
+// slot's entries come out in ascending group order), the folded a = 0
+// counts, and the M-step accumulators.
+func (m *mlEstimator) transpose(sc *mlScratch) {
+	nq := len(m.q.idx)
+	// The slot map spans q's largest recipient, so it stays within the
+	// recipient space. Only q's coordinates are ever read, and each is
+	// overwritten here, so stale slots from a smaller support are inert.
+	sc.qs = grow(sc.qs, int(m.q.idx[nq-1])+1)
+	for k, r := range m.q.idx {
+		sc.qs[r] = int32(k)
+	}
+	first := sort.Search(len(m.groups), func(i int) bool { return m.groups[i].a > 0 })
+	withRounds := m.groups[first:]
+	sc.off = grow(sc.off, nq+1)
+	clear(sc.off)
+	for gi := range withRounds {
+		for _, r := range withRounds[gi].y.idx {
+			sc.off[sc.qs[r]+1]++
+		}
+	}
+	for k := 0; k < nq; k++ {
+		sc.off[k+1] += sc.off[k]
+	}
+	sc.fill = grow(sc.fill, nq)
+	copy(sc.fill, sc.off)
+	sc.ent = grow(sc.ent, int(sc.off[nq]))
+	for gi := range withRounds {
+		g := &withRounds[gi]
+		a, b := float64(g.a), float64(g.n-g.a)
+		for k, r := range g.y.idx {
+			s := sc.qs[r]
+			sc.ent[sc.fill[s]] = mlEntry{a, b, g.y.val[k]}
+			sc.fill[s]++
+		}
+	}
+	// Every count is an integer-valued float64 below 2^53, so the
+	// difference is exact and equals the ascending a = 0 sum.
+	sc.no = grow(sc.no, nq)
+	copy(sc.no, m.allCnt.val)
+	for j, r := range m.withCnt.idx {
+		sc.no[sc.qs[r]] -= m.withCnt.val[j]
+	}
+	sc.tp = grow(sc.tp, len(m.p.idx))
+	sc.tq = grow(sc.tq, nq)
 }
 
 func (m *mlEstimator) support() []int32 { return m.p.idx }
@@ -580,10 +640,12 @@ func normalizeVec(v *sparseVec) {
 	}
 }
 
-// resize returns s resized to n elements without preserving contents.
-func resize[T any](s []T, n int) []T {
+// grow returns s resized to n elements without preserving contents,
+// at least doubling its capacity when it must reallocate, so a slice
+// reused for ever larger requests reallocates O(log n) times.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

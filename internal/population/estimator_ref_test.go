@@ -106,7 +106,7 @@ func TestLeastSquaresMatchesGaussianOracle(t *testing.T) {
 			target := int32(tc.n / 2)
 			rounds := collectTargetRounds(t, e, target, tc.batch, tc.rounds)
 			est := feedEstimator(EstimatorLeastSquares, rounds)
-			if !est.ready() {
+			if !est.ready(nil) {
 				t.Fatal("least-squares estimator not ready after the recorded rounds")
 			}
 			// Dense oracle: re-accumulate everything from the round list.
@@ -183,7 +183,7 @@ func TestLSSparseMatchesDenseBitIdentical(t *testing.T) {
 		t.Fatalf("scalar moments differ: sparse (%v,%v,%v) dense (%v,%v,%v)",
 			est.saa, est.sab, est.sbb, saa, sab, sbb)
 	}
-	if !est.ready() {
+	if !est.ready(nil) {
 		t.Fatal("estimator not ready")
 	}
 	inv := 1 / (saa*sbb - sab*sab)
@@ -263,7 +263,7 @@ func TestMLRefreshMatchesExhaustivePosteriorEM(t *testing.T) {
 		}
 	}
 	est := feedEstimator(EstimatorML, recs).(*mlEstimator)
-	if !est.ready() {
+	if !est.ready(&mlScratch{}) {
 		t.Fatal("ML estimator not ready after the recorded rounds")
 	}
 
@@ -390,11 +390,12 @@ func TestMLGroupingIsExact(t *testing.T) {
 }
 
 // refreshSearchReference is the ML refresh before the running counts
-// and slot maps, kept verbatim as the oracle: it rebuilds p's and q's
-// initializers from the groups with a search-and-insert per entry, and
-// its E-step binary-searches p and q for every entry of every sweep.
+// and the recipient-major E-step, kept as the oracle: it rebuilds p's
+// and q's initializers from the groups with a search-and-insert per
+// entry, and its E-step runs group-major, binary-searching p and q for
+// every entry of every sweep. Only its M-step accumulators live in sc.
 // Run it on an estimator holding a copy of the groups (cloneGroups).
-func refreshSearchReference(m *mlEstimator) {
+func refreshSearchReference(m *mlEstimator, sc *mlScratch) {
 	m.p.idx, m.p.val = m.p.idx[:0], m.p.val[:0]
 	m.q.idx, m.q.val = m.q.idx[:0], m.q.val[:0]
 	for gi := range m.groups {
@@ -411,14 +412,14 @@ func refreshSearchReference(m *mlEstimator) {
 	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
 		return
 	}
-	m.tp = resize(m.tp, len(m.p.idx))
-	m.tq = resize(m.tq, len(m.q.idx))
+	tp, tq := grow(sc.tp, len(m.p.idx)), grow(sc.tq, len(m.q.idx))
+	sc.tp, sc.tq = tp, tq
 	for iter := 0; iter < mlEMIters; iter++ {
-		for i := range m.tp {
-			m.tp[i] = 0
+		for i := range tp {
+			tp[i] = 0
 		}
-		for i := range m.tq {
-			m.tq[i] = 0
+		for i := range tq {
+			tq[i] = 0
 		}
 		for gi := range m.groups {
 			g := &m.groups[gi]
@@ -438,27 +439,27 @@ func refreshSearchReference(m *mlEstimator) {
 				// E-step: expected target-origin mass of the y deliveries.
 				w := a * pv / den
 				if pok {
-					m.tp[pi] += y * w
+					tp[pi] += y * w
 				}
-				m.tq[qi] += y * (1 - w)
+				tq[qi] += y * (1 - w)
 			}
 		}
 		// M-step: renormalize both components.
 		var sp, sq float64
-		for _, v := range m.tp {
+		for _, v := range tp {
 			sp += v
 		}
-		for _, v := range m.tq {
+		for _, v := range tq {
 			sq += v
 		}
 		if sp > 0 {
-			for i := range m.tp {
-				m.p.val[i] = m.tp[i] / sp
+			for i := range tp {
+				m.p.val[i] = tp[i] / sp
 			}
 		}
 		if sq > 0 {
-			for i := range m.tq {
-				m.q.val[i] = m.tq[i] / sq
+			for i := range tq {
+				m.q.val[i] = tq[i] / sq
 			}
 		}
 	}
@@ -524,28 +525,39 @@ func collectMixRounds(tb testing.TB, spec MixSpec, target int32, rounds int) []r
 }
 
 // TestMLRefreshMatchesSearchReference: after every observed round the
-// search-free refresh must reproduce the search-per-entry reference
-// exactly — equal supports and bit-identical p and q — over pool and
-// timed rounds of varying size. An estimator restored from a JSON
-// snapshot at a seeded random round rebuilds its running counts from
-// the groups; it must hold the same counts as the original and keep
-// matching the reference as rounds continue.
+// recipient-major refresh must reproduce the search-per-entry reference
+// exactly — equal supports and bit-identical p and q — over threshold,
+// pool and timed rounds (the last two vary in size). An estimator
+// restored from a JSON snapshot at a seeded random round rebuilds its
+// running counts from the groups; it must hold the same counts as the
+// original and keep matching the reference as rounds continue. One
+// scratch serves every refresh, as a disclosure worker's does. A hand-built
+// round list covers the recipient-major loop's edge cases
+// (mlEdgeRounds).
 func TestMLRefreshMatchesSearchReference(t *testing.T) {
 	const rounds = 240
-	for _, spec := range []MixSpec{{Kind: MixPool, Seed: 5}, {Kind: MixTimed}} {
-		t.Run(spec.Kind.String(), func(t *testing.T) {
-			recs := collectMixRounds(t, spec, 3, rounds)
+	for _, tc := range []struct {
+		spec  MixSpec
+		varyN bool
+	}{
+		{MixSpec{Kind: MixThreshold}, false},
+		{MixSpec{Kind: MixPool, Seed: 5}, true},
+		{MixSpec{Kind: MixTimed}, true},
+	} {
+		t.Run(tc.spec.Kind.String(), func(t *testing.T) {
+			recs := collectMixRounds(t, tc.spec, 3, rounds)
 			sizes := map[int]bool{}
 			for _, rec := range recs {
 				sizes[len(rec.rcpts)] = true
 			}
-			if len(sizes) < 2 {
+			if tc.varyN && len(sizes) < 2 {
 				t.Fatalf("every round has the same size; the test needs varying n")
 			}
 			kill := 1 + xrand.New(2026).Intn(rounds-1)
 			est := newEstimator(EstimatorML).(*mlEstimator)
 			var resumed *mlEstimator
 			var h rcptHist
+			var sc, refSc mlScratch
 			for i, rec := range recs {
 				observeRecorded(est, &h, rec)
 				if resumed != nil {
@@ -558,9 +570,9 @@ func TestMLRefreshMatchesSearchReference(t *testing.T) {
 					if m == nil {
 						continue
 					}
-					m.refresh()
+					m.refresh(&sc)
 					ref := &mlEstimator{groups: cloneGroups(m.groups)}
-					refreshSearchReference(ref)
+					refreshSearchReference(ref, &refSc)
 					if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
 						t.Fatalf("round %d (resumed=%t): refresh differs from the search reference",
 							i+1, m == resumed)
@@ -572,6 +584,52 @@ func TestMLRefreshMatchesSearchReference(t *testing.T) {
 			}
 		})
 	}
+	t.Run("edge-cases", func(t *testing.T) {
+		m := feedEstimator(EstimatorML, mlEdgeRounds).(*mlEstimator)
+		if !m.ready(&mlScratch{}) {
+			t.Fatal("ML estimator not ready after the hand-built rounds")
+		}
+		ref := &mlEstimator{groups: cloneGroups(m.groups)}
+		refreshSearchReference(ref, &mlScratch{})
+		if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
+			t.Fatalf("refresh differs from the search reference:\np %v q %v\nreference p %v q %v",
+				m.p, m.q, ref.p, ref.q)
+		}
+		if _, ok := m.p.find(5); ok {
+			t.Error("recipient 5 is in p's support; the case needs it outside")
+		}
+		if _, ok := m.q.find(5); !ok {
+			t.Error("recipient 5 is missing from q's support")
+		}
+		if k, ok := m.q.find(4); !ok || m.q.val[k] != 0 {
+			t.Errorf("q[4] = %v (present %t), want exactly 0", m.q.get(4), ok)
+		}
+		if m.p.get(4) <= 0 {
+			t.Errorf("p[4] = %v, want positive", m.p.get(4))
+		}
+	})
+}
+
+// mlEdgeRounds reaches the recipient-major E-step's edge cases:
+//
+//   - recipient 5 is delivered only in rounds the target did not send
+//     in, so it lies outside p's support and gets only the folded
+//     a = 0 sum;
+//   - the target sent every message of the a = n rounds, where b = 0
+//     and w = 1;
+//   - recipient 4 is delivered only in a = n rounds, so the first sweep
+//     gives it no background mass and q[4] is exactly 0 from then on.
+var mlEdgeRounds = []recordedRound{
+	{rcpts: []int32{0, 1, 5}},            // a = 0
+	{rcpts: []int32{2, 4}, cnt: 2},       // a = n
+	{rcpts: []int32{0, 2, 3}, cnt: 1},    // a = 1, n = 3
+	{rcpts: []int32{1, 3, 3, 5}},         // a = 0, n = 4
+	{rcpts: []int32{0, 1}, cnt: 1},       // a = 1, n = 2
+	{rcpts: []int32{4, 2, 0}, cnt: 3},    // a = n = 3
+	{rcpts: []int32{3, 0, 2, 1}, cnt: 2}, // a = 2, n = 4
+	{rcpts: []int32{5, 5, 0}},            // a = 0, n = 3
+	{rcpts: []int32{0, 2, 3}, cnt: 1},    // a = 1, n = 3 again
+	{rcpts: []int32{2, 1, 0, 3}, cnt: 1}, // a = 1, n = 4
 }
 
 // jsonRoundTrip snapshots an ML estimator through JSON into a fresh one
@@ -599,25 +657,34 @@ func jsonRoundTrip(t *testing.T, m *mlEstimator) *mlEstimator {
 }
 
 // BenchmarkMLRefresh times one ML refresh over grouped statistics shaped
-// like the league's timed-mix cells after their 240-round budget, for
-// the search-free refresh and the search-per-entry reference.
+// like the league's timed- and pool-mix cells after their 240-round
+// budget, for the recipient-major refresh and the search-per-entry
+// reference.
 func BenchmarkMLRefresh(b *testing.B) {
-	m := newEstimator(EstimatorML).(*mlEstimator)
-	var h rcptHist
-	for _, rec := range collectMixRounds(b, MixSpec{Kind: MixTimed}, 3, 240) {
-		observeRecorded(m, &h, rec)
+	for _, spec := range []MixSpec{{Kind: MixTimed}, {Kind: MixPool}} {
+		m := newEstimator(EstimatorML).(*mlEstimator)
+		var h rcptHist
+		for _, rec := range collectMixRounds(b, spec, 3, 240) {
+			observeRecorded(m, &h, rec)
+		}
+		b.Run(spec.Kind.String()+"/recipient-major", func(b *testing.B) {
+			var sc mlScratch
+			m.refresh(&sc) // grow the scratch before timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.refresh(&sc)
+			}
+		})
+		b.Run(spec.Kind.String()+"/search-reference", func(b *testing.B) {
+			ref := &mlEstimator{groups: cloneGroups(m.groups)}
+			var sc mlScratch
+			refreshSearchReference(ref, &sc) // grow the scratch before timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refreshSearchReference(ref, &sc)
+			}
+		})
 	}
-	b.Run("slot-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.refresh()
-		}
-	})
-	b.Run("search-reference", func(b *testing.B) {
-		ref := &mlEstimator{groups: cloneGroups(m.groups)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			refreshSearchReference(ref)
-		}
-	})
 }

@@ -231,7 +231,9 @@ type targetState struct {
 // and par.MapWorker brings their estimators up to date, one target per
 // index. Each target's estimator is private to it, and the sequential
 // pass then reads the same state it would have computed itself, so
-// results do not depend on the worker count.
+// results do not depend on the worker count. A refresh runs in its
+// worker's scratch (scratch[worker]); the sequential passes use
+// scratch[0], which no phase is using then.
 type disclosure struct {
 	eng       *Engine
 	mix       MixPolicy
@@ -243,9 +245,10 @@ type disclosure struct {
 	topIdx    []int32
 	topVal    []float64
 	setScr    []int32
-	susVal    []float64 // suspect-selection scratch (adaptive dummies)
-	due       []int32   // targets of the current parallel phase
-	hist      rcptHist  // the current round's recipient histogram
+	susVal    []float64   // suspect-selection scratch (adaptive dummies)
+	due       []int32     // targets of the current parallel phase
+	hist      rcptHist    // the current round's recipient histogram
+	scratch   []mlScratch // one ML refresh scratch per worker
 	// readyDue is the parallel phase's body, built once so that a phase
 	// run inline (one worker) allocates nothing.
 	readyDue func(worker, i int) error
@@ -302,8 +305,9 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 	d.topVal = make([]float64, maxK)
 	d.setScr = make([]int32, maxK)
 	d.susVal = make([]float64, maxK)
-	d.readyDue = func(_, i int) error {
-		d.targets[d.due[i]].est.ready()
+	d.scratch = make([]mlScratch, d.workers)
+	d.readyDue = func(worker, i int) error {
+		d.targets[d.due[i]].est.ready(&d.scratch[worker])
 		return nil
 	}
 	return d, nil
@@ -358,7 +362,7 @@ func (d *disclosure) checkpoint(round int) (allDone bool) {
 		if t.disclosed {
 			continue
 		}
-		if !t.est.ready() {
+		if !t.est.ready(&d.scratch[0]) {
 			allDone = false
 			continue
 		}
@@ -456,7 +460,7 @@ func setsEqual(a, b, scr []int32) bool {
 // nothing to the entropy, so the ascending sweep of the support
 // reproduces the dense sweep's floats term for term.
 func (d *disclosure) anonymity(t *targetState) float64 {
-	if !t.est.ready() {
+	if !t.est.ready(&d.scratch[0]) {
 		return 1
 	}
 	var total float64
