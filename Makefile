@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build vet test race bench bench-json bench-compare bench-gate \
-	bench-selftest profile staticcheck docs golden golden-check resume-check \
+	bench-selftest bench-digests profile staticcheck docs golden golden-check resume-check \
 	scale-smoke scale trace-smoke report ci clean
 
 all: vet build test
@@ -25,6 +25,22 @@ bench:
 # benchmark drives, so an API change that breaks bench/ fails here.
 bench-selftest:
 	cd bench && $(GO) test ./...
+
+# The benchmark's digest gate: run every workload once (--seconds 0) at
+# two seeds through bench/run.sh and fail unless each reports
+# "correct": true, i.e. every operation's result digest matches
+# bench/expected/. bench-selftest never compares digests, so a result
+# field renamed or reordered passes it; this catches that. About 20 s.
+BENCH_WORKLOADS = link-paper sda-league population-1e6 route-watermark
+BENCH_SEEDS = 3 7
+bench-digests:
+	@for w in $(BENCH_WORKLOADS); do for s in $(BENCH_SEEDS); do \
+		last=$$(bash bench/run.sh --workload $$w --seed $$s --seconds 0 --trace 0 | tail -n 1); \
+		case "$$last" in \
+		'{"correct":true'*) echo "bench-digests: $$w seed $$s correct";; \
+		*) echo "$$w seed $$s: $$last"; echo "bench digests differ from bench/expected"; exit 1;; \
+		esac; \
+	done; done
 
 # Append a timing trajectory record for every experiment to BENCH.json.
 bench-json:
@@ -181,7 +197,7 @@ trace-smoke:
 	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify byte-identical"
 
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet build test race bench-selftest staticcheck docs golden-check resume-check scale-smoke trace-smoke
+ci: vet build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof report.json

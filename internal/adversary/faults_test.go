@@ -95,78 +95,3 @@ func TestRateVectorDuplicatedObservations(t *testing.T) {
 		t.Errorf("uniform duplication moved the correlation: %v != %v", rDouble, rBase)
 	}
 }
-
-func TestPearsonMasked(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 9}
-	b := []float64{2, 4, 6, 8, 10, -7}
-	all := []bool{true, true, true, true, true, true}
-	if r, _ := PearsonMasked(a, b, all); r == 1 {
-		t.Error("full mask should include the discordant tail")
-	}
-	head := []bool{true, true, true, true, true, false}
-	if r, _ := PearsonMasked(a, b, head); math.Abs(r-1) > 1e-12 {
-		t.Errorf("masked head is perfectly linear: r = %v", r)
-	}
-	// Agreement with Pearson on the selected subset.
-	direct, err := Pearson(a[:5], b[:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	masked, err := PearsonMasked(a, b, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(masked-direct) > 1e-12 {
-		t.Errorf("masked = %v, subset Pearson = %v", masked, direct)
-	}
-	// Degenerate selections: fewer than two indices, or a constant side.
-	one := []bool{true, false, false, false, false, false}
-	if r, _ := PearsonMasked(a, b, one); r != 0 {
-		t.Errorf("single selected index: r = %v, want 0", r)
-	}
-	flat := []float64{7, 7, 7, 7, 7, 7}
-	if r, _ := PearsonMasked(a, flat, head); r != 0 {
-		t.Errorf("constant selected side: r = %v, want 0", r)
-	}
-	if _, err := PearsonMasked(a, b, all[:3]); err == nil {
-		t.Error("mask length mismatch should fail")
-	}
-	if _, err := PearsonMasked(nil, nil, nil); err == nil {
-		t.Error("empty input should fail")
-	}
-}
-
-// TestPearsonMaskedRemovesChurnSignature is the scenario the mask exists
-// for: two flows with independent payload fluctuations share an on/off
-// presence signature. Unmasked, the shared dark windows dominate and the
-// flows correlate spuriously; masking the dark windows leaves only the
-// (uncorrelated) payload signal.
-func TestPearsonMaskedRemovesChurnSignature(t *testing.T) {
-	rng := xrand.New(33)
-	const n = 400
-	a := make([]float64, n)
-	b := make([]float64, n)
-	mask := make([]bool, n)
-	for i := range a {
-		up := i%20 < 10 // the shared churn cycle: both dark together
-		mask[i] = up
-		if up {
-			a[i] = 50 + 10*rng.Float64()
-			b[i] = 50 + 10*rng.Float64()
-		}
-	}
-	raw, err := Pearson(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	masked, err := PearsonMasked(a, b, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw < 0.8 {
-		t.Fatalf("shared churn signature should dominate the raw correlation, got %v", raw)
-	}
-	if math.Abs(masked) > 0.2 {
-		t.Errorf("masked correlation %v should be near 0 for independent payloads", masked)
-	}
-}

@@ -9,11 +9,11 @@ import (
 	"linkpad/internal/bayes"
 )
 
-// Flow matching shared by the three correlation attacks — the
-// population flow-correlation attack, the cascade end-to-end attack and
-// the active watermark detector. ExitClasses reduces an exit flow's
-// first window of PIATs to clamped class log posteriors; given the
-// attack's n×n score matrix over (ingress identity, egress flow) pairs,
+// Flow matching shared by the correlation attacks — the flow-correlation
+// attack on populations and cascades (CorrelateFlows) and the active
+// watermark detector. ExitClasses reduces an exit flow's first window
+// of PIATs to clamped class log posteriors; given the attack's n×n score
+// matrix over (ingress identity, egress flow) pairs,
 // GreedyMatch resolves a one-to-one assignment, and SummarizeMatch and
 // MeanAnonymity report how well the scores identify each flow. Scores
 // are arbitrary real numbers (higher = more likely pair); the resolution

@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// Windowed rate correlation: the throughput-fingerprinting feature of the
-// population flow-correlation attack. The adversary reduces an observed
-// packet timestamp stream to a vector of per-window packet counts (its
-// "throughput fingerprint") and matches ingress against egress flows by
-// Pearson correlation of the two vectors. Unlike the PIAT features — which
+// Windowed rate correlation: the throughput-fingerprinting feature of
+// the flow-correlation attack (CorrelateFlows). The adversary reduces an
+// observed packet timestamp stream to a vector of per-window packet
+// counts (its "throughput fingerprint") and matches ingress against
+// egress flows by Pearson correlation of the two vectors. Unlike the PIAT features — which
 // fingerprint a flow's *class* — the rate vector fingerprints the flow's
 // *payload sample path*, so it identifies the individual user whenever the
 // padding lets payload rate fluctuations reach the wire.
@@ -58,48 +58,6 @@ func Pearson(a, b []float64) (float64, error) {
 	mb /= n
 	var sab, saa, sbb float64
 	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa == 0 || sbb == 0 {
-		return 0, nil
-	}
-	return sab / math.Sqrt(saa*sbb), nil
-}
-
-// PearsonMasked returns the sample correlation of a and b over the
-// indices where mask is true. It is the churn-aware variant of Pearson:
-// an adversary correlating a churning user's flows masks out the windows
-// where the egress flow was dark (the user was offline), because those
-// windows carry presence information, not throughput information, and
-// would otherwise dominate the correlation with a spurious on/off
-// signature shared by every co-churning user. Fewer than two selected
-// indices, or a degenerate selection, correlates at 0.
-func PearsonMasked(a, b []float64, mask []bool) (float64, error) {
-	if len(a) == 0 || len(a) != len(b) || len(a) != len(mask) {
-		return 0, errors.New("adversary: PearsonMasked needs equal-length non-empty vectors and mask")
-	}
-	var n, ma, mb float64
-	for i := range a {
-		if !mask[i] {
-			continue
-		}
-		n++
-		ma += a[i]
-		mb += b[i]
-	}
-	if n < 2 {
-		return 0, nil
-	}
-	ma /= n
-	mb /= n
-	var sab, saa, sbb float64
-	for i := range a {
-		if !mask[i] {
-			continue
-		}
 		da, db := a[i]-ma, b[i]-mb
 		sab += da * db
 		saa += da * da

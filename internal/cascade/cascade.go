@@ -14,6 +14,7 @@
 // taps both the route's entry (the flow's unpadded arrivals into the
 // first hop) and its exit (the padded stream leaving the last hop), and
 // must match each unlabeled exit flow back to its entry flow. Correlate
+// runs adversary.CorrelateFlows, the attack populations face too, which
 // combines the two canonical signals — windowed rate-vector Pearson
 // correlation along the path and the paper's PIAT class posteriors at
 // the exit — and reports, besides matching accuracy, the degree of

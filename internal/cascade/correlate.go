@@ -5,72 +5,15 @@ import (
 	"fmt"
 
 	"linkpad/internal/adversary"
-	"linkpad/internal/bayes"
 	"linkpad/internal/par"
 )
 
 // End-to-end correlation (correlate.go): the adversary observes every
 // route's entry and exit and must match each unlabeled exit flow back to
-// its entry flow. Two signals are combined, as in the population
-// flow-correlation attack:
-//
-//   - the throughput fingerprint: windowed packet-count vectors of the
-//     entry and exit sides, matched by Pearson correlation
-//     (adversary.RateVector / adversary.Pearson). It identifies the
-//     individual flow whenever payload rate fluctuations survive the
-//     whole route;
-//   - the paper's PIAT class features at the exit
-//     (adversary.MultiPipeline reduced to bayes class posteriors): even
-//     when the route flattens the throughput fingerprint, residual
-//     timing structure may still identify the flow's rate class,
-//     shrinking the anonymity set to the class population. The entry
-//     side is unpadded, so the adversary reads each flow's true class
-//     off the ingress stream directly.
-//
-// Scores combine additively in log space, flows are assigned greedily
-// (adversary.GreedyMatch), and the per-flow match posterior — softmax
-// over a flow's score column — yields the degree of anonymity: the
-// normalized entropy of the adversary's belief about which entry flow an
-// exit flow belongs to (1 = uniform over all flows, 0 = identified).
-
-// Config parameterizes the end-to-end correlation attack.
-type Config struct {
-	// Duration is the observation time in stream seconds (required).
-	Duration float64
-	// RateWindow is the throughput-fingerprint bin width in seconds
-	// (0 = 1 s). The fingerprint has floor(Duration/RateWindow) bins.
-	RateWindow float64
-	// CorrWeight scales the rate-correlation term against the class
-	// log-posterior term (0 = 8, matching the population attack).
-	CorrWeight float64
-	// FeatureWindow is the PIAT count reduced to one feature value per
-	// flow (0 = 200); it must match the window the classifiers were
-	// trained at.
-	FeatureWindow int
-	// Classifiers holds one per-feature class classifier (naive-Bayes
-	// combined); may be empty for a pure rate-correlation attack.
-	// Extractors must parallel it.
-	Classifiers []*bayes.Classifier
-	// Extractors are the feature extractors matching Classifiers.
-	Extractors []adversary.Extractor
-	// Workers bounds the per-flow simulation parallelism; results are
-	// identical at any width. Zero means all CPUs.
-	Workers int
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.RateWindow == 0 {
-		c.RateWindow = 1
-	}
-	if c.CorrWeight == 0 {
-		c.CorrWeight = 8
-	}
-	if c.FeatureWindow == 0 {
-		c.FeatureWindow = 200
-	}
-	return c
-}
+// its entry flow — adversary.CorrelateFlows, the attack populations
+// face too, run over the engine's routes. Correlate adds what only a
+// route has: the pull that drives each flow through every hop, and the
+// per-hop matched-overhead accounting.
 
 // Result reports one end-to-end correlation attack.
 type Result struct {
@@ -109,56 +52,28 @@ type Result struct {
 	DummyFrac float64
 }
 
-// routeObs is the reduced observation of one route.
-type routeObs struct {
-	ingRate   []float64
-	egRate    []float64
-	exitCount int
-}
-
-// Correlate runs the attack end to end: simulate every route (in
-// parallel, flows as the unit of parallelism), reduce each side to its
-// throughput fingerprint and exit class posteriors, score every
-// (entry, exit) pair, match greedily, and account the per-hop overhead.
-// Exit flow f's true entry flow is flow f; the adversary's scores never
-// read that identity, only the observations.
-func Correlate(e *Engine, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+// Correlate runs adversary.CorrelateFlows over the engine's routes and
+// accounts the per-hop overhead. Each route's exit stream is pulled
+// through the whole route for cfg.Duration into a per-worker slab,
+// which fills the entry recorder as a side effect; once the route's
+// observation is complete its hop counters are read. Exit flow f's true
+// entry flow is flow f.
+func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("cascade: nil engine")
 	}
-	if !(cfg.Duration > 0) {
-		return nil, errors.New("cascade: observation duration must be positive")
-	}
 	flows := e.Flows()
-	workers := min(par.Workers(cfg.Workers), flows)
-	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
-	if err != nil {
-		return nil, fmt.Errorf("cascade: %w", err)
-	}
-	// Floor with an epsilon so a float-noisy integral ratio keeps its
-	// last window instead of silently dropping the tail of both
-	// fingerprints (same guard as the population attack).
-	bins := int(cfg.Duration/cfg.RateWindow + 1e-9)
-	if bins < 2 {
-		return nil, errors.New("cascade: need at least two rate windows over the duration")
-	}
-
-	obs := make([]routeObs, flows)
-	classes := make([]int, flows)
-	posts := make([][]float64, flows) // exit class log posteriors
 	hopStats := make([][]HopStats, flows)
-	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
-	err = par.MapWorker(flows, workers, func(worker, f int) error {
+	exitCounts := make([]int, flows)
+	exits := make([][]float64, par.Workers(cfg.Workers)) // reusable per-worker exit-time slabs
+	corr, err := adversary.CorrelateFlows(flows, cfg, func(worker, f int) (adversary.FlowObs, error) {
 		route, err := e.Route(f)
 		if err != nil {
-			return fmt.Errorf("cascade: route %d: %w", f, err)
+			return adversary.FlowObs{}, err
 		}
 		if route.Entry == nil {
-			return fmt.Errorf("cascade: route %d has no entry recorder", f)
+			return adversary.FlowObs{}, errors.New("route has no entry recorder")
 		}
-		// Pull the exit stream through the whole route into the worker's
-		// reusable slab; the entry recorder fills as a side effect.
 		buf := exits[worker][:0]
 		for {
 			t := route.Exit.Next()
@@ -171,53 +86,15 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 		// The route's observation is complete and this worker owns its
 		// telemetry shard: publish the chain's counters (nil-safe).
 		route.Probe.Flush()
-		o := &obs[f]
-		classes[f] = route.Class
-		o.exitCount = len(buf)
-		o.ingRate = make([]float64, bins)
-		o.egRate = make([]float64, bins)
-		if _, err := adversary.RateVector(route.Entry.Times(), 0, cfg.RateWindow, o.ingRate); err != nil {
-			return err
-		}
-		if _, err := adversary.RateVector(buf, 0, cfg.RateWindow, o.egRate); err != nil {
-			return err
-		}
+		exitCounts[f] = len(buf)
 		hopStats[f] = make([]HopStats, len(route.Hops))
 		for h, probe := range route.Hops {
 			hopStats[f][h] = probe()
 		}
-		if posts[f], err = exitClasses.LogPosts(worker, buf); err != nil {
-			return fmt.Errorf("cascade: route %d: %w", f, err)
-		}
-		return nil
+		return adversary.FlowObs{Class: route.Class, Entry: route.Entry.Times(), Exit: buf}, nil
 	})
 	if err != nil {
-		return nil, err
-	}
-
-	// Score every (entry, exit) pair: rate correlation plus the exit
-	// flow's posterior for the entry flow's class.
-	score := make([]float64, flows*flows)
-	corrTrue := 0.0
-	for f := 0; f < flows; f++ {
-		for u := 0; u < flows; u++ {
-			corr, err := adversary.Pearson(obs[u].ingRate, obs[f].egRate)
-			if err != nil {
-				return nil, err
-			}
-			v := cfg.CorrWeight * corr
-			if posts[f] != nil {
-				v += posts[f][classes[u]]
-			}
-			score[u*flows+f] = v
-			if u == f {
-				corrTrue += corr
-			}
-		}
-	}
-	sum, err := adversary.SummarizeMatch(score, flows, posts, classes)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cascade: %w", err)
 	}
 	// Matched-overhead accounting over every flow's observed duration.
 	span := float64(flows) * cfg.Duration
@@ -227,16 +104,15 @@ func Correlate(e *Engine, cfg Config) (*Result, error) {
 	}
 	res := &Result{
 		Flows: flows, Hops: e.Hops(),
-		Accuracy: sum.Accuracy, ClassAccuracy: sum.ClassAccuracy, MeanRank: sum.MeanRank,
-		MeanCorrTrue:      corrTrue / float64(flows),
-		DegreeOfAnonymity: adversary.MeanAnonymity(score, flows),
-		HopPPS:            ov.HopPPS, HopDummyFrac: ov.HopDummyFrac, RoutePPS: ov.RoutePPS, DummyFrac: ov.DummyFrac,
+		Accuracy: corr.Accuracy, ClassAccuracy: corr.ClassAccuracy, MeanRank: corr.MeanRank,
+		MeanCorrTrue: corr.MeanCorrTrue, DegreeOfAnonymity: corr.DegreeOfAnonymity,
+		HopPPS: ov.HopPPS, HopDummyFrac: ov.HopDummyFrac, RoutePPS: ov.RoutePPS, DummyFrac: ov.DummyFrac,
 	}
 	if e.Hops() == 0 {
 		// An unpadded route's wire rate is the exit stream itself.
 		var exitAll float64
-		for f := range obs {
-			exitAll += float64(obs[f].exitCount)
+		for _, n := range exitCounts {
+			exitAll += float64(n)
 		}
 		res.RoutePPS = exitAll / span
 	}

@@ -54,7 +54,7 @@ func TestCorrelateIdentityRoutes(t *testing.T) {
 	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
 		return patternTimes(bins, func(b int) int { return 3 + (b+2*f)%7 })
 	}, nil)
-	res, err := Correlate(e, Config{Duration: bins})
+	res, err := Correlate(e, adversary.CorrConfig{Duration: bins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCorrelateFlatRoutes(t *testing.T) {
 	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
 		return patternTimes(bins, func(int) int { return 5 })
 	}, nil)
-	res, err := Correlate(e, Config{Duration: bins})
+	res, err := Correlate(e, adversary.CorrConfig{Duration: bins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCorrelateHopAccounting(t *testing.T) {
 	}, func(f int) []HopProbe {
 		return []HopProbe{mk("CIT", 1000, 750), mk("MIX", 1000, 0)}
 	})
-	res, err := Correlate(e, Config{Duration: bins})
+	res, err := Correlate(e, adversary.CorrConfig{Duration: bins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCorrelateHopAccounting(t *testing.T) {
 	}, func(f int) []HopProbe {
 		return []HopProbe{mk("CIT", 1000, 750)}
 	})
-	if _, err := Correlate(bad, Config{Duration: bins}); err == nil || !strings.Contains(err.Error(), "hops") {
+	if _, err := Correlate(bad, adversary.CorrConfig{Duration: bins}); err == nil || !strings.Contains(err.Error(), "hops") {
 		t.Errorf("hop-count mismatch not rejected: %v", err)
 	}
 }
@@ -140,16 +140,16 @@ func TestCorrelateValidation(t *testing.T) {
 	e := syntheticEngine(t, 2, 0, func(f int) []float64 {
 		return patternTimes(4, func(int) int { return 3 })
 	}, nil)
-	if _, err := Correlate(nil, Config{Duration: 10}); err == nil {
+	if _, err := Correlate(nil, adversary.CorrConfig{Duration: 10}); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := Correlate(e, Config{}); err == nil {
+	if _, err := Correlate(e, adversary.CorrConfig{}); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := Correlate(e, Config{Duration: 4, RateWindow: 4}); err == nil {
+	if _, err := Correlate(e, adversary.CorrConfig{Duration: 4, RateWindow: 4}); err == nil {
 		t.Error("single rate window accepted")
 	}
-	for _, cfg := range []Config{
+	for _, cfg := range []adversary.CorrConfig{
 		{Duration: 4, FeatureWindow: 1},
 		{Duration: 4, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
 	} {
@@ -164,7 +164,7 @@ func TestCorrelateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Correlate(blind, Config{Duration: 4}); err == nil {
+	if _, err := Correlate(blind, adversary.CorrConfig{Duration: 4}); err == nil {
 		t.Error("entry-less route accepted")
 	}
 }

@@ -338,8 +338,8 @@ func (s *System) NewCascade(spec CascadeSpec) (*cascade.Engine, error) {
 
 // CascadeCorrConfig parameterizes the end-to-end cascade correlation
 // attack run through a System: the attack-side knobs mirror
-// cascade.Config, plus the off-line training effort for the exit-side
-// PIAT class classifiers.
+// adversary.CorrConfig, plus the off-line training effort for the
+// exit-side PIAT class classifiers.
 type CascadeCorrConfig struct {
 	// Duration is the per-flow observation time in stream seconds
 	// (0 = 60).
@@ -423,7 +423,7 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*c
 	if err != nil {
 		return nil, err
 	}
-	return cascade.Correlate(eng, cascade.Config{
+	return cascade.Correlate(eng, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		RateWindow:    cfg.RateWindow,
 		CorrWeight:    cfg.CorrWeight,

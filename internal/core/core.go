@@ -544,7 +544,7 @@ func (s *System) observationChain(stream netem.TimeStream, master *xrand.Rand, p
 		}
 	}
 	if s.cfg.TapLossProb > 0 {
-		if stream, err = netem.NewLossyTap(stream, s.cfg.TapLossProb, master.Split(), probe); err != nil {
+		if stream, err = netem.NewImpairer(stream, &netem.Impairment{LossProb: s.cfg.TapLossProb}, master.Split(), probe); err != nil {
 			return nil, err
 		}
 	}

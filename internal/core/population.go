@@ -349,8 +349,8 @@ func (s *System) presenceSchedule(spec PopulationSpec, class, user int, rng *xra
 
 // FlowCorrConfig parameterizes the population flow-correlation attack
 // run through a System: the attack-side knobs mirror
-// population.FlowCorrConfig, plus the off-line training effort for the
-// PIAT class classifiers.
+// adversary.CorrConfig, plus the off-line training effort for the PIAT
+// class classifiers.
 type FlowCorrConfig struct {
 	// Duration is the per-flow observation time in stream seconds
 	// (0 = 60).
@@ -372,11 +372,6 @@ type FlowCorrConfig struct {
 	// Raw bypasses the padding entirely — the egress flow is the raw
 	// payload stream — as the no-countermeasure baseline.
 	Raw bool
-	// MaskAbsent makes the rate correlation churn-aware: correlations are
-	// computed only over windows where the egress flow emitted (see
-	// population.FlowCorrConfig.MaskAbsent). Meaningful only with
-	// PopulationSpec.Churn.
-	MaskAbsent bool
 	// Workers bounds the per-user/per-window parallelism; results are
 	// identical at any width. Zero means all CPUs.
 	Workers int
@@ -512,7 +507,7 @@ func phantomFlowIndex(class, trainWindows, w int) int {
 // matches egress flows to ingress users by throughput-fingerprint
 // correlation plus class posteriors. Results are identical at any
 // cfg.Workers width; users are the unit of parallelism.
-func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*population.FlowCorrResult, error) {
+func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adversary.Correlation, error) {
 	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
@@ -549,51 +544,53 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*popu
 	}
 
 	// Run-time phase: observe every user's flow and correlate.
-	sim := func(u int, duration float64) (*population.Flow, error) {
-		class := classOf(u, spec.Users, cum)
-		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
-		flow := &population.Flow{Class: class}
-		presence, err := s.presenceSchedule(spec, class, u, new(xrand.Rand))
-		if err != nil {
-			return nil, err
-		}
-		// The ingress tap is the adversary's entry recorder; an impaired
-		// tap (EntryTapImpair) observes it through per-flow loss/dup/
-		// reordering on the flow's popRoleTap stream.
-		tap := func(t float64) {
-			if t <= duration {
-				flow.Ingress = append(flow.Ingress, t)
-			}
-		}
-		sh := obs.NewShard()
-		tap, err = s.entryTapWrap(tap, class, populationStreamID(u, popRoleTap), sh)
-		if err != nil {
-			return nil, err
-		}
-		link, err := s.flowLink(spec, class, cfg.Raw, presence, master, tap, sh)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			t := link.Next()
-			if t > duration {
-				break
-			}
-			flow.Egress = append(flow.Egress, t)
-		}
-		// The flow is finished and this worker owns the shard: publish the
-		// chain's counters.
-		sh.Flush()
-		return flow, nil
-	}
-	return population.CorrelateFlows(sim, spec.Users, population.FlowCorrConfig{
+	res, err := adversary.CorrelateFlows(spec.Users, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		RateWindow:    cfg.RateWindow,
 		CorrWeight:    cfg.CorrWeight,
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,
-		MaskAbsent:    cfg.MaskAbsent,
 		Workers:       cfg.Workers,
+	}, func(_, u int) (adversary.FlowObs, error) {
+		class := classOf(u, spec.Users, cum)
+		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
+		flow := adversary.FlowObs{Class: class}
+		presence, err := s.presenceSchedule(spec, class, u, new(xrand.Rand))
+		if err != nil {
+			return flow, err
+		}
+		// The ingress tap is the adversary's entry recorder; an impaired
+		// tap (EntryTapImpair) observes it through per-flow loss/dup/
+		// reordering on the flow's popRoleTap stream.
+		tap := func(t float64) {
+			if t <= cfg.Duration {
+				flow.Entry = append(flow.Entry, t)
+			}
+		}
+		sh := obs.NewShard()
+		tap, err = s.entryTapWrap(tap, class, populationStreamID(u, popRoleTap), sh)
+		if err != nil {
+			return flow, err
+		}
+		link, err := s.flowLink(spec, class, cfg.Raw, presence, master, tap, sh)
+		if err != nil {
+			return flow, err
+		}
+		for {
+			t := link.Next()
+			if t > cfg.Duration {
+				break
+			}
+			flow.Exit = append(flow.Exit, t)
+		}
+		// The flow is finished and this worker owns the shard: publish the
+		// chain's counters.
+		sh.Flush()
+		return flow, nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return res, nil
 }

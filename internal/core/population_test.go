@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/population"
 	"linkpad/internal/traffic"
@@ -51,7 +52,7 @@ func TestRunFlowCorrelationWorkerInvariance(t *testing.T) {
 		TrainWindows:  12,
 		Features:      []analytic.Feature{analytic.FeatureVariance},
 	}
-	run := func(workers int) *population.FlowCorrResult {
+	run := func(workers int) *adversary.Correlation {
 		c := cfg
 		c.Workers = workers
 		res, err := runSpec(sys, FlowCorrelationSpec{Population: spec, Corr: c})
@@ -71,7 +72,8 @@ func TestRunFlowCorrelationWorkerInvariance(t *testing.T) {
 
 // The paper's central claim carries to the population: CIT padding
 // erases the throughput fingerprint (matching collapses toward the
-// class anonymity set) while the unpadded link loses every flow.
+// class anonymity set) while the unpadded link loses every flow — unless
+// users churn.
 func TestFlowCorrelationPaddingProtects(t *testing.T) {
 	sys, err := NewSystem(DefaultLabConfig())
 	if err != nil {
@@ -104,6 +106,19 @@ func TestFlowCorrelationPaddingProtects(t *testing.T) {
 	}
 	if cit.ClassAccuracy < 0.7 {
 		t.Errorf("the variance leak should still identify the class under CIT, class accuracy %v", cit.ClassAccuracy)
+	}
+
+	// Churn reveals presence: an offline user's padded link goes dark
+	// (GateStream), and each user churns independently, so the on/off
+	// pattern alone is a per-user throughput fingerprint that CIT padding
+	// cannot erase.
+	churned := PopulationSpec{Users: 24, Recipients: 40, Churn: &ChurnSpec{MeanOn: 2, MeanOff: 2}}
+	out, err = runSpec(sys, FlowCorrelationSpec{Population: churned, Corr: FlowCorrConfig{Duration: 60}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if churn := out.FlowCorr; churn.Accuracy < 0.9 {
+		t.Errorf("churn should expose every padded flow, accuracy %v", churn.Accuracy)
 	}
 }
 

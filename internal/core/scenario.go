@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"linkpad/internal/active"
+	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
 	"linkpad/internal/obs"
@@ -142,7 +143,7 @@ type Result struct {
 	Disclosure *population.DisclosureResult
 	// FlowCorr holds the population flow-correlation result
 	// (FlowCorrelationSpec).
-	FlowCorr *population.FlowCorrResult
+	FlowCorr *adversary.Correlation
 	// Cascade holds the cascade-correlation result
 	// (CascadeCorrelationSpec).
 	Cascade *cascade.Result

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"linkpad/internal/active"
+	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
 	"linkpad/internal/core"
@@ -73,7 +74,7 @@ func runDisclosure(sys *core.System, spec core.PopulationSpec, cfg population.Di
 	return res.Disclosure, nil
 }
 
-func runFlowCorrelation(sys *core.System, spec core.PopulationSpec, cfg core.FlowCorrConfig) (*population.FlowCorrResult, error) {
+func runFlowCorrelation(sys *core.System, spec core.PopulationSpec, cfg core.FlowCorrConfig) (*adversary.Correlation, error) {
 	res, err := runScenario(sys, core.FlowCorrelationSpec{Population: spec, Corr: cfg})
 	if err != nil {
 		return nil, err

@@ -136,24 +136,8 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 			}
 			return r
 		}),
-		"lossytap": one(func(seed uint64) BatchStream {
-			master := xrand.New(seed)
-			up := base(master)
-			l, err := NewLossyTap(up, 0.07, master.Split(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		}),
-		"lossytap-lossless": one(func(seed uint64) BatchStream {
-			master := xrand.New(seed)
-			up := base(master)
-			l, err := NewLossyTap(up, 0, master.Split(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		}),
+		// The adversary's lossy tap: an Impairer with i.i.d. loss alone.
+		"lossytap": one(impair(&Impairment{LossProb: 0.07})),
 		"quantizer": one(func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)

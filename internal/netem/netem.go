@@ -31,10 +31,11 @@
 // One-to-one elements (FastRouter, Router, Quantizer, Differ) transform
 // the slab in place on top of their upstream's batch, so a whole chain
 // batches through a single []float64 with one interface call per slab
-// per layer. Variable-rate elements (LossyTap, Impairer) consume a
-// data-dependent number of upstream packets per output; they request
-// upstream chunks sized to the outputs still owed, which keeps every
-// layer's draw order independent of the chunking. An Impairer whose
+// per layer. The variable-rate element, Impairer (also the lossy tap:
+// an Impairment with LossProb alone), consumes a data-dependent number
+// of upstream packets per output; it requests upstream chunks sized to
+// the outputs still owed, which keeps every layer's draw order
+// independent of the chunking. An Impairer whose
 // duplication produced more outputs than requested keeps the surplus
 // queued for the next call, so its upstream may run ahead by less than
 // one chunk; that lookahead is invisible in the output, and the
@@ -560,68 +561,6 @@ func (d *Differ) Skip(n int) {
 	}
 }
 
-// LossyTap models an adversary capture that misses packets independently
-// with probability p: from the adversary's viewpoint, the PIATs around a
-// lost packet merge into one longer interval.
-type LossyTap struct {
-	upstream feed
-	p        float64
-	rng      *xrand.Rand
-	buf      []float64 // reusable upstream chunk
-	probe    *obs.Shard
-	one      [1]float64
-}
-
-// NewLossyTap creates a lossy tap with loss probability 0 <= p < 1.
-// probe, when non-nil, is a telemetry shard; missed captures count into
-// it as NetemDrop.
-func NewLossyTap(upstream TimeStream, p float64, rng *xrand.Rand, probe *obs.Shard) (*LossyTap, error) {
-	if upstream == nil {
-		return nil, errors.New("netem: nil upstream")
-	}
-	if p < 0 || p >= 1 {
-		return nil, errors.New("netem: loss probability must be in [0,1)")
-	}
-	if p > 0 && rng == nil {
-		return nil, errors.New("netem: nil rng with non-zero loss")
-	}
-	return &LossyTap{upstream: newFeed(upstream), p: p, rng: rng, probe: probe}, nil
-}
-
-// Next returns the next captured packet time: a one-packet NextBatch.
-func (l *LossyTap) Next() float64 {
-	l.NextBatch(l.one[:])
-	return l.one[0]
-}
-
-// NextBatch fills dst with the next len(dst) captured packet times,
-// skipping lost packets. The upstream is consumed in chunks sized to the
-// captures still owed — survivors never exceed the chunk, so the
-// upstream never advances past the last captured packet.
-func (l *LossyTap) NextBatch(dst []float64) {
-	if l.p == 0 {
-		l.upstream.fill(dst)
-		return
-	}
-	out := 0
-	for out < len(dst) {
-		need := len(dst) - out
-		if cap(l.buf) < need {
-			l.buf = make([]float64, need)
-		}
-		chunk := l.buf[:need]
-		l.upstream.fill(chunk)
-		for _, t := range chunk {
-			if !l.rng.Bernoulli(l.p) {
-				dst[out] = t
-				out++
-			} else {
-				l.probe.Inc(obs.NetemDrop)
-			}
-		}
-	}
-}
-
 // Quantizer models the capture hardware's finite timestamp resolution
 // (e.g. a network analyzer clock): times are floored to multiples of the
 // resolution. Output is non-decreasing but may repeat.
@@ -679,7 +618,6 @@ var (
 	_ BatchStream = (*FastRouter)(nil)
 	_ BatchStream = (*Router)(nil)
 	_ BatchStream = (*Quantizer)(nil)
-	_ BatchStream = (*LossyTap)(nil)
 	_ BatchStream = (*Differ)(nil)
 	_ BatchStream = (*Impairer)(nil)
 )

@@ -355,12 +355,6 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewRouter(up, nil, -1, 0); err == nil {
 		t.Error("router bad service")
 	}
-	if _, err := NewLossyTap(up, 1.0, xrand.New(1), nil); err == nil {
-		t.Error("loss prob 1")
-	}
-	if _, err := NewLossyTap(up, 0.5, nil, nil); err == nil {
-		t.Error("lossy nil rng")
-	}
 	if _, err := NewQuantizer(up, 0); err == nil {
 		t.Error("zero resolution")
 	}
@@ -427,10 +421,12 @@ func TestDifferAndPIATs(t *testing.T) {
 	}
 }
 
+// TestLossyTapRate: the adversary's lossy tap is an Impairer with i.i.d.
+// loss alone; it keeps 1-p of a periodic stream and never reorders it.
 func TestLossyTapRate(t *testing.T) {
 	const n = 100000
 	in := periodicTimes(n, 10e-3)
-	lt, err := NewLossyTap(NewSliceStream(in), 0.2, xrand.New(6), nil)
+	lt, err := NewImpairer(NewSliceStream(in), &Impairment{LossProb: 0.2}, xrand.New(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,19 +446,6 @@ func TestLossyTapRate(t *testing.T) {
 	rate := float64(kept) / float64(n-1000)
 	if math.Abs(rate-0.8) > 0.01 {
 		t.Errorf("survivor rate = %v, want ~0.8", rate)
-	}
-}
-
-func TestLossyTapZeroLossPassThrough(t *testing.T) {
-	in := periodicTimes(10, 1)
-	lt, err := NewLossyTap(NewSliceStream(in), 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if lt.Next() != in[i] {
-			t.Fatal("zero-loss tap must pass through")
-		}
 	}
 }
 

@@ -3,19 +3,17 @@
 // share a padded infrastructure, and a global passive adversary who taps
 // both the ingress side (per-user send activity) and the egress side
 // (batched deliveries, padded flows) tries to disentangle whose traffic
-// is whose. Two canonical population-scale attacks are implemented on
-// top of the engine:
-//
-//   - the round-based statistical disclosure attack (Danezis' SDA, and
-//     its refinements in Emamdoost et al., "Statistical Disclosure:
-//     Improved, Extended, and Resisted"): estimate a target user's
-//     recipient distribution by contrasting batch rounds in which the
-//     target sent against rounds in which they did not (sda.go);
-//   - per-flow correlation by throughput fingerprinting (Mittal et al.,
-//     "Stealthy Traffic Analysis of Low-Latency Anonymous Communication
-//     Using Throughput Fingerprinting") combined with the paper's PIAT
-//     class features: match an egress padded flow to its ingress user
-//     (flowcorr.go).
+// is whose. The engine carries the round-based statistical disclosure
+// attack (Danezis' SDA, and its refinements in Emamdoost et al.,
+// "Statistical Disclosure: Improved, Extended, and Resisted"): estimate
+// a target user's recipient distribution by contrasting batch rounds in
+// which the target sent against rounds in which they did not (sda.go).
+// The other population-scale attack, per-flow correlation by throughput
+// fingerprinting (Mittal et al., "Stealthy Traffic Analysis of
+// Low-Latency Anonymous Communication Using Throughput Fingerprinting")
+// combined with the paper's PIAT class features, needs no engine: it is
+// adversary.CorrelateFlows, which cascades share, fed one padded user
+// link per flow by core.
 //
 // The engine follows the repository's determinism discipline: every
 // user's randomness — message arrivals, cover arrivals, recipient

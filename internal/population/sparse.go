@@ -4,11 +4,9 @@ import "slices"
 
 // sparseVec is a sorted-coordinate sparse vector over a recipient space:
 // parallel (index, value) slices with idx strictly ascending. The SDA
-// estimators and the flow-correlation fingerprints accumulate into
-// these instead of dense length-R arrays, so a million-recipient space
-// costs each accumulator only its support — for an SDA target that is
-// the recipients actually delivered in observed rounds, for a flow
-// fingerprint the non-empty rate bins.
+// estimators accumulate into these instead of dense length-R arrays, so
+// a million-recipient space costs each accumulator only its support: the
+// recipients actually delivered in observed rounds.
 //
 // All values are exact: the estimator entries are event counts (integer-
 // valued float64s, exact below 2^53), so sparse accumulation is not an
@@ -98,30 +96,6 @@ func (v *sparseVec) seek(p int, i int32) int {
 func (v *sparseVec) setPairs(idx []int32, val []float64) {
 	v.idx = append(v.idx[:0], idx...)
 	v.val = append(v.val[:0], val...)
-}
-
-// compress replaces the vector's contents with dense's non-zero
-// coordinates.
-func (v *sparseVec) compress(dense []float64) {
-	v.idx = v.idx[:0]
-	v.val = v.val[:0]
-	for i, x := range dense {
-		if x != 0 {
-			v.idx = append(v.idx, int32(i))
-			v.val = append(v.val, x)
-		}
-	}
-}
-
-// scatter materializes the vector into the dense slice (zeroing it
-// first): the exact inverse of compress.
-func (v *sparseVec) scatter(dense []float64) {
-	for i := range dense {
-		dense[i] = 0
-	}
-	for k, i := range v.idx {
-		dense[i] = v.val[k]
-	}
 }
 
 // rcptHist is one round's recipients as an ascending histogram: idx

@@ -38,6 +38,7 @@ package linkpad
 
 import (
 	"linkpad/internal/active"
+	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
 	"linkpad/internal/core"
@@ -217,9 +218,10 @@ type (
 	DisclosureState = population.DisclosureState
 	// FlowCorrConfig parameterizes the per-flow correlation attack.
 	FlowCorrConfig = core.FlowCorrConfig
-	// FlowCorrResult reports the flow-matching accuracy, class accuracy
-	// and throughput-fingerprint strength.
-	FlowCorrResult = population.FlowCorrResult
+	// FlowCorrResult reports the flow-matching accuracy, class accuracy,
+	// throughput-fingerprint strength and degree of anonymity: the same
+	// flow-correlation attack CascadeResult reports on routes.
+	FlowCorrResult = adversary.Correlation
 )
 
 // The SDA arms race's three axes (DisclosureConfig.Mix/.Estimator and
