@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-compare bench-gate \
+.PHONY: all build vet fmt test race bench bench-json bench-compare bench-gate \
 	bench-selftest bench-digests profile staticcheck docs golden golden-check resume-check \
 	scale-smoke scale trace-smoke report ci clean
 
@@ -11,6 +11,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fail when gofmt would rewrite any tracked Go file,
+# and name the files.
+GOFMT ?= gofmt
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')) || exit 1; \
+	if [ -n "$$out" ]; then echo "$$out"; echo "gofmt would rewrite the files above"; exit 1; fi; \
+	echo "gofmt: every tracked Go file is formatted"
 
 test:
 	$(GO) test ./...
@@ -197,7 +205,7 @@ trace-smoke:
 	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify byte-identical"
 
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke
+ci: vet fmt build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof report.json

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -61,21 +62,115 @@ var exportAllowlist = map[string]string{
 // whose symbol gained a caller or went away fails too, so the list
 // cannot rot.
 func TestInternalExportsHaveProductionCallers(t *testing.T) {
-	unused, err := unreferencedInternalExports(".")
+	l, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range sortedKeys(unused) {
-		if _, ok := exportAllowlist[name]; !ok {
-			t.Errorf("%s (%s) has no caller outside tests: delete it, move it into a _test.go file, or allowlist it with a reason",
-				name, unused[name])
+	checkAllowlist(t, unreferencedInternalExports(l), exportAllowlist,
+		"has no caller outside tests: delete it, move it into a _test.go file, or allowlist it with a reason",
+		"the symbol is gone or has a production caller")
+}
+
+// fieldAllowlist names the exported fields of internal/core's Spec,
+// Config and Options structs that no non-test file outside internal/core
+// writes, each with the reason it stays. Keys are "Type.Field".
+var fieldAllowlist = map[string]string{
+	"Config.Tau":                       "the paper's padding period τ (§3.2), set by DefaultLabConfig; every runner keeps the paper's 10 ms",
+	"Config.Jitter":                    "the paper's host jitter model (§4.1.2), set by DefaultLabConfig",
+	"CascadeCorrConfig.FeatureWindow":  "bench/trace.go reads it to size the cascade workload's classifier work",
+	"ActiveDetectConfig.FeatureWindow": "bench/trace.go reads it to size the watermark workload's classifier work",
+	"RunOptions.Resume":                "resumes a disclosure checkpoint; whether round-level resume stays is a separate decision",
+}
+
+// TestCoreSpecFieldsHaveProductionSetters pins the rule that every
+// exported field of an exported internal/core struct named *Spec,
+// *Config or *Options is written — as a composite-literal key or by an
+// assignment to a selector — by some non-test file outside internal/core
+// (the module's runners, commands, examples and facade, or bench/), or
+// is allowlisted with a reason. A knob no caller sets is a constant in
+// disguise: every result comes from its default. An allowlist entry
+// whose field gained a setter or went away fails too.
+func TestCoreSpecFieldsHaveProductionSetters(t *testing.T) {
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllowlist(t, unsetCoreSpecFields(l), fieldAllowlist,
+		"is set by no non-test file outside internal/core: replace it with a constant, or allowlist it with a reason",
+		"the field is gone or has a production setter")
+}
+
+// checkAllowlist fails t for every found name missing from allow and
+// for every allow entry that was not found.
+func checkAllowlist(t *testing.T, found, allow map[string]string, unlisted, stale string) {
+	t.Helper()
+	for _, name := range sortedKeys(found) {
+		if _, ok := allow[name]; !ok {
+			t.Errorf("%s (%s) %s", name, found[name], unlisted)
 		}
 	}
-	for _, name := range sortedKeys(exportAllowlist) {
-		if _, ok := unused[name]; !ok {
-			t.Errorf("allowlist entry %s is stale: the symbol is gone or has a production caller", name)
+	for _, name := range sortedKeys(allow) {
+		if _, ok := found[name]; !ok {
+			t.Errorf("allowlist entry %s is stale: %s", name, stale)
 		}
 	}
+}
+
+// unsetCoreSpecFields returns the exported fields of internal/core's
+// exported *Spec, *Config and *Options structs that no non-test file
+// outside internal/core writes, mapped to their declaring file and line.
+func unsetCoreSpecFields(l *moduleLoader) map[string]string {
+	core := l.pkgs["linkpad/internal/core"]
+	fields := map[*types.Var]string{}
+	for _, name := range core.Scope().Names() {
+		tn, ok := core.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() ||
+			!(strings.HasSuffix(name, "Spec") || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				fields[f] = name + "." + f.Name()
+			}
+		}
+	}
+	written := map[*types.Var]bool{}
+	mark := func(id *ast.Ident) {
+		if v, ok := l.info.Uses[id].(*types.Var); ok {
+			written[v] = true
+		}
+	}
+	for _, f := range l.files {
+		if strings.HasPrefix(l.rel(f.Pos()), "internal/core/") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					mark(id)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						mark(sel.Sel)
+					}
+				}
+			}
+			return true
+		})
+	}
+	out := map[string]string{}
+	for v, name := range fields {
+		if !written[v] {
+			out[name] = l.rel(v.Pos()) + ":" + strconv.Itoa(l.fset.Position(v.Pos()).Line)
+		}
+	}
+	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -87,14 +182,23 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// unreferencedInternalExports type-checks every non-test package below
-// root (the module, bench/ included) and returns the exported functions
-// and methods declared under internal/ that no non-test file references,
-// mapped to their declaring file and line. A reference from inside the
-// symbol's own body does not count. A method also counts as referenced
-// when its type implements an interface whose same-named method is
-// called, since the call reaches it through dynamic dispatch.
-func unreferencedInternalExports(root string) (map[string]string, error) {
+// The module's type-checked load, shared by the tests of this file so
+// the packages are checked once per test binary.
+var (
+	moduleOnce   sync.Once
+	moduleLoaded *moduleLoader
+	moduleErr    error
+)
+
+// loadModule type-checks every non-test package of the module (bench/
+// included) once and returns the shared loader.
+func loadModule() (*moduleLoader, error) {
+	moduleOnce.Do(func() { moduleLoaded, moduleErr = loadPackagesBelow(".") })
+	return moduleLoaded, moduleErr
+}
+
+// loadPackagesBelow type-checks every non-test package below root.
+func loadPackagesBelow(root string) (*moduleLoader, error) {
 	l := &moduleLoader{
 		root: root,
 		fset: token.NewFileSet(),
@@ -129,7 +233,16 @@ func unreferencedInternalExports(root string) (map[string]string, error) {
 			return nil, err
 		}
 	}
+	return l, nil
+}
 
+// unreferencedInternalExports returns the exported functions and methods
+// declared under internal/ that no non-test file of the loaded module
+// references, mapped to their declaring file and line. A reference from
+// inside the symbol's own body does not count. A method also counts as
+// referenced when its type implements an interface whose same-named
+// method is called, since the call reaches it through dynamic dispatch.
+func unreferencedInternalExports(l *moduleLoader) map[string]string {
 	// The declarations under internal/, with their body extents.
 	type decl struct {
 		fn       *types.Func
@@ -138,9 +251,7 @@ func unreferencedInternalExports(root string) (map[string]string, error) {
 	}
 	var decls []decl
 	for _, f := range l.files {
-		file := l.fset.File(f.Pos()).Name()
-		rel, _ := filepath.Rel(root, file)
-		rel = filepath.ToSlash(rel)
+		rel := l.rel(f.Pos())
 		if !strings.HasPrefix(rel, "internal/") {
 			continue
 		}
@@ -188,12 +299,10 @@ func unreferencedInternalExports(root string) (map[string]string, error) {
 			}
 		}
 		if !referenced {
-			p := l.fset.Position(d.pos)
-			rel, _ := filepath.Rel(root, p.Filename)
-			out[d.name] = filepath.ToSlash(rel) + ":" + strconv.Itoa(p.Line)
+			out[d.name] = l.rel(d.pos) + ":" + strconv.Itoa(l.fset.Position(d.pos).Line)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // reachedByDispatch reports whether a method name of recv is the target
@@ -246,6 +355,13 @@ type moduleLoader struct {
 	pkgs  map[string]*types.Package
 	info  *types.Info
 	files []*ast.File
+}
+
+// rel returns the slash-separated path, relative to the module root, of
+// the file holding pos.
+func (l *moduleLoader) rel(pos token.Pos) string {
+	rel, _ := filepath.Rel(l.root, l.fset.Position(pos).Filename)
+	return filepath.ToSlash(rel)
 }
 
 func (l *moduleLoader) Import(path string) (*types.Package, error) {

@@ -43,9 +43,6 @@ type Config struct {
 	// flow's Start (required); the matched filter uses
 	// floor(Duration/period) whole slots.
 	Duration float64
-	// Threshold is the detection z-score (0 = 3: a ~0.1% false-positive
-	// rate against the decoy-calibrated null).
-	Threshold float64
 	// FeatureWindow is the PIAT count reduced to one feature value per
 	// flow for the class posteriors (0 = 200); it must match the window
 	// the classifiers were trained at.
@@ -63,9 +60,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Threshold == 0 {
-		c.Threshold = 3
-	}
 	if c.FeatureWindow == 0 {
 		c.FeatureWindow = 200
 	}
@@ -118,9 +112,13 @@ type Result struct {
 	DummyFrac float64
 }
 
-// channels is the number of matched-filter channels (count, variance,
+// Channels is the number of matched-filter channels (count, variance,
 // centroid).
-const channels = 3
+const Channels = 3
+
+// threshold is the detection z-score: a ~0.1% false-positive rate
+// against the decoy-calibrated null.
+const threshold = 3
 
 // flowObs is the reduced observation of one flow: per-slot channel
 // vectors plus the bookkeeping the sequential reduction needs.
@@ -129,7 +127,7 @@ type flowObs struct {
 	k0        int       // first whole slot of the observation window
 	start     float64   // absolute start of the observation window
 	end       float64   // absolute end of the observation window
-	stats     []float64 // [channels][slots] flattened
+	stats     []float64 // [Channels][slots] flattened
 	inject    InjectStats
 	exitCount int
 }
@@ -158,9 +156,6 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
 	if err != nil {
 		return nil, fmt.Errorf("active: %w", err)
-	}
-	if !(cfg.Threshold > 0) {
-		return nil, errors.New("active: detection threshold must be positive")
 	}
 	slots := int(cfg.Duration/e.period + 1e-9)
 	if slots < 8 {
@@ -204,7 +199,7 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		// telemetry shard: publish the chain's counters (nil-safe).
 		flow.Probe.Flush()
 		o.exitCount = len(buf)
-		o.stats = make([]float64, channels*slots)
+		o.stats = make([]float64, Channels*slots)
 		slotStats(buf, start, e.period, slots,
 			o.channel(0, slots), o.channel(1, slots), o.channel(2, slots))
 		if flow.Inject != nil {
@@ -229,10 +224,10 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 	chipVec := make([]float64, slots)
 	decoyR := make([]float64, len(e.decoys))
 	score := make([]float64, flows*flows)
-	var mu, sigma [channels]float64
+	var mu, sigma [Channels]float64
 	for f := 0; f < flows; f++ {
 		o := &obs[f]
-		for ch := 0; ch < channels; ch++ {
+		for ch := 0; ch < Channels; ch++ {
 			stat := o.channel(ch, slots)
 			for d, dk := range e.decoys {
 				fillChips(chipVec, dk, o.k0)
@@ -247,7 +242,7 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		for u := 0; u < flows; u++ {
 			fillChips(chipVec, obs[u].key, o.k0)
 			best := 0.0
-			for ch := 0; ch < channels; ch++ {
+			for ch := 0; ch < Channels; ch++ {
 				if sigma[ch] < 1e-9 {
 					continue // degenerate channel: no information
 				}
@@ -277,7 +272,7 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		z := score[f*flows+f]
 		res.ZTrue[f] = z
 		zSum += z
-		if z >= cfg.Threshold {
+		if z >= threshold {
 			detected++
 		}
 	}

@@ -143,9 +143,6 @@ func TestDetectValidation(t *testing.T) {
 	if _, err := Detect(e, Config{Duration: 1}); err == nil {
 		t.Error("too few slots should fail")
 	}
-	if _, err := Detect(e, Config{Duration: 20, Threshold: -1}); err == nil {
-		t.Error("negative threshold should fail")
-	}
 	for _, cfg := range []Config{
 		{Duration: 20, FeatureWindow: 1},
 		{Duration: 20, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},

@@ -37,17 +37,19 @@ type FlowObs struct {
 	Entry, Exit []float64
 }
 
+// RateWindow is the throughput-fingerprint bin width in seconds: a
+// fingerprint over Duration seconds has floor(Duration/RateWindow) bins.
+const RateWindow = 1.0
+
+// corrWeight scales the rate-correlation term against the class
+// log-posterior term: correlation spans [-1, 1], posteriors span
+// [-PostFloor, 0] per classifier.
+const corrWeight = 8
+
 // CorrConfig parameterizes the flow-correlation attack.
 type CorrConfig struct {
 	// Duration is the observation time in stream seconds (required).
 	Duration float64
-	// RateWindow is the throughput-fingerprint bin width in seconds
-	// (0 = 1 s). The fingerprint has floor(Duration/RateWindow) bins.
-	RateWindow float64
-	// CorrWeight scales the rate-correlation term against the class
-	// log-posterior term (0 = 8; correlation spans [-1, 1], posteriors
-	// span [-PostFloor, 0] per classifier).
-	CorrWeight float64
 	// FeatureWindow is the PIAT count reduced to one feature value per
 	// flow (0 = 200); it must match the window the classifiers were
 	// trained at.
@@ -65,12 +67,6 @@ type CorrConfig struct {
 
 // withDefaults fills zero fields.
 func (c CorrConfig) withDefaults() CorrConfig {
-	if c.RateWindow == 0 {
-		c.RateWindow = 1
-	}
-	if c.CorrWeight == 0 {
-		c.CorrWeight = 8
-	}
 	if c.FeatureWindow == 0 {
 		c.FeatureWindow = 200
 	}
@@ -129,7 +125,7 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 	// Floor with an epsilon so a float-noisy integral ratio (60*0.7/1 =
 	// 41.99999...) keeps its last window instead of silently dropping the
 	// tail of both fingerprints.
-	bins := int(cfg.Duration/cfg.RateWindow + 1e-9)
+	bins := int(cfg.Duration/RateWindow + 1e-9)
 	if bins < 2 {
 		return nil, errors.New("adversary: need at least two rate windows over the duration")
 	}
@@ -143,10 +139,10 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 	err = par.MapWorker(flows, workers, func(worker, f int) error {
 		o, err := observe(worker, f)
 		if err == nil {
-			_, err = RateVector(o.Entry, 0, cfg.RateWindow, row(entry, f))
+			_, err = RateVector(o.Entry, 0, RateWindow, row(entry, f))
 		}
 		if err == nil {
-			_, err = RateVector(o.Exit, 0, cfg.RateWindow, row(exit, f))
+			_, err = RateVector(o.Exit, 0, RateWindow, row(exit, f))
 		}
 		if err == nil {
 			posts[f], err = exitClasses.LogPosts(worker, o.Exit)
@@ -171,7 +167,7 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 			if err != nil {
 				return nil, err
 			}
-			v := cfg.CorrWeight * corr
+			v := corrWeight * corr
 			if posts[f] != nil {
 				v += posts[f][classes[u]]
 			}

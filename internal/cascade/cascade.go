@@ -2,7 +2,7 @@
 // flow crosses K padded hops in sequence — every deployed anonymity
 // system (cascade mixes, onion-routing circuits) chains several relays —
 // and each hop re-pads the traffic with its own timer policy (CIT/VIT)
-// or batching mix, its own host jitter, and its own outgoing link. A hop
+// or batching mix and its own host jitter. A hop
 // cannot distinguish upstream dummies from payload (the traffic is
 // encrypted), so it forwards everything it receives: dummies injected at
 // the entry propagate to the exit, and every hop's timer re-times the

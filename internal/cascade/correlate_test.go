@@ -146,7 +146,7 @@ func TestCorrelateValidation(t *testing.T) {
 	if _, err := Correlate(e, adversary.CorrConfig{}); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := Correlate(e, adversary.CorrConfig{Duration: 4, RateWindow: 4}); err == nil {
+	if _, err := Correlate(e, adversary.CorrConfig{Duration: 1.5}); err == nil {
 		t.Error("single rate window accepted")
 	}
 	for _, cfg := range []adversary.CorrConfig{

@@ -66,12 +66,16 @@ func (p ActiveProtocol) String() string {
 }
 
 // ActiveSpec describes an active-adversary scenario layered on the
-// system: who is watermarked (Flows, ClassMix), how (Mode, Amplitude,
-// chip geometry), and what the flows cross (Protocol plus its knobs).
+// system: who is watermarked (Flows), how (Mode, Amplitude) and what the
+// flows cross (Protocol plus its knobs). Every key is activeChips chips
+// of activePeriod seconds, and the detector calibrates against
+// activeDecoys decoy keys.
 type ActiveSpec struct {
 	// Protocol selects the observation protocol the flows cross.
 	Protocol ActiveProtocol
 	// Flows is the number of concurrent watermarked flows (at least 2).
+	// The system's rate classes stripe across them in equal shares, like
+	// population users.
 	Flows int
 	// Mode selects the injection mechanism: delay-jitter watermarks
 	// (active.ModeDelay) or chaff probes (active.ModeChaff).
@@ -80,55 +84,32 @@ type ActiveSpec struct {
 	// for ModeDelay, the in-slot chaff rate in packets/second for
 	// ModeChaff. Required positive.
 	Amplitude float64
-	// Chips is the key length in chips (0 = 32).
-	Chips int
-	// Period is the chip slot duration in seconds (0 = 0.5).
-	Period float64
-	// Decoys is the number of decoy keys calibrating the detector's
-	// per-flow noise floor (0 = 16; at least 8).
-	Decoys int
 	// Raw bypasses the padding — the unpadded anchor. The flow still
 	// crosses the network path and the tap, so comparisons isolate the
 	// countermeasure alone. Not valid for ActiveCascade (an unpadded
 	// route is the Raw replica scenario).
 	Raw bool
-	// CoverRate adds defensive cover at CoverRate × the flow's payload
-	// rate (ActivePopulation only; mutually exclusive with CoverToPPS).
-	CoverRate float64
-	// CoverToPPS instead pads the flow's send rate up to an absolute
-	// target, the matched-overhead form (ActivePopulation only).
+	// CoverToPPS adds defensive cover that pads the flow's send rate up
+	// to an absolute target, the matched-overhead form (ActivePopulation
+	// only).
 	CoverToPPS float64
-	// WarmupTime is the stream span in seconds discarded before the
-	// matched filter starts (ActiveSession only; 0 = 2 s).
-	WarmupTime float64
 	// Hops is the route crossed by every flow (ActiveCascade only; at
 	// least one hop).
 	Hops []CascadeHop
-	// ClassMix weighs the system's rate classes across the flows
-	// (len(Rates) entries, positive); nil means equal shares. Flows are
-	// striped deterministically, like population users.
-	ClassMix []float64
 }
 
-// withDefaults fills zero fields.
-func (a ActiveSpec) withDefaults() ActiveSpec {
-	if a.Chips == 0 {
-		a.Chips = 32
-	}
-	if a.Period == 0 {
-		a.Period = 0.5
-	}
-	if a.Decoys == 0 {
-		a.Decoys = 16
-	}
-	if a.Protocol == ActiveSession && a.WarmupTime == 0 {
-		a.WarmupTime = 2
-	}
-	return a
-}
+// The watermark geometry of every active scenario: keys of activeChips
+// chips, each activePeriod seconds long, calibrated against activeDecoys
+// decoy keys. ActiveSession flows discard activeSessionWarmup seconds of
+// stream before the matched filter starts.
+const (
+	activeChips         = 32
+	activePeriod        = 0.5
+	activeDecoys        = 16
+	activeSessionWarmup = 2.0
+)
 
-// validateActive checks the spec against the system. Call on a
-// defaults-resolved spec.
+// validateActive checks the spec against the system.
 func (s *System) validateActive(spec ActiveSpec) error {
 	if spec.Flows < 2 {
 		return errors.New("core: active scenario needs at least two flows")
@@ -139,31 +120,16 @@ func (s *System) validateActive(spec ActiveSpec) error {
 	if !(spec.Amplitude > 0) {
 		return errors.New("core: watermark amplitude must be positive")
 	}
-	if spec.Chips < 2 || !(spec.Period > 0) {
-		return errors.New("core: invalid watermark chip geometry")
-	}
-	if spec.Decoys < 8 {
-		return errors.New("core: need at least eight decoy keys")
-	}
-	if spec.CoverRate < 0 || spec.CoverToPPS < 0 {
-		return errors.New("core: active cover rates must be non-negative")
-	}
-	if spec.CoverRate > 0 && spec.CoverToPPS > 0 {
-		return errors.New("core: CoverRate and CoverToPPS are mutually exclusive")
-	}
-	if spec.WarmupTime < 0 {
-		return errors.New("core: warm-up time must be non-negative")
+	if spec.CoverToPPS < 0 {
+		return errors.New("core: active cover rate must be non-negative")
 	}
 	switch spec.Protocol {
 	case ActiveReplica, ActiveSession, ActivePopulation:
 		if len(spec.Hops) > 0 {
 			return fmt.Errorf("core: Hops requires the cascade protocol, not %v", spec.Protocol)
 		}
-		if spec.Protocol != ActivePopulation && (spec.CoverRate > 0 || spec.CoverToPPS > 0) {
+		if spec.Protocol != ActivePopulation && spec.CoverToPPS > 0 {
 			return fmt.Errorf("core: cover traffic requires the population protocol, not %v", spec.Protocol)
-		}
-		if spec.Protocol != ActiveSession && spec.WarmupTime > 0 {
-			return fmt.Errorf("core: WarmupTime requires the session protocol, not %v", spec.Protocol)
 		}
 	case ActiveCascade:
 		if spec.Raw {
@@ -172,8 +138,8 @@ func (s *System) validateActive(spec ActiveSpec) error {
 		if len(spec.Hops) == 0 {
 			return errors.New("core: cascade protocol needs at least one hop")
 		}
-		if spec.CoverRate > 0 || spec.CoverToPPS > 0 || spec.WarmupTime > 0 {
-			return errors.New("core: cover and warm-up knobs are not valid for the cascade protocol")
+		if spec.CoverToPPS > 0 {
+			return errors.New("core: cover traffic is not valid for the cascade protocol")
 		}
 		if err := s.validateHops(spec.Hops); err != nil {
 			return err
@@ -181,7 +147,7 @@ func (s *System) validateActive(spec ActiveSpec) error {
 	default:
 		return fmt.Errorf("core: unknown active protocol %d", spec.Protocol)
 	}
-	return s.validateClassMix(spec.ClassMix)
+	return nil
 }
 
 // paddedHops returns the number of padded elements a flow crosses — the
@@ -206,7 +172,7 @@ func (s *System) activeRand(proto ActiveProtocol, class, flow, hop int, role uin
 // source, the watermark injection (skipped for phantom training flows),
 // the protocol's defense chain, and the exit observation chain. All
 // randomness derives from (seed, class, flow, role) streams, so a flow
-// is a pure function of its identity. Call on a defaults-resolved spec.
+// is a pure function of its identity.
 func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) (*active.Flow, error) {
 	payload, err := s.payloadSource(class, s.activeRand(spec.Protocol, class, flow, 0, activeRolePayload))
 	if err != nil {
@@ -215,7 +181,7 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 	fl := &active.Flow{Class: class, Probe: obs.NewShard()}
 	var src traffic.Source = payload
 	if watermarked {
-		key, err := active.NewKey(spec.Chips, spec.Period,
+		key, err := active.NewKey(activeChips, activePeriod,
 			s.activeRand(spec.Protocol, class, flow, 0, activeRoleKey))
 		if err != nil {
 			return nil, err
@@ -246,8 +212,6 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 	case ActiveCascade:
 		exit, probes, err := s.hopChain(spec.Hops, src, func(h int) *xrand.Rand {
 			return s.activeRand(spec.Protocol, class, flow, h, activeRoleHop)
-		}, func(h int) *xrand.Rand {
-			return s.activeRand(spec.Protocol, class, flow, h, activeRoleOutage)
 		}, s.activeRand(spec.Protocol, class, flow, len(spec.Hops), activeRoleExit), nil, fl.Probe)
 		if err != nil {
 			return nil, err
@@ -255,7 +219,7 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 		fl.Exit = exit
 		fl.Hops = probes
 	default:
-		if c := coverPPS(spec.CoverRate, spec.CoverToPPS, s.cfg.Rates[class].PPS); c > 0 {
+		if c := coverPPS(0, spec.CoverToPPS, s.cfg.Rates[class].PPS); c > 0 {
 			// The defense mints cover past the attacker's vantage point,
 			// so cover packets never carry the watermark.
 			cover, err := traffic.NewPoisson(c,
@@ -277,37 +241,38 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 		if probe != nil {
 			fl.Hops = []cascade.HopProbe{probe}
 		}
-		fl.Start = spec.WarmupTime
+		if spec.Protocol == ActiveSession {
+			fl.Start = activeSessionWarmup
+		}
 	}
 	return fl, nil
 }
 
 // NewActive instantiates the watermark engine: Flows watermarked flows
 // crossing the spec's protocol, with rate classes striped across the
-// flows by ClassMix, plus the adversary's decoy keys. Every flow derives
-// from (seed, class, flowID) role streams in the active domain.
+// flows in equal shares, plus the adversary's decoy keys. Every flow
+// derives from (seed, class, flowID) role streams in the active domain.
 func (s *System) NewActive(spec ActiveSpec) (*active.Engine, error) {
-	spec = spec.withDefaults()
 	if err := s.validateActive(spec); err != nil {
 		return nil, err
 	}
-	decoys := make([]*active.Key, spec.Decoys)
+	decoys := make([]*active.Key, activeDecoys)
 	for d := range decoys {
 		// Decoy keys are the adversary's own dice: class 0, flow = decoy
 		// index, in a role real flows never read.
-		key, err := active.NewKey(spec.Chips, spec.Period,
+		key, err := active.NewKey(activeChips, activePeriod,
 			s.activeRand(spec.Protocol, 0, d, 0, activeRoleDecoy))
 		if err != nil {
 			return nil, err
 		}
 		decoys[d] = key
 	}
-	cum := s.classCum(spec.ClassMix)
+	cum := s.classCum()
 	build := func(flow int) (*active.Flow, error) {
 		return s.activeFlow(spec, classOf(flow, spec.Flows, cum), flow, true)
 	}
 	return active.NewEngine(spec.Flows, spec.paddedHops(), spec.Mode,
-		spec.Chips, spec.Period, decoys, build)
+		activeChips, activePeriod, decoys, build)
 }
 
 // ActiveDetectConfig parameterizes the watermark detection attack run
@@ -316,10 +281,8 @@ func (s *System) NewActive(spec ActiveSpec) (*active.Engine, error) {
 type ActiveDetectConfig struct {
 	// Duration is the observation time in stream seconds past each
 	// flow's warm-up (0 = 40); the matched filter uses
-	// floor(Duration/Period) whole slots.
+	// floor(Duration/activePeriod) whole slots and detects at z ≥ 3.
 	Duration float64
-	// Threshold is the detection z-score (0 = 3).
-	Threshold float64
 	// Features are the PIAT statistics the exit class classifiers use;
 	// empty runs a pure watermark attack. Ignored for Raw scenarios (an
 	// unpadded flow needs no class fingerprint).
@@ -340,12 +303,22 @@ func (c ActiveDetectConfig) withDefaults() ActiveDetectConfig {
 		c.Duration = 40
 	}
 	if c.FeatureWindow == 0 {
-		c.FeatureWindow = 200
+		c.FeatureWindow = defaultFeatureWindow
 	}
 	if c.TrainWindows == 0 {
 		c.TrainWindows = 120
 	}
 	return c
+}
+
+// validate checks a defaults-applied config's budgets for flows flows:
+// the matched filter needs eight whole chip slots and keeps
+// active.Channels values per slot.
+func (c ActiveDetectConfig) validate(flows int) error {
+	if c.TrainWindows < 2 {
+		return errors.New("core: active detection needs at least two training windows per class")
+	}
+	return validateObservation(flows, c.Duration, activePeriod, 8, active.Channels)
 }
 
 // activeDetection runs the active watermark attack end to end: the
@@ -354,18 +327,11 @@ func (c ActiveDetectConfig) withDefaults() ActiveDetectConfig {
 // observes cover traffic, batching and re-padding exactly as run time
 // does), then injects its watermark into every flow and runs the
 // matched-filter detection at the exit tap. Results are identical at
-// any cfg.Workers width; flows are the unit of parallelism.
+// any cfg.Workers width; flows are the unit of parallelism. Run calls it
+// on the spec Build validated and the defaults-applied config.
 func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*active.Result, error) {
-	spec = spec.withDefaults()
-	if err := s.validateActive(spec); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
 	if spec.Raw {
 		cfg.Features = nil
-	}
-	if cfg.TrainWindows < 2 {
-		return nil, errors.New("core: active detection needs at least two training windows per class")
 	}
 
 	// Off-line phase: per-class exit feature densities from phantom
@@ -397,7 +363,6 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*acti
 	}
 	return active.Detect(eng, active.Config{
 		Duration:      cfg.Duration,
-		Threshold:     cfg.Threshold,
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,

@@ -18,8 +18,6 @@ func chaffSpec() ActiveSpec {
 		Flows:     8,
 		Mode:      active.ModeChaff,
 		Amplitude: 20,
-		Chips:     16,
-		Decoys:    8,
 	}
 }
 
@@ -136,19 +134,16 @@ func TestActiveSpecValidation(t *testing.T) {
 		{Flows: 1, Mode: active.ModeChaff, Amplitude: 1},                          // one flow
 		{Flows: 4, Mode: active.Mode(9), Amplitude: 1},                            // unknown mode
 		{Flows: 4, Mode: active.ModeChaff},                                        // zero amplitude
-		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Chips: 1},                // bad geometry
-		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Period: -1},              // bad geometry
-		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Decoys: 4},               // too few decoys
-		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, CoverRate: 1},            // cover off-protocol
-		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, WarmupTime: 1},           // warm-up off-protocol
+		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, CoverToPPS: 100},         // cover off-protocol
 		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Hops: []CascadeHop{{}}},  // hops off-protocol
 		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Protocol: ActiveCascade}, // cascade without hops
 		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Protocol: ActiveCascade,
 			Raw: true, Hops: []CascadeHop{{}}}, // raw cascade
+		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Protocol: ActiveCascade,
+			CoverToPPS: 100, Hops: []CascadeHop{{}}}, // cover on a cascade
 		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Protocol: ActivePopulation,
-			CoverRate: 1, CoverToPPS: 100}, // both cover knobs
+			CoverToPPS: -1}, // negative cover
 		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, Protocol: ActiveProtocol(9)}, // unknown protocol
-		{Flows: 4, Mode: active.ModeChaff, Amplitude: 1, ClassMix: []float64{1}},      // short mix
 	}
 	for i, spec := range bad {
 		if _, err := sys.NewActive(spec); err == nil {

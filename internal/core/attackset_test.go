@@ -106,10 +106,10 @@ func TestRunAttackSetValidation(t *testing.T) {
 	if _, err := runSpec(sys, AttackSetSpec{}); err == nil {
 		t.Error("empty feature set should fail")
 	}
-	cfg := AttackConfig{TrainStreamID: 7, EvalStreamID: 7, Feature: analytic.FeatureVariance}
+	cfg := AttackConfig{TrainWindows: 1, Feature: analytic.FeatureVariance}
 	_, buildErr := sys.Build(AttackSetSpec{Attack: cfg, Features: []analytic.Feature{analytic.FeatureMean}})
 	if buildErr == nil {
-		t.Fatal("identical stream IDs should fail")
+		t.Fatal("a single training window should fail")
 	}
 	// CalibrateVIT reaches the attack set without Build; it must reject
 	// the same configuration with the same error.

@@ -49,64 +49,16 @@ func (p CascadePolicy) String() string {
 	}
 }
 
-// CascadeHop describes one padded hop of a route. Each hop composes its
-// own timer policy (or mix stage), the host jitter model shared with the
-// rest of the system, and optionally its own outgoing netem link.
+// CascadeHop describes one padded hop of a route on a dedicated (zero
+// cross traffic) link. Each hop composes its own padding stage — a timer
+// at the system Tau or a batch-of-defaultMixK mix — with the host jitter
+// model shared with the rest of the system.
 type CascadeHop struct {
 	// Policy selects the hop's padding stage.
 	Policy CascadePolicy
-	// Tau is the hop's mean timer interval; 0 inherits the system Tau.
-	// Must be zero for mix hops.
-	Tau float64
 	// SigmaT is the interval standard deviation of a VIT hop (required
 	// positive for VIT; must be zero otherwise).
 	SigmaT float64
-	// MixK is the batch size of a mix hop (0 = default 8; must be zero
-	// for timer hops).
-	MixK int
-	// Link, when non-nil, is the hop's outgoing router link; nil means a
-	// dedicated (zero cross traffic) link.
-	Link *HopSpec
-	// Outage, when non-nil, puts the hop on a seeded failure/recovery
-	// schedule: the hop goes dark for exponential intervals and packets
-	// that would depart while it is dark follow the spec's recovery
-	// policy. The schedule draws from its own role stream, so attaching
-	// an outage does not perturb the hop's padding realization.
-	Outage *OutageSpec
-}
-
-// OutageSpec describes one hop's failure/recovery process and the entry
-// gateway's reaction to it — the reaction is the measurable leak.
-type OutageSpec struct {
-	// MeanUp and MeanDown are the mean exponential up/down durations in
-	// seconds (both positive).
-	MeanUp, MeanDown float64
-	// Backoff, when positive, selects the retry policy: packets hitting a
-	// dark hop retry at exponentially growing offsets (Backoff, 2·Backoff,
-	// 4·Backoff, ...) until an attempt lands in an up interval. Zero with
-	// SpareDelay zero means packets depart at the recovery instant.
-	Backoff float64
-	// SpareDelay, when positive, selects failover instead: packets divert
-	// to a spare route and arrive SpareDelay later. Mutually exclusive
-	// with Backoff.
-	SpareDelay float64
-}
-
-// Validate checks the outage parameters.
-func (o *OutageSpec) Validate() error {
-	if o == nil {
-		return nil
-	}
-	if !(o.MeanUp > 0) || !(o.MeanDown > 0) {
-		return errors.New("core: outage mean up/down durations must be positive")
-	}
-	if o.Backoff < 0 || o.SpareDelay < 0 {
-		return errors.New("core: outage backoff and spare delay must be non-negative")
-	}
-	if o.Backoff > 0 && o.SpareDelay > 0 {
-		return errors.New("core: outage backoff and spare failover are mutually exclusive")
-	}
-	return nil
 }
 
 // CascadeSpec describes a multi-hop route topology layered on the
@@ -118,11 +70,9 @@ type CascadeSpec struct {
 	// anchor, where the exit stream is the payload stream itself.
 	Hops []CascadeHop
 	// Flows is the number of concurrent end-to-end flows (at least 2).
+	// The system's rate classes stripe across them in equal shares, like
+	// population users.
 	Flows int
-	// ClassMix weighs the system's rate classes across the flows
-	// (len(Rates) entries, positive); nil means equal shares. Flows are
-	// striped deterministically, like population users.
-	ClassMix []float64
 }
 
 // maxCascadeHops bounds the route length: the hop index must fit its
@@ -135,10 +85,7 @@ func (s *System) validateCascade(spec CascadeSpec) error {
 	if spec.Flows < 2 {
 		return errors.New("core: cascade needs at least two flows")
 	}
-	if err := s.validateHops(spec.Hops); err != nil {
-		return err
-	}
-	return s.validateClassMix(spec.ClassMix)
+	return s.validateHops(spec.Hops)
 }
 
 // validateHops checks a hop chain; shared by the cascade and active
@@ -148,61 +95,29 @@ func (s *System) validateHops(hops []CascadeHop) error {
 		return fmt.Errorf("core: cascade route has %d hops, limit %d", len(hops), maxCascadeHops)
 	}
 	for i, h := range hops {
-		if h.Tau < 0 {
-			return fmt.Errorf("core: cascade hop %d has negative Tau", i)
-		}
 		switch h.Policy {
-		case CascadeCIT, CascadeVIT:
-			if h.MixK != 0 {
-				return fmt.Errorf("core: cascade hop %d sets MixK on a timer policy", i)
-			}
-			if h.Policy == CascadeVIT && !(h.SigmaT > 0) {
-				return fmt.Errorf("core: cascade hop %d is VIT but SigmaT is not positive", i)
-			}
-			if h.Policy == CascadeCIT && h.SigmaT != 0 {
-				return fmt.Errorf("core: cascade hop %d sets SigmaT on a CIT policy", i)
-			}
-		case CascadeMix:
+		case CascadeCIT, CascadeMix:
 			if h.SigmaT != 0 {
-				return fmt.Errorf("core: cascade hop %d sets SigmaT on a mix", i)
+				return fmt.Errorf("core: cascade hop %d sets SigmaT on a %v policy", i, h.Policy)
 			}
-			if h.Tau != 0 {
-				return fmt.Errorf("core: cascade hop %d sets Tau on a mix", i)
-			}
-			if h.MixK < 0 || h.MixK == 1 {
-				return fmt.Errorf("core: cascade hop %d mix batch must be at least 2", i)
+		case CascadeVIT:
+			if !(h.SigmaT > 0) {
+				return fmt.Errorf("core: cascade hop %d is VIT but SigmaT is not positive", i)
 			}
 		default:
 			return fmt.Errorf("core: cascade hop %d has unknown policy %v", i, h.Policy)
-		}
-		if h.Link != nil {
-			if err := h.Link.validate(); err != nil {
-				return fmt.Errorf("core: cascade hop %d: %w", i, err)
-			}
-		}
-		if err := h.Outage.Validate(); err != nil {
-			return fmt.Errorf("core: cascade hop %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
 // hopPad resolves one cascade hop's padding policy: a random-phased
-// timer at the hop's τ (the system Tau when zero), or a mix of MixK
-// (defaultMixK when zero).
+// timer at the system Tau, or a mix of defaultMixK.
 func (s *System) hopPad(h CascadeHop) padPolicy {
 	if h.Policy == CascadeMix {
-		k := h.MixK
-		if k == 0 {
-			k = defaultMixK
-		}
-		return padPolicy{name: h.Policy.String(), mixK: k, spacing: defaultMixSpacing}
+		return padPolicy{name: h.Policy.String(), mixK: defaultMixK}
 	}
-	p := padPolicy{name: h.Policy.String(), tau: h.Tau, sigmaT: h.SigmaT, phased: true}
-	if p.tau == 0 {
-		p.tau = s.cfg.Tau
-	}
-	return p
+	return padPolicy{name: h.Policy.String(), tau: s.cfg.Tau, sigmaT: h.SigmaT, phased: true}
 }
 
 // buildRoute assembles one flow's route: the class payload source feeds
@@ -236,8 +151,6 @@ func (s *System) buildRoute(spec CascadeSpec, class, flow int, withEntry bool) (
 	}
 	exit, probes, err := s.hopChain(spec.Hops, payload, func(h int) *xrand.Rand {
 		return xrand.New(s.streamSeed(class, cascadeStreamID(flow, h, cascadeRoleHop)))
-	}, func(h int) *xrand.Rand {
-		return xrand.New(s.streamSeed(class, cascadeStreamID(flow, h, cascadeRoleOutage)))
 	}, xrand.New(s.streamSeed(class, cascadeStreamID(flow, len(spec.Hops), cascadeRoleExit))),
 		entryTap, sh)
 	if err != nil {
@@ -253,19 +166,16 @@ func (s *System) buildRoute(spec CascadeSpec, class, flow int, withEntry bool) (
 
 // hopChain threads an arrival process through a sequence of re-padding
 // hops, each built by padHop on its hopPad policy (a random-phased timer
-// or a batching mix) and followed by its optional outgoing link and
-// outage, with the next hop consuming the previous hop's departure
-// stream as its payload. An empty hop list degenerates to the unpadded
-// passthrough. The system's exit observation chain — network path and
-// tap imperfections, exactly as for the single padded link — follows the
-// last hop, drawing from exitRng. hopMaster supplies hop h's RNG, so the
-// cascade and active protocols can drive the same construction from
-// their own stream domains; outageRng supplies hop h's failure-schedule
-// RNG (consulted only for hops that carry an Outage spec, so outage-free
-// chains draw nothing from it); entryTap, when non-nil, observes the
-// first stage's payload arrivals. It returns the exit stream and one
-// overhead probe per hop.
-func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster, outageRng func(h int) *xrand.Rand, exitRng *xrand.Rand, entryTap func(float64), sh *obs.Shard) (netem.TimeStream, []cascade.HopProbe, error) {
+// or a batching mix), with the next hop consuming the previous hop's
+// departure stream as its payload. An empty hop list degenerates to the
+// unpadded passthrough. The system's exit observation chain — network
+// path and tap imperfections, exactly as for the single padded link —
+// follows the last hop, drawing from exitRng. hopMaster supplies hop h's
+// RNG, so the cascade and active protocols can drive the same
+// construction from their own stream domains; entryTap, when non-nil,
+// observes the first stage's payload arrivals. It returns the exit
+// stream and one overhead probe per hop.
+func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster func(h int) *xrand.Rand, exitRng *xrand.Rand, entryTap func(float64), sh *obs.Shard) (netem.TimeStream, []cascade.HopProbe, error) {
 	var stream netem.TimeStream
 	var probes []cascade.HopProbe
 	var err error
@@ -274,7 +184,6 @@ func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster, 
 	}
 	src := payload
 	for h, hop := range hops {
-		master := hopMaster(h)
 		var tap func(float64)
 		if h == 0 {
 			tap = entryTap
@@ -288,27 +197,10 @@ func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster, 
 			outRate = 1 / p.tau
 		}
 		var probe cascade.HopProbe
-		if stream, probe, err = s.padHop(p, src, master, tap, sh); err != nil {
+		if stream, probe, err = s.padHop(p, src, hopMaster(h), tap, sh); err != nil {
 			return nil, nil, err
 		}
 		probes = append(probes, probe)
-		if hop.Link != nil {
-			stream, err = netem.NewFastRouter(stream, hop.Link.service(),
-				netem.DiurnalUtil(hop.Link.Util, s.cfg.StartHour), hop.Link.PropDelay, master.Split())
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if hop.Outage != nil {
-			sched, err := traffic.NewOnOffSchedule(hop.Outage.MeanUp, hop.Outage.MeanDown, outageRng(h))
-			if err != nil {
-				return nil, nil, err
-			}
-			stream, err = netem.NewOutageStream(stream, sched, hop.Outage.Backoff, hop.Outage.SpareDelay, sh)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
 		if h < len(hops)-1 {
 			if src, err = cascade.NewStreamSource(stream, outRate); err != nil {
 				return nil, nil, err
@@ -323,13 +215,13 @@ func (s *System) hopChain(hops []CascadeHop, payload traffic.Source, hopMaster, 
 
 // NewCascade instantiates the multi-hop route engine: Flows end-to-end
 // flows, each crossing the spec's padded hops, with rate classes striped
-// across the flows by ClassMix. Every flow's route derives from (seed,
-// class, flowID) role streams in the cascade domain.
+// across the flows in equal shares. Every flow's route derives from
+// (seed, class, flowID) role streams in the cascade domain.
 func (s *System) NewCascade(spec CascadeSpec) (*cascade.Engine, error) {
 	if err := s.validateCascade(spec); err != nil {
 		return nil, err
 	}
-	cum := s.classCum(spec.ClassMix)
+	cum := s.classCum()
 	build := func(flow int) (*cascade.Route, error) {
 		return s.buildRoute(spec, classOf(flow, spec.Flows, cum), flow, true)
 	}
@@ -344,11 +236,6 @@ type CascadeCorrConfig struct {
 	// Duration is the per-flow observation time in stream seconds
 	// (0 = 60).
 	Duration float64
-	// RateWindow is the throughput-fingerprint bin width (0 = 1 s).
-	RateWindow float64
-	// CorrWeight scales rate correlation against the class posterior
-	// (0 = default).
-	CorrWeight float64
 	// Features are the PIAT statistics the exit classifiers use; empty
 	// runs a pure rate-correlation attack. Ignored for zero-hop routes
 	// (an unpadded route needs no class fingerprint).
@@ -368,18 +255,21 @@ func (c CascadeCorrConfig) withDefaults() CascadeCorrConfig {
 	if c.Duration == 0 {
 		c.Duration = 60
 	}
-	if c.RateWindow == 0 {
-		// The attack layer's own default, filled here too so a
-		// scenario's Scale floors the duration at two real windows.
-		c.RateWindow = 1
-	}
 	if c.FeatureWindow == 0 {
-		c.FeatureWindow = 200
+		c.FeatureWindow = defaultFeatureWindow
 	}
 	if c.TrainWindows == 0 {
 		c.TrainWindows = 120
 	}
 	return c
+}
+
+// validate checks a defaults-applied config's budgets for flows flows.
+func (c CascadeCorrConfig) validate(flows int) error {
+	if c.TrainWindows < 2 {
+		return errors.New("core: cascade correlation needs at least two training windows per class")
+	}
+	return validateObservation(flows, c.Duration, adversary.RateWindow, 2, 1)
 }
 
 // cascadeCorrelation runs the end-to-end correlation attack against a
@@ -389,17 +279,11 @@ func (c CascadeCorrConfig) withDefaults() CascadeCorrConfig {
 // does), then observes every flow's entry and exit for cfg.Duration and
 // matches exit flows to entry flows by throughput-fingerprint
 // correlation plus exit class posteriors. Results are identical at any
-// cfg.Workers width; flows are the unit of parallelism.
+// cfg.Workers width; flows are the unit of parallelism. Run calls it on
+// the spec Build validated and the defaults-applied config.
 func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*cascade.Result, error) {
-	if err := s.validateCascade(spec); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
 	if len(spec.Hops) == 0 {
 		cfg.Features = nil
-	}
-	if cfg.TrainWindows < 2 {
-		return nil, errors.New("core: cascade correlation needs at least two training windows per class")
 	}
 
 	// Off-line phase: per-class exit feature densities from phantom
@@ -425,8 +309,6 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*c
 	}
 	return cascade.Correlate(eng, adversary.CorrConfig{
 		Duration:      cfg.Duration,
-		RateWindow:    cfg.RateWindow,
-		CorrWeight:    cfg.CorrWeight,
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,

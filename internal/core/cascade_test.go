@@ -60,15 +60,8 @@ func TestCascadeSpecValidation(t *testing.T) {
 		{Flows: 8, Hops: make([]CascadeHop, maxCascadeHops+1)},
 		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeVIT}}},
 		{Flows: 8, Hops: []CascadeHop{{SigmaT: 1e-6}}},
-		{Flows: 8, Hops: []CascadeHop{{MixK: 8}}},
-		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeMix, MixK: 1}}},
 		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeMix, SigmaT: 1e-6}}},
-		{Flows: 8, Hops: []CascadeHop{{Policy: CascadeMix, Tau: 5e-3}}},
-		{Flows: 8, Hops: []CascadeHop{{Tau: -1}}},
 		{Flows: 8, Hops: []CascadeHop{{Policy: CascadePolicy(99)}}},
-		{Flows: 8, Hops: []CascadeHop{{Link: &HopSpec{}}}},
-		{Flows: 8, Hops: []CascadeHop{vit}, ClassMix: []float64{1}},
-		{Flows: 8, Hops: []CascadeHop{vit}, ClassMix: []float64{1, 0}},
 	}
 	for i, spec := range bad {
 		if _, err := sys.NewCascade(spec); err == nil {
@@ -78,7 +71,6 @@ func TestCascadeSpecValidation(t *testing.T) {
 	good := []CascadeSpec{
 		{Flows: 2}, // unpadded passthrough
 		{Flows: 8, Hops: []CascadeHop{{}, vit, {Policy: CascadeMix}}},
-		{Flows: 8, Hops: []CascadeHop{{Tau: 5e-3}}, ClassMix: []float64{3, 1}},
 	}
 	for i, spec := range good {
 		if _, err := sys.NewCascade(spec); err != nil {
@@ -90,17 +82,18 @@ func TestCascadeSpecValidation(t *testing.T) {
 // A route is a pull-driven pipeline reusing every per-hop buffer: once
 // warmed past the gateway queues' growth, pulling packets through the
 // whole chain — payload source, three re-padding stages (CIT, mix, VIT),
-// a hop link, and the entry recorder — allocates nothing.
+// the exit router path, and the entry recorder — allocates nothing.
 func TestCascadeRouteAllocFree(t *testing.T) {
-	sys, err := NewSystem(DefaultLabConfig())
+	cfg := DefaultLabConfig()
+	cfg.Hops = []HopSpec{{CapacityBps: 100e6, PacketBytes: 200, Util: traffic.Constant(0.2)}}
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := &HopSpec{CapacityBps: 100e6, PacketBytes: 200, Util: traffic.Constant(0.2)}
 	spec := CascadeSpec{
 		Hops: []CascadeHop{
 			{},
-			{Policy: CascadeMix, Link: link},
+			{Policy: CascadeMix},
 			{Policy: CascadeVIT, SigmaT: 30e-6},
 		},
 		Flows: 2,
@@ -156,18 +149,19 @@ func TestCascadeHonorsExitObservationChain(t *testing.T) {
 	}
 }
 
-// Flow classes stripe over ClassMix exactly like population users.
+// Flow classes stripe over the equal class shares exactly like
+// population users.
 func TestCascadeClassMixStriping(t *testing.T) {
 	sys, err := NewSystem(DefaultLabConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := CascadeSpec{Flows: 40, Hops: []CascadeHop{{}}, ClassMix: []float64{3, 1}}
+	spec := CascadeSpec{Flows: 40, Hops: []CascadeHop{{}}}
 	eng, err := sys.NewCascade(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cum := sys.classCum(spec.ClassMix)
+	cum := sys.classCum()
 	counts := [2]int{}
 	for f := 0; f < spec.Flows; f++ {
 		route, err := eng.Route(f)
@@ -179,7 +173,7 @@ func TestCascadeClassMixStriping(t *testing.T) {
 		}
 		counts[route.Class]++
 	}
-	if counts[0] != 30 || counts[1] != 10 {
-		t.Errorf("class mix 3:1 over 40 flows gave %v, want [30 10]", counts)
+	if counts[0] != 20 || counts[1] != 20 {
+		t.Errorf("equal shares over 40 flows gave %v, want [20 20]", counts)
 	}
 }

@@ -63,21 +63,6 @@ type HopSpec struct {
 	PropDelay float64
 }
 
-// validate checks the link parameters; the system path and cascade hop
-// links share it.
-func (h HopSpec) validate() error {
-	if !(h.CapacityBps > 0) || h.PacketBytes <= 0 {
-		return errors.New("invalid link parameters")
-	}
-	if err := h.Util.Validate(); err != nil {
-		return err
-	}
-	if h.PropDelay < 0 {
-		return errors.New("negative propagation delay")
-	}
-	return nil
-}
-
 // service returns the hop's per-packet service time.
 func (h HopSpec) service() float64 {
 	return netem.ServiceTime(h.CapacityBps, h.PacketBytes)
@@ -95,13 +80,11 @@ type AdaptiveSpec struct {
 	IdleAfter int
 }
 
-// MixSpec configures the Chaum batching baseline.
+// MixSpec configures the Chaum batching baseline. Burst packets leave
+// defaultMixSpacing apart.
 type MixSpec struct {
 	// K is the batch size; at least 2.
 	K int
-	// SendSpacing is the wire spacing of burst packets; zero defaults to
-	// 120 µs (1500 B at 100 Mbit/s).
-	SendSpacing float64
 }
 
 // Config describes a complete link-padding system.
@@ -198,9 +181,6 @@ func (c Config) Validate() error {
 		if c.Mix.K < 2 {
 			return errors.New("core: Mix.K must be at least 2")
 		}
-		if c.Mix.SendSpacing < 0 {
-			return errors.New("core: Mix.SendSpacing must be non-negative")
-		}
 	}
 	if err := c.Jitter.Validate(); err != nil {
 		return err
@@ -222,8 +202,14 @@ func (c Config) Validate() error {
 		seen[r.Label] = true
 	}
 	for i, h := range c.Hops {
-		if err := h.validate(); err != nil {
+		if !(h.CapacityBps > 0) || h.PacketBytes <= 0 {
+			return fmt.Errorf("core: hop %d: invalid link parameters", i)
+		}
+		if err := h.Util.Validate(); err != nil {
 			return fmt.Errorf("core: hop %d: %w", i, err)
+		}
+		if h.PropDelay < 0 {
+			return fmt.Errorf("core: hop %d: negative propagation delay", i)
 		}
 		if c.ExactNetwork && h.Util.Peak != h.Util.Trough {
 			return fmt.Errorf("core: hop %d: exact network requires constant utilization", i)
@@ -371,15 +357,13 @@ type padPolicy struct {
 	adaptive *AdaptiveSpec
 	phased   bool
 	mixK     int
-	spacing  float64
 }
 
 // defaultMixSpacing is the wire spacing of mix burst packets, 1500 B at
 // 100 Mbit/s: the single-link default and every cascade mix hop's.
 const defaultMixSpacing = 120e-6
 
-// defaultMixK is the batch size of a cascade mix hop that leaves MixK
-// zero.
+// defaultMixK is the batch size of every cascade mix hop.
 const defaultMixK = 8
 
 // systemPad resolves the system's padding policy.
@@ -387,10 +371,7 @@ func (s *System) systemPad() padPolicy {
 	p := padPolicy{tau: s.cfg.Tau, sigmaT: s.cfg.SigmaT, adaptive: s.cfg.Adaptive}
 	switch {
 	case s.cfg.Mix != nil:
-		p.name, p.mixK, p.spacing = "MIX", s.cfg.Mix.K, s.cfg.Mix.SendSpacing
-		if p.spacing == 0 {
-			p.spacing = defaultMixSpacing
-		}
+		p.name, p.mixK = "MIX", s.cfg.Mix.K
 	case s.cfg.Adaptive != nil:
 		p.name = "ADAPTIVE"
 	case s.cfg.SigmaT > 0:
@@ -426,7 +407,7 @@ func (s *System) padHop(p padPolicy, src traffic.Source, master *xrand.Rand, tap
 	if p.mixK > 0 {
 		mix, err := gateway.NewMix(gateway.MixConfig{
 			K:           p.mixK,
-			SendSpacing: p.spacing,
+			SendSpacing: defaultMixSpacing,
 			Payload:     src,
 			Jitter:      s.cfg.Jitter,
 			RNG:         master.Split(),
@@ -588,9 +569,6 @@ type AttackConfig struct {
 	EntropyBinWidth float64
 	// GaussianFit replaces the KDE training with a parametric normal fit.
 	GaussianFit bool
-	// TrainStreamID/EvalStreamID pick the stream replicas; leave zero for
-	// the defaults (training on replica 1, evaluation on replica 2).
-	TrainStreamID, EvalStreamID uint64
 	// Workers bounds trial-level parallelism inside the attack: every
 	// training/evaluation window is drawn from its own seeded stream
 	// replica, so results are identical for any worker count. Zero means
@@ -616,14 +594,15 @@ func (a AttackConfig) withDefaults() AttackConfig {
 	if a.EvalWindows == 0 {
 		a.EvalWindows = 200
 	}
-	if a.TrainStreamID == 0 {
-		a.TrainStreamID = 1
-	}
-	if a.EvalStreamID == 0 {
-		a.EvalStreamID = 2
-	}
 	return a
 }
+
+// The replica attack's phase base stream IDs: training windows spread
+// from replica 1, evaluation windows from replica 2 (windowStreamID).
+const (
+	trainStreamID = 1
+	evalStreamID  = 2
+)
 
 // AttackResult reports one adversary experiment.
 type AttackResult struct {
@@ -648,11 +627,8 @@ func validateAttackSet(cfg AttackConfig, features []analytic.Feature) error {
 	if len(features) == 0 {
 		return errors.New("core: attack set needs at least one feature")
 	}
-	if uint32(cfg.TrainStreamID) == uint32(cfg.EvalStreamID) {
-		// Windows are spread across the high bits (windowStreamID), so
-		// bases sharing their low 32 bits would alias window streams
-		// between the phases, not just at equal IDs.
-		return errors.New("core: training and evaluation stream IDs must differ in their low 32 bits")
+	if cfg.WindowSize < 2 || cfg.TrainWindows < 2 || cfg.EvalWindows < 1 {
+		return errors.New("core: attack set needs a window size and training windows of at least 2 and at least one evaluation window")
 	}
 	return nil
 }
@@ -702,7 +678,7 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*At
 	// then one fitted classifier per feature.
 	trainMats := make([][][]float64, m) // [class][feature][window]
 	for c := 0; c < m; c++ {
-		mat, err := adversary.FeatureMatrix(factory(c, cfg.TrainStreamID), exts,
+		mat, err := adversary.FeatureMatrix(factory(c, trainStreamID), exts,
 			cfg.TrainWindows, cfg.WindowSize, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
@@ -721,7 +697,7 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*At
 	}
 	var preds []int
 	for c := 0; c < m; c++ {
-		mat, err := adversary.FeatureMatrix(factory(c, cfg.EvalStreamID), exts,
+		mat, err := adversary.FeatureMatrix(factory(c, evalStreamID), exts,
 			cfg.EvalWindows, cfg.WindowSize, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating class %q: %w", labels[c], err)
@@ -740,11 +716,11 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*At
 	// consume attack data).
 	var empiricalR float64
 	if m == 2 && !cfg.SkipEmpiricalR {
-		rLow, err := s.PIATSource(0, cfg.EvalStreamID+1000)
+		rLow, err := s.PIATSource(0, evalStreamID+1000)
 		if err != nil {
 			return nil, err
 		}
-		rHigh, err := s.PIATSource(1, cfg.EvalStreamID+1000)
+		rHigh, err := s.PIATSource(1, evalStreamID+1000)
 		if err != nil {
 			return nil, err
 		}
@@ -928,6 +904,12 @@ func (s *System) detectionAt(sigmaT float64, attack AttackConfig) (float64, erro
 	}
 	return set[0].DetectionRate, nil
 }
+
+// defaultFeatureWindow is the PIAT count the flow, cascade and active
+// attacks reduce to one exit feature value: always for population flows,
+// and for cascades and watermarked flows whose config leaves
+// FeatureWindow zero.
+const defaultFeatureWindow = 200
 
 // trainExitClassifiers runs the shared off-line phase of the population,
 // cascade and active correlation attacks: per class, reduce trainWindows

@@ -225,10 +225,21 @@ func TestCrossTrafficLowersDetection(t *testing.T) {
 	}
 }
 
+// The replica attack's training windows, evaluation windows and
+// variance-ratio diagnostics must read pairwise distinct stream
+// replicas: an equal ID would replay the identical realization.
 func TestRunAttackStreamSeparation(t *testing.T) {
-	s := labSystem(t, nil)
-	if _, err := runSpec(s, AttackSetSpec{Attack: AttackConfig{TrainStreamID: 5, EvalStreamID: 5}, Features: []analytic.Feature{analytic.FeatureMean}}); err == nil {
-		t.Error("identical train/eval stream IDs must be rejected")
+	seen := map[uint64]string{evalStreamID + 1000: "diagnostics"}
+	for w := 0; w < 100000; w++ {
+		for _, p := range []struct {
+			name string
+			id   uint64
+		}{{"train", windowStreamID(trainStreamID, w)}, {"eval", windowStreamID(evalStreamID, w)}} {
+			if prev, ok := seen[p.id]; ok {
+				t.Fatalf("%s window %d reads stream %#x, already read by %s", p.name, w, p.id, prev)
+			}
+			seen[p.id] = p.name
+		}
 	}
 }
 
@@ -425,7 +436,6 @@ func TestMixBaseline(t *testing.T) {
 func TestMixConfigValidation(t *testing.T) {
 	for i, mutate := range []func(*Config){
 		func(c *Config) { c.Mix = &MixSpec{K: 1} },
-		func(c *Config) { c.Mix = &MixSpec{K: 8, SendSpacing: -1} },
 		func(c *Config) { c.Mix = &MixSpec{K: 8}; c.SigmaT = 1e-6 },
 		func(c *Config) {
 			c.Mix = &MixSpec{K: 8}

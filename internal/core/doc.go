@@ -25,6 +25,11 @@
 //     and re-detects them at the exit tap, across any of the four
 //     protocols above.
 //
+// The parameters the paper fixes and no study varies — the population's
+// contact profile, the cascade mix batch, the watermark geometry, the
+// attacks' stream bases and warm-ups — are named constants beside the
+// code that reads them, not spec fields.
+//
 // Determinism contract: every stream the System hands out is an
 // independent deterministic replica derived from (master seed, class,
 // stream ID) — so the adversary's off-line training corpus (paper §3.3:

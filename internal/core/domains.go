@@ -50,8 +50,8 @@ package core
 // (core cascade entry points). Flow f's streams read
 // cascadeStreamID(f, hop, role): the flow index occupies bits 16..47, the
 // hop index bits 8..15, and the low byte selects the role — the flow's
-// payload process, each hop's padding stage (timer phase, policy, jitter,
-// link), and the exit observation chain are disjoint streams of the same
+// payload process, each hop's padding stage (timer phase, policy,
+// jitter), and the exit observation chain are disjoint streams of the same
 // flow. Flow indices (phantom training flows included, base 2²⁴) stay far
 // below 2³², so the spreading never reaches bit 62, and the two-bit flag
 // keeps the domain disjoint from all three protocols above.
@@ -136,7 +136,7 @@ const (
 	// cascadeRolePayload drives the flow's payload arrivals (hop 0 only).
 	cascadeRolePayload = iota
 	// cascadeRoleHop drives one hop's padding stage: timer phase, policy
-	// randomness, gateway jitter, and the hop's outgoing link.
+	// randomness and gateway jitter.
 	cascadeRoleHop
 	// cascadeRoleExit drives the exit observation chain (the system-level
 	// network path and tap imperfections past the last hop).
@@ -144,11 +144,6 @@ const (
 	// cascadeRoleEntryTap drives the adversary's entry-recorder impairment
 	// (hop 0 only).
 	cascadeRoleEntryTap
-	// cascadeRoleOutage drives one hop's failure/recovery schedule. A
-	// separate role — rather than a split off cascadeRoleHop — keeps the
-	// hop's padding realization identical with and without an outage
-	// schedule attached, so outage sweeps perturb only the outage.
-	cascadeRoleOutage
 )
 
 // cascadeStreamID derives the stream ID of one role stream of cascade
@@ -183,9 +178,6 @@ const (
 	// activeRoleDecoy derives the adversary's decoy keys (flow = decoy
 	// index, class 0).
 	activeRoleDecoy
-	// activeRoleOutage drives one hop's failure/recovery schedule on
-	// active cascade routes, mirroring cascadeRoleOutage.
-	activeRoleOutage
 )
 
 // activeStreamID derives the stream ID of one role stream of active

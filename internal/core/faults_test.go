@@ -48,24 +48,6 @@ func TestChurnSpecValidation(t *testing.T) {
 	}
 }
 
-func TestOutageSpecValidation(t *testing.T) {
-	s := labSystem(t, nil)
-	for _, outage := range []*OutageSpec{
-		{MeanUp: 0, MeanDown: 1},
-		{MeanUp: 1, MeanDown: 1, Backoff: -1},
-		{MeanUp: 1, MeanDown: 1, Backoff: 0.1, SpareDelay: 0.1},
-	} {
-		_, err := runSpec(s, CascadeCorrelationSpec{
-			Cascade: CascadeSpec{Hops: []CascadeHop{{Outage: outage}}, Flows: 4},
-			Corr: CascadeCorrConfig{Duration: 30, TrainWindows: 8, Workers: 1,
-				Features: []analytic.Feature{analytic.FeatureVariance}},
-		})
-		if err == nil {
-			t.Errorf("bad outage spec %+v accepted", outage)
-		}
-	}
-}
-
 // TestDisabledImpairmentIsIdentity: a non-nil all-zero impairment spec
 // must produce results identical to no spec at all — no RNG draw, no
 // stream element, nothing.

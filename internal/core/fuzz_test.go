@@ -12,12 +12,13 @@ import (
 )
 
 // fuzz_test.go: Build-time validation must be total. A spec of any of
-// the six kinds assembled from arbitrary field values — NaN rates,
-// negative budgets, absurd mix parameters, out-of-range enum codes,
-// duplicate targets, aliasing stream domains — must either build or
-// return an error; System.Build never panics. This is the fuzz companion
-// of the checkpoint-decode fuzzers (internal/experiment, internal/netem):
-// those guard resume inputs, this guards spec inputs.
+// the six kinds assembled from arbitrary field values — NaN rates and
+// durations, negative budgets, absurd mix parameters, out-of-range enum
+// codes, duplicate targets, observation budgets past memory — must
+// either build or return an error; System.Build never panics. This is
+// the fuzz companion of the checkpoint-decode fuzzers
+// (internal/experiment, internal/netem): those guard resume inputs, this
+// guards spec inputs.
 
 // fuzzKnobs is one fuzz input. The field names are their DisclosureSpec
 // meanings; spec documents how the other five kinds read them.
@@ -29,29 +30,41 @@ type fuzzKnobs struct {
 	targets                                                []byte
 }
 
-// spec maps the knobs onto the spec of kind kind mod 6:
+// spec maps the knobs onto the spec of kind kind mod 6. coverMilli -1
+// reads as NaN; for the three flow kinds the duration is maxRounds
+// seconds, NaN when periodMilli is 1 and +Inf when it is 2.
 //
 //   - 0 AttackSetSpec: batch is the window size, maxRounds/checkEvery
-//     the train/eval windows, mixSeed/consecutive the train/eval stream
-//     IDs, targets the feature codes;
+//     the train/eval windows, consecutive the entropy bin width in µs,
+//     mixSeed odd for the Gaussian fit, targets the feature codes;
 //   - 1 SessionAttackSpec: estimator is the feature, batch the window
 //     size, contacts/maxRounds the train sessions/windows,
 //     checkEvery/consecutive the eval sessions/max windows, coverMilli
-//     the confidence, mixSeed/periodMilli the train/eval bases;
-//   - 2 DisclosureSpec: every knob by its name, targets offset by 64;
-//   - 3 FlowCorrelationSpec: the disclosure population, maxRounds
-//     seconds, batch the feature window, checkEvery the train windows,
-//     mixKind 1 for the unpadded link, targets the feature codes;
-//   - 4 CascadeCorrelationSpec: estimator hops of policy dummies (mix
-//     size retainMilli), users flows, and the flow-correlation attack
-//     knobs;
+//     the confidence;
+//   - 2 DisclosureSpec: every knob by its name, contacts the cover
+//     top-up in pps, consecutive 1 for the churn-aware estimator,
+//     targets offset by 64;
+//   - 3 FlowCorrelationSpec: the disclosure population, the duration,
+//     checkEvery the train windows, mixKind 1 for the unpadded link,
+//     targets the feature codes;
+//   - 4 CascadeCorrelationSpec: estimator hops of policy dummies (σ_T
+//     retainMilli µs), users flows, batch the feature window, and the
+//     flow-correlation attack knobs;
 //   - 5 ActiveDetectionSpec: mixKind is the protocol, dummies the mode,
-//     coverMilli the amplitude, users/consecutive/contacts the
-//     flows/chips/decoys, estimator hops, and the attack knobs as above.
+//     coverMilli the amplitude, users the flows, contacts the cover
+//     top-up in pps, consecutive 1 for the unpadded link, estimator
+//     hops, and the cascade attack knobs.
 func (k fuzzKnobs) spec() Spec {
 	cover := float64(k.coverMilli) / 1000
 	if k.coverMilli == -1 {
 		cover = math.NaN()
+	}
+	duration := float64(k.maxRounds)
+	switch k.periodMilli {
+	case 1:
+		duration = math.NaN()
+	case 2:
+		duration = math.Inf(1)
 	}
 	var features []analytic.Feature
 	for _, b := range k.targets {
@@ -61,25 +74,25 @@ func (k fuzzKnobs) spec() Spec {
 	// without bound.
 	hops := make([]CascadeHop, min(max(k.estimator, 0), 8))
 	for i := range hops {
-		hops[i] = CascadeHop{Policy: CascadePolicy(k.dummies), MixK: k.retainMilli}
+		hops[i] = CascadeHop{Policy: CascadePolicy(k.dummies), SigmaT: float64(k.retainMilli) / 1e6}
 	}
 	pop := PopulationSpec{
 		Users:      k.users,
 		Recipients: k.recipients,
-		Contacts:   k.contacts,
 		CoverRate:  cover,
+		CoverToPPS: float64(k.contacts),
 		Dummies:    population.DummyPolicy(k.dummies),
 	}
 	switch (k.kind%6 + 6) % 6 {
 	case 0:
 		return AttackSetSpec{
 			Attack: AttackConfig{
-				WindowSize:    k.batch,
-				TrainWindows:  k.maxRounds,
-				EvalWindows:   k.checkEvery,
-				TrainStreamID: k.mixSeed,
-				EvalStreamID:  uint64(k.consecutive),
-				Workers:       k.workers,
+				WindowSize:      k.batch,
+				TrainWindows:    k.maxRounds,
+				EvalWindows:     k.checkEvery,
+				EntropyBinWidth: float64(k.consecutive) / 1e6,
+				GaussianFit:     k.mixSeed%2 == 1,
+				Workers:         k.workers,
 			},
 			Features: features,
 		}
@@ -92,8 +105,6 @@ func (k fuzzKnobs) spec() Spec {
 			EvalSessions:  k.checkEvery,
 			MaxWindows:    k.consecutive,
 			Confidence:    cover,
-			TrainBase:     k.mixSeed,
-			EvalBase:      uint64(k.periodMilli),
 			Workers:       k.workers,
 		}}
 	case 2:
@@ -107,12 +118,12 @@ func (k fuzzKnobs) spec() Spec {
 					Period: float64(k.periodMilli) / 1000,
 					Seed:   k.mixSeed,
 				},
-				Estimator:   population.EstimatorKind(k.estimator),
-				Dummies:     population.DummyPolicy(k.dummies),
-				MaxRounds:   k.maxRounds,
-				CheckEvery:  k.checkEvery,
-				Consecutive: k.consecutive,
-				Workers:     k.workers,
+				Estimator:  population.EstimatorKind(k.estimator),
+				Dummies:    population.DummyPolicy(k.dummies),
+				MaxRounds:  k.maxRounds,
+				CheckEvery: k.checkEvery,
+				ChurnAware: k.consecutive == 1,
+				Workers:    k.workers,
 			},
 		}
 		for _, b := range k.targets {
@@ -121,18 +132,17 @@ func (k fuzzKnobs) spec() Spec {
 		return spec
 	case 3:
 		return FlowCorrelationSpec{Population: pop, Corr: FlowCorrConfig{
-			Duration:      float64(k.maxRounds),
-			FeatureWindow: k.batch,
-			TrainWindows:  k.checkEvery,
-			Features:      features,
-			Raw:           k.mixKind == 1,
-			Workers:       k.workers,
+			Duration:     duration,
+			TrainWindows: k.checkEvery,
+			Features:     features,
+			Raw:          k.mixKind == 1,
+			Workers:      k.workers,
 		}}
 	case 4:
 		return CascadeCorrelationSpec{
 			Cascade: CascadeSpec{Hops: hops, Flows: k.users},
 			Corr: CascadeCorrConfig{
-				Duration:      float64(k.maxRounds),
+				Duration:      duration,
 				FeatureWindow: k.batch,
 				TrainWindows:  k.checkEvery,
 				Features:      features,
@@ -142,16 +152,16 @@ func (k fuzzKnobs) spec() Spec {
 	default:
 		return ActiveDetectionSpec{
 			Active: ActiveSpec{
-				Protocol:  ActiveProtocol(k.mixKind),
-				Flows:     k.users,
-				Mode:      active.Mode(k.dummies),
-				Amplitude: cover,
-				Chips:     k.consecutive,
-				Decoys:    k.contacts,
-				Hops:      hops,
+				Protocol:   ActiveProtocol(k.mixKind),
+				Flows:      k.users,
+				Mode:       active.Mode(k.dummies),
+				Amplitude:  cover,
+				Raw:        k.consecutive == 1,
+				CoverToPPS: float64(k.contacts),
+				Hops:       hops,
 			},
 			Detect: ActiveDetectConfig{
-				Duration:      float64(k.maxRounds),
+				Duration:      duration,
 				FeatureWindow: k.batch,
 				TrainWindows:  k.checkEvery,
 				Features:      features,
@@ -164,54 +174,67 @@ func (k fuzzKnobs) spec() Spec {
 // fuzzSeeds pins one representative of every axis: for disclosure each
 // mix kind, estimator and dummy policy, the documented invalid shapes,
 // and the extreme values validation must tolerate; for the other five
-// kinds a valid spec and their documented invalid shapes.
+// kinds a valid spec, their documented invalid shapes and the budgets
+// Run could not execute.
 var fuzzSeeds = []fuzzKnobs{
 	// kind, users, recipients, contacts, coverMilli, dummies,
 	// batch, mixKind, retainMilli, periodMilli, mixSeed,
 	// estimator, maxRounds, checkEvery, consecutive, workers, targets
-	{2, 24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, nil},                  // default threshold/classic/none
-	{2, 24, 60, 3, 1000, 1, 8, 1, 500, 0, 7, 1, 400, 25, 2, 0, nil},             // pool/ls/uniform with cover
-	{2, 24, 60, 3, 1000, 2, 8, 2, 0, 250, 0, 2, 400, 25, 2, 2, nil},             // timed/ml/adaptive
-	{2, 24, 60, 3, 0, 1, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, nil},                  // uniform dummies without cover: invalid
-	{2, 24, 60, 3, 0, 9, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, nil},                  // unknown dummy policy
-	{2, 24, 60, 3, 0, 0, 8, 7, 0, 0, 0, 0, 400, 25, 2, 1, nil},                  // unknown mix kind
-	{2, 24, 60, 3, 0, 0, 8, 0, 0, 0, 0, -3, 400, 25, 2, 1, nil},                 // unknown estimator
-	{2, 24, 60, 3, 0, 0, 8, 1, 990, 0, 0, 0, 400, 25, 2, 1, nil},                // pool retain past the cap
-	{2, 24, 60, 3, 0, 0, 8, 0, 500, 0, 0, 0, 400, 25, 2, 1, nil},                // threshold with pool params
-	{2, 24, 60, 3, 0, 0, 8, 2, 0, -40, 0, 0, 400, 25, 2, 1, nil},                // timed with negative period
+	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // default threshold/classic/none
+	{2, 24, 60, 0, 1000, 1, 8, 1, 500, 0, 7, 1, 400, 25, 0, 0, nil},             // pool/ls/uniform with cover
+	{2, 24, 60, 0, 1000, 2, 8, 2, 0, 250, 0, 2, 400, 25, 1, 2, nil},             // timed/ml/adaptive, churn-aware
+	{2, 24, 60, 0, 0, 1, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // uniform dummies without cover: invalid
+	{2, 24, 60, 0, 0, 9, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // unknown dummy policy
+	{2, 24, 60, 0, 0, 0, 8, 7, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // unknown mix kind
+	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, -3, 400, 25, 0, 1, nil},                 // unknown estimator
+	{2, 24, 60, 0, 0, 0, 8, 1, 990, 0, 0, 0, 400, 25, 0, 1, nil},                // pool retain past the cap
+	{2, 24, 60, 0, 0, 0, 8, 0, 500, 0, 0, 0, 400, 25, 0, 1, nil},                // threshold with pool params
+	{2, 24, 60, 0, 0, 0, 8, 2, 0, -40, 0, 0, 400, 25, 0, 1, nil},                // timed with negative period
 	{2, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, nil},                       // degenerate population
-	{2, 24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, []byte{3, 3}},         // duplicate targets
-	{2, 24, 60, 3, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 2, 1, []byte{200}},          // target out of range
+	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, []byte{3, 3}},         // duplicate targets
+	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, []byte{200}},          // target out of range
 	{2, -5, -5, -1, -1, 0, -8, 0, 0, 0, 0, 0, -1, -1, -1, -1, []byte{255}},      // everything negative
-	{2, 1 << 40, 60, 3, 0, 0, 8, 0, 0, 0, ^uint64(0), 0, 1 << 50, 1, 1, 1, nil}, // extreme sizes
+	{2, 1 << 40, 60, 0, 0, 0, 8, 0, 0, 0, ^uint64(0), 0, 1 << 50, 1, 1, 1, nil}, // extreme sizes
 
 	{0, 0, 0, 0, 0, 0, 300, 0, 0, 0, 0, 0, 20, 20, 0, 1, []byte{0, 1, 2}},          // attack set
 	{0, 0, 0, 0, 0, 0, 300, 0, 0, 0, 0, 0, 20, 20, 0, 1, nil},                      // no features
-	{0, 0, 0, 0, 0, 0, 300, 0, 0, 0, 1, 0, 20, 20, 1 + 1<<32, 1, []byte{1}},        // aliasing stream IDs
+	{0, 0, 0, 0, 0, 0, 300, 0, 0, 0, 1, 0, 1, 20, 5, 1, []byte{2}},                 // one training window
 	{1, 0, 0, 2, 0, 0, 300, 0, 0, 0, 0, 2, 24, 4, 3, 1, nil},                       // session
 	{1, 0, 0, 2, 1500, 0, 300, 0, 0, 0, 0, 2, 24, 4, 3, 1, nil},                    // confidence past 1
-	{1, 0, 0, 2, 0, 0, 300, 0, 0, 5, 5, 2, 24, 4, 3, 1, nil},                       // aliasing session bases
-	{3, 8, 40, 3, 0, 0, 100, 0, 0, 0, 0, 0, 20, 12, 0, 1, []byte{1}},               // flow correlation
-	{3, 8, 40, 3, 0, 0, 100, 1, 0, 0, 0, 0, 20, 12, 0, 1, nil},                     // unpadded flows
-	{3, 1, 40, 3, 0, 0, 100, 0, 0, 0, 0, 0, 20, 12, 0, 1, []byte{1}},               // one user
+	{1, 0, 0, 2, 0, 0, -5, 0, 0, 0, 0, 2, 24, -3, 3, 1, nil},                       // negative window size and eval sessions
+	{3, 8, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 12, 0, 1, []byte{1}},                 // flow correlation
+	{3, 8, 40, 0, 0, 0, 0, 1, 0, 0, 0, 0, 20, 12, 0, 1, nil},                       // unpadded flows
+	{3, 1, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 12, 0, 1, []byte{1}},                 // one user
 	{4, 4, 0, 0, 0, 0, 100, 0, 0, 0, 0, 2, 30, 8, 0, 1, []byte{1}},                 // two-CIT cascade
 	{4, 4, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 30, 8, 0, 1, []byte{1}},                 // no hops
 	{4, 4, 0, 0, 0, 7, 100, 0, 0, 0, 0, 1, 30, 8, 0, 1, []byte{1}},                 // unknown hop policy
-	{5, 8, 0, 8, 20000, 1, 100, 0, 0, 0, 0, 0, 20, 2, 16, 1, []byte{1}},            // chaff watermark, replica
-	{5, 8, 0, 8, 20000, 1, 100, 3, 0, 0, 0, 2, 20, 2, 16, 1, []byte{1}},            // chaff watermark, cascade
-	{5, 8, 0, 8, 0, 1, 100, 0, 0, 0, 0, 0, 20, 2, 16, 1, []byte{1}},                // zero amplitude
-	{5, 8, 0, 8, 20000, 9, 100, 0, 0, 0, 0, 0, 20, 2, 16, 1, []byte{1}},            // unknown mode
-	{-1, 8, 0, 8, 20000, 1, 100, 9, 0, 0, 0, 0, 20, 2, 16, 1, []byte{1}},           // negative kind, unknown protocol
+	{5, 8, 0, 0, 20000, 1, 100, 0, 0, 0, 0, 0, 20, 2, 0, 1, []byte{1}},             // chaff watermark, replica
+	{5, 8, 0, 0, 20000, 1, 100, 3, 300, 0, 0, 2, 20, 2, 0, 1, []byte{1}},           // chaff watermark, cascade
+	{5, 8, 0, 0, 0, 1, 100, 0, 0, 0, 0, 0, 20, 2, 0, 1, []byte{1}},                 // zero amplitude
+	{5, 8, 0, 0, 20000, 9, 100, 0, 0, 0, 0, 0, 20, 2, 0, 1, []byte{1}},             // unknown mode
+	{-1, 8, 0, 0, 20000, 1, 100, 9, 0, 0, 0, 0, 20, 2, 0, 1, []byte{1}},            // negative kind, unknown protocol
 	{1 << 40, -7, 1 << 40, -1, -1, -9, -1, -9, -1, -1, 1, -9, -1, -1, -1, -1, nil}, // extremes everywhere
+
+	{3, 8, 40, 0, 0, 0, 0, 0, 0, 1, 0, 0, 20, 12, 0, 1, nil},            // NaN flow duration
+	{3, 8, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 12, 0, 1, nil},            // negative flow duration
+	{4, 4, 0, 0, 0, 0, 100, 0, 0, 2, 0, 2, 30, 8, 0, 1, nil},            // infinite cascade duration
+	{4, 4, 0, 0, 0, 0, 100, 0, 0, 0, 0, 2, 1e13, 8, 0, 1, nil},          // cascade duration past memory
+	{3, 8, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1e13, 12, 0, 1, nil},          // flow duration past memory
+	{5, 8, 0, 0, 20000, 1, 100, 0, 0, 0, 0, 0, 1e13, 2, 0, 1, nil},      // watermark duration past memory
+	{5, 8, 0, 0, 20000, 1, 100, 0, 0, 1, 0, 0, 20, 2, 0, 1, nil},        // NaN watermark duration
+	{5, 8, 0, 0, 20000, 1, 100, 0, 0, 0, 0, 0, 3, 2, 0, 1, nil},         // too few chip slots
+	{5, 8, 0, 10, 20000, 1, 100, 2, 0, 0, 0, 0, 20, 2, 1, 1, []byte{1}}, // raw population watermark with cover
+	{4, 4, 0, 0, 0, 1, 100, 0, 300, 0, 0, 2, 30, 8, 0, 1, []byte{1}},    // two-VIT cascade
+	{0, 0, 0, 0, 0, 0, -5, 0, 0, 0, 0, 0, 20, -3, 0, 1, []byte{1}},      // negative replica window size and eval windows
 }
 
 // FuzzDisclosureSpecBuild throws arbitrary field values at Build for all
 // six spec kinds (the name predates the other five). Build must never
 // panic, and an accepted disclosure spec must also pass the population
 // layer's standalone validation. Every seed Build accepts is also run to
-// completion at the smallest scale, which floors every budget, and must
-// return only finite numbers; fuzzed specs are only built, since a valid
-// spec with a huge budget is still a valid spec.
+// completion — the seeds' budgets are small — and must return only
+// finite numbers; fuzzed specs are only built, since a valid spec with a
+// huge budget is still a valid spec.
 func FuzzDisclosureSpecBuild(f *testing.F) {
 	for _, k := range fuzzSeeds {
 		f.Add(k.kind, k.users, k.recipients, k.contacts, k.coverMilli, k.dummies,
@@ -227,7 +250,7 @@ func FuzzDisclosureSpecBuild(f *testing.F) {
 		if err != nil {
 			continue
 		}
-		res, err := sc.Run(context.Background(), RunOptions{Scale: math.SmallestNonzeroFloat64, Workers: 1})
+		res, err := sc.Run(context.Background(), RunOptions{Workers: 1})
 		if err != nil {
 			f.Fatalf("seed %d (%T): accepted by Build, failed to run: %v", i, k.spec(), err)
 		}

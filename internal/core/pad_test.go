@@ -33,9 +33,9 @@ func TestPadHopMatchesHandBuilt(t *testing.T) {
 			return gateway.New(gateway.Config{Policy: p, Jitter: jitter, Payload: src, RNG: m.Split()})
 		}
 	}
-	mix := func(k int, spacing float64) func(src traffic.Source, m *xrand.Rand) (netem.TimeStream, error) {
+	mix := func(k int) func(src traffic.Source, m *xrand.Rand) (netem.TimeStream, error) {
 		return func(src traffic.Source, m *xrand.Rand) (netem.TimeStream, error) {
-			return gateway.NewMix(gateway.MixConfig{K: k, SendSpacing: spacing, Payload: src, Jitter: jitter, RNG: m.Split()})
+			return gateway.NewMix(gateway.MixConfig{K: k, SendSpacing: defaultMixSpacing, Payload: src, Jitter: jitter, RNG: m.Split()})
 		}
 	}
 	// vit draws its interval stream from the hand-built master first.
@@ -71,11 +71,14 @@ func TestPadHopMatchesHandBuilt(t *testing.T) {
 		{"system VIT", sys(func(c *Config) { c.SigmaT = sigmaT }), "VIT", vit(tau, false)},
 		{"system adaptive", sys(func(c *Config) { c.Adaptive = &AdaptiveSpec{IdleFactor: 3, IdleAfter: 2} }),
 			"ADAPTIVE", timer(adaptive, false)},
-		{"system mix", sys(func(c *Config) { c.Mix = &MixSpec{K: 4} }), "MIX", mix(4, defaultMixSpacing)},
-		{"hop CIT", s.hopPad(CascadeHop{Tau: 5e-3}), "CIT", timer(cit(5e-3), true)},
+		{"system mix", sys(func(c *Config) { c.Mix = &MixSpec{K: 4} }), "MIX", mix(4)},
+		{"hop CIT", s.hopPad(CascadeHop{}), "CIT", timer(cit(tau), true)},
 		{"hop VIT", s.hopPad(CascadeHop{Policy: CascadeVIT, SigmaT: sigmaT}), "VIT", vit(tau, true)},
-		{"hop mix", s.hopPad(CascadeHop{Policy: CascadeMix, MixK: 3}), "MIX", mix(3, defaultMixSpacing)},
-		{"hop mix default K", s.hopPad(CascadeHop{Policy: CascadeMix}), "MIX", mix(defaultMixK, defaultMixSpacing)},
+		{"hop mix", s.hopPad(CascadeHop{Policy: CascadeMix}), "MIX", mix(defaultMixK)},
+		// A mix hop batches defaultMixK even on a system whose own mix
+		// gateway uses another K: hops do not inherit Config.Mix.
+		{"hop mix default K", labSystem(t, func(c *Config) { c.Mix = &MixSpec{K: 4} }).hopPad(CascadeHop{Policy: CascadeMix}),
+			"MIX", mix(defaultMixK)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,8 +114,7 @@ func TestPadHopMatchesHandBuilt(t *testing.T) {
 }
 
 // The cascade reduces to the paper's single padded link at its
-// degenerate point: one hop at the system's τ and σ_T, with no link and
-// no outage, emits the PIAT process of System.PIATSource for the same
+// degenerate point: one hop at the system's τ and σ_T emits the PIAT process of System.PIATSource for the same
 // class; the hop's private phase shifts the grid, not the intervals.
 // The 10th PIAT of each of n independent flows and replicas gives two
 // iid samples, compared by the two-sample KS bound at α = 0.001.

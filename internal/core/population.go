@@ -23,20 +23,15 @@ import (
 // share randomness with each other.
 
 // PopulationSpec describes a user population layered on the system: who
-// sends (rate classes via ClassMix), to whom (contact profiles over a
-// shared recipient space), and how much cover traffic accompanies the
-// real messages.
+// sends (the system's rate classes in equal shares), to whom (contact
+// profiles of popContacts recipients over a shared recipient space), and
+// how much cover traffic accompanies the real messages.
 type PopulationSpec struct {
 	// Users is the population size (at least 2).
 	Users int
-	// Recipients is the size of the shared recipient space (at least 4).
+	// Recipients is the size of the shared recipient space (at least
+	// 2·popContacts).
 	Recipients int
-	// Contacts is each user's contact-set size (0 = default 3); at most
-	// Recipients/2.
-	Contacts int
-	// ContactWeight is the probability mass a user's messages place on
-	// its contact set (0 = default 0.7).
-	ContactWeight float64
 	// CoverRate adds a per-user dummy (cover) Poisson stream at
 	// CoverRate × the user's payload rate. Cover messages are
 	// indistinguishable at the ingress tap and are delivered to
@@ -47,10 +42,6 @@ type PopulationSpec struct {
 	// CoverToPPS − payload rate). This is how policies are compared at
 	// matched overhead. Mutually exclusive with CoverRate.
 	CoverToPPS float64
-	// ClassMix weighs the system's rate classes in the population
-	// (len(Rates) entries, positive); nil means equal shares. Users are
-	// striped deterministically: user u's class is fixed by u alone.
-	ClassMix []float64
 	// Churn gives every user a seeded presence schedule: alternating
 	// exponential online/offline periods drawn from the user's
 	// popRoleChurn stream. An offline user sends nothing (round engine)
@@ -90,31 +81,20 @@ func (c *ChurnSpec) Validate() error {
 	return nil
 }
 
-// withDefaults fills zero fields.
-func (p PopulationSpec) withDefaults() PopulationSpec {
-	if p.Contacts == 0 {
-		p.Contacts = 3
-	}
-	if p.ContactWeight == 0 {
-		p.ContactWeight = 0.7
-	}
-	return p
-}
+// Every user's recipient profile places popContactWeight of its
+// messages' probability mass on a contact set of popContacts recipients.
+const (
+	popContacts      = 3
+	popContactWeight = 0.7
+)
 
-// validate checks the spec against the system.
+// validatePopulation checks the spec against the system.
 func (s *System) validatePopulation(spec PopulationSpec) error {
 	if spec.Users < 2 {
 		return errors.New("core: population needs at least two users")
 	}
-	if spec.Recipients < 4 {
-		return errors.New("core: population needs at least four recipients")
-	}
-	if spec.Contacts < 1 || spec.Contacts > spec.Recipients/2 {
-		return fmt.Errorf("core: population contacts %d out of range [1, %d]",
-			spec.Contacts, spec.Recipients/2)
-	}
-	if !(spec.ContactWeight > 0 && spec.ContactWeight <= 1) {
-		return errors.New("core: population contact weight must be in (0,1]")
+	if spec.Recipients < 2*popContacts {
+		return fmt.Errorf("core: population needs at least %d recipients", 2*popContacts)
 	}
 	if spec.CoverRate < 0 || spec.CoverToPPS < 0 {
 		return errors.New("core: population cover rates must be non-negative")
@@ -135,52 +115,25 @@ func (s *System) validatePopulation(spec PopulationSpec) error {
 	default:
 		return fmt.Errorf("core: unknown dummy policy %d", int(spec.Dummies))
 	}
-	return s.validateClassMix(spec.ClassMix)
-}
-
-// validateClassMix checks a class-weight vector against the system's
-// rate classes (nil means equal shares and is always valid). Shared by
-// the population and cascade specs.
-func (s *System) validateClassMix(mix []float64) error {
-	if mix == nil {
-		return nil
-	}
-	if len(mix) != len(s.cfg.Rates) {
-		return fmt.Errorf("core: ClassMix has %d entries for %d rate classes",
-			len(mix), len(s.cfg.Rates))
-	}
-	for i, w := range mix {
-		if !(w > 0) {
-			return fmt.Errorf("core: ClassMix entry %d must be positive", i)
-		}
-	}
 	return nil
 }
 
-// classCum returns the cumulative normalized class weights for a mix
-// vector (nil = equal shares). Shared by the population and cascade
-// protocols, which stripe their users/flows over the same rule.
-func (s *System) classCum(mix []float64) []float64 {
+// classCum returns the cumulative equal shares of the system's rate
+// classes, (c+1)/m: the exact sum of c+1 unit weights divided by their
+// total m. The population, cascade and active protocols stripe their
+// users and flows over it with classOf.
+func (s *System) classCum() []float64 {
 	m := len(s.cfg.Rates)
 	cum := make([]float64, m)
-	var total float64
-	for c := 0; c < m; c++ {
-		w := 1.0
-		if mix != nil {
-			w = mix[c]
-		}
-		total += w
-		cum[c] = total
-	}
 	for c := range cum {
-		cum[c] /= total
+		cum[c] = float64(c+1) / float64(m)
 	}
 	return cum
 }
 
 // classOf stripes user u's class deterministically by the cumulative
-// weights: the class depends only on (u, Users, ClassMix), never on any
-// random stream.
+// shares: the class depends only on (u, Users), never on any random
+// stream.
 func classOf(u, users int, cum []float64) int {
 	x := (float64(u) + 0.5) / float64(users)
 	for c, v := range cum {
@@ -216,7 +169,6 @@ func coverPPS(coverRate, coverToPPS, payload float64) float64 {
 // could report is ruled out here, by validatePopulation and the system's
 // own validation, before the engine is made.
 func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) {
-	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
@@ -239,11 +191,11 @@ type popBuilder struct {
 
 // newPopBuilder prepares the per-population state of a validated spec.
 func (s *System) newPopBuilder(spec PopulationSpec) (*popBuilder, error) {
-	shape, err := population.NewProfileShape(spec.Recipients, spec.Contacts, spec.ContactWeight)
+	shape, err := population.NewProfileShape(spec.Recipients, popContacts, popContactWeight)
 	if err != nil {
 		return nil, err
 	}
-	return &popBuilder{s: s, spec: spec, cum: s.classCum(spec.ClassMix), shape: shape}, nil
+	return &popBuilder{s: s, spec: spec, cum: s.classCum(), shape: shape}, nil
 }
 
 // roleSeed is the seed of user u's role stream.
@@ -350,22 +302,16 @@ func (s *System) presenceSchedule(spec PopulationSpec, class, user int, rng *xra
 // FlowCorrConfig parameterizes the population flow-correlation attack
 // run through a System: the attack-side knobs mirror
 // adversary.CorrConfig, plus the off-line training effort for the PIAT
-// class classifiers.
+// class classifiers, which reduce defaultFeatureWindow PIATs to one
+// feature value.
 type FlowCorrConfig struct {
 	// Duration is the per-flow observation time in stream seconds
 	// (0 = 60).
 	Duration float64
-	// RateWindow is the throughput-fingerprint bin width (0 = 1 s).
-	RateWindow float64
-	// CorrWeight scales rate correlation against the class posterior
-	// (0 = default).
-	CorrWeight float64
 	// Features are the PIAT statistics the class classifiers use; empty
 	// runs a pure rate-correlation attack. Ignored when Raw is set (an
 	// unpadded link needs no class fingerprint).
 	Features []analytic.Feature
-	// FeatureWindow is the PIAT count per feature value (0 = 200).
-	FeatureWindow int
 	// TrainWindows is the number of off-line training windows per class
 	// for the classifiers (0 = 120).
 	TrainWindows int
@@ -382,14 +328,6 @@ func (c FlowCorrConfig) withDefaults() FlowCorrConfig {
 	if c.Duration == 0 {
 		c.Duration = 60
 	}
-	if c.RateWindow == 0 {
-		// The attack layer's own default, filled here too so a
-		// scenario's Scale floors the duration at two real windows.
-		c.RateWindow = 1
-	}
-	if c.FeatureWindow == 0 {
-		c.FeatureWindow = 200
-	}
 	if c.TrainWindows == 0 {
 		c.TrainWindows = 120
 	}
@@ -397,6 +335,14 @@ func (c FlowCorrConfig) withDefaults() FlowCorrConfig {
 		c.Features = nil
 	}
 	return c
+}
+
+// validate checks a defaults-applied config's budgets for flows flows.
+func (c FlowCorrConfig) validate(flows int) error {
+	if c.TrainWindows < 2 {
+		return errors.New("core: flow correlation needs at least two training windows per class")
+	}
+	return validateObservation(flows, c.Duration, adversary.RateWindow, 2, 1)
 }
 
 // rawLink is the unpadded baseline link: egress equals ingress.
@@ -506,21 +452,17 @@ func phantomFlowIndex(class, trainWindows, w int) int {
 // does), then observes every user's padded flow for cfg.Duration and
 // matches egress flows to ingress users by throughput-fingerprint
 // correlation plus class posteriors. Results are identical at any
-// cfg.Workers width; users are the unit of parallelism.
+// cfg.Workers width; users are the unit of parallelism. Run calls it on
+// the defaults-applied config Build validated.
 func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adversary.Correlation, error) {
-	spec = spec.withDefaults()
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if cfg.TrainWindows < 2 {
-		return nil, errors.New("core: flow correlation needs at least two training windows per class")
-	}
-	cum := s.classCum(spec.ClassMix)
+	cum := s.classCum()
 
 	// Off-line phase: per-class feature densities from phantom flows.
 	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
-		cfg.TrainWindows, cfg.FeatureWindow, cfg.Workers,
+		cfg.TrainWindows, defaultFeatureWindow, cfg.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			phantom := phantomFlowIndex(class, cfg.TrainWindows, w)
 			master := xrand.New(s.streamSeed(class,
@@ -546,9 +488,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adve
 	// Run-time phase: observe every user's flow and correlate.
 	res, err := adversary.CorrelateFlows(spec.Users, adversary.CorrConfig{
 		Duration:      cfg.Duration,
-		RateWindow:    cfg.RateWindow,
-		CorrWeight:    cfg.CorrWeight,
-		FeatureWindow: cfg.FeatureWindow,
+		FeatureWindow: defaultFeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,
 		Workers:       cfg.Workers,

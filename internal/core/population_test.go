@@ -47,10 +47,9 @@ func TestRunFlowCorrelationWorkerInvariance(t *testing.T) {
 	}
 	spec := PopulationSpec{Users: 8, Recipients: 40}
 	cfg := FlowCorrConfig{
-		Duration:      20,
-		FeatureWindow: 100,
-		TrainWindows:  12,
-		Features:      []analytic.Feature{analytic.FeatureVariance},
+		Duration:     20,
+		TrainWindows: 12,
+		Features:     []analytic.Feature{analytic.FeatureVariance},
 	}
 	run := func(workers int) *adversary.Correlation {
 		c := cfg
@@ -89,10 +88,9 @@ func TestFlowCorrelationPaddingProtects(t *testing.T) {
 		t.Errorf("unpadded flows should be fully correlated: %+v", raw)
 	}
 	out, err = runSpec(sys, FlowCorrelationSpec{Population: spec, Corr: FlowCorrConfig{
-		Duration:      30,
-		FeatureWindow: 100,
-		TrainWindows:  20,
-		Features:      []analytic.Feature{analytic.FeatureVariance},
+		Duration:     30,
+		TrainWindows: 20,
+		Features:     []analytic.Feature{analytic.FeatureVariance},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +127,9 @@ func TestPopulationSpecValidation(t *testing.T) {
 	}
 	bad := []PopulationSpec{
 		{Users: 1, Recipients: 40},
-		{Users: 8, Recipients: 2},
-		{Users: 8, Recipients: 40, Contacts: 30},
-		{Users: 8, Recipients: 40, ContactWeight: 1.5},
+		{Users: 8, Recipients: 2*popContacts - 1},
 		{Users: 8, Recipients: 40, CoverRate: -1},
 		{Users: 8, Recipients: 40, CoverRate: 1, CoverToPPS: 100},
-		{Users: 8, Recipients: 40, ClassMix: []float64{1}},
-		{Users: 8, Recipients: 40, ClassMix: []float64{1, 0}},
 		// The init pass builds no user, so what a user build would have
 		// rejected must be rejected here: churn periods and the dummy
 		// policy.
@@ -153,20 +147,21 @@ func TestPopulationSpecValidation(t *testing.T) {
 	}
 }
 
-// Class striping must honor the mix weights deterministically.
+// Class striping must split the users into equal class shares
+// deterministically.
 func TestPopulationClassMix(t *testing.T) {
 	sys, err := NewSystem(DefaultLabConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := PopulationSpec{Users: 40, Recipients: 40, ClassMix: []float64{3, 1}}.withDefaults()
-	cum := sys.classCum(spec.ClassMix)
+	spec := PopulationSpec{Users: 40, Recipients: 40}
+	cum := sys.classCum()
 	counts := [2]int{}
 	for u := 0; u < spec.Users; u++ {
 		counts[classOf(u, spec.Users, cum)]++
 	}
-	if counts[0] != 30 || counts[1] != 10 {
-		t.Errorf("class mix 3:1 over 40 users gave %v, want [30 10]", counts)
+	if counts[0] != 20 || counts[1] != 20 {
+		t.Errorf("equal shares over 40 users gave %v, want [20 20]", counts)
 	}
 	eng, err := sys.NewPopulation(spec)
 	if err != nil {
@@ -236,7 +231,6 @@ func TestPopulationFrontierMatchesBuild(t *testing.T) {
 			for _, churn := range []*ChurnSpec{nil, {MeanOn: 2, MeanOff: 1}} {
 				spec := cv.spec
 				spec.Users, spec.Recipients, spec.Churn = 2000, 400, churn
-				spec = spec.withDefaults()
 				if err := sys.validatePopulation(spec); err != nil {
 					t.Fatal(err)
 				}
@@ -290,7 +284,7 @@ func TestPopulationFrontierAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := PopulationSpec{Users: 1000, Recipients: 400, CoverRate: 1}.withDefaults()
+	spec := PopulationSpec{Users: 1000, Recipients: 400, CoverRate: 1}
 	b, err := sys.newPopBuilder(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
-	"linkpad/internal/obs"
 	"linkpad/internal/population"
 )
 
@@ -21,15 +20,15 @@ import (
 //	res, err := sc.Run(ctx, core.RunOptions{Workers: 4})
 //	... res.Disclosure ...
 //
-// Build validates the spec's shape against the system eagerly (a bad
-// spec fails before any simulation); Run executes the attack under the
-// shared RunOptions — worker width, master seed, observation-budget
-// scale, telemetry probe, and (for resumable protocols) a checkpoint to
-// continue from.
+// Build validates the spec's shape and its defaults-applied observation
+// budget against the system eagerly (a bad spec fails before any
+// simulation); Run executes the attack under the shared RunOptions —
+// worker width and (for resumable protocols) a checkpoint to continue
+// from.
 //
 // Determinism: a scenario run is a pure function of (system config,
-// spec, Seed, Scale) — Workers and Probe never change a result, and a
-// Resume'd run finishes byte-identically to an uninterrupted one.
+// spec) — Workers never changes a result, and a Resume'd run finishes
+// byte-identically to an uninterrupted one.
 
 // Spec describes one scenario: which protocol to run and with what
 // parameters. The interface is sealed — the six spec types below are
@@ -103,28 +102,11 @@ func (CascadeCorrelationSpec) scenarioSpec() {}
 func (ActiveDetectionSpec) scenarioSpec()    {}
 
 // RunOptions are the execution knobs shared by every scenario. The zero
-// value runs the spec exactly as written: config workers, the system's
-// own seed, full observation budget.
+// value runs the spec exactly as written, at the config's worker width.
 type RunOptions struct {
 	// Workers, when positive, overrides the spec's worker width. Results
 	// are identical at any width.
 	Workers int
-	// Seed, when non-zero, runs the scenario against a system rebuilt
-	// with this master seed (same Config otherwise) — the per-cell
-	// reseeding hook sweep runners use.
-	Seed uint64
-	// Scale, when positive and not 1, multiplies the scenario's primary
-	// observation budget after defaults are applied — training/eval
-	// windows for the replica and session attacks, the round budget for
-	// disclosure, the observation duration for the flow protocols — with
-	// floors that keep the run valid. Zero means 1 (full budget).
-	Scale float64
-	// Probe, when non-nil, receives the scenario's engine-level telemetry
-	// counters instead of the process-global registry. Currently the
-	// population round engine is the probe-aware layer (the other
-	// protocols publish through the global registry regardless).
-	// Counters never influence results.
-	Probe *obs.Shard
 	// Resume continues a checkpointed run instead of starting fresh.
 	// Supported by disclosure scenarios (the resumable protocol); any
 	// other spec rejects a non-nil Resume.
@@ -163,8 +145,10 @@ type Scenario interface {
 }
 
 // Build validates spec against the system and returns the runnable
-// scenario. Shape errors (bad population geometry, empty feature sets,
-// aliasing stream domains) surface here, before any simulation cost.
+// scenario. Shape errors (bad population geometry, empty feature sets)
+// and budgets Run cannot execute (too few windows, a non-finite or
+// oversized observation duration) surface here, before any simulation
+// cost.
 func (s *System) Build(spec Spec) (Scenario, error) {
 	if spec == nil {
 		return nil, errors.New("core: nil scenario spec")
@@ -175,11 +159,15 @@ func (s *System) Build(spec Spec) (Scenario, error) {
 			return nil, err
 		}
 	case SessionAttackSpec:
-		if err := sp.Session.withDefaults().validateEvalPhase(); err != nil {
+		cfg := sp.Session.withDefaults()
+		if err := cfg.validateTrainPhase(); err != nil {
+			return nil, err
+		}
+		if err := cfg.validateEvalPhase(); err != nil {
 			return nil, err
 		}
 	case DisclosureSpec:
-		if err := s.validatePopulation(sp.Population.withDefaults()); err != nil {
+		if err := s.validatePopulation(sp.Population); err != nil {
 			return nil, err
 		}
 		if err := sp.Disclosure.Validate(sp.Population.Users); err != nil {
@@ -191,15 +179,24 @@ func (s *System) Build(spec Spec) (Scenario, error) {
 			return nil, errors.New("core: set the dummy policy on PopulationSpec.Dummies; the DisclosureConfig copy disagrees")
 		}
 	case FlowCorrelationSpec:
-		if err := s.validatePopulation(sp.Population.withDefaults()); err != nil {
+		if err := s.validatePopulation(sp.Population); err != nil {
+			return nil, err
+		}
+		if err := sp.Corr.withDefaults().validate(sp.Population.Users); err != nil {
 			return nil, err
 		}
 	case CascadeCorrelationSpec:
 		if err := s.validateCascade(sp.Cascade); err != nil {
 			return nil, err
 		}
+		if err := sp.Corr.withDefaults().validate(sp.Cascade.Flows); err != nil {
+			return nil, err
+		}
 	case ActiveDetectionSpec:
-		if err := s.validateActive(sp.Active.withDefaults()); err != nil {
+		if err := s.validateActive(sp.Active); err != nil {
+			return nil, err
+		}
+		if err := sp.Detect.withDefaults().validate(sp.Active.Flows); err != nil {
 			return nil, err
 		}
 	default:
@@ -214,29 +211,31 @@ type scenario struct {
 	spec Spec
 }
 
-// scaleCount scales an integer observation budget, flooring so the run
-// stays statistically valid.
-func scaleCount(n int, scale float64, floor int) int {
-	if scale <= 0 || scale == 1 {
-		return n
-	}
-	v := int(math.Round(float64(n) * scale))
-	if v < floor {
-		v = floor
-	}
-	return v
-}
+// maxObservationCells bounds the observation arrays a flow or watermark
+// scenario allocates: flows × rate windows for each side's throughput
+// fingerprints, flows × chip slots × channels for the matched filter,
+// and the flows × flows score matrix. A budget past it fails in Build
+// instead of exhausting memory, or simulating for hours, in Run.
+const maxObservationCells = 1 << 24
 
-// scaleDuration scales a seconds budget with a floor.
-func scaleDuration(d, scale, floor float64) float64 {
-	if scale <= 0 || scale == 1 {
-		return d
+// validateObservation checks a flow protocol's defaults-applied
+// observation budget: a finite positive duration holding at least
+// minWindows whole windows of the given width (floored as the attack
+// layers floor them), with flows × windows × channels cells and the
+// flows × flows score matrix under maxObservationCells.
+func validateObservation(flows int, duration, window float64, minWindows, channels int) error {
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return errors.New("core: observation duration must be finite and positive")
 	}
-	v := d * scale
-	if v < floor {
-		v = floor
+	windows := math.Floor(duration/window + 1e-9)
+	if windows < float64(minWindows) {
+		return fmt.Errorf("core: observation duration %v holds fewer than %d whole %v s windows", duration, minWindows, window)
 	}
-	return v
+	n := float64(flows)
+	if n*windows*float64(channels) > maxObservationCells || n*n > maxObservationCells {
+		return fmt.Errorf("core: %d flows observed over %v windows exceed the %d-cell observation budget", flows, windows, maxObservationCells)
+	}
+	return nil
 }
 
 // pickWorkers applies the RunOptions worker override.
@@ -252,21 +251,8 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Scale < 0 {
-		return nil, errors.New("core: scenario scale must be non-negative")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	sys := sc.sys
-	if opts.Seed != 0 && opts.Seed != sys.cfg.Seed {
-		cfg := sys.cfg
-		cfg.Seed = opts.Seed
-		var err error
-		sys, err = NewSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if opts.Resume != nil {
 		if _, ok := sc.spec.(DisclosureSpec); !ok {
@@ -278,9 +264,7 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	case AttackSetSpec:
 		cfg := sp.Attack.withDefaults()
 		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		cfg.TrainWindows = scaleCount(cfg.TrainWindows, opts.Scale, 2)
-		cfg.EvalWindows = scaleCount(cfg.EvalWindows, opts.Scale, 2)
-		r, err := sys.attackSet(cfg, sp.Features)
+		r, err := sc.sys.attackSet(cfg, sp.Features)
 		if err != nil {
 			return nil, err
 		}
@@ -288,15 +272,13 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	case SessionAttackSpec:
 		cfg := sp.Session.withDefaults()
 		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		cfg.TrainWindows = scaleCount(cfg.TrainWindows, opts.Scale, 2)
-		cfg.EvalSessions = scaleCount(cfg.EvalSessions, opts.Scale, 1)
-		r, err := sys.sessionAttack(cfg)
+		r, err := sc.sys.sessionAttack(cfg)
 		if err != nil {
 			return nil, err
 		}
 		res.Session = r
 	case DisclosureSpec:
-		r, err := sc.runDisclosure(ctx, sys, sp, opts)
+		r, err := sc.runDisclosure(ctx, sp, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -304,8 +286,7 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	case FlowCorrelationSpec:
 		cfg := sp.Corr.withDefaults()
 		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		cfg.Duration = scaleDuration(cfg.Duration, opts.Scale, 2*cfg.RateWindow)
-		r, err := sys.flowCorrelation(sp.Population, cfg)
+		r, err := sc.sys.flowCorrelation(sp.Population, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -313,19 +294,15 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	case CascadeCorrelationSpec:
 		cfg := sp.Corr.withDefaults()
 		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		cfg.Duration = scaleDuration(cfg.Duration, opts.Scale, 2*cfg.RateWindow)
-		r, err := sys.cascadeCorrelation(sp.Cascade, cfg)
+		r, err := sc.sys.cascadeCorrelation(sp.Cascade, cfg)
 		if err != nil {
 			return nil, err
 		}
 		res.Cascade = r
 	case ActiveDetectionSpec:
-		spec := sp.Active.withDefaults()
 		cfg := sp.Detect.withDefaults()
 		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		// The matched filter needs at least one whole chip sequence.
-		cfg.Duration = scaleDuration(cfg.Duration, opts.Scale, float64(spec.Chips)*spec.Period)
-		r, err := sys.activeDetection(spec, cfg)
+		r, err := sc.sys.activeDetection(sp.Active, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +317,8 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 // with context checks between estimator checkpoints. Chunking the round
 // loop at CheckEvery granularity is result-invariant: DisclosureRun.Step
 // folds rounds and tests checkpoints identically under any step split.
-func (sc *scenario) runDisclosure(ctx context.Context, sys *System, sp DisclosureSpec, opts RunOptions) (*population.DisclosureResult, error) {
+func (sc *scenario) runDisclosure(ctx context.Context, sp DisclosureSpec, opts RunOptions) (*population.DisclosureResult, error) {
+	sys := sc.sys
 	cfg := sp.Disclosure
 	// The population owns the dummy policy (Build enforced agreement).
 	cfg.Dummies = sp.Population.Dummies
@@ -353,14 +331,9 @@ func (sc *scenario) runDisclosure(ctx context.Context, sys *System, sp Disclosur
 	}
 	cfg = cfg.WithDefaults(sp.Population.Users)
 	cfg.Workers = pickWorkers(cfg.Workers, opts)
-	// The budget floor keeps at least one estimator checkpoint in range.
-	cfg.MaxRounds = scaleCount(cfg.MaxRounds, opts.Scale, cfg.CheckEvery)
 	eng, err := sys.NewPopulation(sp.Population)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Probe != nil {
-		eng.SetProbe(opts.Probe)
 	}
 	var run *population.DisclosureRun
 	if opts.Resume != nil {

@@ -2,19 +2,20 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"linkpad/internal/active"
 	"linkpad/internal/analytic"
 	"linkpad/internal/population"
 )
 
 // scenario_test.go: the unified Build/Run API. Build must reject bad
-// specs eagerly; Run must honor the shared RunOptions — worker width
-// (result-invariant), master seed (equal to a system built with that
-// seed), observation scale (equal to a manually scaled config), and
-// resume (byte-identical completion) — across the protocols.
+// specs and budgets Run cannot execute eagerly; Run must honor the
+// shared RunOptions — worker width (result-invariant) and resume
+// (byte-identical completion) — across the protocols.
 
 func scenarioSystem(t *testing.T) *System {
 	t.Helper()
@@ -25,27 +26,61 @@ func scenarioSystem(t *testing.T) *System {
 	return sys
 }
 
+// TestBuildValidatesSpecs: Build rejects bad shapes, and every
+// defaults-applied budget Run could not execute — too few windows, or a
+// non-finite, too short or oversized observation duration that would
+// panic in an allocation or simulate for hours — for all six kinds.
 func TestBuildValidatesSpecs(t *testing.T) {
 	sys := scenarioSystem(t)
+	mean := []analytic.Feature{analytic.FeatureMean}
+	attack := func(c AttackConfig) Spec { return AttackSetSpec{Attack: c, Features: mean} }
+	session := func(c SessionAttackConfig) Spec { return SessionAttackSpec{Session: c} }
+	pop := PopulationSpec{Users: 8, Recipients: 40}
+	flow := func(d float64) Spec { return FlowCorrelationSpec{Population: pop, Corr: FlowCorrConfig{Duration: d}} }
+	casc := func(d float64) Spec {
+		return CascadeCorrelationSpec{Cascade: CascadeSpec{Flows: 8, Hops: []CascadeHop{{}}}, Corr: CascadeCorrConfig{Duration: d}}
+	}
+	watermark := func(d float64) Spec {
+		return ActiveDetectionSpec{
+			Active: ActiveSpec{Flows: 8, Mode: active.ModeChaff, Amplitude: 20},
+			Detect: ActiveDetectConfig{Duration: d},
+		}
+	}
 	cases := []struct {
 		name string
 		spec Spec
 	}{
 		{"nil", nil},
 		{"attackset-no-features", AttackSetSpec{}},
-		{"attackset-aliased-streams", AttackSetSpec{
-			Attack:   AttackConfig{TrainStreamID: 5, EvalStreamID: 5},
-			Features: []analytic.Feature{analytic.FeatureMean},
-		}},
+		{"attackset-one-train-window", attack(AttackConfig{TrainWindows: 1})},
+		{"attackset-negative-eval-windows", attack(AttackConfig{EvalWindows: -3})},
+		{"attackset-negative-window-size", attack(AttackConfig{WindowSize: -5})},
+		{"session-one-train-window", session(SessionAttackConfig{TrainWindows: 1})},
+		{"session-negative-eval-sessions", session(SessionAttackConfig{EvalSessions: -3})},
+		{"session-negative-window-size", session(SessionAttackConfig{WindowSize: -5})},
+		{"session-negative-max-windows", session(SessionAttackConfig{MaxWindows: -1})},
 		{"disclosure-bad-population", DisclosureSpec{
 			Population: PopulationSpec{Users: 1, Recipients: 40},
+		}},
+		{"disclosure-negative-budget", DisclosureSpec{
+			Population: pop, Disclosure: population.DisclosureConfig{MaxRounds: -1},
 		}},
 		{"flowcorr-bad-population", FlowCorrelationSpec{
 			Population: PopulationSpec{Users: 8, Recipients: 2},
 		}},
+		{"flowcorr-nan-duration", flow(math.NaN())},
+		{"flowcorr-negative-duration", flow(-1)},
+		{"flowcorr-huge-duration", flow(1e13)},
+		{"flowcorr-one-rate-window", flow(1.5)},
+		{"flowcorr-huge-population", FlowCorrelationSpec{Population: PopulationSpec{Users: 1 << 13, Recipients: 40}}},
+		{"cascade-inf-duration", casc(math.Inf(1))},
+		{"cascade-huge-duration", casc(1e13)},
 		{"active-bad-spec", ActiveDetectionSpec{
 			Active: ActiveSpec{Flows: -1},
 		}},
+		{"active-nan-duration", watermark(math.NaN())},
+		{"active-huge-duration", watermark(1e13)},
+		{"active-few-chip-slots", watermark(3)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,82 +117,6 @@ func TestScenarioWorkerOption(t *testing.T) {
 		if got := run(w); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: result differs from workers=1", w)
 		}
-	}
-}
-
-// TestScenarioSeedOption: Run with a Seed override equals running the
-// same spec on a system built with that seed.
-func TestScenarioSeedOption(t *testing.T) {
-	cfg := DefaultLabConfig()
-	spec := DisclosureSpec{
-		Population: PopulationSpec{Users: 16, Recipients: 40, CoverRate: 1},
-		Disclosure: population.DisclosureConfig{MaxRounds: 300, Workers: 1},
-	}
-	sysA, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scA, err := sysA.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := scA.Run(context.Background(), RunOptions{Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Seed = 99
-	sysB, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scB, err := sysB.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scB.Run(context.Background(), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Seed override differs from a system built with that seed")
-	}
-	// And the override must actually change the outcome vs the base seed.
-	base, err := scA.Run(context.Background(), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(base, want) {
-		t.Fatal("seed override produced the base-seed result")
-	}
-}
-
-// TestScenarioScaleOption: Scale multiplies the observation budget
-// exactly as scaling the config by hand would.
-func TestScenarioScaleOption(t *testing.T) {
-	sys := scenarioSystem(t)
-	attack := AttackConfig{WindowSize: 60, TrainWindows: 40, EvalWindows: 40, Workers: 1,
-		Feature: analytic.FeatureEntropy}
-	sc, err := sys.Build(AttackSetSpec{Attack: attack,
-		Features: []analytic.Feature{analytic.FeatureEntropy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sc.Run(context.Background(), RunOptions{Scale: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	manual := attack
-	manual.TrainWindows, manual.EvalWindows = 20, 20
-	out, err := runSpec(sys, AttackSetSpec{Attack: manual, Features: []analytic.Feature{analytic.FeatureEntropy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := out.AttackSet
-	if !reflect.DeepEqual(got.AttackSet, want) {
-		t.Fatal("Scale=0.5 differs from a manually halved window budget")
-	}
-	if _, err := sc.Run(context.Background(), RunOptions{Scale: -1}); err == nil {
-		t.Fatal("negative scale accepted")
 	}
 }
 

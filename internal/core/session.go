@@ -91,19 +91,6 @@ type SessionAttackConfig struct {
 	// (used when the per-window statistics must cover a fixed matched
 	// budget, as in the ablation-windowing experiment).
 	Confidence float64
-	// WarmupPackets is the number of PIATs discarded at the start of
-	// every session (training and evaluation) before observation; 0
-	// selects the default (100 packets ≈ 1 s of stream at τ = 10 ms),
-	// negative disables warm-up.
-	WarmupPackets int
-	// EntropyBinWidth overrides the entropy histogram bin width (0 =
-	// default 2 µs).
-	EntropyBinWidth float64
-	// GaussianFit replaces the KDE training with a parametric normal fit.
-	GaussianFit bool
-	// TrainBase/EvalBase pick the session ID ranges; leave zero for the
-	// defaults (training on base 1, evaluation on base 2).
-	TrainBase, EvalBase uint64
 	// Workers bounds session-level parallelism; windows within a session
 	// are inherently sequential. Results are identical for any worker
 	// count. Zero means all CPUs.
@@ -130,19 +117,20 @@ func (a SessionAttackConfig) withDefaults() SessionAttackConfig {
 	if a.Confidence == 0 {
 		a.Confidence = 0.99
 	}
-	if a.WarmupPackets == 0 {
-		// Negative (disabled) stays negative so re-applying defaults is
-		// idempotent; Session.WarmUp treats non-positive counts as no-op.
-		a.WarmupPackets = 100
-	}
-	if a.TrainBase == 0 {
-		a.TrainBase = 1
-	}
-	if a.EvalBase == 0 {
-		a.EvalBase = 2
-	}
 	return a
 }
+
+// sessionWarmup is the number of PIATs discarded at the start of every
+// session (training and evaluation) before observation: 100 packets,
+// about 1 s of stream at τ = 10 ms.
+const sessionWarmup = 100
+
+// The session attack's phase bases: training sessions spread from base
+// 1, evaluation sessions from base 2 (sessionID).
+const (
+	sessionTrainBase = 1
+	sessionEvalBase  = 2
+)
 
 // SessionAttackResult reports one continuous-stream attack.
 type SessionAttackResult struct {
@@ -179,17 +167,23 @@ type SessionAttackResult struct {
 	WindowDetectionRate float64
 }
 
+// validateTrainPhase rejects off-line misconfiguration shared by
+// TrainSessionAttack and the session scenario's fail-fast Build.
+func (a SessionAttackConfig) validateTrainPhase() error {
+	if a.WindowSize < 2 || a.TrainWindows < 2 || a.TrainSessions < 1 {
+		return errors.New("core: session attack needs a window size and training windows of at least 2 and at least one training session")
+	}
+	return nil
+}
+
 // validateEvalPhase rejects run-time misconfiguration shared by Evaluate
 // and the session scenario's fail-fast Build, so both reject identically.
 func (a SessionAttackConfig) validateEvalPhase() error {
-	if uint32(a.TrainBase) == uint32(a.EvalBase) {
-		// Sessions are spread across the high bits (sessionID), so bases
-		// sharing their low 32 bits would alias evaluation sessions with
-		// training sessions, not just at equal bases.
-		return errors.New("core: training and evaluation session ID bases must differ in their low 32 bits")
-	}
 	if !(a.Confidence > 0 && a.Confidence <= 1) {
 		return errors.New("core: confidence must be in (0,1]; 1 disables the anytime stop")
+	}
+	if a.EvalSessions < 1 || a.MaxWindows < 1 {
+		return errors.New("core: need at least one evaluation session and one window of budget")
 	}
 	return nil
 }
@@ -202,13 +196,13 @@ func sessionID(base uint64, s int) uint64 {
 
 // trainSessionSource opens, warms and returns the continuous stream of
 // one training session.
-func (s *System) trainSessionSource(class int, base uint64, warmup int) adversary.SourceFactory {
+func (s *System) trainSessionSource(class int) adversary.SourceFactory {
 	return func(i int) (adversary.PIATSource, error) {
-		sess, err := s.NewSession(class, sessionID(base, i))
+		sess, err := s.NewSession(class, sessionID(sessionTrainBase, i))
 		if err != nil {
 			return nil, err
 		}
-		sess.WarmUp(warmup)
+		sess.WarmUp(sessionWarmup)
 		return sess.Source(), nil
 	}
 }
@@ -243,27 +237,27 @@ type SessionAttacker struct {
 // to Evaluate.
 func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, error) {
 	cfg = cfg.withDefaults()
-	if cfg.WindowSize < 2 {
-		return nil, errors.New("core: window size must be at least 2")
+	if err := cfg.validateTrainPhase(); err != nil {
+		return nil, err
 	}
 	if cfg.TrainSessions > cfg.TrainWindows {
 		cfg.TrainSessions = cfg.TrainWindows
 	}
 	m := len(s.cfg.Rates)
 	labels := s.Labels()
-	exts := []adversary.Extractor{{Feature: cfg.Feature, EntropyBinWidth: cfg.EntropyBinWidth}}
+	exts := []adversary.Extractor{{Feature: cfg.Feature}}
 	wps := (cfg.TrainWindows + cfg.TrainSessions - 1) / cfg.TrainSessions
 	mats := make([][][]float64, m)
 	for c := 0; c < m; c++ {
 		mat, err := adversary.SessionFeatureMatrix(
-			s.trainSessionSource(c, cfg.TrainBase, cfg.WarmupPackets), exts,
+			s.trainSessionSource(c), exts,
 			cfg.TrainSessions, wps, cfg.WindowSize, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
 		mats[c] = mat
 	}
-	cls, err := adversary.Fit(labels, mats, cfg.GaussianFit)
+	cls, err := adversary.Fit(labels, mats, false)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +268,7 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, 
 // anytime classification with the cumulative log-posterior rule,
 // reporting detection, decision coverage and time-to-detection
 // statistics. The evaluation knobs (EvalSessions, MaxWindows,
-// Confidence, EvalBase, Workers) come from cfg; the training-phase
+// Confidence, Workers) come from cfg; the training-phase
 // fields are those the attacker was trained with. Results are identical
 // for any worker count.
 func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResult, error) {
@@ -283,14 +277,10 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResul
 	eval.EvalSessions = cfg.EvalSessions
 	eval.MaxWindows = cfg.MaxWindows
 	eval.Confidence = cfg.Confidence
-	eval.EvalBase = cfg.EvalBase
 	eval.Workers = cfg.Workers
 	cfg = eval
 	if err := cfg.validateEvalPhase(); err != nil {
 		return nil, err
-	}
-	if cfg.EvalSessions < 1 || cfg.MaxWindows < 1 {
-		return nil, errors.New("core: need at least one evaluation session and one window of budget")
 	}
 	s, cls := a.sys, a.cls
 	if cfg.Confidence < 1 {
@@ -308,7 +298,7 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResul
 		}
 	}
 	m := len(s.cfg.Rates)
-	exts := []adversary.Extractor{{Feature: cfg.Feature, EntropyBinWidth: cfg.EntropyBinWidth}}
+	exts := []adversary.Extractor{{Feature: cfg.Feature}}
 	anytime := cfg.Confidence < 1
 
 	// Run-time: every (class, session) pair is an independent continuous
@@ -333,11 +323,11 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResul
 	}
 	err := par.MapWorker(total, workers, func(worker, i int) error {
 		class, si := i/cfg.EvalSessions, i%cfg.EvalSessions
-		sess, err := s.NewSession(class, sessionID(cfg.EvalBase, si))
+		sess, err := s.NewSession(class, sessionID(sessionEvalBase, si))
 		if err != nil {
 			return err
 		}
-		sess.WarmUp(cfg.WarmupPackets)
+		sess.WarmUp(sessionWarmup)
 		obsStart := sess.Now()
 		src := sess.Source()
 		seq := cls.NewSequential()

@@ -127,7 +127,6 @@ func TestRunAttackSessionWorkerInvariance(t *testing.T) {
 		TrainWindows:  40,
 		EvalSessions:  16,
 		MaxWindows:    5,
-		WarmupPackets: 50,
 	}
 	cfg := base
 	cfg.Workers = 1
@@ -239,8 +238,8 @@ func TestRunAttackSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runSpec(sys, SessionAttackSpec{Session: SessionAttackConfig{TrainBase: 5, EvalBase: 5}}); err == nil {
-		t.Error("identical session ID bases should fail")
+	if _, err := runSpec(sys, SessionAttackSpec{Session: SessionAttackConfig{TrainWindows: 1}}); err == nil {
+		t.Error("a single training window should fail")
 	}
 	if _, err := runSpec(sys, SessionAttackSpec{Session: SessionAttackConfig{Confidence: 1.5}}); err == nil {
 		t.Error("confidence outside (0,1) should fail")
@@ -331,28 +330,18 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 		t.Errorf("full-budget detection = %v, want > 0.9", full.DetectionRate)
 	}
 	// Evaluate validates its run-time knobs.
-	if _, err := att.Evaluate(SessionAttackConfig{EvalBase: 1}); err == nil {
-		t.Error("eval base colliding with train base accepted")
-	}
 	if _, err := att.Evaluate(SessionAttackConfig{Confidence: 1.01}); err == nil {
 		t.Error("confidence above 1 accepted")
 	}
 }
 
-// withDefaults must be idempotent — the session scenario applies it before
-// delegating to TrainSessionAttack/Evaluate, which apply it again — and
-// the negative warm-up sentinel ("disabled") must survive both passes.
+// withDefaults must be idempotent: the session scenario applies it before
+// delegating to TrainSessionAttack/Evaluate, which apply it again.
 func TestSessionConfigDefaultsIdempotent(t *testing.T) {
-	once := SessionAttackConfig{WarmupPackets: -1}.withDefaults()
+	once := SessionAttackConfig{}.withDefaults()
 	twice := once.withDefaults()
 	if once != twice {
 		t.Fatalf("withDefaults not idempotent: %+v vs %+v", once, twice)
-	}
-	if once.WarmupPackets >= 0 {
-		t.Errorf("disabled warm-up promoted to %d packets", once.WarmupPackets)
-	}
-	if def := (SessionAttackConfig{}).withDefaults(); def.WarmupPackets != 100 {
-		t.Errorf("default warm-up = %d, want 100", def.WarmupPackets)
 	}
 }
 
@@ -427,42 +416,5 @@ func TestEvaluateRejectsNonPositiveBudgets(t *testing.T) {
 	}
 	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: 2, MaxWindows: -1}); err == nil {
 		t.Error("negative MaxWindows accepted")
-	}
-}
-
-// Bases that collide after the high-bit session spreading must be
-// rejected: sessionID(base, s) adds (s+1)<<32, so two bases sharing
-// their low 32 bits alias each other's session streams.
-func TestSessionBaseAliasingRejected(t *testing.T) {
-	sys, err := NewSystem(DefaultLabConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SessionAttackConfig{
-		Feature:       analytic.FeatureVariance,
-		WindowSize:    300,
-		TrainSessions: 2,
-		TrainWindows:  8,
-		EvalSessions:  2,
-		MaxWindows:    2,
-		TrainBase:     1,
-		EvalBase:      1 + 1<<32, // eval session j == train session j+1
-	}
-	if _, err := runSpec(sys, SessionAttackSpec{Session: cfg}); err == nil {
-		t.Error("aliasing session bases accepted by the session scenario")
-	}
-	att, err := sys.TrainSessionAttack(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := att.Evaluate(cfg); err == nil {
-		t.Error("aliasing session bases accepted by Evaluate")
-	}
-	// The replica protocol rejects the analogous stream ID aliasing.
-	if _, err := runSpec(sys, AttackSetSpec{Attack: AttackConfig{
-		TrainStreamID: 1,
-		EvalStreamID:  1 + 1<<32,
-	}, Features: []analytic.Feature{analytic.FeatureVariance}}); err == nil {
-		t.Error("aliasing stream IDs accepted by the attack-set scenario")
 	}
 }

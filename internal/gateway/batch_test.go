@@ -21,7 +21,7 @@ func (g *Gateway) NextPacket() (departure float64, dummy bool) {
 // pull-driven and batched instances are identically seeded.
 func gatewayCases(t *testing.T) map[string]func(seed uint64) *Gateway {
 	t.Helper()
-	build := func(seed uint64, mkPolicy func(master *xrand.Rand) TimerPolicy, queueCap int) *Gateway {
+	build := func(seed uint64, mkPolicy func(master *xrand.Rand) TimerPolicy) *Gateway {
 		master := xrand.New(seed)
 		pol := mkPolicy(master)
 		payload, err := traffic.NewPoisson(40, master.Split())
@@ -29,11 +29,10 @@ func gatewayCases(t *testing.T) map[string]func(seed uint64) *Gateway {
 			t.Fatal(err)
 		}
 		g, err := New(Config{
-			Policy:   pol,
-			Jitter:   DefaultJitter(),
-			Payload:  payload,
-			RNG:      master.Split(),
-			QueueCap: queueCap,
+			Policy:  pol,
+			Jitter:  DefaultJitter(),
+			Payload: payload,
+			RNG:     master.Split(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +47,7 @@ func gatewayCases(t *testing.T) map[string]func(seed uint64) *Gateway {
 					t.Fatal(err)
 				}
 				return p
-			}, 0)
+			})
 		},
 		"vit": func(seed uint64) *Gateway {
 			return build(seed, func(master *xrand.Rand) TimerPolicy {
@@ -57,7 +56,7 @@ func gatewayCases(t *testing.T) map[string]func(seed uint64) *Gateway {
 					t.Fatal(err)
 				}
 				return p
-			}, 0)
+			})
 		},
 		"adaptive": func(seed uint64) *Gateway {
 			return build(seed, func(*xrand.Rand) TimerPolicy {
@@ -66,16 +65,7 @@ func gatewayCases(t *testing.T) map[string]func(seed uint64) *Gateway {
 					t.Fatal(err)
 				}
 				return p
-			}, 0)
-		},
-		"cit-queuecap": func(seed uint64) *Gateway {
-			return build(seed, func(*xrand.Rand) TimerPolicy {
-				p, err := NewCIT(0.002)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			}, 4)
+			})
 		},
 	}
 }

@@ -27,7 +27,6 @@ package gateway
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"linkpad/internal/obs"
@@ -218,19 +217,15 @@ type Config struct {
 	Payload traffic.Source
 	// RNG drives the jitter draws (required).
 	RNG *xrand.Rand
-	// QueueCap bounds the payload queue; 0 means unbounded. Arrivals
-	// beyond the cap are dropped and counted (the paper's QoS coupling:
-	// padding rate must cover the payload rate or delay/loss grows).
-	QueueCap int
 	// ArrivalTap, when non-nil, observes the absolute arrival time of
-	// every payload packet reaching the gateway (dropped ones included) —
+	// every payload packet reaching the gateway —
 	// the ingress observation point of a global passive adversary who
 	// watches both sides of the padded link. Purely an observer: it must
 	// not mutate the gateway, and leaving it nil changes nothing.
 	ArrivalTap func(t float64)
 	// Probe, when non-nil, is the chain's telemetry shard; the gateway
-	// counts emitted payload/dummy packets, blocking stalls, queue drops
-	// and payload arrivals into it. Nil (the default) disables counting
+	// counts emitted payload/dummy packets, blocking stalls and payload
+	// arrivals into it. Nil (the default) disables counting
 	// at the cost of one predicted branch per event.
 	Probe *obs.Shard
 }
@@ -247,8 +242,6 @@ type Stats struct {
 	Dummies uint64
 	// Arrivals is the number of payload packets that arrived.
 	Arrivals uint64
-	// Dropped counts arrivals rejected by a full queue.
-	Dropped uint64
 	// MaxQueue is the payload queue's high-water mark.
 	MaxQueue int
 	// DelaySum accumulates the queueing delay of every sent payload
@@ -302,9 +295,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if err := cfg.Jitter.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.QueueCap < 0 {
-		return nil, fmt.Errorf("gateway: negative queue cap %d", cfg.QueueCap)
 	}
 	g := &Gateway{cfg: cfg}
 	g.qobs, _ = cfg.Policy.(QueueObserver)
@@ -369,14 +359,9 @@ func (g *Gateway) nextSlab(dst []float64, flags []uint8) {
 			if g.cfg.ArrivalTap != nil {
 				g.cfg.ArrivalTap(g.nextArrival)
 			}
-			if g.cfg.QueueCap > 0 && g.QueueLen() >= g.cfg.QueueCap {
-				g.stats.Dropped++
-				g.cfg.Probe.Inc(obs.GatewayDrop)
-			} else {
-				g.queue = append(g.queue, g.nextArrival)
-				if q := g.QueueLen(); q > g.stats.MaxQueue {
-					g.stats.MaxQueue = q
-				}
+			g.queue = append(g.queue, g.nextArrival)
+			if q := g.QueueLen(); q > g.stats.MaxQueue {
+				g.stats.MaxQueue = q
 			}
 			g.nextArrival += g.cfg.Payload.Next()
 		}

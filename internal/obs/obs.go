@@ -48,9 +48,6 @@ const (
 	// least one blocking payload arrival (the paper's compound jitter
 	// term actually engaging).
 	GatewayStall
-	// GatewayDrop counts payload arrivals rejected by a full gateway
-	// queue.
-	GatewayDrop
 	// MixFlush counts flushed batch-of-K mix bursts.
 	MixFlush
 	// MixPacket counts packets emitted by mix stages.
@@ -70,12 +67,6 @@ const (
 	NetemDup
 	// NetemReorder counts packets held back for reordered release.
 	NetemReorder
-	// NetemOutageHit counts packets that hit a dark (failed) hop.
-	NetemOutageHit
-	// NetemOutageNanos accumulates the extra delay outage-hit packets
-	// suffered, in integer nanoseconds (deterministic: a pure function
-	// of the deterministic departure times).
-	NetemOutageNanos
 	// PopulationRound counts emitted threshold-mix rounds.
 	PopulationRound
 	// PopulationMessage counts real (payload) messages entering rounds.
@@ -101,7 +92,6 @@ var counterNames = [NumCounters]string{
 	"gateway_payload",
 	"gateway_dummy",
 	"gateway_stall",
-	"gateway_drop",
 	"mix_flush",
 	"mix_packet",
 	"traffic_payload",
@@ -109,8 +99,6 @@ var counterNames = [NumCounters]string{
 	"netem_drop",
 	"netem_dup",
 	"netem_reorder",
-	"netem_outage_hit",
-	"netem_outage_nanos",
 	"population_round",
 	"population_message",
 	"population_active_user",

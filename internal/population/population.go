@@ -507,16 +507,6 @@ func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule { return e.mustUser(u)
 // mean all CPUs). Results are identical at any width.
 func (e *Engine) SetWorkers(w int) { e.workers = w }
 
-// SetProbe reroutes the engine's telemetry counters through the given
-// shard (nil restores a private shard). Counters never influence any
-// draw, so the probe cannot change a single table value.
-func (e *Engine) SetProbe(p *obs.Shard) {
-	if p == nil {
-		p = obs.NewShard()
-	}
-	e.probe = p
-}
-
 // refill advances the generation horizon by one slab: every shard
 // extends its users' private event streams up to the new horizon in
 // parallel and sorts its slab by (time, user); the global merge then

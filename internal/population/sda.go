@@ -66,12 +66,9 @@ type DisclosureConfig struct {
 	MaxRounds int
 	// CheckEvery is the checkpoint granularity in rounds (0 = 25): the
 	// estimate is tested at checkpoints, so rounds-to-disclosure is
-	// resolved to this granularity.
+	// resolved to this granularity. A target counts as disclosed once
+	// its estimate holds for disclosureStreak consecutive checkpoints.
 	CheckEvery int
-	// Consecutive is how many consecutive successful checkpoints the
-	// estimate must hold before the target counts as disclosed (0 = 2);
-	// a single lucky checkpoint is not disclosure.
-	Consecutive int
 	// ChurnAware masks rounds in which the target was offline (its churn
 	// schedule down at the round's flush time) out of the estimator
 	// entirely, instead of counting them as "target silent" rounds.
@@ -96,11 +93,16 @@ type DisclosureConfig struct {
 // WithDefaults returns the configuration with every zero field replaced
 // by its default for a users-sized population. StartDisclosure applies
 // it internally; callers that must reason about the effective knobs
-// before running (budget scaling, checkpoint cadence) call it directly.
-// Idempotent.
+// before running (the checkpoint cadence they step by) call it
+// directly. Idempotent.
 func (c DisclosureConfig) WithDefaults(users int) DisclosureConfig {
 	return c.withDefaults(users)
 }
+
+// disclosureStreak is how many consecutive successful checkpoints a
+// target's estimate must hold before the target counts as disclosed: a
+// single lucky checkpoint is not disclosure.
+const disclosureStreak = 2
 
 // withDefaults fills zero fields.
 func (c DisclosureConfig) withDefaults(users int) DisclosureConfig {
@@ -112,9 +114,6 @@ func (c DisclosureConfig) withDefaults(users int) DisclosureConfig {
 	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = 25
-	}
-	if c.Consecutive == 0 {
-		c.Consecutive = 2
 	}
 	c.Mix = c.Mix.withDefaults()
 	if len(c.Targets) == 0 {
@@ -136,7 +135,7 @@ func (c DisclosureConfig) withDefaults(users int) DisclosureConfig {
 // everything it needs against the live engine.
 func (c DisclosureConfig) Validate(users int) error {
 	c = c.withDefaults(users)
-	if c.Batch < 1 || c.MaxRounds < 1 || c.CheckEvery < 1 || c.Consecutive < 1 {
+	if c.Batch < 1 || c.MaxRounds < 1 || c.CheckEvery < 1 {
 		return errors.New("population: disclosure parameters must be positive")
 	}
 	if c.Workers < 0 {
@@ -373,7 +372,7 @@ func (d *disclosure) checkpoint(round int) (allDone bool) {
 		} else {
 			t.streak = 0
 		}
-		if t.streak >= d.cfg.Consecutive {
+		if t.streak >= disclosureStreak {
 			t.disclosed = true
 			t.rounds = round
 		} else {
@@ -499,7 +498,7 @@ type DisclosureRun struct {
 // engine per run.
 func (e *Engine) StartDisclosure(cfg DisclosureConfig) (*DisclosureRun, error) {
 	cfg = cfg.withDefaults(e.n)
-	if cfg.Batch < 1 || cfg.MaxRounds < 1 || cfg.CheckEvery < 1 || cfg.Consecutive < 1 {
+	if cfg.Batch < 1 || cfg.MaxRounds < 1 || cfg.CheckEvery < 1 {
 		return nil, errors.New("population: disclosure parameters must be positive")
 	}
 	if !validEstimator(cfg.Estimator) {

@@ -151,7 +151,7 @@ func (d *denseRef) checkpoint(round int) (allDone bool) {
 		} else {
 			t.streak = 0
 		}
-		if t.streak >= d.cfg.Consecutive {
+		if t.streak >= disclosureStreak {
 			t.disclosed = true
 			t.rounds = round
 		} else {

@@ -91,22 +91,6 @@ func (s *OnOffSchedule) UpAt(t float64) bool {
 	return s.stateOf(k)
 }
 
-// NextUpAfter returns the earliest time >= t at which the schedule is up:
-// t itself when up, otherwise the end of the down period containing t.
-func (s *OnOffSchedule) NextUpAfter(t float64) float64 {
-	s.extendTo(t)
-	k := sort.SearchFloat64s(s.trans, t)
-	if k < len(s.trans) && s.trans[k] == t {
-		k++
-	}
-	if s.stateOf(k) {
-		return t
-	}
-	// extendTo guarantees the last memoized transition exceeds t, so the
-	// transition ending period k is already present.
-	return s.trans[k]
-}
-
 // Gated filters a Source through an availability schedule: arrivals that
 // fall in DOWN periods are dropped (the sender is offline), and the gap
 // sequence re-bases on the surviving arrivals. It models a churning user's

@@ -71,26 +71,6 @@ func TestOnOffScheduleStationaryFraction(t *testing.T) {
 	}
 }
 
-func TestOnOffScheduleNextUpAfter(t *testing.T) {
-	s, err := NewOnOffSchedule(0.5, 0.5, xrand.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		at := float64(i) * 0.07
-		next := s.NextUpAfter(at)
-		if next < at {
-			t.Fatalf("NextUpAfter(%v) = %v went backward", at, next)
-		}
-		if s.UpAt(at) && next != at {
-			t.Fatalf("up at %v but NextUpAfter = %v", at, next)
-		}
-		if !s.UpAt(next) {
-			t.Fatalf("NextUpAfter(%v) = %v is not up", at, next)
-		}
-	}
-}
-
 func TestGatedRate(t *testing.T) {
 	// Gating a Poisson source by a 50% schedule halves the long-run rate;
 	// surviving arrivals all land in UP intervals.

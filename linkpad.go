@@ -94,11 +94,10 @@ const (
 )
 
 // Unified scenario API (see internal/core): every observation protocol
-// is reachable through one shape. System.Build validates a Spec into a
-// runnable Scenario; Scenario.Run executes it under the shared
-// RunOptions (worker width, master seed, observation-budget scale,
-// telemetry probe, checkpoint resume) and returns the ScenarioResult
-// union.
+// is reachable through one shape. System.Build validates a Spec and its
+// observation budget into a runnable Scenario; Scenario.Run executes it
+// under the shared RunOptions (worker width, checkpoint resume) and
+// returns the ScenarioResult union.
 type (
 	// Spec describes one scenario: a protocol plus its parameters. The
 	// six spec types below are the complete (sealed) set.
@@ -188,8 +187,8 @@ func SampleSizeEntropy(r, p float64) (float64, error) {
 // batching mix (DisclosureSpec) and per-flow throughput-fingerprint
 // correlation against padded links (FlowCorrelationSpec).
 type (
-	// PopulationSpec describes the user population: size, rate-class
-	// mix, recipient profiles, and cover traffic.
+	// PopulationSpec describes the user population: size, recipient
+	// space, cover traffic, churn and dummy policy.
 	PopulationSpec = core.PopulationSpec
 	// PopulationEngine is the running multi-user simulation
 	// (System.NewPopulation) emitting threshold-mix rounds.
@@ -242,8 +241,8 @@ const (
 )
 
 // Multi-hop cascades (see internal/cascade): a route of K padded hops —
-// each composing its own timer policy or batching mix, host jitter, and
-// outgoing link — observed end to end by an adversary who taps both the
+// each composing its own timer policy or batching mix and host jitter on
+// a dedicated link — observed end to end by an adversary who taps both the
 // route's entry and its exit (System.NewCascade,
 // CascadeCorrelationSpec).
 type (
