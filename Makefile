@@ -128,7 +128,7 @@ golden-check:
 # table against the committed golden copy — a resumed run must be
 # indistinguishable from one that never crashed. Entries are
 # experiment:cells-before-the-kill.
-RESUME_EXPS = ext-disclosure:3 ext-active:4
+RESUME_EXPS = ext-disclosure:3 ext-active:4 ext-sda-arms-race:20
 
 resume-check:
 	@tmp=$$(mktemp -d) || exit 1; \

@@ -83,7 +83,7 @@ func main() {
 			},
 			Disclosure: linkpad.DisclosureConfig{
 				Batch:     48,
-				Mix:       linkpad.MixPolicySpec{Kind: linkpad.MixPool, Retain: 0.5},
+				Mix:       linkpad.MixPolicySpec{Kind: linkpad.MixPool},
 				Estimator: duel.est,
 				MaxRounds: 2500,
 			},

@@ -30,28 +30,27 @@ var exportAllowlist = map[string]string{
 	"analytic.Feature.String":         "fmt.Stringer: printed with %v in adversary errors and by advclassify",
 	"core.ActiveProtocol.String":      "fmt.Stringer: printed with %v in ActiveSpec validation errors",
 	"core.PayloadModel.String":        "fmt.Stringer of the public linkpad.PayloadModel type",
-	"population.DummyPolicy.String":   "fmt.Stringer: printed with %s in checkpoint mismatch errors",
-	"population.EstimatorKind.String": "fmt.Stringer: printed with %s in checkpoint mismatch errors",
-	"population.MixKind.String":       "fmt.Stringer: printed with %s in checkpoint mismatch errors",
+	"population.DummyPolicy.String":   "fmt.Stringer: printed with %s in mix validation errors",
+	"population.EstimatorKind.String": "fmt.Stringer: printed with %s in mix validation errors",
+	"population.MixKind.String":       "fmt.Stringer: printed with %s in mix validation errors",
 	"population.eventSorter.Len":      "sort.Interface, called by sort.Sort",
 	"population.eventSorter.Less":     "sort.Interface, called by sort.Sort",
 	"population.eventSorter.Swap":     "sort.Interface, called by sort.Sort",
 
 	// Needed by the tests of another package.
-	"bayes.Classifier.DetectionRate":    "numeric eq. 7 integral the analytic tests check the closed forms against",
-	"bayes.Classifier.Label":            "adversary tests check the trained class labels",
-	"bayes.Confusion.Count":             "core tests compare confusion matrices cell by cell",
-	"bayes.Confusion.Total":             "core and sizes tests check outcome counts",
-	"cascade.Recorder.Reset":            "core tests reuse a route's entry recorder",
-	"gateway.Mix.MaxDelay":              "core tests check the mix's delay accounting",
-	"gateway.VarianceRatio":             "core tests check the gateway's measured r against the eq. 16 model",
-	"netem.NewSliceStream":              "cascade tests feed known departure schedules through network elements",
-	"obs.Reset":                         "gateway, core, experiment and linkpadsim tests zero the global counters",
-	"population.DisclosureRun.Snapshot": "produces the state core's Resume option consumes; library callers checkpoint runs with it",
-	"population.Engine.Class":           "core tests check the population's class striping",
-	"stats.Autocorr":                    "gateway tests check the PIAT autocorrelation structure",
-	"stats.Entropy":                     "the adversary tests' reference Extract computes the entropy feature with it",
-	"stats.KSDistance":                  "gateway, netem and core tests compare distributions with it",
+	"bayes.Classifier.DetectionRate": "numeric eq. 7 integral the analytic tests check the closed forms against",
+	"bayes.Classifier.Label":         "adversary tests check the trained class labels",
+	"bayes.Confusion.Count":          "core tests compare confusion matrices cell by cell",
+	"bayes.Confusion.Total":          "core and sizes tests check outcome counts",
+	"cascade.Recorder.Reset":         "core tests reuse a route's entry recorder",
+	"gateway.Mix.MaxDelay":           "core tests check the mix's delay accounting",
+	"gateway.VarianceRatio":          "core tests check the gateway's measured r against the eq. 16 model",
+	"netem.NewSliceStream":           "cascade tests feed known departure schedules through network elements",
+	"obs.Reset":                      "gateway, core, experiment and linkpadsim tests zero the global counters",
+	"population.Engine.Class":        "core tests check the population's class striping",
+	"stats.Autocorr":                 "gateway tests check the PIAT autocorrelation structure",
+	"stats.Entropy":                  "the adversary tests' reference Extract computes the entropy feature with it",
+	"stats.KSDistance":               "gateway, netem and core tests compare distributions with it",
 }
 
 // TestInternalExportsHaveProductionCallers pins the rule that every
@@ -79,7 +78,6 @@ var fieldAllowlist = map[string]string{
 	"Config.Jitter":                    "the paper's host jitter model (§4.1.2), set by DefaultLabConfig",
 	"CascadeCorrConfig.FeatureWindow":  "bench/trace.go reads it to size the cascade workload's classifier work",
 	"ActiveDetectConfig.FeatureWindow": "bench/trace.go reads it to size the watermark workload's classifier work",
-	"RunOptions.Resume":                "resumes a disclosure checkpoint; whether round-level resume stays is a separate decision",
 }
 
 // TestCoreSpecFieldsHaveProductionSetters pins the rule that every

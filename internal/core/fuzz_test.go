@@ -13,18 +13,19 @@ import (
 
 // fuzz_test.go: Build-time validation must be total. A spec of any of
 // the six kinds assembled from arbitrary field values — NaN rates and
-// durations, negative budgets, absurd mix parameters, out-of-range enum
+// durations, negative budgets, mix seeds on the wrong kind, out-of-range enum
 // codes, duplicate targets, observation budgets past memory — must
 // either build or return an error; System.Build never panics. This is
-// the fuzz companion of the checkpoint-decode fuzzers
-// (internal/experiment, internal/netem): those guard resume inputs, this
-// guards spec inputs.
+// the fuzz companion of the decode fuzzers (FuzzParseCheckpoint in
+// internal/experiment, FuzzParseImpairment in internal/netem): those
+// guard checkpoint and profile inputs, this guards spec inputs.
 
 // fuzzKnobs is one fuzz input. The field names are their DisclosureSpec
-// meanings; spec documents how the other five kinds read them.
+// meanings, except sigmaMicro and durationCode, which only the other
+// kinds read; spec documents how the other five kinds read them.
 type fuzzKnobs struct {
 	kind, users, recipients, contacts, coverMilli, dummies,
-	batch, mixKind, retainMilli, periodMilli int
+	batch, mixKind, sigmaMicro, durationCode int
 	mixSeed                                                uint64
 	estimator, maxRounds, checkEvery, consecutive, workers int
 	targets                                                []byte
@@ -32,7 +33,7 @@ type fuzzKnobs struct {
 
 // spec maps the knobs onto the spec of kind kind mod 6. coverMilli -1
 // reads as NaN; for the three flow kinds the duration is maxRounds
-// seconds, NaN when periodMilli is 1 and +Inf when it is 2.
+// seconds, NaN when durationCode is 1 and +Inf when it is 2.
 //
 //   - 0 AttackSetSpec: batch is the window size, maxRounds/checkEvery
 //     the train/eval windows, consecutive the entropy bin width in µs,
@@ -48,7 +49,7 @@ type fuzzKnobs struct {
 //     checkEvery the train windows, mixKind 1 for the unpadded link,
 //     targets the feature codes;
 //   - 4 CascadeCorrelationSpec: estimator hops of policy dummies (σ_T
-//     retainMilli µs), users flows, batch the feature window, and the
+//     sigmaMicro µs), users flows, batch the feature window, and the
 //     flow-correlation attack knobs;
 //   - 5 ActiveDetectionSpec: mixKind is the protocol, dummies the mode,
 //     coverMilli the amplitude, users the flows, contacts the cover
@@ -60,7 +61,7 @@ func (k fuzzKnobs) spec() Spec {
 		cover = math.NaN()
 	}
 	duration := float64(k.maxRounds)
-	switch k.periodMilli {
+	switch k.durationCode {
 	case 1:
 		duration = math.NaN()
 	case 2:
@@ -74,7 +75,7 @@ func (k fuzzKnobs) spec() Spec {
 	// without bound.
 	hops := make([]CascadeHop, min(max(k.estimator, 0), 8))
 	for i := range hops {
-		hops[i] = CascadeHop{Policy: CascadePolicy(k.dummies), SigmaT: float64(k.retainMilli) / 1e6}
+		hops[i] = CascadeHop{Policy: CascadePolicy(k.dummies), SigmaT: float64(k.sigmaMicro) / 1e6}
 	}
 	pop := PopulationSpec{
 		Users:      k.users,
@@ -113,10 +114,8 @@ func (k fuzzKnobs) spec() Spec {
 			Disclosure: population.DisclosureConfig{
 				Batch: k.batch,
 				Mix: population.MixSpec{
-					Kind:   population.MixKind(k.mixKind),
-					Retain: float64(k.retainMilli) / 1000,
-					Period: float64(k.periodMilli) / 1000,
-					Seed:   k.mixSeed,
+					Kind: population.MixKind(k.mixKind),
+					Seed: k.mixSeed,
 				},
 				Estimator:  population.EstimatorKind(k.estimator),
 				Dummies:    population.DummyPolicy(k.dummies),
@@ -178,18 +177,18 @@ func (k fuzzKnobs) spec() Spec {
 // Run could not execute.
 var fuzzSeeds = []fuzzKnobs{
 	// kind, users, recipients, contacts, coverMilli, dummies,
-	// batch, mixKind, retainMilli, periodMilli, mixSeed,
+	// batch, mixKind, sigmaMicro, durationCode, mixSeed,
 	// estimator, maxRounds, checkEvery, consecutive, workers, targets
 	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // default threshold/classic/none
-	{2, 24, 60, 0, 1000, 1, 8, 1, 500, 0, 7, 1, 400, 25, 0, 0, nil},             // pool/ls/uniform with cover
-	{2, 24, 60, 0, 1000, 2, 8, 2, 0, 250, 0, 2, 400, 25, 1, 2, nil},             // timed/ml/adaptive, churn-aware
+	{2, 24, 60, 0, 1000, 1, 8, 1, 0, 0, 7, 1, 400, 25, 0, 0, nil},               // pool/ls/uniform with cover
+	{2, 24, 60, 0, 1000, 2, 8, 2, 0, 0, 0, 2, 400, 25, 1, 2, nil},               // timed/ml/adaptive, churn-aware
 	{2, 24, 60, 0, 0, 1, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // uniform dummies without cover: invalid
 	{2, 24, 60, 0, 0, 9, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // unknown dummy policy
 	{2, 24, 60, 0, 0, 0, 8, 7, 0, 0, 0, 0, 400, 25, 0, 1, nil},                  // unknown mix kind
 	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, -3, 400, 25, 0, 1, nil},                 // unknown estimator
-	{2, 24, 60, 0, 0, 0, 8, 1, 990, 0, 0, 0, 400, 25, 0, 1, nil},                // pool retain past the cap
-	{2, 24, 60, 0, 0, 0, 8, 0, 500, 0, 0, 0, 400, 25, 0, 1, nil},                // threshold with pool params
-	{2, 24, 60, 0, 0, 0, 8, 2, 0, -40, 0, 0, 400, 25, 0, 1, nil},                // timed with negative period
+	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 5, 0, 400, 25, 0, 1, nil},                  // threshold with a pool seed
+	{2, 24, 60, 0, 0, 0, 8, 2, 0, 0, 5, 0, 400, 25, 0, 1, nil},                  // timed with a pool seed
+	{2, 24, 60, 0, 0, 0, 8, -1, 0, 0, 0, 0, 400, 25, 0, 1, nil},                 // negative mix kind
 	{2, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, nil},                       // degenerate population
 	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, []byte{3, 3}},         // duplicate targets
 	{2, 24, 60, 0, 0, 0, 8, 0, 0, 0, 0, 0, 400, 25, 0, 1, []byte{200}},          // target out of range
@@ -238,7 +237,7 @@ var fuzzSeeds = []fuzzKnobs{
 func FuzzDisclosureSpecBuild(f *testing.F) {
 	for _, k := range fuzzSeeds {
 		f.Add(k.kind, k.users, k.recipients, k.contacts, k.coverMilli, k.dummies,
-			k.batch, k.mixKind, k.retainMilli, k.periodMilli, k.mixSeed,
+			k.batch, k.mixKind, k.sigmaMicro, k.durationCode, k.mixSeed,
 			k.estimator, k.maxRounds, k.checkEvery, k.consecutive, k.workers, k.targets)
 	}
 	sys, err := NewSystem(DefaultLabConfig())
@@ -257,10 +256,10 @@ func FuzzDisclosureSpecBuild(f *testing.F) {
 		checkFinite(f, "Result", reflect.ValueOf(res))
 	}
 	f.Fuzz(func(t *testing.T, kind, users, recipients, contacts, coverMilli, dummies,
-		batch, mixKind, retainMilli, periodMilli int, mixSeed uint64,
+		batch, mixKind, sigmaMicro, durationCode int, mixSeed uint64,
 		estimator, maxRounds, checkEvery, consecutive, workers int, targets []byte) {
 		spec := fuzzKnobs{kind, users, recipients, contacts, coverMilli, dummies,
-			batch, mixKind, retainMilli, periodMilli, mixSeed,
+			batch, mixKind, sigmaMicro, durationCode, mixSeed,
 			estimator, maxRounds, checkEvery, consecutive, workers, targets}.spec()
 		if _, err := sys.Build(spec); err != nil {
 			return

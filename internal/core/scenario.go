@@ -22,13 +22,10 @@ import (
 //
 // Build validates the spec's shape and its defaults-applied observation
 // budget against the system eagerly (a bad spec fails before any
-// simulation); Run executes the attack under the shared RunOptions —
-// worker width and (for resumable protocols) a checkpoint to continue
-// from.
+// simulation); Run executes the attack under the shared RunOptions.
 //
 // Determinism: a scenario run is a pure function of (system config,
-// spec) — Workers never changes a result, and a Resume'd run finishes
-// byte-identically to an uninterrupted one.
+// spec) — Workers never changes a result.
 
 // Spec describes one scenario: which protocol to run and with what
 // parameters. The interface is sealed — the six spec types below are
@@ -107,10 +104,6 @@ type RunOptions struct {
 	// Workers, when positive, overrides the spec's worker width. Results
 	// are identical at any width.
 	Workers int
-	// Resume continues a checkpointed run instead of starting fresh.
-	// Supported by disclosure scenarios (the resumable protocol); any
-	// other spec rejects a non-nil Resume.
-	Resume *population.DisclosureState
 }
 
 // Result is the outcome union of one scenario run: exactly one field is
@@ -254,11 +247,6 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.Resume != nil {
-		if _, ok := sc.spec.(DisclosureSpec); !ok {
-			return nil, fmt.Errorf("core: RunOptions.Resume applies to disclosure scenarios, not %T", sc.spec)
-		}
-	}
 	res := &Result{}
 	switch sp := sc.spec.(type) {
 	case AttackSetSpec:
@@ -313,7 +301,7 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// runDisclosure executes (or resumes) the round-based disclosure attack
+// runDisclosure executes the round-based disclosure attack
 // with context checks between estimator checkpoints. Chunking the round
 // loop at CheckEvery granularity is result-invariant: DisclosureRun.Step
 // folds rounds and tests checkpoints identically under any step split.
@@ -335,12 +323,7 @@ func (sc *scenario) runDisclosure(ctx context.Context, sp DisclosureSpec, opts R
 	if err != nil {
 		return nil, err
 	}
-	var run *population.DisclosureRun
-	if opts.Resume != nil {
-		run, err = eng.ResumeDisclosure(cfg, opts.Resume)
-	} else {
-		run, err = eng.StartDisclosure(cfg)
-	}
+	run, err := eng.StartDisclosure(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@ import (
 
 // scenario_test.go: the unified Build/Run API. Build must reject bad
 // specs and budgets Run cannot execute eagerly; Run must honor the
-// shared RunOptions — worker width (result-invariant) and resume
-// (byte-identical completion) — across the protocols.
+// shared RunOptions — worker width is result-invariant — across the
+// protocols.
 
 func scenarioSystem(t *testing.T) *System {
 	t.Helper()
@@ -117,53 +117,6 @@ func TestScenarioWorkerOption(t *testing.T) {
 		if got := run(w); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: result differs from workers=1", w)
 		}
-	}
-}
-
-// TestScenarioResume: a snapshot taken mid-run resumes through
-// RunOptions.Resume and finishes byte-identically to the uninterrupted
-// scenario run; non-resumable specs reject Resume.
-func TestScenarioResume(t *testing.T) {
-	sys := scenarioSystem(t)
-	pop := PopulationSpec{Users: 16, Recipients: 40, CoverRate: 0.5}
-	dcfg := population.DisclosureConfig{MaxRounds: 400, Workers: 1}
-	sc, err := sys.Build(DisclosureSpec{Population: pop, Disclosure: dcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := sc.Run(context.Background(), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interrupt a low-level run partway and snapshot it.
-	eng, err := sys.NewPopulation(pop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := eng.StartDisclosure(dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Step(137); err != nil {
-		t.Fatal(err)
-	}
-	st, err := run.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := sc.Run(context.Background(), RunOptions{Resume: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed.Disclosure, base.Disclosure) {
-		t.Fatal("resumed scenario run differs from uninterrupted run")
-	}
-	other, err := sys.Build(SessionAttackSpec{Session: SessionAttackConfig{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.Run(context.Background(), RunOptions{Resume: st}); err == nil {
-		t.Fatal("non-disclosure scenario accepted a Resume state")
 	}
 }
 

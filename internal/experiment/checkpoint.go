@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"linkpad/internal/obs"
@@ -75,13 +76,15 @@ const maxCheckpointCells = 1 << 20
 
 // Checkpoint is the on-disk resume state of a cell experiment: which
 // cells have finished and their rows. The identity fields pin the file
-// to one (experiment, seed, scale) so a checkpoint is never resumed
-// against a different run's parameters.
+// to one (experiment, seed, scale) and one column set, so a checkpoint
+// is never resumed against a different run's parameters or splices rows
+// of another table layout into this one.
 type Checkpoint struct {
 	Experiment string      `json:"experiment"`
 	Seed       uint64      `json:"seed"`
 	Scale      float64     `json:"scale"`
 	Cells      int         `json:"cells"`
+	Columns    []string    `json:"columns"`
 	Done       []bool      `json:"done"`
 	Rows       [][]float64 `json:"rows"`
 }
@@ -119,13 +122,17 @@ func (c *Checkpoint) Validate() error {
 	if c.Seed == 0 {
 		return errors.New("experiment: checkpoint seed must be non-zero")
 	}
+	if len(c.Columns) == 0 {
+		return errors.New("experiment: checkpoint names no columns")
+	}
 	if len(c.Done) != c.Cells || len(c.Rows) != c.Cells {
 		return fmt.Errorf("experiment: checkpoint shape mismatch: %d cells, %d done flags, %d rows",
 			c.Cells, len(c.Done), len(c.Rows))
 	}
 	for i, d := range c.Done {
-		if d && len(c.Rows[i]) == 0 {
-			return fmt.Errorf("experiment: checkpoint cell %d marked done without a row", i)
+		if d && len(c.Rows[i]) != len(c.Columns) {
+			return fmt.Errorf("experiment: checkpoint cell %d is done with %d values for %d columns",
+				i, len(c.Rows[i]), len(c.Columns))
 		}
 		if !d && c.Rows[i] != nil {
 			return fmt.Errorf("experiment: checkpoint cell %d has a row but is not done", i)
@@ -141,6 +148,9 @@ func (c *Checkpoint) matches(want *Checkpoint) error {
 		return fmt.Errorf("experiment: checkpoint is for %s seed=%d scale=%g cells=%d, run wants %s seed=%d scale=%g cells=%d",
 			c.Experiment, c.Seed, c.Scale, c.Cells,
 			want.Experiment, want.Seed, want.Scale, want.Cells)
+	}
+	if !slices.Equal(c.Columns, want.Columns) {
+		return fmt.Errorf("experiment: checkpoint columns %q differ from the run's %q", c.Columns, want.Columns)
 	}
 	return nil
 }
@@ -185,6 +195,7 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 		Seed:       o.Seed,
 		Scale:      o.Scale,
 		Cells:      n,
+		Columns:    ce.columns,
 		Done:       make([]bool, n),
 		Rows:       make([][]float64, n),
 	}
@@ -195,7 +206,7 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 				return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
 			}
 			if err := prev.matches(cp); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
 			}
 			cp = prev
 		} else if !errors.Is(err, os.ErrNotExist) {

@@ -178,6 +178,62 @@ func TestRunCellsRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := runCells("fake", fakeCells, o, path, 0); err == nil {
 		t.Error("corrupt checkpoint resumed")
 	}
+
+	// A checkpoint of another table layout must fail before any cell
+	// runs, with an error naming the file: done rows of the wrong width,
+	// and columns renamed at the same width.
+	ran := 0
+	counting := *fakeCells
+	counting.run = func(o Options, cell, nested int) ([]float64, error) {
+		ran++
+		return fakeCells.run(o, cell, nested)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(cp *Checkpoint)
+	}{
+		{"truncated-rows", func(cp *Checkpoint) {
+			for i, d := range cp.Done {
+				if d {
+					cp.Rows[i] = cp.Rows[i][:1]
+				}
+			}
+		}},
+		{"renamed-column", func(cp *Checkpoint) { cp.Columns = []string{"cell", "other"} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cp.json")
+			if _, err := runCells("fake", fakeCells, o, path, 2); !errors.Is(err, ErrKilled) {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cp Checkpoint
+			if err := json.Unmarshal(data, &cp); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&cp)
+			if data, err = json.Marshal(&cp); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ran = 0
+			_, err = runCells("fake", &counting, o, path, 0)
+			if err == nil {
+				t.Fatal("checkpoint of another table layout resumed")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("error %q does not name the checkpoint file", err)
+			}
+			if ran != 0 {
+				t.Errorf("%d cells ran before the checkpoint was rejected", ran)
+			}
+		})
+	}
 }
 
 func TestParseCheckpoint(t *testing.T) {
@@ -186,6 +242,7 @@ func TestParseCheckpoint(t *testing.T) {
 		Seed:       3,
 		Scale:      0.5,
 		Cells:      2,
+		Columns:    []string{"a", "b"},
 		Done:       []bool{true, false},
 		Rows:       [][]float64{{1, 2}, nil},
 	}
@@ -201,16 +258,20 @@ func TestParseCheckpoint(t *testing.T) {
 		t.Fatalf("round trip changed the checkpoint: %+v", parsed)
 	}
 	bad := []string{
-		`{"experiment":"x","seed":1,"scale":1,"cells":1,"done":[true],"rows":[[1]],"extra":0}`, // unknown field
-		`{"experiment":"x","seed":1,"scale":1,"cells":1,"done":[true],"rows":[[1]]} tail`,      // trailing data
-		`{"experiment":"","seed":1,"scale":1,"cells":1,"done":[true],"rows":[[1]]}`,            // no experiment
-		`{"experiment":"x","seed":0,"scale":1,"cells":1,"done":[true],"rows":[[1]]}`,           // zero seed
-		`{"experiment":"x","seed":1,"scale":0,"cells":1,"done":[true],"rows":[[1]]}`,           // zero scale
-		`{"experiment":"x","seed":1,"scale":1,"cells":0,"done":[],"rows":[]}`,                  // no cells
-		`{"experiment":"x","seed":1,"scale":1,"cells":2097152,"done":[],"rows":[]}`,            // absurd cells
-		`{"experiment":"x","seed":1,"scale":1,"cells":2,"done":[true],"rows":[[1]]}`,           // shape mismatch
-		`{"experiment":"x","seed":1,"scale":1,"cells":1,"done":[true],"rows":[[]]}`,            // done without row
-		`{"experiment":"x","seed":1,"scale":1,"cells":1,"done":[false],"rows":[[1]]}`,          // row without done
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["c"],"done":[true],"rows":[[1]],"extra":0}`, // unknown field
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["c"],"done":[true],"rows":[[1]]} tail`,      // trailing data
+		`{"experiment":"","seed":1,"scale":1,"cells":1,"columns":["c"],"done":[true],"rows":[[1]]}`,            // no experiment
+		`{"experiment":"x","seed":0,"scale":1,"cells":1,"columns":["c"],"done":[true],"rows":[[1]]}`,           // zero seed
+		`{"experiment":"x","seed":1,"scale":0,"cells":1,"columns":["c"],"done":[true],"rows":[[1]]}`,           // zero scale
+		`{"experiment":"x","seed":1,"scale":1,"cells":0,"columns":["c"],"done":[],"rows":[]}`,                  // no cells
+		`{"experiment":"x","seed":1,"scale":1,"cells":2097152,"columns":["c"],"done":[],"rows":[]}`,            // absurd cells
+		`{"experiment":"x","seed":1,"scale":1,"cells":2,"columns":["c"],"done":[true],"rows":[[1]]}`,           // shape mismatch
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["c"],"done":[true],"rows":[[]]}`,            // done without row
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["c"],"done":[false],"rows":[[1]]}`,          // row without done
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"done":[true],"rows":[[1]]}`,                           // no columns
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":[],"done":[false],"rows":[null]}`,            // empty columns
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["a","b"],"done":[true],"rows":[[1]]}`,       // row narrower than the columns
+		`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["a"],"done":[true],"rows":[[1,2]]}`,         // row wider than the columns
 		`[1,2]`,
 		``,
 	}
@@ -224,9 +285,10 @@ func TestParseCheckpoint(t *testing.T) {
 // FuzzParseCheckpoint: arbitrary bytes must parse or error cleanly; a
 // successful parse must validate and survive a re-encode round trip.
 func FuzzParseCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"experiment":"fake","seed":3,"scale":0.5,"cells":2,"done":[true,false],"rows":[[1,2],null]}`))
-	f.Add([]byte(`{"experiment":"ext-disclosure","seed":1,"scale":1,"cells":1,"done":[true],"rows":[[0.5]]}`))
-	f.Add([]byte(`{"experiment":"x","seed":1,"scale":1e-300,"cells":1,"done":[false],"rows":[null]}`))
+	f.Add([]byte(`{"experiment":"fake","seed":3,"scale":0.5,"cells":2,"columns":["cell","value"],"done":[true,false],"rows":[[1,2],null]}`))
+	f.Add([]byte(`{"experiment":"ext-disclosure","seed":1,"scale":1,"cells":1,"columns":["v"],"done":[true],"rows":[[0.5]]}`))
+	f.Add([]byte(`{"experiment":"x","seed":1,"scale":1e-300,"cells":1,"columns":["v"],"done":[false],"rows":[null]}`))
+	f.Add([]byte(`{"experiment":"x","seed":1,"scale":1,"cells":1,"columns":["a","b"],"done":[true],"rows":[[1]]}`))
 	f.Add([]byte(`{"experiment":"x","seed":18446744073709551615,"cells":1}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -246,7 +308,8 @@ func FuzzParseCheckpoint(f *testing.F) {
 			t.Fatalf("re-parsing an encoded checkpoint failed: %v", err)
 		}
 		if again.Experiment != cp.Experiment || again.Seed != cp.Seed ||
-			again.Scale != cp.Scale || again.Cells != cp.Cells {
+			again.Scale != cp.Scale || again.Cells != cp.Cells ||
+			!reflect.DeepEqual(again.Columns, cp.Columns) {
 			t.Fatal("round trip changed the checkpoint identity")
 		}
 	})

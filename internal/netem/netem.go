@@ -38,9 +38,7 @@
 // independent of the chunking. An Impairer whose
 // duplication produced more outputs than requested keeps the surplus
 // queued for the next call, so its upstream may run ahead by less than
-// one chunk; that lookahead is invisible in the output, and the
-// checkpointed protocols snapshot traffic sources, which are never
-// upstream of a mid-window Impairer batch.
+// one chunk; that lookahead is invisible in the output.
 package netem
 
 import (

@@ -34,12 +34,11 @@ import (
 // computed from the estimator's state as of the *previous* rounds
 // (estimators observe a round only after the dummy policy has acted on
 // it), so there is no feedback race within a round; and the rotation
-// over suspects uses a plain message counter (dumCount, part of the
-// disclosure checkpoint), not a random stream, so a resumed run
-// re-addresses identically. Reading Round.Dummy here is legitimate: the
-// policy is the *defender*, and a sender knows which of its own
-// messages are dummies — the adversary's estimators still never read
-// the flag.
+// over suspects uses a plain message counter (dumCount), not a random
+// stream, so the addressing is a pure function of the rounds observed.
+// Reading Round.Dummy here is legitimate: the policy is the *defender*,
+// and a sender knows which of its own messages are dummies — the
+// adversary's estimators still never read the flag.
 type DummyPolicy int
 
 const (

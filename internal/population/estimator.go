@@ -1,9 +1,7 @@
 package population
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -86,15 +84,11 @@ func validEstimator(k EstimatorKind) bool {
 //   - support returns the ascending coordinate set containing every
 //     strictly positive estimate; coordinates outside it evaluate to
 //     exactly 0.
-//   - snapshot/restore serialize the accumulators into the target's
-//     slot of a disclosure checkpoint.
 type estimator interface {
 	observe(h *rcptHist, sent bool, cnt int)
 	ready(sc *mlScratch) bool
 	support() []int32
 	estimateAt(i int32) float64
-	snapshot(ts *TargetEstimatorState)
-	restore(ts *TargetEstimatorState, nrcpt int) error
 }
 
 // newEstimator builds the estimator for one target.
@@ -155,36 +149,6 @@ func (c *classicEstimator) estimateAt(i int32) float64 {
 	return v
 }
 
-func (c *classicEstimator) snapshot(ts *TargetEstimatorState) {
-	ts.SumWith = SparseCounts{
-		Idx: append([]int32(nil), c.sumWith.idx...),
-		Val: append([]float64(nil), c.sumWith.val...),
-	}
-	ts.SumWithout = SparseCounts{
-		Idx: append([]int32(nil), c.sumWithout.idx...),
-		Val: append([]float64(nil), c.sumWithout.val...),
-	}
-	ts.NWith = c.nWith
-	ts.NWithout = c.nWithout
-}
-
-func (c *classicEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
-	if err := ts.SumWith.validate("sum_with", nrcpt); err != nil {
-		return err
-	}
-	if err := ts.SumWithout.validate("sum_without", nrcpt); err != nil {
-		return err
-	}
-	if ts.NWith < 0 || ts.NWithout < 0 {
-		return errors.New("population: snapshot has negative round counts")
-	}
-	c.sumWith.setPairs(ts.SumWith.Idx, ts.SumWith.Val)
-	c.sumWithout.setPairs(ts.SumWithout.Idx, ts.SumWithout.Val)
-	c.nWith = ts.NWith
-	c.nWithout = ts.NWithout
-	return nil
-}
-
 // lsEstimator is the least-squares SDA: model round i's egress count at
 // recipient r as y_i[r] ≈ a_i·p[r] + b_i·q[r], where a_i is the
 // target's send count and b_i everyone else's, and solve the normal
@@ -204,22 +168,15 @@ func (c *classicEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
 type lsEstimator struct {
 	saa, sab, sbb float64
 	say, sby      sparseVec
-	nWith         int
-	nWithout      int
 	inv           float64 // 1/det, refreshed by ready
 }
 
-func (l *lsEstimator) observe(h *rcptHist, sent bool, cnt int) {
+func (l *lsEstimator) observe(h *rcptHist, _ bool, cnt int) {
 	a := float64(cnt)
 	b := float64(h.n - cnt)
 	l.saa += a * a
 	l.sab += a * b
 	l.sbb += b * b
-	if sent {
-		l.nWith++
-	} else {
-		l.nWithout++
-	}
 	if a > 0 {
 		l.say.fold(h.idx, h.cnt, a)
 	}
@@ -254,52 +211,10 @@ func (l *lsEstimator) estimateAt(i int32) float64 {
 	return v
 }
 
-func (l *lsEstimator) snapshot(ts *TargetEstimatorState) {
-	ts.NWith = l.nWith
-	ts.NWithout = l.nWithout
-	ts.LS = &LSEstimatorState{
-		Saa: l.saa,
-		Sab: l.sab,
-		Sbb: l.sbb,
-		Say: SparseCounts{
-			Idx: append([]int32(nil), l.say.idx...),
-			Val: append([]float64(nil), l.say.val...),
-		},
-		Sby: SparseCounts{
-			Idx: append([]int32(nil), l.sby.idx...),
-			Val: append([]float64(nil), l.sby.val...),
-		},
-	}
-}
-
-func (l *lsEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
-	if ts.LS == nil {
-		return errors.New("population: snapshot target has no least-squares state")
-	}
-	if err := ts.LS.Say.validate("ls say", nrcpt); err != nil {
-		return err
-	}
-	if err := ts.LS.Sby.validate("ls sby", nrcpt); err != nil {
-		return err
-	}
-	if ts.LS.Saa < 0 || ts.LS.Sbb < 0 || ts.LS.Sab < 0 {
-		return errors.New("population: snapshot least-squares moments must be non-negative")
-	}
-	if ts.NWith < 0 || ts.NWithout < 0 {
-		return errors.New("population: snapshot has negative round counts")
-	}
-	l.saa, l.sab, l.sbb = ts.LS.Saa, ts.LS.Sab, ts.LS.Sbb
-	l.say.setPairs(ts.LS.Say.Idx, ts.LS.Say.Val)
-	l.sby.setPairs(ts.LS.Sby.Idx, ts.LS.Sby.Val)
-	l.nWith = ts.NWith
-	l.nWithout = ts.NWithout
-	return nil
-}
-
 // mlEMIters is the fixed EM iteration budget per refresh. The estimate
 // is recomputed from scratch at every dirty ready() call — never warm-
-// started — so a resumed run's estimate is a pure function of the
-// accumulated sufficient statistics, not of the checkpoint schedule.
+// started — so the estimate is a pure function of the accumulated
+// sufficient statistics, not of the CheckEvery schedule.
 const mlEMIters = 12
 
 // mlGroup is one (a, n) equivalence class of observed rounds: c rounds
@@ -527,102 +442,6 @@ func (m *mlEstimator) transpose(sc *mlScratch) {
 func (m *mlEstimator) support() []int32 { return m.p.idx }
 
 func (m *mlEstimator) estimateAt(i int32) float64 { return m.p.get(i) }
-
-func (m *mlEstimator) snapshot(ts *TargetEstimatorState) {
-	ts.NWith = m.nWith
-	ts.NWithout = m.nWithout
-	st := &MLEstimatorState{Groups: make([]MLGroupState, len(m.groups))}
-	for gi := range m.groups {
-		g := &m.groups[gi]
-		st.Groups[gi] = MLGroupState{
-			A: g.a,
-			N: g.n,
-			C: g.c,
-			Y: SparseCounts{
-				Idx: append([]int32(nil), g.y.idx...),
-				Val: append([]float64(nil), g.y.val...),
-			},
-		}
-	}
-	ts.ML = st
-}
-
-func (m *mlEstimator) restore(ts *TargetEstimatorState, nrcpt int) error {
-	if ts.ML == nil {
-		return errors.New("population: snapshot target has no ML state")
-	}
-	if ts.NWith < 0 || ts.NWithout < 0 {
-		return errors.New("population: snapshot has negative round counts")
-	}
-	// The groups must agree with themselves and with the round counts:
-	// every round of a group delivers n messages, and the rounds the
-	// target sent in are exactly those of the a > 0 groups. All the
-	// quantities are counts, so the sums are exact.
-	var with, all float64
-	for gi := range ts.ML.Groups {
-		gs := &ts.ML.Groups[gi]
-		if gs.A < 0 || gs.N < 1 || gs.A > gs.N || gs.C < 1 || !isCount(gs.C) {
-			return fmt.Errorf("population: snapshot ML group %d has invalid (a=%d, n=%d, c=%v)",
-				gi, gs.A, gs.N, gs.C)
-		}
-		if gi > 0 {
-			prev := &ts.ML.Groups[gi-1]
-			if prev.A > gs.A || (prev.A == gs.A && prev.N >= gs.N) {
-				return fmt.Errorf("population: snapshot ML groups not ascending at index %d", gi)
-			}
-		}
-		if err := gs.Y.validate(fmt.Sprintf("ml group %d", gi), nrcpt); err != nil {
-			return err
-		}
-		var sum float64
-		for _, y := range gs.Y.Val {
-			if !isCount(y) {
-				return fmt.Errorf("population: snapshot ML group %d has delivery count %v", gi, y)
-			}
-			sum += y
-		}
-		if want := gs.C * float64(gs.N); sum != want {
-			return fmt.Errorf("population: snapshot ML group %d (a=%d, n=%d) holds %v deliveries, want c·n = %v",
-				gi, gs.A, gs.N, sum, want)
-		}
-		if gs.A > 0 {
-			with += gs.C
-		}
-		all += gs.C
-	}
-	if with != float64(ts.NWith) {
-		return fmt.Errorf("population: snapshot ML groups with a > 0 hold %v rounds, n_with is %d",
-			with, ts.NWith)
-	}
-	if all != float64(ts.NWith+ts.NWithout) {
-		return fmt.Errorf("population: snapshot ML groups hold %v rounds in all, n_with + n_without is %d",
-			all, ts.NWith+ts.NWithout)
-	}
-	m.groups = m.groups[:0]
-	m.allCnt = sparseVec{}
-	m.withCnt = sparseVec{}
-	for gi := range ts.ML.Groups {
-		gs := &ts.ML.Groups[gi]
-		g := mlGroup{a: gs.A, n: gs.N, c: gs.C}
-		g.y.setPairs(gs.Y.Idx, gs.Y.Val)
-		// Each group's y is ascending, so it folds like a round.
-		m.allCnt.fold(g.y.idx, g.y.val, 1)
-		if g.a > 0 {
-			m.withCnt.fold(g.y.idx, g.y.val, 1)
-		}
-		m.groups = append(m.groups, g)
-	}
-	m.nWith = ts.NWith
-	m.nWithout = ts.NWithout
-	m.dirty = true
-	return nil
-}
-
-// isCount reports whether x is a non-negative integer-valued float64 in
-// the range where float64 sums of such values are exact.
-func isCount(x float64) bool {
-	return x >= 0 && x <= 1<<53 && x == math.Trunc(x)
-}
 
 // normalizeVec scales a non-negative sparse vector to unit sum in place
 // (no-op on a zero vector).

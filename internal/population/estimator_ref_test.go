@@ -1,11 +1,8 @@
 package population
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
-
-	"linkpad/internal/xrand"
 )
 
 // estimator_ref_test.go: closed-form references for the arms-race
@@ -527,13 +524,9 @@ func collectMixRounds(tb testing.TB, spec MixSpec, target int32, rounds int) []r
 // TestMLRefreshMatchesSearchReference: after every observed round the
 // recipient-major refresh must reproduce the search-per-entry reference
 // exactly — equal supports and bit-identical p and q — over threshold,
-// pool and timed rounds (the last two vary in size). An estimator
-// restored from a JSON snapshot at a seeded random round rebuilds its
-// running counts from the groups; it must hold the same counts as the
-// original and keep matching the reference as rounds continue. One
-// scratch serves every refresh, as a disclosure worker's does. A hand-built
-// round list covers the recipient-major loop's edge cases
-// (mlEdgeRounds).
+// pool and timed rounds (the last two vary in size). One scratch serves
+// every refresh, as a disclosure worker's does. A hand-built round list
+// covers the recipient-major loop's edge cases (mlEdgeRounds).
 func TestMLRefreshMatchesSearchReference(t *testing.T) {
 	const rounds = 240
 	for _, tc := range []struct {
@@ -553,34 +546,17 @@ func TestMLRefreshMatchesSearchReference(t *testing.T) {
 			if tc.varyN && len(sizes) < 2 {
 				t.Fatalf("every round has the same size; the test needs varying n")
 			}
-			kill := 1 + xrand.New(2026).Intn(rounds-1)
-			est := newEstimator(EstimatorML).(*mlEstimator)
-			var resumed *mlEstimator
+			m := newEstimator(EstimatorML).(*mlEstimator)
 			var h rcptHist
 			var sc, refSc mlScratch
 			for i, rec := range recs {
-				observeRecorded(est, &h, rec)
-				if resumed != nil {
-					observeRecorded(resumed, &h, rec)
+				observeRecorded(m, &h, rec)
+				m.refresh(&sc)
+				ref := &mlEstimator{groups: cloneGroups(m.groups)}
+				refreshSearchReference(ref, &refSc)
+				if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
+					t.Fatalf("round %d: refresh differs from the search reference", i+1)
 				}
-				if i+1 == kill {
-					resumed = jsonRoundTrip(t, est)
-				}
-				for _, m := range []*mlEstimator{est, resumed} {
-					if m == nil {
-						continue
-					}
-					m.refresh(&sc)
-					ref := &mlEstimator{groups: cloneGroups(m.groups)}
-					refreshSearchReference(ref, &refSc)
-					if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
-						t.Fatalf("round %d (resumed=%t): refresh differs from the search reference",
-							i+1, m == resumed)
-					}
-				}
-			}
-			if resumed == nil {
-				t.Fatal("the restore point was never reached")
 			}
 		})
 	}
@@ -630,30 +606,6 @@ var mlEdgeRounds = []recordedRound{
 	{rcpts: []int32{5, 5, 0}},            // a = 0, n = 3
 	{rcpts: []int32{0, 2, 3}, cnt: 1},    // a = 1, n = 3 again
 	{rcpts: []int32{2, 1, 0, 3}, cnt: 1}, // a = 1, n = 4
-}
-
-// jsonRoundTrip snapshots an ML estimator through JSON into a fresh one
-// and checks the rebuilt running counts against the original's.
-func jsonRoundTrip(t *testing.T, m *mlEstimator) *mlEstimator {
-	t.Helper()
-	var ts TargetEstimatorState
-	m.snapshot(&ts)
-	data, err := json.Marshal(&ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded TargetEstimatorState
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	out := newEstimator(EstimatorML).(*mlEstimator)
-	if err := out.restore(&decoded, leagueRecipients); err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(&out.allCnt, &m.allCnt) || !sameBits(&out.withCnt, &m.withCnt) {
-		t.Fatal("restored running counts differ from the original's")
-	}
-	return out
 }
 
 // BenchmarkMLRefresh times one ML refresh over grouped statistics shaped

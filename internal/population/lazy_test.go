@@ -1,7 +1,6 @@
 package population
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -15,9 +14,8 @@ import (
 
 // lazy_test.go: the sharded lazy engine's equivalence properties. The
 // k-way shard reduction must replay the eager engine's merge order
-// exactly, at any shard size and any worker count; lazy materialization
-// must leave never-sending users cold; and ResumeDisclosure must
-// round-trip the sharded engine state at arbitrary kill points.
+// exactly, at any shard size and any worker count; and lazy
+// materialization must leave never-sending users cold.
 
 // funcBuilder adapts a build function to a Builder whose Frontier
 // builds the user and reads its first arrival off the sources: the first
@@ -338,68 +336,6 @@ func TestLazyEngineImpureBuilder(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "population: user ") || !strings.Contains(err.Error(), "frontier") {
 		t.Fatalf("error does not name the user and its frontier: %v", err)
-	}
-}
-
-// TestLazyDisclosureKillAndResume: ResumeDisclosure round-trips the
-// sharded lazy engine state — kill at randomized rounds, serialize
-// through JSON, rebuild a fresh lazy engine (cold users and all), and
-// demand the resumed run finish byte-identically to the uninterrupted
-// one. Small shards force the snapshot to traverse a multi-shard merge
-// frontier.
-func TestLazyDisclosureKillAndResume(t *testing.T) {
-	const n, recipients, shardSize = 36, 120, 5
-	build := func() *Engine {
-		e, err := newLazyEngine(n, recipients, shardSize, refBuilder(t, recipients, true, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	cfg := DisclosureConfig{Batch: 8, MaxRounds: 500, CheckEvery: 25, ChurnAware: true, Workers: 1}
-	base, err := runDisclosure(build(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	krng := xrand.New(4242)
-	for trial := 0; trial < 4; trial++ {
-		kill := 1 + krng.Intn(cfg.MaxRounds-1)
-		run, err := build().StartDisclosure(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := run.Step(kill); err != nil {
-			t.Fatal(err)
-		}
-		st, err := run.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded DisclosureState
-		if err := json.Unmarshal(data, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		// The snapshot must not have dragged the whole population warm:
-		// only users that sent (or are targets) carry state.
-		if len(decoded.Engine.Warm) == n && kill < 20 {
-			t.Fatalf("kill=%d: snapshot serialized all %d users warm", kill, n)
-		}
-		resumed, err := build().ResumeDisclosure(cfg, &decoded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := resumed.Step(cfg.MaxRounds); err != nil {
-			t.Fatal(err)
-		}
-		got := resumed.Result()
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("kill=%d: resumed result differs from uninterrupted run\ngot  %+v\nwant %+v",
-				kill, got, base)
-		}
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 //     engine's NextRound remains this policy's fast path);
 //   - pool: the B-th new arrival triggers a flush, but every queued
 //     message — carried pool and new arrivals alike — independently
-//     stays behind with probability Retain, so a message's exit round
-//     is randomized (a Cottrell-style pool mix with a fixed retention
-//     probability);
-//   - timed: flush every Period seconds of stream time regardless of
-//     fill, so round sizes float with the arrival rate.
+//     stays behind with probability poolRetain, so a message's exit
+//     round is randomized (a Cottrell-style pool mix with a fixed
+//     retention probability);
+//   - timed: flush on a fixed grid of stream time regardless of fill,
+//     so round sizes float with the arrival rate.
 //
 // Streaming contract: a policy pulls events one at a time from the
 // engine's k-way shard reduction (popEvent) and never looks ahead more
@@ -33,8 +33,7 @@ import (
 // generation, lazy materialization and refill cadence are untouched.
 // The one-event lookahead the timed mix needs, the pool's carried
 // messages, and the pool's retention stream are the policy's only
-// state, and all of it serializes (MixPolicyState) so checkpoint/resume
-// stays byte-identical across any kill point.
+// state.
 //
 // Determinism: the pool's retention draws come from a private
 // deterministic stream (MixSpec.Seed), consumed in the sequential
@@ -49,10 +48,10 @@ const (
 	// default, and the engine's original hard-wired policy.
 	MixThreshold MixKind = iota
 	// MixPool triggers a flush on every Batch-th new arrival but retains
-	// each queued message with probability Retain, carrying it into the
-	// next round's pool.
+	// each queued message with probability poolRetain, carrying it into
+	// the next round's pool.
 	MixPool
-	// MixTimed flushes every Period seconds of stream time, whatever has
+	// MixTimed flushes at a fixed period of stream time, whatever has
 	// queued; empty windows produce no observable round.
 	MixTimed
 )
@@ -71,9 +70,10 @@ func (k MixKind) String() string {
 	}
 }
 
-// maxPoolRetain bounds the pool retention probability away from 1: at
-// Retain 1 nothing ever leaves the pool and the mix deadlocks.
-const maxPoolRetain = 0.95
+// poolRetain is the pool mix's per-message retention probability: at
+// every flush each queued message independently stays in the pool with
+// this probability.
+const poolRetain = 0.5
 
 // defaultMixSeed seeds the pool retention stream when MixSpec.Seed is
 // zero; the core scenario layer derives a per-system seed instead.
@@ -83,34 +83,18 @@ const defaultMixSeed = 0x6d69782d706f6f6c // "mix-pool"
 // The zero value is the threshold mix — the engine's original behavior.
 type MixSpec struct {
 	// Kind selects the batching discipline.
-	Kind MixKind `json:"kind"`
-	// Retain is the pool mix's per-message retention probability in
-	// [0, 0.95]; at every flush each queued message independently stays
-	// in the pool with this probability. 0 selects the default 0.5.
-	// Threshold and timed mixes reject a non-zero Retain.
-	Retain float64 `json:"retain,omitempty"`
-	// Period is the timed mix's flush period in stream seconds. 0 derives
-	// Batch divided by the population's aggregate send rate — the period
-	// at which a timed round carries as many messages as a threshold
-	// round, which is what makes the two disciplines comparable at equal
-	// batch. Threshold and pool mixes reject a non-zero Period.
-	Period float64 `json:"period,omitempty"`
+	Kind MixKind
 	// Seed seeds the pool mix's private retention stream; 0 selects a
 	// fixed default. The core scenario layer fills it from the system's
 	// master seed so retention draws vary with the seed like every other
-	// stream.
-	Seed uint64 `json:"seed,omitempty"`
+	// stream. Threshold and timed mixes reject a non-zero Seed.
+	Seed uint64
 }
 
 // withDefaults fills zero fields that have kind-specific defaults.
 func (m MixSpec) withDefaults() MixSpec {
-	if m.Kind == MixPool {
-		if m.Retain == 0 {
-			m.Retain = 0.5
-		}
-		if m.Seed == 0 {
-			m.Seed = defaultMixSeed
-		}
+	if m.Kind == MixPool && m.Seed == 0 {
+		m.Seed = defaultMixSeed
 	}
 	return m
 }
@@ -118,24 +102,11 @@ func (m MixSpec) withDefaults() MixSpec {
 // validate checks the spec's shape. Called on the defaults-applied spec.
 func (m MixSpec) validate() error {
 	switch m.Kind {
-	case MixThreshold:
-		if m.Retain != 0 || m.Period != 0 || m.Seed != 0 {
-			return errors.New("population: threshold mix takes no retain/period/seed")
+	case MixThreshold, MixTimed:
+		if m.Seed != 0 {
+			return fmt.Errorf("population: %s mix takes no seed", m.Kind)
 		}
 	case MixPool:
-		if !(m.Retain > 0 && m.Retain <= maxPoolRetain) {
-			return fmt.Errorf("population: pool mix retain %v out of range (0, %v]", m.Retain, maxPoolRetain)
-		}
-		if m.Period != 0 {
-			return errors.New("population: pool mix takes no period")
-		}
-	case MixTimed:
-		if m.Period < 0 {
-			return errors.New("population: timed mix period must be non-negative")
-		}
-		if m.Retain != 0 || m.Seed != 0 {
-			return errors.New("population: timed mix takes no retain/seed")
-		}
 	default:
 		return fmt.Errorf("population: unknown mix kind %d", int(m.Kind))
 	}
@@ -143,24 +114,23 @@ func (m MixSpec) validate() error {
 }
 
 // MixPolicy cuts the engine's merged event stream into observable mix
-// rounds. The interface is sealed: the three implementations (threshold,
-// pool, timed — selected by MixSpec.Kind) are the complete set, which is
-// what lets a disclosure checkpoint serialize any policy's state.
+// rounds. NewMix builds one of the three implementations (threshold,
+// pool, timed), selected by MixSpec.Kind.
 type MixPolicy interface {
 	// NextRound cuts the next observable round into r. Rounds that
 	// would emit nothing (a fully retained pool, an empty timed window)
 	// are skipped — the adversary observes batches leaving the mix, and
 	// an empty flush leaves nothing to observe.
 	NextRound(r *Round) error
-	// snapshot/restore seal the interface to the package's policies.
-	snapshot() *MixPolicyState
-	restore(st *MixPolicyState) error
 }
 
 // NewMix binds a mix policy to the engine. batch is the flush threshold
 // (threshold mix) or the new-arrival trigger (pool mix); the timed mix
-// uses it only to derive the default period. The policy consumes the
-// engine's event stream; use one policy per engine.
+// uses it only to derive its period: batch divided by the population's
+// aggregate send rate, the period at which a timed round carries as many
+// messages as a threshold round, which is what makes the two disciplines
+// comparable at equal batch. The policy consumes the engine's event
+// stream; use one policy per engine.
 func (e *Engine) NewMix(spec MixSpec, batch int) (MixPolicy, error) {
 	if batch < 1 {
 		return nil, errors.New("population: round batch must be at least 1")
@@ -173,19 +143,11 @@ func (e *Engine) NewMix(spec MixSpec, batch int) (MixPolicy, error) {
 	case MixThreshold:
 		return &thresholdMix{eng: e, batch: batch}, nil
 	case MixPool:
-		return &poolMix{
-			eng:    e,
-			batch:  batch,
-			retain: spec.Retain,
-			rng:    xrand.New(spec.Seed),
-		}, nil
+		return &poolMix{eng: e, batch: batch, rng: xrand.New(spec.Seed)}, nil
 	default: // MixTimed; validate rejected everything else
-		period := spec.Period
-		if period == 0 {
-			// slabLen = targetSlabEvents/aggregateRate, so this is
-			// batch/aggregateRate: the mean time to gather a batch.
-			period = float64(batch) * e.slabLen / targetSlabEvents
-		}
+		// slabLen = targetSlabEvents/aggregateRate, so this is
+		// batch/aggregateRate: the mean time to gather a batch.
+		period := float64(batch) * e.slabLen / targetSlabEvents
 		return &timedMix{eng: e, period: period}, nil
 	}
 }
@@ -200,26 +162,16 @@ func (m *thresholdMix) NextRound(r *Round) error {
 	return m.eng.NextRound(m.batch, r)
 }
 
-func (m *thresholdMix) snapshot() *MixPolicyState { return nil }
-
-func (m *thresholdMix) restore(st *MixPolicyState) error {
-	if st != nil && (len(st.Pool) > 0 || st.RNG != nil || st.NextFlush != 0 || st.Peeked != nil) {
-		return errors.New("population: threshold mix cannot restore pool/timed state")
-	}
-	return nil
-}
-
 // poolMix carries a message pool across rounds: every Batch new arrivals
 // trigger a flush, and each queued message independently stays behind
-// with probability retain. The pool preserves arrival order, so emitted
+// with probability poolRetain. The pool preserves arrival order, so emitted
 // rounds stay time-ordered within themselves even when they interleave
 // old and new messages.
 type poolMix struct {
-	eng    *Engine
-	batch  int
-	retain float64
-	pool   []event
-	rng    *xrand.Rand
+	eng   *Engine
+	batch int
+	pool  []event
+	rng   *xrand.Rand
 }
 
 func (m *poolMix) NextRound(r *Round) error {
@@ -249,12 +201,12 @@ func (m *poolMix) NextRound(r *Round) error {
 			r.Flush = ev.t // the trigger arrival is the flush instant
 		}
 		// Flush: each pooled message independently stays with probability
-		// retain. The in-place filter preserves arrival order on both
+		// poolRetain. The in-place filter preserves arrival order on both
 		// sides, and the retention stream is consumed in pool order, so
 		// the draw sequence is a pure function of the event stream.
 		kept := m.pool[:0]
 		for _, ev := range m.pool {
-			if m.rng.Float64() < m.retain {
+			if m.rng.Float64() < poolRetain {
 				kept = append(kept, ev)
 				continue
 			}
@@ -275,44 +227,10 @@ func (m *poolMix) NextRound(r *Round) error {
 	}
 }
 
-func (m *poolMix) snapshot() *MixPolicyState {
-	st := &MixPolicyState{}
-	for _, ev := range m.pool {
-		st.Pool = append(st.Pool, EventState{T: ev.t, User: ev.user, Rcpt: ev.rcpt, Dummy: ev.dummy})
-	}
-	rs := m.rng.State()
-	st.RNG = &rs
-	return st
-}
-
-func (m *poolMix) restore(st *MixPolicyState) error {
-	if st == nil {
-		return errors.New("population: pool mix snapshot missing mix state")
-	}
-	if st.NextFlush != 0 || st.Peeked != nil {
-		return errors.New("population: pool mix cannot restore timed-mix state")
-	}
-	if st.RNG == nil {
-		return errors.New("population: pool mix snapshot missing retention stream state")
-	}
-	m.pool = m.pool[:0]
-	last := math.Inf(-1)
-	for _, ev := range st.Pool {
-		if ev.T < last {
-			return errors.New("population: pool mix snapshot events not in arrival order")
-		}
-		last = ev.T
-		m.pool = append(m.pool, event{t: ev.T, user: ev.User, rcpt: ev.Rcpt, dummy: ev.Dummy})
-	}
-	m.rng.SetState(*st.RNG)
-	return nil
-}
-
 // timedMix flushes on a fixed wall-clock grid: round k spans stream time
 // [k·period, (k+1)·period). Cutting the stream at a grid boundary means
-// reading one event past it, so the mix holds a one-event lookahead; the
-// peeked event is part of the policy's serialized state, never lost to a
-// checkpoint. Empty windows emit nothing and are skipped.
+// reading one event past it, so the mix holds a one-event lookahead that
+// opens the next round. Empty windows emit nothing and are skipped.
 type timedMix struct {
 	eng       *Engine
 	period    float64
@@ -371,32 +289,4 @@ func (m *timedMix) NextRound(r *Round) error {
 		r.Dummy = append(r.Dummy, ev.dummy)
 		r.Times = append(r.Times, ev.t)
 	}
-}
-
-func (m *timedMix) snapshot() *MixPolicyState {
-	st := &MixPolicyState{NextFlush: m.nextFlush}
-	if m.peeked {
-		st.Peeked = &EventState{T: m.peek.t, User: m.peek.user, Rcpt: m.peek.rcpt, Dummy: m.peek.dummy}
-	}
-	return st
-}
-
-func (m *timedMix) restore(st *MixPolicyState) error {
-	if st == nil {
-		return errors.New("population: timed mix snapshot missing mix state")
-	}
-	if len(st.Pool) > 0 || st.RNG != nil {
-		return errors.New("population: timed mix cannot restore pool-mix state")
-	}
-	if st.NextFlush < 0 {
-		return errors.New("population: timed mix snapshot has negative flush time")
-	}
-	m.nextFlush = st.NextFlush
-	if st.Peeked != nil {
-		m.peek = event{t: st.Peeked.T, user: st.Peeked.User, rcpt: st.Peeked.Rcpt, dummy: st.Peeked.Dummy}
-		m.peeked = true
-	} else {
-		m.peeked = false
-	}
-	return nil
 }

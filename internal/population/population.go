@@ -186,9 +186,9 @@ type Frontier struct {
 // tie going to the payload, as Superpose breaks it) and the sum of the
 // sources' rates in source order, as Superpose.Rate sums them. The
 // engine reads every user's Frontier once at construction and calls
-// Build only when a user first sends, on checkpoint resume, and for the
-// read-only accessors; it checks the rebuilt first arrival against the
-// recorded frontier and fails naming the user when they differ.
+// Build only when a user first sends and for the read-only accessors;
+// it checks the rebuilt first arrival against the recorded frontier and
+// fails naming the user when they differ.
 type Builder interface {
 	Build(u int) (User, error)
 	Frontier(u int) (Frontier, error)
@@ -279,11 +279,6 @@ type Engine struct {
 	shardSize int
 	shards    []shard
 	heap      []int32 // shard indices, min-heap by head event (t, user)
-
-	// restored holds a checkpoint's unconsumed merge remainder; it drains
-	// before the shard reduction resumes.
-	restored []event
-	ri       int
 
 	rounds int
 	probe  *obs.Shard
@@ -625,19 +620,10 @@ func (e *Engine) buildHeap() {
 	}
 }
 
-// popEvent emits the next event of the merged stream: the checkpoint
-// remainder first, then the k-way shard reduction. ok is false when the
-// current slab is exhausted and the caller must refill.
+// popEvent emits the next event of the merged stream from the k-way
+// shard reduction. ok is false when the current slab is exhausted and the
+// caller must refill.
 func (e *Engine) popEvent() (ev event, ok bool) {
-	if e.ri < len(e.restored) {
-		ev = e.restored[e.ri]
-		e.ri++
-		if e.ri == len(e.restored) {
-			e.restored = nil
-			e.ri = 0
-		}
-		return ev, true
-	}
 	if len(e.heap) == 0 {
 		return event{}, false
 	}
@@ -653,41 +639,6 @@ func (e *Engine) popEvent() (ev event, ok bool) {
 		e.siftDown(0)
 	}
 	return ev, true
-}
-
-// pendingEvents collects the unconsumed remainder of the merged stream
-// in emission order without consuming it (checkpoint support; rare, so
-// the simple repeated min-scan over shard cursors is fine).
-func (e *Engine) pendingEvents() []event {
-	var out []event
-	if e.ri < len(e.restored) {
-		out = append(out, e.restored[e.ri:]...)
-	}
-	pos := make([]int, len(e.shards))
-	for i := range e.shards {
-		pos[i] = e.shards[i].pos
-	}
-	for {
-		best := -1
-		for i := range e.shards {
-			if pos[i] >= len(e.shards[i].buf) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			ea, eb := &e.shards[i].buf[pos[i]], &e.shards[best].buf[pos[best]]
-			if ea.t < eb.t || (ea.t == eb.t && ea.user < eb.user) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, e.shards[best].buf[pos[best]])
-		pos[best]++
-	}
 }
 
 // NextRound emits the next mix round: the next `batch` messages of the

@@ -92,9 +92,8 @@ type DisclosureConfig struct {
 
 // WithDefaults returns the configuration with every zero field replaced
 // by its default for a users-sized population. StartDisclosure applies
-// it internally; callers that must reason about the effective knobs
-// before running (the checkpoint cadence they step by) call it
-// directly. Idempotent.
+// it internally; callers that step a run by its effective CheckEvery
+// call it directly. Idempotent.
 func (c DisclosureConfig) WithDefaults(users int) DisclosureConfig {
 	return c.withDefaults(users)
 }
@@ -481,11 +480,10 @@ func (d *disclosure) anonymity(t *targetState) float64 {
 
 // DisclosureRun is a statistical-disclosure attack in progress: rounds
 // are observed until every target's contact set is identified or the
-// budget runs out, in resumable steps so a run can be checkpointed
-// (Snapshot) mid-flight and continued on a freshly rebuilt engine
-// (ResumeDisclosure). Observing all MaxRounds rounds through any sequence
-// of Step calls produces byte-identical results to one Step over the
-// whole budget, at any Workers width.
+// budget runs out, in steps so a caller can check for cancellation or
+// trace progress between them. Observing all MaxRounds rounds through
+// any sequence of Step calls produces byte-identical results to one Step
+// over the whole budget, at any Workers width.
 type DisclosureRun struct {
 	d        *disclosure
 	observed int
@@ -494,7 +492,7 @@ type DisclosureRun struct {
 }
 
 // StartDisclosure validates cfg against the engine and prepares a
-// resumable disclosure run. The run consumes the engine; build a fresh
+// disclosure run. The run consumes the engine; build a fresh
 // engine per run.
 func (e *Engine) StartDisclosure(cfg DisclosureConfig) (*DisclosureRun, error) {
 	cfg = cfg.withDefaults(e.n)

@@ -15,7 +15,7 @@ import (
 // repository's determinism discipline: the whole schedule is a pure
 // function of the *xrand.Rand it was built with, so a schedule needs no
 // serialized state; rebuilding it from the same stream seed reproduces it
-// exactly, which is what lets checkpoint/resume skip it entirely.
+// exactly.
 //
 // The initial state is drawn from the stationary distribution (up with
 // probability MeanUp/(MeanUp+MeanDown)); exponential holding times are

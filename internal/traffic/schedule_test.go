@@ -21,8 +21,8 @@ func TestOnOffScheduleValidation(t *testing.T) {
 
 func TestOnOffScheduleDeterministic(t *testing.T) {
 	// Two schedules built from the same stream seed answer identically,
-	// even when queried in different orders — the checkpoint contract:
-	// schedules are rebuilt, never serialized.
+	// even when queried in different orders: a schedule is a pure
+	// function of its stream.
 	a, err := NewOnOffSchedule(2, 1, xrand.New(42))
 	if err != nil {
 		t.Fatal(err)

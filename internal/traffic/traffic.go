@@ -264,16 +264,13 @@ func (s *Superpose) less(a, b int32) bool {
 	return ta < tb || (ta == tb && a < b)
 }
 
-// buildHeap (re)establishes the merge heap for large component counts;
+// buildHeap establishes the merge heap for large component counts;
 // small merges keep heap nil and use the linear scan.
 func (s *Superpose) buildHeap() {
 	if len(s.srcs) <= superposeLinearMax {
-		s.heap = nil
 		return
 	}
-	if s.heap == nil {
-		s.heap = make([]int32, len(s.srcs))
-	}
+	s.heap = make([]int32, len(s.srcs))
 	for i := range s.heap {
 		s.heap[i] = int32(i)
 	}

@@ -25,29 +25,6 @@ type Rand struct {
 // golden is the SplitMix64 increment (2^64 / phi, rounded to odd).
 const golden = 0x9e3779b97f4a7c15
 
-// State is the serializable state of a Rand: the SplitMix64 counter plus
-// the polar method's cached spare normal variate. Capturing it and later
-// restoring it into a fresh generator resumes the stream exactly where it
-// left off — the primitive the checkpoint/resume layer builds on.
-type State struct {
-	S        uint64  `json:"s"`
-	Spare    float64 `json:"spare,omitempty"`
-	HasSpare bool    `json:"has_spare,omitempty"`
-}
-
-// State captures r's current state.
-func (r *Rand) State() State {
-	return State{S: r.state, Spare: r.spare, HasSpare: r.hasSpare}
-}
-
-// SetState restores a previously captured state: the next variates drawn
-// from r are identical to those the captured generator would have drawn.
-func (r *Rand) SetState(st State) {
-	r.state = st.S
-	r.spare = st.Spare
-	r.hasSpare = st.HasSpare
-}
-
 // New returns a generator seeded with seed. Distinct seeds give
 // independent-looking streams.
 func New(seed uint64) *Rand {

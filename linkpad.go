@@ -96,8 +96,8 @@ const (
 // Unified scenario API (see internal/core): every observation protocol
 // is reachable through one shape. System.Build validates a Spec and its
 // observation budget into a runnable Scenario; Scenario.Run executes it
-// under the shared RunOptions (worker width, checkpoint resume) and
-// returns the ScenarioResult union.
+// under the shared RunOptions (worker width) and returns the
+// ScenarioResult union.
 type (
 	// Spec describes one scenario: a protocol plus its parameters. The
 	// six spec types below are the complete (sealed) set.
@@ -211,10 +211,6 @@ type (
 	// DisclosureResult reports rounds-to-disclosure and the targets'
 	// residual degree of anonymity.
 	DisclosureResult = population.DisclosureResult
-	// DisclosureState is a serializable mid-run disclosure checkpoint
-	// (DisclosureRun.Snapshot), resumable through RunOptions.Resume or
-	// PopulationEngine.ResumeDisclosure.
-	DisclosureState = population.DisclosureState
 	// FlowCorrConfig parameterizes the per-flow correlation attack.
 	FlowCorrConfig = core.FlowCorrConfig
 	// FlowCorrResult reports the flow-matching accuracy, class accuracy,
