@@ -153,7 +153,8 @@ resume-check:
 # instantiation, sparse estimators and the streaming shard merge; small
 # enough for every CI run) at two worker widths and byte-diff the
 # tables. -max-rss-mb pins the engine's memory model (peak resident set
-# measured ~35 MiB; the ceiling leaves slack for GC scheduling, not for
+# measured 24-27 MiB at -workers 1 and 36 MiB at -workers 4 on a 2-core
+# Xeon; the ceiling leaves slack for GC scheduling, not for
 # an O(N)-user-states regression) and -timeout turns a wedged run into
 # a clean failure. `make scale` runs the full million-user point.
 scale-smoke:

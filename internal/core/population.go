@@ -203,9 +203,11 @@ func (b *popBuilder) roleSeed(class, u int, role uint64) uint64 {
 	return b.s.streamSeed(class, populationStreamID(u, role))
 }
 
-// userStreams holds a built user's role streams in one allocation.
+// userStreams holds a built user's payload, cover and profile role
+// streams in one allocation. The churn stream is allocated with the
+// presence schedule, and only under churn.
 type userStreams struct {
-	payload, cover, profile, churn xrand.Rand
+	payload, cover, profile xrand.Rand
 }
 
 // Build materializes user u.
@@ -230,7 +232,7 @@ func (b *popBuilder) Build(u int) (population.User, error) {
 	if err != nil {
 		return population.User{}, err
 	}
-	presence, err := b.s.presenceSchedule(b.spec, class, u, &rs.churn)
+	presence, err := b.s.presenceSchedule(b.spec, class, u)
 	if err != nil {
 		return population.User{}, err
 	}
@@ -250,8 +252,8 @@ func (b *popBuilder) Build(u int) (population.User, error) {
 // Frontier reports what Build(u)'s merged sources yield first, without
 // building the user: the payload and cover sources are made from the
 // same role-stream seeds by the same constructors, each draws its first
-// gap, the earlier wins (a tie goes to the payload, as Superpose breaks
-// it), and the rates add in source order, as Superpose.Rate adds them.
+// gap, the earlier wins (a tie goes to the payload, as the engine's merge
+// breaks it), and the cover's rate is added to the payload's.
 // For the Poisson payload the concrete sources never leave this frame,
 // so escape analysis keeps them and their streams on the stack and the
 // call allocates nothing; the other payload models go through the
@@ -286,16 +288,16 @@ func (b *popBuilder) Frontier(u int) (population.Frontier, error) {
 	return f, nil
 }
 
-// presenceSchedule builds user u's churn presence schedule on rng,
-// seeding it from the user's popRoleChurn stream, or returns nil for a
-// static population (rng untouched). The schedule is a pure function of
-// (seed, class, userID), so rebuilding the population reproduces it
-// exactly — checkpoints never serialize it.
-func (s *System) presenceSchedule(spec PopulationSpec, class, user int, rng *xrand.Rand) (*traffic.OnOffSchedule, error) {
+// presenceSchedule builds user u's churn presence schedule on the user's
+// popRoleChurn stream, or returns nil, allocating nothing, for a static
+// population. The schedule is a pure function of (seed, class, userID),
+// so rebuilding the population reproduces it exactly — checkpoints never
+// serialize it.
+func (s *System) presenceSchedule(spec PopulationSpec, class, user int) (*traffic.OnOffSchedule, error) {
 	if spec.Churn == nil {
 		return nil, nil
 	}
-	rng.Seed(s.streamSeed(class, populationStreamID(user, popRoleChurn)))
+	rng := xrand.New(s.streamSeed(class, populationStreamID(user, popRoleChurn)))
 	return traffic.NewOnOffSchedule(spec.Churn.MeanOn, spec.Churn.MeanOff, rng)
 }
 
@@ -470,7 +472,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adve
 			// Training flows churn exactly as run-time flows do (their own
 			// presence realizations), so the classifiers are trained on the
 			// gap structure they will be asked to classify.
-			presence, err := s.presenceSchedule(spec, class, phantom, new(xrand.Rand))
+			presence, err := s.presenceSchedule(spec, class, phantom)
 			if err != nil {
 				return nil, err
 			}
@@ -496,7 +498,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adve
 		class := classOf(u, spec.Users, cum)
 		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
 		flow := adversary.FlowObs{Class: class}
-		presence, err := s.presenceSchedule(spec, class, u, new(xrand.Rand))
+		presence, err := s.presenceSchedule(spec, class, u)
 		if err != nil {
 			return flow, err
 		}

@@ -301,6 +301,52 @@ func TestPopulationFrontierAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmUserFootprint pins what warming one user costs: 10,000 users
+// of a NewPopulation engine are warmed through Engine.Class, and the
+// heap bytes and objects allocated per user must stay within a warm
+// user's budget — the user's state with its merge cursor, its three role
+// streams, its payload and cover sources and its contact set. The
+// allocation counters are deterministic for a given code path, so the
+// bounds are exact, not statistical; each Build runs on this goroutine.
+func TestWarmUserFootprint(t *testing.T) {
+	sys, err := NewSystem(DefaultLabConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		cover         float64
+		bytes, allocs uint64
+	}{
+		{"cover", 1, 240, 5},
+		{"no-cover", 0, 224, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const users = 10_000
+			e, err := sys.NewPopulation(PopulationSpec{Users: users, Recipients: 400, CoverRate: c.cover})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for u := 0; u < users; u++ {
+				e.Class(u)
+			}
+			runtime.ReadMemStats(&after)
+			if w := e.WarmUsers(); w != users {
+				t.Fatalf("%d users warm, want %d", w, users)
+			}
+			bytes := (after.TotalAlloc - before.TotalAlloc) / users
+			allocs := (after.Mallocs - before.Mallocs) / users
+			t.Logf("a warm user costs %d B in %d objects", bytes, allocs)
+			if bytes > c.bytes || allocs > c.allocs {
+				t.Errorf("a warm user costs %d B in %d objects, want at most %d B in %d",
+					bytes, allocs, c.bytes, c.allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkNewPopulation times the production init pass: NewPopulation
 // over 1e5 users with cover at the payload rate.
 func BenchmarkNewPopulation(b *testing.B) {

@@ -201,12 +201,14 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 	}
 	if path != "" {
 		if data, err := os.ReadFile(path); err == nil {
+			// Both errors already say "experiment:" and "checkpoint"; only
+			// the file is added.
 			prev, err := ParseCheckpoint(data)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
+				return nil, fmt.Errorf("%w (file %s)", err, path)
 			}
 			if err := prev.matches(cp); err != nil {
-				return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
+				return nil, fmt.Errorf("%w (file %s)", err, path)
 			}
 			cp = prev
 		} else if !errors.Is(err, os.ErrNotExist) {

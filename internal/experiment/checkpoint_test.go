@@ -162,22 +162,32 @@ func TestRunCellsRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := runCells("fake", fakeCells, o, path, 2); !errors.Is(err, ErrKilled) {
 		t.Fatal(err)
 	}
+	// Every rejection names the file and says "experiment:" once.
+	checkRejected := func(t *testing.T, err error, path, what string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("checkpoint resumed %s", what)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("error %q does not name the checkpoint file", err)
+		}
+		if n := strings.Count(err.Error(), "experiment:"); n != 1 {
+			t.Errorf("error %q says \"experiment:\" %d times, want once", err, n)
+		}
+	}
 	other := o
 	other.Seed = 12
-	if _, err := runCells("fake", fakeCells, other, path, 0); err == nil {
-		t.Error("checkpoint resumed under a different seed")
-	}
+	_, err := runCells("fake", fakeCells, other, path, 0)
+	checkRejected(t, err, path, "under a different seed")
 	other = o
 	other.Scale = 2
-	if _, err := runCells("fake", fakeCells, other, path, 0); err == nil {
-		t.Error("checkpoint resumed under a different scale")
-	}
+	_, err = runCells("fake", fakeCells, other, path, 0)
+	checkRejected(t, err, path, "under a different scale")
 	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runCells("fake", fakeCells, o, path, 0); err == nil {
-		t.Error("corrupt checkpoint resumed")
-	}
+	_, err = runCells("fake", fakeCells, o, path, 0)
+	checkRejected(t, err, path, "from a corrupt file")
 
 	// A checkpoint of another table layout must fail before any cell
 	// runs, with an error naming the file: done rows of the wrong width,
@@ -223,12 +233,7 @@ func TestRunCellsRejectsForeignCheckpoint(t *testing.T) {
 			}
 			ran = 0
 			_, err = runCells("fake", &counting, o, path, 0)
-			if err == nil {
-				t.Fatal("checkpoint of another table layout resumed")
-			}
-			if !strings.Contains(err.Error(), path) {
-				t.Errorf("error %q does not name the checkpoint file", err)
-			}
+			checkRejected(t, err, path, "with another table layout")
 			if ran != 0 {
 				t.Errorf("%d cells ran before the checkpoint was rejected", ran)
 			}

@@ -19,9 +19,8 @@ import (
 
 // funcBuilder adapts a build function to a Builder whose Frontier
 // builds the user and reads its first arrival off the sources: the first
-// Next of each source, a tie going to the payload (the lower index, as
-// Superpose.NextFrom breaks it), and the rates summed in source order,
-// as Superpose.Rate sums them.
+// Next of each source, a tie going to the payload (as the engine's merge
+// breaks it), and the cover's rate added to the payload's.
 type funcBuilder func(u int) (User, error)
 
 func (f funcBuilder) Build(u int) (User, error) { return f(u) }
@@ -105,9 +104,9 @@ func collectRounds(t testing.TB, e *Engine, n, batch int) []Round {
 
 // tiedBuilder returns a pure builder whose payload and cover are
 // jitter-free CBR sources at one rate, so every user's first payload
-// and cover gaps are equal. Superpose gives such a tie to the payload
-// (the lower index); the builder's Frontier, which the lazy engine's
-// init pass reads without a Superpose, must too.
+// and cover gaps are equal. The engine's merge gives such a tie to the
+// payload; the builder's Frontier, which the lazy engine's init pass
+// reads without building the user, must too.
 func tiedBuilder(recipients int) funcBuilder {
 	return func(u int) (User, error) {
 		rate := 5 + float64(u%4)*3

@@ -57,9 +57,7 @@ import (
 // and what "disclosure" means: identifying the contact set.
 type Profile struct {
 	contacts []int32
-	cum      []float64 // cumulative Zipf weights within the contact set, shared by the shape's profiles
-	weight   float64   // total mass on the contact set
-	nrcpt    int32
+	shape    *ProfileShape // shared read-only by every profile of the shape
 }
 
 // ProfileShape is what every profile of a population shares: the
@@ -120,23 +118,24 @@ func (s *ProfileShape) NewProfile(rng *xrand.Rand) (Profile, error) {
 			cs = append(cs, c)
 		}
 	}
-	return Profile{contacts: cs, cum: s.cum, weight: s.weight, nrcpt: s.nrcpt}, nil
+	return Profile{contacts: cs, shape: s}, nil
 }
 
 // Draw picks one recipient from the profile using rng.
 func (p *Profile) Draw(rng *xrand.Rand) int32 {
+	s := p.shape
 	u := rng.Float64()
-	if u < p.weight {
+	if u < s.weight {
 		// Reuse the uniform: u/weight is uniform in [0,1) given u < weight.
-		v := u / p.weight
-		for i, c := range p.cum {
+		v := u / s.weight
+		for i, c := range s.cum {
 			if v < c {
 				return p.contacts[i]
 			}
 		}
 		return p.contacts[len(p.contacts)-1]
 	}
-	return int32(rng.Intn(int(p.nrcpt)))
+	return int32(rng.Intn(int(s.nrcpt)))
 }
 
 // Contacts returns a copy of the contact set, heaviest first.
@@ -182,9 +181,9 @@ type Frontier struct {
 // identically seeded source stacks (the repository's (seed, class,
 // userID) stream derivation satisfies this by construction), and
 // Frontier(u) must report, bit for bit, what a fresh Build(u) would
-// yield first: the first arrival of the merged payload+cover stream (a
-// tie going to the payload, as Superpose breaks it) and the sum of the
-// sources' rates in source order, as Superpose.Rate sums them. The
+// yield first: the earlier of the payload's and the cover's first
+// arrivals (a tie going to the payload, as the engine's merge breaks
+// it) and the payload's rate plus the cover's, in that order. The
 // engine reads every user's Frontier once at construction and calls
 // Build only when a user first sends and for the read-only accessors;
 // it checks the rebuilt first arrival against the recorded frontier and
@@ -217,11 +216,46 @@ func (s *eventSorter) Less(i, j int) bool {
 }
 
 // userState is one warm user's full materialization: the built sources
-// plus the merged real+cover stream. Cold users have no userState at
-// all — their generation cursor lives in the engine's frontier arrays.
+// plus the cursor of their merged real+cover stream. Cold users have no
+// userState at all — their generation cursor lives in the engine's
+// frontier arrays.
 type userState struct {
 	usr User
-	sup *traffic.Superpose
+	// payloadT and coverT are the absolute times of the payload's and
+	// the cover's next arrivals (coverT is unused without cover); now is
+	// the absolute time of the last arrival merged.
+	payloadT, coverT, now float64
+}
+
+// newUserState starts user usr's merge: each source draws its first gap,
+// which is its first arrival's absolute time.
+func newUserState(usr *User) *userState {
+	st := &userState{usr: *usr, payloadT: usr.Messages.Next()}
+	if usr.Cover != nil {
+		st.coverT = usr.Cover.Next()
+	}
+	return st
+}
+
+// next merges the user's payload and cover: it returns the gap from the
+// last merged arrival to the next one and whether that arrival is cover.
+// The arithmetic is traffic.Superpose.NextFrom's over the two sources, bit
+// for bit — gap = t − now, and the source that fired draws its next
+// arrival at t plus its next gap — and so is the tie rule: the payload,
+// the lower source index, wins a tie.
+func (st *userState) next() (gap float64, cover bool) {
+	t := st.payloadT
+	if st.usr.Cover != nil && st.coverT < t {
+		t, cover = st.coverT, true
+	}
+	gap = t - st.now
+	st.now = t
+	if cover {
+		st.coverT = t + st.usr.Cover.Next()
+	} else {
+		st.payloadT = t + st.usr.Messages.Next()
+	}
+	return gap, cover
 }
 
 // shard is one contiguous user range's generation unit: the slab buffer
@@ -388,20 +422,15 @@ func validateUser(usr *User, u, recipients int) error {
 	if usr.Class < 0 {
 		return fmt.Errorf("population: user %d has negative class", u)
 	}
-	if int(usr.Profile.nrcpt) != recipients {
+	shape := usr.Profile.shape
+	if shape == nil {
+		return fmt.Errorf("population: user %d has no profile", u)
+	}
+	if int(shape.nrcpt) != recipients {
 		return fmt.Errorf("population: user %d profile spans %d recipients, engine has %d",
-			u, usr.Profile.nrcpt, recipients)
+			u, shape.nrcpt, recipients)
 	}
 	return nil
-}
-
-// superposeUser merges a user's payload and cover sources. Each call
-// site's argument list stays on the stack; NewSuperpose copies it.
-func superposeUser(usr *User) (*traffic.Superpose, error) {
-	if usr.Cover == nil {
-		return traffic.NewSuperpose(usr.Messages)
-	}
-	return traffic.NewSuperpose(usr.Messages, usr.Cover)
 }
 
 // numShards returns the shard count of the fixed user partition.
@@ -420,7 +449,7 @@ func (e *Engine) shardRange(sh int) (lo, hi int) {
 }
 
 // warmUp materializes user u: the builder creates its source stack and
-// the superpose replays the first arrival the init pass recorded as the
+// the merge replays the first arrival the init pass recorded as the
 // user's frontier, so the built cursor lands exactly on it. A replayed
 // arrival that differs from the frontier means the builder broke its
 // contract (an impure Build, or a Frontier that disagrees with it); that
@@ -440,20 +469,15 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	if err := validateUser(&usr, u, e.nrcpt); err != nil {
 		return nil, err
 	}
-	sup, err := superposeUser(&usr)
-	if err != nil {
-		return nil, err
-	}
+	st := newUserState(&usr)
 	// Replay the frontier draw: a cold user's (nextT, nextCover) is still
-	// the Frontier the init pass recorded, which is what the first
-	// NextFrom must return; consuming it aligns the fresh stream with the
-	// stored frontier.
-	t, src := sup.NextFrom()
-	if cover := src == 1; t != e.nextT[u] || cover != e.nextCover[u] {
+	// the Frontier the init pass recorded, which is what the first merge
+	// must return; consuming it aligns the fresh stream with the stored
+	// frontier.
+	if t, cover := st.next(); t != e.nextT[u] || cover != e.nextCover[u] {
 		return nil, fmt.Errorf("population: user %d built with first arrival %v (cover %t) but its frontier is %v (cover %t): the builder is impure or its Frontier disagrees with Build",
 			u, t, cover, e.nextT[u], e.nextCover[u])
 	}
-	st := &userState{usr: usr, sup: sup}
 	e.warm[u] = st
 	return st, nil
 }
@@ -561,9 +585,9 @@ func (e *Engine) genShard(sh int) error {
 			if usr.Presence == nil || usr.Presence.UpAt(e.nextT[u]) {
 				s.buf = append(s.buf, event{t: e.nextT[u], user: int32(u), rcpt: rcpt, dummy: e.nextCover[u]})
 			}
-			gap, src := st.sup.NextFrom()
+			gap, cover := st.next()
 			e.nextT[u] += gap
-			e.nextCover[u] = src == 1
+			e.nextCover[u] = cover
 		}
 		if len(s.buf) > n0 {
 			s.active++

@@ -10,9 +10,10 @@ import (
 
 // OnOffSchedule is a seeded alternating availability schedule: exponential
 // UP periods (mean MeanUp) alternate with exponential DOWN periods (mean
-// MeanDown). It is the shared fault clock of the simulator — cascade hops
-// go dark on one, population users churn on one — and it follows the
-// repository's determinism discipline: the whole schedule is a pure
+// MeanDown). It is the simulator's churn clock: a population user churns
+// on one, in the round engine and on its padded link, where Gated drops
+// its offline arrivals and netem.GateStream darkens the link. It follows
+// the repository's determinism discipline: the whole schedule is a pure
 // function of the *xrand.Rand it was built with, so a schedule needs no
 // serialized state; rebuilding it from the same stream seed reproduces it
 // exactly.

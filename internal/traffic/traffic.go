@@ -202,10 +202,9 @@ func (t *Train) Rate() float64 { return t.trainRate / (1 - t.pContinue) }
 // Superpose merges several arrival processes into one: the output stream
 // contains every component's arrivals in time order, as if the sources
 // shared one wire. NextFrom additionally reports which component produced
-// each arrival, which is what the population engine uses to carry a
-// per-message label (real payload vs cover dummy) through the merged
-// stream — the merge is part of the model, the label is ground truth the
-// adversary does not see.
+// each arrival. The population engine merges a warm user's payload and
+// cover itself, to keep a user's state small, and its merge is tested bit
+// for bit against NextFrom.
 //
 // Like every Source, a Superpose is a stateful continuous stream: each
 // component's clock advances independently and the merge order is a pure
@@ -222,15 +221,15 @@ type Superpose struct {
 	// selection, so both implementations emit bit-identical streams.
 	heap []int32
 	// pairSrcs and pairNext back srcs and next for merges of up to two
-	// sources (a population user's payload and cover), so building one
-	// takes a single allocation.
+	// sources (a flow's payload and cover), so building one takes a
+	// single allocation.
 	pairSrcs [2]Source
 	pairNext [2]float64
 }
 
 // superposeLinearMax is the component count up to which the linear
-// min-scan beats the heap (measured in BenchmarkSuperpose; the population
-// engine's per-user merges sit at k=2, the paper's ablations below 8).
+// min-scan beats the heap (measured in BenchmarkSuperpose; per-flow
+// payload+cover merges sit at k=2, the paper's ablations below 8).
 const superposeLinearMax = 8
 
 // NewSuperpose merges the given sources (at least one, all non-nil).

@@ -418,8 +418,8 @@ func TestSuperposeValidation(t *testing.T) {
 	}
 }
 
-// TestSuperposePairAllocs: a merge of one or two sources (a population
-// user's payload and cover) is built in a single allocation.
+// TestSuperposePairAllocs: a merge of one or two sources (a flow's
+// payload and cover) is built in a single allocation.
 func TestSuperposePairAllocs(t *testing.T) {
 	a, _ := NewPoisson(1, xrand.New(1))
 	b, _ := NewPoisson(2, xrand.New(2))
