@@ -28,14 +28,15 @@ import (
 //     shifts marked-slot packets late within their slot; timer padding
 //     erases it because departures sit on the timer grid.
 //
-// Each channel's Pearson correlation is calibrated into a z-score
-// against the engine's decoy keys evaluated on the same exit flow, so
-// the detector normalizes per-flow, per-channel noise (whatever the
-// countermeasure made of it) without hand-tuned thresholds; a flow's
-// score is the best channel's z. The flow's own key detects the
-// watermark (z ≥ threshold); the full key × exit score matrix yields
-// greedy flow matching and the degree of anonymity, exactly as in the
-// passive correlation attacks.
+// Each channel's Pearson correlation (both sides centered once, then one
+// dot product per pair) is calibrated into a z-score against the
+// engine's decoy keys evaluated on the same exit flow, so the detector
+// normalizes per-flow, per-channel noise (whatever the countermeasure
+// made of it) without hand-tuned thresholds; a flow's score is the best
+// channel's z. The flow's own key detects the watermark (z ≥
+// threshold); the full key × exit score matrix yields greedy flow
+// matching and the degree of anonymity, exactly as in the passive
+// correlation attacks.
 
 // Config parameterizes the matched-filter detection pass.
 type Config struct {
@@ -120,29 +121,31 @@ const Channels = 3
 // against the decoy-calibrated null.
 const threshold = 3
 
-// flowObs is the reduced observation of one flow: per-slot channel
-// vectors plus the bookkeeping the sequential reduction needs.
+// flowObs is the reduced observation of one flow: centered per-slot
+// channel vectors plus the bookkeeping the sequential reduction needs.
 type flowObs struct {
 	key       *Key
-	k0        int       // first whole slot of the observation window
-	start     float64   // absolute start of the observation window
-	end       float64   // absolute end of the observation window
-	stats     []float64 // [Channels][slots] flattened
+	k0        int               // first whole slot of the observation window
+	start     float64           // absolute start of the observation window
+	end       float64           // absolute end of the observation window
+	stats     []float64         // [Channels][slots] flattened, centered
+	ss        [Channels]float64 // each channel's sum of squares
 	inject    InjectStats
 	exitCount int
 }
 
-// channel returns the obs's per-slot vector for channel ch.
+// channel returns the obs's centered per-slot vector for channel ch.
 func (o *flowObs) channel(ch, slots int) []float64 {
 	return o.stats[ch*slots : (ch+1)*slots]
 }
 
 // Detect runs the matched-filter attack end to end: simulate every
 // watermarked flow (in parallel, flows as the unit of parallelism),
-// reduce each exit to its per-slot channels, calibrate against the
-// decoy keys, score every (key, exit) pair, and account the injection
-// and padding overhead. Exit flow f's true key is flow f's key; the
-// adversary's scores never read that identity, only the observations.
+// reduce each exit to its centered per-slot channels, calibrate against
+// the decoy keys and score every (key, exit) pair (in parallel over exit
+// flows), and account the injection and padding overhead. Exit flow f's
+// true key is flow f's key; the adversary's scores never read that
+// identity, only the observations.
 func Detect(e *Engine, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if e == nil {
@@ -202,6 +205,9 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		o.stats = make([]float64, Channels*slots)
 		slotStats(buf, start, e.period, slots,
 			o.channel(0, slots), o.channel(1, slots), o.channel(2, slots))
+		for ch := range o.ss {
+			o.ss[ch] = adversary.Center(o.channel(ch, slots), o.channel(ch, slots))
+		}
 		if flow.Inject != nil {
 			o.inject = flow.Inject()
 		}
@@ -218,45 +224,7 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Sequential scoring in flow order: per exit flow, calibrate each
-	// channel's null against the decoys, then z-score every candidate
-	// key's best channel.
-	chipVec := make([]float64, slots)
-	decoyR := make([]float64, len(e.decoys))
-	score := make([]float64, flows*flows)
-	var mu, sigma [Channels]float64
-	for f := 0; f < flows; f++ {
-		o := &obs[f]
-		for ch := 0; ch < Channels; ch++ {
-			stat := o.channel(ch, slots)
-			for d, dk := range e.decoys {
-				fillChips(chipVec, dk, o.k0)
-				r, err := adversary.Pearson(chipVec, stat)
-				if err != nil {
-					return nil, err
-				}
-				decoyR[d] = r
-			}
-			mu[ch], sigma[ch] = meanStd(decoyR)
-		}
-		for u := 0; u < flows; u++ {
-			fillChips(chipVec, obs[u].key, o.k0)
-			best := 0.0
-			for ch := 0; ch < Channels; ch++ {
-				if sigma[ch] < 1e-9 {
-					continue // degenerate channel: no information
-				}
-				r, err := adversary.Pearson(chipVec, o.channel(ch, slots))
-				if err != nil {
-					return nil, err
-				}
-				if z := (r - mu[ch]) / sigma[ch]; z > best {
-					best = z
-				}
-			}
-			score[u*flows+f] = best
-		}
-	}
+	score := scoreMatrix(obs, e.decoys, slots, workers)
 	sum, err := adversary.SummarizeMatch(score, flows, posts, classes)
 	if err != nil {
 		return nil, err
@@ -282,6 +250,82 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("active: %w", err)
 	}
 	return res, nil
+}
+
+// scoreMatrix returns the key × exit z-score matrix, score[u*flows+f]
+// for flow u's key at exit flow f, from observations whose channels are
+// centered. Exit flows are grouped by first slot k0; a group's centered
+// chip matrix (row u < flows is flow u's key, then the decoys) is built
+// once and read by every worker, and its exit flows are scored in
+// parallel, flow f writing only column f. Per exit flow, each channel's
+// null is calibrated against the decoys, then every candidate key scores
+// its best channel's z.
+func scoreMatrix(obs []flowObs, decoys []*Key, slots, workers int) []float64 {
+	flows := len(obs)
+	keys := make([]*Key, 0, flows+len(decoys))
+	for f := range obs {
+		keys = append(keys, obs[f].key)
+	}
+	keys = append(keys, decoys...)
+	chips := make([]float64, len(keys)*slots)
+	chipSS := make([]float64, len(keys))
+	chipRow := func(i int) []float64 { return chips[i*slots : (i+1)*slots] }
+	decoyR := make([][]float64, workers) // per-worker decoy correlations
+	for w := range decoyR {
+		decoyR[w] = make([]float64, len(decoys))
+	}
+	score := make([]float64, flows*flows)
+	for _, group := range groupByK0(obs) {
+		k0 := obs[group[0]].k0
+		for i, k := range keys {
+			fillChips(chipRow(i), k, k0)
+			chipSS[i] = adversary.Center(chipRow(i), chipRow(i))
+		}
+		_ = par.MapWorker(len(group), workers, func(worker, i int) error { // scoring cannot fail
+			f := group[i]
+			o := &obs[f]
+			rs := decoyR[worker]
+			var mu, sigma [Channels]float64
+			for ch := range Channels {
+				for d := range rs {
+					rs[d] = adversary.CenteredCorr(chipRow(flows+d), o.channel(ch, slots), chipSS[flows+d], o.ss[ch])
+				}
+				mu[ch], sigma[ch] = meanStd(rs)
+			}
+			for u := range flows {
+				best := 0.0
+				for ch := range Channels {
+					if sigma[ch] < 1e-9 {
+						continue // degenerate channel: no information
+					}
+					r := adversary.CenteredCorr(chipRow(u), o.channel(ch, slots), chipSS[u], o.ss[ch])
+					if z := (r - mu[ch]) / sigma[ch]; z > best {
+						best = z
+					}
+				}
+				score[u*flows+f] = best
+			}
+			return nil
+		})
+	}
+	return score
+}
+
+// groupByK0 groups flow indices by first whole slot, each group in
+// ascending flow order and the groups in order of first appearance.
+func groupByK0(obs []flowObs) [][]int {
+	var groups [][]int
+	at := make(map[int]int) // k0 → its group's index
+	for f := range obs {
+		g, ok := at[obs[f].k0]
+		if !ok {
+			g = len(groups)
+			at[obs[f].k0] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], f)
+	}
+	return groups
 }
 
 // reduceOverhead accounts the injection cost and the defense's bandwidth

@@ -1,6 +1,8 @@
 package active
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
+	"linkpad/internal/par"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
 )
@@ -240,9 +243,9 @@ func TestDetectSyntheticDelay(t *testing.T) {
 }
 
 // The detection hot path's allocation discipline: the per-slot channel
-// reduction and the calibrate-and-score loop — the work repeated per
-// flow and per (key, exit) pair — run on preallocated buffers and
-// allocate nothing.
+// reduction and the calibrate-and-score loop's centered dot product —
+// the work repeated per flow and per (key, exit, channel) pair — run on
+// preallocated buffers and allocate nothing.
 func TestDetectAllocDiscipline(t *testing.T) {
 	const slots, chips, period = 90, 32, 0.5
 	key := testKey(t, chips, period, 42)
@@ -262,13 +265,323 @@ func TestDetectAllocDiscipline(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("slotStats allocates %v per reduction, want 0", n)
 	}
+	fillChips(chipVec, key, 3)
+	chipSS := adversary.Center(chipVec, chipVec)
+	countSS := adversary.Center(counts, counts)
 	if n := testing.AllocsPerRun(20, func() {
-		fillChips(chipVec, key, 3)
-		if _, err := adversary.Pearson(chipVec, counts); err != nil {
-			t.Fatal(err)
-		}
+		adversary.CenteredCorr(chipVec, counts, chipSS, countSS)
 		meanStd(counts)
 	}); n > 0 {
 		t.Errorf("scoring loop allocates %v per pair, want 0", n)
 	}
+}
+
+// cbrStream emits one packet per slot, at the slot's middle, pushed
+// later by delay in the key's marked slots: its count and variance
+// channels are constant, so their decoy spread is degenerate, and only
+// the centroid channel carries the watermark.
+type cbrStream struct {
+	key    *Key
+	period float64
+	delay  float64
+	k      int
+}
+
+func (s *cbrStream) Next() float64 {
+	s.k++
+	t := (float64(s.k) - 0.5) * s.period
+	if s.key.Marked(t) {
+		t += s.delay
+	}
+	return t
+}
+
+// Detect must reproduce the sequential two-pass scorer exactly, at any
+// worker width, on an engine that exercises what the parallel centered
+// scorer shares and skips: flows observed from two different first
+// slots (so two chip matrices), and flows whose count and variance
+// channels are degenerate (constant, so every decoy correlates at 0 and
+// the decoy spread σ is 0, below the 1e-9 floor).
+func TestDetectMatchesSequentialOracle(t *testing.T) {
+	const chips, period = 32, 0.5
+	decoys := make([]*Key, 12)
+	for i := range decoys {
+		decoys[i] = testKey(t, chips, period, uint64(3000+i))
+	}
+	build := func(f int) (*Flow, error) {
+		key := testKey(t, chips, period, uint64(80+f))
+		fl := &Flow{Key: key}
+		if f%2 == 1 {
+			fl.Start = 1.3 // first whole slot 3, not 0
+		}
+		if f%3 == 0 {
+			fl.Exit = &cbrStream{key: key, period: period, delay: 0.125}
+			return fl, nil
+		}
+		payload, err := traffic.NewPoisson(30, xrand.New(uint64(600+f)))
+		if err != nil {
+			return nil, err
+		}
+		chaff, err := NewChaffSource(key, 20, xrand.New(uint64(800+f)))
+		if err != nil {
+			return nil, err
+		}
+		src, err := traffic.NewSuperpose(payload, chaff)
+		if err != nil {
+			return nil, err
+		}
+		fl.Exit, fl.Inject = &sourceStream{src: src}, func() InjectStats { return chaff.Stats() }
+		return fl, nil
+	}
+	e, err := NewEngine(7, 0, ModeChaff, chips, period, decoys, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Duration: 30}
+	want, err := detectSequential(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.DetectionRate < 0.5 {
+		t.Fatalf("oracle detection %v: the fixture should carry a watermark (z %v)", want.DetectionRate, want.ZTrue)
+	}
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		cfg.Workers = w
+		got, err := Detect(e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: Detect differs from the sequential oracle\n got %+v\nwant %+v", w, got, want)
+		}
+	}
+	// The fixture's premises: two distinct first slots, and degenerate
+	// channels on the constant-rate flows.
+	obs := []flowObs{{k0: 0}, {k0: 3}, {k0: 0}}
+	if g := groupByK0(obs); !reflect.DeepEqual(g, [][]int{{0, 2}, {1}}) {
+		t.Fatalf("groupByK0 = %v", g)
+	}
+	flow, err := e.Flow(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []float64
+	for t := flow.Exit.Next(); t <= 30; t = flow.Exit.Next() {
+		times = append(times, t)
+	}
+	counts, vars, cents := make([]float64, 60), make([]float64, 60), make([]float64, 60)
+	slotStats(times, 0, period, 60, counts, vars, cents)
+	if adversary.Center(counts, counts) != 0 || adversary.Center(vars, vars) != 0 || adversary.Center(cents, cents) == 0 {
+		t.Fatal("constant-rate flow: want degenerate count and variance channels and a live centroid channel")
+	}
+}
+
+// detectSequential is Detect as it stood before scoring went parallel on
+// centered vectors: every (key, exit, channel) pair refills its chip
+// vector and runs the two-pass Pearson coefficient, one exit flow after
+// another. It is kept verbatim as the bit-identity oracle for Detect.
+func detectSequential(e *Engine, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if e == nil {
+		return nil, errors.New("active: nil engine")
+	}
+	if !(cfg.Duration > 0) {
+		return nil, errors.New("active: observation duration must be positive")
+	}
+	flows := e.flows
+	workers := min(par.Workers(cfg.Workers), flows)
+	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
+	if err != nil {
+		return nil, fmt.Errorf("active: %w", err)
+	}
+	slots := int(cfg.Duration/e.period + 1e-9)
+	if slots < 8 {
+		return nil, errors.New("active: need at least eight whole slots over the duration")
+	}
+
+	obs := make([]flowObs, flows)
+	classes := make([]int, flows)
+	posts := make([][]float64, flows) // exit class log posteriors
+	hopStats := make([][]cascade.HopStats, flows)
+	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
+	err = par.MapWorker(flows, workers, func(worker, f int) error {
+		flow, err := e.Flow(f)
+		if err != nil {
+			return fmt.Errorf("active: flow %d: %w", f, err)
+		}
+		o := &obs[f]
+		classes[f] = flow.Class
+		o.key = flow.Key
+		if flow.Start > 0 {
+			o.k0 = int(flow.Start/e.period) + 1
+		}
+		start := float64(o.k0) * e.period
+		o.start = start
+		o.end = start + float64(slots)*e.period
+		// Pull the exit stream through the whole chain into the worker's
+		// reusable slab, dropping the partial-slot head after a warm-up.
+		buf := exits[worker][:0]
+		for {
+			t := flow.Exit.Next()
+			if t > o.end {
+				break
+			}
+			if t <= start {
+				continue
+			}
+			buf = append(buf, t)
+		}
+		exits[worker] = buf
+		// The flow's observation is complete and this worker owns its
+		// telemetry shard: publish the chain's counters (nil-safe).
+		flow.Probe.Flush()
+		o.exitCount = len(buf)
+		o.stats = make([]float64, Channels*slots)
+		slotStats(buf, start, e.period, slots,
+			o.channel(0, slots), o.channel(1, slots), o.channel(2, slots))
+		if flow.Inject != nil {
+			o.inject = flow.Inject()
+		}
+		hopStats[f] = make([]cascade.HopStats, len(flow.Hops))
+		for h, probe := range flow.Hops {
+			hopStats[f][h] = probe()
+		}
+		if posts[f], err = exitClasses.LogPosts(worker, buf); err != nil {
+			return fmt.Errorf("active: flow %d: %w", f, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Sequential scoring in flow order: per exit flow, calibrate each
+	// channel's null against the decoys, then z-score every candidate
+	// key's best channel.
+	chipVec := make([]float64, slots)
+	decoyR := make([]float64, len(e.decoys))
+	score := make([]float64, flows*flows)
+	var mu, sigma [Channels]float64
+	for f := 0; f < flows; f++ {
+		o := &obs[f]
+		for ch := 0; ch < Channels; ch++ {
+			stat := o.channel(ch, slots)
+			for d, dk := range e.decoys {
+				fillChips(chipVec, dk, o.k0)
+				r, err := pearsonOracle(chipVec, stat)
+				if err != nil {
+					return nil, err
+				}
+				decoyR[d] = r
+			}
+			mu[ch], sigma[ch] = meanStd(decoyR)
+		}
+		for u := 0; u < flows; u++ {
+			fillChips(chipVec, obs[u].key, o.k0)
+			best := 0.0
+			for ch := 0; ch < Channels; ch++ {
+				if sigma[ch] < 1e-9 {
+					continue // degenerate channel: no information
+				}
+				r, err := pearsonOracle(chipVec, o.channel(ch, slots))
+				if err != nil {
+					return nil, err
+				}
+				if z := (r - mu[ch]) / sigma[ch]; z > best {
+					best = z
+				}
+			}
+			score[u*flows+f] = best
+		}
+	}
+	sum, err := adversary.SummarizeMatch(score, flows, posts, classes)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Flows: flows, Hops: e.hops, Mode: e.mode.String(), Slots: slots, ZTrue: make([]float64, flows),
+		MatchAccuracy: sum.Accuracy, MeanRank: sum.MeanRank, ClassAccuracy: sum.ClassAccuracy,
+		DegreeOfAnonymity: adversary.MeanAnonymity(score, flows),
+	}
+	detected := 0
+	var zSum float64
+	for f := 0; f < flows; f++ {
+		z := score[f*flows+f]
+		res.ZTrue[f] = z
+		zSum += z
+		if z >= threshold {
+			detected++
+		}
+	}
+	res.DetectionRate = float64(detected) / float64(flows)
+	res.MeanZ = zSum / float64(flows)
+	if err := reduceOverhead(res, obs, hopStats, e.hops); err != nil {
+		return nil, fmt.Errorf("active: %w", err)
+	}
+	return res, nil
+}
+
+// pearsonOracle is the two-pass Pearson coefficient the centered kernel
+// (adversary.Center, adversary.CenteredCorr) replaced, kept verbatim.
+func pearsonOracle(a, b []float64) (float64, error) {
+	if len(a) == 0 || len(a) != len(b) {
+		return 0, errors.New("adversary: Pearson needs equal-length non-empty vectors")
+	}
+	n := float64(len(a))
+	var ma, mb float64
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
+	}
+	ma /= n
+	mb /= n
+	var sab, saa, sbb float64
+	for i := range a {
+		da, db := a[i]-ma, b[i]-mb
+		sab += da * db
+		saa += da * da
+		sbb += db * db
+	}
+	if saa == 0 || sbb == 0 {
+		return 0, nil
+	}
+	return sab / math.Sqrt(saa*sbb), nil
+}
+
+// BenchmarkDetectScore measures the matched filter's scoring stage alone
+// at the route-watermark workload's geometry (64 flows, 16 decoys, 1,920
+// slots), on every CPU, in ns per (key, exit, channel) pair.
+func BenchmarkDetectScore(b *testing.B) {
+	const flows, slots, chips, period = 64, 1920, 32, 0.5
+	rng := xrand.New(5)
+	newKey := func() *Key {
+		k, err := NewKey(chips, period, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return k
+	}
+	decoys := make([]*Key, 16)
+	for d := range decoys {
+		decoys[d] = newKey()
+	}
+	obs := make([]flowObs, flows)
+	for f := range obs {
+		o := &obs[f]
+		o.key = newKey()
+		o.stats = make([]float64, Channels*slots)
+		for i := range o.stats {
+			o.stats[i] = rng.Normal(0, 1)
+		}
+		for ch := range o.ss {
+			o.ss[ch] = adversary.Center(o.channel(ch, slots), o.channel(ch, slots))
+		}
+	}
+	workers := par.Workers(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		scoreMatrix(obs, decoys, slots, workers)
+	}
+	pairs := flows * (flows + len(decoys)) * Channels
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
 }

@@ -15,8 +15,9 @@ import (
 //
 //   - the throughput fingerprint (Mittal et al.): windowed packet-count
 //     vectors of the entry and exit sides, matched by Pearson
-//     correlation (RateVector / Pearson). It identifies the individual
-//     flow whenever payload rate fluctuations survive the padding;
+//     correlation (RateVector, Center, CenteredCorr). It identifies the
+//     individual flow whenever payload rate fluctuations survive the
+//     padding;
 //   - the paper's PIAT class features at the exit (ExitClasses): even
 //     when padding flattens the throughput fingerprint, the µs-scale
 //     timing leak may still identify the flow's rate class, shrinking
@@ -130,10 +131,14 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 		return nil, errors.New("adversary: need at least two rate windows over the duration")
 	}
 
-	// Flow f's fingerprints are rows f of the entry and exit slabs.
+	// Flow f's fingerprints are rows f of the entry and exit slabs,
+	// centered in place; ssEntry[f] and ssExit[f] are their sums of
+	// squares.
 	entry := make([]float64, flows*bins)
 	exit := make([]float64, flows*bins)
 	row := func(slab []float64, f int) []float64 { return slab[f*bins : (f+1)*bins] }
+	ssEntry := make([]float64, flows)
+	ssExit := make([]float64, flows)
 	classes := make([]int, flows)
 	posts := make([][]float64, flows) // exit class log posteriors
 	err = par.MapWorker(flows, workers, func(worker, f int) error {
@@ -150,6 +155,8 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 		if err != nil {
 			return fmt.Errorf("adversary: flow %d: %w", f, err)
 		}
+		ssEntry[f] = Center(row(entry, f), row(entry, f))
+		ssExit[f] = Center(row(exit, f), row(exit, f))
 		classes[f] = o.Class
 		return nil
 	})
@@ -157,25 +164,28 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 		return nil, err
 	}
 
-	// Score every (entry, exit) pair: rate correlation plus the exit
-	// flow's posterior for the entry flow's class.
+	// Score every (entry, exit) pair, in parallel over exit flows (flow f
+	// writes only column f): rate correlation plus the exit flow's
+	// posterior for the entry flow's class.
 	score := make([]float64, flows*flows)
-	corrTrue := 0.0
-	for f := 0; f < flows; f++ {
+	corrDiag := make([]float64, flows)
+	_ = par.Map(flows, workers, func(f int) error { // scoring cannot fail
 		for u := 0; u < flows; u++ {
-			corr, err := Pearson(row(entry, u), row(exit, f))
-			if err != nil {
-				return nil, err
-			}
+			corr := CenteredCorr(row(entry, u), row(exit, f), ssEntry[u], ssExit[f])
 			v := corrWeight * corr
 			if posts[f] != nil {
 				v += posts[f][classes[u]]
 			}
 			score[u*flows+f] = v
 			if u == f {
-				corrTrue += corr
+				corrDiag[f] = corr
 			}
 		}
+		return nil
+	})
+	corrTrue := 0.0
+	for _, c := range corrDiag {
+		corrTrue += c
 	}
 	sum, err := SummarizeMatch(score, flows, posts, classes)
 	if err != nil {

@@ -137,3 +137,90 @@ func TestCorrelateFlowsValidation(t *testing.T) {
 		t.Errorf("observation error: got %v", err)
 	}
 }
+
+// shiftedFlows observes each flow's Poisson entry at the exit 0.4 s
+// later with every fifth packet lost, so the throughput fingerprints
+// correlate strongly but not perfectly. Observations are precomputed.
+func shiftedFlows(flows int, duration float64) func(worker, f int) (FlowObs, error) {
+	obs := make([]FlowObs, flows)
+	for f := range obs {
+		rng := xrand.New(uint64(4000 + f))
+		o := &obs[f]
+		o.Class = f % 2
+		for t := rng.Exp(0.5); t <= duration; t += rng.Exp(0.5) {
+			o.Entry = append(o.Entry, t)
+			if len(o.Entry)%5 != 0 {
+				o.Exit = append(o.Exit, t+0.4)
+			}
+		}
+	}
+	return func(_, f int) (FlowObs, error) { return obs[f], nil }
+}
+
+// The parallel centered scorer must reproduce the sequential two-pass
+// Pearson scorer exactly, at any worker width.
+func TestCorrelateFlowsMatchesOracle(t *testing.T) {
+	const flows, duration = 9, 40.0
+	observe := shiftedFlows(flows, duration)
+	bins := int(duration / RateWindow)
+	entry, exit := make([][]float64, flows), make([][]float64, flows)
+	classes := make([]int, flows)
+	for f := range flows {
+		o, _ := observe(0, f)
+		classes[f] = o.Class
+		entry[f], _ = RateVector(o.Entry, 0, RateWindow, make([]float64, bins))
+		exit[f], _ = RateVector(o.Exit, 0, RateWindow, make([]float64, bins))
+	}
+	score := make([]float64, flows*flows)
+	corrTrue := 0.0
+	for f := range flows {
+		for u := range flows {
+			corr, err := pearsonOracle(entry[u], exit[f])
+			if err != nil {
+				t.Fatal(err)
+			}
+			score[u*flows+f] = corrWeight * corr
+			if u == f {
+				corrTrue += corr
+			}
+		}
+	}
+	sum, err := SummarizeMatch(score, flows, make([][]float64, flows), classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Correlation{
+		Flows: flows, Accuracy: sum.Accuracy, ClassAccuracy: sum.ClassAccuracy, MeanRank: sum.MeanRank,
+		MeanCorrTrue:      corrTrue / flows,
+		DegreeOfAnonymity: MeanAnonymity(score, flows),
+	}
+	if want.MeanCorrTrue < 0.5 {
+		t.Fatalf("oracle mean true correlation %v: the fixture should carry a fingerprint", want.MeanCorrTrue)
+	}
+	for _, w := range []int{1, 2, 0} {
+		got, err := CorrelateFlows(flows, CorrConfig{Duration: duration, Workers: w}, observe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Fatalf("workers=%d: %+v differs from the sequential oracle %+v", w, got, want)
+		}
+	}
+}
+
+// BenchmarkCorrelateFlowsScore measures the flow-correlation attack at
+// the route-watermark workload's geometry (64 flows, 960 one-second
+// bins) on every CPU, in ns per (entry, exit) pair. Observations replay
+// precomputed times, so the rate binning is a small share and the
+// pairwise scoring dominates.
+func BenchmarkCorrelateFlowsScore(b *testing.B) {
+	const flows, duration = 64, 960.0
+	observe := shiftedFlows(flows, duration)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := CorrelateFlows(flows, CorrConfig{Duration: duration}, observe); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows*flows), "ns/pair")
+}

@@ -9,10 +9,11 @@ import (
 // the flow-correlation attack (CorrelateFlows). The adversary reduces an
 // observed packet timestamp stream to a vector of per-window packet
 // counts (its "throughput fingerprint") and matches ingress against
-// egress flows by Pearson correlation of the two vectors. Unlike the PIAT features — which
-// fingerprint a flow's *class* — the rate vector fingerprints the flow's
-// *payload sample path*, so it identifies the individual user whenever the
-// padding lets payload rate fluctuations reach the wire.
+// egress flows by Pearson correlation of the two vectors (Center, then
+// CenteredCorr). Unlike the PIAT features — which fingerprint a flow's
+// *class* — the rate vector fingerprints the flow's *payload sample
+// path*, so it identifies the individual user whenever the padding lets
+// payload rate fluctuations reach the wire.
 
 // RateVector bins the event times (absolute seconds, ascending) into
 // consecutive windows of the given width starting at start, writing one
@@ -39,34 +40,49 @@ func RateVector(times []float64, start, width float64, out []float64) ([]float64
 	return out, nil
 }
 
-// Pearson returns the sample correlation coefficient of a and b, which
-// must have equal positive length. Degenerate vectors (either side
-// constant) correlate at 0: a constant-rate padded flow carries no
-// throughput fingerprint, which is exactly the defense's goal, so "no
-// information" is the correct score rather than an error.
-func Pearson(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0, errors.New("adversary: Pearson needs equal-length non-empty vectors")
+// Center writes x's deviations from its mean to dev, which must have
+// x's length and may alias it, and returns their sum of squares. x must
+// be non-empty. The mean is the ascending sum over len(x) and the sum of
+// squares accumulates in ascending order, so Center on both sides and
+// CenteredCorr perform exactly the float operations of the two-pass
+// Pearson coefficient, in the same order: a correlation attack centers
+// each vector once and then correlates it against many at the cost of
+// one dot product.
+func Center(x, dev []float64) (ss float64) {
+	if len(x) == 0 || len(dev) != len(x) {
+		panic("adversary: Center needs a non-empty vector and an equal-length destination")
 	}
-	n := float64(len(a))
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
+	var m float64
+	for _, v := range x {
+		m += v
 	}
-	ma /= n
-	mb /= n
-	var sab, saa, sbb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
+	m /= float64(len(x))
+	for i, v := range x {
+		d := v - m
+		dev[i] = d
+		ss += d * d
+	}
+	return ss
+}
+
+// CenteredCorr returns the Pearson correlation of two centered vectors
+// of equal length given their sums of squares, as Center returns them:
+// the ascending dot product over sqrt(saa·sbb). A degenerate side (sum of
+// squares 0: a constant vector) correlates at 0: a constant-rate padded
+// flow carries no throughput fingerprint, which is exactly the defense's
+// goal, so "no information" is the correct score rather than an error.
+func CenteredCorr(a, b []float64, saa, sbb float64) float64 {
+	if len(a) != len(b) {
+		panic("adversary: CenteredCorr needs equal-length vectors")
 	}
 	if saa == 0 || sbb == 0 {
-		return 0, nil
+		return 0
 	}
-	return sab / math.Sqrt(saa*sbb), nil
+	var s float64
+	for i, x := range a {
+		s += x * b[i]
+	}
+	return s / math.Sqrt(saa*sbb)
 }
 
 // Replay adapts a recorded PIAT slice to the PIATSource interface, so the
