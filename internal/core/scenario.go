@@ -329,6 +329,7 @@ func (sc *scenario) runDisclosure(ctx context.Context, sp DisclosureSpec, opts R
 	}
 	for !run.Done() {
 		if err := ctx.Err(); err != nil {
+			run.Stop()
 			return nil, err
 		}
 		if _, err := run.Step(cfg.CheckEvery); err != nil {

@@ -5,7 +5,9 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"linkpad/internal/active"
 	"linkpad/internal/analytic"
@@ -116,6 +118,53 @@ func TestScenarioWorkerOption(t *testing.T) {
 	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
 		if got := run(w); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: result differs from workers=1", w)
+		}
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n+1-th
+// Err call on: a run checks its context between steps, so the run is
+// cancelled mid-run, after n steps.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestScenarioCancelJoinsGeneration: a disclosure run cancelled mid-run
+// at two workers, while its engine generates the next slab in the
+// background, returns only after that generation ends, so the goroutine
+// count is back at its baseline once the run returns (polled for
+// goroutine exit, within a bound). A slab here generates in
+// milliseconds, so this checks the cancelled path's wiring;
+// population's TestDisclosureRunJoinsGeneration slows generation down
+// to make the same check fail on a run that does not join.
+func TestScenarioCancelJoinsGeneration(t *testing.T) {
+	sys := scenarioSystem(t)
+	sc, err := sys.Build(DisclosureSpec{
+		Population: PopulationSpec{Users: 20_000, Recipients: 1000, CoverRate: 1},
+		Disclosure: population.DisclosureConfig{Batch: 256, MaxRounds: 4000, CheckEvery: 4, Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	ctx := &cancelAfter{Context: context.Background()}
+	ctx.n.Store(40) // 160 rounds, ~10 slabs
+	if _, err := sc.Run(ctx, RunOptions{}); err != context.Canceled {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	const bound = 40 * time.Millisecond
+	for deadline := time.Now().Add(bound); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %v after the cancelled run returned, %d before it",
+				runtime.NumGoroutine(), bound, baseline)
 		}
 	}
 }

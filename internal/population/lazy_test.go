@@ -92,14 +92,20 @@ func collectRounds(t testing.TB, e *Engine, n, batch int) []Round {
 		if err := e.NextRound(batch, &r); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = Round{
-			Users: append([]int32(nil), r.Users...),
-			Rcpts: append([]int32(nil), r.Rcpts...),
-			Dummy: append([]bool(nil), r.Dummy...),
-			Times: append([]float64(nil), r.Times...),
-		}
+		out[i] = copyRound(&r)
 	}
 	return out
+}
+
+// copyRound deep-copies a round.
+func copyRound(r *Round) Round {
+	return Round{
+		Users: append([]int32(nil), r.Users...),
+		Rcpts: append([]int32(nil), r.Rcpts...),
+		Dummy: append([]bool(nil), r.Dummy...),
+		Times: append([]float64(nil), r.Times...),
+		Flush: r.Flush,
+	}
 }
 
 // tiedBuilder returns a pure builder whose payload and cover are
@@ -287,8 +293,27 @@ func TestLazyEngineAccessorsWarm(t *testing.T) {
 	}
 }
 
-// TestLazyEngineBuilderError: a failing builder surfaces as a
-// constructor error, not a panic or a silent hole.
+// buildFails is a builder whose Frontier succeeds for every user but
+// whose Build fails for user bad.
+type buildFails struct {
+	funcBuilder
+	bad int
+	err error
+}
+
+func (b buildFails) Build(u int) (User, error) {
+	if u == b.bad {
+		return User{}, b.err
+	}
+	return b.funcBuilder(u)
+}
+
+// TestLazyEngineBuilderError: a failing builder surfaces as an error,
+// not a panic or a silent hole. A failing Frontier fails the
+// constructor. A Build that fails in slab k fails the NextRound that
+// needs slab k, with the same message at any worker count: a pipelined
+// engine, which generates slab k while slab k-1 is merged, holds the
+// error until then instead of reporting it a slab early.
 func TestLazyEngineBuilderError(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := NewLazyEngine(10, 40, funcBuilder(func(u int) (User, error) {
@@ -302,6 +327,53 @@ func TestLazyEngineBuilderError(t *testing.T) {
 	}
 	if _, err := NewLazyEngine(10, 40, nil); err == nil {
 		t.Fatal("nil builder accepted")
+	}
+
+	const n, recipients = 64, 40
+	good := refBuilder(t, recipients, false, false)
+	newEng := func(b Builder) *Engine {
+		e, err := NewLazyEngine(n, recipients, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.slabLen /= 64 // ~64 events a slab, so first arrivals span many slabs
+		return e
+	}
+	// The user that sends last fails to build.
+	probe := newEng(good)
+	bad := 0
+	for u := range probe.nextT {
+		if probe.nextT[u] > probe.nextT[bad] {
+			bad = u
+		}
+	}
+	failsAt := func(workers int) (int, string) {
+		e := newEng(buildFails{good, bad, boom})
+		e.SetWorkers(workers)
+		var r Round
+		for call := 1; call <= 10_000; call++ {
+			if err := e.NextRound(8, &r); err != nil {
+				if !errors.Is(err, boom) {
+					t.Fatalf("workers=%d: NextRound error %v does not wrap the builder's", workers, err)
+				}
+				return call, err.Error()
+			}
+		}
+		t.Fatalf("workers=%d: user %d never failed to build", workers, bad)
+		return 0, ""
+	}
+	wantCall, wantMsg := failsAt(1)
+	if wantCall < 16 {
+		t.Fatalf("user %d fails at call %d; the test needs a late first arrival", bad, wantCall)
+	}
+	if want := fmt.Sprintf("population: build user %d: boom", bad); wantMsg != want {
+		t.Fatalf("error %q, want %q", wantMsg, want)
+	}
+	for _, w := range []int{2, 4} {
+		if call, msg := failsAt(w); call != wantCall || msg != wantMsg {
+			t.Fatalf("workers=%d: NextRound call %d fails with %q; one worker: call %d, %q",
+				w, call, msg, wantCall, wantMsg)
+		}
 	}
 }
 

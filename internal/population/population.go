@@ -35,13 +35,18 @@
 // first time it actually sends. Resident memory is thus dominated by the
 // compact frontier plus the users active so far, not by N fully built
 // source stacks, and the init pass costs one frontier read per user
-// rather than one build. The round loop is allocation-free in steady
+// rather than one build. A refill touches only the users that are due:
+// a per-block minimum of the frontier lets it skip every 16-user block
+// with nothing before the new horizon. With more than one worker the
+// next slab generates in the background while the current one is
+// merged (see refill). The round loop is allocation-free in steady
 // state.
 package population
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"linkpad/internal/obs"
@@ -258,14 +263,24 @@ func (st *userState) next() (gap float64, cover bool) {
 	return gap, cover
 }
 
-// shard is one contiguous user range's generation unit: the slab buffer
-// of its users' events (sorted by (t, user) after generation), the merge
-// cursor into it, and reusable sorter/bookkeeping so a refill allocates
-// nothing beyond amortized buffer growth.
+// shard is one contiguous user range's merge cursor: its slab of events,
+// sorted by (t, user), and the position of the next one to merge.
 type shard struct {
-	buf    []event
-	pos    int
-	active int // users that emitted at least one event this slab
+	buf []event
+	pos int
+}
+
+// shardGen is one shard's generation state: the slab being generated
+// (spare, and active, its count of users that emitted at least one
+// event) and a reusable sorter, so a refill allocates nothing beyond
+// amortized buffer growth. A refill swaps spare with the shard's
+// merged buf. Generation writes only shardGen and the merge only shard,
+// and the two live in separate arrays, so a pipelined engine generates
+// the next slab while the current one is merged without either
+// goroutine writing a cache line the other reads.
+type shardGen struct {
+	spare  []event
+	active int
 	sorter eventSorter
 }
 
@@ -292,7 +307,10 @@ type Round struct {
 // the Source and Session types it is a stateful stream — one pass per
 // engine; build a fresh engine per run. It is not safe for concurrent
 // use, but its internal generation fans out across user shards on up to
-// SetWorkers goroutines with byte-identical output at any width.
+// SetWorkers goroutines with byte-identical output at any width, and
+// with more than one worker it generates the next slab in the
+// background while the caller consumes rounds. Every method that reads
+// engine state first waits for that generation.
 type Engine struct {
 	n     int
 	nrcpt int
@@ -307,12 +325,28 @@ type Engine struct {
 	// its first generated event and stays warm.
 	warm []*userState
 
+	// blockMin[b] is the least nextT over block b's users. Blocks are
+	// blockSize users, laid out shard by shard so that none straddles a
+	// shard: shard sh owns blocks [sh*blocksPerShard, (sh+1)*blocksPerShard).
+	blockMin       []float64
+	blocksPerShard int
+
 	workers   int
 	slabLen   float64
-	slabEnd   float64
+	slabEnd   float64 // horizon of the newest generated slab
 	shardSize int
 	shards    []shard
-	heap      []int32 // shard indices, min-heap by head event (t, user)
+	gens      []shardGen
+	heap      []head // the non-empty shards, min-heap by head event (t, user)
+
+	// Pipelining (more than one worker): ahead is true while a slab
+	// generated beyond the merged one is waiting to be consumed, running
+	// while its generation is still in flight on a background goroutine,
+	// which sends its result on done. join stores that result in genErr;
+	// the refill that consumes the slab reports it.
+	ahead, running bool
+	done           chan error
+	genErr         error
 
 	rounds int
 	probe  *obs.Shard
@@ -326,6 +360,12 @@ const targetSlabEvents = 4096
 // that a shard's frontier slice and slab buffer stay cache-resident,
 // large enough that the per-shard fan-out overhead amortizes.
 const defaultShardSize = 1024
+
+// blockSize is the user count per frontier block. A refill reads one
+// block minimum per blockSize users and visits a block's users only
+// when the minimum lies before the new horizon; 16 frontier times fill
+// two cache lines.
+const blockSize = 16
 
 // NewLazyEngine assembles an engine over n users materialized on demand
 // from a pure Builder. Construction makes one pass over the population
@@ -393,7 +433,7 @@ func newEngine(n, recipients, shardSize int) (*Engine, error) {
 	if shardSize < 1 {
 		return nil, errors.New("population: shard size must be positive")
 	}
-	return &Engine{
+	e := &Engine{
 		n:         n,
 		nrcpt:     recipients,
 		nextT:     make([]float64, n),
@@ -401,17 +441,40 @@ func newEngine(n, recipients, shardSize int) (*Engine, error) {
 		warm:      make([]*userState, n),
 		shardSize: shardSize,
 		probe:     obs.NewShard(),
-	}, nil
+		done:      make(chan error, 1),
+	}
+	e.blocksPerShard = (min(shardSize, n) + blockSize - 1) / blockSize
+	e.blockMin = make([]float64, e.numShards()*e.blocksPerShard)
+	return e, nil
 }
 
 // finishInit derives the slab length from the population's aggregate
-// rate.
+// rate and indexes the initial frontier by block.
 func (e *Engine) finishInit(totalRate float64) error {
 	if !(totalRate > 0) {
 		return errors.New("population: population has zero aggregate rate")
 	}
 	e.slabLen = targetSlabEvents / totalRate
+	for sh := 0; sh < e.numShards(); sh++ {
+		lo, hi := e.shardRange(sh)
+		for b := lo; b < hi; b += blockSize {
+			e.indexBlock(sh, b)
+		}
+	}
 	return nil
+}
+
+// indexBlock records the least frontier time of shard sh's block that
+// starts at user b.
+func (e *Engine) indexBlock(sh, b int) {
+	lo, hi := e.shardRange(sh)
+	m := math.Inf(1)
+	for _, t := range e.nextT[b:min(b+blockSize, hi)] {
+		if t < m {
+			m = t
+		}
+	}
+	e.blockMin[sh*e.blocksPerShard+(b-lo)/blockSize] = m
 }
 
 // validateUser checks one user's shape against the engine.
@@ -482,11 +545,12 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	return st, nil
 }
 
-// mustUser materializes user u for the read-only accessors. A failure
-// here means the builder cannot build a user whose frontier it reported,
-// or breaks its purity contract; no error return can make that safe —
-// panic loudly.
+// mustUser materializes user u for the read-only accessors, after
+// joining a slab generating in the background. A failure here means the
+// builder cannot build a user whose frontier it reported, or breaks its
+// purity contract; no error return can make that safe — panic loudly.
 func (e *Engine) mustUser(u int) *userState {
+	e.join()
 	st, err := e.warmUp(u)
 	if err != nil {
 		panic(err)
@@ -500,6 +564,7 @@ func (e *Engine) Users() int { return e.n }
 // WarmUsers returns how many users hold materialized source state — the
 // resident-memory-relevant population, as opposed to Users().
 func (e *Engine) WarmUsers() int {
+	e.join()
 	w := 0
 	for _, st := range e.warm {
 		if st != nil {
@@ -516,127 +581,197 @@ func (e *Engine) Class(u int) int { return e.mustUser(u).usr.Class }
 // materializing the user if needed.
 func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).usr.Profile.Contacts() }
 
-// PresenceOf returns user u's churn schedule (nil when the user never
-// churns), materializing the user if needed. The schedule is stateful
-// under query; the engine and any estimator holding it must not be used
-// concurrently.
-func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule { return e.mustUser(u).usr.Presence }
+// PresenceOf returns a private copy of user u's churn schedule (nil when
+// the user never churns), materializing the user if needed. The copy
+// answers every query as the user's own schedule does, and querying it
+// never races with the engine's background generation, which queries
+// the original.
+func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule {
+	if p := e.mustUser(u).usr.Presence; p != nil {
+		return p.Clone()
+	}
+	return nil
+}
 
 // SetWorkers bounds the per-shard generation parallelism (values < 1
-// mean all CPUs). Results are identical at any width.
-func (e *Engine) SetWorkers(w int) { e.workers = w }
+// mean all CPUs). Results are identical at any width. With one worker
+// the engine starts no goroutine.
+func (e *Engine) SetWorkers(w int) {
+	e.join()
+	e.workers = w
+}
 
-// refill advances the generation horizon by one slab: every shard
-// extends its users' private event streams up to the new horizon in
-// parallel and sorts its slab by (time, user); the global merge then
-// streams from the shard frontiers through an index min-heap. Each
+// refill advances the merge to the next slab. Generation extends every
+// shard's users' private event streams up to the next horizon in
+// parallel and sorts each shard's slab by (time, user); the global merge
+// then streams from the shard frontiers through an index min-heap. Each
 // user's events are a pure function of its own streams and shards are
 // disjoint user ranges, so the reduction's total order — ascending
 // (time, user) — is identical at any worker count and identical to the
 // previous concat-and-global-sort merge.
+//
+// With one worker a refill generates the slab and merges it. With more,
+// it joins the slab generating in the background (the first refill
+// generates its slab in the foreground), swaps it in, and starts
+// generating the next slab in the background before the merge begins.
+// Since every slab's events are the same whenever they are generated,
+// the round stream is unchanged; a slab generated but never consumed
+// adds no counters and reports no error.
 func (e *Engine) refill() error {
 	if e.shards == nil {
 		e.shards = make([]shard, e.numShards())
+		e.gens = make([]shardGen, e.numShards())
 	}
-	e.slabEnd += e.slabLen
-	err := par.MapWorker(len(e.shards), e.workers, func(_, sh int) error {
-		return e.genShard(sh)
-	})
-	if err != nil {
+	if e.ahead {
+		e.join()
+		if e.genErr != nil {
+			return e.genErr
+		}
+	} else if err := e.generate(); err != nil {
 		return err
 	}
+	e.ahead = false
 	// Counted in the sequential reduction (never the parallel fan-out):
-	// a user is active in this generation slab if it produced events.
+	// a user is active in a generation slab if it produced events.
 	for i := range e.shards {
-		e.probe.Add(obs.PopulationActiveUser, uint64(e.shards[i].active))
+		s, g := &e.shards[i], &e.gens[i]
+		s.buf, g.spare = g.spare, s.buf
+		s.pos = 0
+		e.probe.Add(obs.PopulationActiveUser, uint64(g.active))
 	}
 	e.buildHeap()
+	if par.Workers(e.workers) > 1 {
+		e.ahead, e.running = true, true
+		go e.generateAhead()
+	}
 	return nil
 }
 
-// genShard regenerates shard sh's slab buffer up to the current horizon.
+// generate extends every shard's spare slab to the next horizon.
+func (e *Engine) generate() error {
+	e.slabEnd += e.slabLen
+	return par.MapWorker(len(e.gens), e.workers, func(_, sh int) error {
+		return e.genShard(sh)
+	})
+}
+
+// generateAhead is the background goroutine of a pipelined refill.
+func (e *Engine) generateAhead() { e.done <- e.generate() }
+
+// join waits for a slab generating in the background, keeping its error
+// for the refill that consumes the slab. Every read of engine state
+// joins first, and so does every way a disclosure run ends, so no
+// generation outlives the run that started it.
+func (e *Engine) join() {
+	if e.running {
+		e.genErr = <-e.done
+		e.running = false
+	}
+}
+
+// genShard generates shard sh's spare slab up to the current horizon.
+// It visits only the blocks whose minimum frontier lies before the
+// horizon and, within such a block, every due user in ascending order,
+// as a scan of all users would; it then recomputes the block's minimum.
 func (e *Engine) genShard(sh int) error {
-	s := &e.shards[sh]
-	s.buf = s.buf[:0]
-	s.pos = 0
-	s.active = 0
+	g := &e.gens[sh]
+	end := e.slabEnd
 	lo, hi := e.shardRange(sh)
-	for u := lo; u < hi; u++ {
-		if e.nextT[u] >= e.slabEnd {
+	buf := g.spare[:0]
+	active := 0
+	for b := lo; b < hi; b += blockSize {
+		if e.blockMin[sh*e.blocksPerShard+(b-lo)/blockSize] >= end {
 			continue
 		}
-		st, err := e.warmUp(u)
-		if err != nil {
-			return err
-		}
-		usr := &st.usr
-		n0 := len(s.buf)
-		for e.nextT[u] < e.slabEnd {
-			// Recipients are drawn for every generated arrival, present or
-			// not, so a user's recipient stream position depends only on its
-			// arrival count — adding churn perturbs which messages exist,
-			// not how the survivors draw.
-			var rcpt int32
-			if e.nextCover[u] {
-				rcpt = int32(usr.RNG.Intn(e.nrcpt))
-			} else {
-				rcpt = usr.Profile.Draw(usr.RNG)
+		for u := b; u < min(b+blockSize, hi); u++ {
+			if e.nextT[u] >= end {
+				continue
 			}
-			if usr.Presence == nil || usr.Presence.UpAt(e.nextT[u]) {
-				s.buf = append(s.buf, event{t: e.nextT[u], user: int32(u), rcpt: rcpt, dummy: e.nextCover[u]})
+			st, err := e.warmUp(u)
+			if err != nil {
+				return err
 			}
-			gap, cover := st.next()
-			e.nextT[u] += gap
-			e.nextCover[u] = cover
+			usr := &st.usr
+			n0 := len(buf)
+			for e.nextT[u] < end {
+				// Recipients are drawn for every generated arrival, present
+				// or not, so a user's recipient stream position depends only
+				// on its arrival count — adding churn perturbs which
+				// messages exist, not how the survivors draw.
+				var rcpt int32
+				if e.nextCover[u] {
+					rcpt = int32(usr.RNG.Intn(e.nrcpt))
+				} else {
+					rcpt = usr.Profile.Draw(usr.RNG)
+				}
+				if usr.Presence == nil || usr.Presence.UpAt(e.nextT[u]) {
+					buf = append(buf, event{t: e.nextT[u], user: int32(u), rcpt: rcpt, dummy: e.nextCover[u]})
+				}
+				gap, cover := st.next()
+				e.nextT[u] += gap
+				e.nextCover[u] = cover
+			}
+			if len(buf) > n0 {
+				active++
+			}
 		}
-		if len(s.buf) > n0 {
-			s.active++
-		}
+		e.indexBlock(sh, b)
 	}
-	s.sorter.ev = s.buf
-	sort.Sort(&s.sorter)
+	g.spare, g.active = buf, active
+	g.sorter.ev = buf
+	sort.Sort(&g.sorter)
 	return nil
 }
 
-// heapLess orders two shards by their head events' (time, user) key.
-// Shards are disjoint ascending user ranges, so this tie-break matches
-// the sort comparator's.
-func (e *Engine) heapLess(a, b int32) bool {
-	sa, sb := &e.shards[a], &e.shards[b]
-	ea, eb := &sa.buf[sa.pos], &sb.buf[sb.pos]
-	if ea.t != eb.t {
-		return ea.t < eb.t
+// head is a merge-heap entry: a shard and the (time, user) key of its
+// head event. Keeping the key in the entry lets the heap compare without
+// reading the shards' buffers.
+type head struct {
+	t    float64
+	user int32
+	sh   int32
+}
+
+// before orders two heads by (time, user). Shards are disjoint ascending
+// user ranges, so this tie-break matches the sort comparator's, and no
+// two heads compare equal.
+func (a *head) before(b *head) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return ea.user < eb.user
+	return a.user < b.user
 }
 
 // siftDown restores the merge heap below position i.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
+	x := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		m := l
-		if r := l + 1; r < n && e.heapLess(h[r], h[l]) {
+		if r := l + 1; r < n && h[r].before(&h[l]) {
 			m = r
 		}
-		if !e.heapLess(h[m], h[i]) {
-			return
+		if !h[m].before(&x) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = x
 }
 
 // buildHeap (re)establishes the merge heap over the non-empty shards.
 func (e *Engine) buildHeap() {
 	e.heap = e.heap[:0]
 	for i := range e.shards {
-		if e.shards[i].pos < len(e.shards[i].buf) {
-			e.heap = append(e.heap, int32(i))
+		if s := &e.shards[i]; s.pos < len(s.buf) {
+			ev := &s.buf[s.pos]
+			e.heap = append(e.heap, head{t: ev.t, user: ev.user, sh: int32(i)})
 		}
 	}
 	for i := len(e.heap)/2 - 1; i >= 0; i-- {
@@ -651,10 +786,14 @@ func (e *Engine) popEvent() (ev event, ok bool) {
 	if len(e.heap) == 0 {
 		return event{}, false
 	}
-	s := &e.shards[e.heap[0]]
+	top := &e.heap[0]
+	s := &e.shards[top.sh]
 	ev = s.buf[s.pos]
 	s.pos++
-	if s.pos >= len(s.buf) {
+	if s.pos < len(s.buf) {
+		next := &s.buf[s.pos]
+		top.t, top.user = next.t, next.user
+	} else {
 		last := len(e.heap) - 1
 		e.heap[0] = e.heap[last]
 		e.heap = e.heap[:last]

@@ -14,7 +14,12 @@ import (
 // Each user's sources and RNG must be non-nil (Cover may be nil) and
 // private to that user.
 func NewEngine(users []User, recipients int) (*Engine, error) {
-	e, err := newEngine(len(users), recipients, defaultShardSize)
+	return newEagerEngine(users, recipients, defaultShardSize)
+}
+
+// newEagerEngine is NewEngine with an explicit shard size.
+func newEagerEngine(users []User, recipients, shardSize int) (*Engine, error) {
+	e, err := newEngine(len(users), recipients, shardSize)
 	if err != nil {
 		return nil, err
 	}

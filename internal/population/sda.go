@@ -483,7 +483,9 @@ func (d *disclosure) anonymity(t *targetState) float64 {
 // budget runs out, in steps so a caller can check for cancellation or
 // trace progress between them. Observing all MaxRounds rounds through
 // any sequence of Step calls produces byte-identical results to one Step
-// over the whole budget, at any Workers width.
+// over the whole budget, at any Workers width. A run that finishes or
+// fails waits for the engine's background generation before Step
+// returns; a caller that abandons a run early calls Stop.
 type DisclosureRun struct {
 	d        *disclosure
 	observed int
@@ -527,6 +529,7 @@ func (run *DisclosureRun) Step(n int) (bool, error) {
 	for i := 0; i < n && !run.done && run.observed < cfg.MaxRounds; i++ {
 		round := run.observed + 1
 		if err := run.d.mix.NextRound(&run.r); err != nil {
+			run.Stop()
 			return false, err
 		}
 		run.d.applyDummies(&run.r)
@@ -539,8 +542,18 @@ func (run *DisclosureRun) Step(n int) (bool, error) {
 	if run.observed >= cfg.MaxRounds {
 		run.done = true
 	}
+	if run.done {
+		run.Stop()
+	}
 	return run.done, nil
 }
+
+// Stop waits for the slab the engine may be generating in the
+// background, so no goroutine of the run outlives it: a live engine
+// would otherwise stay reachable, and the garbage collector would size
+// the next run's heap goal against it. Stopping twice is harmless, and
+// a stopped run may still Step.
+func (run *DisclosureRun) Stop() { run.d.eng.join() }
 
 // Observed returns how many rounds the run has folded in so far.
 func (run *DisclosureRun) Observed() int { return run.observed }

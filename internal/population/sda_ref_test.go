@@ -297,7 +297,7 @@ func refUsers(t testing.TB, n, recipients int, cover, churn bool) []User {
 // production sparse-estimator disclosure run must report bit-identical
 // results to the dense reference, across population shapes up to N=1e3
 // and recipient spaces from saturated (every coordinate observed) to
-// very sparse.
+// very sparse, at one worker and at two.
 func TestSparseMatchesDenseReference(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -330,12 +330,19 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 				return e
 			}
 			want := runDenseReference(t, build(), cfg)
-			got, err := runDisclosure(build(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("sparse run differs from dense reference\ngot  %+v\nwant %+v", got, want)
+			// At two workers the engine generates ahead, and a churn-aware
+			// run queries its targets' presence while the background
+			// generation queries theirs.
+			for _, workers := range []int{1, 2} {
+				cfg := cfg
+				cfg.Workers = workers
+				got, err := runDisclosure(build(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: sparse run differs from dense reference\ngot  %+v\nwant %+v", workers, got, want)
+				}
 			}
 			// The sparse estimators must actually be sparse when the space
 			// allows it: no accumulator may have materialized the full

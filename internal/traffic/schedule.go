@@ -48,6 +48,18 @@ func NewOnOffSchedule(meanUp, meanDown float64, rng *xrand.Rand) (*OnOffSchedule
 	return s, nil
 }
 
+// Clone returns an independent copy of the schedule: the memoized
+// transitions and the stream at its current position. The copy answers
+// every query exactly as the original does, so two goroutines can each
+// query their own copy of one schedule.
+func (s *OnOffSchedule) Clone() *OnOffSchedule {
+	c := *s
+	rng := *s.rng
+	c.rng = &rng
+	c.trans = append([]float64(nil), s.trans...)
+	return &c
+}
+
 // UpFraction returns the stationary availability MeanUp/(MeanUp+MeanDown).
 func (s *OnOffSchedule) UpFraction() float64 {
 	return s.meanUp / (s.meanUp + s.meanDown)

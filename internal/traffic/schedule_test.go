@@ -41,6 +41,29 @@ func TestOnOffScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestOnOffScheduleClone: a copy taken mid-stream answers every query
+// as the original does, and extending either leaves the other's memo
+// untouched.
+func TestOnOffScheduleClone(t *testing.T) {
+	a, err := NewOnOffSchedule(2, 1, xrand.New(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.UpAt(10)
+	c := a.Clone()
+	// The copy runs ahead first; the original then walks the same span.
+	c.UpAt(200)
+	if len(a.trans) >= len(c.trans) {
+		t.Fatal("extending the copy extended the original")
+	}
+	for i := 0; i <= 2000; i++ {
+		at := float64(i) * 0.1
+		if a.UpAt(at) != c.UpAt(at) {
+			t.Fatalf("copy diverges from the original at t=%v", at)
+		}
+	}
+}
+
 func TestOnOffScheduleStationaryFraction(t *testing.T) {
 	// The time-average availability over many cycles approaches
 	// MeanUp/(MeanUp+MeanDown), and the stationary start keeps the early
