@@ -42,7 +42,6 @@ var exportAllowlist = map[string]string{
 	"bayes.Classifier.Label":         "adversary tests check the trained class labels",
 	"bayes.Confusion.Count":          "core tests compare confusion matrices cell by cell",
 	"bayes.Confusion.Total":          "core and sizes tests check outcome counts",
-	"cascade.Recorder.Reset":         "core tests reuse a route's entry recorder",
 	"gateway.Mix.MaxDelay":           "core tests check the mix's delay accounting",
 	"gateway.VarianceRatio":          "core tests check the gateway's measured r against the eq. 16 model",
 	"netem.NewSliceStream":           "cascade tests feed known departure schedules through network elements",

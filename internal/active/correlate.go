@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"linkpad/internal/adversary"
-	"linkpad/internal/bayes"
 	"linkpad/internal/cascade"
+	"linkpad/internal/netem"
 	"linkpad/internal/par"
 )
 
@@ -37,35 +37,6 @@ import (
 // threshold); the full key × exit score matrix yields greedy flow
 // matching and the degree of anonymity, exactly as in the passive
 // correlation attacks.
-
-// Config parameterizes the matched-filter detection pass.
-type Config struct {
-	// Duration is the observation time in stream seconds past each
-	// flow's Start (required); the matched filter uses
-	// floor(Duration/period) whole slots.
-	Duration float64
-	// FeatureWindow is the PIAT count reduced to one feature value per
-	// flow for the class posteriors (0 = 200); it must match the window
-	// the classifiers were trained at.
-	FeatureWindow int
-	// Classifiers holds one per-feature class classifier (naive-Bayes
-	// combined); may be empty to skip the class-posterior stage.
-	// Extractors must parallel it.
-	Classifiers []*bayes.Classifier
-	// Extractors are the feature extractors matching Classifiers.
-	Extractors []adversary.Extractor
-	// Workers bounds the per-flow simulation parallelism; results are
-	// identical at any width. Zero means all CPUs.
-	Workers int
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.FeatureWindow == 0 {
-		c.FeatureWindow = 200
-	}
-	return c
-}
 
 // Result reports one active-adversary detection run.
 type Result struct {
@@ -143,11 +114,11 @@ func (o *flowObs) channel(ch, slots int) []float64 {
 // watermarked flow (in parallel, flows as the unit of parallelism),
 // reduce each exit to its centered per-slot channels, calibrate against
 // the decoy keys and score every (key, exit) pair (in parallel over exit
-// flows), and account the injection and padding overhead. Exit flow f's
-// true key is flow f's key; the adversary's scores never read that
-// identity, only the observations.
-func Detect(e *Engine, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+// flows), and account the injection and padding overhead. The matched
+// filter uses floor(cfg.Duration/period) whole slots past each flow's
+// Start. Exit flow f's true key is flow f's key; the adversary's scores
+// never read that identity, only the observations.
+func Detect(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("active: nil engine")
 	}
@@ -186,17 +157,7 @@ func Detect(e *Engine, cfg Config) (*Result, error) {
 		o.end = start + float64(slots)*e.period
 		// Pull the exit stream through the whole chain into the worker's
 		// reusable slab, dropping the partial-slot head after a warm-up.
-		buf := exits[worker][:0]
-		for {
-			t := flow.Exit.Next()
-			if t > o.end {
-				break
-			}
-			if t <= start {
-				continue
-			}
-			buf = append(buf, t)
-		}
+		buf := netem.Collect(exits[worker][:0], flow.Exit, start, o.end)
 		exits[worker] = buf
 		// The flow's observation is complete and this worker owns its
 		// telemetry shard: publish the chain's counters (nil-safe).

@@ -67,12 +67,18 @@ func chaffEngine(t *testing.T, flows int, amp float64) *Engine {
 	return e
 }
 
+// detectCfg is the detector's configuration over duration seconds at the
+// default feature window, with no classifiers.
+func detectCfg(duration float64) adversary.CorrConfig {
+	return adversary.CorrConfig{Duration: duration, FeatureWindow: 200}
+}
+
 // A strong chaff watermark on an unpadded stream must be detected for
 // every flow, matched to the right flow, and leave essentially no
 // anonymity; removing the watermark must drop detection to the decoy
 // false-positive floor.
 func TestDetectSyntheticChaff(t *testing.T) {
-	cfg := Config{Duration: 40}
+	cfg := detectCfg(40)
 	res, err := Detect(chaffEngine(t, 6, 30), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +127,9 @@ func TestDetectSyntheticChaff(t *testing.T) {
 // unit of parallelism and every reduction runs in flow order.
 func TestDetectWorkerInvariance(t *testing.T) {
 	run := func(workers int) *Result {
-		res, err := Detect(chaffEngine(t, 5, 25), Config{Duration: 24, Workers: workers})
+		cfg := detectCfg(24)
+		cfg.Workers = workers
+		res, err := Detect(chaffEngine(t, 5, 25), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,21 +145,22 @@ func TestDetectWorkerInvariance(t *testing.T) {
 
 func TestDetectValidation(t *testing.T) {
 	e := chaffEngine(t, 4, 20)
-	if _, err := Detect(nil, Config{Duration: 20}); err == nil {
+	if _, err := Detect(nil, detectCfg(20)); err == nil {
 		t.Error("nil engine should fail")
 	}
-	if _, err := Detect(e, Config{}); err == nil {
+	if _, err := Detect(e, detectCfg(0)); err == nil {
 		t.Error("zero duration should fail")
 	}
-	if _, err := Detect(e, Config{Duration: 1}); err == nil {
+	if _, err := Detect(e, detectCfg(1)); err == nil {
 		t.Error("too few slots should fail")
 	}
-	for _, cfg := range []Config{
+	for _, cfg := range []adversary.CorrConfig{
+		{Duration: 20},
 		{Duration: 20, FeatureWindow: 1},
-		{Duration: 20, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
+		{Duration: 20, FeatureWindow: 200, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
 	} {
 		if _, err := Detect(e, cfg); err == nil || !strings.HasPrefix(err.Error(), "active: ") {
-			t.Errorf("tiny feature window or unpaired extractor: got %v, want an active error", err)
+			t.Errorf("zero or tiny feature window or unpaired extractor: got %v, want an active error", err)
 		}
 	}
 
@@ -167,7 +176,7 @@ func TestDetectValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Detect(bad, Config{Duration: 20}); err == nil || !strings.Contains(err.Error(), "hops") {
+	if _, err := Detect(bad, detectCfg(20)); err == nil || !strings.Contains(err.Error(), "hops") {
 		t.Errorf("hop-count mismatch not rejected: %v", err)
 	}
 }
@@ -227,7 +236,7 @@ func TestDetectSyntheticDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(e, Config{Duration: 60})
+	res, err := Detect(e, detectCfg(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +346,7 @@ func TestDetectMatchesSequentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Duration: 30}
+	cfg := detectCfg(30)
 	want, err := detectSequential(e, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -380,8 +389,7 @@ func TestDetectMatchesSequentialOracle(t *testing.T) {
 // centered vectors: every (key, exit, channel) pair refills its chip
 // vector and runs the two-pass Pearson coefficient, one exit flow after
 // another. It is kept verbatim as the bit-identity oracle for Detect.
-func detectSequential(e *Engine, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("active: nil engine")
 	}

@@ -10,7 +10,7 @@ import (
 // Capture-fault robustness of the rate-vector extraction (satellite of
 // the fault-injection substrate): an impaired tap hands the adversary
 // duplicated and out-of-order observations, and the reduction must
-// degrade predictably — reordering is invisible (binning is
+// degrade predictably — reordering is invisible (counting is
 // order-insensitive), duplication inflates counts without moving them.
 
 func TestRateVectorReorderInsensitive(t *testing.T) {
@@ -21,11 +21,7 @@ func TestRateVectorReorderInsensitive(t *testing.T) {
 		now += rng.Exp(0.01)
 		times[i] = now
 	}
-	out := make([]float64, 40)
-	if _, err := RateVector(times, 0, 1, out); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64(nil), out...)
+	want := countAll(times, 40)
 	// A mis-sequenced capture: bounded local shuffles like a reordering
 	// tap produces, then a full reversal for good measure.
 	shuffled := append([]float64(nil), times...)
@@ -33,9 +29,7 @@ func TestRateVectorReorderInsensitive(t *testing.T) {
 		k := i + 1 + int(rng.Intn(3))
 		shuffled[i], shuffled[k] = shuffled[k], shuffled[i]
 	}
-	if _, err := RateVector(shuffled, 0, 1, out); err != nil {
-		t.Fatal(err)
-	}
+	out := countAll(shuffled, 40)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("locally shuffled capture changed bin %d: %v != %v", i, out[i], want[i])
@@ -44,9 +38,7 @@ func TestRateVectorReorderInsensitive(t *testing.T) {
 	for i, j := 0, len(shuffled)-1; i < j; i, j = i+1, j-1 {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	}
-	if _, err := RateVector(shuffled, 0, 1, out); err != nil {
-		t.Fatal(err)
-	}
+	out = countAll(shuffled, 40)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("reversed capture changed bin %d", i)
@@ -58,14 +50,8 @@ func TestRateVectorDuplicatedObservations(t *testing.T) {
 	times := []float64{0.1, 0.5, 0.9, 1.1, 1.2, 2.5}
 	// A double-recording tap repeats some observations in place.
 	dup := []float64{0.1, 0.1, 0.5, 0.9, 0.9, 0.9, 1.1, 1.2, 2.5, 2.5}
-	base := make([]float64, 3)
-	got := make([]float64, 3)
-	if _, err := RateVector(times, 0, 1, base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RateVector(dup, 0, 1, got); err != nil {
-		t.Fatal(err)
-	}
+	base := countAll(times, 3)
+	got := countAll(dup, 3)
 	want := []float64{base[0] + 3, base[1], base[2] + 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -80,9 +66,7 @@ func TestRateVectorDuplicatedObservations(t *testing.T) {
 		double = append(double, x, x)
 	}
 	ref := []float64{3, 1, 5}
-	if _, err := RateVector(double, 0, 1, got); err != nil {
-		t.Fatal(err)
-	}
+	got = countAll(double, 3)
 	rBase, rDouble := corr(base, ref), corr(got, ref)
 	if math.Abs(rBase-rDouble) > 1e-12 {
 		t.Errorf("uniform duplication moved the correlation: %v != %v", rDouble, rBase)

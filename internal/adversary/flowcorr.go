@@ -15,7 +15,7 @@ import (
 //
 //   - the throughput fingerprint (Mittal et al.): windowed packet-count
 //     vectors of the entry and exit sides, matched by Pearson
-//     correlation (RateVector, Center, CenteredCorr). It identifies the
+//     correlation (CountRate, Center, CenteredCorr). It identifies the
 //     individual flow whenever payload rate fluctuations survive the
 //     padding;
 //   - the paper's PIAT class features at the exit (ExitClasses): even
@@ -29,13 +29,13 @@ import (
 // (SummarizeMatch), and the softmax over each exit flow's score column
 // yields its degree of anonymity (MeanAnonymity).
 
-// FlowObs is one flow as the adversary observes it.
+// FlowObs is one flow as the adversary observes it at the exit; the
+// entry side is counted straight into the flow's fingerprint row.
 type FlowObs struct {
 	// Class is the flow's true rate class, read off the unpadded entry.
 	Class int
-	// Entry holds the entry-tap times and Exit the ascending exit times,
-	// both in absolute stream seconds.
-	Entry, Exit []float64
+	// Exit holds the ascending exit times in absolute stream seconds.
+	Exit []float64
 }
 
 // RateWindow is the throughput-fingerprint bin width in seconds: a
@@ -52,7 +52,7 @@ type CorrConfig struct {
 	// Duration is the observation time in stream seconds (required).
 	Duration float64
 	// FeatureWindow is the PIAT count reduced to one feature value per
-	// flow (0 = 200); it must match the window the classifiers were
+	// flow (at least 2); it must match the window the classifiers were
 	// trained at.
 	FeatureWindow int
 	// Classifiers holds one per-feature class classifier (naive-Bayes
@@ -64,14 +64,6 @@ type CorrConfig struct {
 	// Workers bounds the per-flow observation parallelism; results are
 	// identical at any width. Zero means all CPUs.
 	Workers int
-}
-
-// withDefaults fills zero fields.
-func (c CorrConfig) withDefaults() CorrConfig {
-	if c.FeatureWindow == 0 {
-		c.FeatureWindow = 200
-	}
-	return c
 }
 
 // Correlation reports one flow-correlation attack.
@@ -102,13 +94,13 @@ type Correlation struct {
 // CorrelateFlows runs the attack over flows flows: observe each one (in
 // parallel, flows as the unit of parallelism), reduce each side to its
 // throughput fingerprint and the exit's class posteriors, score every
-// (entry, exit) pair, and match greedily. observe(worker, f) returns
-// flow f's observation; its slices are reduced before observe runs
-// again on the same worker, so it may reuse per-worker buffers. Exit
-// flow f's true entry flow is flow f; the scores never read that
-// identity, only the observations.
-func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (FlowObs, error)) (*Correlation, error) {
-	cfg = cfg.withDefaults()
+// (entry, exit) pair, and match greedily. observe(worker, f, entry)
+// returns flow f's observation, and its entry tap counts every arrival
+// into the zeroed fingerprint row entry with CountRate; the exit slice
+// is reduced before observe runs again on the same worker, so it may
+// reuse per-worker buffers. Exit flow f's true entry flow is flow f; the
+// scores never read that identity, only the observations.
+func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int, entry []float64) (FlowObs, error)) (*Correlation, error) {
 	if observe == nil {
 		return nil, errors.New("adversary: nil flow observer")
 	}
@@ -142,18 +134,15 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int) (Flow
 	classes := make([]int, flows)
 	posts := make([][]float64, flows) // exit class log posteriors
 	err = par.MapWorker(flows, workers, func(worker, f int) error {
-		o, err := observe(worker, f)
-		if err == nil {
-			_, err = RateVector(o.Entry, 0, RateWindow, row(entry, f))
-		}
-		if err == nil {
-			_, err = RateVector(o.Exit, 0, RateWindow, row(exit, f))
-		}
+		o, err := observe(worker, f, row(entry, f))
 		if err == nil {
 			posts[f], err = exitClasses.LogPosts(worker, o.Exit)
 		}
 		if err != nil {
 			return fmt.Errorf("adversary: flow %d: %w", f, err)
+		}
+		for _, t := range o.Exit {
+			CountRate(row(exit, f), t)
 		}
 		ssEntry[f] = Center(row(entry, f), row(entry, f))
 		ssExit[f] = Center(row(exit, f), row(exit, f))

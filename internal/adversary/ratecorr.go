@@ -1,9 +1,6 @@
 package adversary
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Windowed rate correlation: the throughput-fingerprinting feature of
 // the flow-correlation attack (CorrelateFlows). The adversary reduces an
@@ -15,29 +12,18 @@ import (
 // path*, so it identifies the individual user whenever the padding lets
 // payload rate fluctuations reach the wire.
 
-// RateVector bins the event times (absolute seconds, ascending) into
-// consecutive windows of the given width starting at start, writing one
-// count per window into out and returning it. Events before start or at
-// or beyond start+len(out)*width are ignored. out must be non-empty and
-// width positive; out is zeroed first, so a reused buffer needs no reset.
-func RateVector(times []float64, start, width float64, out []float64) ([]float64, error) {
-	if len(out) == 0 {
-		return nil, errors.New("adversary: RateVector needs at least one window")
+// CountRate counts one event at absolute time t into its fingerprint
+// row, whose window k spans [k·RateWindow, (k+1)·RateWindow): a tap
+// calls it as each event is seen, so no time list is ever kept. Events
+// before 0 or at or beyond len(row)·RateWindow are ignored, and a nil row
+// counts nothing. The count is order-insensitive, so a reordering tap
+// leaves the row unchanged.
+func CountRate(row []float64, t float64) {
+	k := int(t / RateWindow)
+	if k < 0 || k >= len(row) || t < 0 {
+		return
 	}
-	if !(width > 0) {
-		return nil, errors.New("adversary: RateVector window width must be positive")
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	for _, t := range times {
-		k := int((t - start) / width)
-		if k < 0 || k >= len(out) || t < start {
-			continue
-		}
-		out[k]++
-	}
-	return out, nil
+	row[k]++
 }
 
 // Center writes x's deviations from its mean to dev, which must have

@@ -5,46 +5,101 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"linkpad/internal/analytic"
+	"linkpad/internal/netem"
 	"linkpad/internal/xrand"
 )
 
+// rateVectorRef is the batch binning CountRate replaced, kept as the
+// reference: it bins the event times into consecutive RateWindow-wide
+// windows from 0, one count per window of out, ignoring events before 0
+// or at or beyond len(out)·RateWindow. out is zeroed first.
+func rateVectorRef(times, out []float64) []float64 {
+	for i := range out {
+		out[i] = 0
+	}
+	for _, t := range times {
+		k := int(t / RateWindow)
+		if k < 0 || k >= len(out) || t < 0 {
+			continue
+		}
+		out[k]++
+	}
+	return out
+}
+
+// countAll counts every time into a fresh row of bins windows, one
+// CountRate call per event, as a tap does.
+func countAll(times []float64, bins int) []float64 {
+	row := make([]float64, bins)
+	for _, t := range times {
+		CountRate(row, t)
+	}
+	return row
+}
+
 func TestRateVector(t *testing.T) {
-	times := []float64{0.1, 0.5, 0.9, 1.1, 1.2, 2.5, 3.9, 4.0}
-	out := make([]float64, 4)
-	if _, err := RateVector(times, 0, 1, out); err != nil {
-		t.Fatal(err)
+	times := []float64{0.1, 0.5, 0.9, 1.1, 1.2, 2.5, 3.9, 4.0, -5, -0.5}
+	out := countAll(times, 4)
+	// 4.0 falls outside [0,4); -5 and -0.5 fall before 0 (int(-0.5) is 0,
+	// so the sign must be checked, not only the index).
+	want := []float64{3, 2, 1, 1}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("row = %v, want %v", out, want)
 	}
-	want := []float64{3, 2, 1, 1} // 4.0 falls outside [0,4)
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("bin %d = %v, want %v (all %v)", i, out[i], want[i], out)
+	// A tap whose row was never attached counts nothing.
+	CountRate(nil, 0.5)
+}
+
+// CountRate at the tap must bin exactly as the batch reference bins the
+// same times: on window edges, past the observation, before 0, and
+// behind an entry tap that loses, duplicates and reorders observations.
+func TestCountRateMatchesReference(t *testing.T) {
+	const duration, bins = 10.0, 10
+	check := func(name string, times []float64) {
+		t.Helper()
+		got := countAll(times, bins)
+		if want := rateVectorRef(times, make([]float64, bins)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: counted %v, reference %v", name, got, want)
 		}
 	}
-	// Reuse zeroes the buffer; a shifted start re-bins correctly.
-	if _, err := RateVector(times[:2], 0.05, 0.5, out); err != nil {
+	check("edges", []float64{0, 1, 2, 5, 9, math.Nextafter(duration, 0), duration, 10.5, 11, 1e9})
+	check("negative", []float64{-1e-300, math.Copysign(0, -1), -0.5, -1, -2.5, -1e9, 0.25})
+
+	im := &netem.Impairment{LossProb: 0.05, DupProb: 0.1, ReorderProb: 0.2, ReorderDepth: 4}
+	got := make([]float64, bins)
+	var seen []float64 // what reached the tap, in arrival order
+	tap, err := im.WrapRecordObs(func(x float64) {
+		seen = append(seen, x)
+		CountRate(got, x)
+	}, xrand.New(55), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want = []float64{2, 0, 0, 0} // 0.1 and 0.5 both land in [0.05, 0.55)
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("shifted bin %d = %v, want %v (all %v)", i, out[i], want[i], out)
+	rng := xrand.New(56)
+	sent := 0
+	for now := rng.Exp(0.005); now <= duration+1; now += rng.Exp(0.005) {
+		tap(now)
+		sent++
+	}
+	if sort.Float64sAreSorted(seen) {
+		t.Fatal("impaired tap should deliver out of order")
+	}
+	dups := 0
+	for i := 1; i < len(seen); i++ {
+		if seen[i] == seen[i-1] {
+			dups++
 		}
 	}
-	if _, err := RateVector(times, 0, 1, nil); err == nil {
-		t.Error("empty output should fail")
+	if dups == 0 || len(seen)-dups >= sent {
+		t.Fatalf("impaired tap should both duplicate and lose: %d seen, %d adjacent duplicates, %d sent",
+			len(seen), dups, sent)
 	}
-	if _, err := RateVector(times, 0, 0, out); err == nil {
-		t.Error("zero width should fail")
-	}
-	// Events before start must not index negatively.
-	if _, err := RateVector([]float64{-5, 0.5}, 0, 1, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 {
-		t.Errorf("pre-start event leaked into bin 0: %v", out)
+	if want := rateVectorRef(seen, make([]float64, bins)); !reflect.DeepEqual(got, want) {
+		t.Errorf("impaired tap: counted %v, reference %v", got, want)
 	}
 }
 

@@ -27,8 +27,9 @@
 // streams in the cascade stream domain, so a route is a pure function of
 // its flow identity and flows — the unit of parallelism — never share
 // randomness. A route is a pull-driven pipeline: each packet flows
-// through all hops on demand with no inter-hop buffering, and the
-// correlator reuses per-worker observation slabs, so pulling packets
+// through all hops on demand with no inter-hop buffering, the entry tap
+// counts each arrival into its fingerprint row instead of keeping it,
+// and the correlator reuses per-worker exit slabs, so pulling packets
 // through a warmed route allocates nothing in steady state
 // (core.TestCascadeRouteAllocFree).
 package cascade
@@ -36,6 +37,7 @@ package cascade
 import (
 	"errors"
 
+	"linkpad/internal/adversary"
 	"linkpad/internal/gateway"
 	"linkpad/internal/netem"
 	"linkpad/internal/obs"
@@ -61,23 +63,16 @@ type HopStats struct {
 // flow.
 type HopProbe func() HopStats
 
-// Recorder is the entry tap: the first hop's ArrivalTap appends every
-// payload arrival time here as the route is pulled, giving the adversary
-// its ingress observation. The backing slice is reused across Reset
-// calls, so steady-state recording allocates nothing once the capacity
-// has grown.
+// Recorder is the entry tap: the first hop's ArrivalTap calls Record
+// with every payload arrival as the route is pulled, and Record counts it
+// into Row, the flow's entry fingerprint, which Correlate attaches before
+// the pull. A nil Row counts nothing.
 type Recorder struct {
-	times []float64
+	Row []float64
 }
 
-// Record appends one arrival time.
-func (r *Recorder) Record(t float64) { r.times = append(r.times, t) }
-
-// Times returns the recorded arrival times (not a copy).
-func (r *Recorder) Times() []float64 { return r.times }
-
-// Reset forgets the recorded times, keeping the capacity.
-func (r *Recorder) Reset() { r.times = r.times[:0] }
+// Record counts one arrival time into Row.
+func (r *Recorder) Record(t float64) { adversary.CountRate(r.Row, t) }
 
 // StreamSource adapts an upstream hop's departure TimeStream to the
 // traffic.Source contract the next hop's gateway consumes: Next returns
@@ -155,7 +150,7 @@ func (p *phasedPolicy) MaxInterval() float64 {
 // Route is one flow's multi-hop observation as the end-to-end adversary
 // sees it: the exit stream (absolute departure times past the last hop's
 // padding, link, and the exit tap imperfections), the entry recorder
-// (populated with ingress arrival times as Exit is pulled), and one
+// (counting ingress arrivals as Exit is pulled), and one
 // overhead probe per hop. Like the other observation protocols it is a
 // stateful stream: one pass per route, build a fresh route per run; it
 // is not safe for concurrent use.
@@ -165,8 +160,8 @@ type Route struct {
 	Class int
 	// Exit is the padded departure stream at the route's exit tap.
 	Exit netem.TimeStream
-	// Entry records ingress arrival times; nil for phantom training
-	// routes, whose entry side the adversary does not observe.
+	// Entry counts ingress arrivals; nil for phantom training routes,
+	// whose entry side the adversary does not observe.
 	Entry *Recorder
 	// Hops holds one overhead probe per hop, entry hop first.
 	Hops []HopProbe

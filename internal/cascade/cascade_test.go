@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"linkpad/internal/gateway"
@@ -83,18 +84,14 @@ func TestPhasedPolicy(t *testing.T) {
 
 func TestRecorder(t *testing.T) {
 	var r Recorder
-	r.Record(1)
-	r.Record(2.5)
-	if got := r.Times(); len(got) != 2 || got[1] != 2.5 {
-		t.Fatalf("times = %v", got)
+	r.Record(1) // no row attached yet: counts nothing
+	r.Row = make([]float64, 3)
+	for _, x := range []float64{0.5, 1, 2.5, 2.9, 3, -1} {
+		r.Record(x)
 	}
-	r.Reset()
-	if len(r.Times()) != 0 {
-		t.Error("reset did not clear")
-	}
-	r.Record(3)
-	if got := r.Times(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("times after reset = %v", got)
+	// Whole-second windows from 0: 3 and -1 fall outside the row.
+	if want := []float64{1, 1, 2}; !reflect.DeepEqual(r.Row, want) {
+		t.Fatalf("row = %v, want %v", r.Row, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"linkpad/internal/adversary"
+	"linkpad/internal/netem"
 	"linkpad/internal/par"
 )
 
@@ -54,10 +55,10 @@ type Result struct {
 
 // Correlate runs adversary.CorrelateFlows over the engine's routes and
 // accounts the per-hop overhead. Each route's exit stream is pulled
-// through the whole route for cfg.Duration into a per-worker slab,
-// which fills the entry recorder as a side effect; once the route's
-// observation is complete its hop counters are read. Exit flow f's true
-// entry flow is flow f.
+// through the whole route over (0, cfg.Duration] into a per-worker slab
+// (netem.Collect), which counts the entry arrivals into the flow's entry
+// row as a side effect; once the route's observation is complete its hop
+// counters are read. Exit flow f's true entry flow is flow f.
 func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("cascade: nil engine")
@@ -66,7 +67,7 @@ func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	hopStats := make([][]HopStats, flows)
 	exitCounts := make([]int, flows)
 	exits := make([][]float64, par.Workers(cfg.Workers)) // reusable per-worker exit-time slabs
-	corr, err := adversary.CorrelateFlows(flows, cfg, func(worker, f int) (adversary.FlowObs, error) {
+	corr, err := adversary.CorrelateFlows(flows, cfg, func(worker, f int, entry []float64) (adversary.FlowObs, error) {
 		route, err := e.Route(f)
 		if err != nil {
 			return adversary.FlowObs{}, err
@@ -74,14 +75,8 @@ func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 		if route.Entry == nil {
 			return adversary.FlowObs{}, errors.New("route has no entry recorder")
 		}
-		buf := exits[worker][:0]
-		for {
-			t := route.Exit.Next()
-			if t > cfg.Duration {
-				break
-			}
-			buf = append(buf, t)
-		}
+		route.Entry.Row = entry
+		buf := netem.Collect(exits[worker][:0], route.Exit, 0, cfg.Duration)
 		exits[worker] = buf
 		// The route's observation is complete and this worker owns its
 		// telemetry shard: publish the chain's counters (nil-safe).
@@ -91,7 +86,7 @@ func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 		for h, probe := range route.Hops {
 			hopStats[f][h] = probe()
 		}
-		return adversary.FlowObs{Class: route.Class, Entry: route.Entry.Times(), Exit: buf}, nil
+		return adversary.FlowObs{Class: route.Class, Exit: buf}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cascade: %w", err)

@@ -24,21 +24,36 @@ func patternTimes(bins int, count func(b int) int) []float64 {
 	return append(ts, float64(bins)+1)
 }
 
+// corrCfg is the attack's configuration over duration seconds at the
+// default feature window, with no classifiers.
+func corrCfg(duration float64) adversary.CorrConfig {
+	return adversary.CorrConfig{Duration: duration, FeatureWindow: 200}
+}
+
+// tapped is an identity route's exit: every pulled time also reaches the
+// entry recorder, as a zero-hop route's entry tap does.
+type tapped struct {
+	netem.TimeStream
+	rec *Recorder
+}
+
+func (s tapped) Next() float64 {
+	t := s.TimeStream.Next()
+	s.rec.Record(t)
+	return t
+}
+
 // syntheticEngine wires identity routes: flow f's entry and exit replay
 // the same schedule, produced by times(f).
 func syntheticEngine(t *testing.T, flows, hops int, times func(f int) []float64, probes func(f int) []HopProbe) *Engine {
 	t.Helper()
 	e, err := NewEngine(flows, hops, func(f int) (*Route, error) {
-		ts := times(f)
 		rec := &Recorder{}
-		for _, x := range ts[:len(ts)-1] {
-			rec.Record(x)
-		}
 		var ps []HopProbe
 		if probes != nil {
 			ps = probes(f)
 		}
-		return NewRoute(0, netem.NewSliceStream(ts), rec, ps)
+		return NewRoute(0, tapped{netem.NewSliceStream(times(f)), rec}, rec, ps)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +69,7 @@ func TestCorrelateIdentityRoutes(t *testing.T) {
 	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
 		return patternTimes(bins, func(b int) int { return 3 + (b+2*f)%7 })
 	}, nil)
-	res, err := Correlate(e, adversary.CorrConfig{Duration: bins})
+	res, err := Correlate(e, corrCfg(bins))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +103,7 @@ func TestCorrelateFlatRoutes(t *testing.T) {
 	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
 		return patternTimes(bins, func(int) int { return 5 })
 	}, nil)
-	res, err := Correlate(e, adversary.CorrConfig{Duration: bins})
+	res, err := Correlate(e, corrCfg(bins))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +126,7 @@ func TestCorrelateHopAccounting(t *testing.T) {
 	}, func(f int) []HopProbe {
 		return []HopProbe{mk("CIT", 1000, 750), mk("MIX", 1000, 0)}
 	})
-	res, err := Correlate(e, adversary.CorrConfig{Duration: bins})
+	res, err := Correlate(e, corrCfg(bins))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +146,7 @@ func TestCorrelateHopAccounting(t *testing.T) {
 	}, func(f int) []HopProbe {
 		return []HopProbe{mk("CIT", 1000, 750)}
 	})
-	if _, err := Correlate(bad, adversary.CorrConfig{Duration: bins}); err == nil || !strings.Contains(err.Error(), "hops") {
+	if _, err := Correlate(bad, corrCfg(bins)); err == nil || !strings.Contains(err.Error(), "hops") {
 		t.Errorf("hop-count mismatch not rejected: %v", err)
 	}
 }
@@ -140,21 +155,22 @@ func TestCorrelateValidation(t *testing.T) {
 	e := syntheticEngine(t, 2, 0, func(f int) []float64 {
 		return patternTimes(4, func(int) int { return 3 })
 	}, nil)
-	if _, err := Correlate(nil, adversary.CorrConfig{Duration: 10}); err == nil {
+	if _, err := Correlate(nil, corrCfg(10)); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := Correlate(e, adversary.CorrConfig{}); err == nil {
+	if _, err := Correlate(e, corrCfg(0)); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := Correlate(e, adversary.CorrConfig{Duration: 1.5}); err == nil {
+	if _, err := Correlate(e, corrCfg(1.5)); err == nil {
 		t.Error("single rate window accepted")
 	}
 	for _, cfg := range []adversary.CorrConfig{
+		{Duration: 4},
 		{Duration: 4, FeatureWindow: 1},
-		{Duration: 4, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
+		{Duration: 4, FeatureWindow: 200, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
 	} {
 		if _, err := Correlate(e, cfg); err == nil || !strings.HasPrefix(err.Error(), "cascade: ") {
-			t.Errorf("tiny feature window or unpaired extractor: got %v, want a cascade error", err)
+			t.Errorf("zero or tiny feature window or unpaired extractor: got %v, want a cascade error", err)
 		}
 	}
 	// Routes without an entry recorder cannot be correlated.
@@ -164,7 +180,7 @@ func TestCorrelateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Correlate(blind, adversary.CorrConfig{Duration: 4}); err == nil {
+	if _, err := Correlate(blind, corrCfg(4)); err == nil {
 		t.Error("entry-less route accepted")
 	}
 }

@@ -4,21 +4,25 @@ import (
 	"sort"
 	"testing"
 
-	"linkpad/internal/adversary"
 	"linkpad/internal/netem"
 	"linkpad/internal/xrand"
 )
 
 // TestRecorderUnderImpairedTap drives an entry Recorder through an
 // impaired capture (duplication + reordering, no loss) and checks the
-// rate-vector reduction the correlation attack performs: the recorded
-// sequence is genuinely out of order, yet binning recovers exactly the
+// rate-vector reduction the correlation attack performs: the observed
+// sequence is genuinely out of order, yet counting recovers exactly the
 // clean counts plus the duplicates — the reduction is insensitive to
 // capture order, so only loss (not mis-sequencing) degrades the attack.
 func TestRecorderUnderImpairedTap(t *testing.T) {
+	const bins = 120 // whole seconds, past the ~100 s the stream spans
 	im := &netem.Impairment{DupProb: 0.1, ReorderProb: 0.2, ReorderDepth: 4}
-	var rec Recorder
-	record, err := im.WrapRecordObs(rec.Record, xrand.New(55), nil)
+	rec := Recorder{Row: make([]float64, bins)}
+	var got []float64 // what reached the recorder, in arrival order
+	record, err := im.WrapRecordObs(func(x float64) {
+		got = append(got, x)
+		rec.Record(x)
+	}, xrand.New(55), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +35,6 @@ func TestRecorderUnderImpairedTap(t *testing.T) {
 		clean[i] = now
 		record(clean[i])
 	}
-	got := rec.Times()
 	if sort.Float64sAreSorted(got) {
 		t.Fatal("impaired tap should record out of order")
 	}
@@ -65,22 +68,20 @@ func TestRecorderUnderImpairedTap(t *testing.T) {
 		t.Fatal("no duplicates recorded at DupProb 0.1")
 	}
 
-	// The rate vector of the mis-ordered capture equals the vector of the
+	// The row counted from the mis-ordered capture equals the row of the
 	// same multiset sorted: the reduction sees through the reordering.
-	width := now / 50
-	vecGot := make([]float64, 50)
-	if _, err := adversary.RateVector(got, 0, width, vecGot); err != nil {
-		t.Fatal(err)
-	}
 	sorted := append([]float64(nil), got...)
 	sort.Float64s(sorted)
-	vecSorted := make([]float64, 50)
-	if _, err := adversary.RateVector(sorted, 0, width, vecSorted); err != nil {
-		t.Fatal(err)
+	ordered := Recorder{Row: make([]float64, bins)}
+	for _, x := range sorted {
+		ordered.Record(x)
 	}
-	for i := range vecGot {
-		if vecGot[i] != vecSorted[i] {
+	for i := range rec.Row {
+		if rec.Row[i] != ordered.Row[i] {
 			t.Fatalf("bin %d differs between mis-ordered and sorted capture", i)
 		}
+	}
+	if ordered.Row[bins-1] != 0 || ordered.Row[0] == 0 {
+		t.Fatalf("the stream should fill the first window and end before the last: %v", ordered.Row)
 	}
 }

@@ -276,7 +276,8 @@ func (s *System) NewActive(spec ActiveSpec) (*active.Engine, error) {
 }
 
 // ActiveDetectConfig parameterizes the watermark detection attack run
-// through a System: the attack-side knobs mirror active.Config, plus the
+// through a System: the attack-side knobs become the
+// adversary.CorrConfig active.Detect runs on, and TrainWindows sets the
 // off-line training effort for the exit-side PIAT class classifiers.
 type ActiveDetectConfig struct {
 	// Duration is the observation time in stream seconds past each
@@ -361,7 +362,7 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*acti
 	if err != nil {
 		return nil, err
 	}
-	return active.Detect(eng, active.Config{
+	return active.Detect(eng, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,

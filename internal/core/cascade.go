@@ -229,9 +229,9 @@ func (s *System) NewCascade(spec CascadeSpec) (*cascade.Engine, error) {
 }
 
 // CascadeCorrConfig parameterizes the end-to-end cascade correlation
-// attack run through a System: the attack-side knobs mirror
-// adversary.CorrConfig, plus the off-line training effort for the
-// exit-side PIAT class classifiers.
+// attack run through a System: the attack-side knobs become the
+// adversary.CorrConfig cascade.Correlate runs on, and TrainWindows sets
+// the off-line training effort for the exit-side PIAT class classifiers.
 type CascadeCorrConfig struct {
 	// Duration is the per-flow observation time in stream seconds
 	// (0 = 60).

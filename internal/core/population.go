@@ -9,6 +9,7 @@ import (
 	"linkpad/internal/cascade"
 	"linkpad/internal/netem"
 	"linkpad/internal/obs"
+	"linkpad/internal/par"
 	"linkpad/internal/population"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
@@ -302,10 +303,10 @@ func (s *System) presenceSchedule(spec PopulationSpec, class, user int) (*traffi
 }
 
 // FlowCorrConfig parameterizes the population flow-correlation attack
-// run through a System: the attack-side knobs mirror
-// adversary.CorrConfig, plus the off-line training effort for the PIAT
-// class classifiers, which reduce defaultFeatureWindow PIATs to one
-// feature value.
+// run through a System: the attack-side knobs become the
+// adversary.CorrConfig the attack runs on, with defaultFeatureWindow
+// PIATs reduced to one feature value, and TrainWindows sets the off-line
+// training effort for the PIAT class classifiers.
 type FlowCorrConfig struct {
 	// Duration is the per-flow observation time in stream seconds
 	// (0 = 60).
@@ -487,49 +488,45 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adve
 		return nil, err
 	}
 
-	// Run-time phase: observe every user's flow and correlate.
+	// Run-time phase: observe every user's flow and correlate, pulling
+	// each exit into its worker's reusable slab.
+	exits := make([][]float64, par.Workers(cfg.Workers))
 	res, err := adversary.CorrelateFlows(spec.Users, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		FeatureWindow: defaultFeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,
 		Workers:       cfg.Workers,
-	}, func(_, u int) (adversary.FlowObs, error) {
+	}, func(worker, u int, entry []float64) (adversary.FlowObs, error) {
 		class := classOf(u, spec.Users, cum)
 		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
-		flow := adversary.FlowObs{Class: class}
 		presence, err := s.presenceSchedule(spec, class, u)
 		if err != nil {
-			return flow, err
+			return adversary.FlowObs{}, err
 		}
-		// The ingress tap is the adversary's entry recorder; an impaired
-		// tap (EntryTapImpair) observes it through per-flow loss/dup/
-		// reordering on the flow's popRoleTap stream.
+		// The ingress tap counts the adversary's entry fingerprint (the
+		// guard keeps arrivals past a non-integral Duration out of the last
+		// window); an impaired tap (EntryTapImpair) observes it through
+		// per-flow loss/dup/reordering on the flow's popRoleTap stream.
 		tap := func(t float64) {
 			if t <= cfg.Duration {
-				flow.Entry = append(flow.Entry, t)
+				adversary.CountRate(entry, t)
 			}
 		}
 		sh := obs.NewShard()
 		tap, err = s.entryTapWrap(tap, class, populationStreamID(u, popRoleTap), sh)
 		if err != nil {
-			return flow, err
+			return adversary.FlowObs{}, err
 		}
 		link, err := s.flowLink(spec, class, cfg.Raw, presence, master, tap, sh)
 		if err != nil {
-			return flow, err
+			return adversary.FlowObs{}, err
 		}
-		for {
-			t := link.Next()
-			if t > cfg.Duration {
-				break
-			}
-			flow.Exit = append(flow.Exit, t)
-		}
+		exits[worker] = netem.Collect(exits[worker][:0], link, 0, cfg.Duration)
 		// The flow is finished and this worker owns the shard: publish the
 		// chain's counters.
 		sh.Flush()
-		return flow, nil
+		return adversary.FlowObs{Class: class, Exit: exits[worker]}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

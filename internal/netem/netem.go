@@ -58,6 +58,22 @@ type TimeStream interface {
 	Next() float64
 }
 
+// Collect is the exit collector of every matching attack: it pulls s
+// until the first time past to, appends the times in (from, to] to dst
+// and returns it. Exactly one departure past to is pulled, and dropped;
+// counters read off the stream afterwards include it.
+func Collect(dst []float64, s TimeStream, from, to float64) []float64 {
+	for {
+		t := s.Next()
+		if t > to {
+			return dst
+		}
+		if t > from {
+			dst = append(dst, t)
+		}
+	}
+}
+
 // BatchStream is a TimeStream that can produce a batch of event times in
 // one call. NextBatch fills dst entirely; it is equivalent to len(dst)
 // Next calls.

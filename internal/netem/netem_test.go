@@ -471,6 +471,41 @@ func TestSliceStreamOrder(t *testing.T) {
 	}
 }
 
+// countingStream emits 0, 1, 2, ... seconds and counts its pulls.
+type countingStream struct {
+	next  float64
+	pulls int
+}
+
+func (s *countingStream) Next() float64 {
+	t := s.next
+	s.next++
+	s.pulls++
+	return t
+}
+
+// Collect keeps the times in (from, to], appends them to dst's storage,
+// and pulls exactly one departure past to.
+func TestCollect(t *testing.T) {
+	s := &countingStream{}
+	buf := make([]float64, 1, 8)
+	got := Collect(buf[:0], s, 2, 5)
+	if want := []float64{3, 4, 5}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("Collect over (2, 5] = %v, want %v", got, want)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("Collect did not reuse dst's storage")
+	}
+	if s.pulls != 7 {
+		t.Errorf("Collect pulled %d times (0 through 6), want 7", s.pulls)
+	}
+	// A stream already past to yields nothing, for one pull.
+	got = Collect(got[:0], s, 0, 5)
+	if len(got) != 0 || s.pulls != 8 {
+		t.Errorf("Collect past the window = %v after %d pulls, want none after 8", got, s.pulls)
+	}
+}
+
 func BenchmarkFastRouterNext(b *testing.B) {
 	in := make([]float64, b.N+1)
 	for i := range in {
