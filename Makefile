@@ -63,7 +63,7 @@ bench-compare:
 # under 50 ms are exempt from the gate as pure scheduling noise). This is
 # what the bench-trajectory CI job runs.
 bench-gate:
-	$(GO) run ./cmd/linkpadsim -bench-gate BENCH.json -bench-gate-pct 25
+	$(GO) run ./cmd/linkpadsim -bench-gate BENCH.json
 
 # Smoke-scale run of every experiment with the live progress line and a
 # structured JSON run report (per-layer counters, packets/sec); the

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -116,8 +117,9 @@ type benchPoint struct {
 }
 
 // runBenchJSON executes the selected experiments, timing each, and
-// appends the run to the JSON trajectory at path (created if absent).
-func runBenchJSON(ids []string, opts experiment.Options, path string) error {
+// appends the run to the JSON trajectory at path (created if absent). It
+// logs each experiment's time and the run's total to stderr.
+func runBenchJSON(stderr io.Writer, ids []string, opts experiment.Options, path string) error {
 	rec := benchRecord{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		GitCommit:  gitCommit(),
@@ -153,7 +155,7 @@ func runBenchJSON(ids []string, opts experiment.Options, path string) error {
 			Messages:       messages,
 			MessagesPerSec: perSecond(messages, elapsed),
 		})
-		fmt.Fprintf(os.Stderr, "%s: %v\n", id, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stderr, "%s: %v\n", id, elapsed.Round(time.Millisecond))
 	}
 	rec.TotalSeconds = total.Seconds()
 
@@ -174,7 +176,7 @@ func runBenchJSON(ids []string, opts experiment.Options, path string) error {
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "total %v; trajectory appended to %s (%d runs)\n",
+	fmt.Fprintf(stderr, "total %v; trajectory appended to %s (%d runs)\n",
 		total.Round(time.Millisecond), path, len(trajectory))
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 )
@@ -52,7 +51,7 @@ func (r *benchRecord) parallelism() int {
 // regression shows up as a signed percentage instead of a manual JSON
 // diff.
 func runBenchCompare(w io.Writer, path string) error {
-	if err := benchDiff(w, path, 0); err != nil {
+	if err := benchDiff(w, path, false); err != nil {
 		return fmt.Errorf("bench-compare: %w", err)
 	}
 	return nil
@@ -64,26 +63,28 @@ func runBenchCompare(w io.Writer, path string) error {
 // past any sensible percentage threshold.
 const benchGateFloorSeconds = 0.05
 
+// benchGatePct is the regression gate's per-experiment slowdown bound,
+// in percent.
+const benchGatePct = 25
+
 // runBenchGate is runBenchCompare with teeth: it prints the same delta
 // table and then fails if any individual experiment above the noise
-// floor slowed down by more than gatePct percent. Only per-experiment
-// slowdowns gate — totals shift with experiment membership, new and
-// removed experiments have no baseline, and speedups are never an error.
-func runBenchGate(w io.Writer, path string, gatePct float64) error {
-	if !(gatePct > 0) || math.IsInf(gatePct, 1) {
-		return fmt.Errorf("bench-gate: threshold must be a positive finite percentage, got %v", gatePct)
-	}
-	if err := benchDiff(w, path, gatePct); err != nil {
+// floor slowed down by more than benchGatePct percent. Only
+// per-experiment slowdowns gate — totals shift with experiment
+// membership, new and removed experiments have no baseline, and
+// speedups are never an error.
+func runBenchGate(w io.Writer, path string) error {
+	if err := benchDiff(w, path, true); err != nil {
 		return fmt.Errorf("bench-gate: %w", err)
 	}
 	return nil
 }
 
 // benchDiff prints the per-experiment delta table between the last two
-// comparable records; with gatePct > 0 it also collects experiments
-// slower than the threshold (baseline above the noise floor) and errors
-// if any exist.
-func benchDiff(w io.Writer, path string, gatePct float64) error {
+// comparable records; with gate set it also collects experiments slower
+// than benchGatePct (baseline above the noise floor) and errors if any
+// exist.
+func benchDiff(w io.Writer, path string, gate bool) error {
 	prev, last, err := comparablePair(path)
 	if err != nil {
 		return err
@@ -94,9 +95,9 @@ func benchDiff(w io.Writer, path string, gatePct float64) error {
 	fmt.Fprintf(w, "# new: %s  %s (%s)\n", last.Timestamp, short(last.GitCommit), last.GoVersion)
 	fmt.Fprintf(w, "# scale %v, seed %d, workers %d, GOMAXPROCS %d -> %d\n",
 		last.Scale, last.Seed, last.Workers, prev.GOMAXPROCS, last.GOMAXPROCS)
-	if gatePct > 0 {
-		fmt.Fprintf(w, "# gate: fail on > +%.0f%% per experiment (baselines under %.0f ms ignored)\n",
-			gatePct, benchGateFloorSeconds*1000)
+	if gate {
+		fmt.Fprintf(w, "# gate: fail on > +%d%% per experiment (baselines under %.0f ms ignored)\n",
+			benchGatePct, benchGateFloorSeconds*1000)
 	}
 
 	oldSecs := make(map[string]float64, len(prev.Experiments))
@@ -128,8 +129,8 @@ func benchDiff(w io.Writer, path string, gatePct float64) error {
 			continue
 		}
 		fmt.Fprintf(w, "%-28s %10.3f %10.3f %9s\n", id, before, after, deltaPct(before, after))
-		if gatePct > 0 && before >= benchGateFloorSeconds &&
-			100*(after-before)/before > gatePct {
+		if gate && before >= benchGateFloorSeconds &&
+			100*(after-before)/before > benchGatePct {
 			regressed = append(regressed, fmt.Sprintf("%s (%.3fs -> %.3fs, %s)",
 				id, before, after, deltaPct(before, after)))
 		}
@@ -143,8 +144,8 @@ func benchDiff(w io.Writer, path string, gatePct float64) error {
 		prev.TotalSeconds, last.TotalSeconds,
 		deltaPct(prev.TotalSeconds, last.TotalSeconds))
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d experiment(s) regressed past +%.0f%%: %s",
-			len(regressed), gatePct, joinLines(regressed))
+		return fmt.Errorf("%d experiment(s) regressed past +%d%%: %s",
+			len(regressed), benchGatePct, joinLines(regressed))
 	}
 	return nil
 }

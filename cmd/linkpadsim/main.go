@@ -9,7 +9,7 @@
 //	linkpadsim -exp all -progress -report report.json
 //	linkpadsim -exp all -bench-json BENCH.json
 //	linkpadsim -bench-compare BENCH.json
-//	linkpadsim -bench-gate BENCH.json [-bench-gate-pct 25]
+//	linkpadsim -bench-gate BENCH.json
 //	linkpadsim -exp ext-disclosure -checkpoint cp.json [-checkpoint-kill N]
 //	linkpadsim -exp scale-disclosure -scale 1 -timeout 10m -max-rss-mb 2048
 //	linkpadsim -exp fig8b -cpuprofile cpu.out -memprofile mem.out
@@ -71,8 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metricsAddr  = fs.String("metrics-addr", "", "serve expvar counters and net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 		benchJSON    = fs.String("bench-json", "", "time the experiments and append a run record to this JSON trajectory file instead of printing tables")
 		benchCompare = fs.String("bench-compare", "", "print per-experiment wall-clock deltas between the last two comparable records (same scale, seed, workers and effective parallelism) of this bench trajectory file")
-		benchGate    = fs.String("bench-gate", "", "like -bench-compare, but exit non-zero if any experiment slowed down past -bench-gate-pct")
-		benchGatePct = fs.Float64("bench-gate-pct", 25, "per-experiment slowdown threshold for -bench-gate, in percent")
+		benchGate    = fs.String("bench-gate", "", fmt.Sprintf("like -bench-compare, but exit non-zero if any experiment slowed down by more than %d%%", benchGatePct))
 		checkpoint   = fs.String("checkpoint", "", "persist per-cell progress of a checkpointable experiment to this file and resume from it if present")
 		cpKill       = fs.Int("checkpoint-kill", 0, "abort with a simulated crash after this many cells finish (requires -checkpoint; exit code 3)")
 		timeout      = fs.Duration("timeout", 0, "abort the whole run after this wall-clock duration (0 = no limit)")
@@ -99,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runBenchCompare(stdout, *benchCompare)
 	}
 	if *benchGate != "" {
-		return runBenchGate(stdout, *benchGate, *benchGatePct)
+		return runBenchGate(stdout, *benchGate)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -196,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer prog.stop()
 
 	if *benchJSON != "" {
-		if err := runBenchJSON(ids, opts, *benchJSON); err != nil {
+		if err := runBenchJSON(stderr, ids, opts, *benchJSON); err != nil {
 			return err
 		}
 		return checkPeakRSS(stderr, *maxRSSMB)

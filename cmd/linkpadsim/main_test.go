@@ -114,6 +114,38 @@ func TestRunMaxRSSCeiling(t *testing.T) {
 	}
 }
 
+// A -bench-json run logs each experiment's time and the run's total to
+// the stderr writer run is given, like every other output of run, and
+// appends one record to the trajectory file.
+func TestRunBenchJSONLogsToStderr(t *testing.T) {
+	defer func() {
+		obs.SetEnabled(false)
+		obs.Reset()
+	}()
+	obs.Reset()
+	path := filepath.Join(t.TempDir(), "bench.json")
+	err, stderr := tryRun(t, "-exp", "fig5b", "-scale", "0.05", "-seed", "3", "-bench-json", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fig5b: ", "total ", "trajectory appended to " + path + " (1 runs)"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trajectory []benchRecord
+	if err := json.Unmarshal(data, &trajectory); err != nil {
+		t.Fatalf("trajectory does not decode: %v", err)
+	}
+	if len(trajectory) != 1 || len(trajectory[0].Experiments) != 1 || trajectory[0].Experiments[0].ID != "fig5b" {
+		t.Errorf("trajectory = %+v, want one fig5b record", trajectory)
+	}
+}
+
 func TestRunList(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"-list"}, &out, &errw); err != nil {

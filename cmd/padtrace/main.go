@@ -16,6 +16,7 @@ import (
 	"strconv"
 
 	"linkpad/internal/core"
+	"linkpad/internal/netem"
 	"linkpad/internal/trace"
 	"linkpad/internal/traffic"
 )
@@ -45,7 +46,7 @@ func run() error {
 	cfg := core.DefaultLabConfig()
 	cfg.SigmaT = *sigmaT
 	cfg.Seed = *seed
-	cfg.TapLossProb = *loss
+	cfg.TapImpair = &netem.Impairment{LossProb: *loss}
 	cfg.TapResolution = *res
 	for i := 0; i < *hops; i++ {
 		cfg.Hops = append(cfg.Hops, core.HopSpec{

@@ -204,7 +204,7 @@ func (d *DelaySource) Stats() InjectStats { return d.stats }
 // the given rate that runs only during the key's marked slots and is
 // silent otherwise — an on/off pattern the attacker transmits as
 // ordinary (encrypted) payload packets. It implements traffic.Source;
-// superpose it with the real payload to inject.
+// merge it with the real payload (traffic.Pair) to inject.
 //
 // The process is an inhomogeneous Poisson process simulated exactly: an
 // exponential clock advances in "on-time" (the measure of marked slots)

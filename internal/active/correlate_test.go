@@ -30,7 +30,7 @@ func (s *sourceStream) Next() float64 {
 }
 
 // chaffEngine builds a synthetic unpadded scenario: each flow is Poisson
-// payload superposed with keyed chaff (or plain payload when amp == 0),
+// payload merged with keyed chaff (or plain payload when amp == 0),
 // entirely inside the test — no core wiring.
 func chaffEngine(t *testing.T, flows int, amp float64) *Engine {
 	t.Helper()
@@ -52,10 +52,8 @@ func chaffEngine(t *testing.T, flows int, amp float64) *Engine {
 			if err != nil {
 				return nil, err
 			}
-			src, err = traffic.NewSuperpose(payload, chaff)
-			if err != nil {
-				return nil, err
-			}
+			merge := traffic.NewPair(payload, chaff)
+			src = &merge
 			inject = func() InjectStats { return chaff.Stats() }
 		}
 		return &Flow{Key: key, Exit: &sourceStream{src: src}, Inject: inject}, nil
@@ -335,11 +333,8 @@ func TestDetectMatchesSequentialOracle(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		src, err := traffic.NewSuperpose(payload, chaff)
-		if err != nil {
-			return nil, err
-		}
-		fl.Exit, fl.Inject = &sourceStream{src: src}, func() InjectStats { return chaff.Stats() }
+		src := traffic.NewPair(payload, chaff)
+		fl.Exit, fl.Inject = &sourceStream{src: &src}, func() InjectStats { return chaff.Stats() }
 		return fl, nil
 	}
 	e, err := NewEngine(7, 0, ModeChaff, chips, period, decoys, build)

@@ -201,10 +201,8 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 			if err != nil {
 				return nil, err
 			}
-			src, err = traffic.NewSuperpose(src, chaff)
-			if err != nil {
-				return nil, err
-			}
+			merge := traffic.NewPair(src, chaff)
+			src = &merge
 			fl.Inject = chaff.Stats
 		}
 	}
@@ -227,10 +225,8 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 			if err != nil {
 				return nil, err
 			}
-			src, err = traffic.NewSuperpose(src, cover)
-			if err != nil {
-				return nil, err
-			}
+			merge := traffic.NewPair(src, cover)
+			src = &merge
 		}
 		stream, probe, err := s.padStream(src, spec.Raw,
 			s.activeRand(spec.Protocol, class, flow, 0, activeRoleLink), nil, fl.Probe)

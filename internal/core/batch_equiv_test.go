@@ -60,14 +60,13 @@ func TestBatchedChainMatchesPull(t *testing.T) {
 			}
 		},
 		"cit-tap-imperfect": func(cfg *Config) {
-			cfg.TapLossProb = 0.06
 			cfg.TapResolution = 1e-5
-			cfg.TapImpair = &netem.Impairment{DupProb: 0.1}
+			cfg.TapImpair = &netem.Impairment{LossProb: 0.06, DupProb: 0.1}
 		},
 		"mix-hops-tap": func(cfg *Config) {
 			cfg.Mix = &MixSpec{K: 4}
 			cfg.Hops = []HopSpec{diurnalHop}
-			cfg.TapLossProb = 0.03
+			cfg.TapImpair = &netem.Impairment{LossProb: 0.03}
 		},
 	}
 	const total = 3000

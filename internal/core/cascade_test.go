@@ -7,6 +7,7 @@ import (
 
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
+	"linkpad/internal/netem"
 	"linkpad/internal/traffic"
 )
 
@@ -135,7 +136,7 @@ func TestCascadeHonorsExitObservationChain(t *testing.T) {
 		PacketBytes: 200,
 		Util:        traffic.Constant(0.2),
 	}}
-	cfg.TapLossProb = 0.05
+	cfg.TapImpair = &netem.Impairment{LossProb: 0.05}
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

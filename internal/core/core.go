@@ -117,8 +117,6 @@ type Config struct {
 	// StartHour anchors diurnal profiles: simulation time 0 is this hour
 	// of day.
 	StartHour float64
-	// TapLossProb is the adversary capture's packet miss probability.
-	TapLossProb float64
 	// TapResolution quantizes tap timestamps (0 = perfect clock).
 	TapResolution float64
 	// PathImpair, when enabled, impairs the forward path after the router
@@ -127,8 +125,9 @@ type Config struct {
 	// the shared observation chain.
 	PathImpair *netem.Impairment
 	// TapImpair, when enabled, impairs the adversary's exit capture after
-	// the tap-loss and quantization stages: the wire is untouched, the
-	// recording is not.
+	// the quantization stage: the wire is untouched, the recording is
+	// not. A capture that only misses packets is
+	// &netem.Impairment{LossProb: p}.
 	TapImpair *netem.Impairment
 	// EntryTapImpair, when enabled, impairs the adversary's ingress taps
 	// (the cascade entry recorder and the population ingress view): those
@@ -214,9 +213,6 @@ func (c Config) Validate() error {
 		if c.ExactNetwork && h.Util.Peak != h.Util.Trough {
 			return fmt.Errorf("core: hop %d: exact network requires constant utilization", i)
 		}
-	}
-	if c.TapLossProb < 0 || c.TapLossProb >= 1 {
-		return errors.New("core: tap loss probability must be in [0,1)")
 	}
 	if c.TapResolution < 0 {
 		return errors.New("core: tap resolution must be non-negative")
@@ -480,8 +476,8 @@ func (s *System) tap(class int, streamID uint64) (*netem.Differ, error) {
 // observationChain layers the unprotected network path and the tap
 // imperfections over a padded departure stream, in the fixed order every
 // observation protocol shares: hops (exact routers or the stationary
-// sampler), then the forward-path impairment, then capture loss, then
-// clock quantization, then the capture impairment. All randomness is
+// sampler), then the forward-path impairment, then clock quantization,
+// then the capture impairment (capture loss among it). All randomness is
 // drawn from master in that order; disabled stages draw nothing, so a
 // configuration without impairments reproduces the pre-fault-model
 // streams bit for bit. probe is the chain's telemetry shard (nil when
@@ -521,11 +517,6 @@ func (s *System) observationChain(stream netem.TimeStream, master *xrand.Rand, p
 	}
 	if s.cfg.PathImpair.Enabled() {
 		if stream, err = netem.NewImpairer(stream, s.cfg.PathImpair, master.Split(), probe); err != nil {
-			return nil, err
-		}
-	}
-	if s.cfg.TapLossProb > 0 {
-		if stream, err = netem.NewImpairer(stream, &netem.Impairment{LossProb: s.cfg.TapLossProb}, master.Split(), probe); err != nil {
 			return nil, err
 		}
 	}

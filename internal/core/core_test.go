@@ -7,6 +7,7 @@ import (
 
 	"linkpad/internal/analytic"
 	"linkpad/internal/gateway"
+	"linkpad/internal/netem"
 	"linkpad/internal/traffic"
 )
 
@@ -50,7 +51,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) {
 			c.Hops = []HopSpec{{CapacityBps: 100e6, PacketBytes: 1500, PropDelay: -1}}
 		},
-		func(c *Config) { c.TapLossProb = 1 },
+		func(c *Config) { c.TapImpair = &netem.Impairment{LossProb: 1} },
 		func(c *Config) { c.TapResolution = -1 },
 		func(c *Config) { c.StartHour = 24 },
 	}
@@ -498,7 +499,7 @@ func TestPayloadModels(t *testing.T) {
 
 func TestTapImperfections(t *testing.T) {
 	s := labSystem(t, func(c *Config) {
-		c.TapLossProb = 0.05
+		c.TapImpair = &netem.Impairment{LossProb: 0.05}
 		c.TapResolution = 1e-6
 	})
 	src, err := s.PIATSource(0, 1)

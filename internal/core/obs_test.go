@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"linkpad/internal/netem"
 	"linkpad/internal/obs"
 )
 
@@ -27,7 +28,7 @@ func TestObsTapLossConservation(t *testing.T) {
 	enableObs(t)
 	s := labSystem(t, func(c *Config) {
 		c.Hops = nil // routers delay but never drop; drop them for an exact count anyway
-		c.TapLossProb = 0.05
+		c.TapImpair = &netem.Impairment{LossProb: 0.05}
 	})
 	d, err := s.tap(0, 1)
 	if err != nil {

@@ -384,10 +384,8 @@ func (s *System) flowLink(spec PopulationSpec, class int, raw bool, presence *tr
 		if err != nil {
 			return nil, err
 		}
-		src, err = traffic.NewSuperpose(payload, cover)
-		if err != nil {
-			return nil, err
-		}
+		merge := traffic.NewPair(payload, cover)
+		src = &merge
 	}
 	if presence != nil {
 		src, err = traffic.NewGated(src, presence)

@@ -7,6 +7,7 @@ import (
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
+	"linkpad/internal/netem"
 	"linkpad/internal/population"
 	"linkpad/internal/traffic"
 )
@@ -184,7 +185,7 @@ func TestFlowCorrelationHonorsNetworkPath(t *testing.T) {
 		PacketBytes: 200,
 		Util:        traffic.Constant(0.2),
 	}}
-	cfg.TapLossProb = 0.05
+	cfg.TapImpair = &netem.Impairment{LossProb: 0.05}
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,16 +252,9 @@ func TestPopulationFrontierMatchesBuild(t *testing.T) {
 					if (usr.Presence != nil) != (churn != nil) {
 						t.Fatalf("%v/%s: user %d presence %v with churn %v", payload, cv.name, u, usr.Presence, churn)
 					}
-					srcs := []traffic.Source{usr.Messages}
-					if usr.Cover != nil {
-						srcs = append(srcs, usr.Cover)
-					}
-					sup, err := traffic.NewSuperpose(srcs...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gap, src := sup.NextFrom()
-					want := population.Frontier{T: gap, Cover: src == 1, Rate: sup.Rate()}
+					merge := traffic.NewPair(usr.Messages, usr.Cover)
+					gap, cover := merge.NextFrom()
+					want := population.Frontier{T: gap, Cover: cover, Rate: merge.Rate()}
 					if f != want {
 						t.Fatalf("%v/%s/churn=%t: user %d Frontier %+v, built user yields %+v",
 							payload, cv.name, churn != nil, u, f, want)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"linkpad/internal/analytic"
 	"linkpad/internal/core"
+	"linkpad/internal/netem"
 	"linkpad/internal/sizes"
 )
 
@@ -287,7 +288,7 @@ var ablationTapCells = &cellExperiment{
 		tc := ablationTapCases[cell]
 		cfg := labConfig(o)
 		cfg.TapResolution = tc.resUS * 1e-6
-		cfg.TapLossProb = tc.loss
+		cfg.TapImpair = &netem.Impairment{LossProb: tc.loss}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err

@@ -18,9 +18,8 @@ import (
 // materialization must leave never-sending users cold.
 
 // funcBuilder adapts a build function to a Builder whose Frontier
-// builds the user and reads its first arrival off the sources: the first
-// Next of each source, a tie going to the payload (as the engine's merge
-// breaks it), and the cover's rate added to the payload's.
+// builds the user and reads its first arrival and rate off the merge of
+// its sources.
 type funcBuilder func(u int) (User, error)
 
 func (f funcBuilder) Build(u int) (User, error) { return f(u) }
@@ -33,15 +32,9 @@ func (f funcBuilder) Frontier(u int) (Frontier, error) {
 	if usr.Messages == nil {
 		return Frontier{}, fmt.Errorf("user %d has no payload source", u)
 	}
-	fr := Frontier{T: usr.Messages.Next()}
-	fr.Rate += usr.Messages.Rate()
-	if usr.Cover != nil {
-		if tc := usr.Cover.Next(); tc < fr.T {
-			fr.T, fr.Cover = tc, true
-		}
-		fr.Rate += usr.Cover.Rate()
-	}
-	return fr, nil
+	merge := traffic.NewPair(usr.Messages, usr.Cover)
+	t, cover := merge.NextFrom()
+	return Frontier{T: t, Cover: cover, Rate: merge.Rate()}, nil
 }
 
 // refBuilder returns a pure per-user builder over the refUsers

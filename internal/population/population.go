@@ -220,47 +220,31 @@ func (s *eventSorter) Less(i, j int) bool {
 	return s.ev[i].user < s.ev[j].user
 }
 
-// userState is one warm user's full materialization: the built sources
-// plus the cursor of their merged real+cover stream. Cold users have no
-// userState at all — their generation cursor lives in the engine's
+// userState is one warm user's full materialization: the merged
+// stream of its built sources and the rest of its User. Cold users have
+// no userState at all — their generation cursor lives in the engine's
 // frontier arrays.
 type userState struct {
-	usr User
-	// payloadT and coverT are the absolute times of the payload's and
-	// the cover's next arrivals (coverT is unused without cover); now is
-	// the absolute time of the last arrival merged.
-	payloadT, coverT, now float64
+	// merge is the user's payload (first) and cover (second, nil without
+	// cover) merged; its NextFrom reports a cover arrival as the second
+	// source firing.
+	merge    traffic.Pair
+	class    int
+	profile  Profile
+	rng      *xrand.Rand
+	presence *traffic.OnOffSchedule
 }
 
 // newUserState starts user usr's merge: each source draws its first gap,
 // which is its first arrival's absolute time.
 func newUserState(usr *User) *userState {
-	st := &userState{usr: *usr, payloadT: usr.Messages.Next()}
-	if usr.Cover != nil {
-		st.coverT = usr.Cover.Next()
+	return &userState{
+		merge:    traffic.NewPair(usr.Messages, usr.Cover),
+		class:    usr.Class,
+		profile:  usr.Profile,
+		rng:      usr.RNG,
+		presence: usr.Presence,
 	}
-	return st
-}
-
-// next merges the user's payload and cover: it returns the gap from the
-// last merged arrival to the next one and whether that arrival is cover.
-// The arithmetic is traffic.Superpose.NextFrom's over the two sources, bit
-// for bit — gap = t − now, and the source that fired draws its next
-// arrival at t plus its next gap — and so is the tie rule: the payload,
-// the lower source index, wins a tie.
-func (st *userState) next() (gap float64, cover bool) {
-	t := st.payloadT
-	if st.usr.Cover != nil && st.coverT < t {
-		t, cover = st.coverT, true
-	}
-	gap = t - st.now
-	st.now = t
-	if cover {
-		st.coverT = t + st.usr.Cover.Next()
-	} else {
-		st.payloadT = t + st.usr.Messages.Next()
-	}
-	return gap, cover
 }
 
 // shard is one contiguous user range's merge cursor: its slab of events,
@@ -537,7 +521,7 @@ func (e *Engine) warmUp(u int) (*userState, error) {
 	// the Frontier the init pass recorded, which is what the first merge
 	// must return; consuming it aligns the fresh stream with the stored
 	// frontier.
-	if t, cover := st.next(); t != e.nextT[u] || cover != e.nextCover[u] {
+	if t, cover := st.merge.NextFrom(); t != e.nextT[u] || cover != e.nextCover[u] {
 		return nil, fmt.Errorf("population: user %d built with first arrival %v (cover %t) but its frontier is %v (cover %t): the builder is impure or its Frontier disagrees with Build",
 			u, t, cover, e.nextT[u], e.nextCover[u])
 	}
@@ -575,11 +559,11 @@ func (e *Engine) WarmUsers() int {
 }
 
 // Class returns user u's class index, materializing the user if needed.
-func (e *Engine) Class(u int) int { return e.mustUser(u).usr.Class }
+func (e *Engine) Class(u int) int { return e.mustUser(u).class }
 
 // ContactsOf returns a copy of user u's contact set, heaviest first,
 // materializing the user if needed.
-func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).usr.Profile.Contacts() }
+func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).profile.Contacts() }
 
 // PresenceOf returns a private copy of user u's churn schedule (nil when
 // the user never churns), materializing the user if needed. The copy
@@ -587,7 +571,7 @@ func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).usr.Profile.Co
 // never races with the engine's background generation, which queries
 // the original.
 func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule {
-	if p := e.mustUser(u).usr.Presence; p != nil {
+	if p := e.mustUser(u).presence; p != nil {
 		return p.Clone()
 	}
 	return nil
@@ -691,7 +675,6 @@ func (e *Engine) genShard(sh int) error {
 			if err != nil {
 				return err
 			}
-			usr := &st.usr
 			n0 := len(buf)
 			for e.nextT[u] < end {
 				// Recipients are drawn for every generated arrival, present
@@ -700,14 +683,14 @@ func (e *Engine) genShard(sh int) error {
 				// messages exist, not how the survivors draw.
 				var rcpt int32
 				if e.nextCover[u] {
-					rcpt = int32(usr.RNG.Intn(e.nrcpt))
+					rcpt = int32(st.rng.Intn(e.nrcpt))
 				} else {
-					rcpt = usr.Profile.Draw(usr.RNG)
+					rcpt = st.profile.Draw(st.rng)
 				}
-				if usr.Presence == nil || usr.Presence.UpAt(e.nextT[u]) {
+				if st.presence == nil || st.presence.UpAt(e.nextT[u]) {
 					buf = append(buf, event{t: e.nextT[u], user: int32(u), rcpt: rcpt, dummy: e.nextCover[u]})
 				}
-				gap, cover := st.next()
+				gap, cover := st.merge.NextFrom()
 				e.nextT[u] += gap
 				e.nextCover[u] = cover
 			}

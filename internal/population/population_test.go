@@ -1,7 +1,6 @@
 package population
 
 import (
-	"math"
 	"testing"
 
 	"linkpad/internal/traffic"
@@ -30,13 +29,9 @@ func newEagerEngine(users []User, recipients, shardSize int) (*Engine, error) {
 			return nil, err
 		}
 		st := newUserState(usr)
-		e.nextT[u], e.nextCover[u] = st.next()
+		e.nextT[u], e.nextCover[u] = st.merge.NextFrom()
 		e.warm[u] = st
-		rate := usr.Messages.Rate()
-		if usr.Cover != nil {
-			rate += usr.Cover.Rate()
-		}
-		totalRate += rate
+		totalRate += st.merge.Rate()
 	}
 	return e, e.finishInit(totalRate)
 }
@@ -275,75 +270,5 @@ func TestEngineValidation(t *testing.T) {
 	var r Round
 	if err := e.NextRound(0, &r); err == nil {
 		t.Error("zero batch should fail")
-	}
-}
-
-// TestUserMergeMatchesSuperpose: a warm user's payload+cover merge is
-// traffic.Superpose.NextFrom over the same two sources, bit for bit. Twin
-// source stacks drawn from the same seeds feed both for 10,000 draws,
-// and every gap and origin must agree exactly: payload only, Poisson
-// payload with Poisson cover, and CBR payload and cover at one interval,
-// where every other arrival is an exact tie the payload must win.
-func TestUserMergeMatchesSuperpose(t *testing.T) {
-	poisson := func(t *testing.T, rate float64, seed uint64) traffic.Source {
-		src, err := traffic.NewPoisson(rate, xrand.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
-	cbr := func(t *testing.T, rate float64, _ uint64) traffic.Source {
-		src, err := traffic.NewCBR(rate, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
-	cases := []struct {
-		name     string
-		payload  func(*testing.T, float64, uint64) traffic.Source
-		cover    func(*testing.T, float64, uint64) traffic.Source // nil: no cover
-		wantTies bool
-	}{
-		{"payload-only", poisson, nil, false},
-		{"poisson-cover", poisson, poisson, false},
-		{"cbr-tied-cover", cbr, cbr, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			const draws, rate = 10_000, 7.0
-			usr := User{Messages: c.payload(t, rate, 11)}
-			srcs := []traffic.Source{c.payload(t, rate, 11)}
-			if c.cover != nil {
-				usr.Cover = c.cover(t, rate, 12)
-				srcs = append(srcs, c.cover(t, rate, 12))
-			}
-			sup, err := traffic.NewSuperpose(srcs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := newUserState(&usr)
-			ties, covers := 0, 0
-			for i := 0; i < draws; i++ {
-				gap, cover := st.next()
-				wantGap, src := sup.NextFrom()
-				if math.Float64bits(gap) != math.Float64bits(wantGap) || cover != (src == 1) {
-					t.Fatalf("draw %d: merge yields gap %v (cover %t), Superpose %v (cover %t)",
-						i, gap, cover, wantGap, src == 1)
-				}
-				if gap == 0 {
-					ties++
-				}
-				if cover {
-					covers++
-				}
-			}
-			if c.cover != nil && covers == 0 {
-				t.Error("no cover arrival was merged; the cover branch is untested")
-			}
-			if c.wantTies && ties == 0 {
-				t.Error("no exact tie was merged; the tie rule is untested")
-			}
-		})
 	}
 }

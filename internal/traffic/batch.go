@@ -10,7 +10,7 @@ import "math"
 // so the generated stream is bit-identical (enforced by batch_test.go).
 // Every source's Next stays its body: the gateway pulls one gap per
 // payload arrival, so Next is the hot call. Stateful sources (OnOff,
-// Train, Superpose, Gated) do not batch; a batched consumer falls back
+// Train, Pair, Gated) do not batch; a batched consumer falls back
 // to their Next.
 
 // BatchSource is a Source that can generate a batch of gaps in one call.

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -90,82 +89,6 @@ func TestPoissonInfiniteRateBatch(t *testing.T) {
 	// An untouched twin must draw the generator's next value.
 	if got, want := rng.Uint64(), xrand.New(5).Uint64(); got != want {
 		t.Fatalf("generator advanced: next draw %#x, twin's %#x", got, want)
-	}
-}
-
-// TestSuperposeHeapMatchesLinear drives the heap merge (k > 8) against a
-// reference Superpose forced onto the linear scan, including exact-tie
-// components (identical seeds → identical arrival times), to verify the
-// (time, index) heap order reproduces lowest-index-on-tie.
-func TestSuperposeHeapMatchesLinear(t *testing.T) {
-	build := func(k int) *Superpose {
-		srcs := make([]Source, k)
-		for i := range srcs {
-			// Deliberate seed collisions (i/2): adjacent components emit
-			// identical times, forcing tie-breaks every merge step.
-			p, err := NewPoisson(1.5, xrand.New(uint64(i/2)+1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcs[i] = p
-		}
-		s, err := NewSuperpose(srcs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	for _, k := range []int{9, 16, 33, 64} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			heaped := build(k)
-			linear := build(k)
-			linear.heap = nil // force the reference onto the linear scan
-			if heaped.heap == nil {
-				t.Fatalf("k=%d should use the heap", k)
-			}
-			for i := 0; i < 20000; i++ {
-				gh, sh := heaped.NextFrom()
-				gl, sl := linear.NextFrom()
-				if gh != gl || sh != sl {
-					t.Fatalf("k=%d event %d: heap (%v, %d) != linear (%v, %d)", k, i, gh, sh, gl, sl)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSuperpose(b *testing.B) {
-	for _, k := range []int{4, 64, 256, 1024} {
-		srcs := make([]Source, k)
-		master := xrand.New(1)
-		for i := range srcs {
-			p, err := NewPoisson(1, master.Split())
-			if err != nil {
-				b.Fatal(err)
-			}
-			srcs[i] = p
-		}
-		s, err := NewSuperpose(srcs...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("heap/k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += s.Next()
-			}
-			_ = sink
-		})
-		s.heap = nil
-		b.Run(fmt.Sprintf("linear/k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += s.Next()
-			}
-			_ = sink
-		})
 	}
 }
 

@@ -6,10 +6,10 @@
 //
 // Determinism contract: a Source consumes variates from the single
 // *xrand.Rand it was built with, one pull at a time, so a source is a
-// pure function of (parameters, rng) and composes freely — Superpose
-// merges sources by arrival time without extra randomness, and session
-// protocols carry source state (e.g. OnOff.State) across observation
-// windows. Sources are streaming with O(1) state; nothing is allocated
+// pure function of (parameters, rng) and composes freely — Pair merges
+// two sources by arrival time without extra randomness, and session
+// protocols carry source state (an OnOff's burst phase) across
+// observation windows. Sources are streaming with O(1) state; nothing is allocated
 // per packet.
 package traffic
 
@@ -199,142 +199,68 @@ func (t *Train) Next() float64 {
 // contribution.
 func (t *Train) Rate() float64 { return t.trainRate / (1 - t.pContinue) }
 
-// Superpose merges several arrival processes into one: the output stream
-// contains every component's arrivals in time order, as if the sources
-// shared one wire. NextFrom additionally reports which component produced
-// each arrival. The population engine merges a warm user's payload and
-// cover itself, to keep a user's state small, and its merge is tested bit
-// for bit against NextFrom.
+// Pair merges two arrival processes into one: the output stream holds
+// both sources' arrivals in time order, as if they shared one wire. It
+// is the one payload+cover merge of the repository: a flow's payload
+// with its cover, the attacker's chaff with the flow it marks (nested
+// for payload, chaff and cover), and every warm population user, which
+// holds its Pair by value. The second source may be nil; the merge is
+// then the first source's arrivals alone. NextFrom additionally reports
+// which source produced each arrival.
 //
-// Like every Source, a Superpose is a stateful continuous stream: each
-// component's clock advances independently and the merge order is a pure
-// function of the component streams, so a Superpose built from
-// deterministic sources is itself deterministic.
-type Superpose struct {
-	srcs []Source
-	next []float64 // absolute next-arrival time per component
-	now  float64   // absolute time of the last emitted arrival
-	// heap is a binary min-heap of component indices ordered by
-	// (next[i], i); nil for small merges, where the linear scan is faster
-	// than heap maintenance. Ordering by the (time, index) pair makes the
-	// heap's minimum identical to the linear scan's lowest-index-on-tie
-	// selection, so both implementations emit bit-identical streams.
-	heap []int32
-	// pairSrcs and pairNext back srcs and next for merges of up to two
-	// sources (a flow's payload and cover), so building one takes a
-	// single allocation.
-	pairSrcs [2]Source
-	pairNext [2]float64
+// Like every Source, a Pair is a stateful continuous stream: each
+// source's clock advances independently and the merge order is a pure
+// function of the two streams, so a Pair of deterministic sources is
+// itself deterministic.
+type Pair struct {
+	a, b Source
+	// ta and tb are the absolute times of a's and b's next arrivals (tb
+	// is unused when b is nil); now is the absolute time of the last
+	// merged arrival.
+	ta, tb, now float64
 }
 
-// superposeLinearMax is the component count up to which the linear
-// min-scan beats the heap (measured in BenchmarkSuperpose; per-flow
-// payload+cover merges sit at k=2, the paper's ablations below 8).
-const superposeLinearMax = 8
-
-// NewSuperpose merges the given sources (at least one, all non-nil).
-func NewSuperpose(srcs ...Source) (*Superpose, error) {
-	if len(srcs) == 0 {
-		return nil, errors.New("traffic: Superpose needs at least one source")
+// NewPair starts the merge of a (non-nil) and b (nil for none): each
+// source draws its first gap, a first, which is its first arrival's
+// absolute time.
+func NewPair(a, b Source) Pair {
+	p := Pair{a: a, b: b, ta: a.Next()}
+	if b != nil {
+		p.tb = b.Next()
 	}
-	s := &Superpose{}
-	if len(srcs) <= len(s.pairSrcs) {
-		s.srcs = append(s.pairSrcs[:0], srcs...)
-		s.next = s.pairNext[:len(srcs)]
-	} else {
-		s.srcs = append([]Source(nil), srcs...)
-		s.next = make([]float64, len(srcs))
-	}
-	for i, src := range srcs {
-		if src == nil {
-			return nil, fmt.Errorf("traffic: Superpose source %d is nil", i)
-		}
-		s.next[i] = src.Next()
-	}
-	s.buildHeap()
-	return s, nil
-}
-
-// less orders components by (next-arrival time, index): the strict-<
-// linear scan keeps the lowest index among equal times, and so does this
-// order's minimum.
-func (s *Superpose) less(a, b int32) bool {
-	ta, tb := s.next[a], s.next[b]
-	return ta < tb || (ta == tb && a < b)
-}
-
-// buildHeap establishes the merge heap for large component counts;
-// small merges keep heap nil and use the linear scan.
-func (s *Superpose) buildHeap() {
-	if len(s.srcs) <= superposeLinearMax {
-		return
-	}
-	s.heap = make([]int32, len(s.srcs))
-	for i := range s.heap {
-		s.heap[i] = int32(i)
-	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-}
-
-// siftDown restores the heap property below position i after next[heap[i]]
-// grew.
-func (s *Superpose) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && s.less(h[r], h[l]) {
-			m = r
-		}
-		if !s.less(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+	return p
 }
 
 // NextFrom returns the gap until the next arrival of the merged stream
-// and the index of the component that produced it. Ties break toward the
-// lowest component index, deterministically.
-func (s *Superpose) NextFrom() (gap float64, src int) {
-	var best int
-	if s.heap != nil {
-		best = int(s.heap[0])
+// and whether the second source produced it. The first source wins an
+// exact tie. The source that fired draws its next arrival at the
+// arrival's time plus its next gap.
+func (p *Pair) NextFrom() (gap float64, second bool) {
+	t := p.ta
+	if p.b != nil && p.tb < t {
+		t, second = p.tb, true
+	}
+	gap = t - p.now
+	p.now = t
+	if second {
+		p.tb = t + p.b.Next()
 	} else {
-		for i := 1; i < len(s.next); i++ {
-			if s.next[i] < s.next[best] {
-				best = i
-			}
-		}
+		p.ta = t + p.a.Next()
 	}
-	t := s.next[best]
-	gap = t - s.now
-	s.now = t
-	s.next[best] = t + s.srcs[best].Next()
-	if s.heap != nil {
-		s.siftDown(0)
-	}
-	return gap, best
+	return gap, second
 }
 
 // Next returns the gap until the next arrival of the merged stream.
-func (s *Superpose) Next() float64 {
-	gap, _ := s.NextFrom()
+func (p *Pair) Next() float64 {
+	gap, _ := p.NextFrom()
 	return gap
 }
 
-// Rate returns the sum of the component rates.
-func (s *Superpose) Rate() float64 {
-	var r float64
-	for _, src := range s.srcs {
-		r += src.Rate()
+// Rate returns the sum of the two sources' rates.
+func (p *Pair) Rate() float64 {
+	r := p.a.Rate()
+	if p.b != nil {
+		r += p.b.Rate()
 	}
 	return r
 }

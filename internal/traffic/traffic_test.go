@@ -281,6 +281,20 @@ func BenchmarkPoissonNext(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkPair times the two-source merge every payload+cover flow and
+// warm population user runs: Poisson payload and cover.
+func BenchmarkPair(b *testing.B) {
+	payload, _ := NewPoisson(40, xrand.New(1))
+	cover, _ := NewPoisson(40, xrand.New(2))
+	p := NewPair(payload, cover)
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += p.Next()
+	}
+	_ = sink
+}
+
 func BenchmarkOnOffNext(b *testing.B) {
 	s, err := NewOnOff(100, 0.2, 0.3, xrand.New(1))
 	if err != nil {
@@ -347,8 +361,8 @@ func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
 	}
 }
 
-// Superpose must emit exactly the union of its components' arrivals, in
-// time order, with correct origin labels.
+// A Pair must emit exactly the union of its sources' arrivals, in time
+// order, with correct origin labels.
 func TestSuperposeMergesComponents(t *testing.T) {
 	// Two deterministic CBR sources with incommensurate intervals.
 	a, err := NewCBR(10, 0, nil) // every 100 ms
@@ -359,22 +373,23 @@ func TestSuperposeMergesComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSuperpose(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewPair(a, b)
 	if got, want := s.Rate(), 13.0; got != want {
 		t.Errorf("Rate = %v, want %v", got, want)
 	}
 	var now float64
 	counts := [2]int{}
 	for i := 0; i < 130; i++ {
-		gap, src := s.NextFrom()
+		gap, second := s.NextFrom()
 		if gap < 0 {
 			t.Fatalf("arrival %d: negative gap %v", i, gap)
 		}
 		now += gap
-		counts[src]++
+		if second {
+			counts[1]++
+		} else {
+			counts[0]++
+		}
 	}
 	// Over now seconds, component rates must be honored within one event.
 	for i, rate := range []float64{10, 3} {
@@ -385,17 +400,13 @@ func TestSuperposeMergesComponents(t *testing.T) {
 	}
 }
 
-// A superposition of Poisson streams is itself a continuation of its
-// components: splitting the observation does not change the stream.
+// A Pair of Poisson streams is a pure function of its sources: two
+// merges built from the same seeds emit the same stream.
 func TestSuperposeContinuesDeterministically(t *testing.T) {
-	build := func() *Superpose {
+	build := func() Pair {
 		a, _ := NewPoisson(20, xrand.New(5))
 		b, _ := NewPoisson(7, xrand.New(6))
-		s, err := NewSuperpose(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return NewPair(a, b)
 	}
 	ref := build()
 	got := build()
@@ -403,34 +414,114 @@ func TestSuperposeContinuesDeterministically(t *testing.T) {
 		rg, rs := ref.NextFrom()
 		gg, gs := got.NextFrom()
 		if rg != gg || rs != gs {
-			t.Fatalf("arrival %d: (%v, %d) != (%v, %d)", i, gg, gs, rg, rs)
+			t.Fatalf("arrival %d: (%v, %t) != (%v, %t)", i, gg, gs, rg, rs)
 		}
 	}
 }
 
-func TestSuperposeValidation(t *testing.T) {
-	if _, err := NewSuperpose(); err == nil {
-		t.Error("empty superposition should fail")
-	}
-	a, _ := NewPoisson(1, xrand.New(1))
-	if _, err := NewSuperpose(a, nil); err == nil {
-		t.Error("nil component should fail")
-	}
-}
-
-// TestSuperposePairAllocs: a merge of one or two sources (a flow's
-// payload and cover) is built in a single allocation.
+// TestSuperposePairAllocs: starting a Pair and merging from it allocate
+// nothing, with and without a second source, so a population user can
+// hold its merge by value.
 func TestSuperposePairAllocs(t *testing.T) {
 	a, _ := NewPoisson(1, xrand.New(1))
 	b, _ := NewPoisson(2, xrand.New(2))
-	for _, srcs := range [][]Source{{a}, {a, b}} {
+	for _, second := range []Source{nil, b} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := NewSuperpose(srcs...); err != nil {
-				t.Fatal(err)
-			}
+			p := NewPair(a, second)
+			p.Next()
 		})
-		if allocs != 1 {
-			t.Errorf("NewSuperpose of %d sources allocates %v times, want 1", len(srcs), allocs)
+		if allocs != 0 {
+			t.Errorf("a Pair (second source %v) allocates %v times, want 0", second, allocs)
 		}
+	}
+}
+
+// TestPairTieGoesToFirst: CBR payload and cover at one interval arrive
+// together every time, and the payload, the first source, must win each
+// tie; the cover follows at a gap of exactly zero.
+func TestPairTieGoesToFirst(t *testing.T) {
+	payload, err := NewCBR(7, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover, err := NewCBR(7, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPair(payload, cover)
+	for i := 0; i < 10_000; i++ {
+		gap, second := p.NextFrom()
+		if wantSecond := i%2 == 1; second != wantSecond {
+			t.Fatalf("arrival %d: second source fired = %t, want %t", i, second, wantSecond)
+		}
+		if second && gap != 0 {
+			t.Fatalf("arrival %d: the tied cover arrives after gap %v, want 0", i, gap)
+		}
+	}
+}
+
+// TestPairNilSecond: without a second source the merge is the first
+// source's stream: each gap is the difference of two consecutive
+// arrival times of an identically seeded twin, bit for bit, no arrival
+// is attributed to the absent source, and the rate is the twin's.
+func TestPairNilSecond(t *testing.T) {
+	a, _ := NewPoisson(7, xrand.New(11))
+	twin, _ := NewPoisson(7, xrand.New(11))
+	p := NewPair(a, nil)
+	if got, want := p.Rate(), twin.Rate(); got != want {
+		t.Errorf("Rate = %v, want %v", got, want)
+	}
+	var prev, next float64
+	for i := 0; i < 10_000; i++ {
+		next += twin.Next()
+		gap, second := p.NextFrom()
+		if second {
+			t.Fatalf("arrival %d attributed to the nil second source", i)
+		}
+		if want := next - prev; math.Float64bits(gap) != math.Float64bits(want) {
+			t.Fatalf("arrival %d: gap %v, want %v", i, gap, want)
+		}
+		prev = next
+	}
+}
+
+// TestPairNestedUnion: a Pair nested in a Pair merges payload, chaff and
+// cover, and its stream is the time-ordered union of the three sources'
+// arrivals, with the rate the sum of theirs.
+func TestPairNestedUnion(t *testing.T) {
+	rates := [3]float64{7, 3, 5} // payload, chaff, cover
+	var srcs, twins [3]Source
+	for i, r := range rates {
+		srcs[i], _ = NewPoisson(r, xrand.New(uint64(20+i)))
+		twins[i], _ = NewPoisson(r, xrand.New(uint64(20+i)))
+	}
+	inner := NewPair(srcs[0], srcs[1])
+	p := NewPair(&inner, srcs[2])
+	if got, want := p.Rate(), twins[0].Rate()+twins[1].Rate()+twins[2].Rate(); got != want {
+		t.Errorf("Rate = %v, want %v", got, want)
+	}
+	var next [3]float64
+	for i, tw := range twins {
+		next[i] = tw.Next()
+	}
+	var now float64
+	for k := 0; k < 10_000; k++ {
+		want := 0
+		for i := 1; i < len(next); i++ {
+			if next[i] < next[want] {
+				want = i
+			}
+		}
+		gap, cover := p.NextFrom()
+		now += gap
+		if cover != (want == 2) {
+			t.Fatalf("arrival %d: cover %t, want source %d", k, cover, want)
+		}
+		// The outer merge sees the inner one's arrivals through its gaps,
+		// so times agree to rounding, not bit for bit.
+		if math.Abs(now-next[want]) > 1e-9*next[want] {
+			t.Fatalf("arrival %d at %v, want source %d's at %v", k, now, want, next[want])
+		}
+		next[want] += twins[want].Next()
 	}
 }
