@@ -3,34 +3,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
-	"runtime"
 	"runtime/debug"
 	"strings"
-	"time"
-
-	"linkpad/internal/experiment"
-	"linkpad/internal/obs"
 )
-
-// benchRecord is one -bench-json run: wall-clock per experiment at the
-// given options, appended to the trajectory file so successive commits
-// (or machines) can be compared. GitCommit and Scale attribute each
-// record to a code revision and Monte Carlo effort, making the
-// trajectory comparable across commits.
-type benchRecord struct {
-	Timestamp    string       `json:"timestamp"`
-	GitCommit    string       `json:"git_commit"`
-	GoVersion    string       `json:"go_version"`
-	GOMAXPROCS   int          `json:"gomaxprocs"`
-	Scale        float64      `json:"scale"`
-	Seed         uint64       `json:"seed"`
-	Workers      int          `json:"workers"`
-	Experiments  []benchPoint `json:"experiments"`
-	TotalSeconds float64      `json:"total_seconds"`
-}
 
 // gitCommit identifies the code revision being benchmarked. The
 // enclosing git checkout is preferred over the binary's build info so
@@ -96,87 +73,29 @@ func gitTreeCommit() string {
 	return rev
 }
 
-// benchPoint times one experiment. Packets is the simulated packet
-// volume the experiment pushed through the padded links (gateway
-// payload + dummy emissions plus timed-mix packets, from the obs
-// counter delta around the run) — a deterministic function of
-// (experiment, scale, seed), so packets/sec trends are comparable
-// across records at the same options even as the code changes. Messages
-// is the population runners' work unit, the real messages put into mix
-// rounds (the population_message counter delta). It is omitted where it
-// is 0, so rewriting the trajectory leaves the records written before it
-// existed as they were.
-type benchPoint struct {
-	ID             string  `json:"id"`
-	Seconds        float64 `json:"seconds"`
-	Rows           int     `json:"rows"`
-	Packets        uint64  `json:"packets"`
-	PacketsPerSec  float64 `json:"packets_per_sec"`
-	Messages       uint64  `json:"messages,omitempty"`
-	MessagesPerSec float64 `json:"messages_per_sec,omitempty"`
-}
-
-// runBenchJSON executes the selected experiments, timing each, and
-// appends the run to the JSON trajectory at path (created if absent). It
-// logs each experiment's time and the run's total to stderr.
-func runBenchJSON(stderr io.Writer, ids []string, opts experiment.Options, path string) error {
-	rec := benchRecord{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GitCommit:  gitCommit(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      opts.Scale,
-		Seed:       opts.Seed,
-		Workers:    opts.Workers,
-	}
-	total := time.Duration(0)
-	for _, id := range ids {
-		start := time.Now()
-		before := obs.Snapshot()
-		tbl, err := experiment.Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		elapsed := time.Since(start)
-		total += elapsed
-		var delta [obs.NumCounters]uint64
-		after := obs.Snapshot()
-		for c := range delta {
-			delta[c] = after[c] - before[c]
-		}
-		packets := obs.Packets(delta)
-		messages := delta[obs.PopulationMessage]
-		rec.Experiments = append(rec.Experiments, benchPoint{
-			ID:             id,
-			Seconds:        elapsed.Seconds(),
-			Rows:           len(tbl.Rows),
-			Packets:        packets,
-			PacketsPerSec:  perSecond(packets, elapsed),
-			Messages:       messages,
-			MessagesPerSec: perSecond(messages, elapsed),
-		})
-		fmt.Fprintf(stderr, "%s: %v\n", id, elapsed.Round(time.Millisecond))
-	}
-	rec.TotalSeconds = total.Seconds()
-
-	var trajectory []benchRecord
+// appendTrajectory appends rec to the JSON trajectory at path (created
+// if absent) and returns how many records the file then holds. Earlier
+// records are carried as raw JSON, so each keeps its bytes whatever
+// shape it was written in; a corrupt or foreign file is refused and
+// left untouched.
+func appendTrajectory(path string, rec *RunReport) (int, error) {
+	var trajectory []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil {
-		// A corrupt or foreign file is preserved rather than overwritten.
-		if err := json.Unmarshal(data, &trajectory); err != nil {
-			return fmt.Errorf("bench-json: %s exists but is not a bench trajectory: %w", path, err)
+		// The raw records must also decode as run records, which
+		// -bench-compare reads them as.
+		if err = json.Unmarshal(data, &trajectory); err == nil {
+			err = json.Unmarshal(data, new([]RunReport))
+		}
+		if err != nil {
+			return 0, fmt.Errorf("%s exists but is not a bench trajectory: %w", path, err)
 		}
 	} else if !os.IsNotExist(err) {
-		return err
+		return 0, err
 	}
-	trajectory = append(trajectory, rec)
-	out, err := json.MarshalIndent(trajectory, "", "  ")
+	raw, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "total %v; trajectory appended to %s (%d runs)\n",
-		total.Round(time.Millisecond), path, len(trajectory))
-	return nil
+	trajectory = append(trajectory, raw)
+	return len(trajectory), writeJSON(path, trajectory)
 }

@@ -11,12 +11,12 @@ import (
 // comparablePair loads the trajectory at path and returns its last record
 // plus the most recent earlier record with the same scale, seed, workers
 // and effective parallelism — the pair that is actually comparable.
-func comparablePair(path string) (prev, last *benchRecord, err error) {
+func comparablePair(path string) (prev, last *RunReport, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var trajectory []benchRecord
+	var trajectory []RunReport
 	if err := json.Unmarshal(data, &trajectory); err != nil {
 		return nil, nil, fmt.Errorf("%s is not a bench trajectory: %w", path, err)
 	}
@@ -39,11 +39,22 @@ func comparablePair(path string) (prev, last *benchRecord, err error) {
 // parallelism is the record's effective parallelism, min(workers,
 // GOMAXPROCS) with workers 0 meaning all of GOMAXPROCS: a run at
 // -workers 2 on one core is a one-wide run and times like one.
-func (r *benchRecord) parallelism() int {
+func (r *RunReport) parallelism() int {
 	if r.Workers <= 0 {
 		return r.GOMAXPROCS
 	}
 	return min(r.Workers, r.GOMAXPROCS)
+}
+
+// seconds is the record's total, the sum of its experiments' seconds:
+// older records carry it as total_seconds and newer ones as totals, and
+// the sum reads both alike.
+func (r *RunReport) seconds() float64 {
+	var s float64
+	for _, e := range r.Experiments {
+		s += e.Seconds
+	}
+	return s
 }
 
 // runBenchCompare prints per-experiment wall-clock deltas between the
@@ -141,8 +152,7 @@ func benchDiff(w io.Writer, path string, gate bool) error {
 		}
 	}
 	fmt.Fprintf(w, "%-28s %10.3f %10.3f %9s\n", "total",
-		prev.TotalSeconds, last.TotalSeconds,
-		deltaPct(prev.TotalSeconds, last.TotalSeconds))
+		prev.seconds(), last.seconds(), deltaPct(prev.seconds(), last.seconds()))
 	if len(regressed) > 0 {
 		return fmt.Errorf("%d experiment(s) regressed past +%d%%: %s",
 			len(regressed), benchGatePct, joinLines(regressed))

@@ -7,7 +7,7 @@
 //	linkpadsim -exp fig4b [-scale 1.0] [-seed 1] [-format text|csv] [-workers N]
 //	linkpadsim -exp all -o results/
 //	linkpadsim -exp all -progress -report report.json
-//	linkpadsim -exp all -bench-json BENCH.json
+//	linkpadsim -exp all [-report report.json] -bench-json BENCH.json
 //	linkpadsim -bench-compare BENCH.json
 //	linkpadsim -bench-gate BENCH.json
 //	linkpadsim -exp ext-disclosure -checkpoint cp.json [-checkpoint-kill N]
@@ -18,6 +18,9 @@
 // Each experiment prints the series the corresponding paper figure plots;
 // see DESIGN.md for the experiment index, testdata/golden/ for the
 // recorded result tables and BENCH.json for the timing trajectory.
+// -bench-json appends the run's -report record (per-experiment wall
+// clock, rows, counters and throughput, plus totals) to that trajectory;
+// the tables print as in any other run.
 package main
 
 import (
@@ -69,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		report       = fs.String("report", "", "write a structured JSON run report (per-layer counters, packets/sec) to this file")
 		progress     = fs.Bool("progress", false, "emit a live progress line with a cells-completed ETA on stderr")
 		metricsAddr  = fs.String("metrics-addr", "", "serve expvar counters and net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-		benchJSON    = fs.String("bench-json", "", "time the experiments and append a run record to this JSON trajectory file instead of printing tables")
+		benchJSON    = fs.String("bench-json", "", "append the run's -report record to this JSON trajectory file")
 		benchCompare = fs.String("bench-compare", "", "print per-experiment wall-clock deltas between the last two comparable records (same scale, seed, workers and effective parallelism) of this bench trajectory file")
 		benchGate    = fs.String("bench-gate", "", fmt.Sprintf("like -bench-compare, but exit non-zero if any experiment slowed down by more than %d%%", benchGatePct))
 		checkpoint   = fs.String("checkpoint", "", "persist per-cell progress of a checkpointable experiment to this file and resume from it if present")
@@ -90,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// is nothing to clean up that the OS won't.
 		go func() {
 			time.Sleep(*timeout)
-			fmt.Fprintf(os.Stderr, "linkpadsim: timeout: run exceeded %v\n", *timeout)
+			fmt.Fprintf(stderr, "linkpadsim: timeout: run exceeded %v\n", *timeout)
 			os.Exit(2)
 		}()
 	}
@@ -168,9 +171,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("%s does not support checkpointing (cell experiments only)", ids[0])
 		}
 	}
-	if *report != "" && *benchJSON != "" {
-		return fmt.Errorf("-report and -bench-json are mutually exclusive (a bench record already carries the report's throughput fields)")
-	}
 	if *maxRSSMB < 0 {
 		return fmt.Errorf("-max-rss-mb must be non-negative, got %d", *maxRSSMB)
 	}
@@ -193,13 +193,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	prog := newProgress(stderr, *progress)
 	prog.start(len(ids))
 	defer prog.stop()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(stderr, ids, opts, *benchJSON); err != nil {
-			return err
-		}
-		return checkPeakRSS(stderr, *maxRSSMB)
-	}
 
 	rep := newRunReport(opts)
 	for _, id := range ids {
@@ -250,11 +243,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		prog.experimentDone(id, elapsed)
 	}
+	rec := rep.finish()
 	if *report != "" {
-		if err := rep.write(*report); err != nil {
+		if err := writeJSON(*report, rec); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
 		fmt.Fprintf(stderr, "run report written to %s\n", *report)
+	}
+	if *benchJSON != "" {
+		n, err := appendTrajectory(*benchJSON, rec)
+		if err != nil {
+			return fmt.Errorf("bench-json: %w", err)
+		}
+		fmt.Fprintf(stderr, "total %v; trajectory appended to %s (%d runs)\n",
+			rep.total.Round(time.Millisecond), *benchJSON, n)
 	}
 	return checkPeakRSS(stderr, *maxRSSMB)
 }

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -34,7 +37,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"checkpoint and bench-json", []string{"-exp", "ext-disclosure", "-checkpoint", "cp.json", "-bench-json", "b.json"}, "mutually exclusive"},
 		{"checkpoint all", []string{"-exp", "all", "-checkpoint", "cp.json"}, "single experiment"},
 		{"non-checkpointable", []string{"-exp", "fig4b", "-checkpoint", "cp.json"}, "does not support checkpointing"},
-		{"report and bench-json", []string{"-exp", "fig4b", "-report", "r.json", "-bench-json", "b.json"}, "mutually exclusive"},
 		{"negative max-rss-mb", []string{"-exp", "fig4b", "-max-rss-mb", "-1"}, "must be non-negative"},
 		{"NaN scale", []string{"-exp", "fig4b", "-scale", "NaN"}, "-scale must be a finite number"},
 		{"NaN scale with checkpoint", []string{"-exp", "ext-disclosure", "-scale", "NaN", "-checkpoint", "cp.json"}, "-scale must be a finite number"},
@@ -58,8 +60,8 @@ func TestRunFlagValidation(t *testing.T) {
 
 // The output-mode flag matrix, positive half: combinations the CLI must
 // accept. -report composes with -checkpoint (a resumable run still wants
-// its flight-recorder totals; only -bench-json claims the same fields),
-// and -max-rss-mb composes with everything as a pure post-run assertion.
+// its flight-recorder totals), and -max-rss-mb composes with everything
+// as a pure post-run assertion.
 func TestRunFlagMatrixPositive(t *testing.T) {
 	defer func() {
 		obs.SetEnabled(false)
@@ -115,20 +117,17 @@ func TestRunMaxRSSCeiling(t *testing.T) {
 }
 
 // A -bench-json run logs each experiment's time and the run's total to
-// the stderr writer run is given, like every other output of run, and
-// appends one record to the trajectory file.
+// the stderr writer run is given, like every other output of run, marks
+// its experiments done for the closing -progress line, and appends one
+// record to the trajectory file.
 func TestRunBenchJSONLogsToStderr(t *testing.T) {
-	defer func() {
-		obs.SetEnabled(false)
-		obs.Reset()
-	}()
-	obs.Reset()
 	path := filepath.Join(t.TempDir(), "bench.json")
-	err, stderr := tryRun(t, "-exp", "fig5b", "-scale", "0.05", "-seed", "3", "-bench-json", path)
+	err, stderr := runQuiet(t, "-exp", "fig5b", "-scale", "0.05", "-seed", "3", "-progress", "-bench-json", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig5b: ", "total ", "trajectory appended to " + path + " (1 runs)"} {
+	for _, want := range []string{"fig5b: done in ", "progress: exp 1/1,", "total ",
+		"trajectory appended to " + path + " (1 runs)"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr lacks %q:\n%s", want, stderr)
 		}
@@ -137,12 +136,33 @@ func TestRunBenchJSONLogsToStderr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trajectory []benchRecord
+	var trajectory []RunReport
 	if err := json.Unmarshal(data, &trajectory); err != nil {
 		t.Fatalf("trajectory does not decode: %v", err)
 	}
 	if len(trajectory) != 1 || len(trajectory[0].Experiments) != 1 || trajectory[0].Experiments[0].ID != "fig5b" {
 		t.Errorf("trajectory = %+v, want one fig5b record", trajectory)
+	}
+}
+
+// The -timeout watchdog reports to the stderr writer run is given and
+// exits with code 2. It ends the process, so the run happens in a child
+// copy of the test binary whose stderr writer is its stdout.
+func TestRunTimeoutReportsToStderrWriter(t *testing.T) {
+	if os.Getenv("LINKPADSIM_TIMEOUT_CHILD") == "1" {
+		// fig8b at full scale runs for seconds; the watchdog fires first.
+		run([]string{"-exp", "fig8b", "-workers", "1", "-timeout", "20ms"}, io.Discard, os.Stdout)
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunTimeoutReportsToStderrWriter$")
+	cmd.Env = append(os.Environ(), "LINKPADSIM_TIMEOUT_CHILD=1")
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("child exited with %v, want exit code 2", err)
+	}
+	if !strings.Contains(string(out), "linkpadsim: timeout: run exceeded 20ms") {
+		t.Errorf("timeout message missing from the stderr writer:\n%s", out)
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"linkpad/internal/obs"
 )
 
-// A RunReport is the -report output: one structured JSON document per
-// CLI invocation attributing every telemetry counter to the experiment
-// that produced it. The counters come from per-experiment snapshot
-// deltas of the obs collector, so an "all" run decomposes cleanly even
-// though the collector itself is process-global. Counter values are
+// A RunReport is one CLI invocation's record, the document -report
+// writes and -bench-json appends to its trajectory: it attributes every
+// telemetry counter to the experiment that produced it. The counters
+// come from per-experiment snapshot deltas of the obs collector, so an
+// "all" run decomposes cleanly even though the collector itself is
+// process-global. Counter values are
 // deterministic functions of (experiment, scale, seed) — identical at
 // any -workers width — while seconds, packets/sec and messages/sec are
 // wall-clock measurements and vary run to run.
@@ -102,8 +103,9 @@ func (r *runReport) add(id string, elapsed time.Duration, rows int, before, afte
 	})
 }
 
-// write finalises the totals and writes the report to path.
-func (r *runReport) write(path string) error {
+// finish fills in the totals and returns the finished record, the one
+// -report writes and -bench-json appends to its trajectory.
+func (r *runReport) finish() *RunReport {
 	totals := ReportTotals{
 		Seconds:  r.total.Seconds(),
 		Counters: make(map[string]uint64, int(obs.NumCounters)),
@@ -118,7 +120,12 @@ func (r *runReport) write(path string) error {
 	totals.PacketsPerSec = perSecond(totals.Packets, r.total)
 	totals.MessagesPerSec = perSecond(totals.Messages, r.total)
 	r.rep.Totals = totals
-	data, err := json.MarshalIndent(&r.rep, "", "  ")
+	return &r.rep
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
