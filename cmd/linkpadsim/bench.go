@@ -73,12 +73,12 @@ func gitTreeCommit() string {
 	return rev
 }
 
-// appendTrajectory appends rec to the JSON trajectory at path (created
-// if absent) and returns how many records the file then holds. Earlier
-// records are carried as raw JSON, so each keeps its bytes whatever
-// shape it was written in; a corrupt or foreign file is refused and
-// left untouched.
-func appendTrajectory(path string, rec *RunReport) (int, error) {
+// loadTrajectory reads the JSON trajectory at path, none if it is
+// absent. Its records are carried as raw JSON, so each keeps its bytes
+// whatever shape it was written in; a corrupt or foreign file is
+// refused. run loads the file before any experiment, so a refusal costs
+// no run.
+func loadTrajectory(path string) ([]json.RawMessage, error) {
 	var trajectory []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil {
 		// The raw records must also decode as run records, which
@@ -87,9 +87,21 @@ func appendTrajectory(path string, rec *RunReport) (int, error) {
 			err = json.Unmarshal(data, new([]RunReport))
 		}
 		if err != nil {
-			return 0, fmt.Errorf("%s exists but is not a bench trajectory: %w", path, err)
+			return nil, fmt.Errorf("%s exists but is not a bench trajectory: %w", path, err)
 		}
 	} else if !os.IsNotExist(err) {
+		return nil, err
+	}
+	return trajectory, nil
+}
+
+// appendTrajectory appends rec to the JSON trajectory at path (created
+// if absent) and returns how many records the file then holds. Earlier
+// records keep their bytes; a corrupt or foreign file is refused and
+// left untouched.
+func appendTrajectory(path string, rec *RunReport) (int, error) {
+	trajectory, err := loadTrajectory(path)
+	if err != nil {
 		return 0, err
 	}
 	raw, err := json.Marshal(rec)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,14 +109,23 @@ func TestReportAndBenchJSONAgree(t *testing.T) {
 	}
 }
 
-// A file that is not a trajectory of run records is refused and left
-// as it was.
+// A file that is not a trajectory of run records is refused before any
+// experiment runs, so no table is printed, and left as it was.
 func TestBenchJSONRefusesForeignFile(t *testing.T) {
+	t.Cleanup(func() {
+		obs.SetEnabled(false)
+		obs.Reset()
+	})
 	for _, body := range []string{`{"not":"a trajectory"}`, `[1, 2]`, `[{"timestamp":`} {
 		path := writeTrajectory(t, body)
-		err, _ := runQuiet(t, "-exp", "fig5b", "-scale", "0.05", "-seed", "3", "-bench-json", path)
+		var tables bytes.Buffer
+		err := run([]string{"-exp", "fig5b", "-scale", "0.05", "-seed", "3", "-bench-json", path}, &tables, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "not a bench trajectory") {
 			t.Errorf("%s: err = %v, want a refusal", body, err)
+		}
+		if tables.Len() > 0 {
+			t.Errorf("%s: %d bytes of tables printed before the refusal; the file must be checked before any experiment runs",
+				body, tables.Len())
 		}
 		if data, _ := os.ReadFile(path); string(data) != body {
 			t.Errorf("%s: file rewritten to %s", body, data)

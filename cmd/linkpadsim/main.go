@@ -174,6 +174,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *maxRSSMB < 0 {
 		return fmt.Errorf("-max-rss-mb must be non-negative, got %d", *maxRSSMB)
 	}
+	if *benchJSON != "" {
+		if _, err := loadTrajectory(*benchJSON); err != nil {
+			return fmt.Errorf("bench-json: %w", err)
+		}
+	}
 
 	// Telemetry is off unless a consumer asked for it; the counters are
 	// deterministically invisible either way (golden tables byte-identical

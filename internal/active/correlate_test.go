@@ -52,7 +52,7 @@ func chaffEngine(t *testing.T, flows int, amp float64) *Engine {
 			if err != nil {
 				return nil, err
 			}
-			merge := traffic.NewPair(payload, chaff)
+			merge := traffic.NewPair(*payload, traffic.Dynamic{Source: chaff})
 			src = &merge
 			inject = func() InjectStats { return chaff.Stats() }
 		}
@@ -333,7 +333,7 @@ func TestDetectMatchesSequentialOracle(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		src := traffic.NewPair(payload, chaff)
+		src := traffic.NewPair(*payload, traffic.Dynamic{Source: chaff})
 		fl.Exit, fl.Inject = &sourceStream{src: &src}, func() InjectStats { return chaff.Stats() }
 		return fl, nil
 	}

@@ -174,12 +174,13 @@ func (s *System) activeRand(proto ActiveProtocol, class, flow, hop int, role uin
 // randomness derives from (seed, class, flow, role) streams, so a flow
 // is a pure function of its identity.
 func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) (*active.Flow, error) {
-	payload, err := s.payloadSource(class, s.activeRand(spec.Protocol, class, flow, 0, activeRolePayload))
+	payload, err := s.payloadModel(class)
 	if err != nil {
 		return nil, err
 	}
+	payload.Start(s.activeRand(spec.Protocol, class, flow, 0, activeRolePayload).Stream)
 	fl := &active.Flow{Class: class, Probe: obs.NewShard()}
-	var src traffic.Source = payload
+	var src traffic.Source = &payload
 	if watermarked {
 		key, err := active.NewKey(activeChips, activePeriod,
 			s.activeRand(spec.Protocol, class, flow, 0, activeRoleKey))
@@ -201,7 +202,7 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 			if err != nil {
 				return nil, err
 			}
-			merge := traffic.NewPair(src, chaff)
+			merge := traffic.NewPair(traffic.Dynamic{Source: src}, traffic.Dynamic{Source: chaff})
 			src = &merge
 			fl.Inject = chaff.Stats
 		}
@@ -220,12 +221,12 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 		if c := coverPPS(0, spec.CoverToPPS, s.cfg.Rates[class].PPS); c > 0 {
 			// The defense mints cover past the attacker's vantage point,
 			// so cover packets never carry the watermark.
-			cover, err := traffic.NewPoisson(c,
-				s.activeRand(spec.Protocol, class, flow, 0, activeRoleCover))
+			cover, err := traffic.PoissonModel(c)
 			if err != nil {
 				return nil, err
 			}
-			merge := traffic.NewPair(src, cover)
+			cover.Start(s.activeRand(spec.Protocol, class, flow, 0, activeRoleCover).Stream)
+			merge := traffic.NewPair(traffic.Dynamic{Source: src}, cover)
 			src = &merge
 		}
 		stream, probe, err := s.padStream(src, spec.Raw,

@@ -144,12 +144,12 @@ func (s *System) buildRoute(spec CascadeSpec, class, flow int, withEntry bool) (
 			return nil, err
 		}
 	}
-	payload, err := s.payloadSource(class,
-		xrand.New(s.streamSeed(class, cascadeStreamID(flow, 0, cascadeRolePayload))))
+	payload, err := s.payloadModel(class)
 	if err != nil {
 		return nil, err
 	}
-	exit, probes, err := s.hopChain(spec.Hops, payload, func(h int) *xrand.Rand {
+	payload.Start(xrand.NewStream(s.streamSeed(class, cascadeStreamID(flow, 0, cascadeRolePayload))))
+	exit, probes, err := s.hopChain(spec.Hops, &payload, func(h int) *xrand.Rand {
 		return xrand.New(s.streamSeed(class, cascadeStreamID(flow, h, cascadeRoleHop)))
 	}, xrand.New(s.streamSeed(class, cascadeStreamID(flow, len(spec.Hops), cascadeRoleExit))),
 		entryTap, sh)

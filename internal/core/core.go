@@ -270,21 +270,22 @@ func (s *System) streamSeed(class int, streamID uint64) uint64 {
 	return z
 }
 
-// payloadSource builds the payload arrival process for class.
-func (s *System) payloadSource(class int, rng *xrand.Rand) (traffic.Source, error) {
+// payloadModel validates the payload arrival process for class as a
+// Model, which Start starts on a stream.
+func (s *System) payloadModel(class int) (traffic.Model, error) {
 	pps := s.cfg.Rates[class].PPS
 	switch s.cfg.Payload {
 	case PayloadPoisson:
-		return traffic.NewPoisson(pps, rng)
+		return traffic.PoissonModel(pps)
 	case PayloadCBR:
 		// 10% of the interval as clock jitter so CBR phase is not locked
 		// to the padding timer.
-		return traffic.NewCBR(pps, 0.1/pps, rng)
+		return traffic.CBRModel(pps, 0.1/pps)
 	case PayloadOnOff:
 		// 50% duty cycle bursts of 200 ms average, peak 2x the mean rate.
-		return traffic.NewOnOff(2*pps, 0.2, 0.2, rng)
+		return traffic.OnOffModel(2*pps, 0.2, 0.2)
 	default:
-		return nil, fmt.Errorf("core: unknown payload model %v", s.cfg.Payload)
+		return traffic.Model{}, fmt.Errorf("core: unknown payload model %v", s.cfg.Payload)
 	}
 }
 
@@ -327,11 +328,12 @@ func (s *System) replicaHop(class int, streamID uint64, sh *obs.Shard) (netem.Ti
 		return nil, nil, fmt.Errorf("core: class %d out of range", class)
 	}
 	master := xrand.New(s.streamSeed(class, streamID))
-	payload, err := s.payloadSource(class, master.Split())
+	payload, err := s.payloadModel(class)
 	if err != nil {
 		return nil, nil, err
 	}
-	hop, _, err := s.padHop(s.systemPad(), payload, master, nil, sh)
+	payload.Start(master.Split().Stream)
+	hop, _, err := s.padHop(s.systemPad(), &payload, master, nil, sh)
 	if err != nil {
 		return nil, nil, err
 	}

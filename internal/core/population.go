@@ -167,8 +167,9 @@ func coverPPS(coverRate, coverToPPS, payload float64) float64 {
 // builds no user, and popBuilder.Build — a pure function of the user
 // index — runs only when the simulation horizon first reaches one of a
 // user's arrivals. Since no user is built up front, every error Build
-// could report is ruled out here, by validatePopulation and the system's
-// own validation, before the engine is made.
+// could report is ruled out here, by validatePopulation, the system's
+// own validation and newPopBuilder's class templates, before the engine
+// is made.
 func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) {
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
@@ -180,14 +181,20 @@ func (s *System) NewPopulation(spec PopulationSpec) (*population.Engine, error) 
 	return population.NewLazyEngine(spec.Users, spec.Recipients, b)
 }
 
-// popBuilder is NewPopulation's population.Builder. The class striping
-// and the profile shape (the contact-set Zipf weights) are computed once
-// per population; everything per user derives from its role streams.
+// popBuilder is NewPopulation's population.Builder. The class striping,
+// each class's validated payload and cover Models and the profile shape
+// (the contact-set Zipf weights) are computed once per population;
+// everything per user derives from its role streams. It builds users as
+// values, which the engine copies into its pointer-free arenas.
 type popBuilder struct {
 	s     *System
 	spec  PopulationSpec
 	cum   []float64
 	shape *population.ProfileShape
+	// payload and cover are each class's sources, before start starts
+	// copies on a user's streams; a class without cover has the zero
+	// Model.
+	payload, cover []traffic.Model
 }
 
 // newPopBuilder prepares the per-population state of a validated spec.
@@ -196,95 +203,75 @@ func (s *System) newPopBuilder(spec PopulationSpec) (*popBuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &popBuilder{s: s, spec: spec, cum: s.classCum(), shape: shape}, nil
+	b := &popBuilder{s: s, spec: spec, cum: s.classCum(), shape: shape}
+	for class, r := range s.cfg.Rates {
+		payload, err := s.payloadModel(class)
+		if err != nil {
+			return nil, err
+		}
+		var cover traffic.Model
+		if c := coverPPS(spec.CoverRate, spec.CoverToPPS, r.PPS); c > 0 {
+			if cover, err = traffic.PoissonModel(c); err != nil {
+				return nil, err
+			}
+		}
+		b.payload, b.cover = append(b.payload, payload), append(b.cover, cover)
+	}
+	return b, nil
 }
 
-// roleSeed is the seed of user u's role stream.
-func (b *popBuilder) roleSeed(class, u int, role uint64) uint64 {
-	return b.s.streamSeed(class, populationStreamID(u, role))
+// roleStream is user u's role stream, by value.
+func (b *popBuilder) roleStream(class, u int, role uint64) xrand.Stream {
+	return xrand.NewStream(b.s.streamSeed(class, populationStreamID(u, role)))
 }
 
-// userStreams holds a built user's payload, cover and profile role
-// streams in one allocation. The churn stream is allocated with the
-// presence schedule, and only under churn.
-type userStreams struct {
-	payload, cover, profile xrand.Rand
+// start starts copies of user u's class payload and cover (the zero
+// Model when the class has none) on the user's role streams, in place.
+func (b *popBuilder) start(class, u int, payload, cover *traffic.Model) {
+	payload.Start(b.roleStream(class, u, popRolePayload))
+	if !cover.None() {
+		cover.Start(b.roleStream(class, u, popRoleCover))
+	}
 }
 
-// Build materializes user u.
+// Build materializes user u. Every part of the User is a value except
+// the shared shape and, under churn, the presence schedule, so a Build
+// without churn allocates nothing. The engine draws the user's contact
+// set from its profile role stream, which then continues as its
+// per-message recipient draws, keeping every draw a function of (seed,
+// class, userID).
 func (b *popBuilder) Build(u int) (population.User, error) {
 	class := classOf(u, b.spec.Users, b.cum)
-	rs := new(userStreams)
-	rs.payload.Seed(b.roleSeed(class, u, popRolePayload))
-	payload, err := b.s.payloadSource(class, &rs.payload)
-	if err != nil {
-		return population.User{}, err
-	}
-	var cover traffic.Source
-	if c := coverPPS(b.spec.CoverRate, b.spec.CoverToPPS, b.s.cfg.Rates[class].PPS); c > 0 {
-		rs.cover.Seed(b.roleSeed(class, u, popRoleCover))
-		cover, err = traffic.NewPoisson(c, &rs.cover)
-		if err != nil {
-			return population.User{}, err
-		}
-	}
-	rs.profile.Seed(b.roleSeed(class, u, popRoleProfile))
-	profile, err := b.shape.NewProfile(&rs.profile)
-	if err != nil {
-		return population.User{}, err
-	}
 	presence, err := b.s.presenceSchedule(b.spec, class, u)
 	if err != nil {
 		return population.User{}, err
 	}
-	// The profile construction consumed a prefix of the role stream;
-	// the same stream continues as the user's per-message recipient
-	// draws, keeping every draw a function of (seed, class, userID).
-	return population.User{
+	usr := population.User{
 		Class:    class,
-		Messages: payload,
-		Cover:    cover,
-		Profile:  profile,
-		RNG:      &rs.profile,
+		Messages: b.payload[class],
+		Cover:    b.cover[class],
+		Shape:    b.shape,
+		RNG:      b.roleStream(class, u, popRoleProfile),
 		Presence: presence,
-	}, nil
+	}
+	b.start(class, u, &usr.Messages, &usr.Cover)
+	return usr, nil
 }
 
 // Frontier reports what Build(u)'s merged sources yield first, without
-// building the user: the payload and cover sources are made from the
-// same role-stream seeds by the same constructors, each draws its first
-// gap, the earlier wins (a tie goes to the payload, as the engine's merge
-// breaks it), and the cover's rate is added to the payload's.
-// For the Poisson payload the concrete sources never leave this frame,
-// so escape analysis keeps them and their streams on the stack and the
-// call allocates nothing; the other payload models go through the
-// Source interface and may allocate.
+// building the user: the payload and cover are started as Build starts
+// them, each draws its first gap, the earlier wins (a tie goes to the
+// payload, as the engine's merge breaks it; an absent cover never
+// fires), and the cover's rate (0 when absent) is added to the
+// payload's. The sources are values on this frame, so the call
+// allocates nothing.
 func (b *popBuilder) Frontier(u int) (population.Frontier, error) {
 	class := classOf(u, b.spec.Users, b.cum)
-	pps := b.s.cfg.Rates[class].PPS
-	var f population.Frontier
-	if b.s.cfg.Payload == PayloadPoisson {
-		payload, err := traffic.NewPoisson(pps, xrand.New(b.roleSeed(class, u, popRolePayload)))
-		if err != nil {
-			return f, err
-		}
-		f.T, f.Rate = payload.Next(), payload.Rate()
-	} else {
-		payload, err := b.s.payloadSource(class, xrand.New(b.roleSeed(class, u, popRolePayload)))
-		if err != nil {
-			return f, err
-		}
-		f.T, f.Rate = payload.Next(), payload.Rate()
-	}
-	if c := coverPPS(b.spec.CoverRate, b.spec.CoverToPPS, pps); c > 0 {
-		cover, err := traffic.NewPoisson(c, xrand.New(b.roleSeed(class, u, popRoleCover)))
-		if err != nil {
-			return f, err
-		}
-		if tc := cover.Next(); tc < f.T {
-			f.T, f.Cover = tc, true
-		}
-		f.Rate += cover.Rate()
+	payload, cover := b.payload[class], b.cover[class]
+	b.start(class, u, &payload, &cover)
+	f := population.Frontier{T: payload.Next(), Rate: payload.Rate() + cover.Rate()}
+	if tc := cover.Next(); tc < f.T {
+		f.T, f.Cover = tc, true
 	}
 	return f, nil
 }
@@ -374,16 +361,18 @@ func (l *rawLink) Next() float64 {
 // randomness comes from master, so a link is deterministic from its
 // stream seed; the presence schedule rides its own role stream.
 func (s *System) flowLink(spec PopulationSpec, class int, raw bool, presence *traffic.OnOffSchedule, master *xrand.Rand, tap func(t float64), sh *obs.Shard) (netem.TimeStream, error) {
-	payload, err := s.payloadSource(class, master.Split())
+	payload, err := s.payloadModel(class)
 	if err != nil {
 		return nil, err
 	}
-	var src traffic.Source = payload
+	payload.Start(master.Split().Stream)
+	var src traffic.Source = &payload
 	if c := coverPPS(spec.CoverRate, spec.CoverToPPS, s.cfg.Rates[class].PPS); c > 0 {
-		cover, err := traffic.NewPoisson(c, master.Split())
+		cover, err := traffic.PoissonModel(c)
 		if err != nil {
 			return nil, err
 		}
+		cover.Start(master.Split().Stream)
 		merge := traffic.NewPair(payload, cover)
 		src = &merge
 	}

@@ -259,13 +259,27 @@ const (
 // second, so one evaluation at the midpoint of [min t, max t] bounds the
 // whole slab.
 func (u diurnalUtil) bounds(ts []float64) (lo, hi float64) {
+	// Plain comparisons, not the min and max builtins: those propagate
+	// NaN, which costs a dependent chain of instructions per time. A NaN
+	// is flagged on its own instead; signed zeros may land either way,
+	// which no result below can tell apart.
 	tmin, tmax := ts[0], ts[0]
+	nan := false
 	for _, t := range ts[1:] {
-		tmin, tmax = min(tmin, t), max(tmax, t)
+		if t < tmin {
+			tmin = t
+		}
+		if t > tmax {
+			tmax = t
+		}
+		if t != t {
+			nan = true
+		}
 	}
-	// NaN anywhere fails the comparison, so non-finite times get no
+	// A NaN time, a NaN first time (which no comparison moves) or an
+	// infinite one fails the comparison, so non-finite times get no
 	// bound; a non-finite profile leaves lo NaN or -Inf below.
-	if !(max(math.Abs(u.startHour), math.Abs(u.d.TroughHour), math.Abs(tmin)/3600, math.Abs(tmax)/3600) <= boundHours) {
+	if nan || !(max(math.Abs(u.startHour), math.Abs(u.d.TroughHour), math.Abs(tmin)/3600, math.Abs(tmax)/3600) <= boundHours) {
 		return 0, 0
 	}
 	amp := math.Abs(u.d.Peak - u.d.Trough)

@@ -332,6 +332,51 @@ func TestDiurnalBoundsHold(t *testing.T) {
 	}
 }
 
+// TestDiurnalBoundsSpecialTimes: a slab holding NaN, ±Inf or signed
+// zeros, at its start, middle or end, gets the bound the NaN-propagating
+// min and max builtins give, bit for bit: no bound for a NaN or an
+// infinite time, and the same bound whichever zero is the extreme.
+func TestDiurnalBoundsSpecialTimes(t *testing.T) {
+	ref := func(u diurnalUtil, ts []float64) (lo, hi float64) {
+		tmin, tmax := ts[0], ts[0]
+		for _, t := range ts[1:] {
+			tmin, tmax = min(tmin, t), max(tmax, t)
+		}
+		if !(max(math.Abs(u.startHour), math.Abs(u.d.TroughHour), math.Abs(tmin)/3600, math.Abs(tmax)/3600) <= boundHours) {
+			return 0, 0
+		}
+		amp := math.Abs(u.d.Peak - u.d.Trough)
+		mid := u.At(tmin + (tmax-tmin)/2)
+		half := amp*math.Pi/86400*(tmax-tmin)/2 + boundMargin*(1+math.Abs(u.d.Trough)+amp)
+		return min(mid-half, maxRho), min(mid+half, maxRho)
+	}
+	u := DiurnalUtil(traffic.Diurnal{Trough: 0.1, Peak: 0.7, TroughHour: 3}, 5).(diurnalUtil)
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero}
+	slabs := [][]float64{{0, negZero}, {negZero, 0}, {negZero, negZero, 0}, {0, negZero, 12.5}, {negZero, -3, 0}}
+	for _, x := range specials {
+		for _, at := range []int{0, 3, 7} {
+			ts := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+			ts[at] = x
+			slabs = append(slabs, ts, []float64{x})
+		}
+	}
+	for _, ts := range slabs {
+		lo, hi := u.bounds(ts)
+		wlo, whi := ref(u, ts)
+		if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+			t.Errorf("bounds(%v) = [%v, %v], the builtins give [%v, %v]", ts, lo, hi, wlo, whi)
+		}
+		hasNonFinite := false
+		for _, x := range ts {
+			hasNonFinite = hasNonFinite || math.IsNaN(x) || math.IsInf(x, 0)
+		}
+		if hasNonFinite && (lo != 0 || hi != 0) {
+			t.Errorf("bounds(%v) = [%v, %v], want no bound for a non-finite time", ts, lo, hi)
+		}
+	}
+}
+
 func TestConstructorValidation(t *testing.T) {
 	up := NewSliceStream(periodicTimes(1, 1))
 	if _, err := NewFastRouter(nil, svc, constUtil(0), 0, xrand.New(1)); err == nil {

@@ -29,7 +29,7 @@ func (f funcBuilder) Frontier(u int) (Frontier, error) {
 	if err != nil {
 		return Frontier{}, err
 	}
-	if usr.Messages == nil {
+	if usr.Messages.None() {
 		return Frontier{}, fmt.Errorf("user %d has no payload source", u)
 	}
 	merge := traffic.NewPair(usr.Messages, usr.Cover)
@@ -38,33 +38,19 @@ func (f funcBuilder) Frontier(u int) (Frontier, error) {
 }
 
 // refBuilder returns a pure per-user builder over the refUsers
-// population: building user u twice yields identically seeded stacks.
+// population: building user u twice yields identically seeded users.
 func refBuilder(t testing.TB, recipients int, cover, churn bool) funcBuilder {
 	t.Helper()
-	shape, err := NewProfileShape(recipients, 3, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shape := testShape(t, recipients)
 	return func(u int) (User, error) {
-		master := xrand.New(uint64(3000 + u))
-		rate := 5 + float64(u%3)*20
-		msgs, err := traffic.NewPoisson(rate, master.Split())
-		if err != nil {
-			return User{}, err
-		}
-		var cov traffic.Source
+		rate, coverRate := 5+float64(u%3)*20, 0.0
 		if cover {
-			cov, err = traffic.NewPoisson(rate, master.Split())
-			if err != nil {
-				return User{}, err
-			}
+			coverRate = rate
 		}
-		prng := master.Split()
-		prof, err := shape.NewProfile(prng)
+		usr, err := poissonUser(xrand.New(uint64(3000+u)), u%3, rate, coverRate, shape)
 		if err != nil {
 			return User{}, err
 		}
-		usr := User{Class: u % 3, Messages: msgs, Cover: cov, Profile: prof, RNG: prng}
 		if churn {
 			sched, err := traffic.NewOnOffSchedule(0.05, 0.05, xrand.New(uint64(7000+u)))
 			if err != nil {
@@ -106,23 +92,15 @@ func copyRound(r *Round) Round {
 // and cover gaps are equal. The engine's merge gives such a tie to the
 // payload; the builder's Frontier, which the lazy engine's init pass
 // reads without building the user, must too.
-func tiedBuilder(recipients int) funcBuilder {
+func tiedBuilder(t testing.TB, recipients int) funcBuilder {
+	shape := testShape(t, recipients)
 	return func(u int) (User, error) {
 		rate := 5 + float64(u%4)*3
-		msgs, err := traffic.NewCBR(rate, 0, nil)
+		cbr, err := traffic.CBRModel(rate, 0)
 		if err != nil {
 			return User{}, err
 		}
-		cov, err := traffic.NewCBR(rate, 0, nil)
-		if err != nil {
-			return User{}, err
-		}
-		prng := xrand.New(uint64(9000 + u))
-		prof, err := newProfile(recipients, 3, 0.7, prng)
-		if err != nil {
-			return User{}, err
-		}
-		return User{Class: u % 3, Messages: msgs, Cover: cov, Profile: prof, RNG: prng}, nil
+		return User{Class: u % 3, Messages: cbr, Cover: cbr, Shape: shape, RNG: xrand.NewStream(uint64(9000 + u))}, nil
 	}
 }
 
@@ -141,7 +119,7 @@ func TestLazyEngineMatchesEager(t *testing.T) {
 	}{
 		{"cover", refBuilder(t, recipients, true, false), false},
 		{"no-cover", refBuilder(t, recipients, false, false), true},
-		{"tied-first-gaps", tiedBuilder(recipients), true},
+		{"tied-first-gaps", tiedBuilder(t, recipients), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,11 +138,13 @@ func TestLazyEngineMatchesEager(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(lazy.nextT, eager.nextT) || !reflect.DeepEqual(lazy.nextCover, eager.nextCover) {
-				t.Fatal("lazy init frontier differs from the eager engine's")
+			for u := range lazy.cur {
+				if l, e := lazy.cur[u], eager.cur[u]; l.t != e.t || l.cover != e.cover {
+					t.Fatalf("user %d: lazy init frontier (%v, %t) differs from the eager engine's (%v, %t)", u, l.t, l.cover, e.t, e.cover)
+				}
 			}
-			for u, cover := range lazy.nextCover {
-				if cover && tc.payloadFirst {
+			for u, c := range lazy.cur {
+				if c.cover && tc.payloadFirst {
 					t.Fatalf("user %d: frontier is a cover arrival; ties and cover-less users must start on the payload", u)
 				}
 			}
@@ -224,22 +204,13 @@ func TestLazyEngineWorkerInvariance(t *testing.T) {
 func TestLazyEngineColdUsers(t *testing.T) {
 	const n, recipients = 2000, 40
 	const hot = 8
+	shape := testShape(t, recipients)
 	build := funcBuilder(func(u int) (User, error) {
-		master := xrand.New(uint64(5000 + u))
 		rate := 1e-6 // one arrival per ~11 simulated days
 		if u%(n/hot) == 0 {
 			rate = 50
 		}
-		msgs, err := traffic.NewPoisson(rate, master.Split())
-		if err != nil {
-			return User{}, err
-		}
-		prng := master.Split()
-		prof, err := newProfile(recipients, 3, 0.7, prng)
-		if err != nil {
-			return User{}, err
-		}
-		return User{Messages: msgs, Profile: prof, RNG: prng}, nil
+		return poissonUser(xrand.New(uint64(5000+u)), 0, rate, 0, shape)
 	})
 	e, err := NewLazyEngine(n, recipients, build)
 	if err != nil {
@@ -275,8 +246,8 @@ func TestLazyEngineAccessorsWarm(t *testing.T) {
 	if got := e.Class(u); got != want.Class {
 		t.Fatalf("Class(%d) = %d, want %d", u, got, want.Class)
 	}
-	if got := e.ContactsOf(u); !reflect.DeepEqual(got, want.Profile.Contacts()) {
-		t.Fatalf("ContactsOf(%d) = %v, want %v", u, got, want.Profile.Contacts())
+	if got, want := e.ContactsOf(u), contactsFrom(want.Shape, want.RNG); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ContactsOf(%d) = %v, want %v", u, got, want)
 	}
 	if e.PresenceOf(u) == nil {
 		t.Fatalf("PresenceOf(%d) = nil for a churned population", u)
@@ -335,8 +306,8 @@ func TestLazyEngineBuilderError(t *testing.T) {
 	// The user that sends last fails to build.
 	probe := newEng(good)
 	bad := 0
-	for u := range probe.nextT {
-		if probe.nextT[u] > probe.nextT[bad] {
+	for u := range probe.cur {
+		if probe.cur[u].t > probe.cur[bad].t {
 			bad = u
 		}
 	}
@@ -377,17 +348,14 @@ func TestLazyEngineBuilderError(t *testing.T) {
 func TestLazyEngineImpureBuilder(t *testing.T) {
 	const n, recipients = 20, 40
 	var calls atomic.Uint64
+	shape := testShape(t, recipients)
 	impure := funcBuilder(func(u int) (User, error) {
-		msgs, err := traffic.NewPoisson(10, xrand.New(calls.Add(1)))
+		msgs, err := traffic.PoissonModel(10)
 		if err != nil {
 			return User{}, err
 		}
-		prng := xrand.New(uint64(u))
-		prof, err := newProfile(recipients, 3, 0.7, prng)
-		if err != nil {
-			return User{}, err
-		}
-		return User{Messages: msgs, Profile: prof, RNG: prng}, nil
+		msgs.Start(xrand.NewStream(calls.Add(1)))
+		return User{Messages: msgs, Shape: shape, RNG: xrand.NewStream(uint64(u))}, nil
 	})
 	e, err := NewLazyEngine(n, recipients, impure)
 	if err != nil {

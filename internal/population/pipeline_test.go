@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"linkpad/internal/obs"
-	"linkpad/internal/traffic"
+	"linkpad/internal/xrand"
 )
 
 // pipeline_test.go: the pipelined refill. With more than one worker the
@@ -49,7 +49,7 @@ func checkBlockMins(t *testing.T, e *Engine) {
 		for b := lo; b < hi; b += blockSize {
 			want := math.Inf(1)
 			for u := b; u < b+blockSize && u < hi; u++ {
-				want = math.Min(want, e.nextT[u])
+				want = math.Min(want, e.cur[u].t)
 			}
 			bi := sh*e.blocksPerShard + (b-lo)/blockSize
 			if got := e.blockMin[bi]; got != want {
@@ -148,18 +148,19 @@ func TestPipelinedEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// slowSource delays every draw while its flag is set, so a slab
-// generated in the background lives far longer than a short poll.
-type slowSource struct {
-	traffic.Source
+// slowBuilder's Build sleeps while its flag is set, so a slab in which
+// many users warm lives far longer than a short poll. Its Frontier does
+// not sleep, so the init pass stays fast.
+type slowBuilder struct {
+	funcBuilder
 	slow *atomic.Bool
 }
 
-func (s slowSource) Next() float64 {
-	if s.slow.Load() {
+func (b slowBuilder) Build(u int) (User, error) {
+	if b.slow.Load() {
 		time.Sleep(2 * time.Millisecond)
 	}
-	return s.Source.Next()
+	return b.funcBuilder(u)
 }
 
 // settled polls runtime.NumGoroutine until it is back at baseline,
@@ -180,46 +181,42 @@ func settled(t *testing.T, baseline int) {
 }
 
 // TestDisclosureRunJoinsGeneration: no background generation outlives a
-// disclosure run. Every payload draw sleeps, so the slab a pipelined
-// engine starts at each refill takes about 100 ms to generate; the run
-// must still be back at its goroutine baseline within the poll's bound
-// when it finishes, when it fails, and when it is stopped early.
+// disclosure run. Every Build sleeps, and 4096 users at one message a
+// second each make nearly every event of the run's first slabs a user's
+// first, so the slab a pipelined engine starts at each refill warms
+// about 60 users and takes about 100 ms to generate; the run must still
+// be back at its goroutine baseline within the poll's bound when it
+// finishes, when it fails, and when it is stopped early.
 func TestDisclosureRunJoinsGeneration(t *testing.T) {
-	const n, recipients = 24, 40
+	const n, recipients = 4096, 40
 	var slow atomic.Bool
 	t.Cleanup(func() { slow.Store(false) })
-	good := refBuilder(t, recipients, false, false)
-	// newRun starts a run; with failLate, its builder fails for the user
-	// that sends last.
+	shape := testShape(t, recipients)
+	// newRun starts a run; with failLate, its builder fails for the
+	// first user to send after the second slab.
 	newRun := func(t *testing.T, failLate bool, rounds int) *DisclosureRun {
 		t.Helper()
 		var bad atomic.Int64
 		bad.Store(-1)
-		build := funcBuilder(func(u int) (User, error) {
+		build := slowBuilder{funcBuilder(func(u int) (User, error) {
 			if int64(u) == bad.Load() {
 				return User{}, errors.New("boom")
 			}
-			usr, err := good(u)
-			usr.Messages = slowSource{usr.Messages, &slow}
-			return usr, err
-		})
+			return poissonUser(xrand.New(uint64(3000+u)), 0, 1, 0, shape)
+		}), &slow}
 		e, err := NewLazyEngine(n, recipients, build)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.slabLen /= 64 // ~64 events a slab: ~100 ms of slow draws
+		e.slabLen /= 64 // ~64 events a slab: ~100 ms of slow builds
 		if failLate {
-			// Fail the user that sends last, beyond the first slab.
-			last := 0
-			for u := range e.nextT {
-				if e.nextT[u] > e.nextT[last] {
-					last = u
+			first := -1
+			for u, c := range e.cur {
+				if c.t > 2*e.slabLen && (first < 0 || c.t < e.cur[first].t) {
+					first = u
 				}
 			}
-			if e.nextT[last] < e.slabLen {
-				t.Fatal("every user sends in the first slab")
-			}
-			bad.Store(int64(last))
+			bad.Store(int64(first))
 		}
 		run, err := e.StartDisclosure(DisclosureConfig{Batch: 8, MaxRounds: rounds, Workers: 2, Targets: []int{0}})
 		if err != nil {

@@ -29,13 +29,19 @@
 // reduction — an index min-heap over the shard frontiers — that replays
 // exactly the total (time, user) order the previous concat-and-sort
 // merge produced. Users are materialized lazily: a cold user holds only
-// its frontier (next arrival time and origin, ~9 bytes), which the init
-// pass reads from the pure per-user Builder's Frontier without building
-// the user, and its full source state is built by Builder.Build the
-// first time it actually sends. Resident memory is thus dominated by the
-// compact frontier plus the users active so far, not by N fully built
-// source stacks, and the init pass costs one frontier read per user
-// rather than one build. A refill touches only the users that are due:
+// its cursor (pending arrival time and origin, and its arena slot, 16
+// bytes), which the init pass fills from the pure per-user Builder's
+// Frontier without building the user, and its full state is built by
+// Builder.Build the first time it actually sends. A warm user lives in
+// its shard's arena: a fixed-size slot, handed out in warming order from
+// pointer-free chunks, holding its payload and cover by value
+// (traffic.Model) merged in a traffic.Pair, and its recipient stream;
+// its contact set is a run in the arena's int32 chunks. Warming a user
+// allocates nothing but its share of a chunk, and the collector never
+// scans a chunk. Resident memory is thus dominated by the cursors plus
+// the users active so far, not by N fully built source stacks, and the
+// init pass costs one frontier read per user rather than one build. A
+// refill touches only the users that are due:
 // a per-block minimum of the frontier lets it skip every 16-user block
 // with nothing before the new horizon. With more than one worker the
 // next slab generates in the background while the current one is
@@ -47,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"linkpad/internal/obs"
@@ -55,21 +62,15 @@ import (
 	"linkpad/internal/xrand"
 )
 
-// Profile is one user's recipient distribution: a small contact set
-// carrying most of the probability mass (Zipf-weighted, so the first
-// contact is the heaviest) over a uniform background across all
-// recipients. This is the structure statistical disclosure exploits —
-// and what "disclosure" means: identifying the contact set.
-type Profile struct {
-	contacts []int32
-	shape    *ProfileShape // shared read-only by every profile of the shape
-}
-
-// ProfileShape is what every profile of a population shares: the
+// ProfileShape is a user's recipient distribution, all but its contact
+// set: a small contact set carrying most of the probability mass
+// (Zipf-weighted, so the first contact is the heaviest) over a uniform
+// background across all recipients. This is the structure statistical
+// disclosure exploits, and what "disclosure" means: identifying the
+// contact set. A population's users share one shape, which holds the
 // recipient space, the contact-set size and mass, and the Zipf weights
-// within the set. The weights are computed once per shape, and every
-// profile drawn from it reads them, so a profile owns only its contact
-// set.
+// within the set; each user owns only its contact set, which the engine
+// draws from the user's stream into its arena.
 type ProfileShape struct {
 	cum    []float64
 	weight float64
@@ -102,69 +103,59 @@ func NewProfileShape(recipients, contacts int, weight float64) (*ProfileShape, e
 	return &ProfileShape{cum: cum, weight: weight, nrcpt: int32(recipients)}, nil
 }
 
-// NewProfile draws one profile of the shape. The contact set is drawn
-// from rng, so a profile is deterministic from its stream.
-func (s *ProfileShape) NewProfile(rng *xrand.Rand) (Profile, error) {
-	if rng == nil {
-		return Profile{}, errors.New("population: nil rng")
-	}
-	contacts := len(s.cum)
-	cs := make([]int32, 0, contacts)
-	for len(cs) < contacts {
+// drawContacts fills cs, whose length is the shape's contact count,
+// with a contact set drawn from rng: distinct recipients, heaviest
+// first.
+func (s *ProfileShape) drawContacts(rng *xrand.Stream, cs []int32) {
+	for n := 0; n < len(cs); {
 		c := int32(rng.Intn(int(s.nrcpt)))
-		dup := false
-		for _, x := range cs {
-			if x == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cs = append(cs, c)
+		if !slices.Contains(cs[:n], c) {
+			cs[n] = c
+			n++
 		}
 	}
-	return Profile{contacts: cs, shape: s}, nil
 }
 
-// Draw picks one recipient from the profile using rng.
-func (p *Profile) Draw(rng *xrand.Rand) int32 {
-	s := p.shape
+// draw picks one recipient of a real message from a user with contact
+// set contacts, using rng.
+func (s *ProfileShape) draw(contacts []int32, rng *xrand.Stream) int32 {
 	u := rng.Float64()
 	if u < s.weight {
 		// Reuse the uniform: u/weight is uniform in [0,1) given u < weight.
 		v := u / s.weight
 		for i, c := range s.cum {
 			if v < c {
-				return p.contacts[i]
+				return contacts[i]
 			}
 		}
-		return p.contacts[len(p.contacts)-1]
+		return contacts[len(contacts)-1]
 	}
 	return int32(rng.Intn(int(s.nrcpt)))
 }
 
-// Contacts returns a copy of the contact set, heaviest first.
-func (p *Profile) Contacts() []int32 {
-	return append([]int32(nil), p.contacts...)
-}
-
-// User is one sender of the population. Its stochastic elements —
-// message arrivals, optional cover arrivals, and the recipient-draw
-// stream — must be private to the user (never shared), which is what
-// lets the engine generate users in parallel deterministically.
+// User is one sender of the population, as a Builder hands it over. Its
+// stochastic elements — message arrivals, optional cover arrivals, the
+// contact set and the recipient draws — must be private to the user
+// (never shared), which is what lets the engine generate users in
+// parallel deterministically. A User holds its sources and its stream by
+// value, and the engine copies them into its pointer-free arena.
 type User struct {
 	// Class is the user's payload-rate class index.
 	Class int
-	// Messages is the user's real message arrival process.
-	Messages traffic.Source
-	// Cover is the user's dummy arrival process; nil means no cover
-	// traffic. Cover messages are indistinguishable from real ones at the
-	// ingress tap and are delivered to uniformly random recipients.
-	Cover traffic.Source
-	// Profile is the user's recipient distribution for real messages.
-	Profile Profile
-	// RNG draws recipients (real and dummy) in event order.
-	RNG *xrand.Rand
+	// Messages is the user's real message arrival process; it must not
+	// be the zero Model.
+	Messages traffic.Model
+	// Cover is the user's dummy arrival process; the zero Model means no
+	// cover traffic. Cover messages are indistinguishable from real ones
+	// at the ingress tap and are delivered to uniformly random recipients.
+	Cover traffic.Model
+	// Shape is the user's recipient distribution for real messages, all
+	// but its contact set.
+	Shape *ProfileShape
+	// RNG is the user's profile stream. The engine draws the user's
+	// contact set from it first, when it installs the user, and the same
+	// stream then draws every recipient (real and dummy) in event order.
+	RNG xrand.Stream
 	// Presence, when non-nil, is the user's churn schedule: arrivals
 	// (real and cover alike) that fall while the user is offline are
 	// dropped — an offline client sends nothing. The schedule must be
@@ -181,18 +172,20 @@ type Frontier struct {
 	Rate  float64
 }
 
-// Builder materializes users from their indices. A builder must be pure:
-// calling Build twice with the same index must yield two fresh,
-// identically seeded source stacks (the repository's (seed, class,
-// userID) stream derivation satisfies this by construction), and
-// Frontier(u) must report, bit for bit, what a fresh Build(u) would
-// yield first: the earlier of the payload's and the cover's first
-// arrivals (a tie going to the payload, as the engine's merge breaks
-// it) and the payload's rate plus the cover's, in that order. The
-// engine reads every user's Frontier once at construction and calls
-// Build only when a user first sends and for the read-only accessors;
-// it checks the rebuilt first arrival against the recorded frontier and
-// fails naming the user when they differ.
+// Builder materializes users from their indices. Build returns the
+// user by value and the engine copies it into its arena, so a user
+// warms without an allocation of its own unless its builder makes one
+// (core's makes only a churn schedule). A builder must be pure: calling
+// Build twice with the same index must yield two identically seeded
+// users (the repository's (seed, class, userID) stream derivation
+// satisfies this by construction), and Frontier(u) must report, bit for
+// bit, what a fresh Build(u) would yield first: the earlier of the
+// payload's and the cover's first arrivals (a tie going to the payload,
+// as the engine's merge breaks it) and the payload's rate plus the
+// cover's, in that order. The engine reads every user's Frontier once at
+// construction and calls Build only when a user first sends and for the
+// read-only accessors; it checks the rebuilt first arrival against the
+// recorded frontier and fails naming the user when they differ.
 type Builder interface {
 	Build(u int) (User, error)
 	Frontier(u int) (Frontier, error)
@@ -220,31 +213,110 @@ func (s *eventSorter) Less(i, j int) bool {
 	return s.ev[i].user < s.ev[j].user
 }
 
-// userState is one warm user's full materialization: the merged
-// stream of its built sources and the rest of its User. Cold users have
-// no userState at all — their generation cursor lives in the engine's
-// frontier arrays.
-type userState struct {
-	// merge is the user's payload (first) and cover (second, nil without
-	// cover) merged; its NextFrom reports a cover arrival as the second
-	// source firing.
-	merge    traffic.Pair
-	class    int
-	profile  Profile
-	rng      *xrand.Rand
-	presence *traffic.OnOffSchedule
+// slot is one warm user's state in its shard's arena: the merged stream
+// of its sources, its recipient stream and where its class, shape and
+// contact set are. A slot holds no pointers, so the collector never
+// scans an arena chunk. Cold users have no slot: a user's generation
+// cursor lives in the engine's cursors, warm or cold.
+type slot struct {
+	// merge is the user's payload (first) and cover (second, the zero
+	// Model without cover) merged; its NextFrom reports a cover arrival
+	// as the second source firing.
+	merge traffic.Pair[traffic.Model, traffic.Model, *traffic.Model, *traffic.Model]
+	rng   xrand.Stream
+	class int32
+	shape int32 // index into the arena's shapes
+	// The contact set is chunk cc of the arena's contacts, from offset co.
+	cc, co int32
 }
 
-// newUserState starts user usr's merge: each source draws its first gap,
-// which is its first arrival's absolute time.
-func newUserState(usr *User) *userState {
-	return &userState{
-		merge:    traffic.NewPair(usr.Messages, usr.Cover),
-		class:    usr.Class,
-		profile:  usr.Profile,
-		rng:      usr.RNG,
-		presence: usr.Presence,
+// slotChunk is the slot count of one arena chunk: 16 slots of 144 B fill
+// the 2304 B size class exactly. contactChunk is the int32 count of one
+// contact chunk.
+const (
+	slotChunk    = 16
+	contactChunk = 256
+)
+
+// warmArena is one shard's warm users. Slots are handed out in the order
+// the shard's users warm, in fixed-size chunks, so the arena grows with
+// the shard's warm users rather than its population, and a slot never
+// moves. Contact sets are runs in fixed-size int32 chunks; a run never
+// straddles two chunks. Neither kind of chunk holds a pointer, so warm
+// users cost the collector nothing to mark; what it does scan is a
+// pointer per chunk, the shard's distinct profile shapes, and the
+// presence schedules, which exist only under churn.
+type warmArena struct {
+	slots    []*[slotChunk]slot
+	n        int32 // slots handed out
+	contacts [][]int32
+	used     int // int32s handed out of the last contact chunk
+	shapes   []*ProfileShape
+	presence []*traffic.OnOffSchedule // by slot; nil until a user churns
+}
+
+// add hands out the next slot and its index.
+func (a *warmArena) add() (int32, *slot) {
+	i := a.n
+	if i%slotChunk == 0 {
+		a.slots = append(a.slots, new([slotChunk]slot))
 	}
+	a.n++
+	return i, a.at(i)
+}
+
+// at returns slot i.
+func (a *warmArena) at(i int32) *slot { return &a.slots[i/slotChunk][i%slotChunk] }
+
+// addContacts hands out a run of k int32s for a contact set and records
+// where it is in st.
+func (a *warmArena) addContacts(st *slot, k int) []int32 {
+	last := len(a.contacts) - 1
+	if last < 0 || a.used+k > len(a.contacts[last]) {
+		a.contacts = append(a.contacts, make([]int32, max(contactChunk, k)))
+		last++
+		a.used = 0
+	}
+	st.cc, st.co = int32(last), int32(a.used)
+	a.used += k
+	return a.contacts[last][st.co:a.used]
+}
+
+// contactsOf returns st's contact set.
+func (a *warmArena) contactsOf(st *slot) []int32 {
+	return a.contacts[st.cc][st.co : int(st.co)+len(a.shapes[st.shape].cum)]
+}
+
+// shapeIndex returns shape's index in the arena's shapes, adding it if
+// it is new. A population shares one shape, so the scan is one compare.
+func (a *warmArena) shapeIndex(shape *ProfileShape) int32 {
+	for i, x := range a.shapes {
+		if x == shape {
+			return int32(i)
+		}
+	}
+	a.shapes = append(a.shapes, shape)
+	return int32(len(a.shapes) - 1)
+}
+
+// presenceOf returns slot i's churn schedule, nil if the user never
+// churns.
+func (a *warmArena) presenceOf(i int32) *traffic.OnOffSchedule {
+	if int(i) < len(a.presence) {
+		return a.presence[i]
+	}
+	return nil
+}
+
+// cursor is one user's generation cursor: the absolute time and origin
+// of its pending arrival, and its slot in its shard's warm arena (−1
+// while the user is cold). A refill reads all three for each due user,
+// so they share a cache line; 16 bytes per user is the whole cost of a
+// cold user.
+type cursor struct {
+	t     float64
+	slot  int32
+	cover bool
 }
 
 // shard is one contiguous user range's merge cursor: its slab of events,
@@ -256,16 +328,18 @@ type shard struct {
 
 // shardGen is one shard's generation state: the slab being generated
 // (spare, and active, its count of users that emitted at least one
-// event) and a reusable sorter, so a refill allocates nothing beyond
-// amortized buffer growth. A refill swaps spare with the shard's
-// merged buf. Generation writes only shardGen and the merge only shard,
-// and the two live in separate arrays, so a pipelined engine generates
-// the next slab while the current one is merged without either
-// goroutine writing a cache line the other reads.
+// event), a reusable sorter, so a refill allocates nothing beyond
+// amortized buffer growth, and the arena of the shard's warm users. A
+// refill swaps spare with the shard's merged buf. Generation writes only
+// shardGen and the merge only shard, and the two live in separate
+// arrays, so a pipelined engine generates the next slab while the
+// current one is merged without either goroutine writing a cache line
+// the other reads.
 type shardGen struct {
 	spare  []event
 	active int
 	sorter eventSorter
+	warm   warmArena
 }
 
 // Round is one batch of the population mix as both sides of the
@@ -300,18 +374,15 @@ type Engine struct {
 	nrcpt int
 	build Builder // nil for an eagerly built engine
 
-	// Frontier (all users, cold included): the absolute time and origin
-	// of each user's pending arrival. ~9 bytes per user is the whole
-	// per-user cost of a cold user.
-	nextT     []float64
-	nextCover []bool
-	// warm holds the materialized users (nil while cold). A user warms on
-	// its first generated event and stays warm.
-	warm []*userState
+	// cur holds every user's cursor, cold users included; each
+	// constructor writes all of them. A user warms on its first
+	// generated event and stays warm.
+	cur []cursor
 
-	// blockMin[b] is the least nextT over block b's users. Blocks are
-	// blockSize users, laid out shard by shard so that none straddles a
-	// shard: shard sh owns blocks [sh*blocksPerShard, (sh+1)*blocksPerShard).
+	// blockMin[b] is the least pending time over block b's users. Blocks
+	// are blockSize users, laid out shard by shard so that none straddles
+	// a shard: shard sh owns blocks [sh*blocksPerShard,
+	// (sh+1)*blocksPerShard).
 	blockMin       []float64
 	blocksPerShard int
 
@@ -347,8 +418,8 @@ const defaultShardSize = 1024
 
 // blockSize is the user count per frontier block. A refill reads one
 // block minimum per blockSize users and visits a block's users only
-// when the minimum lies before the new horizon; 16 frontier times fill
-// two cache lines.
+// when the minimum lies before the new horizon; 16 cursors fill four
+// cache lines.
 const blockSize = 16
 
 // NewLazyEngine assembles an engine over n users materialized on demand
@@ -390,7 +461,7 @@ func newLazyEngine(n, recipients, shardSize int, build Builder) (*Engine, error)
 			if err != nil {
 				return fmt.Errorf("population: frontier of user %d: %w", u, err)
 			}
-			e.nextT[u], e.nextCover[u] = f.T, f.Cover
+			e.cur[u] = cursor{t: f.T, slot: -1, cover: f.Cover}
 			rate += f.Rate
 		}
 		partial[sh] = rate
@@ -406,7 +477,8 @@ func newLazyEngine(n, recipients, shardSize int, build Builder) (*Engine, error)
 	return e, e.finishInit(totalRate)
 }
 
-// newEngine allocates the frontier arrays and validates the shape.
+// newEngine allocates the cursors and the shards' generation state and
+// validates the shape.
 func newEngine(n, recipients, shardSize int) (*Engine, error) {
 	if n < 2 {
 		return nil, errors.New("population: need at least two users")
@@ -420,13 +492,12 @@ func newEngine(n, recipients, shardSize int) (*Engine, error) {
 	e := &Engine{
 		n:         n,
 		nrcpt:     recipients,
-		nextT:     make([]float64, n),
-		nextCover: make([]bool, n),
-		warm:      make([]*userState, n),
+		cur:       make([]cursor, n),
 		shardSize: shardSize,
 		probe:     obs.NewShard(),
 		done:      make(chan error, 1),
 	}
+	e.gens = make([]shardGen, e.numShards())
 	e.blocksPerShard = (min(shardSize, n) + blockSize - 1) / blockSize
 	e.blockMin = make([]float64, e.numShards()*e.blocksPerShard)
 	return e, nil
@@ -453,9 +524,9 @@ func (e *Engine) finishInit(totalRate float64) error {
 func (e *Engine) indexBlock(sh, b int) {
 	lo, hi := e.shardRange(sh)
 	m := math.Inf(1)
-	for _, t := range e.nextT[b:min(b+blockSize, hi)] {
-		if t < m {
-			m = t
+	for _, c := range e.cur[b:min(b+blockSize, hi)] {
+		if c.t < m {
+			m = c.t
 		}
 	}
 	e.blockMin[sh*e.blocksPerShard+(b-lo)/blockSize] = m
@@ -463,13 +534,13 @@ func (e *Engine) indexBlock(sh, b int) {
 
 // validateUser checks one user's shape against the engine.
 func validateUser(usr *User, u, recipients int) error {
-	if usr.Messages == nil || usr.RNG == nil {
-		return fmt.Errorf("population: user %d missing sources", u)
+	if usr.Messages.None() {
+		return fmt.Errorf("population: user %d has no message source", u)
 	}
-	if usr.Class < 0 {
-		return fmt.Errorf("population: user %d has negative class", u)
+	if usr.Class < 0 || usr.Class > math.MaxInt32 {
+		return fmt.Errorf("population: user %d has class %d out of range", u, usr.Class)
 	}
-	shape := usr.Profile.shape
+	shape := usr.Shape
 	if shape == nil {
 		return fmt.Errorf("population: user %d has no profile", u)
 	}
@@ -495,51 +566,79 @@ func (e *Engine) shardRange(sh int) (lo, hi int) {
 	return lo, hi
 }
 
-// warmUp materializes user u: the builder creates its source stack and
-// the merge replays the first arrival the init pass recorded as the
-// user's frontier, so the built cursor lands exactly on it. A replayed
-// arrival that differs from the frontier means the builder broke its
-// contract (an impure Build, or a Frontier that disagrees with it); that
-// is an error naming the user, never a silent desync. Warm users stay
-// warm.
-func (e *Engine) warmUp(u int) (*userState, error) {
-	if st := e.warm[u]; st != nil {
-		return st, nil
+// install validates user u of shard sh and copies it into a new slot of
+// the shard's arena: its merge starts (each source draws its first gap)
+// and its contact set is drawn from its stream. It returns the slot's
+// index; the caller marks the user warm.
+func (e *Engine) install(sh, u int, usr *User) (int32, error) {
+	if err := validateUser(usr, u, e.nrcpt); err != nil {
+		return 0, err
+	}
+	a := &e.gens[sh].warm
+	i, st := a.add()
+	st.merge.Start(usr.Messages, usr.Cover)
+	st.rng = usr.RNG
+	st.class = int32(usr.Class)
+	st.shape = a.shapeIndex(usr.Shape)
+	usr.Shape.drawContacts(&st.rng, a.addContacts(st, len(usr.Shape.cum)))
+	if usr.Presence != nil {
+		for len(a.presence) <= int(i) {
+			a.presence = append(a.presence, nil)
+		}
+		a.presence[i] = usr.Presence
+	}
+	return i, nil
+}
+
+// warmUp materializes user u of shard sh and returns its slot index: the
+// builder creates the user, install copies it into the arena, and the
+// merge replays the first arrival the init pass recorded as the user's
+// frontier, so the built cursor lands exactly on it. A replayed arrival
+// that differs from the frontier means the builder broke its contract
+// (an impure Build, or a Frontier that disagrees with it); that is an
+// error naming the user, never a silent desync. Warm users stay warm.
+func (e *Engine) warmUp(sh, u int) (int32, error) {
+	c := &e.cur[u]
+	if c.slot >= 0 {
+		return c.slot, nil
 	}
 	if e.build == nil {
-		return nil, fmt.Errorf("population: user %d has no state and the engine has no builder", u)
+		return 0, fmt.Errorf("population: user %d has no state and the engine has no builder", u)
 	}
 	usr, err := e.build.Build(u)
 	if err != nil {
-		return nil, fmt.Errorf("population: build user %d: %w", u, err)
+		return 0, fmt.Errorf("population: build user %d: %w", u, err)
 	}
-	if err := validateUser(&usr, u, e.nrcpt); err != nil {
-		return nil, err
+	i, err := e.install(sh, u, &usr)
+	if err != nil {
+		return 0, err
 	}
-	st := newUserState(&usr)
-	// Replay the frontier draw: a cold user's (nextT, nextCover) is still
-	// the Frontier the init pass recorded, which is what the first merge
-	// must return; consuming it aligns the fresh stream with the stored
+	// Replay the frontier draw: a cold user's cursor still holds the
+	// Frontier the init pass recorded, which is what the first merge must
+	// return; consuming it aligns the fresh stream with the stored
 	// frontier.
-	if t, cover := st.merge.NextFrom(); t != e.nextT[u] || cover != e.nextCover[u] {
-		return nil, fmt.Errorf("population: user %d built with first arrival %v (cover %t) but its frontier is %v (cover %t): the builder is impure or its Frontier disagrees with Build",
-			u, t, cover, e.nextT[u], e.nextCover[u])
+	st := e.gens[sh].warm.at(i)
+	if t, cover := st.merge.NextFrom(); t != c.t || cover != c.cover {
+		return 0, fmt.Errorf("population: user %d built with first arrival %v (cover %t) but its frontier is %v (cover %t): the builder is impure or its Frontier disagrees with Build",
+			u, t, cover, c.t, c.cover)
 	}
-	e.warm[u] = st
-	return st, nil
+	c.slot = i
+	return i, nil
 }
 
 // mustUser materializes user u for the read-only accessors, after
-// joining a slab generating in the background. A failure here means the
-// builder cannot build a user whose frontier it reported, or breaks its
-// purity contract; no error return can make that safe — panic loudly.
-func (e *Engine) mustUser(u int) *userState {
+// joining a slab generating in the background, and returns its shard's
+// arena and its slot index. A failure here means the builder cannot
+// build a user whose frontier it reported, or breaks its purity
+// contract; no error return can make that safe — panic loudly.
+func (e *Engine) mustUser(u int) (*warmArena, int32) {
 	e.join()
-	st, err := e.warmUp(u)
+	sh := u / e.shardSize
+	i, err := e.warmUp(sh, u)
 	if err != nil {
 		panic(err)
 	}
-	return st
+	return &e.gens[sh].warm, i
 }
 
 // Users returns the population size.
@@ -550,8 +649,8 @@ func (e *Engine) Users() int { return e.n }
 func (e *Engine) WarmUsers() int {
 	e.join()
 	w := 0
-	for _, st := range e.warm {
-		if st != nil {
+	for _, c := range e.cur {
+		if c.slot >= 0 {
 			w++
 		}
 	}
@@ -559,11 +658,17 @@ func (e *Engine) WarmUsers() int {
 }
 
 // Class returns user u's class index, materializing the user if needed.
-func (e *Engine) Class(u int) int { return e.mustUser(u).class }
+func (e *Engine) Class(u int) int {
+	a, i := e.mustUser(u)
+	return int(a.at(i).class)
+}
 
 // ContactsOf returns a copy of user u's contact set, heaviest first,
 // materializing the user if needed.
-func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).profile.Contacts() }
+func (e *Engine) ContactsOf(u int) []int32 {
+	a, i := e.mustUser(u)
+	return slices.Clone(a.contactsOf(a.at(i)))
+}
 
 // PresenceOf returns a private copy of user u's churn schedule (nil when
 // the user never churns), materializing the user if needed. The copy
@@ -571,7 +676,8 @@ func (e *Engine) ContactsOf(u int) []int32 { return e.mustUser(u).profile.Contac
 // never races with the engine's background generation, which queries
 // the original.
 func (e *Engine) PresenceOf(u int) *traffic.OnOffSchedule {
-	if p := e.mustUser(u).presence; p != nil {
+	a, i := e.mustUser(u)
+	if p := a.presenceOf(i); p != nil {
 		return p.Clone()
 	}
 	return nil
@@ -604,7 +710,6 @@ func (e *Engine) SetWorkers(w int) {
 func (e *Engine) refill() error {
 	if e.shards == nil {
 		e.shards = make([]shard, e.numShards())
-		e.gens = make([]shardGen, e.numShards())
 	}
 	if e.ahead {
 		e.join()
@@ -656,49 +761,59 @@ func (e *Engine) join() {
 // genShard generates shard sh's spare slab up to the current horizon.
 // It visits only the blocks whose minimum frontier lies before the
 // horizon and, within such a block, every due user in ascending order,
-// as a scan of all users would; it then recomputes the block's minimum.
+// as a scan of all users would, recording the block's new minimum as it
+// goes.
 func (e *Engine) genShard(sh int) error {
 	g := &e.gens[sh]
+	a := &g.warm
 	end := e.slabEnd
 	lo, hi := e.shardRange(sh)
 	buf := g.spare[:0]
 	active := 0
 	for b := lo; b < hi; b += blockSize {
-		if e.blockMin[sh*e.blocksPerShard+(b-lo)/blockSize] >= end {
+		bmin := &e.blockMin[sh*e.blocksPerShard+(b-lo)/blockSize]
+		if *bmin >= end {
 			continue
 		}
+		m := math.Inf(1) // the block's new minimum, as each cursor settles
 		for u := b; u < min(b+blockSize, hi); u++ {
-			if e.nextT[u] >= end {
-				continue
-			}
-			st, err := e.warmUp(u)
-			if err != nil {
-				return err
-			}
-			n0 := len(buf)
-			for e.nextT[u] < end {
-				// Recipients are drawn for every generated arrival, present
-				// or not, so a user's recipient stream position depends only
-				// on its arrival count — adding churn perturbs which
-				// messages exist, not how the survivors draw.
-				var rcpt int32
-				if e.nextCover[u] {
-					rcpt = int32(st.rng.Intn(e.nrcpt))
-				} else {
-					rcpt = st.profile.Draw(st.rng)
+			c := &e.cur[u]
+			if c.t < end {
+				i, err := e.warmUp(sh, u)
+				if err != nil {
+					return err
 				}
-				if st.presence == nil || st.presence.UpAt(e.nextT[u]) {
-					buf = append(buf, event{t: e.nextT[u], user: int32(u), rcpt: rcpt, dummy: e.nextCover[u]})
+				st := a.at(i)
+				shape, contacts, presence := a.shapes[st.shape], a.contactsOf(st), a.presenceOf(i)
+				n0 := len(buf)
+				for c.t < end {
+					// Recipients are drawn for every generated arrival,
+					// present or not, so a user's recipient stream position
+					// depends only on its arrival count — adding churn
+					// perturbs which messages exist, not how the survivors
+					// draw.
+					var rcpt int32
+					if c.cover {
+						rcpt = int32(st.rng.Intn(e.nrcpt))
+					} else {
+						rcpt = shape.draw(contacts, &st.rng)
+					}
+					if presence == nil || presence.UpAt(c.t) {
+						buf = append(buf, event{t: c.t, user: int32(u), rcpt: rcpt, dummy: c.cover})
+					}
+					gap, cover := st.merge.NextFrom()
+					c.t += gap
+					c.cover = cover
 				}
-				gap, cover := st.merge.NextFrom()
-				e.nextT[u] += gap
-				e.nextCover[u] = cover
+				if len(buf) > n0 {
+					active++
+				}
 			}
-			if len(buf) > n0 {
-				active++
+			if c.t < m {
+				m = c.t
 			}
 		}
-		e.indexBlock(sh, b)
+		*bmin = m
 	}
 	g.spare, g.active = buf, active
 	g.sorter.ev = buf

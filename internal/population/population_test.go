@@ -1,6 +1,7 @@
 package population
 
 import (
+	"reflect"
 	"testing"
 
 	"linkpad/internal/traffic"
@@ -10,8 +11,8 @@ import (
 // NewEngine assembles an eager engine over pre-built users and the shared
 // recipient space: every user is warm from the start. It is the
 // reference the lazily materializing NewLazyEngine is checked against.
-// Each user's sources and RNG must be non-nil (Cover may be nil) and
-// private to that user.
+// Each user must have a message source (Cover may be the zero Model)
+// and a profile shape.
 func NewEngine(users []User, recipients int) (*Engine, error) {
 	return newEagerEngine(users, recipients, defaultShardSize)
 }
@@ -24,13 +25,14 @@ func newEagerEngine(users []User, recipients, shardSize int) (*Engine, error) {
 	}
 	var totalRate float64
 	for u := range users {
-		usr := &users[u]
-		if err := validateUser(usr, u, recipients); err != nil {
+		sh := u / e.shardSize
+		i, err := e.install(sh, u, &users[u])
+		if err != nil {
 			return nil, err
 		}
-		st := newUserState(usr)
-		e.nextT[u], e.nextCover[u] = st.merge.NextFrom()
-		e.warm[u] = st
+		st := e.gens[sh].warm.at(i)
+		t, cover := st.merge.NextFrom()
+		e.cur[u] = cursor{t: t, slot: i, cover: cover}
 		totalRate += st.merge.Rate()
 	}
 	return e, e.finishInit(totalRate)
@@ -41,38 +43,69 @@ func newEagerEngine(users []User, recipients, shardSize int) (*Engine, error) {
 func testUsers(t *testing.T, n int, cover bool) ([]User, int) {
 	t.Helper()
 	const recipients = 40
+	shape := testShape(t, recipients)
 	users := make([]User, n)
 	for u := 0; u < n; u++ {
-		master := xrand.New(uint64(1000 + u))
-		rate := 10 + float64(u%2)*30
-		msgs, err := traffic.NewPoisson(rate, master.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cov traffic.Source
+		rate, coverRate := 10+float64(u%2)*30, 0.0
 		if cover {
-			cov, err = traffic.NewPoisson(2*rate, master.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
+			coverRate = 2 * rate
 		}
-		prng := master.Split()
-		prof, err := newProfile(recipients, 3, 0.7, prng)
+		var err error
+		users[u], err = poissonUser(xrand.New(uint64(1000+u)), u%2, rate, coverRate, shape)
 		if err != nil {
 			t.Fatal(err)
 		}
-		users[u] = User{Class: u % 2, Messages: msgs, Cover: cov, Profile: prof, RNG: prng}
 	}
 	return users, recipients
 }
 
-func TestProfileDraws(t *testing.T) {
-	rng := xrand.New(42)
-	p, err := newProfile(50, 4, 0.8, rng)
+// testShape is the tests' profile shape: three contacts carrying 0.7 of
+// the mass among recipients.
+func testShape(t testing.TB, recipients int) *ProfileShape {
+	t.Helper()
+	shape, err := NewProfileShape(recipients, 3, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := p.Contacts()
+	return shape
+}
+
+// poissonUser builds a user on three splits of master, in this order: a
+// Poisson payload at rate, a Poisson cover at coverRate (no split and no
+// cover when it is 0), and its profile stream.
+func poissonUser(master *xrand.Rand, class int, rate, coverRate float64, shape *ProfileShape) (User, error) {
+	msgs, err := traffic.PoissonModel(rate)
+	if err != nil {
+		return User{}, err
+	}
+	msgs.Start(master.Split().Stream)
+	usr := User{Class: class, Messages: msgs, Shape: shape}
+	if coverRate > 0 {
+		if usr.Cover, err = traffic.PoissonModel(coverRate); err != nil {
+			return User{}, err
+		}
+		usr.Cover.Start(master.Split().Stream)
+	}
+	usr.RNG = master.Split().Stream
+	return usr, nil
+}
+
+// contactsFrom draws the contact set the engine draws for a user whose
+// profile stream is rng, leaving rng unchanged.
+func contactsFrom(shape *ProfileShape, rng xrand.Stream) []int32 {
+	cs := make([]int32, len(shape.cum))
+	shape.drawContacts(&rng, cs)
+	return cs
+}
+
+func TestProfileDraws(t *testing.T) {
+	rng := xrand.NewStream(42)
+	shape, err := NewProfileShape(50, 4, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := make([]int32, 4)
+	shape.drawContacts(&rng, cs)
 	if len(cs) != 4 {
 		t.Fatalf("got %d contacts, want 4", len(cs))
 	}
@@ -91,7 +124,7 @@ func TestProfileDraws(t *testing.T) {
 	counts := map[int32]int{}
 	const draws = 200000
 	for i := 0; i < draws; i++ {
-		counts[p.Draw(rng)]++
+		counts[shape.draw(cs, &rng)]++
 	}
 	onContacts := 0
 	for _, c := range cs {
@@ -112,7 +145,6 @@ func TestProfileDraws(t *testing.T) {
 }
 
 func TestProfileValidation(t *testing.T) {
-	rng := xrand.New(1)
 	cases := []struct {
 		recipients, contacts int
 		weight               float64
@@ -128,21 +160,9 @@ func TestProfileValidation(t *testing.T) {
 			t.Errorf("NewProfileShape(%d, %d, %v) should fail", c.recipients, c.contacts, c.weight)
 		}
 	}
-	if _, err := newProfile(10, 2, 0.5, nil); err == nil {
-		t.Error("nil rng should fail")
+	if _, err := NewProfileShape(10, 2, 0.5); err != nil {
+		t.Errorf("valid profile shape rejected: %v", err)
 	}
-	if _, err := newProfile(10, 2, 0.5, rng); err != nil {
-		t.Errorf("valid profile rejected: %v", err)
-	}
-}
-
-// newProfile draws one profile of a freshly validated shape.
-func newProfile(recipients, contacts int, weight float64, rng *xrand.Rand) (Profile, error) {
-	shape, err := NewProfileShape(recipients, contacts, weight)
-	if err != nil {
-		return Profile{}, err
-	}
-	return shape.NewProfile(rng)
 }
 
 // The merged round stream must be identical at any generation width:
@@ -244,6 +264,44 @@ func TestRoundLoopAllocFree(t *testing.T) {
 	}
 }
 
+// TestArenaElementsHoldNoPointers: the element types of a warm arena's
+// chunks — the slot, with the payload and cover Models inside it, and the
+// contact set's int32 — hold no pointer, so the collector never scans a
+// chunk. A pointer field added to any of them fails here, not as a
+// quiet return of garbage-collection cost.
+func TestArenaElementsHoldNoPointers(t *testing.T) {
+	var a warmArena
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(a.slots).Elem().Elem().Elem(),
+		reflect.TypeOf(a.contacts).Elem().Elem(),
+		reflect.TypeOf(traffic.Model{}),
+	} {
+		if path := pointerPath(typ, typ.String()); path != "" {
+			t.Errorf("arena element %v holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerPath returns where typ holds a pointer the collector would
+// scan, or "" if it holds none.
+func pointerPath(typ reflect.Type, at string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return at
+	case reflect.Array:
+		return pointerPath(typ.Elem(), at+"[]")
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerPath(f.Type, at+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
 func TestEngineValidation(t *testing.T) {
 	users, recipients := testUsers(t, 4, false)
 	if _, err := NewEngine(users[:1], recipients); err == nil {
@@ -254,12 +312,12 @@ func TestEngineValidation(t *testing.T) {
 	}
 	broken := make([]User, len(users))
 	copy(broken, users)
-	broken[2].Messages = nil
+	broken[2].Messages = traffic.Model{}
 	if _, err := NewEngine(broken, recipients); err == nil {
-		t.Error("nil message source should fail")
+		t.Error("a user without a message source should fail")
 	}
 	copy(broken, users)
-	broken[1].Profile = Profile{}
+	broken[1].Shape = nil
 	if _, err := NewEngine(broken, recipients); err == nil {
 		t.Error("a profile without a shape should fail")
 	}

@@ -261,27 +261,13 @@ func runDenseReference(t *testing.T, e *Engine, cfg DisclosureConfig) *Disclosur
 // spaces much larger than the observed support too).
 func refUsers(t testing.TB, n, recipients int, cover, churn bool) []User {
 	t.Helper()
+	build := refBuilder(t, recipients, cover, false)
 	users := make([]User, n)
 	for u := 0; u < n; u++ {
-		master := xrand.New(uint64(3000 + u))
-		rate := 5 + float64(u%3)*20
-		msgs, err := traffic.NewPoisson(rate, master.Split())
-		if err != nil {
+		var err error
+		if users[u], err = build(u); err != nil {
 			t.Fatal(err)
 		}
-		var cov traffic.Source
-		if cover {
-			cov, err = traffic.NewPoisson(rate, master.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		prng := master.Split()
-		prof, err := newProfile(recipients, 3, 0.7, prng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		users[u] = User{Class: u % 3, Messages: msgs, Cover: cov, Profile: prof, RNG: prng}
 		if churn {
 			sched, err := traffic.NewOnOffSchedule(0.05, 0.05, xrand.New(uint64(7000+u)))
 			if err != nil {

@@ -9,7 +9,7 @@ import "math"
 // *xrand.Rand and the batch loop replays the identical per-call draws,
 // so the generated stream is bit-identical (enforced by batch_test.go).
 // Every source's Next stays its body: the gateway pulls one gap per
-// payload arrival, so Next is the hot call. Stateful sources (OnOff,
+// payload arrival, so Next is the hot call. Stateful sources (Model,
 // Train, Pair, Gated) do not batch; a batched consumer falls back
 // to their Next.
 

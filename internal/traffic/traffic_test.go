@@ -104,10 +104,7 @@ func TestCBRValidation(t *testing.T) {
 
 func TestOnOffLongRunRate(t *testing.T) {
 	// Peak 100 pps, on 50% of the time => 50 pps average.
-	s, err := NewOnOff(100, 0.5, 0.5, xrand.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onOff(t, 100, 0.5, 0.5, 4)
 	if want := 50.0; math.Abs(s.Rate()-want) > 1e-12 {
 		t.Errorf("Rate() = %v", s.Rate())
 	}
@@ -119,10 +116,7 @@ func TestOnOffLongRunRate(t *testing.T) {
 func TestOnOffBurstiness(t *testing.T) {
 	// On-off gaps must be over-dispersed relative to Poisson at the same
 	// average rate (CV > 1).
-	s, err := NewOnOff(200, 0.1, 0.4, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := onOff(t, 200, 0.1, 0.4, 5)
 	gaps := make([]float64, 100000)
 	for i := range gaps {
 		gaps[i] = s.Next()
@@ -134,14 +128,68 @@ func TestOnOffBurstiness(t *testing.T) {
 }
 
 func TestOnOffValidation(t *testing.T) {
-	if _, err := NewOnOff(0, 1, 1, xrand.New(1)); err == nil {
+	if _, err := OnOffModel(0, 1, 1); err == nil {
 		t.Error("want error for zero peak")
 	}
-	if _, err := NewOnOff(10, 0, 1, xrand.New(1)); err == nil {
+	if _, err := OnOffModel(10, 0, 1); err == nil {
 		t.Error("want error for zero on-time")
 	}
-	if _, err := NewOnOff(10, 1, 1, nil); err == nil {
-		t.Error("want error for nil rng")
+	if _, err := OnOffModel(10, 1, 0); err == nil {
+		t.Error("want error for zero off-time")
+	}
+}
+
+// onOff builds an on-off Model on stream seed.
+func onOff(t testing.TB, peak, meanOn, meanOff float64, seed uint64) *Model {
+	t.Helper()
+	m, err := OnOffModel(peak, meanOn, meanOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(xrand.NewStream(seed))
+	return &m
+}
+
+// TestModelMatchesPointerSources: a Poisson or CBR Model draws, gap for
+// gap and bit for bit, what the pointer-held source of the same
+// parameters draws on an identically seeded stream, and reports its
+// rate; the zero Model never fires and has rate 0.
+func TestModelMatchesPointerSources(t *testing.T) {
+	ps, _ := NewPoisson(40, xrand.New(3))
+	pm, err := PoissonModel(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.Start(xrand.NewStream(3))
+	cs, _ := NewCBR(40, 1e-3, xrand.New(4))
+	cm, err := CBRModel(40, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm.Start(xrand.NewStream(4))
+	for _, c := range []struct {
+		name string
+		src  Source
+		m    *Model
+	}{{"poisson", ps, &pm}, {"cbr", cs, &cm}} {
+		if c.m.Rate() != c.src.Rate() {
+			t.Errorf("%s: Model rate %v, source %v", c.name, c.m.Rate(), c.src.Rate())
+		}
+		for i := 0; i < 10_000; i++ {
+			if got, want := c.m.Next(), c.src.Next(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s gap %d: Model %v, source %v", c.name, i, got, want)
+			}
+		}
+	}
+	if _, err := PoissonModel(0); err == nil {
+		t.Error("want error for a zero Poisson rate")
+	}
+	if _, err := CBRModel(40, 0.05); err == nil {
+		t.Error("want error for jitter beyond the interval")
+	}
+	var none Model
+	if !none.None() || none.Rate() != 0 || !math.IsInf(none.Next(), 1) {
+		t.Errorf("zero Model: None %t, Rate %v, Next %v; want true, 0, +Inf", none.None(), none.Rate(), none.Next())
 	}
 }
 
@@ -186,10 +234,11 @@ func TestAllGapsNonNegative(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oo, err := NewOnOff(100, 0.2, 0.3, r.Split())
+		oo, err := OnOffModel(100, 0.2, 0.3)
 		if err != nil {
 			return false
 		}
+		oo.Start(r.Split().Stream)
 		tr, err := NewTrain(500, 4, 5e-6, r.Split())
 		if err != nil {
 			return false
@@ -286,7 +335,7 @@ func BenchmarkPoissonNext(b *testing.B) {
 func BenchmarkPair(b *testing.B) {
 	payload, _ := NewPoisson(40, xrand.New(1))
 	cover, _ := NewPoisson(40, xrand.New(2))
-	p := NewPair(payload, cover)
+	p := NewPair(*payload, *cover)
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {
@@ -296,10 +345,7 @@ func BenchmarkPair(b *testing.B) {
 }
 
 func BenchmarkOnOffNext(b *testing.B) {
-	s, err := NewOnOff(100, 0.2, 0.3, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := onOff(b, 100, 0.2, 0.3, 1)
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += s.Next()
@@ -313,24 +359,15 @@ func BenchmarkOnOffNext(b *testing.B) {
 // ON/OFF mix. This carried state is what the continuous-stream session
 // protocol preserves and the i.i.d.-replica protocol erases.
 func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
-	fresh, err := NewOnOff(80, 0.2, 0.2, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on, left := fresh.on, fresh.stateLeft; !on || left <= 0 {
+	fresh := onOff(t, 80, 0.2, 0.2, 9)
+	if on, left := fresh.on, fresh.left; !on || left <= 0 {
 		t.Fatalf("fresh source state = (%v, %v), want ON with positive holding time", on, left)
 	}
 	// An uninterrupted run and a windowed run of the same seed must
 	// produce the identical gap sequence: slicing a session into windows
 	// does not perturb the process, because the state carries.
-	continuous, err := NewOnOff(80, 0.2, 0.2, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	windowed, err := NewOnOff(80, 0.2, 0.2, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	continuous := onOff(t, 80, 0.2, 0.2, 9)
+	windowed := onOff(t, 80, 0.2, 0.2, 9)
 	ref := make([]float64, 200)
 	for i := range ref {
 		ref[i] = continuous.Next()
@@ -343,16 +380,13 @@ func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
 		}
 		// The carried holding time shrinks as stream time passes; a
 		// rebuilt replica would reset it to a fresh draw each window.
-		if left := windowed.stateLeft; left <= 0 {
+		if left := windowed.left; left <= 0 {
 			t.Fatalf("window %d: non-positive holding time %v", w, left)
 		}
 	}
 	// A replica rebuilt per window (same seed) replays window 1 forever
 	// instead of continuing — the bias the session protocol removes.
-	replica, err := NewOnOff(80, 0.2, 0.2, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replica := onOff(t, 80, 0.2, 0.2, 9)
 	if on := replica.on; !on {
 		t.Error("replica should restart in the ON state")
 	}
@@ -373,7 +407,7 @@ func TestSuperposeMergesComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewPair(a, b)
+	s := NewPair(*a, *b)
 	if got, want := s.Rate(), 13.0; got != want {
 		t.Errorf("Rate = %v, want %v", got, want)
 	}
@@ -403,10 +437,10 @@ func TestSuperposeMergesComponents(t *testing.T) {
 // A Pair of Poisson streams is a pure function of its sources: two
 // merges built from the same seeds emit the same stream.
 func TestSuperposeContinuesDeterministically(t *testing.T) {
-	build := func() Pair {
+	build := func() Pair[Poisson, Poisson, *Poisson, *Poisson] {
 		a, _ := NewPoisson(20, xrand.New(5))
 		b, _ := NewPoisson(7, xrand.New(6))
-		return NewPair(a, b)
+		return NewPair(*a, *b)
 	}
 	ref := build()
 	got := build()
@@ -419,19 +453,22 @@ func TestSuperposeContinuesDeterministically(t *testing.T) {
 	}
 }
 
-// TestSuperposePairAllocs: starting a Pair and merging from it allocate
-// nothing, with and without a second source, so a population user can
-// hold its merge by value.
+// TestSuperposePairAllocs: starting a Pair of Models in place and
+// merging from it allocate nothing, with and without a second source,
+// so a population user can hold its merge by value.
 func TestSuperposePairAllocs(t *testing.T) {
-	a, _ := NewPoisson(1, xrand.New(1))
-	b, _ := NewPoisson(2, xrand.New(2))
-	for _, second := range []Source{nil, b} {
+	a, _ := PoissonModel(1)
+	b, _ := PoissonModel(2)
+	a.Start(xrand.NewStream(1))
+	b.Start(xrand.NewStream(2))
+	p := new(Pair[Model, Model, *Model, *Model])
+	for _, second := range []Model{{}, b} {
 		allocs := testing.AllocsPerRun(100, func() {
-			p := NewPair(a, second)
+			p.Start(a, second)
 			p.Next()
 		})
 		if allocs != 0 {
-			t.Errorf("a Pair (second source %v) allocates %v times, want 0", second, allocs)
+			t.Errorf("a Pair (second source none: %t) allocates %v times, want 0", second.None(), allocs)
 		}
 	}
 }
@@ -448,7 +485,7 @@ func TestPairTieGoesToFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPair(payload, cover)
+	p := NewPair(*payload, *cover)
 	for i := 0; i < 10_000; i++ {
 		gap, second := p.NextFrom()
 		if wantSecond := i%2 == 1; second != wantSecond {
@@ -460,14 +497,14 @@ func TestPairTieGoesToFirst(t *testing.T) {
 	}
 }
 
-// TestPairNilSecond: without a second source the merge is the first
-// source's stream: each gap is the difference of two consecutive
+// TestPairNoneSecond: with the zero Model as its second source the
+// merge is the first source's stream: each gap is the difference of two consecutive
 // arrival times of an identically seeded twin, bit for bit, no arrival
 // is attributed to the absent source, and the rate is the twin's.
-func TestPairNilSecond(t *testing.T) {
+func TestPairNoneSecond(t *testing.T) {
 	a, _ := NewPoisson(7, xrand.New(11))
 	twin, _ := NewPoisson(7, xrand.New(11))
-	p := NewPair(a, nil)
+	p := NewPair(*a, Model{})
 	if got, want := p.Rate(), twin.Rate(); got != want {
 		t.Errorf("Rate = %v, want %v", got, want)
 	}
@@ -476,7 +513,7 @@ func TestPairNilSecond(t *testing.T) {
 		next += twin.Next()
 		gap, second := p.NextFrom()
 		if second {
-			t.Fatalf("arrival %d attributed to the nil second source", i)
+			t.Fatalf("arrival %d attributed to the absent second source", i)
 		}
 		if want := next - prev; math.Float64bits(gap) != math.Float64bits(want) {
 			t.Fatalf("arrival %d: gap %v, want %v", i, gap, want)
@@ -495,8 +532,8 @@ func TestPairNestedUnion(t *testing.T) {
 		srcs[i], _ = NewPoisson(r, xrand.New(uint64(20+i)))
 		twins[i], _ = NewPoisson(r, xrand.New(uint64(20+i)))
 	}
-	inner := NewPair(srcs[0], srcs[1])
-	p := NewPair(&inner, srcs[2])
+	inner := NewPair(Dynamic{srcs[0]}, Dynamic{srcs[1]})
+	p := NewPair(inner, Dynamic{srcs[2]})
 	if got, want := p.Rate(), twins[0].Rate()+twins[1].Rate()+twins[2].Rate(); got != want {
 		t.Errorf("Rate = %v, want %v", got, want)
 	}

@@ -16,11 +16,23 @@ import "math"
 // Rand is a deterministic pseudo-random number generator.
 // It is not safe for concurrent use; create one per goroutine via Split.
 type Rand struct {
-	state uint64
+	Stream
 	// cached spare normal variate from the polar method
 	spare    float64
 	hasSpare bool
 }
+
+// Stream is a Rand without the normal-variate cache: the SplitMix64
+// state alone, one word, drawing everything a Rand draws but normal
+// variates. Holders of many streams that never draw a normal keep
+// Streams by value: a population's warm users hold two or three each.
+// A Rand's Stream continues exactly as the Rand would.
+type Stream struct {
+	state uint64
+}
+
+// NewStream returns the stream New(seed) starts, by value.
+func NewStream(seed uint64) Stream { return Stream{state: seed} }
 
 // golden is the SplitMix64 increment (2^64 / phi, rounded to odd).
 const golden = 0x9e3779b97f4a7c15
@@ -28,14 +40,7 @@ const golden = 0x9e3779b97f4a7c15
 // New returns a generator seeded with seed. Distinct seeds give
 // independent-looking streams.
 func New(seed uint64) *Rand {
-	return &Rand{state: seed}
-}
-
-// Seed resets r in place to the stream New(seed) starts. It seeds a
-// generator held by value — several can share one allocation — without
-// allocating another.
-func (r *Rand) Seed(seed uint64) {
-	*r = Rand{state: seed}
+	return &Rand{Stream: Stream{state: seed}}
 }
 
 // Split derives a new, statistically independent generator from r.
@@ -46,7 +51,7 @@ func (r *Rand) Split() *Rand {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (r *Rand) Uint64() uint64 {
+func (r *Stream) Uint64() uint64 {
 	r.state += golden
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -55,13 +60,13 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Float64 returns a uniform variate in [0, 1) with 53 bits of precision.
-func (r *Rand) Float64() float64 {
+func (r *Stream) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
 // Float64Open returns a uniform variate in (0, 1), never exactly zero,
 // suitable for logarithm-based transforms.
-func (r *Rand) Float64Open() float64 {
+func (r *Stream) Float64Open() float64 {
 	for {
 		u := r.Float64()
 		if u > 0 {
@@ -71,7 +76,7 @@ func (r *Rand) Float64Open() float64 {
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
+func (r *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
@@ -151,7 +156,7 @@ func (r *Rand) TruncNormal(mean, sigma, lo float64) float64 {
 
 // Exp returns an exponential variate with the given mean.
 // It panics if mean is negative; a zero mean yields zero.
-func (r *Rand) Exp(mean float64) float64 {
+func (r *Stream) Exp(mean float64) float64 {
 	if mean < 0 {
 		panic("xrand: Exp with negative mean")
 	}
@@ -165,7 +170,7 @@ func (r *Rand) Exp(mean float64) float64 {
 // i.e. the number of failures before the first success when the success
 // probability is 1-p. This is the ladder-count distribution used by the
 // Pollaczek-Khinchine waiting-time sampler. It panics unless 0 <= p < 1.
-func (r *Rand) Geometric(p float64) int {
+func (r *Stream) Geometric(p float64) int {
 	if p < 0 || p >= 1 {
 		panic("xrand: Geometric requires 0 <= p < 1")
 	}
@@ -188,6 +193,6 @@ func (r *Rand) Geometric(p float64) int {
 }
 
 // Bernoulli returns true with probability p.
-func (r *Rand) Bernoulli(p float64) bool {
+func (r *Stream) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }

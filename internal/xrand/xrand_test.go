@@ -283,17 +283,25 @@ func BenchmarkExp(b *testing.B) {
 	_ = sink
 }
 
-// TestSeedMatchesNew: Seed resets a used generator, cached normal spare
-// included, to exactly the stream New starts.
-func TestSeedMatchesNew(t *testing.T) {
-	var r Rand
-	r.Seed(5)
-	r.Norm() // leaves a cached spare behind
-	r.Seed(42)
-	ref := New(42)
+// TestNewStreamMatchesNew: a Stream from NewStream(seed) draws exactly
+// what New(seed) draws, across every kind of draw a Stream makes, and a
+// Rand's Stream continues the Rand's own sequence.
+func TestNewStreamMatchesNew(t *testing.T) {
+	s, ref := NewStream(42), New(42)
 	for i := 0; i < 100; i++ {
-		if got, want := r.Norm(), ref.Norm(); got != want {
-			t.Fatalf("draw %d: %v, want %v", i, got, want)
+		if got, want := s.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("Uint64 %d: %v, want %v", i, got, want)
 		}
+		if got, want := s.Exp(2), ref.Exp(2); got != want {
+			t.Fatalf("Exp %d: %v, want %v", i, got, want)
+		}
+		if got, want := s.Intn(1000), ref.Intn(1000); got != want {
+			t.Fatalf("Intn %d: %v, want %v", i, got, want)
+		}
+	}
+	ref.Norm() // the cache a Stream does not hold does not move the state
+	inner := ref.Stream
+	if got, want := inner.Float64(), ref.Float64(); got != want {
+		t.Fatalf("a Rand's Stream draws %v, the Rand %v", got, want)
 	}
 }
