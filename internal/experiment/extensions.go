@@ -344,6 +344,6 @@ var ablationTheoryGapCells = &cellExperiment{
 		return []float64{sigmaUS, res.DetectionRate, res.TheoryDetectionRate}, nil
 	},
 	notes: func(o Options, t *Table) {
-		t.Notef("theory evaluates Theorem 3 at the measured variance ratio; gaps above ~0.05 mark shape leakage beyond the Gaussian model")
+		t.Notef("theory evaluates Theorem 3 at the measured variance ratio; below sigma_T = 20us, gaps above ~0.05 mark shape leakage beyond the Gaussian model; from 20us on, theory is the 0.5 floor of max(1 - C_H/n, 0.5), so the gap there measures that floor")
 	},
 }
