@@ -13,7 +13,6 @@
 //	linkpadsim -exp ext-disclosure -checkpoint cp.json [-checkpoint-kill N]
 //	linkpadsim -exp scale-disclosure -scale 1 -timeout 10m -max-rss-mb 2048
 //	linkpadsim -exp fig8b -cpuprofile cpu.out -memprofile mem.out
-//	linkpadsim -exp fig8b -metrics-addr localhost:6060
 //
 // Each experiment prints the series the corresponding paper figure plots;
 // see DESIGN.md for the experiment index, testdata/golden/ for the
@@ -71,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		outDir       = fs.String("o", "", "write per-experiment files into this directory instead of stdout")
 		report       = fs.String("report", "", "write a structured JSON run report (per-layer counters, packets/sec) to this file")
 		progress     = fs.Bool("progress", false, "emit a live progress line with a cells-completed ETA on stderr")
-		metricsAddr  = fs.String("metrics-addr", "", "serve expvar counters and net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 		benchJSON    = fs.String("bench-json", "", "append the run's -report record to this JSON trajectory file")
 		benchCompare = fs.String("bench-compare", "", "print per-experiment wall-clock deltas between the last two comparable records (same scale, seed, workers and effective parallelism) of this bench trajectory file")
 		benchGate    = fs.String("bench-gate", "", fmt.Sprintf("like -bench-compare, but exit non-zero if any experiment slowed down by more than %d%%", benchGatePct))
@@ -184,15 +182,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// deterministically invisible either way (golden tables byte-identical
 	// on or off, enforced by tests), so flipping this cannot change any
 	// table.
-	if *report != "" || *metricsAddr != "" || *benchJSON != "" {
+	if *report != "" || *benchJSON != "" {
 		obs.SetEnabled(true)
-	}
-	if *metricsAddr != "" {
-		stop, err := serveMetrics(*metricsAddr, stderr)
-		if err != nil {
-			return err
-		}
-		defer stop()
 	}
 
 	prog := newProgress(stderr, *progress)

@@ -64,7 +64,7 @@ func main() {
 		TrainWindows: 120,
 		EvalWindows:  120,
 	}
-	sigmaCal, err := sys.CalibrateVIT(target, attack)
+	sigmaCal, err := sys.CalibrateVIT(target, attack, linkpad.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -116,12 +116,12 @@ func TestFacadeScenarioRuns(t *testing.T) {
 	}
 	sc, err := sys.Build(linkpad.DisclosureSpec{
 		Population: linkpad.PopulationSpec{Users: 16, Recipients: 40, CoverRate: 0.5},
-		Disclosure: linkpad.DisclosureConfig{MaxRounds: 200, Workers: 1},
+		Disclosure: linkpad.DisclosureConfig{MaxRounds: 200},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run(context.Background(), linkpad.RunOptions{})
+	res, err := sc.Run(context.Background(), linkpad.RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,15 @@ package bayes
 
 import "math"
 
-// DefaultClampLogRatio bounds the evidence a single window may contribute
-// to a sequential decision: per window, every class's log-likelihood is
-// floored at (best-in-window − DefaultClampLogRatio). exp(40) ≈ 2e17, so
+// clampLogRatio bounds the evidence a single window may contribute to a
+// sequential decision: per window, every class's log-likelihood is
+// floored at (best-in-window − clampLogRatio). exp(40) ≈ 2e17, so
 // the bound never matters for ordinary observations; it only prevents one
 // outlier window — a feature value in the far tail or outside a class's
 // finite KDE support, where the log-density is −∞ — from eliminating a
 // class irrevocably. This is the standard robustification of Wald's SPRT
 // against model misspecification (truncated log-likelihood ratios).
-const DefaultClampLogRatio = 40.0
+const clampLogRatio = 40.0
 
 // Sequential accumulates per-window evidence into a cumulative
 // log-posterior over the classes: the anytime decision rule for
@@ -27,11 +27,6 @@ const DefaultClampLogRatio = 40.0
 //
 // A Sequential is not safe for concurrent use; create one per session.
 type Sequential struct {
-	// ClampLogRatio bounds one window's log-likelihood spread between the
-	// best and worst class (see DefaultClampLogRatio). Raise it toward
-	// +Inf for the textbook (unclamped) SPRT.
-	ClampLogRatio float64
-
 	cls       *Classifier
 	logw      []float64 // cumulative log prior + likelihood, max-shifted
 	scratch   []float64
@@ -43,11 +38,10 @@ type Sequential struct {
 // classes, initialized at the log priors.
 func (c *Classifier) NewSequential() *Sequential {
 	s := &Sequential{
-		ClampLogRatio: DefaultClampLogRatio,
-		cls:           c,
-		logw:          make([]float64, len(c.classes)),
-		scratch:       make([]float64, len(c.classes)),
-		logPriors:     make([]float64, len(c.classes)),
+		cls:       c,
+		logw:      make([]float64, len(c.classes)),
+		scratch:   make([]float64, len(c.classes)),
+		logPriors: make([]float64, len(c.classes)),
 	}
 	for i, cl := range c.classes {
 		s.logPriors[i] = math.Log(cl.Prior)
@@ -72,7 +66,7 @@ func (s *Sequential) Reset() {
 // leaves the posterior unchanged (matching the batch rule's prior
 // fallback) and its window decision falls back to class 0, like
 // Classify. A value with zero density under some classes only is clamped
-// per ClampLogRatio so no class is eliminated beyond recovery by a
+// per clampLogRatio so no class is eliminated beyond recovery by a
 // single window.
 func (s *Sequential) Observe(x float64) (window int) {
 	s.windows++
@@ -99,7 +93,7 @@ func (s *Sequential) Observe(x float64) (window int) {
 	if math.IsInf(best, -1) {
 		return 0 // outside every class's support: no information
 	}
-	floor := best - s.ClampLogRatio
+	floor := best - clampLogRatio
 	shift := math.Inf(-1)
 	for i := range lds {
 		if lds[i] < floor {

@@ -290,9 +290,6 @@ type ActiveDetectConfig struct {
 	// TrainWindows is the number of off-line training windows per class
 	// for the classifiers (0 = 120).
 	TrainWindows int
-	// Workers bounds the per-flow simulation parallelism; results are
-	// identical at any width. Zero means all CPUs.
-	Workers int
 }
 
 // withDefaults fills zero fields.
@@ -325,9 +322,9 @@ func (c ActiveDetectConfig) validate(flows int) error {
 // observes cover traffic, batching and re-padding exactly as run time
 // does), then injects its watermark into every flow and runs the
 // matched-filter detection at the exit tap. Results are identical at
-// any cfg.Workers width; flows are the unit of parallelism. Run calls it
+// any opts.Workers width; flows are the unit of parallelism. Run calls it
 // on the spec Build validated and the defaults-applied config.
-func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*active.Result, error) {
+func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig, opts RunOptions) (*active.Result, error) {
 	if spec.Raw {
 		cfg.Features = nil
 	}
@@ -336,7 +333,7 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*acti
 	// flows, which reuse the population protocol's phantom index block —
 	// a disjoint flow range of the active domain real flows never reach.
 	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
-		cfg.TrainWindows, cfg.FeatureWindow, cfg.Workers,
+		cfg.TrainWindows, cfg.FeatureWindow, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			fl, err := s.activeFlow(spec, class,
 				phantomFlowIndex(class, cfg.TrainWindows, w), false)
@@ -364,6 +361,6 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig) (*acti
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,
-		Workers:       cfg.Workers,
+		Workers:       opts.Workers,
 	})
 }

@@ -38,9 +38,7 @@ func TestRunActiveDetectionWorkerInvariance(t *testing.T) {
 		Features:      []analytic.Feature{analytic.FeatureVariance},
 	}
 	run := func(workers int) *active.Result {
-		c := cfg
-		c.Workers = workers
-		res, err := runSpec(sys, ActiveDetectionSpec{Active: chaffSpec(), Detect: c})
+		res, err := runSpecAt(sys, ActiveDetectionSpec{Active: chaffSpec(), Detect: cfg}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,9 +67,7 @@ func TestRunAttackWorkerInvariance(t *testing.T) {
 		EvalWindows:  30,
 	}
 	run := func(workers int) (*AttackResult, error) {
-		c := base
-		c.Workers = workers
-		out, err := runSpec(sys, AttackSetSpec{Attack: c, Features: []analytic.Feature{c.Feature}})
+		out, err := runSpecAt(sys, AttackSetSpec{Attack: base, Features: []analytic.Feature{base.Feature}}, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +111,7 @@ func TestRunAttackSetValidation(t *testing.T) {
 	}
 	// CalibrateVIT reaches the attack set without Build; it must reject
 	// the same configuration with the same error.
-	if _, err := sys.CalibrateVIT(0.8, cfg); err == nil || err.Error() != buildErr.Error() {
+	if _, err := sys.CalibrateVIT(0.8, cfg, RunOptions{}); err == nil || err.Error() != buildErr.Error() {
 		t.Errorf("CalibrateVIT error %v, want Build's %v", err, buildErr)
 	}
 }

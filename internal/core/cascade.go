@@ -245,9 +245,6 @@ type CascadeCorrConfig struct {
 	// TrainWindows is the number of off-line training windows per class
 	// for the classifiers (0 = 120).
 	TrainWindows int
-	// Workers bounds the per-flow/per-window parallelism; results are
-	// identical at any width. Zero means all CPUs.
-	Workers int
 }
 
 // withDefaults fills zero fields.
@@ -279,9 +276,9 @@ func (c CascadeCorrConfig) validate(flows int) error {
 // does), then observes every flow's entry and exit for cfg.Duration and
 // matches exit flows to entry flows by throughput-fingerprint
 // correlation plus exit class posteriors. Results are identical at any
-// cfg.Workers width; flows are the unit of parallelism. Run calls it on
+// opts.Workers width; flows are the unit of parallelism. Run calls it on
 // the spec Build validated and the defaults-applied config.
-func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*cascade.Result, error) {
+func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig, opts RunOptions) (*cascade.Result, error) {
 	if len(spec.Hops) == 0 {
 		cfg.Features = nil
 	}
@@ -290,7 +287,7 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*c
 	// flows, which reuse the population protocol's phantom index block —
 	// a disjoint flow range of the cascade domain real flows never reach.
 	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
-		cfg.TrainWindows, cfg.FeatureWindow, cfg.Workers,
+		cfg.TrainWindows, cfg.FeatureWindow, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			route, err := s.buildRoute(spec, class,
 				phantomFlowIndex(class, cfg.TrainWindows, w), false)
@@ -312,6 +309,6 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig) (*c
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,
-		Workers:       cfg.Workers,
+		Workers:       opts.Workers,
 	})
 }

@@ -33,9 +33,7 @@ func TestRunCascadeCorrelationWorkerInvariance(t *testing.T) {
 		Features:      []analytic.Feature{analytic.FeatureVariance},
 	}
 	run := func(workers int) *cascade.Result {
-		c := cfg
-		c.Workers = workers
-		res, err := runSpec(sys, CascadeCorrelationSpec{Cascade: twoHopSpec(), Corr: c})
+		res, err := runSpecAt(sys, CascadeCorrelationSpec{Cascade: twoHopSpec(), Corr: cfg}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -562,11 +562,6 @@ type AttackConfig struct {
 	EntropyBinWidth float64
 	// GaussianFit replaces the KDE training with a parametric normal fit.
 	GaussianFit bool
-	// Workers bounds trial-level parallelism inside the attack: every
-	// training/evaluation window is drawn from its own seeded stream
-	// replica, so results are identical for any worker count. Zero means
-	// all CPUs.
-	Workers int
 	// SkipEmpiricalR skips the two-class variance-ratio measurement (and
 	// the closed-form theory evaluation that consumes it). The ratio is
 	// simulated on dedicated stream replicas that can cost as much as the
@@ -636,7 +631,7 @@ func validateAttackSet(cfg AttackConfig, features []analytic.Feature) error {
 // Results are returned in the order of the features argument.
 //
 // Windows are drawn from per-trial stream replicas and extracted on up to
-// cfg.Workers goroutines; tables built from these results are identical
+// opts.Workers goroutines; tables built from these results are identical
 // for any worker count.
 //
 // Protocol note: each window is an independent replica of the system
@@ -650,7 +645,7 @@ func validateAttackSet(cfg AttackConfig, features []analytic.Feature) error {
 // ablation-windowing experiment quantifies the residual protocol gap
 // against the session scenario's continuous-stream sessions, which implement
 // the paper's consecutive-window observation directly.
-func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*AttackResult, error) {
+func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature, opts RunOptions) ([]*AttackResult, error) {
 	cfg = cfg.withDefaults()
 	if err := validateAttackSet(cfg, features); err != nil {
 		return nil, err
@@ -672,7 +667,7 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*At
 	trainMats := make([][][]float64, m) // [class][feature][window]
 	for c := 0; c < m; c++ {
 		mat, err := adversary.FeatureMatrix(factory(c, trainStreamID), exts,
-			cfg.TrainWindows, cfg.WindowSize, cfg.Workers)
+			cfg.TrainWindows, cfg.WindowSize, opts.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
@@ -691,7 +686,7 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature) ([]*At
 	var preds []int
 	for c := 0; c < m; c++ {
 		mat, err := adversary.FeatureMatrix(factory(c, evalStreamID), exts,
-			cfg.EvalWindows, cfg.WindowSize, cfg.Workers)
+			cfg.EvalWindows, cfg.WindowSize, opts.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating class %q: %w", labels[c], err)
 		}
@@ -827,9 +822,10 @@ func (s *System) DesignVIT(f analytic.Feature, target float64, n int) (float64, 
 // simulated adversary's detection rate at target, starting from the
 // analytic DesignVIT value and doubling/bisecting on σ_T. attack
 // configures the simulated adversary (its Feature and WindowSize define
-// the threat). The returned σ_T satisfies the target up to the Monte
-// Carlo resolution of the attack configuration. Two-class systems only.
-func (s *System) CalibrateVIT(target float64, attack AttackConfig) (float64, error) {
+// the threat), and every attack runs at the opts.Workers width. The
+// returned σ_T satisfies the target up to the Monte Carlo resolution of
+// the attack configuration. Two-class systems only.
+func (s *System) CalibrateVIT(target float64, attack AttackConfig, opts RunOptions) (float64, error) {
 	if !(target > 0.5 && target < 1) {
 		return 0, errors.New("core: target detection rate must be in (0.5, 1)")
 	}
@@ -842,7 +838,7 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig) (float64, err
 		// Analytics say CIT is already safe; verify empirically and be
 		// done, otherwise fall through to the search from a small seed
 		// value.
-		v, err := s.detectionAt(0, attack)
+		v, err := s.detectionAt(0, attack, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -852,14 +848,14 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig) (float64, err
 		base = s.cfg.Tau * 1e-4
 	}
 	lo, hi := 0.0, base
-	v, err := s.detectionAt(hi, attack)
+	v, err := s.detectionAt(hi, attack, opts)
 	if err != nil {
 		return 0, err
 	}
 	for i := 0; v > target && i < 12; i++ {
 		lo = hi
 		hi *= 2
-		v, err = s.detectionAt(hi, attack)
+		v, err = s.detectionAt(hi, attack, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -869,7 +865,7 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig) (float64, err
 	}
 	for i := 0; i < 8; i++ {
 		mid := (lo + hi) / 2
-		v, err = s.detectionAt(mid, attack)
+		v, err = s.detectionAt(mid, attack, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -884,14 +880,14 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig) (float64, err
 
 // detectionAt measures the attack's detection rate against this system
 // with SigmaT overridden.
-func (s *System) detectionAt(sigmaT float64, attack AttackConfig) (float64, error) {
+func (s *System) detectionAt(sigmaT float64, attack AttackConfig, opts RunOptions) (float64, error) {
 	cfg := s.cfg
 	cfg.SigmaT = sigmaT
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		return 0, err
 	}
-	set, err := sys.attackSet(attack, []analytic.Feature{attack.Feature})
+	set, err := sys.attackSet(attack, []analytic.Feature{attack.Feature}, opts)
 	if err != nil {
 		return 0, err
 	}

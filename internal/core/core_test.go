@@ -27,11 +27,16 @@ func labSystem(t testing.TB, mutate func(*Config)) *System {
 // runSpec builds spec on s and runs it with default options: the one
 // entry API, System.Build then Scenario.Run.
 func runSpec(s *System, spec Spec) (*Result, error) {
+	return runSpecAt(s, spec, 0)
+}
+
+// runSpecAt builds spec and runs it at the given worker width.
+func runSpecAt(s *System, spec Spec, workers int) (*Result, error) {
 	sc, err := s.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	return sc.Run(context.Background(), RunOptions{})
+	return sc.Run(context.Background(), RunOptions{Workers: workers})
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -334,7 +339,7 @@ func TestCalibrateVITRoundTrip(t *testing.T) {
 		TrainWindows: 100,
 		EvalWindows:  100,
 	}
-	sigmaT, err := s.CalibrateVIT(0.6, attack)
+	sigmaT, err := s.CalibrateVIT(0.6, attack, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +362,10 @@ func TestCalibrateVITRoundTrip(t *testing.T) {
 
 func TestCalibrateVITErrors(t *testing.T) {
 	s := labSystem(t, nil)
-	if _, err := s.CalibrateVIT(0.5, AttackConfig{}); err == nil {
+	if _, err := s.CalibrateVIT(0.5, AttackConfig{}, RunOptions{}); err == nil {
 		t.Error("target 0.5 should fail")
 	}
-	if _, err := s.CalibrateVIT(1.0, AttackConfig{}); err == nil {
+	if _, err := s.CalibrateVIT(1.0, AttackConfig{}, RunOptions{}); err == nil {
 		t.Error("target 1.0 should fail")
 	}
 }

@@ -40,7 +40,7 @@ func TestChurnSpecValidation(t *testing.T) {
 	} {
 		_, err := runSpec(s, DisclosureSpec{
 			Population: PopulationSpec{Users: 8, Recipients: 20, Churn: churn},
-			Disclosure: population.DisclosureConfig{MaxRounds: 50, Workers: 1},
+			Disclosure: population.DisclosureConfig{MaxRounds: 50},
 		})
 		if err == nil {
 			t.Errorf("bad churn spec %+v accepted", churn)
@@ -57,7 +57,6 @@ func TestDisabledImpairmentIsIdentity(t *testing.T) {
 		WindowSize:   200,
 		TrainWindows: 40,
 		EvalWindows:  40,
-		Workers:      1,
 	}
 	spec := AttackSetSpec{Attack: attack, Features: []analytic.Feature{attack.Feature}}
 	base, err := runSpec(labSystem(t, nil), spec)
@@ -85,7 +84,6 @@ func TestEnabledImpairmentReachesStreams(t *testing.T) {
 		WindowSize:   200,
 		TrainWindows: 40,
 		EvalWindows:  40,
-		Workers:      1,
 	}
 	spec := AttackSetSpec{Attack: attack, Features: []analytic.Feature{attack.Feature}}
 	base, err := runSpec(labSystem(t, nil), spec)
@@ -114,7 +112,7 @@ func TestChurnedDisclosureRuns(t *testing.T) {
 			Recipients: 30,
 			Churn:      &ChurnSpec{MeanOn: 0.2, MeanOff: 0.2},
 		},
-		Disclosure: population.DisclosureConfig{MaxRounds: 200, ChurnAware: true, Workers: 1},
+		Disclosure: population.DisclosureConfig{MaxRounds: 200, ChurnAware: true},
 	})
 	if err != nil {
 		t.Fatal(err)

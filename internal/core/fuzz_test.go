@@ -22,7 +22,8 @@ import (
 
 // fuzzKnobs is one fuzz input. The field names are their DisclosureSpec
 // meanings, except sigmaMicro and durationCode, which only the other
-// kinds read; spec documents how the other five kinds read them.
+// kinds read, and workers, the RunOptions width a seed Build accepts
+// runs at; spec documents how the other five kinds read them.
 type fuzzKnobs struct {
 	kind, users, recipients, contacts, coverMilli, dummies,
 	batch, mixKind, sigmaMicro, durationCode int
@@ -93,7 +94,6 @@ func (k fuzzKnobs) spec() Spec {
 				EvalWindows:     k.checkEvery,
 				EntropyBinWidth: float64(k.consecutive) / 1e6,
 				GaussianFit:     k.mixSeed%2 == 1,
-				Workers:         k.workers,
 			},
 			Features: features,
 		}
@@ -106,7 +106,6 @@ func (k fuzzKnobs) spec() Spec {
 			EvalSessions:  k.checkEvery,
 			MaxWindows:    k.consecutive,
 			Confidence:    cover,
-			Workers:       k.workers,
 		}}
 	case 2:
 		spec := DisclosureSpec{
@@ -122,7 +121,6 @@ func (k fuzzKnobs) spec() Spec {
 				MaxRounds:  k.maxRounds,
 				CheckEvery: k.checkEvery,
 				ChurnAware: k.consecutive == 1,
-				Workers:    k.workers,
 			},
 		}
 		for _, b := range k.targets {
@@ -135,7 +133,6 @@ func (k fuzzKnobs) spec() Spec {
 			TrainWindows: k.checkEvery,
 			Features:     features,
 			Raw:          k.mixKind == 1,
-			Workers:      k.workers,
 		}}
 	case 4:
 		return CascadeCorrelationSpec{
@@ -145,7 +142,6 @@ func (k fuzzKnobs) spec() Spec {
 				FeatureWindow: k.batch,
 				TrainWindows:  k.checkEvery,
 				Features:      features,
-				Workers:       k.workers,
 			},
 		}
 	default:
@@ -164,7 +160,6 @@ func (k fuzzKnobs) spec() Spec {
 				FeatureWindow: k.batch,
 				TrainWindows:  k.checkEvery,
 				Features:      features,
-				Workers:       k.workers,
 			},
 		}
 	}
@@ -249,7 +244,7 @@ func FuzzDisclosureSpecBuild(f *testing.F) {
 		if err != nil {
 			continue
 		}
-		res, err := sc.Run(context.Background(), RunOptions{Workers: 1})
+		res, err := sc.Run(context.Background(), RunOptions{Workers: k.workers})
 		if err != nil {
 			f.Fatalf("seed %d (%T): accepted by Build, failed to run: %v", i, k.spec(), err)
 		}

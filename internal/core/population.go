@@ -308,9 +308,6 @@ type FlowCorrConfig struct {
 	// Raw bypasses the padding entirely — the egress flow is the raw
 	// payload stream — as the no-countermeasure baseline.
 	Raw bool
-	// Workers bounds the per-user/per-window parallelism; results are
-	// identical at any width. Zero means all CPUs.
-	Workers int
 }
 
 // withDefaults fills zero fields.
@@ -442,9 +439,9 @@ func phantomFlowIndex(class, trainWindows, w int) int {
 // does), then observes every user's padded flow for cfg.Duration and
 // matches egress flows to ingress users by throughput-fingerprint
 // correlation plus class posteriors. Results are identical at any
-// cfg.Workers width; users are the unit of parallelism. Run calls it on
+// opts.Workers width; users are the unit of parallelism. Run calls it on
 // the defaults-applied config Build validated.
-func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adversary.Correlation, error) {
+func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig, opts RunOptions) (*adversary.Correlation, error) {
 	if err := s.validatePopulation(spec); err != nil {
 		return nil, err
 	}
@@ -452,7 +449,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adve
 
 	// Off-line phase: per-class feature densities from phantom flows.
 	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
-		cfg.TrainWindows, defaultFeatureWindow, cfg.Workers,
+		cfg.TrainWindows, defaultFeatureWindow, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			phantom := phantomFlowIndex(class, cfg.TrainWindows, w)
 			master := xrand.New(s.streamSeed(class,
@@ -477,13 +474,13 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig) (*adve
 
 	// Run-time phase: observe every user's flow and correlate, pulling
 	// each exit into its worker's reusable slab.
-	exits := make([][]float64, par.Workers(cfg.Workers))
+	exits := make([][]float64, par.Workers(opts.Workers))
 	res, err := adversary.CorrelateFlows(spec.Users, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		FeatureWindow: defaultFeatureWindow,
 		Classifiers:   classifiers,
 		Extractors:    exts,
-		Workers:       cfg.Workers,
+		Workers:       opts.Workers,
 	}, func(worker, u int, entry []float64) (adversary.FlowObs, error) {
 		class := classOf(u, spec.Users, cum)
 		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))

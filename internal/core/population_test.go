@@ -23,10 +23,9 @@ func TestRunDisclosureWorkerInvariance(t *testing.T) {
 	}
 	spec := PopulationSpec{Users: 24, Recipients: 40, CoverRate: 0.5}
 	run := func(workers int) *population.DisclosureResult {
-		res, err := runSpec(sys, DisclosureSpec{Population: spec, Disclosure: population.DisclosureConfig{
+		res, err := runSpecAt(sys, DisclosureSpec{Population: spec, Disclosure: population.DisclosureConfig{
 			MaxRounds: 800,
-			Workers:   workers,
-		}})
+		}}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,9 +52,7 @@ func TestRunFlowCorrelationWorkerInvariance(t *testing.T) {
 		Features:     []analytic.Feature{analytic.FeatureVariance},
 	}
 	run := func(workers int) *adversary.Correlation {
-		c := cfg
-		c.Workers = workers
-		res, err := runSpec(sys, FlowCorrelationSpec{Population: spec, Corr: c})
+		res, err := runSpecAt(sys, FlowCorrelationSpec{Population: spec, Corr: cfg}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

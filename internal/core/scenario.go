@@ -23,9 +23,10 @@ import (
 // Build validates the spec's shape and its defaults-applied observation
 // budget against the system eagerly (a bad spec fails before any
 // simulation); Run executes the attack under the shared RunOptions.
+// The worker width is set once, on Run: no spec config carries one.
 //
 // Determinism: a scenario run is a pure function of (system config,
-// spec) — Workers never changes a result.
+// spec) — RunOptions.Workers never changes a result.
 
 // Spec describes one scenario: which protocol to run and with what
 // parameters. The interface is sealed — the six spec types below are
@@ -98,11 +99,12 @@ func (FlowCorrelationSpec) scenarioSpec()    {}
 func (CascadeCorrelationSpec) scenarioSpec() {}
 func (ActiveDetectionSpec) scenarioSpec()    {}
 
-// RunOptions are the execution knobs shared by every scenario. The zero
-// value runs the spec exactly as written, at the config's worker width.
+// RunOptions are the execution knobs shared by every scenario. They
+// choose how a run executes, never what it simulates.
 type RunOptions struct {
-	// Workers, when positive, overrides the spec's worker width. Results
-	// are identical at any width.
+	// Workers bounds the run's parallelism (trials, sessions, flows or
+	// users, by protocol). Zero means all CPUs. Results are identical at
+	// any width.
 	Workers int
 }
 
@@ -171,6 +173,10 @@ func (s *System) Build(spec Spec) (Scenario, error) {
 		if sp.Disclosure.Dummies != population.DummyNone && sp.Disclosure.Dummies != sp.Population.Dummies {
 			return nil, errors.New("core: set the dummy policy on PopulationSpec.Dummies; the DisclosureConfig copy disagrees")
 		}
+		// The width is Run's alone; Run sets the config's copy.
+		if sp.Disclosure.Workers != 0 {
+			return nil, errors.New("core: set the worker width on RunOptions.Workers, not DisclosureConfig.Workers")
+		}
 	case FlowCorrelationSpec:
 		if err := s.validatePopulation(sp.Population); err != nil {
 			return nil, err
@@ -231,14 +237,6 @@ func validateObservation(flows int, duration, window float64, minWindows, channe
 	return nil
 }
 
-// pickWorkers applies the RunOptions worker override.
-func pickWorkers(cfg int, opts RunOptions) int {
-	if opts.Workers > 0 {
-		return opts.Workers
-	}
-	return cfg
-}
-
 // Run implements Scenario.
 func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	if ctx == nil {
@@ -250,17 +248,13 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	res := &Result{}
 	switch sp := sc.spec.(type) {
 	case AttackSetSpec:
-		cfg := sp.Attack.withDefaults()
-		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		r, err := sc.sys.attackSet(cfg, sp.Features)
+		r, err := sc.sys.attackSet(sp.Attack, sp.Features, opts)
 		if err != nil {
 			return nil, err
 		}
 		res.AttackSet = r
 	case SessionAttackSpec:
-		cfg := sp.Session.withDefaults()
-		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		r, err := sc.sys.sessionAttack(cfg)
+		r, err := sc.sys.sessionAttack(sp.Session, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -273,24 +267,21 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 		res.Disclosure = r
 	case FlowCorrelationSpec:
 		cfg := sp.Corr.withDefaults()
-		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		r, err := sc.sys.flowCorrelation(sp.Population, cfg)
+		r, err := sc.sys.flowCorrelation(sp.Population, cfg, opts)
 		if err != nil {
 			return nil, err
 		}
 		res.FlowCorr = r
 	case CascadeCorrelationSpec:
 		cfg := sp.Corr.withDefaults()
-		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		r, err := sc.sys.cascadeCorrelation(sp.Cascade, cfg)
+		r, err := sc.sys.cascadeCorrelation(sp.Cascade, cfg, opts)
 		if err != nil {
 			return nil, err
 		}
 		res.Cascade = r
 	case ActiveDetectionSpec:
 		cfg := sp.Detect.withDefaults()
-		cfg.Workers = pickWorkers(cfg.Workers, opts)
-		r, err := sc.sys.activeDetection(sp.Active, cfg)
+		r, err := sc.sys.activeDetection(sp.Active, cfg, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +309,7 @@ func (sc *scenario) runDisclosure(ctx context.Context, sp DisclosureSpec, opts R
 		cfg.Mix.Seed = sys.streamSeed(0, populationStreamID(0, popRoleMix))
 	}
 	cfg = cfg.WithDefaults(sp.Population.Users)
-	cfg.Workers = pickWorkers(cfg.Workers, opts)
+	cfg.Workers = opts.Workers
 	eng, err := sys.NewPopulation(sp.Population)
 	if err != nil {
 		return nil, err

@@ -67,6 +67,10 @@ func TestBuildValidatesSpecs(t *testing.T) {
 		{"disclosure-negative-budget", DisclosureSpec{
 			Population: pop, Disclosure: population.DisclosureConfig{MaxRounds: -1},
 		}},
+		// The width belongs to RunOptions alone.
+		{"disclosure-config-width", DisclosureSpec{
+			Population: pop, Disclosure: population.DisclosureConfig{Workers: 2},
+		}},
 		{"flowcorr-bad-population", FlowCorrelationSpec{
 			Population: PopulationSpec{Users: 8, Recipients: 2},
 		}},
@@ -93,8 +97,8 @@ func TestBuildValidatesSpecs(t *testing.T) {
 	}
 }
 
-// TestScenarioWorkerOption: RunOptions.Workers overrides the spec's
-// width and never changes the result.
+// TestScenarioWorkerOption: RunOptions.Workers, the one width of a
+// scenario run, never changes the result.
 func TestScenarioWorkerOption(t *testing.T) {
 	sys := scenarioSystem(t)
 	sc, err := sys.Build(DisclosureSpec{
@@ -149,7 +153,7 @@ func TestScenarioCancelJoinsGeneration(t *testing.T) {
 	sys := scenarioSystem(t)
 	sc, err := sys.Build(DisclosureSpec{
 		Population: PopulationSpec{Users: 20_000, Recipients: 1000, CoverRate: 1},
-		Disclosure: population.DisclosureConfig{Batch: 256, MaxRounds: 4000, CheckEvery: 4, Workers: 2},
+		Disclosure: population.DisclosureConfig{Batch: 256, MaxRounds: 4000, CheckEvery: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +161,7 @@ func TestScenarioCancelJoinsGeneration(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx := &cancelAfter{Context: context.Background()}
 	ctx.n.Store(40) // 160 rounds, ~10 slabs
-	if _, err := sc.Run(ctx, RunOptions{}); err != context.Canceled {
+	if _, err := sc.Run(ctx, RunOptions{Workers: 2}); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 	const bound = 40 * time.Millisecond
@@ -175,14 +179,14 @@ func TestScenarioContextCancel(t *testing.T) {
 	sys := scenarioSystem(t)
 	sc, err := sys.Build(DisclosureSpec{
 		Population: PopulationSpec{Users: 16, Recipients: 40},
-		Disclosure: population.DisclosureConfig{MaxRounds: 4000, Workers: 1},
+		Disclosure: population.DisclosureConfig{MaxRounds: 4000},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sc.Run(ctx, RunOptions{}); err != context.Canceled {
+	if _, err := sc.Run(ctx, RunOptions{Workers: 1}); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }

@@ -91,10 +91,6 @@ type SessionAttackConfig struct {
 	// (used when the per-window statistics must cover a fixed matched
 	// budget, as in the ablation-windowing experiment).
 	Confidence float64
-	// Workers bounds session-level parallelism; windows within a session
-	// are inherently sequential. Results are identical for any worker
-	// count. Zero means all CPUs.
-	Workers int
 }
 
 // withDefaults fills zero fields.
@@ -232,10 +228,10 @@ type SessionAttacker struct {
 // TrainSessionAttack runs the off-line phase of the continuous-stream
 // attack: per class, consecutive training windows are drawn from
 // continuous sessions (warm-up included, parallel across sessions) and
-// the class-conditional feature densities are fitted. Only the
-// training-phase fields of cfg are consumed; pass the evaluation knobs
-// to Evaluate.
-func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, error) {
+// the class-conditional feature densities are fitted, on up to
+// opts.Workers goroutines. Only the training-phase fields of cfg are
+// consumed; pass the evaluation knobs to Evaluate.
+func (s *System) TrainSessionAttack(cfg SessionAttackConfig, opts RunOptions) (*SessionAttacker, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateTrainPhase(); err != nil {
 		return nil, err
@@ -251,7 +247,7 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, 
 	for c := 0; c < m; c++ {
 		mat, err := adversary.SessionFeatureMatrix(
 			s.trainSessionSource(c), exts,
-			cfg.TrainSessions, wps, cfg.WindowSize, cfg.Workers)
+			cfg.TrainSessions, wps, cfg.WindowSize, opts.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
@@ -268,16 +264,15 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig) (*SessionAttacker, 
 // anytime classification with the cumulative log-posterior rule,
 // reporting detection, decision coverage and time-to-detection
 // statistics. The evaluation knobs (EvalSessions, MaxWindows,
-// Confidence, Workers) come from cfg; the training-phase
-// fields are those the attacker was trained with. Results are identical
-// for any worker count.
-func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResult, error) {
+// Confidence) come from cfg; the training-phase fields are those the
+// attacker was trained with. Sessions run on up to opts.Workers
+// goroutines, and results are identical for any worker count.
+func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig, opts RunOptions) (*SessionAttackResult, error) {
 	eval := a.cfg
 	cfg = cfg.withDefaults()
 	eval.EvalSessions = cfg.EvalSessions
 	eval.MaxWindows = cfg.MaxWindows
 	eval.Confidence = cfg.Confidence
-	eval.Workers = cfg.Workers
 	cfg = eval
 	if err := cfg.validateEvalPhase(); err != nil {
 		return nil, err
@@ -307,7 +302,7 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResul
 	// Sequential accumulator is per-session state.
 	total := m * cfg.EvalSessions
 	outcomes := make([]sessionOutcome, total)
-	workers := par.Workers(cfg.Workers)
+	workers := par.Workers(opts.Workers)
 	if workers > total {
 		workers = total
 	}
@@ -401,10 +396,10 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig) (*SessionAttackResul
 // sessionAttack runs the continuous-stream attack end to end:
 // TrainSessionAttack followed by Evaluate with the same configuration.
 // Sessions (training and evaluation) are deterministic from (seed,
-// class, sessionID) and run on up to cfg.Workers goroutines; results are
+// class, sessionID) and run on up to opts.Workers goroutines; results are
 // identical for any worker count. Use the two phases separately to
 // evaluate one training under several run-time knobs.
-func (s *System) sessionAttack(cfg SessionAttackConfig) (*SessionAttackResult, error) {
+func (s *System) sessionAttack(cfg SessionAttackConfig, opts RunOptions) (*SessionAttackResult, error) {
 	cfg = cfg.withDefaults()
 	// Fail fast on run-time misconfiguration before paying for training.
 	if err := cfg.validateEvalPhase(); err != nil {
@@ -416,9 +411,9 @@ func (s *System) sessionAttack(cfg SessionAttackConfig) (*SessionAttackResult, e
 		return nil, fmt.Errorf("core: confidence %v does not exceed the equal class prior 1/%d",
 			cfg.Confidence, m)
 	}
-	att, err := s.TrainSessionAttack(cfg)
+	att, err := s.TrainSessionAttack(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	return att.Evaluate(cfg)
+	return att.Evaluate(cfg, opts)
 }

@@ -128,17 +128,13 @@ func TestRunAttackSessionWorkerInvariance(t *testing.T) {
 		EvalSessions:  16,
 		MaxWindows:    5,
 	}
-	cfg := base
-	cfg.Workers = 1
-	out, err := runSpec(sys, SessionAttackSpec{Session: cfg})
+	out, err := runSpecAt(sys, SessionAttackSpec{Session: base}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := out.Session
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
-		cfg := base
-		cfg.Workers = workers
-		out, err := runSpec(sys, SessionAttackSpec{Session: cfg})
+		out, err := runSpecAt(sys, SessionAttackSpec{Session: base}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,11 +290,11 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := out.Session
-	att, err := sys.TrainSessionAttack(cfg)
+	att, err := sys.TrainSessionAttack(cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := att.Evaluate(cfg)
+	got, err := att.Evaluate(cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +310,7 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 		EvalSessions: 10,
 		MaxWindows:   4,
 		Confidence:   1,
-	})
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +326,7 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 		t.Errorf("full-budget detection = %v, want > 0.9", full.DetectionRate)
 	}
 	// Evaluate validates its run-time knobs.
-	if _, err := att.Evaluate(SessionAttackConfig{Confidence: 1.01}); err == nil {
+	if _, err := att.Evaluate(SessionAttackConfig{Confidence: 1.01}, RunOptions{}); err == nil {
 		t.Error("confidence above 1 accepted")
 	}
 }
@@ -382,14 +378,14 @@ func TestEvaluateRejectsPriorLevelConfidence(t *testing.T) {
 		WindowSize:    300,
 		TrainSessions: 2,
 		TrainWindows:  8,
-	})
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{0.3, 0.5} {
 		if _, err := att.Evaluate(SessionAttackConfig{
 			EvalSessions: 2, MaxWindows: 2, Confidence: c,
-		}); err == nil {
+		}, RunOptions{}); err == nil {
 			t.Errorf("confidence %v (<= equal prior 0.5) accepted", c)
 		}
 	}
@@ -407,14 +403,14 @@ func TestEvaluateRejectsNonPositiveBudgets(t *testing.T) {
 		WindowSize:    300,
 		TrainSessions: 2,
 		TrainWindows:  8,
-	})
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: -1, MaxWindows: 2}); err == nil {
+	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: -1, MaxWindows: 2}, RunOptions{}); err == nil {
 		t.Error("negative EvalSessions accepted")
 	}
-	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: 2, MaxWindows: -1}); err == nil {
+	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: 2, MaxWindows: -1}, RunOptions{}); err == nil {
 		t.Error("negative MaxWindows accepted")
 	}
 }

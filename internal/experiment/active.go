@@ -70,7 +70,7 @@ var extActiveCells = &cellExperiment{
 	columns: []string{"policy", "amp_pps", "det_rate", "mean_z", "match_acc",
 		"anonymity", "class_acc", "injected_pps", "route_pps"},
 	ncells: func(Options) int { return len(extActivePolicies) * len(extActiveAmps) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		p := extActivePolicies[cell/len(extActiveAmps)]
 		amp := extActiveAmps[cell%len(extActiveAmps)]
 		cfg := labConfig(o)
@@ -83,11 +83,10 @@ var extActiveCells = &cellExperiment{
 		spec.Flows = 16
 		spec.Mode = active.ModeChaff
 		spec.Amplitude = amp
-		res, err := runActiveDetection(sys, spec, core.ActiveDetectConfig{
+		res, err := runActiveDetection(o, sys, spec, core.ActiveDetectConfig{
 			Duration:     activeDuration(o),
 			Features:     secondOrderFeatures,
 			TrainWindows: o.windows(120),
-			Workers:      nested,
 		})
 		if err != nil {
 			return nil, err
@@ -146,14 +145,14 @@ var ablationWatermarkDefenseCells = &cellExperiment{
 		"anonymity", "class_acc", "injected_pps", "added_delay_ms",
 		"route_pps", "dummy_frac"},
 	ncells: func(Options) int { return len(watermarkDefenseRoutes) * len(watermarkModes) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		r := watermarkDefenseRoutes[cell/len(watermarkModes)]
 		m := watermarkModes[cell%len(watermarkModes)]
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
-		res, err := runActiveDetection(sys, core.ActiveSpec{
+		res, err := runActiveDetection(o, sys, core.ActiveSpec{
 			Protocol:  core.ActiveCascade,
 			Hops:      r.hops,
 			Flows:     16,
@@ -163,7 +162,6 @@ var ablationWatermarkDefenseCells = &cellExperiment{
 			Duration:     activeDuration(o),
 			Features:     secondOrderFeatures,
 			TrainWindows: o.windows(120),
-			Workers:      nested,
 		})
 		if err != nil {
 			return nil, err

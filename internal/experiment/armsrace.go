@@ -69,7 +69,7 @@ var extSDAArmsRaceCells = &cellExperiment{
 	ncells: func(Options) int {
 		return len(armsRaceEstimators) * len(armsRaceMixes) * len(armsRaceDummies)
 	},
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
@@ -85,12 +85,11 @@ var extSDAArmsRaceCells = &cellExperiment{
 		if dum != population.DummyNone {
 			spec.CoverRate = armsRaceCover
 		}
-		res, err := runDisclosure(sys, spec, population.DisclosureConfig{
+		res, err := runDisclosure(o, sys, spec, population.DisclosureConfig{
 			Batch:     armsRaceBatch,
 			Mix:       population.MixSpec{Kind: mix},
 			Estimator: est,
 			MaxRounds: disclosureRounds(o),
-			Workers:   nested,
 		})
 		if err != nil {
 			return nil, err
@@ -123,14 +122,14 @@ var scaleSDALSCells = &cellExperiment{
 	columns: []string{"users", "cover", "rounds", "batch",
 		"disclosed_frac", "mean_anonymity"},
 	ncells: func(Options) int { return len(scaleDisclosureCovers) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		n := scaleUsers(o)
 		cover := scaleDisclosureCovers[cell]
-		res, err := runDisclosure(sys, core.PopulationSpec{
+		res, err := runDisclosure(o, sys, core.PopulationSpec{
 			Users:      n,
 			Recipients: 10_000,
 			CoverRate:  cover,
@@ -139,7 +138,6 @@ var scaleSDALSCells = &cellExperiment{
 			Estimator:  population.EstimatorLeastSquares,
 			MaxRounds:  scaleDisclosureRounds,
 			CheckEvery: 16,
-			Workers:    nested,
 		})
 		if err != nil {
 			return nil, err

@@ -124,17 +124,17 @@ func TestArmsRaceGoldenMonotone(t *testing.T) {
 }
 
 // TestArmsRaceWorkerInvariance: arms-race cells are byte-identical in
-// the nested worker width. One cell per estimator kind (the cheap
-// no-dummy cells), each at widths 1, 4 and GOMAXPROCS.
+// the nested worker width, Options.Workers. One cell per estimator kind
+// (the cheap no-dummy cells), each at widths 1, 4 and GOMAXPROCS.
 func TestArmsRaceWorkerInvariance(t *testing.T) {
-	o := Options{Scale: 0.05, Seed: 3}
+	at := func(workers int) Options { return Options{Scale: 0.05, Seed: 3, Workers: workers} }
 	for _, cell := range []int{3, 15, 21} { // classic/pool, ls/timed, ml/pool
-		ref, err := extSDAArmsRaceCells.run(o, cell, 1)
+		ref, err := extSDAArmsRaceCells.run(at(1), cell)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-			got, err := extSDAArmsRaceCells.run(o, cell, workers)
+			got, err := extSDAArmsRaceCells.run(at(workers), cell)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,14 +148,14 @@ func TestArmsRaceWorkerInvariance(t *testing.T) {
 // TestArmsRaceCellShape: the grid is complete and every cell reports
 // its own coordinates in the first three columns.
 func TestArmsRaceCellShape(t *testing.T) {
-	o := Options{Scale: 0.05, Seed: 3}
+	o := Options{Scale: 0.05, Seed: 3, Workers: 1}
 	if n := extSDAArmsRaceCells.ncells(o); n != 27 {
 		t.Fatalf("ncells = %d, want 27", n)
 	}
 	if n := scaleSDALSCells.ncells(o); n != len(scaleDisclosureCovers) {
 		t.Fatalf("scale-sda-ls ncells = %d, want %d", n, len(scaleDisclosureCovers))
 	}
-	row, err := extSDAArmsRaceCells.run(o, 16, 1) // est=1, mix=2, dum=1
+	row, err := extSDAArmsRaceCells.run(o, 16) // est=1, mix=2, dum=1
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ var baselinePolicyCells = &cellExperiment{
 	title:   "Padding policies: security vs bandwidth vs QoS (CIT / VIT / adaptive masking)",
 	columns: []string{"policy", "mean_emp", "var_emp", "ent_emp", "padded_pps_low", "mean_delay_ms"},
 	ncells:  func(Options) int { return len(baselinePolicies) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		const n = 1000
 		p := baselinePolicies[cell]
 		cfg := labConfig(o)
@@ -45,11 +45,10 @@ var baselinePolicyCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		row, err := detectionRow(sys, p.code, core.AttackConfig{
+		row, err := detectionRow(o, sys, p.code, core.AttackConfig{
 			WindowSize:     n,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, paperFeatures)
 		if err != nil {

@@ -61,20 +61,19 @@ var extCascadeCells = &cellExperiment{
 	columns: []string{"hops", "flow_acc", "class_acc", "mean_rank",
 		"anonymity", "mean_corr_true", "route_pps", "dummy_frac"},
 	ncells: func(Options) int { return len(extCascadeHops) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		k := extCascadeHops[cell]
-		res, err := runCascadeCorrelation(sys, core.CascadeSpec{
+		res, err := runCascadeCorrelation(o, sys, core.CascadeSpec{
 			Hops:  make([]core.CascadeHop, k),
 			Flows: 16,
 		}, core.CascadeCorrConfig{
 			Duration:     cascadeDuration(o),
 			Features:     secondOrderFeatures,
 			TrainWindows: o.windows(120),
-			Workers:      nested,
 		})
 		if err != nil {
 			return nil, err
@@ -117,20 +116,19 @@ var ablationHopPolicyCells = &cellExperiment{
 	columns: []string{"route", "flow_acc", "class_acc", "anonymity",
 		"route_pps", "dummy_frac"},
 	ncells: func(Options) int { return len(hopPolicyRoutes) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		r := hopPolicyRoutes[cell]
-		res, err := runCascadeCorrelation(sys, core.CascadeSpec{
+		res, err := runCascadeCorrelation(o, sys, core.CascadeSpec{
 			Hops:  r.hops,
 			Flows: 16,
 		}, core.CascadeCorrConfig{
 			Duration:     cascadeDuration(o),
 			Features:     secondOrderFeatures,
 			TrainWindows: o.windows(120),
-			Workers:      nested,
 		})
 		if err != nil {
 			return nil, err

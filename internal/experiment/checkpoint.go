@@ -38,9 +38,9 @@ type cellExperiment struct {
 	columns []string
 	// ncells returns the sweep size (a pure function of Options).
 	ncells func(o Options) int
-	// run computes cell i's row with the given nested worker budget.
-	// It must derive all randomness from (Options.Seed, i).
-	run func(o Options, cell, nested int) ([]float64, error)
+	// run computes cell i's row; o.Workers is the cell's nested worker
+	// budget. It must derive all randomness from (Options.Seed, i).
+	run func(o Options, cell int) ([]float64, error)
 	// notes appends the table's trailing notes.
 	notes func(o Options, t *Table)
 }
@@ -224,17 +224,19 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 	// Announce only the cells left to run: a resumed sweep's progress
 	// gauge starts where the crashed run stopped.
 	obs.AddCells(len(todo))
-	// The nested budget splits over the full sweep, not the remainder, so
-	// a resumed run schedules exactly like a fresh one (results are
-	// identical either way; this only keeps the performance predictable).
-	nested := o.nestedWorkers(n)
+	// Every cell runs at the nested budget, split over the full sweep,
+	// not the remainder, so a resumed run schedules exactly like a fresh
+	// one (results are identical either way; this only keeps the
+	// performance predictable).
+	cellOpts := o
+	cellOpts.Workers = o.nestedWorkers(n)
 	var (
 		mu        sync.Mutex
 		completed int
 	)
 	err := par.Map(len(todo), o.workers(), func(k int) error {
 		i := todo[k]
-		row, err := ce.run(o, i, nested)
+		row, err := ce.run(cellOpts, i)
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ var fakeCells = &cellExperiment{
 	title:   "synthetic checkpoint probe",
 	columns: []string{"cell", "value"},
 	ncells:  func(Options) int { return 9 },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		rng := xrand.New(o.Seed + uint64(cell)*1009)
 		return []float64{float64(cell), rng.Float64()}, nil
 	},
@@ -64,7 +64,7 @@ func TestRunCellsRejectsNonFinite(t *testing.T) {
 			title:   "non-finite probe",
 			columns: []string{"cell", "value"},
 			ncells:  func(Options) int { return 3 },
-			run: func(o Options, cell, nested int) ([]float64, error) {
+			run: func(o Options, cell int) ([]float64, error) {
 				if cell == 2 {
 					return []float64{float64(cell), bad}, nil
 				}
@@ -194,9 +194,9 @@ func TestRunCellsRejectsForeignCheckpoint(t *testing.T) {
 	// and columns renamed at the same width.
 	ran := 0
 	counting := *fakeCells
-	counting.run = func(o Options, cell, nested int) ([]float64, error) {
+	counting.run = func(o Options, cell int) ([]float64, error) {
 		ran++
-		return fakeCells.run(o, cell, nested)
+		return fakeCells.run(o, cell)
 	}
 	for _, tc := range []struct {
 		name   string

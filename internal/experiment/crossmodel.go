@@ -64,7 +64,7 @@ var ablationCrossModelCells = &cellExperiment{
 	title:   "Cross-traffic burstiness at equal utilization (exact router), CIT, n=1000",
 	columns: []string{"model", "var_emp", "ent_emp"},
 	ncells:  func(Options) int { return 2 },
-	run: func(o Options, model, _ int) ([]float64, error) {
+	run: func(o Options, model int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err

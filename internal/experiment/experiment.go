@@ -11,8 +11,9 @@
 // Determinism contract: a Table is a pure function of (experiment ID,
 // Options.Scale, Options.Seed). Every sweep is a cell experiment
 // (checkpoint.go): runCells fans its cells out, every cell derives its
-// randomness from its own (seed, cell) streams, and nested engines
-// receive bounded nested workers — so tables are byte-identical at any
+// randomness from its own (seed, cell) streams, and each cell's scenarios
+// run at its bounded nested budget (Options.Workers, handed to Run as
+// RunOptions.Workers) — so tables are byte-identical at any
 // Options.Workers, a property CI enforces with golden tables
 // (testdata/golden/) and the worker-invariance tests.
 package experiment

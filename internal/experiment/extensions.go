@@ -30,17 +30,16 @@ var extFeaturesCells = &cellExperiment{
 	title:   "Second-order feature statistics compared (variance / entropy / IQR), CIT lab",
 	columns: []string{"n", "var_emp", "ent_emp", "iqr_emp"},
 	ncells:  func(Options) int { return len(extFeaturesSizes) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		n := extFeaturesSizes[cell]
-		return detectionRow(sys, float64(n), core.AttackConfig{
+		return detectionRow(o, sys, float64(n), core.AttackConfig{
 			WindowSize:     n,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy, analytic.FeatureIQR})
 	},
@@ -58,7 +57,7 @@ var validateExactNetCells = &cellExperiment{
 	title:   "Fast M/D/1-sampler path vs exact per-packet router simulation",
 	columns: []string{"exact", "var_emp", "ent_emp"},
 	ncells:  func(Options) int { return 2 },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		cfg := labConfig(o)
 		cfg.Hops = []core.HopSpec{labHop(0.3)}
 		cfg.ExactNetwork = cell == 1
@@ -66,11 +65,10 @@ var validateExactNetCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		return detectionRow(sys, float64(cell), core.AttackConfig{
+		return detectionRow(o, sys, float64(cell), core.AttackConfig{
 			WindowSize:     1000,
 			TrainWindows:   o.windows(80),
 			EvalWindows:    o.windows(80),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, secondOrderFeatures)
 	},
@@ -102,7 +100,7 @@ var extSizesCells = &cellExperiment{
 	title:   "Application identification from packet sizes vs padding scheme (paper [7] extension)",
 	columns: []string{"padder", "detection", "overhead_interactive", "overhead_bulk"},
 	ncells:  func(Options) int { return len(extSizesPadders) },
-	run: func(o Options, cell, _ int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		pd, err := extSizesPadders[cell]()
 		if err != nil {
 			return nil, err
@@ -143,12 +141,11 @@ func MultiRate(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runAttack(sys, core.AttackConfig{
+	res, err := runAttack(o, sys, core.AttackConfig{
 		Feature:        analytic.FeatureEntropy,
 		WindowSize:     1000,
 		TrainWindows:   o.windows(150),
 		EvalWindows:    o.windows(150),
-		Workers:        o.Workers,
 		SkipEmpiricalR: true,
 	})
 	if err != nil {
@@ -180,18 +177,17 @@ var ablationBinWidthCells = &cellExperiment{
 	title:   "Entropy detection vs histogram bin width, CIT lab, n=1000",
 	columns: []string{"bin_width_us", "ent_emp"},
 	ncells:  func(Options) int { return len(ablationBinWidths) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		wUS := ablationBinWidths[cell]
-		return detectionRow(sys, wUS, core.AttackConfig{
+		return detectionRow(o, sys, wUS, core.AttackConfig{
 			WindowSize:      1000,
 			TrainWindows:    o.windows(120),
 			EvalWindows:     o.windows(120),
 			EntropyBinWidth: wUS * 1e-6,
-			Workers:         nested,
 			SkipEmpiricalR:  true,
 		}, []analytic.Feature{analytic.FeatureEntropy})
 	},
@@ -219,12 +215,11 @@ func AblationTraining(o Options) (*Table, error) {
 	// simulated windows across all three features.
 	byMode := make([][]*core.AttackResult, 2)
 	for mode, gaussian := range []bool{false, true} {
-		set, err := runAttackSet(sys, core.AttackConfig{
+		set, err := runAttackSet(o, sys, core.AttackConfig{
 			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
 			GaussianFit:    gaussian,
-			Workers:        o.Workers,
 			SkipEmpiricalR: true,
 		}, paperFeatures)
 		if err != nil {
@@ -251,18 +246,17 @@ var ablationPayloadCells = &cellExperiment{
 	title:   "Detection vs payload arrival model, CIT lab, n=1000",
 	columns: []string{"model", "var_emp", "ent_emp"},
 	ncells:  func(Options) int { return len(ablationPayloadModels) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		cfg := labConfig(o)
 		cfg.Payload = ablationPayloadModels[cell]
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		return detectionRow(sys, float64(cfg.Payload), core.AttackConfig{
+		return detectionRow(o, sys, float64(cfg.Payload), core.AttackConfig{
 			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, secondOrderFeatures)
 	},
@@ -284,7 +278,7 @@ var ablationTapCells = &cellExperiment{
 	title:   "Entropy detection vs tap imperfections, CIT lab, n=1000",
 	columns: []string{"resolution_us", "loss_prob", "ent_emp"},
 	ncells:  func(Options) int { return len(ablationTapCases) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		tc := ablationTapCases[cell]
 		cfg := labConfig(o)
 		cfg.TapResolution = tc.resUS * 1e-6
@@ -293,12 +287,11 @@ var ablationTapCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		res, err := runAttack(sys, core.AttackConfig{
+		res, err := runAttack(o, sys, core.AttackConfig{
 			Feature:        analytic.FeatureEntropy,
 			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		})
 		if err != nil {
@@ -323,7 +316,7 @@ var ablationTheoryGapCells = &cellExperiment{
 	title:   "Empirical vs Theorem-3 entropy detection across sigma_T, n=1000",
 	columns: []string{"sigma_t_us", "ent_emp", "ent_theory"},
 	ncells:  func(Options) int { return len(ablationTheoryGapSigmas) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sigmaUS := ablationTheoryGapSigmas[cell]
 		cfg := labConfig(o)
 		cfg.SigmaT = sigmaUS * 1e-6
@@ -331,12 +324,11 @@ var ablationTheoryGapCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		res, err := runAttack(sys, core.AttackConfig{
+		res, err := runAttack(o, sys, core.AttackConfig{
 			Feature:      analytic.FeatureEntropy,
 			WindowSize:   1000,
 			TrainWindows: o.windows(120),
 			EvalWindows:  o.windows(120),
-			Workers:      nested,
 		})
 		if err != nil {
 			return nil, err

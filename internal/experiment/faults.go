@@ -92,7 +92,7 @@ var extImpairmentCells = &cellExperiment{
 	columns: []string{"protocol", "scenario", "tap_loss", "accuracy",
 		"anonymity"},
 	ncells: func(Options) int { return numImpairProtocols * len(impairScenarios) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		proto := cell / len(impairScenarios)
 		sc := &impairScenarios[cell%len(impairScenarios)]
 		cfg := labConfig(o)
@@ -106,12 +106,11 @@ var extImpairmentCells = &cellExperiment{
 		var acc, anon float64
 		switch proto {
 		case impairReplica:
-			res, err := runAttack(sys, core.AttackConfig{
+			res, err := runAttack(o, sys, core.AttackConfig{
 				Feature:        analytic.FeatureEntropy,
 				WindowSize:     1000,
 				TrainWindows:   o.windows(120),
 				EvalWindows:    o.windows(120),
-				Workers:        nested,
 				SkipEmpiricalR: true,
 			})
 			if err != nil {
@@ -119,7 +118,7 @@ var extImpairmentCells = &cellExperiment{
 			}
 			acc, anon = res.DetectionRate, binaryAnonymity(res.DetectionRate)
 		case impairSession:
-			res, err := runSessionAttack(sys, core.SessionAttackConfig{
+			res, err := runSessionAttack(o, sys, core.SessionAttackConfig{
 				Feature:       analytic.FeatureEntropy,
 				WindowSize:    500,
 				TrainSessions: 8,
@@ -127,21 +126,19 @@ var extImpairmentCells = &cellExperiment{
 				EvalSessions:  o.windows(60),
 				MaxWindows:    12,
 				Confidence:    0.99,
-				Workers:       nested,
 			})
 			if err != nil {
 				return nil, err
 			}
 			acc, anon = res.DetectionRate, binaryAnonymity(res.DetectionRate)
 		case impairCascade:
-			res, err := runCascadeCorrelation(sys, core.CascadeSpec{
+			res, err := runCascadeCorrelation(o, sys, core.CascadeSpec{
 				Hops:  make([]core.CascadeHop, 1),
 				Flows: 16,
 			}, core.CascadeCorrConfig{
 				Duration:     cascadeDuration(o),
 				Features:     secondOrderFeatures,
 				TrainWindows: o.windows(120),
-				Workers:      nested,
 			})
 			if err != nil {
 				return nil, err
@@ -195,7 +192,7 @@ var ablationChurnCells = &cellExperiment{
 	columns: []string{"online_frac", "churn_aware", "disclosed_frac",
 		"mean_rounds", "mean_rounds_with", "mean_anonymity"},
 	ncells: func(Options) int { return len(churnFractions) * 2 },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		frac := churnFractions[cell/2]
 		aware := cell%2 == 1
 		sys, err := core.NewSystem(labConfig(o))
@@ -213,10 +210,9 @@ var ablationChurnCells = &cellExperiment{
 				MeanOff: churnPeriod * (1 - frac),
 			}
 		}
-		res, err := runDisclosure(sys, spec, population.DisclosureConfig{
+		res, err := runDisclosure(o, sys, spec, population.DisclosureConfig{
 			MaxRounds:  disclosureRounds(o),
 			ChurnAware: aware,
-			Workers:    nested,
 		})
 		if err != nil {
 			return nil, err

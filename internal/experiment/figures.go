@@ -164,11 +164,10 @@ func Fig4b(o Options) (*Table, error) {
 	ns := []int{100, 200, 500, 1000, 2000}
 	var r float64
 	for _, n := range ns {
-		set, err := runAttackSet(sys, core.AttackConfig{
+		set, err := runAttackSet(o, sys, core.AttackConfig{
 			WindowSize:   n,
 			TrainWindows: o.windows(150),
 			EvalWindows:  o.windows(150),
-			Workers:      o.Workers,
 		}, paperFeatures)
 		if err != nil {
 			return nil, err
@@ -197,18 +196,17 @@ var fig5aCells = &cellExperiment{
 	title:   "Detection rate vs sigma_T, VIT, n=2000 (paper Fig. 5a)",
 	columns: []string{"sigma_t_us", "var_emp", "ent_emp", "mean_emp", "model_r"},
 	ncells:  func(Options) int { return len(fig5aSigmas) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		cfg := labConfig(o)
 		cfg.SigmaT = fig5aSigmas[cell] * 1e-6
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		row, err := detectionRow(sys, fig5aSigmas[cell], core.AttackConfig{
+		row, err := detectionRow(o, sys, fig5aSigmas[cell], core.AttackConfig{
 			WindowSize:     2000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, []analytic.Feature{analytic.FeatureVariance, analytic.FeatureEntropy, analytic.FeatureMean})
 		if err != nil {
@@ -244,7 +242,7 @@ var fig5bCells = &cellExperiment{
 	title:   "Theoretical sample size for 99% detection vs sigma_T (paper Fig. 5b)",
 	columns: []string{"sigma_t_us", "r", "n99_variance", "n99_entropy"},
 	ncells:  func(Options) int { return len(fig5bSigmas) },
-	run: func(o Options, cell, _ int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		varL, varH, err := gatewayClassVars(o)
 		if err != nil {
 			return nil, err
@@ -276,18 +274,17 @@ var fig6Cells = &cellExperiment{
 	title:   "Detection rate vs link utilization, CIT, one router (paper Fig. 6)",
 	columns: []string{"utilization", "mean_emp", "var_emp", "ent_emp", "model_r"},
 	ncells:  func(Options) int { return len(fig6Utils) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		cfg := labConfig(o)
 		cfg.Hops = []core.HopSpec{labHop(fig6Utils[cell])}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		row, err := detectionRow(sys, fig6Utils[cell], core.AttackConfig{
+		row, err := detectionRow(o, sys, fig6Utils[cell], core.AttackConfig{
 			WindowSize:     1000,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    o.windows(120),
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		}, paperFeatures)
 		if err != nil {
@@ -311,7 +308,7 @@ func fig8Cells(title string, hops []core.HopSpec, note string) *cellExperiment {
 		title:   title,
 		columns: []string{"hour", "mean_emp", "var_emp", "ent_emp"},
 		ncells:  func(Options) int { return len(fig8Hours) },
-		run: func(o Options, cell, nested int) ([]float64, error) {
+		run: func(o Options, cell int) ([]float64, error) {
 			hour := fig8Hours[cell]
 			cfg := labConfig(o)
 			cfg.Hops = hops
@@ -322,11 +319,10 @@ func fig8Cells(title string, hops []core.HopSpec, note string) *cellExperiment {
 			if err != nil {
 				return nil, err
 			}
-			return detectionRow(sys, hour, core.AttackConfig{
+			return detectionRow(o, sys, hour, core.AttackConfig{
 				WindowSize:     1000,
 				TrainWindows:   o.windows(100),
 				EvalWindows:    o.windows(100),
-				Workers:        nested,
 				SkipEmpiricalR: true,
 			}, paperFeatures)
 		},

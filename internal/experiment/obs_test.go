@@ -69,7 +69,7 @@ func TestObsInvisibleAndWorkerInvariant(t *testing.T) {
 						total += n
 					}
 					if total == 0 {
-						t.Fatalf("telemetry enabled but nothing counted: %v", obs.SnapshotMap())
+						t.Fatalf("telemetry enabled but nothing counted: %v", obs.Snapshot())
 					}
 					continue
 				}
@@ -96,6 +96,6 @@ func TestObsDisabledCountsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap := obs.Snapshot(); snap != ([obs.NumCounters]uint64{}) {
-		t.Errorf("disabled collector accumulated counts: %v", obs.SnapshotMap())
+		t.Errorf("disabled collector accumulated counts: %v", obs.Snapshot())
 	}
 }

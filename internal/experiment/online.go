@@ -28,13 +28,13 @@ var extOnlineCells = &cellExperiment{
 	columns: []string{"n", "anytime_det", "decided_frac",
 		"mean_windows_to_dec", "mean_seconds_to_dec"},
 	ncells: func(Options) int { return len(extOnlineSizes) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		n := extOnlineSizes[cell]
-		res, err := runSessionAttack(sys, core.SessionAttackConfig{
+		res, err := runSessionAttack(o, sys, core.SessionAttackConfig{
 			Feature:       analytic.FeatureEntropy,
 			WindowSize:    n,
 			TrainSessions: 8,
@@ -42,7 +42,6 @@ var extOnlineCells = &cellExperiment{
 			EvalSessions:  o.windows(60),
 			MaxWindows:    12,
 			Confidence:    0.99,
-			Workers:       nested,
 		})
 		if err != nil {
 			return nil, err
@@ -82,7 +81,7 @@ var ablationWindowingCells = &cellExperiment{
 	columns: []string{"model", "replica_det", "stream_det",
 		"anytime_det", "mean_windows_to_dec"},
 	ncells: func(Options) int { return len(windowingModels) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		const n = 1000
 		evalSessions := o.windows(40)
 		cfg := labConfig(o)
@@ -92,12 +91,11 @@ var ablationWindowingCells = &cellExperiment{
 			return nil, err
 		}
 		// Replica protocol: i.i.d. windows, matched sample budget.
-		replica, err := runAttack(sys, core.AttackConfig{
+		replica, err := runAttack(o, sys, core.AttackConfig{
 			Feature:        analytic.FeatureEntropy,
 			WindowSize:     n,
 			TrainWindows:   o.windows(120),
 			EvalWindows:    evalSessions * windowingMaxWindows,
-			Workers:        nested,
 			SkipEmpiricalR: true,
 		})
 		if err != nil {
@@ -109,13 +107,13 @@ var ablationWindowingCells = &cellExperiment{
 		// over the same number of windows as the replica run; the
 		// anytime columns come from the confidence the online adversary
 		// would actually use.
+		run := core.RunOptions{Workers: o.Workers}
 		att, err := sys.TrainSessionAttack(core.SessionAttackConfig{
 			Feature:       analytic.FeatureEntropy,
 			WindowSize:    n,
 			TrainSessions: 8,
 			TrainWindows:  o.windows(120),
-			Workers:       nested,
-		})
+		}, run)
 		if err != nil {
 			return nil, err
 		}
@@ -123,8 +121,7 @@ var ablationWindowingCells = &cellExperiment{
 			EvalSessions: evalSessions,
 			MaxWindows:   windowingMaxWindows,
 			Confidence:   1,
-			Workers:      nested,
-		})
+		}, run)
 		if err != nil {
 			return nil, err
 		}
@@ -132,8 +129,7 @@ var ablationWindowingCells = &cellExperiment{
 			EvalSessions: evalSessions,
 			MaxWindows:   windowingMaxWindows,
 			Confidence:   0.99,
-			Workers:      nested,
-		})
+		}, run)
 		if err != nil {
 			return nil, err
 		}

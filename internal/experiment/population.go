@@ -48,20 +48,19 @@ var extDisclosureCells = &cellExperiment{
 	columns: []string{"users", "cover", "disclosed_frac", "mean_rounds",
 		"mean_rounds_with", "mean_anonymity"},
 	ncells: func(Options) int { return len(disclosurePopulations) * len(disclosureCovers) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		n := disclosurePopulations[cell/len(disclosureCovers)]
 		cover := disclosureCovers[cell%len(disclosureCovers)]
-		res, err := runDisclosure(sys, core.PopulationSpec{
+		res, err := runDisclosure(o, sys, core.PopulationSpec{
 			Users:      n,
 			Recipients: 60,
 			CoverRate:  cover,
 		}, population.DisclosureConfig{
 			MaxRounds: disclosureRounds(o),
-			Workers:   nested,
 		})
 		if err != nil {
 			return nil, err
@@ -113,7 +112,7 @@ var ablationPopulationPaddingCells = &cellExperiment{
 	columns: []string{"policy", "flow_acc", "class_acc", "mean_rank",
 		"mean_corr_true"},
 	ncells: func(Options) int { return len(populationPaddingPolicies) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		p := populationPaddingPolicies[cell]
 		cfg := labConfig(o)
 		p.mut(&cfg)
@@ -121,7 +120,7 @@ var ablationPopulationPaddingCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		res, err := runFlowCorrelation(sys, core.PopulationSpec{
+		res, err := runFlowCorrelation(o, sys, core.PopulationSpec{
 			Users:      24,
 			Recipients: 60,
 			CoverToPPS: p.cover,
@@ -130,7 +129,6 @@ var ablationPopulationPaddingCells = &cellExperiment{
 			Raw:          p.raw,
 			Features:     secondOrderFeatures,
 			TrainWindows: o.windows(120),
-			Workers:      nested,
 		})
 		if err != nil {
 			return nil, err

@@ -54,14 +54,14 @@ var scaleDisclosureCells = &cellExperiment{
 	columns: []string{"users", "cover", "rounds", "batch",
 		"disclosed_frac", "mean_anonymity"},
 	ncells: func(Options) int { return len(scaleDisclosureCovers) },
-	run: func(o Options, cell, nested int) ([]float64, error) {
+	run: func(o Options, cell int) ([]float64, error) {
 		sys, err := core.NewSystem(labConfig(o))
 		if err != nil {
 			return nil, err
 		}
 		n := scaleUsers(o)
 		cover := scaleDisclosureCovers[cell]
-		res, err := runDisclosure(sys, core.PopulationSpec{
+		res, err := runDisclosure(o, sys, core.PopulationSpec{
 			Users:      n,
 			Recipients: 10_000,
 			CoverRate:  cover,
@@ -69,7 +69,6 @@ var scaleDisclosureCells = &cellExperiment{
 			Batch:      scaleDisclosureBatch,
 			MaxRounds:  scaleDisclosureRounds,
 			CheckEvery: 16,
-			Workers:    nested,
 		})
 		if err != nil {
 			return nil, err

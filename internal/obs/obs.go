@@ -11,7 +11,7 @@
 // an atomic operation. At coarse boundaries (a PIAT slab, a mix round,
 // a finished flow) the owner drains its shard into the global Collector
 // with Flush, which is the only place atomics are touched; live readers
-// (the progress line, the expvar endpoint, the run-report writer) read
+// (the progress line and the run-report writer) read
 // only the Collector and therefore never race with a working shard.
 //
 // Determinism contract — the property that makes telemetry safe to
@@ -212,16 +212,6 @@ func Snapshot() [NumCounters]uint64 {
 	var out [NumCounters]uint64
 	for i := range out {
 		out[i] = Default.c[i].Load()
-	}
-	return out
-}
-
-// SnapshotMap returns the counter totals keyed by report name.
-func SnapshotMap() map[string]uint64 {
-	s := Snapshot()
-	out := make(map[string]uint64, NumCounters)
-	for i, n := range s {
-		out[Counter(i).Name()] = n
 	}
 	return out
 }

@@ -186,7 +186,9 @@ func settled(t *testing.T, baseline int) {
 // first, so the slab a pipelined engine starts at each refill warms
 // about 60 users and takes about 100 ms to generate; the run must still
 // be back at its goroutine baseline within the poll's bound when it
-// finishes, when it fails, and when it is stopped early.
+// finishes, when it fails, and when it is stopped early. A failing Step
+// joins nothing: the failed refill starts no background slab, so the
+// engine has no generation in flight when the error returns.
 func TestDisclosureRunJoinsGeneration(t *testing.T) {
 	const n, recipients = 4096, 40
 	var slow atomic.Bool
@@ -242,6 +244,9 @@ func TestDisclosureRunJoinsGeneration(t *testing.T) {
 		_, err := run.Step(1000)
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("Step error = %v, want the builder's", err)
+		}
+		if run.d.eng.running {
+			t.Fatal("the failed refill left a slab generating in the background")
 		}
 		settled(t, baseline)
 	})

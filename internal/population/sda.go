@@ -483,9 +483,10 @@ func (d *disclosure) anonymity(t *targetState) float64 {
 // budget runs out, in steps so a caller can check for cancellation or
 // trace progress between them. Observing all MaxRounds rounds through
 // any sequence of Step calls produces byte-identical results to one Step
-// over the whole budget, at any Workers width. A run that finishes or
-// fails waits for the engine's background generation before Step
-// returns; a caller that abandons a run early calls Stop.
+// over the whole budget, at any Workers width. A run that finishes waits
+// for the engine's background generation before Step returns, a run
+// that fails has none in flight, and a caller that abandons a run early
+// calls Stop.
 type DisclosureRun struct {
 	d        *disclosure
 	observed int
@@ -529,7 +530,8 @@ func (run *DisclosureRun) Step(n int) (bool, error) {
 	for i := 0; i < n && !run.done && run.observed < cfg.MaxRounds; i++ {
 		round := run.observed + 1
 		if err := run.d.mix.NextRound(&run.r); err != nil {
-			run.Stop()
+			// Every error is a failed refill's, and a failed refill
+			// starts no background slab: there is nothing to join.
 			return false, err
 		}
 		run.d.applyDummies(&run.r)
