@@ -45,7 +45,6 @@ var exportAllowlist = map[string]string{
 	"gateway.Mix.MaxDelay":           "core tests check the mix's delay accounting",
 	"gateway.VarianceRatio":          "core tests check the gateway's measured r against the eq. 16 model",
 	"netem.NewSliceStream":           "cascade tests feed known departure schedules through network elements",
-	"traffic.NewCBR":                 "netem and active tests drive routers and watermarks with the batching CBR; production CBR payloads are traffic.Models",
 	"obs.Reset":                      "gateway, core, experiment and linkpadsim tests zero the global counters",
 	"population.Engine.Class":        "core tests check the population's class striping",
 	"stats.Autocorr":                 "gateway tests check the PIAT autocorrelation structure",

@@ -80,11 +80,11 @@ func TestDelaySourceShiftsMarkedSlots(t *testing.T) {
 	key := testKey(t, 16, 0.25, 3)
 	const amp = 0.02
 	mk := func() traffic.Source {
-		cbr, err := traffic.NewCBR(40, 0, nil)
+		cbr, err := traffic.CBRModel(40, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cbr
+		return &cbr
 	}
 	plain := collect(mk(), 400)
 	ds, err := NewDelaySource(mk(), key, amp)

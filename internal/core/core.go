@@ -491,12 +491,12 @@ func (s *System) observationChain(stream netem.TimeStream, master *xrand.Rand, p
 	case len(s.cfg.Hops) > 0 && s.cfg.ExactNetwork:
 		for _, h := range s.cfg.Hops {
 			svc := h.service()
-			var cross traffic.Source
+			var cross traffic.Model // zero: a dedicated link
 			if u := h.Util.Peak; u > 0 {
-				cross, err = traffic.NewPoisson(u/svc, master.Split())
-				if err != nil {
+				if cross, err = traffic.PoissonModel(u / svc); err != nil {
 					return nil, err
 				}
+				cross.Start(master.Split().Stream)
 			}
 			stream, err = netem.NewRouter(stream, cross, svc, h.PropDelay)
 			if err != nil {

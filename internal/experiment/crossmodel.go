@@ -30,22 +30,23 @@ func crossModelSource(o Options, sys *core.System, model, class int, streamID ui
 	if err != nil {
 		return nil, err
 	}
-	rng := xrand.New(o.Seed ^ streamID*0x9e3779b97f4a7c15 ^ uint64(model+1)<<32 ^ uint64(class+1)<<48)
-	var cross traffic.Source
+	stream := xrand.NewStream(o.Seed ^ streamID*0x9e3779b97f4a7c15 ^ uint64(model+1)<<32 ^ uint64(class+1)<<48)
+	var cross traffic.Model
 	switch model {
 	case 0:
-		cross, err = traffic.NewPoisson(crossModelUtil/crossModelSvc, rng)
+		cross, err = traffic.PoissonModel(crossModelUtil / crossModelSvc)
 	case 1:
 		// mean train length 5, arriving nearly at once (a burst from
 		// a faster upstream link), so a whole train piles into the
 		// queue ahead of an unlucky padded packet
-		cross, err = traffic.NewTrain(crossModelUtil/crossModelSvc, 5, crossModelSvc/10, rng)
+		cross, err = traffic.TrainModel(crossModelUtil/crossModelSvc, 5, crossModelSvc/10)
 	default:
 		return nil, fmt.Errorf("experiment: unknown cross model %d", model)
 	}
 	if err != nil {
 		return nil, err
 	}
+	cross.Start(stream)
 	router, err := netem.NewRouter(gw, cross, crossModelSvc, 0)
 	if err != nil {
 		return nil, err

@@ -59,22 +59,18 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 			return p
 		}
 	}
-	// exact builds a Router with Poisson cross traffic; hideBatch wraps
-	// the cross source so the router draws one gap per cross packet
-	// instead of pre-drawing slabs into its cross buffer.
-	exact := func(hideBatch bool) func(seed uint64) BatchStream {
+	// exact builds a Router behind a Poisson upstream whose cross
+	// traffic is the given Model, started on its own stream.
+	exact := func(cross func() (traffic.Model, error)) func(seed uint64) BatchStream {
 		return func(seed uint64) BatchStream {
 			master := xrand.New(seed)
 			up := base(master)
-			p, err := traffic.NewPoisson(5000, master.Split())
+			m, err := cross()
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cross traffic.Source = p
-			if hideBatch {
-				cross = struct{ traffic.Source }{p}
-			}
-			r, err := NewRouter(up, cross, 1e-4, 1e-3)
+			m.Start(master.Split().Stream)
+			r, err := NewRouter(up, m, 1e-4, 1e-3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,21 +117,10 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 		"fastrouter-diurnal-chunk1-generic": {
 			mk: fast(diurnal), ref: fast(generic(diurnal)), chunks: []int{1},
 		},
-		"router-exact":            one(exact(false)),
-		"router-exact-unbuffered": {mk: exact(false), ref: exact(true)},
-		"router-cbr-cross": one(func(seed uint64) BatchStream {
-			master := xrand.New(seed)
-			up := base(master)
-			cross, err := traffic.NewCBR(5000, 1e-5, master.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := NewRouter(up, cross, 1e-4, 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}),
+		"router-exact":       one(exact(func() (traffic.Model, error) { return traffic.PoissonModel(5000) })),
+		"router-cbr-cross":   one(exact(func() (traffic.Model, error) { return traffic.CBRModel(5000, 1e-5) })),
+		"router-train-cross": one(exact(func() (traffic.Model, error) { return traffic.TrainModel(5000, 5, 1e-5) })),
+		"router-dedicated":   one(exact(func() (traffic.Model, error) { return traffic.Model{}, nil })),
 		// The adversary's lossy tap: an Impairer with i.i.d. loss alone.
 		"lossytap": one(impair(&Impairment{LossProb: 0.07})),
 		"quantizer": one(func(seed uint64) BatchStream {
@@ -171,7 +156,7 @@ func netemBatchCases(t *testing.T) map[string]netemCase {
 
 // cumStream turns a gap source into an absolute-time stream.
 type cumStream struct {
-	src traffic.Source
+	src *traffic.Model
 	now float64
 }
 
@@ -181,13 +166,7 @@ func (c *cumStream) Next() float64 {
 }
 
 func (c *cumStream) NextBatch(dst []float64) {
-	if b, ok := c.src.(traffic.BatchSource); ok {
-		b.NextBatch(dst)
-	} else {
-		for i := range dst {
-			dst[i] = c.src.Next()
-		}
-	}
+	c.src.NextBatch(dst)
 	now := c.now
 	for i := range dst {
 		now += dst[i]
@@ -370,23 +349,32 @@ func (p *replayStream) NextBatch(dst []float64) {
 
 // BenchmarkExactHop measures the exact FIFO router with Poisson cross
 // traffic at 25 cross packets per padded packet (the validate-exactnet
-// regime) in both traversal modes.
+// regime) in both traversal modes; the train sub-benchmark carries the
+// same cross load as packet trains (ablation-crossmodel's burstier
+// model), which drain through Model.NextBatch's per-gap branch.
 func BenchmarkExactHop(b *testing.B) {
-	benchPullBatch(b, func() BatchStream {
-		master := xrand.New(1)
-		p, err := traffic.NewPoisson(100, master.Split())
-		if err != nil {
-			b.Fatal(err)
+	mk := func(cross func() (traffic.Model, error)) func() BatchStream {
+		return func() BatchStream {
+			master := xrand.New(1)
+			p, err := traffic.NewPoisson(100, master.Split())
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := cross()
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Start(master.Split().Stream)
+			r, err := NewRouter(&cumStream{src: p}, m, 1e-4, 1e-3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
 		}
-		cross, err := traffic.NewPoisson(2500, master.Split())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := NewRouter(&cumStream{src: p}, cross, 1e-4, 1e-3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r
+	}
+	benchPullBatch(b, mk(func() (traffic.Model, error) { return traffic.PoissonModel(2500) }))
+	b.Run("train", func(b *testing.B) {
+		benchPullBatch(b, mk(func() (traffic.Model, error) { return traffic.TrainModel(2500, 5, 1e-5) }))
 	})
 }
 

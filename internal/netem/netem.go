@@ -388,27 +388,26 @@ func (r *FastRouter) NextBatch(dst []float64) {
 // crossover arrival process share one output link; every packet takes one
 // deterministic service time. Departures follow the Lindley recursion.
 type Router struct {
-	upstream   feed
-	cross      traffic.Source
-	crossBatch traffic.BatchSource // cross, when it batches
-	service    float64
-	prop       float64
-	free       float64 // time the server becomes free
-	nextCross  float64
-	started    bool
+	upstream  feed
+	cross     traffic.Model
+	service   float64
+	prop      float64
+	free      float64 // time the server becomes free
+	nextCross float64 // absolute time of the next cross arrival
 	// crossBuf[crossIdx:] holds cross-arrival gaps pre-drawn a slab at a
-	// time from a batching cross source, consumed in draw order, so the
-	// output is bit-identical to drawing one gap per cross packet; only
-	// the cross RNG's read-ahead differs, which nothing observes (routers
-	// are not checkpointable).
+	// time through the cross Model's NextBatch, consumed in draw order,
+	// so the output is bit-identical to drawing one gap per cross packet;
+	// only the cross stream's read-ahead differs, which nothing observes
+	// (routers are not checkpointable).
 	crossBuf []float64
 	crossIdx int
 	one      [1]float64
 }
 
-// NewRouter creates an exact router. cross may be nil for a dedicated
-// (zero cross traffic) link.
-func NewRouter(upstream TimeStream, cross traffic.Source, service, prop float64) (*Router, error) {
+// NewRouter creates an exact router whose cross traffic is the started
+// Model cross, drawing its first arrival. The zero Model is a dedicated
+// link: it never fires and draws nothing.
+func NewRouter(upstream TimeStream, cross traffic.Model, service, prop float64) (*Router, error) {
 	if upstream == nil {
 		return nil, errors.New("netem: nil upstream")
 	}
@@ -418,8 +417,8 @@ func NewRouter(upstream TimeStream, cross traffic.Source, service, prop float64)
 	if prop < 0 {
 		return nil, errors.New("netem: negative propagation delay")
 	}
-	r := &Router{upstream: newFeed(upstream), cross: cross, service: service, prop: prop, nextCross: math.Inf(1)}
-	r.crossBatch, _ = cross.(traffic.BatchSource)
+	r := &Router{upstream: newFeed(upstream), cross: cross, service: service, prop: prop}
+	r.nextCross = r.cross.Next()
 	return r, nil
 }
 
@@ -434,17 +433,11 @@ func (r *Router) Next() float64 {
 // recursion over the batched upstream slab and serving every crossover
 // packet that arrived strictly before each padded packet in FIFO order.
 // The exact queue serves many cross packets per padded packet, so the
-// cross gaps are the hottest draw in the simulator; a batching cross
-// source is drained through crossBuf a slab at a time.
+// cross gaps are the hottest draw in the simulator; they are drained
+// through crossBuf a slab at a time.
 func (r *Router) NextBatch(dst []float64) {
 	if len(dst) == 0 {
 		return
-	}
-	if !r.started {
-		r.started = true
-		if r.cross != nil {
-			r.nextCross = r.cross.Next()
-		}
 	}
 	r.upstream.fill(dst)
 	service, prop := r.service, r.prop
@@ -456,19 +449,15 @@ func (r *Router) NextBatch(dst []float64) {
 				free = nextCross
 			}
 			free += service
-			if idx < len(buf) {
-				nextCross += buf[idx]
-				idx++
-			} else if r.crossBatch != nil {
+			if idx == len(buf) {
 				if buf == nil {
 					buf = make([]float64, slab.DefaultLen)
 				}
-				r.crossBatch.NextBatch(buf)
-				nextCross += buf[0]
-				idx = 1
-			} else {
-				nextCross += r.cross.Next()
+				r.cross.NextBatch(buf)
+				idx = 0
 			}
+			nextCross += buf[idx]
+			idx++
 		}
 		if t > free {
 			free = t

@@ -115,7 +115,7 @@ func TestExactRouterMatchesMD1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(NewSliceStream(in), cross, svc, 0)
+	r, err := NewRouter(NewSliceStream(in), *cross, svc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFastVsExactRouterDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewRouter(NewSliceStream(in), cross, svc, 0)
+	ex, err := NewRouter(NewSliceStream(in), *cross, svc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,16 @@ func TestRouterAgreesWithEventDrivenSim(t *testing.T) {
 	in := periodicTimes(n, 10e-3)
 	horizon := in[n-1] + 1
 
-	// Pre-generate one shared cross arrival sequence.
-	crossRng := xrand.New(5)
+	// Pre-generate the cross arrival sequence from a copy of the started
+	// Model the router gets: the copy replays the router's cross stream.
+	cross, err := traffic.PoissonModel(rho / svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross.Start(xrand.NewStream(5))
+	replay := cross
 	var crossTimes []float64
-	for t0 := crossRng.Exp(svc / rho); t0 < horizon; t0 += crossRng.Exp(svc / rho) {
+	for t0 := replay.Next(); t0 < horizon; t0 += replay.Next() {
 		crossTimes = append(crossTimes, t0)
 	}
 
@@ -201,9 +207,8 @@ func TestRouterAgreesWithEventDrivenSim(t *testing.T) {
 		tagged = append(tagged, serve(it))
 	}
 
-	// Lindley router over a replayed copy of the same cross sequence.
-	replay := &sliceSource{times: crossTimes}
-	r, err := NewRouter(NewSliceStream(in), replay, svc, 0)
+	// Lindley router over the same cross sequence.
+	r, err := NewRouter(NewSliceStream(in), cross, svc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,28 +220,9 @@ func TestRouterAgreesWithEventDrivenSim(t *testing.T) {
 	}
 }
 
-// sliceSource replays absolute times as a traffic.Source (gap sequence).
-type sliceSource struct {
-	times []float64
-	i     int
-	last  float64
-}
-
-func (s *sliceSource) Next() float64 {
-	if s.i >= len(s.times) {
-		return math.Inf(1)
-	}
-	gap := s.times[s.i] - s.last
-	s.last = s.times[s.i]
-	s.i++
-	return gap
-}
-
-func (s *sliceSource) Rate() float64 { return 0 }
-
 func TestRouterNoCrossIsPureDelay(t *testing.T) {
 	in := periodicTimes(100, 10e-3)
-	r, err := NewRouter(NewSliceStream(in), nil, svc, 5e-3)
+	r, err := NewRouter(NewSliceStream(in), traffic.Model{}, svc, 5e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +380,10 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewFastRouter(up, svc, constUtil(0), 0, nil); err == nil {
 		t.Error("nil rng")
 	}
-	if _, err := NewRouter(nil, nil, svc, 0); err == nil {
+	if _, err := NewRouter(nil, traffic.Model{}, svc, 0); err == nil {
 		t.Error("router nil upstream")
 	}
-	if _, err := NewRouter(up, nil, -1, 0); err == nil {
+	if _, err := NewRouter(up, traffic.Model{}, -1, 0); err == nil {
 		t.Error("router bad service")
 	}
 	if _, err := NewQuantizer(up, 0); err == nil {
@@ -575,7 +561,7 @@ func BenchmarkExactRouterNext(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := NewRouter(NewSliceStream(in), cross, svc, 0)
+	r, err := NewRouter(NewSliceStream(in), *cross, svc, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,8 +16,8 @@
 // batching changes the call granularity, never the stream. In the
 // gateway and the network elements (gateway.Gateway.NextSlab,
 // netem.BatchStream) the batch is the only body and a single-event call
-// is a batch of one; the batching traffic sources (traffic.BatchSource)
-// are property-tested against their per-gap Next for bit equality.
+// is a batch of one; traffic.Model.NextBatch, whose kinds keep Next as
+// their body, is property-tested against Next for bit equality.
 package slab
 
 // DefaultLen is the default number of events per slab: large enough to

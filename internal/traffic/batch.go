@@ -2,51 +2,44 @@ package traffic
 
 import "math"
 
-// Batched generation (batch.go): the memoryless sources (Poisson, CBR)
-// can fill a flat slab of inter-arrival gaps in one call, hoisting the
-// per-call setup out of the loop. A NextBatch(gaps) call is exactly
-// equivalent to len(gaps) successive Next() calls: each source owns its
-// *xrand.Rand and the batch loop replays the identical per-call draws,
-// so the generated stream is bit-identical (enforced by batch_test.go).
-// Every source's Next stays its body: the gateway pulls one gap per
-// payload arrival, so Next is the hot call. Stateful sources (Model,
-// Train, Pair, Gated) do not batch; a batched consumer falls back
-// to their Next.
-
-// BatchSource is a Source that can generate a batch of gaps in one call.
-// NextBatch fills gaps entirely; it is equivalent to len(gaps) Next
-// calls.
-type BatchSource interface {
-	Source
-	NextBatch(gaps []float64)
-}
-
-// NextBatch fills gaps with i.i.d. exponential inter-arrival gaps. The
-// loop inlines rng.Exp, which the compiler does not: for mean > 0 it is
-// the same expression, and an infinite rate (mean 0) draws nothing, as
-// Exp(0) does.
-func (p *Poisson) NextBatch(gaps []float64) {
-	mean := 1 / p.rate
-	if mean == 0 {
-		clear(gaps)
-		return
-	}
-	rng := p.rng
-	for i := range gaps {
-		gaps[i] = -mean * math.Log(rng.Float64Open())
-	}
-}
-
-// NextBatch fills gaps with jittered constant-rate gaps.
-func (c *CBR) NextBatch(gaps []float64) {
-	if c.jitter == 0 {
-		for i := range gaps {
-			gaps[i] = c.interval
+// NextBatch fills gaps with the next len(gaps) gaps of m's process: it is
+// exactly len(gaps) successive Next calls, bit for bit (enforced by
+// batch_test.go). The memoryless kinds, Poisson and CBR, run inlined
+// loops that hoist the per-call setup and keep the stream in a register;
+// the Poisson loop inlines Stream.Exp, which the compiler does not: for
+// mean > 0 it is the same expression, and an infinite rate (mean 0)
+// draws nothing, as Exp(0) does. Every other kind, the zero Model included, draws through
+// Next once per gap. Next stays each kind's body: the gateway pulls one
+// gap per payload arrival, so Next is the hot call, and a batched
+// consumer (the exact router's cross traffic) gets the same gaps.
+func (m *Model) NextBatch(gaps []float64) {
+	switch m.kind {
+	case modelPoisson:
+		mean, rng := 1/m.a, m.rng
+		if mean == 0 {
+			clear(gaps)
+			return
 		}
-		return
-	}
-	interval, jitter, rng := c.interval, c.jitter, c.rng
-	for i := range gaps {
-		gaps[i] = interval + jitter*(rng.Float64()-0.5)
+		for i := range gaps {
+			gaps[i] = -mean * math.Log(rng.Float64Open())
+		}
+		m.rng = rng
+	case modelCBR:
+		interval, jitter := m.a, m.b
+		if jitter == 0 {
+			for i := range gaps {
+				gaps[i] = interval
+			}
+			return
+		}
+		rng := m.rng
+		for i := range gaps {
+			gaps[i] = interval + jitter*(rng.Float64()-0.5)
+		}
+		m.rng = rng
+	default:
+		for i := range gaps {
+			gaps[i] = m.Next()
+		}
 	}
 }

@@ -4,13 +4,14 @@
 // (paper §5.2), and the diurnal utilization profile used to model campus
 // and wide-area background load over a 24-hour capture (paper §5.3).
 //
-// Determinism contract: a Source consumes variates from the single
-// *xrand.Rand it was built with, one pull at a time, so a source is a
-// pure function of (parameters, rng) and composes freely — Pair merges
-// two sources by arrival time without extra randomness, and session
-// protocols carry source state (an on-off Model's burst phase) across
-// observation windows. Sources are streaming with O(1) state; nothing is allocated
-// per packet.
+// Determinism contract: a Model consumes variates from the one
+// xrand.Stream it was started on and holds by value, one pull at a
+// time, so a source is a pure function of (parameters, stream) and
+// composes freely — Pair merges two sources by arrival time without
+// extra randomness, and session protocols carry source state (an on-off
+// Model's burst phase) across observation windows. A copy of a started
+// Model replays the original's gaps from the point of the copy. Sources
+// are streaming with O(1) state; nothing is allocated per packet.
 package traffic
 
 import (
@@ -28,7 +29,7 @@ import (
 // state (burst phase, clock phase, train position) across consecutive
 // observation windows. The continuous-stream session protocol relies on
 // this; the i.i.d.-replica protocol instead builds a fresh Source per
-// window, which restarts modulated processes (on-off, Train) in their
+// window, which restarts modulated processes (on-off, train) in their
 // initial state.
 type Source interface {
 	// Next returns the gap, in seconds, until the next arrival.
@@ -37,109 +38,31 @@ type Source interface {
 	Rate() float64
 }
 
-// Poisson is a Poisson arrival process: exponential i.i.d. gaps.
-// This is the default payload model — user traffic with memoryless
-// arrivals at one of the paper's discrete rates.
-type Poisson struct {
-	rate float64
-	rng  *xrand.Rand
-}
-
-// NewPoisson creates a Poisson source with the given rate (> 0) in
-// packets/second.
-func NewPoisson(rate float64, rng *xrand.Rand) (*Poisson, error) {
-	if err := checkPoisson(rate); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, errors.New("traffic: nil rng")
-	}
-	return &Poisson{rate: rate, rng: rng}, nil
-}
-
-// checkPoisson validates a Poisson rate.
-func checkPoisson(rate float64) error {
-	if !(rate > 0) {
-		return errors.New("traffic: Poisson rate must be positive")
-	}
-	return nil
-}
-
-// Next returns an exponential gap with mean 1/rate.
-func (p *Poisson) Next() float64 { return p.rng.Exp(1 / p.rate) }
-
-// Rate returns the configured rate.
-func (p *Poisson) Rate() float64 { return p.rate }
-
-// CBR is a constant-bit-rate source: deterministic gaps of 1/rate,
-// optionally perturbed by a small uniform jitter (±Jitter/2) to model a
-// sender clock that is not phase-locked to the gateway timer.
-type CBR struct {
-	interval float64
-	jitter   float64
-	rng      *xrand.Rand
-}
-
-// NewCBR creates a CBR source with the given rate (> 0) and jitter
-// half-range >= 0. A nil rng is allowed when jitter is zero.
-func NewCBR(rate, jitter float64, rng *xrand.Rand) (*CBR, error) {
-	if err := checkCBR(rate, jitter); err != nil {
-		return nil, err
-	}
-	if jitter > 0 && rng == nil {
-		return nil, errors.New("traffic: nil rng with non-zero jitter")
-	}
-	return &CBR{interval: 1 / rate, jitter: jitter, rng: rng}, nil
-}
-
-// checkCBR validates a CBR rate and jitter.
-func checkCBR(rate, jitter float64) error {
-	if !(rate > 0) {
-		return errors.New("traffic: CBR rate must be positive")
-	}
-	if jitter < 0 {
-		return errors.New("traffic: CBR jitter must be non-negative")
-	}
-	if jitter >= 1/rate {
-		return errors.New("traffic: CBR jitter must be smaller than the interval")
-	}
-	return nil
-}
-
-// Next returns the next gap.
-func (c *CBR) Next() float64 {
-	if c.jitter == 0 {
-		return c.interval
-	}
-	return c.interval + c.jitter*(c.rng.Float64()-0.5)
-}
-
-// Rate returns the configured rate.
-func (c *CBR) Rate() float64 { return 1 / c.interval }
-
-// Model is a closed, tagged arrival process held by value: a Poisson,
-// CBR or on-off source with its one-word xrand.Stream inline. An array
-// of Models holds no pointers, so the garbage collector never scans it;
-// a warm population user holds its payload and cover as Models. The zero
-// Model is no source at all: it never fires (Next is +Inf, drawing
-// nothing) and its Rate is 0, so it stands for an absent cover.
-//
-// The on-off process exists only as a Model: a two-state
-// Markov-modulated Poisson process, Poisson arrivals at the peak rate
-// during ON periods and silence during OFF periods, with exponential
-// state holding times. It models bursty interactive payload, the worst
-// case for "adaptive" padding schemes discussed in the paper's related
-// work (Timmerman 1997). The Poisson and CBR kinds draw exactly what a
-// Poisson or CBR built on the same stream draws.
+// Model is the closed, tagged arrival process of the study, held by
+// value with its one-word xrand.Stream inline: an array of Models holds
+// no pointers, so the garbage collector never scans it. A warm
+// population user holds its payload and cover as Models, and an exact
+// router its cross traffic. The kinds are Poisson (exponential i.i.d.
+// gaps: the default payload and the lab's cross-traffic generator), CBR
+// (gaps of 1/rate, optionally perturbed by a uniform ±jitter/2: a sender
+// clock not phase-locked to the gateway timer), on-off (a two-state
+// Markov-modulated Poisson process with exponential holding times:
+// bursty interactive payload, the worst case for the "adaptive" padding
+// of Timmerman 1997) and train (Poisson train starts, each train a
+// geometric number of packets a fixed intra-train gap apart: the
+// burstier cross-traffic ablation). The zero Model is no source at all:
+// it never fires (Next is +Inf, drawing nothing) and its Rate is 0, so
+// it stands for an absent cover or a dedicated link.
 type Model struct {
 	rng xrand.Stream
-	// a is the Poisson rate, the CBR interval or the on-off peak rate;
-	// b is the CBR jitter or the on-off mean ON time; c is the on-off
-	// mean OFF time.
+	// a is the Poisson rate, the CBR interval, the on-off peak rate or
+	// the train start rate; b is the CBR jitter, the on-off mean ON time
+	// or the probability that another packet follows in a train; c is
+	// the on-off mean OFF time or the intra-train gap.
 	a, b, c float64
 	left    float64 // on-off: time remaining in the current state
 	kind    modelKind
-	on      bool // on-off: in an ON period
+	on      bool // on-off: in an ON period; train: inside a train
 }
 
 // modelKind tags a Model's process; the zero kind is no source.
@@ -150,22 +73,42 @@ const (
 	modelPoisson
 	modelCBR
 	modelOnOff
+	modelTrain
 )
 
-// PoissonModel validates a Poisson source at rate as a Model; Start
-// starts it on a stream.
+// NewPoisson returns a Poisson source at rate, started on a copy of
+// rng's stream: the Model draws what rng would draw, and rng itself does
+// not advance.
+func NewPoisson(rate float64, rng *xrand.Rand) (*Model, error) {
+	if rng == nil {
+		return nil, errors.New("traffic: nil rng")
+	}
+	m, err := PoissonModel(rate)
+	if err != nil {
+		return nil, err
+	}
+	m.Start(rng.Stream)
+	return &m, nil
+}
+
+// PoissonModel validates a Poisson source at rate (positive) as a
+// Model; Start starts it on a stream.
 func PoissonModel(rate float64) (Model, error) {
-	if err := checkPoisson(rate); err != nil {
+	if err := positive("Poisson rate", rate); err != nil {
 		return Model{}, err
 	}
 	return Model{a: rate, kind: modelPoisson}, nil
 }
 
-// CBRModel validates a CBR source at rate with jitter as a Model; Start
-// starts it on a stream.
+// CBRModel validates a CBR source at rate (positive) with jitter
+// (non-negative and below the interval 1/rate) as a Model; Start starts
+// it on a stream.
 func CBRModel(rate, jitter float64) (Model, error) {
-	if err := checkCBR(rate, jitter); err != nil {
+	if err := positive("CBR rate", rate); err != nil {
 		return Model{}, err
+	}
+	if jitter < 0 || jitter >= 1/rate {
+		return Model{}, fmt.Errorf("traffic: CBR jitter %v must be in [0, %v), the interval", jitter, 1/rate)
 	}
 	return Model{a: 1 / rate, b: jitter, kind: modelCBR}, nil
 }
@@ -173,20 +116,44 @@ func CBRModel(rate, jitter float64) (Model, error) {
 // OnOffModel validates an on-off source as a Model: peakRate, meanOn and
 // meanOff must be positive. Start starts it on a stream.
 func OnOffModel(peakRate, meanOn, meanOff float64) (Model, error) {
-	if !(peakRate > 0) || !(meanOn > 0) || !(meanOff > 0) {
-		return Model{}, errors.New("traffic: OnOff parameters must be positive")
+	if err := errors.Join(positive("OnOff peak rate", peakRate), positive("OnOff mean ON time", meanOn),
+		positive("OnOff mean OFF time", meanOff)); err != nil {
+		return Model{}, err
 	}
 	return Model{a: peakRate, b: meanOn, c: meanOff, kind: modelOnOff}, nil
 }
 
+// TrainModel validates a packet-train source as a Model. rate is the
+// packet rate (positive); trains start at rate/meanLen, carry meanLen
+// packets on average (at least 1) and space their packets intraGap apart
+// (non-negative). Start starts it on a stream.
+func TrainModel(rate, meanLen, intraGap float64) (Model, error) {
+	if err := positive("Train rate", rate); err != nil {
+		return Model{}, err
+	}
+	if meanLen < 1 || intraGap < 0 {
+		return Model{}, errors.New("traffic: invalid Train parameters")
+	}
+	return Model{a: rate / meanLen, b: 1 - 1/meanLen, c: intraGap, kind: modelTrain}, nil
+}
+
+// positive refuses a parameter that is not positive, naming it.
+func positive(name string, v float64) error {
+	if !(v > 0) {
+		return fmt.Errorf("traffic: %s %v must be positive", name, v)
+	}
+	return nil
+}
+
 // Start starts m on the stream rng, in place: every draw comes from
-// rng, and an on-off source begins in an ON period, drawing its first
-// holding time. A validated Model is a template; each user or flow
-// starts a copy on its own stream. Starting the copy where it lives,
-// rather than returning a started copy, keeps the stream's fresh stores
-// from being reloaded by a wider copy, which stalls store forwarding.
+// rng, a train source begins outside a train, and an on-off source
+// begins in an ON period, drawing its first holding time. A validated
+// Model is a template; each user, flow or router starts a copy on its
+// own stream. Starting the copy where it lives, rather than returning a
+// started copy, keeps the stream's fresh stores from being reloaded by a
+// wider copy, which stalls store forwarding.
 func (m *Model) Start(rng xrand.Stream) {
-	m.rng = rng
+	m.rng, m.on = rng, false
 	if m.kind == modelOnOff {
 		m.on, m.left = true, m.rng.Exp(m.b)
 	}
@@ -204,6 +171,14 @@ func (m *Model) Next() float64 {
 		return m.a + m.b*(m.rng.Float64()-0.5)
 	case modelOnOff:
 		return m.nextOnOff()
+	case modelTrain:
+		// Another packet of the current train follows with probability
+		// b; otherwise the next train starts an exponential gap later.
+		if m.on && m.rng.Bernoulli(m.b) {
+			return m.c
+		}
+		m.on = true
+		return m.rng.Exp(1 / m.a)
 	}
 	return math.Inf(1)
 }
@@ -230,8 +205,9 @@ func (m *Model) nextOnOff() float64 {
 	}
 }
 
-// Rate returns the long-run average rate; an on-off source's is
-// peakRate * meanOn/(meanOn+meanOff).
+// Rate returns the long-run average rate: an on-off source's is
+// peakRate * meanOn/(meanOn+meanOff), and a train source's is its packet
+// rate, ignoring the vanishing intra-gap contribution.
 func (m *Model) Rate() float64 {
 	switch m.kind {
 	case modelPoisson:
@@ -240,55 +216,14 @@ func (m *Model) Rate() float64 {
 		return 1 / m.a
 	case modelOnOff:
 		return m.a * m.b / (m.b + m.c)
+	case modelTrain:
+		return m.a / (1 - m.b)
 	}
 	return 0
 }
 
 // None reports whether m is the zero Model, no source at all.
 func (m *Model) None() bool { return m.kind == modelNone }
-
-// Train is a batch-Poisson ("packet train") process: train starts arrive
-// as a Poisson process; each train carries a geometrically distributed
-// number of packets (mean TrainLen >= 1) separated by a short fixed
-// intra-train gap. Used as a burstier cross-traffic ablation.
-type Train struct {
-	trainRate float64 // trains per second
-	pContinue float64 // P(another packet follows) = 1 - 1/meanLen
-	intraGap  float64
-	rng       *xrand.Rand
-	inTrain   bool
-}
-
-// NewTrain creates a packet-train source. rate is the *packet* rate; the
-// train arrival rate is rate/meanLen.
-func NewTrain(rate, meanLen, intraGap float64, rng *xrand.Rand) (*Train, error) {
-	if !(rate > 0) || meanLen < 1 || intraGap < 0 {
-		return nil, errors.New("traffic: invalid Train parameters")
-	}
-	if rng == nil {
-		return nil, errors.New("traffic: nil rng")
-	}
-	return &Train{
-		trainRate: rate / meanLen,
-		pContinue: 1 - 1/meanLen,
-		intraGap:  intraGap,
-		rng:       rng,
-	}, nil
-}
-
-// Next returns the next gap, alternating between intra-train gaps and
-// exponential inter-train gaps.
-func (t *Train) Next() float64 {
-	if t.inTrain && t.rng.Bernoulli(t.pContinue) {
-		return t.intraGap
-	}
-	t.inTrain = true
-	return t.rng.Exp(1 / t.trainRate)
-}
-
-// Rate returns the long-run packet rate, ignoring the vanishing intra-gap
-// contribution.
-func (t *Train) Rate() float64 { return t.trainRate / (1 - t.pContinue) }
 
 // Pair merges two arrival processes into one: the output stream holds
 // both sources' arrivals in time order, as if they shared one wire. It

@@ -60,10 +60,7 @@ func TestPoissonValidation(t *testing.T) {
 }
 
 func TestCBRDeterministic(t *testing.T) {
-	s, err := NewCBR(40, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStart(t, 0)(CBRModel(40, 0))
 	for i := 0; i < 100; i++ {
 		if g := s.Next(); g != 0.025 {
 			t.Fatalf("gap = %v, want 0.025", g)
@@ -72,10 +69,7 @@ func TestCBRDeterministic(t *testing.T) {
 }
 
 func TestCBRJitterBounds(t *testing.T) {
-	s, err := NewCBR(40, 1e-3, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStart(t, 3)(CBRModel(40, 1e-3))
 	for i := 0; i < 10000; i++ {
 		g := s.Next()
 		if g < 0.025-5e-4 || g > 0.025+5e-4 {
@@ -88,17 +82,14 @@ func TestCBRJitterBounds(t *testing.T) {
 }
 
 func TestCBRValidation(t *testing.T) {
-	if _, err := NewCBR(0, 0, nil); err == nil {
+	if _, err := CBRModel(0, 0); err == nil {
 		t.Error("want error for zero rate")
 	}
-	if _, err := NewCBR(40, -1, nil); err == nil {
+	if _, err := CBRModel(40, -1); err == nil {
 		t.Error("want error for negative jitter")
 	}
-	if _, err := NewCBR(40, 0.05, xrand.New(1)); err == nil {
+	if _, err := CBRModel(40, 0.05); err == nil {
 		t.Error("want error for jitter >= interval")
-	}
-	if _, err := NewCBR(40, 1e-3, nil); err == nil {
-		t.Error("want error for nil rng with jitter")
 	}
 }
 
@@ -150,34 +141,51 @@ func onOff(t testing.TB, peak, meanOn, meanOff float64, seed uint64) *Model {
 	return &m
 }
 
-// TestModelMatchesPointerSources: a Poisson or CBR Model draws, gap for
-// gap and bit for bit, what the pointer-held source of the same
-// parameters draws on an identically seeded stream, and reports its
-// rate; the zero Model never fires and has rate 0.
-func TestModelMatchesPointerSources(t *testing.T) {
-	ps, _ := NewPoisson(40, xrand.New(3))
-	pm, err := PoissonModel(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm.Start(xrand.NewStream(3))
-	cs, _ := NewCBR(40, 1e-3, xrand.New(4))
-	cm, err := CBRModel(40, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm.Start(xrand.NewStream(4))
-	for _, c := range []struct {
-		name string
-		src  Source
-		m    *Model
-	}{{"poisson", ps, &pm}, {"cbr", cs, &cm}} {
-		if c.m.Rate() != c.src.Rate() {
-			t.Errorf("%s: Model rate %v, source %v", c.name, c.m.Rate(), c.src.Rate())
+// mustStart returns a function that fails t on a constructor's error
+// and otherwise returns the Model started on stream seed.
+func mustStart(t testing.TB, seed uint64) func(Model, error) *Model {
+	return func(m Model, err error) *Model {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.Start(xrand.NewStream(seed))
+		return &m
+	}
+}
+
+// TestModelDrawsFromItsStream: each kind draws, gap for gap and bit for
+// bit, the variates its law names from the stream it was started on —
+// an exponential for Poisson, a centred uniform for jittered CBR, and
+// for a train a Bernoulli continuation and an exponential train start —
+// and reports its rate; the zero Model never fires and has rate 0.
+func TestModelDrawsFromItsStream(t *testing.T) {
+	cases := []struct {
+		name string
+		m    *Model
+		rate float64
+		want func(s *xrand.Stream, i int) float64
+	}{
+		{"poisson", mustStart(t, 3)(PoissonModel(40)), 40,
+			func(s *xrand.Stream, _ int) float64 { return s.Exp(1 / 40.0) }},
+		{"cbr", mustStart(t, 4)(CBRModel(40, 1e-3)), 40,
+			func(s *xrand.Stream, _ int) float64 { return 1/40.0 + 1e-3*(s.Float64()-0.5) }},
+		{"train", mustStart(t, 5)(TrainModel(1000, 5, 1e-5)), 1000,
+			func(s *xrand.Stream, i int) float64 {
+				if i > 0 && s.Bernoulli(1-1/5.0) {
+					return 1e-5
+				}
+				return s.Exp(1 / (1000 / 5.0))
+			}},
+	}
+	for k, c := range cases {
+		if math.Abs(c.m.Rate()-c.rate) > 1e-9*c.rate {
+			t.Errorf("%s: rate %v, want %v", c.name, c.m.Rate(), c.rate)
+		}
+		twin := xrand.NewStream(uint64(3 + k))
 		for i := 0; i < 10_000; i++ {
-			if got, want := c.m.Next(), c.src.Next(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s gap %d: Model %v, source %v", c.name, i, got, want)
+			if got, want := c.m.Next(), c.want(&twin, i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s gap %d: Model %v, stream %v", c.name, i, got, want)
 			}
 		}
 	}
@@ -194,10 +202,7 @@ func TestModelMatchesPointerSources(t *testing.T) {
 }
 
 func TestTrainRateAndBurstiness(t *testing.T) {
-	s, err := NewTrain(1000, 5, 10e-6, xrand.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStart(t, 6)(TrainModel(1000, 5, 10e-6))
 	if math.Abs(s.Rate()-1000) > 1e-9 {
 		t.Errorf("Rate() = %v", s.Rate())
 	}
@@ -216,14 +221,14 @@ func TestTrainRateAndBurstiness(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := NewTrain(0, 5, 1e-6, xrand.New(1)); err == nil {
+	if _, err := TrainModel(0, 5, 1e-6); err == nil {
 		t.Error("want error for zero rate")
 	}
-	if _, err := NewTrain(100, 0.5, 1e-6, xrand.New(1)); err == nil {
+	if _, err := TrainModel(100, 0.5, 1e-6); err == nil {
 		t.Error("want error for meanLen < 1")
 	}
-	if _, err := NewTrain(100, 5, 1e-6, nil); err == nil {
-		t.Error("want error for nil rng")
+	if _, err := TrainModel(100, 5, -1e-6); err == nil {
+		t.Error("want error for a negative intra-train gap")
 	}
 }
 
@@ -239,10 +244,11 @@ func TestAllGapsNonNegative(t *testing.T) {
 			return false
 		}
 		oo.Start(r.Split().Stream)
-		tr, err := NewTrain(500, 4, 5e-6, r.Split())
+		tr, err := TrainModel(500, 4, 5e-6)
 		if err != nil {
 			return false
 		}
+		tr.Start(r.Split().Stream)
 		for i := 0; i < 200; i++ {
 			if ps.Next() < 0 || oo.Next() < 0 || tr.Next() < 0 {
 				return false
@@ -399,14 +405,8 @@ func TestOnOffStateCarriesAcrossWindows(t *testing.T) {
 // order, with correct origin labels.
 func TestSuperposeMergesComponents(t *testing.T) {
 	// Two deterministic CBR sources with incommensurate intervals.
-	a, err := NewCBR(10, 0, nil) // every 100 ms
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCBR(3, 0, nil) // every 333.3 ms
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustStart(t, 0)(CBRModel(10, 0)) // every 100 ms
+	b := mustStart(t, 0)(CBRModel(3, 0))  // every 333.3 ms
 	s := NewPair(*a, *b)
 	if got, want := s.Rate(), 13.0; got != want {
 		t.Errorf("Rate = %v, want %v", got, want)
@@ -437,7 +437,7 @@ func TestSuperposeMergesComponents(t *testing.T) {
 // A Pair of Poisson streams is a pure function of its sources: two
 // merges built from the same seeds emit the same stream.
 func TestSuperposeContinuesDeterministically(t *testing.T) {
-	build := func() Pair[Poisson, Poisson, *Poisson, *Poisson] {
+	build := func() Pair[Model, Model, *Model, *Model] {
 		a, _ := NewPoisson(20, xrand.New(5))
 		b, _ := NewPoisson(7, xrand.New(6))
 		return NewPair(*a, *b)
@@ -477,14 +477,8 @@ func TestSuperposePairAllocs(t *testing.T) {
 // together every time, and the payload, the first source, must win each
 // tie; the cover follows at a gap of exactly zero.
 func TestPairTieGoesToFirst(t *testing.T) {
-	payload, err := NewCBR(7, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cover, err := NewCBR(7, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := mustStart(t, 0)(CBRModel(7, 0))
+	cover := mustStart(t, 0)(CBRModel(7, 0))
 	p := NewPair(*payload, *cover)
 	for i := 0; i < 10_000; i++ {
 		gap, second := p.NextFrom()
