@@ -154,8 +154,26 @@ func DefaultLabConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// finite refuses a NaN or infinite field, naming it.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("core: %s is %v; want a finite value", name, v)
+	}
+	return nil
+}
+
+// Validate checks the configuration. Every float field must be finite:
+// an infinite rate or period would never let the gateway's clock
+// advance.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Tau", c.Tau}, {"SigmaT", c.SigmaT}, {"StartHour", c.StartHour}, {"TapResolution", c.TapResolution}} {
+		if err := finite(f.name, f.v); err != nil {
+			return err
+		}
+	}
 	if !(c.Tau > 0) {
 		return errors.New("core: Tau must be positive")
 	}
@@ -165,6 +183,9 @@ func (c Config) Validate() error {
 	if c.Adaptive != nil {
 		if c.SigmaT > 0 {
 			return errors.New("core: Adaptive and SigmaT are mutually exclusive")
+		}
+		if err := finite("Adaptive.IdleFactor", c.Adaptive.IdleFactor); err != nil {
+			return err
 		}
 		if !(c.Adaptive.IdleFactor > 1) {
 			return errors.New("core: Adaptive.IdleFactor must exceed 1")
@@ -189,6 +210,9 @@ func (c Config) Validate() error {
 	}
 	seen := map[string]bool{}
 	for i, r := range c.Rates {
+		if err := finite(fmt.Sprintf("Rates[%d].PPS", i), r.PPS); err != nil {
+			return err
+		}
 		if !(r.PPS > 0) {
 			return fmt.Errorf("core: rate %d has non-positive PPS", i)
 		}
@@ -201,6 +225,12 @@ func (c Config) Validate() error {
 		seen[r.Label] = true
 	}
 	for i, h := range c.Hops {
+		if err := finite(fmt.Sprintf("Hops[%d].CapacityBps", i), h.CapacityBps); err != nil {
+			return err
+		}
+		if err := finite(fmt.Sprintf("Hops[%d].PropDelay", i), h.PropDelay); err != nil {
+			return err
+		}
 		if !(h.CapacityBps > 0) || h.PacketBytes <= 0 {
 			return fmt.Errorf("core: hop %d: invalid link parameters", i)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"linkpad/internal/analytic"
@@ -69,6 +70,53 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultLabConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// TestConfigRejectsNonFinite: NewSystem refuses every NaN or infinite
+// float a spec can carry, with an error naming the field. An infinite
+// rate or period would keep the gateway's admission loop from ever
+// exiting.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	hop := func(mutate func(*HopSpec)) func(*Config) {
+		return func(c *Config) {
+			h := HopSpec{CapacityBps: 100e6, PacketBytes: 200, Util: traffic.Constant(0.3)}
+			mutate(&h)
+			c.Hops = []HopSpec{h}
+		}
+	}
+	cases := []struct {
+		name, field string
+		mutate      func(*Config)
+	}{
+		{"PPS +Inf", "Rates[1].PPS", func(c *Config) { c.Rates[1].PPS = inf }},
+		{"PPS NaN", "Rates[0].PPS", func(c *Config) { c.Rates[0].PPS = nan }},
+		{"Tau +Inf", "Tau", func(c *Config) { c.Tau = inf }},
+		{"SigmaT NaN", "SigmaT", func(c *Config) { c.SigmaT = nan }},
+		{"SigmaT +Inf", "SigmaT", func(c *Config) { c.SigmaT = inf }},
+		{"IdleFactor +Inf", "Adaptive.IdleFactor", func(c *Config) { c.Adaptive = &AdaptiveSpec{IdleFactor: inf, IdleAfter: 1} }},
+		{"CapacityBps +Inf", "Hops[0].CapacityBps", hop(func(h *HopSpec) { h.CapacityBps = inf })},
+		{"PropDelay NaN", "Hops[0].PropDelay", hop(func(h *HopSpec) { h.PropDelay = nan })},
+		{"PropDelay +Inf", "Hops[0].PropDelay", hop(func(h *HopSpec) { h.PropDelay = inf })},
+		{"Util.Trough NaN", "Trough", hop(func(h *HopSpec) { h.Util.Trough = nan })},
+		{"Util.Peak NaN", "Peak", hop(func(h *HopSpec) { h.Util.Peak = nan })},
+		{"Util.TroughHour NaN", "TroughHour", hop(func(h *HopSpec) { h.Util.TroughHour = nan })},
+		{"TapResolution NaN", "TapResolution", func(c *Config) { c.TapResolution = nan }},
+		{"TapResolution +Inf", "TapResolution", func(c *Config) { c.TapResolution = inf }},
+		{"StartHour NaN", "StartHour", func(c *Config) { c.StartHour = nan }},
+		{"Jitter.SigmaOS NaN", "SigmaOS", func(c *Config) { c.Jitter.SigmaOS = nan }},
+		{"Jitter.BlockMean +Inf", "BlockMean", func(c *Config) { c.Jitter.BlockMean = inf }},
+	}
+	for _, c := range cases {
+		cfg := DefaultLabConfig()
+		c.mutate(&cfg)
+		_, err := NewSystem(cfg)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ package gateway
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"linkpad/internal/obs"
@@ -145,10 +146,16 @@ func DefaultJitter() JitterModel {
 	return JitterModel{SigmaOS: 3e-6, BlockMean: 4.4e-6, BlockCap: 60e-6}
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters: each is finite and
+// non-negative (a zero BlockCap means no cap).
 func (j JitterModel) Validate() error {
-	if j.SigmaOS < 0 || j.BlockMean < 0 || j.BlockCap < 0 {
-		return errors.New("gateway: jitter parameters must be non-negative")
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"SigmaOS", j.SigmaOS}, {"BlockMean", j.BlockMean}, {"BlockCap", j.BlockCap}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("gateway: jitter %s is %v; want finite and non-negative", f.name, f.v)
+		}
 	}
 	if j.BlockMean > 0 && j.BlockCap > 0 && j.BlockCap < j.BlockMean {
 		return errors.New("gateway: blocking cap below blocking mean")

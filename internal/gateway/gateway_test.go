@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,32 @@ func TestConfigValidation(t *testing.T) {
 	bad := JitterModel{SigmaOS: -1}
 	if _, err := New(Config{Policy: c, Jitter: bad, Payload: src, RNG: xrand.New(2)}); err == nil {
 		t.Error("want error for invalid jitter")
+	}
+}
+
+// TestJitterRejectsNonFinite: a NaN or infinite jitter parameter is
+// refused with an error naming it.
+func TestJitterRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		j     JitterModel
+	}{
+		{"SigmaOS", JitterModel{SigmaOS: nan}},
+		{"SigmaOS", JitterModel{SigmaOS: inf}},
+		{"BlockMean", JitterModel{SigmaOS: 3e-6, BlockMean: nan}},
+		{"BlockMean", JitterModel{BlockMean: inf}},
+		{"BlockCap", JitterModel{BlockMean: 4e-6, BlockCap: nan}},
+		{"BlockCap", JitterModel{BlockMean: 4e-6, BlockCap: inf}},
+		{"BlockCap", JitterModel{BlockCap: math.Inf(-1)}},
+	}
+	for _, c := range cases {
+		err := c.j.Validate()
+		if err == nil {
+			t.Errorf("%+v: accepted", c.j)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: error %q does not name %s", c.j, err, c.field)
+		}
 	}
 }
 

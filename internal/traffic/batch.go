@@ -6,9 +6,9 @@ import "math"
 // exactly len(gaps) successive Next calls, bit for bit (enforced by
 // batch_test.go). The memoryless kinds, Poisson and CBR, run inlined
 // loops that hoist the per-call setup and keep the stream in a register;
-// the Poisson loop inlines Stream.Exp, which the compiler does not: for
-// mean > 0 it is the same expression, and an infinite rate (mean 0)
-// draws nothing, as Exp(0) does. Every other kind, the zero Model included, draws through
+// the Poisson loop inlines Stream.Exp, which the compiler does not, as
+// the same expression (a validated rate is finite, so the mean is
+// positive). Every other kind, the zero Model included, draws through
 // Next once per gap. Next stays each kind's body: the gateway pulls one
 // gap per payload arrival, so Next is the hot call, and a batched
 // consumer (the exact router's cross traffic) gets the same gaps.
@@ -16,10 +16,6 @@ func (m *Model) NextBatch(gaps []float64) {
 	switch m.kind {
 	case modelPoisson:
 		mean, rng := 1/m.a, m.rng
-		if mean == 0 {
-			clear(gaps)
-			return
-		}
 		for i := range gaps {
 			gaps[i] = -mean * math.Log(rng.Float64Open())
 		}

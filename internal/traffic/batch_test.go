@@ -73,28 +73,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestPoissonInfiniteRateBatch checks the one input where the batch
-// loop does not inline the exponential: an infinite rate emits zero gaps
-// and, as Next does, draws nothing from the stream.
-func TestPoissonInfiniteRateBatch(t *testing.T) {
-	tmpl, err := PoissonModel(math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := startOn(tmpl, 5)
-	gaps := []float64{1, 2, 3}
-	p.NextBatch(gaps)
-	if gaps[0] != 0 || gaps[1] != 0 || gaps[2] != 0 || math.Signbit(gaps[0]) {
-		t.Fatalf("gaps %v, want +0", gaps)
-	}
-	if g := p.Next(); g != 0 {
-		t.Fatalf("Next gap %v, want 0", g)
-	}
-	if p.rng != xrand.NewStream(5) {
-		t.Fatal("stream advanced")
-	}
-}
-
 // TestNextBatchAllocFree pins every kind at zero allocations per slab in
 // steady state.
 func TestNextBatchAllocFree(t *testing.T) {

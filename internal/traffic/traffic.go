@@ -91,8 +91,8 @@ func NewPoisson(rate float64, rng *xrand.Rand) (*Model, error) {
 	return &m, nil
 }
 
-// PoissonModel validates a Poisson source at rate (positive) as a
-// Model; Start starts it on a stream.
+// PoissonModel validates a Poisson source at rate (positive and finite)
+// as a Model; Start starts it on a stream.
 func PoissonModel(rate float64) (Model, error) {
 	if err := positive("Poisson rate", rate); err != nil {
 		return Model{}, err
@@ -100,21 +100,21 @@ func PoissonModel(rate float64) (Model, error) {
 	return Model{a: rate, kind: modelPoisson}, nil
 }
 
-// CBRModel validates a CBR source at rate (positive) with jitter
-// (non-negative and below the interval 1/rate) as a Model; Start starts
-// it on a stream.
+// CBRModel validates a CBR source at rate (positive and finite) with
+// jitter (non-negative and below the interval 1/rate) as a Model; Start
+// starts it on a stream.
 func CBRModel(rate, jitter float64) (Model, error) {
 	if err := positive("CBR rate", rate); err != nil {
 		return Model{}, err
 	}
-	if jitter < 0 || jitter >= 1/rate {
+	if !(jitter >= 0) || !(jitter < 1/rate) {
 		return Model{}, fmt.Errorf("traffic: CBR jitter %v must be in [0, %v), the interval", jitter, 1/rate)
 	}
 	return Model{a: 1 / rate, b: jitter, kind: modelCBR}, nil
 }
 
 // OnOffModel validates an on-off source as a Model: peakRate, meanOn and
-// meanOff must be positive. Start starts it on a stream.
+// meanOff must be positive and finite. Start starts it on a stream.
 func OnOffModel(peakRate, meanOn, meanOff float64) (Model, error) {
 	if err := errors.Join(positive("OnOff peak rate", peakRate), positive("OnOff mean ON time", meanOn),
 		positive("OnOff mean OFF time", meanOff)); err != nil {
@@ -124,23 +124,29 @@ func OnOffModel(peakRate, meanOn, meanOff float64) (Model, error) {
 }
 
 // TrainModel validates a packet-train source as a Model. rate is the
-// packet rate (positive); trains start at rate/meanLen, carry meanLen
-// packets on average (at least 1) and space their packets intraGap apart
-// (non-negative). Start starts it on a stream.
+// packet rate (positive and finite); trains start at rate/meanLen, carry
+// meanLen packets on average (finite and at least 1, and short enough
+// that a train ends) and space their packets intraGap apart (finite and
+// non-negative). Start starts it on a stream.
 func TrainModel(rate, meanLen, intraGap float64) (Model, error) {
 	if err := positive("Train rate", rate); err != nil {
 		return Model{}, err
 	}
-	if meanLen < 1 || intraGap < 0 {
-		return Model{}, errors.New("traffic: invalid Train parameters")
+	pContinue := 1 - 1/meanLen
+	if !(meanLen >= 1) || !(pContinue < 1) {
+		return Model{}, fmt.Errorf("traffic: Train mean length %v must be finite and at least 1", meanLen)
 	}
-	return Model{a: rate / meanLen, b: 1 - 1/meanLen, c: intraGap, kind: modelTrain}, nil
+	if !(intraGap >= 0) || math.IsInf(intraGap, 1) {
+		return Model{}, fmt.Errorf("traffic: Train intra-train gap %v must be finite and non-negative", intraGap)
+	}
+	return Model{a: rate / meanLen, b: pContinue, c: intraGap, kind: modelTrain}, nil
 }
 
-// positive refuses a parameter that is not positive, naming it.
+// positive refuses a parameter that is not positive and finite, naming
+// it.
 func positive(name string, v float64) error {
-	if !(v > 0) {
-		return fmt.Errorf("traffic: %s %v must be positive", name, v)
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("traffic: %s %v must be positive and finite", name, v)
 	}
 	return nil
 }
@@ -322,11 +328,12 @@ type Diurnal struct {
 
 // Validate checks the profile parameters.
 func (d Diurnal) Validate() error {
-	if d.Trough < 0 || d.Peak < d.Trough || d.Peak >= 1 {
-		return fmt.Errorf("traffic: invalid diurnal range [%v, %v]", d.Trough, d.Peak)
+	// Every comparison is written to fail on NaN.
+	if !(d.Trough >= 0) || !(d.Peak >= d.Trough) || !(d.Peak < 1) {
+		return fmt.Errorf("traffic: invalid diurnal range [Trough %v, Peak %v], want 0 <= Trough <= Peak < 1", d.Trough, d.Peak)
 	}
-	if d.TroughHour < 0 || d.TroughHour >= 24 {
-		return fmt.Errorf("traffic: trough hour %v out of [0,24)", d.TroughHour)
+	if !(d.TroughHour >= 0 && d.TroughHour < 24) {
+		return fmt.Errorf("traffic: TroughHour %v out of [0,24)", d.TroughHour)
 	}
 	return nil
 }

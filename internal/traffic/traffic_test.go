@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,50 @@ func TestModelDrawsFromItsStream(t *testing.T) {
 	}
 }
 
+// TestModelRejectsNonFinite: every constructor refuses a NaN or infinite
+// parameter with an error naming it. An infinite rate would emit gaps of
+// zero forever and never let a consumer's clock advance.
+func TestModelRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, field string
+		build       func() (Model, error)
+	}{
+		{"poisson rate +Inf", "Poisson rate", func() (Model, error) { return PoissonModel(inf) }},
+		{"poisson rate NaN", "Poisson rate", func() (Model, error) { return PoissonModel(nan) }},
+		{"cbr rate +Inf", "CBR rate", func() (Model, error) { return CBRModel(inf, 0) }},
+		{"cbr rate NaN", "CBR rate", func() (Model, error) { return CBRModel(nan, 0) }},
+		{"cbr jitter NaN", "CBR jitter", func() (Model, error) { return CBRModel(40, nan) }},
+		{"cbr jitter +Inf", "CBR jitter", func() (Model, error) { return CBRModel(40, inf) }},
+		{"onoff peak +Inf", "OnOff peak rate", func() (Model, error) { return OnOffModel(inf, 1, 1) }},
+		{"onoff on NaN", "OnOff mean ON time", func() (Model, error) { return OnOffModel(10, nan, 1) }},
+		{"onoff off +Inf", "OnOff mean OFF time", func() (Model, error) { return OnOffModel(10, 1, inf) }},
+		{"train rate +Inf", "Train rate", func() (Model, error) { return TrainModel(inf, 5, 1e-6) }},
+		{"train rate NaN", "Train rate", func() (Model, error) { return TrainModel(nan, 5, 1e-6) }},
+		{"train length NaN", "Train mean length", func() (Model, error) { return TrainModel(100, nan, 1e-6) }},
+		{"train length +Inf", "Train mean length", func() (Model, error) { return TrainModel(100, inf, 0) }},
+		// A finite length so long that a train never ends in float64.
+		{"train length 1e300", "Train mean length", func() (Model, error) { return TrainModel(100, 1e300, 0) }},
+		{"train gap NaN", "Train intra-train gap", func() (Model, error) { return TrainModel(100, 5, nan) }},
+		{"train gap +Inf", "Train intra-train gap", func() (Model, error) { return TrainModel(100, 5, inf) }},
+		{"NewPoisson +Inf", "Poisson rate", func() (Model, error) {
+			m, err := NewPoisson(inf, xrand.New(1))
+			if m == nil {
+				return Model{}, err
+			}
+			return *m, err
+		}},
+	}
+	for _, c := range cases {
+		_, err := c.build()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
+		}
+	}
+}
+
 func TestTrainRateAndBurstiness(t *testing.T) {
 	s := mustStart(t, 6)(TrainModel(1000, 5, 10e-6))
 	if math.Abs(s.Rate()-1000) > 1e-9 {
@@ -307,6 +352,13 @@ func TestDiurnalValidate(t *testing.T) {
 		{Trough: 0.3, Peak: 0.2},
 		{Trough: 0.3, Peak: 1.0},
 		{Trough: 0.1, Peak: 0.2, TroughHour: 24},
+		// Non-finite fields, which no ordered comparison rejects.
+		{Trough: math.NaN(), Peak: 0.2},
+		{Trough: 0.1, Peak: math.NaN()},
+		{Trough: math.NaN(), Peak: math.NaN()},
+		{Trough: math.Inf(-1), Peak: 0.2},
+		{Trough: 0.1, Peak: 0.2, TroughHour: math.NaN()},
+		{Trough: 0.1, Peak: 0.2, TroughHour: math.Inf(1)},
 	}
 	for _, d := range bad {
 		if err := d.Validate(); err == nil {
