@@ -107,6 +107,7 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		{"StartHour NaN", "StartHour", func(c *Config) { c.StartHour = nan }},
 		{"Jitter.SigmaOS NaN", "SigmaOS", func(c *Config) { c.Jitter.SigmaOS = nan }},
 		{"Jitter.BlockMean +Inf", "BlockMean", func(c *Config) { c.Jitter.BlockMean = inf }},
+		{"PathImpair.LossProb NaN", "PathImpair", func(c *Config) { c.PathImpair = &netem.Impairment{LossProb: nan} }},
 	}
 	for _, c := range cases {
 		cfg := DefaultLabConfig()

@@ -41,10 +41,11 @@ type GilbertElliott struct {
 // below 1 so an absorbing all-loss state cannot stall a pull-driven
 // stream.
 func (g GilbertElliott) Validate() error {
-	if g.PGoodBad < 0 || g.PGoodBad > 1 || g.PBadGood < 0 || g.PBadGood > 1 {
+	// Every comparison is written to fail on NaN.
+	if !(g.PGoodBad >= 0 && g.PGoodBad <= 1 && g.PBadGood >= 0 && g.PBadGood <= 1) {
 		return errors.New("netem: Gilbert-Elliott transition probabilities must be in [0,1]")
 	}
-	if g.LossGood < 0 || g.LossGood >= 1 || g.LossBad < 0 || g.LossBad >= 1 {
+	if !(g.LossGood >= 0 && g.LossGood < 1 && g.LossBad >= 0 && g.LossBad < 1) {
 		return errors.New("netem: Gilbert-Elliott loss probabilities must be in [0,1)")
 	}
 	return nil
@@ -84,7 +85,8 @@ func (im *Impairment) Validate() error {
 	if im == nil {
 		return nil
 	}
-	if im.LossProb < 0 || im.LossProb >= 1 {
+	// Every probability comparison is written to fail on NaN.
+	if !(im.LossProb >= 0 && im.LossProb < 1) {
 		return errors.New("netem: impairment loss probability must be in [0,1)")
 	}
 	if im.GE != nil {
@@ -92,10 +94,10 @@ func (im *Impairment) Validate() error {
 			return err
 		}
 	}
-	if im.DupProb < 0 || im.DupProb >= 1 {
+	if !(im.DupProb >= 0 && im.DupProb < 1) {
 		return errors.New("netem: impairment duplication probability must be in [0,1)")
 	}
-	if im.ReorderProb < 0 || im.ReorderProb >= 1 {
+	if !(im.ReorderProb >= 0 && im.ReorderProb < 1) {
 		return errors.New("netem: impairment reorder probability must be in [0,1)")
 	}
 	if im.ReorderProb > 0 && im.ReorderDepth < 1 {

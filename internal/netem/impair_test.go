@@ -20,6 +20,12 @@ func TestImpairmentValidate(t *testing.T) {
 		{ReorderProb: 0.1, ReorderDepth: 2000},
 		{GE: &GilbertElliott{PGoodBad: 1.5, PBadGood: 0.5}},
 		{GE: &GilbertElliott{PGoodBad: 0.5, PBadGood: 0.5, LossBad: 1}},
+		// NaN fails no ordered comparison, so each is refused explicitly.
+		{LossProb: math.NaN()},
+		{DupProb: math.NaN()},
+		{ReorderProb: math.NaN(), ReorderDepth: 2},
+		{GE: &GilbertElliott{PGoodBad: math.NaN(), PBadGood: 0.5}},
+		{GE: &GilbertElliott{PGoodBad: 0.5, PBadGood: 0.5, LossBad: math.NaN()}},
 	}
 	for i, im := range bad {
 		if err := im.Validate(); err == nil {
