@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet fmt test race bench bench-json bench-compare bench-gate \
 	bench-selftest bench-digests profile staticcheck docs golden golden-check resume-check \
-	scale-smoke scale trace-smoke report ci clean
+	scale-smoke scale trace-smoke report fuzz ci clean
 
 all: vet build test
 
@@ -216,7 +216,19 @@ trace-smoke:
 	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify byte-identical"
 
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet fmt build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke
+# Run every fuzz target for FUZZTIME (go test ./... runs only their seed
+# corpora). go test -fuzz takes one target per run, so each gets its own.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = internal/core:FuzzDisclosureSpecBuild internal/experiment:FuzzParseCheckpoint \
+	internal/netem:FuzzParseImpairment internal/trace:FuzzRead \
+	cmd/advclassify:FuzzTraceRead cmd/advclassify:FuzzClassifyWindow
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz: $${t#*:} in ./$${t%%:*} for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*} || exit 1; \
+	done
+
+ci: vet fmt build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke fuzz
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof report.json

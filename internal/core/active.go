@@ -111,6 +111,9 @@ const (
 
 // validateActive checks the spec against the system.
 func (s *System) validateActive(spec ActiveSpec) error {
+	if err := checkFinite(spec); err != nil {
+		return err
+	}
 	if spec.Flows < 2 {
 		return errors.New("core: active scenario needs at least two flows")
 	}
@@ -123,13 +126,13 @@ func (s *System) validateActive(spec ActiveSpec) error {
 	if spec.CoverToPPS < 0 {
 		return errors.New("core: active cover rate must be non-negative")
 	}
+	if spec.Protocol != ActivePopulation && spec.CoverToPPS > 0 {
+		return fmt.Errorf("core: cover traffic requires the population protocol, not %v", spec.Protocol)
+	}
 	switch spec.Protocol {
 	case ActiveReplica, ActiveSession, ActivePopulation:
 		if len(spec.Hops) > 0 {
 			return fmt.Errorf("core: Hops requires the cascade protocol, not %v", spec.Protocol)
-		}
-		if spec.Protocol != ActivePopulation && spec.CoverToPPS > 0 {
-			return fmt.Errorf("core: cover traffic requires the population protocol, not %v", spec.Protocol)
 		}
 	case ActiveCascade:
 		if spec.Raw {
@@ -138,12 +141,7 @@ func (s *System) validateActive(spec ActiveSpec) error {
 		if len(spec.Hops) == 0 {
 			return errors.New("core: cascade protocol needs at least one hop")
 		}
-		if spec.CoverToPPS > 0 {
-			return errors.New("core: cover traffic is not valid for the cascade protocol")
-		}
-		if err := s.validateHops(spec.Hops); err != nil {
-			return err
-		}
+		return s.validateCascade(CascadeSpec{Hops: spec.Hops, Flows: spec.Flows})
 	default:
 		return fmt.Errorf("core: unknown active protocol %d", spec.Protocol)
 	}
@@ -310,10 +308,7 @@ func (c ActiveDetectConfig) withDefaults() ActiveDetectConfig {
 // the matched filter needs eight whole chip slots and keeps
 // active.Channels values per slot.
 func (c ActiveDetectConfig) validate(flows int) error {
-	if c.TrainWindows < 2 {
-		return errors.New("core: active detection needs at least two training windows per class")
-	}
-	return validateObservation(flows, c.Duration, activePeriod, 8, active.Channels)
+	return validateObservation(flows, c.TrainWindows, c.Duration, activePeriod, 8, active.Channels)
 }
 
 // activeDetection runs the active watermark attack end to end: the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"linkpad/internal/analytic"
@@ -113,6 +115,11 @@ func TestRunAttackSetValidation(t *testing.T) {
 	// the same configuration with the same error.
 	if _, err := sys.CalibrateVIT(0.8, cfg, RunOptions{}); err == nil || err.Error() != buildErr.Error() {
 		t.Errorf("CalibrateVIT error %v, want Build's %v", err, buildErr)
+	}
+	// Nor does it skip the finite rule.
+	cfg = AttackConfig{Feature: analytic.FeatureEntropy, EntropyBinWidth: math.NaN()}
+	if _, err := sys.CalibrateVIT(0.8, cfg, RunOptions{}); err == nil || !strings.Contains(err.Error(), "EntropyBinWidth") {
+		t.Errorf("CalibrateVIT error %v, want one naming EntropyBinWidth", err)
 	}
 }
 

@@ -80,21 +80,20 @@ type CascadeSpec struct {
 // already far beyond deployed cascade lengths.
 const maxCascadeHops = 32
 
-// validateCascade checks the spec against the system.
+// validateCascade checks the spec against the system. The active
+// protocol's cascade routes, built from the same CascadeHop description,
+// go through it too.
 func (s *System) validateCascade(spec CascadeSpec) error {
+	if err := checkFinite(spec); err != nil {
+		return err
+	}
 	if spec.Flows < 2 {
 		return errors.New("core: cascade needs at least two flows")
 	}
-	return s.validateHops(spec.Hops)
-}
-
-// validateHops checks a hop chain; shared by the cascade and active
-// protocols, which build routes from the same CascadeHop description.
-func (s *System) validateHops(hops []CascadeHop) error {
-	if len(hops) > maxCascadeHops {
-		return fmt.Errorf("core: cascade route has %d hops, limit %d", len(hops), maxCascadeHops)
+	if len(spec.Hops) > maxCascadeHops {
+		return fmt.Errorf("core: cascade route has %d hops, limit %d", len(spec.Hops), maxCascadeHops)
 	}
-	for i, h := range hops {
+	for i, h := range spec.Hops {
 		switch h.Policy {
 		case CascadeCIT, CascadeMix:
 			if h.SigmaT != 0 {
@@ -263,10 +262,7 @@ func (c CascadeCorrConfig) withDefaults() CascadeCorrConfig {
 
 // validate checks a defaults-applied config's budgets for flows flows.
 func (c CascadeCorrConfig) validate(flows int) error {
-	if c.TrainWindows < 2 {
-		return errors.New("core: cascade correlation needs at least two training windows per class")
-	}
-	return validateObservation(flows, c.Duration, adversary.RateWindow, 2, 1)
+	return validateObservation(flows, c.TrainWindows, c.Duration, adversary.RateWindow, 2, 1)
 }
 
 // cascadeCorrelation runs the end-to-end correlation attack against a

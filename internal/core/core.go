@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
@@ -154,25 +156,51 @@ func DefaultLabConfig() Config {
 	}
 }
 
-// finite refuses a NaN or infinite field, naming it.
-func finite(name string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("core: %s is %v; want a finite value", name, v)
+// checkFinite is core's one non-finite rule: it refuses a NaN or
+// infinite float anywhere below v (exported fields, pointers, interfaces,
+// slices, arrays), naming its path, e.g. Population.Churn.MeanOn. No core
+// field gives an infinity a meaning; validators run it first and then
+// compare only finite values, which NaN cannot slip past.
+func checkFinite(v any) error {
+	if path, f, bad := nonFinite(reflect.ValueOf(v)); bad {
+		return fmt.Errorf("core: %s is %v; want a finite value", strings.TrimPrefix(path, "."), f)
 	}
 	return nil
 }
 
-// Validate checks the configuration. Every float field must be finite:
-// an infinite rate or period would never let the gateway's clock
-// advance.
-func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"Tau", c.Tau}, {"SigmaT", c.SigmaT}, {"StartHour", c.StartHour}, {"TapResolution", c.TapResolution}} {
-		if err := finite(f.name, f.v); err != nil {
-			return err
+// nonFinite returns the path below v of the first non-finite float and
+// that float; the path is built only on the way out of a find.
+func nonFinite(v reflect.Value) (path string, f float64, bad bool) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		f = v.Float()
+		return "", f, math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			return nonFinite(v.Elem())
 		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if fd := v.Type().Field(i); fd.IsExported() {
+				if p, f, bad := nonFinite(v.Field(i)); bad {
+					return "." + fd.Name + p, f, true
+				}
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p, f, bad := nonFinite(v.Index(i)); bad {
+				return fmt.Sprintf("[%d]%s", i, p), f, true
+			}
+		}
+	}
+	return "", 0, false
+}
+
+// Validate checks the configuration, first by checkFinite.
+func (c Config) Validate() error {
+	if err := checkFinite(c); err != nil {
+		return err
 	}
 	if !(c.Tau > 0) {
 		return errors.New("core: Tau must be positive")
@@ -183,9 +211,6 @@ func (c Config) Validate() error {
 	if c.Adaptive != nil {
 		if c.SigmaT > 0 {
 			return errors.New("core: Adaptive and SigmaT are mutually exclusive")
-		}
-		if err := finite("Adaptive.IdleFactor", c.Adaptive.IdleFactor); err != nil {
-			return err
 		}
 		if !(c.Adaptive.IdleFactor > 1) {
 			return errors.New("core: Adaptive.IdleFactor must exceed 1")
@@ -210,9 +235,6 @@ func (c Config) Validate() error {
 	}
 	seen := map[string]bool{}
 	for i, r := range c.Rates {
-		if err := finite(fmt.Sprintf("Rates[%d].PPS", i), r.PPS); err != nil {
-			return err
-		}
 		if !(r.PPS > 0) {
 			return fmt.Errorf("core: rate %d has non-positive PPS", i)
 		}
@@ -225,20 +247,11 @@ func (c Config) Validate() error {
 		seen[r.Label] = true
 	}
 	for i, h := range c.Hops {
-		if err := finite(fmt.Sprintf("Hops[%d].CapacityBps", i), h.CapacityBps); err != nil {
-			return err
-		}
-		if err := finite(fmt.Sprintf("Hops[%d].PropDelay", i), h.PropDelay); err != nil {
-			return err
-		}
-		if !(h.CapacityBps > 0) || h.PacketBytes <= 0 {
+		if h.CapacityBps <= 0 || h.PacketBytes <= 0 || h.PropDelay < 0 {
 			return fmt.Errorf("core: hop %d: invalid link parameters", i)
 		}
 		if err := h.Util.Validate(); err != nil {
 			return fmt.Errorf("core: hop %d: %w", i, err)
-		}
-		if h.PropDelay < 0 {
-			return fmt.Errorf("core: hop %d: negative propagation delay", i)
 		}
 		if c.ExactNetwork && h.Util.Peak != h.Util.Trough {
 			return fmt.Errorf("core: hop %d: exact network requires constant utilization", i)
@@ -642,6 +655,9 @@ type AttackResult struct {
 // validateAttackSet checks a defaulted attack configuration and its
 // feature set; Build and every attackSet caller go through it.
 func validateAttackSet(cfg AttackConfig, features []analytic.Feature) error {
+	if err := checkFinite(cfg); err != nil {
+		return err
+	}
 	if len(features) == 0 {
 		return errors.New("core: attack set needs at least one feature")
 	}

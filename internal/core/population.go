@@ -71,17 +71,6 @@ type ChurnSpec struct {
 	MeanOff float64
 }
 
-// Validate checks the churn parameters.
-func (c *ChurnSpec) Validate() error {
-	if c == nil {
-		return nil
-	}
-	if !(c.MeanOn > 0) || !(c.MeanOff > 0) {
-		return errors.New("core: churn mean on/off durations must be positive")
-	}
-	return nil
-}
-
 // Every user's recipient profile places popContactWeight of its
 // messages' probability mass on a contact set of popContacts recipients.
 const (
@@ -91,6 +80,9 @@ const (
 
 // validatePopulation checks the spec against the system.
 func (s *System) validatePopulation(spec PopulationSpec) error {
+	if err := checkFinite(spec); err != nil {
+		return err
+	}
 	if spec.Users < 2 {
 		return errors.New("core: population needs at least two users")
 	}
@@ -103,8 +95,8 @@ func (s *System) validatePopulation(spec PopulationSpec) error {
 	if spec.CoverRate > 0 && spec.CoverToPPS > 0 {
 		return errors.New("core: CoverRate and CoverToPPS are mutually exclusive")
 	}
-	if err := spec.Churn.Validate(); err != nil {
-		return err
+	if c := spec.Churn; c != nil && (c.MeanOn <= 0 || c.MeanOff <= 0) {
+		return errors.New("core: churn mean on/off durations must be positive")
 	}
 	switch spec.Dummies {
 	case population.DummyNone:
@@ -326,10 +318,7 @@ func (c FlowCorrConfig) withDefaults() FlowCorrConfig {
 
 // validate checks a defaults-applied config's budgets for flows flows.
 func (c FlowCorrConfig) validate(flows int) error {
-	if c.TrainWindows < 2 {
-		return errors.New("core: flow correlation needs at least two training windows per class")
-	}
-	return validateObservation(flows, c.Duration, adversary.RateWindow, 2, 1)
+	return validateObservation(flows, c.TrainWindows, c.Duration, adversary.RateWindow, 2, 1)
 }
 
 // rawLink is the unpadded baseline link: egress equals ingress.
@@ -440,11 +429,8 @@ func phantomFlowIndex(class, trainWindows, w int) int {
 // matches egress flows to ingress users by throughput-fingerprint
 // correlation plus class posteriors. Results are identical at any
 // opts.Workers width; users are the unit of parallelism. Run calls it on
-// the defaults-applied config Build validated.
+// the spec Build validated and the defaults-applied config.
 func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig, opts RunOptions) (*adversary.Correlation, error) {
-	if err := s.validatePopulation(spec); err != nil {
-		return nil, err
-	}
 	cum := s.classCum()
 
 	// Off-line phase: per-class feature densities from phantom flows.

@@ -140,13 +140,16 @@ type Scenario interface {
 }
 
 // Build validates spec against the system and returns the runnable
-// scenario. Shape errors (bad population geometry, empty feature sets)
-// and budgets Run cannot execute (too few windows, a non-finite or
-// oversized observation duration) surface here, before any simulation
-// cost.
+// scenario. A non-finite float anywhere in the spec (checkFinite), shape
+// errors (bad population geometry, empty feature sets) and budgets Run
+// cannot execute (too few windows, a non-positive or oversized
+// observation duration) surface here, before any simulation cost.
 func (s *System) Build(spec Spec) (Scenario, error) {
 	if spec == nil {
 		return nil, errors.New("core: nil scenario spec")
+	}
+	if err := checkFinite(spec); err != nil {
+		return nil, err
 	}
 	switch sp := spec.(type) {
 	case AttackSetSpec:
@@ -217,14 +220,17 @@ type scenario struct {
 // instead of exhausting memory, or simulating for hours, in Run.
 const maxObservationCells = 1 << 24
 
-// validateObservation checks a flow protocol's defaults-applied
-// observation budget: a finite positive duration holding at least
-// minWindows whole windows of the given width (floored as the attack
-// layers floor them), with flows × windows × channels cells and the
-// flows × flows score matrix under maxObservationCells.
-func validateObservation(flows int, duration, window float64, minWindows, channels int) error {
-	if !(duration > 0) || math.IsInf(duration, 1) {
-		return errors.New("core: observation duration must be finite and positive")
+// validateObservation checks a flow protocol's defaults-applied budget:
+// two training windows per class, and a positive duration holding at
+// least minWindows whole windows of the given width (floored as the
+// attack layers floor them), with flows × windows × channels cells and
+// the flows × flows score matrix under maxObservationCells.
+func validateObservation(flows, trainWindows int, duration, window float64, minWindows, channels int) error {
+	if trainWindows < 2 {
+		return errors.New("core: a flow attack needs at least two training windows per class")
+	}
+	if duration <= 0 {
+		return errors.New("core: observation duration must be positive")
 	}
 	windows := math.Floor(duration/window + 1e-9)
 	if windows < float64(minWindows) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,8 +32,11 @@ func scenarioSystem(t *testing.T) *System {
 // TestBuildValidatesSpecs: Build rejects bad shapes, and every
 // defaults-applied budget Run could not execute — too few windows, or a
 // non-finite, too short or oversized observation duration that would
-// panic in an allocation or simulate for hours — for all six kinds.
+// panic in an allocation or simulate for hours — for all six kinds. A
+// non-finite float anywhere in a spec is refused with an error naming
+// its path (field): a NaN cover once ran as no cover at all.
 func TestBuildValidatesSpecs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	sys := scenarioSystem(t)
 	mean := []analytic.Feature{analytic.FeatureMean}
 	attack := func(c AttackConfig) Spec { return AttackSetSpec{Attack: c, Features: mean} }
@@ -48,52 +52,102 @@ func TestBuildValidatesSpecs(t *testing.T) {
 			Detect: ActiveDetectConfig{Duration: d},
 		}
 	}
+	mark := func(a ActiveSpec) Spec { return ActiveDetectionSpec{Active: a} }
+	popCover := func(p PopulationSpec) Spec {
+		p.Users, p.Recipients, p.Dummies = 8, 40, population.DummyUniform
+		return DisclosureSpec{Population: p}
+	}
+	churn := func(on, off float64) Spec {
+		return DisclosureSpec{Population: PopulationSpec{Users: 8, Recipients: 40, Churn: &ChurnSpec{MeanOn: on, MeanOff: off}}}
+	}
 	cases := []struct {
 		name string
 		spec Spec
+		// field, when set, is the path the error must name.
+		field string
 	}{
-		{"nil", nil},
-		{"attackset-no-features", AttackSetSpec{}},
-		{"attackset-one-train-window", attack(AttackConfig{TrainWindows: 1})},
-		{"attackset-negative-eval-windows", attack(AttackConfig{EvalWindows: -3})},
-		{"attackset-negative-window-size", attack(AttackConfig{WindowSize: -5})},
-		{"session-one-train-window", session(SessionAttackConfig{TrainWindows: 1})},
-		{"session-negative-eval-sessions", session(SessionAttackConfig{EvalSessions: -3})},
-		{"session-negative-window-size", session(SessionAttackConfig{WindowSize: -5})},
-		{"session-negative-max-windows", session(SessionAttackConfig{MaxWindows: -1})},
+		{"nil", nil, ""},
+		{"attackset-no-features", AttackSetSpec{}, ""},
+		{"attackset-one-train-window", attack(AttackConfig{TrainWindows: 1}), ""},
+		{"attackset-negative-eval-windows", attack(AttackConfig{EvalWindows: -3}), ""},
+		{"attackset-negative-window-size", attack(AttackConfig{WindowSize: -5}), ""},
+		{"session-one-train-window", session(SessionAttackConfig{TrainWindows: 1}), ""},
+		{"session-negative-eval-sessions", session(SessionAttackConfig{EvalSessions: -3}), ""},
+		{"session-negative-window-size", session(SessionAttackConfig{WindowSize: -5}), ""},
+		{"session-negative-max-windows", session(SessionAttackConfig{MaxWindows: -1}), ""},
 		{"disclosure-bad-population", DisclosureSpec{
 			Population: PopulationSpec{Users: 1, Recipients: 40},
-		}},
+		}, ""},
 		{"disclosure-negative-budget", DisclosureSpec{
 			Population: pop, Disclosure: population.DisclosureConfig{MaxRounds: -1},
-		}},
+		}, ""},
 		// The width belongs to RunOptions alone.
 		{"disclosure-config-width", DisclosureSpec{
 			Population: pop, Disclosure: population.DisclosureConfig{Workers: 2},
-		}},
+		}, ""},
 		{"flowcorr-bad-population", FlowCorrelationSpec{
 			Population: PopulationSpec{Users: 8, Recipients: 2},
-		}},
-		{"flowcorr-nan-duration", flow(math.NaN())},
-		{"flowcorr-negative-duration", flow(-1)},
-		{"flowcorr-huge-duration", flow(1e13)},
-		{"flowcorr-one-rate-window", flow(1.5)},
-		{"flowcorr-huge-population", FlowCorrelationSpec{Population: PopulationSpec{Users: 1 << 13, Recipients: 40}}},
-		{"cascade-inf-duration", casc(math.Inf(1))},
-		{"cascade-huge-duration", casc(1e13)},
+		}, ""},
+		{"flowcorr-nan-duration", flow(nan), "Corr.Duration"},
+		{"flowcorr-negative-duration", flow(-1), ""},
+		{"flowcorr-huge-duration", flow(1e13), ""},
+		{"flowcorr-one-rate-window", flow(1.5), ""},
+		{"flowcorr-huge-population", FlowCorrelationSpec{Population: PopulationSpec{Users: 1 << 13, Recipients: 40}}, ""},
+		{"cascade-inf-duration", casc(inf), "Corr.Duration"},
+		{"cascade-huge-duration", casc(1e13), ""},
 		{"active-bad-spec", ActiveDetectionSpec{
 			Active: ActiveSpec{Flows: -1},
-		}},
-		{"active-nan-duration", watermark(math.NaN())},
-		{"active-huge-duration", watermark(1e13)},
-		{"active-few-chip-slots", watermark(3)},
+		}, ""},
+		{"active-nan-duration", watermark(nan), "Detect.Duration"},
+		{"active-huge-duration", watermark(1e13), ""},
+		{"active-few-chip-slots", watermark(3), ""},
+		{"active-inf-amplitude", mark(ActiveSpec{Flows: 8, Mode: active.ModeChaff, Amplitude: inf}), "Active.Amplitude"},
+		{"active-nan-cover", mark(ActiveSpec{Protocol: ActivePopulation, Flows: 8, Mode: active.ModeChaff, Amplitude: 20, CoverToPPS: nan}), "Active.CoverToPPS"},
+		{"active-inf-cover", mark(ActiveSpec{Protocol: ActivePopulation, Flows: 8, Mode: active.ModeChaff, Amplitude: 20, CoverToPPS: inf}), "Active.CoverToPPS"},
+		{"population-nan-cover-rate", popCover(PopulationSpec{CoverRate: nan}), "Population.CoverRate"},
+		{"population-inf-cover-rate", popCover(PopulationSpec{CoverRate: inf}), "Population.CoverRate"},
+		{"population-nan-cover-to-pps", popCover(PopulationSpec{CoverToPPS: nan}), "Population.CoverToPPS"},
+		{"population-inf-cover-to-pps", popCover(PopulationSpec{CoverToPPS: inf}), "Population.CoverToPPS"},
+		{"churn-inf-mean-on", churn(inf, 1), "Population.Churn.MeanOn"},
+		{"churn-inf-mean-off", churn(1, inf), "Population.Churn.MeanOff"},
+		{"cascade-inf-vit-sigma", CascadeCorrelationSpec{
+			Cascade: CascadeSpec{Flows: 8, Hops: []CascadeHop{{Policy: CascadeVIT, SigmaT: inf}}},
+		}, "Cascade.Hops[0].SigmaT"},
+		{"attackset-nan-bin-width", attack(AttackConfig{EntropyBinWidth: nan}), "Attack.EntropyBinWidth"},
+		{"attackset-inf-bin-width", attack(AttackConfig{EntropyBinWidth: inf}), "Attack.EntropyBinWidth"},
+		{"attackset-neg-inf-bin-width", attack(AttackConfig{EntropyBinWidth: -inf}), "Attack.EntropyBinWidth"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := sys.Build(tc.spec); err == nil {
+			_, err := sys.Build(tc.spec)
+			if err == nil {
 				t.Fatalf("Build accepted invalid spec %+v", tc.spec)
 			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
 		})
+	}
+}
+
+// TestEnginesRejectNonFinite: the engine constructors the benchmark
+// drives directly refuse a non-finite spec float the way Build does,
+// naming its field.
+func TestEnginesRejectNonFinite(t *testing.T) {
+	sys := scenarioSystem(t)
+	inf := math.Inf(1)
+	_, errActive := sys.NewActive(ActiveSpec{Flows: 8, Mode: active.ModeChaff, Amplitude: inf})
+	_, errPop := sys.NewPopulation(PopulationSpec{Users: 8, Recipients: 40, CoverRate: math.NaN(), Dummies: population.DummyUniform})
+	_, errCascade := sys.NewCascade(CascadeSpec{Flows: 8, Hops: []CascadeHop{{Policy: CascadeVIT, SigmaT: inf}}})
+	for _, c := range []struct {
+		err   error
+		field string
+	}{{errActive, "Amplitude"}, {errPop, "CoverRate"}, {errCascade, "Hops[0].SigmaT"}} {
+		if c.err == nil {
+			t.Errorf("%s: accepted", c.field)
+		} else if !strings.Contains(c.err.Error(), c.field) {
+			t.Errorf("error %q does not name %s", c.err, c.field)
+		}
 	}
 }
 
