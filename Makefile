@@ -215,19 +215,18 @@ trace-smoke:
 		echo "advclassify output differs from testdata/trace-smoke.txt"; exit 1; }; \
 	rm -rf $$tmp; echo "trace-smoke: padtrace -> advclassify byte-identical"
 
-# Everything the CI workflow runs, reproducible locally in one command.
-# Run every fuzz target for FUZZTIME (go test ./... runs only their seed
+# Run every fuzz target for 30 s (go test ./... runs only their seed
 # corpora). go test -fuzz takes one target per run, so each gets its own.
-FUZZTIME ?= 30s
 FUZZ_TARGETS = internal/core:FuzzDisclosureSpecBuild internal/experiment:FuzzParseCheckpoint \
 	internal/netem:FuzzParseImpairment internal/trace:FuzzRead \
 	cmd/advclassify:FuzzTraceRead cmd/advclassify:FuzzClassifyWindow
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
-		echo "fuzz: $${t#*:} in ./$${t%%:*} for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*} || exit 1; \
+		echo "fuzz: $${t#*:} in ./$${t%%:*} for 30s"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 30s ./$${t%%:*} || exit 1; \
 	done
 
+# Everything the CI workflow runs, reproducible locally in one command.
 ci: vet fmt build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke fuzz
 
 clean:
