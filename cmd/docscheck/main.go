@@ -2,7 +2,8 @@
 // parses the given markdown files, extracts inline links, reference
 // definitions and bare code-span file mentions, and verifies that every
 // repository-relative target exists — files on disk, and #fragment
-// anchors against the target file's headings (GitHub slug rules).
+// anchors against the target file's headings (GitHub slug rules). Every
+// `go run ./<path>` command must name an existing directory.
 // External http(s) links are syntax-checked only: CI has no business
 // failing on someone else's outage, and the check must run air-gapped.
 //
@@ -29,6 +30,9 @@ var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
 // refRe matches reference definitions: [label]: target
 var refRe = regexp.MustCompile(`(?m)^\[[^\]]+\]:\s+(\S+)`)
+
+// goRunRe matches the package path of a `go run ./<path>` command.
+var goRunRe = regexp.MustCompile(`go run (\./[\w./-]*\w)`)
 
 // headingRe matches ATX headings for anchor extraction.
 var headingRe = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*$`)
@@ -101,6 +105,17 @@ func checkTarget(file, target string) string {
 	return ""
 }
 
+// checkGoRun validates the package path of a `go run` command found in
+// file: it must be a directory, relative to file's. It returns a problem
+// description, or "" when the path is fine.
+func checkGoRun(file, pkg string) string {
+	dir := filepath.Join(filepath.Dir(file), pkg)
+	if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+		return fmt.Sprintf("dead command \"go run %s\": %s is not a directory", pkg, dir)
+	}
+	return ""
+}
+
 func run(files []string) int {
 	bad := 0
 	for _, file := range files {
@@ -118,8 +133,15 @@ func run(files []string) int {
 		for _, m := range refRe.FindAllStringSubmatch(text, -1) {
 			targets = append(targets, m[1])
 		}
+		var problems []string
 		for _, t := range targets {
-			if problem := checkTarget(file, t); problem != "" {
+			problems = append(problems, checkTarget(file, t))
+		}
+		for _, m := range goRunRe.FindAllStringSubmatch(text, -1) {
+			problems = append(problems, checkGoRun(file, m[1]))
+		}
+		for _, problem := range problems {
+			if problem != "" {
 				fmt.Fprintf(os.Stderr, "docscheck: %s: %s\n", file, problem)
 				bad++
 			}

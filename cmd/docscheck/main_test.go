@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +47,30 @@ func TestCheckTarget(t *testing.T) {
 		if !ok && problem == "" {
 			t.Errorf("checkTarget(%q) passed, want a problem", target)
 		}
+	}
+}
+
+func TestCheckGoRun(t *testing.T) {
+	dir := t.TempDir()
+	doc := filepath.Join(dir, "doc.md")
+	if err := os.MkdirAll(filepath.Join(dir, "cmd", "tool"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	text := "```sh\ngo run ./cmd/tool -flag\ngo run ./cmd/gone\n```\nRun `go run ./doc.md` or `go run ./cmd/tool`.\n"
+	if err := os.WriteFile(doc, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range goRunRe.FindAllStringSubmatch(text, -1) {
+		if checkGoRun(doc, m[1]) != "" {
+			got = append(got, m[1])
+		}
+	}
+	if want := []string{"./cmd/gone", "./doc.md"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("dead go run paths = %q, want %q", got, want)
+	}
+	if code := run([]string{doc}); code != 1 {
+		t.Errorf("run on a doc with dead go run paths = %d, want 1", code)
 	}
 }
 

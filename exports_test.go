@@ -84,8 +84,8 @@ var fieldAllowlist = map[string]string{
 // exported field of an exported internal/core struct named *Spec,
 // *Config or *Options is written — as a composite-literal key or by an
 // assignment to a selector — by some non-test file outside internal/core
-// (the module's runners, commands, examples and facade, or bench/), or
-// is allowlisted with a reason. A knob no caller sets is a constant in
+// (the module's runners, commands and facade, or bench/), or is
+// allowlisted with a reason. A knob no caller sets is a constant in
 // disguise: every result comes from its default. An allowlist entry
 // whose field gained a setter or went away fails too.
 func TestCoreSpecFieldsHaveProductionSetters(t *testing.T) {

@@ -827,20 +827,6 @@ func (s *System) TheoreticalDetectionRate(f analytic.Feature, n int, hour float6
 	return analytic.DetectionRate(f, r, n)
 }
 
-// PaddingOverhead returns the expected fraction of padded packets that
-// are dummies for the given class: 1 − λτ (clamped at 0), the bandwidth
-// price of the countermeasure.
-func (s *System) PaddingOverhead(class int) (float64, error) {
-	if class < 0 || class >= len(s.cfg.Rates) {
-		return 0, fmt.Errorf("core: class %d out of range", class)
-	}
-	if s.cfg.Mix != nil {
-		return 0, nil // a mix sends no dummies
-	}
-	o := 1 - s.cfg.Rates[class].PPS*s.cfg.Tau
-	return math.Max(o, 0), nil
-}
-
 // DesignVIT solves the paper's design guideline analytically: the
 // smallest σ_T capping the adversary's detection rate at target when they
 // use feature f with sample size n and tap the gateway output directly

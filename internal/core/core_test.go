@@ -336,27 +336,6 @@ func TestTheoreticalDetectionRate(t *testing.T) {
 	}
 }
 
-func TestPaddingOverhead(t *testing.T) {
-	s := labSystem(t, nil)
-	o0, err := s.PaddingOverhead(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(o0-0.9) > 1e-12 {
-		t.Errorf("overhead(10pps) = %v, want 0.9", o0)
-	}
-	o1, err := s.PaddingOverhead(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(o1-0.6) > 1e-12 {
-		t.Errorf("overhead(40pps) = %v, want 0.6", o1)
-	}
-	if _, err := s.PaddingOverhead(9); err == nil {
-		t.Error("out-of-range class accepted")
-	}
-}
-
 // The analytic design guideline gives a positive σ_T when CIT is
 // detectable; the closed-form value is a lower bound on what the
 // mechanistic gateway needs (the blocking mixture leaks shape information
@@ -476,10 +455,6 @@ func TestMixBaseline(t *testing.T) {
 	}
 	if mix.MeanDelay() <= 0 || mix.MaxDelay() < mix.MeanDelay() {
 		t.Errorf("mix delays: mean %v max %v", mix.MeanDelay(), mix.MaxDelay())
-	}
-	o, err := s.PaddingOverhead(0)
-	if err != nil || o != 0 {
-		t.Errorf("mix overhead = %v err %v, want 0", o, err)
 	}
 	// Non-mix systems refuse MixGateway.
 	plain := labSystem(t, nil)

@@ -23,9 +23,7 @@ import (
 // same triple reproduces the identical timeline. It is not safe for
 // concurrent use; parallelize across sessions, never within one.
 type Session struct {
-	class int
-	id    uint64
-	tap   *netem.Differ
+	tap *netem.Differ
 }
 
 // NewSession opens a continuous observation session for the class.
@@ -38,11 +36,8 @@ func (s *System) NewSession(class int, sessionID uint64) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{class: class, id: sessionID, tap: tap}, nil
+	return &Session{tap: tap}, nil
 }
-
-// Class returns the payload class this session observes.
-func (sn *Session) Class() int { return sn.class }
 
 // Source exposes the session's continuous PIAT stream.
 func (sn *Session) Source() adversary.PIATSource { return sn.tap }
@@ -50,10 +45,6 @@ func (sn *Session) Source() adversary.PIATSource { return sn.tap }
 // Now returns the absolute stream time, in seconds, of the most recently
 // observed packet (0 before any observation).
 func (sn *Session) Now() float64 { return sn.tap.Now() }
-
-// Observed returns how many PIATs the session has consumed, warm-up
-// included.
-func (sn *Session) Observed() uint64 { return sn.tap.Observed() }
 
 // WarmUp consumes and discards packets PIATs, running the whole chain —
 // gateway queue, timer phase, network queues, diurnal clock — past its

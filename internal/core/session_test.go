@@ -80,17 +80,14 @@ func TestSessionClockAndWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Now() != 0 || sess.Observed() != 0 {
-		t.Fatalf("fresh session: now=%v observed=%d", sess.Now(), sess.Observed())
+	if sess.Now() != 0 {
+		t.Fatalf("fresh session: now=%v", sess.Now())
 	}
 	sess.WarmUp(200)
 	warmEnd := sess.Now()
 	// 200 PIATs at tau = 10 ms is ~2 s of stream time.
 	if warmEnd < 1.5 || warmEnd > 2.5 {
 		t.Errorf("warm-up clock = %v, want ~2s", warmEnd)
-	}
-	if sess.Observed() != 200 {
-		t.Errorf("observed = %d, want 200", sess.Observed())
 	}
 	// Continuing the same session reproduces the continuation of the
 	// un-warmed timeline: warm-up is observation discard, not a restart.
@@ -106,9 +103,6 @@ func TestSessionClockAndWarmup(t *testing.T) {
 		if got := sess.Source().Next(); got != refAll[200+i] {
 			t.Fatalf("post-warm-up PIAT %d = %v, want continuation %v", i, got, refAll[200+i])
 		}
-	}
-	if sess.Class() != 0 || sess.id != 3 {
-		t.Errorf("identity = (%d, %d)", sess.Class(), sess.id)
 	}
 }
 
@@ -354,8 +348,8 @@ func TestSessionNoWarmupObservesFromStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.WarmUp(-1) // disabled: no-op
-	if sess.Observed() != 0 {
-		t.Fatalf("disabled warm-up consumed %d PIATs", sess.Observed())
+	if sess.Now() != 0 {
+		t.Fatalf("disabled warm-up advanced the stream clock to %v", sess.Now())
 	}
 	ref, err := sys.NewSession(0, 9)
 	if err != nil {

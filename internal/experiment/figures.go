@@ -101,14 +101,14 @@ func Fig4a(o Options) (*Table, error) {
 	const binW = 2e-6
 	nPIAT := o.windows(150) * 1000
 
-	hists := make([]*stats.Histogram, 2)
+	hists := make([]*stats.StreamHist, 2)
 	summaries := make([]stats.Summary, 2)
 	for class := 0; class < 2; class++ {
 		src, err := sys.PIATSource(class, 1)
 		if err != nil {
 			return nil, err
 		}
-		h, err := stats.NewHistogram(binW)
+		h, err := stats.NewStreamHist(binW)
 		if err != nil {
 			return nil, err
 		}
@@ -127,9 +127,12 @@ func Fig4a(o Options) (*Table, error) {
 		Columns: []string{"piat_offset_us", "density_10pps", "density_40pps"},
 	}
 	tau := sys.Config().Tau
+	density := func(class int, x float64) float64 {
+		return float64(hists[class].Count(x)) / (float64(nPIAT) * binW)
+	}
 	for off := -30e-6; off <= 30e-6+1e-12; off += binW {
 		x := tau + off
-		if err := t.AddRow(off*1e6, hists[0].EntropyDensity(x), hists[1].EntropyDensity(x)); err != nil {
+		if err := t.AddRow(off*1e6, density(0, x), density(1, x)); err != nil {
 			return nil, err
 		}
 	}

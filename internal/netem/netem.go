@@ -508,7 +508,6 @@ func NewPath(upstream TimeStream, hops []Hop, rng *xrand.Rand) (TimeStream, erro
 type Differ struct {
 	src     feed
 	prev    float64
-	count   uint64
 	started bool
 	probe   *obs.Shard
 	one     [1]float64
@@ -550,17 +549,12 @@ func (d *Differ) NextBatch(dst []float64) {
 		prev = t
 	}
 	d.prev = prev
-	d.count += uint64(len(dst))
 }
 
 // Now returns the absolute stream time of the most recently observed
 // packet (0 before the first Next call). Sessions use it to convert
 // windows-to-decision into stream seconds.
 func (d *Differ) Now() float64 { return d.prev }
-
-// Observed returns how many PIATs have been consumed so far, warm-up
-// included.
-func (d *Differ) Observed() uint64 { return d.count }
 
 // Skip consumes and discards n PIATs: the session warm-up, which runs the
 // whole upstream chain (payload arrivals, gateway queue and timer,

@@ -572,26 +572,23 @@ func BenchmarkExactRouterNext(b *testing.B) {
 }
 
 // The Differ's session clock: Now tracks the absolute time of the last
-// observed packet across windows, Skip discards warm-up PIATs while still
-// advancing the clock, and Observed counts everything consumed.
+// observed packet across windows, and Skip discards warm-up PIATs while
+// still advancing the clock.
 func TestDifferSessionClock(t *testing.T) {
 	times := []float64{1.0, 1.5, 2.5, 4.0, 6.0, 9.0}
 	d := NewDiffer(NewSliceStream(times), nil)
-	if d.Now() != 0 || d.Observed() != 0 {
-		t.Fatalf("fresh differ: now=%v observed=%d", d.Now(), d.Observed())
+	if d.Now() != 0 {
+		t.Fatalf("fresh differ: now=%v", d.Now())
 	}
 	d.Skip(2) // consumes gaps 0.5 and 1.0, clock at 2.5
 	if d.Now() != 2.5 {
 		t.Errorf("after Skip(2): now=%v, want 2.5", d.Now())
 	}
-	if d.Observed() != 2 {
-		t.Errorf("after Skip(2): observed=%d, want 2", d.Observed())
-	}
 	if x := d.Next(); x != 1.5 {
 		t.Errorf("next PIAT after skip = %v, want 1.5", x)
 	}
-	if d.Now() != 4.0 || d.Observed() != 3 {
-		t.Errorf("clock after next: now=%v observed=%d", d.Now(), d.Observed())
+	if d.Now() != 4.0 {
+		t.Errorf("clock after next: now=%v, want 4.0", d.Now())
 	}
 	// Consuming window-by-window continues the same timeline.
 	if x := d.Next(); x != 2.0 {

@@ -106,8 +106,6 @@ func Bulk() *Profile {
 type Padder interface {
 	// Pad returns the wire size for a packet of the given raw size.
 	Pad(size int) int
-	// Name identifies the scheme in reports.
-	Name() string
 }
 
 // NoPad transmits raw sizes: the insecure baseline.
@@ -115,9 +113,6 @@ type NoPad struct{}
 
 // Pad returns size unchanged.
 func (NoPad) Pad(size int) int { return size }
-
-// Name returns "none".
-func (NoPad) Name() string { return "none" }
 
 // ConstantPad pads every packet to a fixed target — the main paper's
 // constant-size assumption made into a mechanism. Packets larger than the
@@ -141,9 +136,6 @@ func (c ConstantPad) Pad(size int) int {
 	}
 	return c.Target
 }
-
-// Name returns "constant".
-func (c ConstantPad) Name() string { return "constant" }
 
 // BucketPad rounds sizes up to the next bucket boundary: the classic
 // bandwidth/privacy compromise.
@@ -177,9 +169,6 @@ func (b *BucketPad) Pad(size int) int {
 	}
 	return b.buckets[i]
 }
-
-// Name returns "bucket".
-func (b *BucketPad) Name() string { return "bucket" }
 
 // Overhead returns the exact byte inflation E[pad(S)] / E[S] of applying
 // the padder to the profile.

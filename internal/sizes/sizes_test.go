@@ -114,9 +114,6 @@ func TestPadders(t *testing.T) {
 	if (NoPad{}).Pad(77) != 77 {
 		t.Error("NoPad changed a size")
 	}
-	if (NoPad{}).Name() != "none" || cp.Name() != "constant" || bp.Name() != "bucket" {
-		t.Error("padder names broken")
-	}
 }
 
 // Padding never shrinks a packet and padded sizes are monotone in raw

@@ -98,8 +98,9 @@ func TestQuantileAllocationFree(t *testing.T) {
 	}
 }
 
-// StreamHist must reproduce Histogram's entropy on the same data to float
-// summation order (1e-12 relative), including reuse across windows.
+// StreamHist must reproduce the map-based reference Entropy on the same
+// data to float summation order (1e-12 relative), including reuse across
+// windows.
 func TestStreamHistMatchesHistogram(t *testing.T) {
 	sh, err := NewStreamHist(2e-6)
 	if err != nil {
@@ -107,46 +108,45 @@ func TestStreamHistMatchesHistogram(t *testing.T) {
 	}
 	r := xrand.New(11)
 	for window := 0; window < 10; window++ {
-		h, err := NewHistogram(2e-6)
+		sh.Reset()
+		xs := make([]float64, 200+r.Intn(800))
+		for i := range xs {
+			xs[i] = r.Normal(10e-3, 5e-6)
+		}
+		sh.AddAll(xs)
+		want, err := Entropy(xs, 2e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh.Reset()
-		n := 200 + r.Intn(800)
-		for i := 0; i < n; i++ {
-			x := r.Normal(10e-3, 5e-6)
-			h.Add(x)
-			sh.Add(x)
+		if got := sh.Entropy(); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+			t.Fatalf("window %d: stream entropy %v vs reference %v", window, got, want)
 		}
-		want, got := h.Entropy(), sh.Entropy()
-		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("window %d: stream entropy %v vs histogram %v", window, got, want)
-		}
-		if sh.N() != h.N() || sh.Bins() != h.Bins() {
-			t.Fatalf("window %d: N/Bins mismatch: %d/%d vs %d/%d",
-				window, sh.N(), sh.Bins(), h.N(), h.Bins())
+		if sh.N() != len(xs) {
+			t.Fatalf("window %d: N = %d, want %d", window, sh.N(), len(xs))
 		}
 	}
 }
 
-// Non-finite and far-outlier values follow the same clamping as Histogram.
+// Non-finite and far-outlier values follow the reference's clamping:
+// NaN in bin 0, +Inf and 1e30 in the top int32 bin, −Inf and −1e30 in
+// the bottom one.
 func TestStreamHistNonFinite(t *testing.T) {
 	vals := []float64{10e-3, 10.000002e-3, math.Inf(1), math.Inf(-1), math.NaN(), 1e30, -1e30}
-	h, err := NewHistogram(2e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sh, err := NewStreamHist(2e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddAll(vals)
 	sh.AddAll(vals)
-	if got, want := sh.Entropy(), h.Entropy(); math.Abs(got-want) > 1e-12 {
+	want, err := Entropy(vals, 2e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.Entropy(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("entropy with non-finite values: %v vs %v", got, want)
 	}
-	if sh.Bins() != h.Bins() {
-		t.Errorf("bins: %d vs %d", sh.Bins(), h.Bins())
+	if sh.Count(math.NaN()) != 1 || sh.Count(math.Inf(1)) != 2 || sh.Count(math.Inf(-1)) != 2 {
+		t.Errorf("clamped bins: NaN %d, +Inf %d, -Inf %d; want 1, 2, 2",
+			sh.Count(math.NaN()), sh.Count(math.Inf(1)), sh.Count(math.Inf(-1)))
 	}
 	if _, err := NewStreamHist(0); err == nil {
 		t.Error("zero width should fail")
@@ -226,10 +226,6 @@ func TestStreamHistSpillThenCoverableStaysOneBin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHistogram(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Dense starts at base 44 (first idx 300 − margin 256); the outlier
 	// needs span 2097213 > 2^21 and spills; the near-outlier needs only
 	// 2097013 and grows the dense window to 2097057 — past the spilled
@@ -237,12 +233,15 @@ func TestStreamHistSpillThenCoverableStaysOneBin(t *testing.T) {
 	const outlier = 2097000.5
 	vals := []float64{300.5, outlier, 2096800.5, outlier, outlier}
 	sh.AddAll(vals)
-	h.AddAll(vals)
-	if sh.Bins() != h.Bins() {
-		t.Fatalf("bins: stream %d vs histogram %d", sh.Bins(), h.Bins())
+	if sh.Bins() != 3 || sh.Count(outlier) != 3 {
+		t.Fatalf("bins %d, outlier count %d; want 3 and 3", sh.Bins(), sh.Count(outlier))
 	}
-	if got, want := sh.Entropy(), h.Entropy(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("entropy: stream %v vs histogram %v", got, want)
+	want, err := Entropy(vals, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.Entropy(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("entropy: stream %v vs reference %v", got, want)
 	}
 }
 

@@ -8,38 +8,55 @@ import (
 	"linkpad/internal/xrand"
 )
 
-// Test accessors of the two histogram types.
+// Test accessors of StreamHist.
 
-func (h *Histogram) N() int         { return h.n }
-func (h *Histogram) Width() float64 { return h.width }
-func (h *Histogram) Bins() int      { return len(h.counts) }
-func (h *StreamHist) N() int        { return h.n }
-func (h *StreamHist) Bins() int     { return len(h.touch) + len(h.spill) }
+func (h *StreamHist) N() int    { return h.n }
+func (h *StreamHist) Bins() int { return len(h.touch) + len(h.spill) }
 
 // DifferentialEntropy is the full eq. 24 estimate,
 // H ≈ −Σ (k_i/n) log(k_i/n) + log Δh: the eq. 25 Entropy feature plus
 // the bin-width term, which estimates the differential entropy of the
 // underlying continuous distribution.
-func (h *Histogram) DifferentialEntropy() float64 {
+func (h *StreamHist) DifferentialEntropy() float64 {
 	if h.n == 0 {
 		return math.Inf(-1)
 	}
 	return h.Entropy() + math.Log(h.width)
 }
 
+// density is Fig. 4a's histogram density estimate at x: k(x) / (n·Δh).
+func (h *StreamHist) density(x float64) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return float64(h.Count(x)) / (float64(h.n) * h.width)
+}
+
+func newHist(t *testing.T, width float64) *StreamHist {
+	t.Helper()
+	h, err := NewStreamHist(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestNewHistogramValidation(t *testing.T) {
 	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := NewHistogram(w); err == nil {
-			t.Errorf("NewHistogram(%v) should fail", w)
+		if _, err := NewStreamHist(w); err == nil {
+			t.Errorf("NewStreamHist(%v) should fail", w)
+		}
+		if _, err := Entropy([]float64{1}, w); err == nil {
+			t.Errorf("Entropy with width %v should fail", w)
 		}
 	}
-	if _, err := NewHistogram(1e-6); err != nil {
+	if _, err := NewStreamHist(1e-6); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHistogramCounts(t *testing.T) {
-	h, _ := NewHistogram(1.0)
+	h := newHist(t, 1.0)
 	h.AddAll([]float64{0.1, 0.2, 0.9, 1.5, 2.5, 2.6, 2.7})
 	if h.N() != 7 {
 		t.Fatalf("N = %d", h.N())
@@ -53,13 +70,28 @@ func TestHistogramCounts(t *testing.T) {
 	if got := h.Count(2.99); got != 3 {
 		t.Errorf("bin [2,3) count = %d, want 3", got)
 	}
+	if got := h.Count(-400); got != 0 {
+		t.Errorf("count far outside the dense window = %d, want 0", got)
+	}
 	if h.Bins() != 3 {
 		t.Errorf("Bins = %d, want 3", h.Bins())
+	}
+	h.Reset()
+	if got := h.Count(0.5); got != 0 {
+		t.Errorf("count after Reset = %d, want 0", got)
+	}
+	// Count reads spilled bins too: with a 1 ns bin and the data at 10 ms
+	// (bin 10^7), a NaN's bin 0 lies past the dense window's cap.
+	sp := newHist(t, 1e-9)
+	sp.AddAll([]float64{10e-3, 10e-3, math.NaN()})
+	if len(sp.spill) != 1 || sp.Count(math.NaN()) != 1 || sp.Count(0) != 1 || sp.Count(10e-3) != 2 {
+		t.Errorf("spilled: %d bins; counts NaN %d, 0 %d, 10ms %d; want 1 bin, 1, 1, 2",
+			len(sp.spill), sp.Count(math.NaN()), sp.Count(0), sp.Count(10e-3))
 	}
 }
 
 func TestHistogramNegativeValues(t *testing.T) {
-	h, _ := NewHistogram(0.5)
+	h := newHist(t, 0.5)
 	h.AddAll([]float64{-0.1, -0.4, -0.6})
 	if got := h.Count(-0.25); got != 2 {
 		t.Errorf("bin [-0.5,0) count = %d, want 2", got)
@@ -70,7 +102,7 @@ func TestHistogramNegativeValues(t *testing.T) {
 }
 
 func TestEntropySingleBin(t *testing.T) {
-	h, _ := NewHistogram(1)
+	h := newHist(t, 1)
 	for i := 0; i < 100; i++ {
 		h.Add(0.5)
 	}
@@ -80,7 +112,7 @@ func TestEntropySingleBin(t *testing.T) {
 }
 
 func TestEntropyUniformBins(t *testing.T) {
-	h, _ := NewHistogram(1)
+	h := newHist(t, 1)
 	// 4 bins with equal counts: entropy = log 4.
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 25; j++ {
@@ -93,12 +125,15 @@ func TestEntropyUniformBins(t *testing.T) {
 }
 
 func TestEntropyEmpty(t *testing.T) {
-	h, _ := NewHistogram(1)
+	h := newHist(t, 1)
 	if h.Entropy() != 0 {
 		t.Error("empty histogram entropy should be 0")
 	}
 	if !math.IsInf(h.DifferentialEntropy(), -1) {
 		t.Error("empty differential entropy should be -Inf")
+	}
+	if e, err := Entropy(nil, 1); err != nil || e != 0 {
+		t.Errorf("Entropy(nil) = %v, %v; want 0", e, err)
 	}
 }
 
@@ -109,7 +144,7 @@ func TestDifferentialEntropyGaussian(t *testing.T) {
 	r := xrand.New(7)
 	const sigma = 5e-6
 	want := 0.5 * math.Log(2*math.Pi*math.E*sigma*sigma)
-	h, _ := NewHistogram(sigma / 4)
+	h := newHist(t, sigma/4)
 	for i := 0; i < 200000; i++ {
 		h.Add(r.Normal(10e-3, sigma))
 	}
@@ -123,10 +158,10 @@ func TestDifferentialEntropyGaussian(t *testing.T) {
 // this is the monotonicity in r that Theorem 3 exploits.
 func TestEntropyMonotoneInSigma(t *testing.T) {
 	r := xrand.New(9)
-	width := 2e-6
+	h := newHist(t, 2e-6)
 	var prev float64
 	for i, sigma := range []float64{2e-6, 4e-6, 8e-6} {
-		h, _ := NewHistogram(width)
+		h.Reset()
 		for j := 0; j < 50000; j++ {
 			h.Add(r.Normal(0, sigma))
 		}
@@ -167,7 +202,7 @@ func TestEntropyRobustToOutliers(t *testing.T) {
 }
 
 func TestHistogramNonFiniteInputsDoNotCrash(t *testing.T) {
-	h, _ := NewHistogram(1)
+	h := newHist(t, 1)
 	h.Add(math.NaN())
 	h.Add(math.Inf(1))
 	h.Add(math.Inf(-1))
@@ -184,20 +219,20 @@ func TestHistogramNonFiniteInputsDoNotCrash(t *testing.T) {
 // The density estimate is k(x)/(n·Δh) at every point of a bin, so it
 // integrates to one over the non-empty bins.
 func TestDensityPoints(t *testing.T) {
-	h, _ := NewHistogram(1)
+	h := newHist(t, 1)
 	h.AddAll([]float64{0.5, 0.6, 2.5, 2.6, 2.7})
-	if d := h.EntropyDensity(0.5); !almostEq(d, 0.4, 1e-12) {
+	if d := h.density(0.5); !almostEq(d, 0.4, 1e-12) {
 		t.Errorf("density at bin 0 = %v, want 0.4", d)
 	}
-	if d := h.EntropyDensity(2.99); !almostEq(d, 0.6, 1e-12) {
+	if d := h.density(2.99); !almostEq(d, 0.6, 1e-12) {
 		t.Errorf("density at bin 2 = %v, want 0.6", d)
 	}
-	if d := h.EntropyDensity(1.5); d != 0 {
+	if d := h.density(1.5); d != 0 {
 		t.Errorf("density in an empty bin = %v", d)
 	}
 	var integral float64
 	for _, x := range []float64{0.5, 1.5, 2.5} {
-		integral += h.EntropyDensity(x) * h.width
+		integral += h.density(x) * h.width
 	}
 	if !almostEq(integral, 1, 1e-12) {
 		t.Errorf("density integral = %v", integral)
@@ -205,8 +240,11 @@ func TestDensityPoints(t *testing.T) {
 }
 
 func TestDensityPointsEmpty(t *testing.T) {
-	h, _ := NewHistogram(1)
-	if d := h.EntropyDensity(0.5); d != 0 {
+	h := newHist(t, 1)
+	if c := h.Count(0.5); c != 0 {
+		t.Errorf("empty histogram count = %v, want 0", c)
+	}
+	if d := h.density(0.5); d != 0 {
 		t.Errorf("empty histogram density = %v, want 0", d)
 	}
 }
@@ -214,6 +252,7 @@ func TestDensityPointsEmpty(t *testing.T) {
 // Properties: entropy is non-negative, at most log(#bins), and invariant
 // under shifting all data by whole bins.
 func TestEntropyProperties(t *testing.T) {
+	h := newHist(t, 0.25)
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 10 + r.Intn(500)
@@ -221,17 +260,17 @@ func TestEntropyProperties(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Normal(0, 1)
 		}
-		h, _ := NewHistogram(0.25)
+		h.Reset()
 		h.AddAll(xs)
 		e := h.Entropy()
 		if e < 0 || e > math.Log(float64(h.Bins()))+1e-12 {
 			return false
 		}
-		h2, _ := NewHistogram(0.25)
+		h.Reset()
 		for _, x := range xs {
-			h2.Add(x + 4.0) // 16 whole bins
+			h.Add(x + 4.0) // 16 whole bins
 		}
-		return almostEq(h2.Entropy(), e, 1e-12)
+		return almostEq(h.Entropy(), e, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

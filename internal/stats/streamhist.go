@@ -6,14 +6,18 @@ import (
 	"sort"
 )
 
-// StreamHist is a reusable fixed-bin-width histogram for the adversary's
-// streaming feature pipeline. It computes the same eq. 25 entropy as
-// Histogram — identical bin indexing (floor(x/Δh) with the same non-finite
-// clamping) — but stores counts in a dense slice centred on the data so
-// that steady-state Add/Reset/Entropy allocate nothing, and it sums
-// entropy terms in ascending bin order, the deterministic order
-// Histogram.Entropy also uses (Go map iteration is not ordered by
-// construction).
+// StreamHist is a reusable fixed-bin-width histogram: the adversary's
+// streaming entropy feature and the Fig. 4a density. The paper's robust
+// entropy estimator (eq. 24) needs one constant bin width Δh across the
+// whole experiment, so that the log Δh term is a constant and can be
+// dropped (eq. 25); StreamHist fixes the width at construction and grows
+// its range instead of rescaling bins. It computes the same eq. 25
+// entropy as the map-based reference Entropy — identical bin indexing
+// (floor(x/Δh) with the same non-finite clamping) — but stores counts in
+// a dense slice centred on the data so that steady-state Add/Reset/Entropy
+// allocate nothing, and it sums entropy terms in ascending bin order, the
+// deterministic order Entropy also uses (Go map iteration is not ordered
+// by construction).
 //
 // A StreamHist is not safe for concurrent use; create one per goroutine.
 type StreamHist struct {
@@ -43,8 +47,10 @@ func NewStreamHist(width float64) (*StreamHist, error) {
 	return &StreamHist{width: width, margin: 256}, nil
 }
 
-// binIndex mirrors Histogram.binIndex: floor(x/width) with NaN in bin 0
-// and ±Inf (or finite overflow) clamped to the extreme int32 bins.
+// binIndex is floor(x/width) with NaN in bin 0 and ±Inf (or finite
+// overflow) clamped to the extreme int32 bins, so that outliers from
+// pathological configurations carry negligible weight instead of
+// crashing a run — the robustness the estimator relies on.
 func (h *StreamHist) binIndex(x float64) int {
 	if math.IsNaN(x) {
 		return 0
@@ -107,6 +113,17 @@ func (h *StreamHist) AddAll(xs []float64) {
 	}
 }
 
+// Count returns the number of observations in the bin containing x,
+// whether that bin sits in the dense window or spilled.
+func (h *StreamHist) Count(x float64) int {
+	idx := h.binIndex(x)
+	c := int(h.spill[idx])
+	if off := idx - h.base; off >= 0 && off < len(h.counts) {
+		c += int(h.counts[off])
+	}
+	return c
+}
+
 // ensure grows the dense window to cover idx (with margin), reporting
 // whether dense coverage is possible within maxDenseBins.
 func (h *StreamHist) ensure(idx int) bool {
@@ -153,7 +170,7 @@ func (h *StreamHist) Reset() {
 
 // Entropy returns the normalized histogram entropy (paper eq. 25).
 // Terms are summed in ascending bin order — the same order
-// Histogram.Entropy uses — independent of dense-vs-spill placement, so
+// Entropy uses — independent of dense-vs-spill placement, so
 // the float result is identical across runs even when different reuse
 // histories grew the dense window differently (the spill threshold
 // depends on previously seen windows; the sum must not).
@@ -186,4 +203,44 @@ func (h *StreamHist) Entropy() float64 {
 		sum -= p * math.Log(p)
 	}
 	return sum
+}
+
+// Entropy computes the eq. 25 histogram entropy of xs with the given
+// constant bin width, −Σ_i (k_i/n) log(k_i/n): Moddemeijer's
+// differential-entropy estimator with the constant log Δh term
+// discarded, in natural log. It counts bins in a map, with its own copy
+// of the bin rule, and is the plain reference StreamHist and the
+// adversary's entropy feature are checked against. An empty sample has
+// zero entropy.
+func Entropy(xs []float64, width float64) (float64, error) {
+	if !(width > 0) || math.IsInf(width, 0) {
+		return 0, errors.New("stats: histogram bin width must be positive and finite")
+	}
+	counts := make(map[int]int)
+	for _, x := range xs {
+		idx := 0 // NaN
+		switch f := math.Floor(x / width); {
+		case f > math.MaxInt32:
+			idx = math.MaxInt32
+		case f < math.MinInt32:
+			idx = math.MinInt32
+		case !math.IsNaN(f):
+			idx = int(f)
+		}
+		counts[idx]++
+	}
+	// Sum in sorted bin order: map iteration order is randomized, and the
+	// float sum is order-sensitive at the ULP level.
+	idxs := make([]int, 0, len(counts))
+	for i := range counts {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	n := float64(len(xs))
+	var sum float64
+	for _, i := range idxs {
+		p := float64(counts[i]) / n
+		sum -= p * math.Log(p)
+	}
+	return sum, nil
 }
