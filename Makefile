@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet fmt test race bench bench-json bench-compare bench-gate \
 	bench-selftest bench-digests profile staticcheck docs golden golden-check resume-check \
-	scale-smoke scale trace-smoke report fuzz ci clean
+	scale-smoke scale trace-smoke report fuzz examples ci clean
 
 all: vet build test
 
@@ -165,8 +165,11 @@ resume-check:
 # tables. -max-rss-mb pins the engine's memory model (peak resident set
 # measured 24-27 MiB at -workers 1 and 36 MiB at -workers 4 on a 2-core
 # Xeon; the ceiling leaves slack for GC scheduling, not for
-# an O(N)-user-states regression) and -timeout turns a wedged run into
-# a clean failure. `make scale` runs the full million-user point.
+# an O(N)-user-states regression). -timeout is the run's cooperative
+# deadline: past it the run stops at its next cell, window or round
+# check and exits 2. A run wedged where no check is reached is left to
+# the CI job's timeout-minutes. `make scale` runs the full million-user
+# point.
 scale-smoke:
 	@tmp=$$(mktemp -d) || exit 1; \
 	$(GO) build -o $$tmp/linkpadsim ./cmd/linkpadsim || { rm -rf $$tmp; exit 1; }; \
@@ -226,8 +229,16 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 30s ./$${t%%:*} || exit 1; \
 	done
 
+# The root Example tests check each protocol's printed table against its
+# // Output: comment. They run at every CPU (RunOptions{}), and go test
+# -cpu does not repeat Examples, so a width-dependent result would show
+# only on a host with another core count: run them at two widths.
+examples:
+	GOMAXPROCS=1 $(GO) test -count=1 -run '^Example' .
+	GOMAXPROCS=3 $(GO) test -count=1 -run '^Example' .
+
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet fmt build test race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke fuzz
+ci: vet fmt build test examples race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke fuzz
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof report.json

@@ -11,6 +11,7 @@
 package linkpad_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func runFigure(b *testing.B, id string, metrics map[string][2]string) {
 	var tbl *linkpad.ExperimentTable
 	var err error
 	for i := 0; i < b.N; i++ {
-		tbl, err = linkpad.RunExperiment(id, linkpad.ExperimentOptions{
+		tbl, err = linkpad.RunExperiment(context.Background(), id, linkpad.ExperimentOptions{
 			Scale: benchScale,
 			Seed:  uint64(i + 1),
 		})

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,26 +39,49 @@ import (
 	"linkpad/internal/obs"
 )
 
-// exitKilled is the distinct exit code for a -checkpoint-kill simulated
-// crash: the run stopped on purpose with a valid checkpoint on disk, so
-// CI can tell "resume me" apart from a real failure's exit 1.
-const exitKilled = 3
+// The exit codes of a stopped run. A -checkpoint-kill simulated crash
+// stopped on purpose with a valid checkpoint on disk, so CI can tell
+// "resume me" apart from a real failure's exit 1; a -timeout stop is
+// the run's own wall-clock budget running out.
+const (
+	exitTimeout = 2
+	exitKilled  = 3
+)
+
+// errTimeout is the cause a -timeout stop carries.
+var errTimeout = errors.New("timeout")
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, experiment.ErrKilled) {
-			fmt.Fprintln(os.Stderr, "linkpadsim:", err)
-			os.Exit(exitKilled)
-		}
-		fmt.Fprintln(os.Stderr, "linkpadsim:", err)
-		os.Exit(1)
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr)))
+}
+
+// exitCode maps run's error to the process exit code; it is the one
+// place a stop's cause becomes one.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, experiment.ErrKilled):
+		return exitKilled
+	case errors.Is(err, errTimeout):
+		return exitTimeout
+	default:
+		return 1
 	}
 }
 
 // run is the whole CLI behind a plain function boundary: flags parse
-// from args into a private FlagSet and all output goes to the given
-// writers, so tests drive every flag-validation path in-process.
-func run(args []string, stdout, stderr io.Writer) error {
+// from args into a private FlagSet and all output, the error included,
+// goes to the given writers, so tests drive every flag-validation path
+// and every stop in-process. One context stops a run: -timeout's
+// deadline, or -checkpoint-kill's budget inside the sweep. On a stop,
+// -report is still written and names the experiment and the cause.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	defer func() {
+		if err != nil {
+			fmt.Fprintln(stderr, "linkpadsim:", err)
+		}
+	}()
 	fs := flag.NewFlagSet("linkpadsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -75,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		benchGate    = fs.String("bench-gate", "", fmt.Sprintf("like -bench-compare, but exit non-zero if any experiment slowed down by more than %d%%", benchGatePct))
 		checkpoint   = fs.String("checkpoint", "", "persist per-cell progress of a checkpointable experiment to this file and resume from it if present")
 		cpKill       = fs.Int("checkpoint-kill", 0, "abort with a simulated crash after this many cells finish (requires -checkpoint; exit code 3)")
-		timeout      = fs.Duration("timeout", 0, "abort the whole run after this wall-clock duration (0 = no limit)")
+		timeout      = fs.Duration("timeout", 0, "stop the run at its next check after this wall-clock duration, still writing -report (exit code 2; 0 = no limit)")
 		maxRSSMB     = fs.Int("max-rss-mb", 0, "fail the run if peak resident memory (VmHWM) exceeds this many MiB (0 = no ceiling; skipped where /proc is unavailable)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -84,16 +108,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	ctx := context.Background()
 	if *timeout > 0 {
-		// A hard wall-clock guard for CI smoke steps: a wedged experiment
-		// must fail the step, not hang the job until the runner's global
-		// timeout. The timer goroutine exits the process directly — there
-		// is nothing to clean up that the OS won't.
-		go func() {
-			time.Sleep(*timeout)
-			fmt.Fprintf(stderr, "linkpadsim: timeout: run exceeded %v\n", *timeout)
-			os.Exit(2)
-		}()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, *timeout,
+			fmt.Errorf("%w: run exceeded %v", errTimeout, *timeout))
+		defer cancel()
 	}
 	if *benchCompare != "" {
 		return runBenchCompare(stdout, *benchCompare)
@@ -191,20 +211,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer prog.stop()
 
 	rep := newRunReport(opts)
+	var stopped error
 	for _, id := range ids {
 		start := time.Now()
 		before := obs.Snapshot()
-		var (
-			tbl *experiment.Table
-			err error
-		)
+		var tbl *experiment.Table
 		if *checkpoint != "" {
-			tbl, err = experiment.RunCheckpointed(id, opts, *checkpoint, *cpKill)
+			tbl, err = experiment.RunCheckpointed(ctx, id, opts, *checkpoint, *cpKill)
 		} else {
-			tbl, err = experiment.Run(id, opts)
+			tbl, err = experiment.Run(ctx, id, opts)
 		}
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			if ctx.Err() == nil && !errors.Is(err, experiment.ErrKilled) {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			rep.stop(id, err)
+			stopped = err
+			break
 		}
 		elapsed := time.Since(start)
 		rep.add(id, elapsed, len(tbl.Rows), before, obs.Snapshot())
@@ -239,12 +262,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		prog.experimentDone(id, elapsed)
 	}
-	rec := rep.finish()
+	rssMB, rssOK := peakRSSMB()
+	rec := rep.finish(rssMB)
 	if *report != "" {
 		if err := writeJSON(*report, rec); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
 		fmt.Fprintf(stderr, "run report written to %s\n", *report)
+	}
+	if stopped != nil {
+		return stopped
 	}
 	if *benchJSON != "" {
 		n, err := appendTrajectory(*benchJSON, rec)
@@ -254,5 +281,5 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "total %v; trajectory appended to %s (%d runs)\n",
 			rep.total.Round(time.Millisecond), *benchJSON, n)
 	}
-	return checkPeakRSS(stderr, *maxRSSMB)
+	return checkPeakRSS(stderr, *maxRSSMB, rssMB, rssOK)
 }

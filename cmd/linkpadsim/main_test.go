@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"linkpad/internal/experiment"
 	"linkpad/internal/obs"
 )
 
@@ -145,24 +145,80 @@ func TestRunBenchJSONLogsToStderr(t *testing.T) {
 	}
 }
 
-// The -timeout watchdog reports to the stderr writer run is given and
-// exits with code 2. It ends the process, so the run happens in a child
-// copy of the test binary whose stderr writer is its stdout.
+// -timeout stops the run in-process through its context: run returns
+// the timeout cause, prints it on the stderr writer it is given, and
+// still writes -report, whose stopped field names the experiment in
+// flight. fig8b at full scale runs for seconds; the deadline comes
+// first.
 func TestRunTimeoutReportsToStderrWriter(t *testing.T) {
-	if os.Getenv("LINKPADSIM_TIMEOUT_CHILD") == "1" {
-		// fig8b at full scale runs for seconds; the watchdog fires first.
-		run([]string{"-exp", "fig8b", "-workers", "1", "-timeout", "20ms"}, io.Discard, os.Stdout)
-		os.Exit(0)
+	path := filepath.Join(t.TempDir(), "r.json")
+	err, stderr := runQuiet(t, "-exp", "fig8b", "-workers", "1", "-timeout", "50ms", "-report", path)
+	if !errors.Is(err, errTimeout) || exitCode(err) != exitTimeout {
+		t.Fatalf("run returned %v (exit code %d), want the timeout cause (exit code %d)", err, exitCode(err), exitTimeout)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRunTimeoutReportsToStderrWriter$")
-	cmd.Env = append(os.Environ(), "LINKPADSIM_TIMEOUT_CHILD=1")
-	out, err := cmd.Output()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("child exited with %v, want exit code 2", err)
+	if !strings.Contains(stderr, "linkpadsim: timeout: run exceeded 50ms") {
+		t.Errorf("timeout message missing from the stderr writer:\n%s", stderr)
 	}
-	if !strings.Contains(string(out), "linkpadsim: timeout: run exceeded 20ms") {
-		t.Errorf("timeout message missing from the stderr writer:\n%s", out)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no -report after the stop: %v", err)
+	}
+	var rep RunReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report does not decode: %v", err)
+	}
+	if rep.Stopped == nil || rep.Stopped.Experiment != "fig8b" || rep.Stopped.Cause != "timeout: run exceeded 50ms" {
+		t.Errorf("report stopped = %+v, want fig8b stopped by the timeout", rep.Stopped)
+	}
+	if len(rep.Experiments) != 0 {
+		t.Errorf("report lists %d finished experiments, want none", len(rep.Experiments))
+	}
+}
+
+// -checkpoint-kill stops through the same path: exit code 3, the kill's
+// cause on the stderr writer, and a -report naming the experiment.
+func TestRunCheckpointKillReports(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "r.json")
+	err, stderr := runQuiet(t, "-exp", "scale-disclosure", "-scale", "0.001", "-seed", "3",
+		"-checkpoint", filepath.Join(dir, "cp.json"), "-checkpoint-kill", "1", "-report", path)
+	if exitCode(err) != exitKilled {
+		t.Fatalf("run returned %v (exit code %d), want exit code %d", err, exitCode(err), exitKilled)
+	}
+	if !strings.Contains(stderr, "linkpadsim: "+experiment.ErrKilled.Error()) {
+		t.Errorf("kill message missing from the stderr writer:\n%s", stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no -report after the kill: %v", err)
+	}
+	var rep RunReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report does not decode: %v", err)
+	}
+	if rep.Stopped == nil || rep.Stopped.Experiment != "scale-disclosure" || rep.Stopped.Cause != experiment.ErrKilled.Error() {
+		t.Errorf("report stopped = %+v, want scale-disclosure killed", rep.Stopped)
+	}
+}
+
+// exitCode is the one map from run's error to the exit code: a kill's
+// cause and a timeout's keep their codes however they are wrapped.
+func TestExitCode(t *testing.T) {
+	timeout := fmt.Errorf("%w: run exceeded 1s", errTimeout)
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{nil, 0},
+		{errors.New("boom"), 1},
+		{timeout, exitTimeout},
+		{fmt.Errorf("x: %w", timeout), exitTimeout},
+		{experiment.ErrKilled, exitKilled},
+		{fmt.Errorf("x: %w", experiment.ErrKilled), exitKilled},
+	} {
+		if got := exitCode(tc.err); got != tc.want {
+			t.Errorf("exitCode(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 
@@ -215,6 +271,9 @@ func TestRunReportSmoke(t *testing.T) {
 	}
 	if rep.Totals.Packets != e.Packets {
 		t.Errorf("totals.packets = %d, want %d", rep.Totals.Packets, e.Packets)
+	}
+	if mb, ok := peakRSSMB(); ok && !(rep.Totals.PeakRSSMB > 0 && rep.Totals.PeakRSSMB <= mb) {
+		t.Errorf("totals.peak_rss_mb = %v, want in (0, %v]", rep.Totals.PeakRSSMB, mb)
 	}
 
 	// A disclosure runner moves no padded packets; its work unit is the

@@ -29,6 +29,15 @@ type RunReport struct {
 	Workers     int                `json:"workers"`
 	Experiments []ExperimentReport `json:"experiments"`
 	Totals      ReportTotals       `json:"totals"`
+	// Stopped is set when -timeout or -checkpoint-kill stopped the run;
+	// Experiments then holds only the experiments that finished.
+	Stopped *StopReport `json:"stopped,omitempty"`
+}
+
+// StopReport names the experiment a stopped run was in and the cause.
+type StopReport struct {
+	Experiment string `json:"experiment"`
+	Cause      string `json:"cause"`
 }
 
 // ExperimentReport is one experiment's slice of the run.
@@ -58,6 +67,9 @@ type ReportTotals struct {
 	Messages       uint64            `json:"messages"`
 	MessagesPerSec float64           `json:"messages_per_sec"`
 	Counters       map[string]uint64 `json:"counters"`
+	// PeakRSSMB is the process's peak resident set (VmHWM) in MiB, read
+	// once at the end of the run; omitted where /proc is unavailable.
+	PeakRSSMB float64 `json:"peak_rss_mb,omitempty"`
 }
 
 // runReport accumulates per-experiment counter deltas during the run
@@ -103,12 +115,19 @@ func (r *runReport) add(id string, elapsed time.Duration, rows int, before, afte
 	})
 }
 
-// finish fills in the totals and returns the finished record, the one
-// -report writes and -bench-json appends to its trajectory.
-func (r *runReport) finish() *RunReport {
+// stop records that the run stopped in experiment id with cause.
+func (r *runReport) stop(id string, cause error) {
+	r.rep.Stopped = &StopReport{Experiment: id, Cause: cause.Error()}
+}
+
+// finish fills in the totals, with the peak RSS peakRSSMB read (0 where
+// it could not), and returns the finished record, the one -report
+// writes and -bench-json appends to its trajectory.
+func (r *runReport) finish(rssMB float64) *RunReport {
 	totals := ReportTotals{
-		Seconds:  r.total.Seconds(),
-		Counters: make(map[string]uint64, int(obs.NumCounters)),
+		Seconds:   r.total.Seconds(),
+		Counters:  make(map[string]uint64, int(obs.NumCounters)),
+		PeakRSSMB: rssMB,
 	}
 	for _, e := range r.rep.Experiments {
 		totals.Packets += e.Packets

@@ -34,17 +34,14 @@ func peakRSSMB() (float64, bool) {
 	return 0, false
 }
 
-// checkPeakRSS enforces the -max-rss-mb ceiling after a run finished:
+// checkPeakRSS enforces the -max-rss-mb ceiling on the peak mb that
+// peakRSSMB read after a run finished (ok false where it could not):
 // the scale-smoke CI job uses it to pin the engine's memory model (a
 // million-user run must stay within the compact-frontier budget, not
 // drift back to N fully built users). limitMB <= 0 disables the check;
 // an unmeasurable platform passes.
-func checkPeakRSS(w io.Writer, limitMB int) error {
-	if limitMB <= 0 {
-		return nil
-	}
-	mb, ok := peakRSSMB()
-	if !ok {
+func checkPeakRSS(w io.Writer, limitMB int, mb float64, ok bool) error {
+	if limitMB <= 0 || !ok {
 		return nil
 	}
 	if mb > float64(limitMB) {

@@ -1,6 +1,7 @@
 package active
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -117,8 +118,10 @@ func (o *flowObs) channel(ch, slots int) []float64 {
 // flows), and account the injection and padding overhead. The matched
 // filter uses floor(cfg.Duration/period) whole slots past each flow's
 // Start. Exit flow f's true key is flow f's key; the adversary's scores
-// never read that identity, only the observations.
-func Detect(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
+// never read that identity, only the observations. ctx is checked
+// before each flow is simulated; once it is done, Detect fails with its
+// cause.
+func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("active: nil engine")
 	}
@@ -142,6 +145,9 @@ func Detect(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	hopStats := make([][]cascade.HopStats, flows)
 	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
 	err = par.MapWorker(flows, workers, func(worker, f int) error {
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
 		flow, err := e.Flow(f)
 		if err != nil {
 			return fmt.Errorf("active: flow %d: %w", f, err)

@@ -1,6 +1,7 @@
 package active
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -77,7 +78,7 @@ func detectCfg(duration float64) adversary.CorrConfig {
 // false-positive floor.
 func TestDetectSyntheticChaff(t *testing.T) {
 	cfg := detectCfg(40)
-	res, err := Detect(chaffEngine(t, 6, 30), cfg)
+	res, err := Detect(context.Background(), chaffEngine(t, 6, 30), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDetectSyntheticChaff(t *testing.T) {
 		t.Fatalf("route pps %v, want ≈ payload+chaff", res.RoutePPS)
 	}
 
-	null, err := Detect(chaffEngine(t, 6, 1e-9), cfg)
+	null, err := Detect(context.Background(), chaffEngine(t, 6, 1e-9), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestDetectWorkerInvariance(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := detectCfg(24)
 		cfg.Workers = workers
-		res, err := Detect(chaffEngine(t, 5, 25), cfg)
+		res, err := Detect(context.Background(), chaffEngine(t, 5, 25), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,13 +144,13 @@ func TestDetectWorkerInvariance(t *testing.T) {
 
 func TestDetectValidation(t *testing.T) {
 	e := chaffEngine(t, 4, 20)
-	if _, err := Detect(nil, detectCfg(20)); err == nil {
+	if _, err := Detect(context.Background(), nil, detectCfg(20)); err == nil {
 		t.Error("nil engine should fail")
 	}
-	if _, err := Detect(e, detectCfg(0)); err == nil {
+	if _, err := Detect(context.Background(), e, detectCfg(0)); err == nil {
 		t.Error("zero duration should fail")
 	}
-	if _, err := Detect(e, detectCfg(1)); err == nil {
+	if _, err := Detect(context.Background(), e, detectCfg(1)); err == nil {
 		t.Error("too few slots should fail")
 	}
 	for _, cfg := range []adversary.CorrConfig{
@@ -157,7 +158,7 @@ func TestDetectValidation(t *testing.T) {
 		{Duration: 20, FeatureWindow: 1},
 		{Duration: 20, FeatureWindow: 200, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
 	} {
-		if _, err := Detect(e, cfg); err == nil || !strings.HasPrefix(err.Error(), "active: ") {
+		if _, err := Detect(context.Background(), e, cfg); err == nil || !strings.HasPrefix(err.Error(), "active: ") {
 			t.Errorf("zero or tiny feature window or unpaired extractor: got %v, want an active error", err)
 		}
 	}
@@ -174,7 +175,7 @@ func TestDetectValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Detect(bad, detectCfg(20)); err == nil || !strings.Contains(err.Error(), "hops") {
+	if _, err := Detect(context.Background(), bad, detectCfg(20)); err == nil || !strings.Contains(err.Error(), "hops") {
 		t.Errorf("hop-count mismatch not rejected: %v", err)
 	}
 }
@@ -234,7 +235,7 @@ func TestDetectSyntheticDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(e, detectCfg(60))
+	res, err := Detect(context.Background(), e, detectCfg(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestDetectMatchesSequentialOracle(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		cfg.Workers = w
-		got, err := Detect(e, cfg)
+		got, err := Detect(context.Background(), e, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -99,8 +100,10 @@ type Correlation struct {
 // into the zeroed fingerprint row entry with CountRate; the exit slice
 // is reduced before observe runs again on the same worker, so it may
 // reuse per-worker buffers. Exit flow f's true entry flow is flow f; the
-// scores never read that identity, only the observations.
-func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int, entry []float64) (FlowObs, error)) (*Correlation, error) {
+// scores never read that identity, only the observations. ctx is
+// checked before each flow is observed; once it is done, the attack
+// fails with its cause.
+func CorrelateFlows(ctx context.Context, flows int, cfg CorrConfig, observe func(worker, f int, entry []float64) (FlowObs, error)) (*Correlation, error) {
 	if observe == nil {
 		return nil, errors.New("adversary: nil flow observer")
 	}
@@ -134,6 +137,9 @@ func CorrelateFlows(flows int, cfg CorrConfig, observe func(worker, f int, entry
 	classes := make([]int, flows)
 	posts := make([][]float64, flows) // exit class log posteriors
 	err = par.MapWorker(flows, workers, func(worker, f int) error {
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
 		o, err := observe(worker, f, row(entry, f))
 		if err == nil {
 			posts[f], err = exitClasses.LogPosts(worker, o.Exit)

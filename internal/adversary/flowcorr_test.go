@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func constantFlows(duration float64) func(worker, f int, entry []float64) (FlowO
 }
 
 func TestCorrelateFlowsRawIsPerfect(t *testing.T) {
-	res, err := CorrelateFlows(12, corrCfg(30), rawFlows(0, 30))
+	res, err := CorrelateFlows(context.Background(), 12, corrCfg(30), rawFlows(0, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCorrelateFlowsRawIsPerfect(t *testing.T) {
 }
 
 func TestCorrelateFlowsConstantEgressHasNoFingerprint(t *testing.T) {
-	res, err := CorrelateFlows(12, corrCfg(30), constantFlows(30))
+	res, err := CorrelateFlows(context.Background(), 12, corrCfg(30), constantFlows(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestCorrelateFlowsWorkerInvariance(t *testing.T) {
 	run := func(workers int) *Correlation {
 		cfg := corrCfg(30)
 		cfg.Workers = workers
-		res, err := CorrelateFlows(12, cfg, rawFlows(workers, 30))
+		res, err := CorrelateFlows(context.Background(), 12, cfg, rawFlows(workers, 30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +133,13 @@ func TestCorrelateFlowsValidation(t *testing.T) {
 		{"unpaired extractor", 4, CorrConfig{Duration: 10, FeatureWindow: 200, Extractors: []Extractor{{Feature: analytic.FeatureMean}}}, obs},
 	}
 	for _, c := range bad {
-		if _, err := CorrelateFlows(c.flows, c.cfg, c.observe); err == nil || !strings.HasPrefix(err.Error(), "adversary: ") {
+		if _, err := CorrelateFlows(context.Background(), c.flows, c.cfg, c.observe); err == nil || !strings.HasPrefix(err.Error(), "adversary: ") {
 			t.Errorf("%s: got %v, want an adversary error", c.name, err)
 		}
 	}
 	// An observation error names its flow and keeps its cause.
 	cause := errors.New("tap failed")
-	_, err := CorrelateFlows(4, corrCfg(10), func(worker, f int, entry []float64) (FlowObs, error) {
+	_, err := CorrelateFlows(context.Background(), 4, corrCfg(10), func(worker, f int, entry []float64) (FlowObs, error) {
 		if f == 2 {
 			return FlowObs{}, cause
 		}
@@ -219,7 +220,7 @@ func TestCorrelateFlowsMatchesOracle(t *testing.T) {
 	for _, w := range []int{1, 2, 0} {
 		cfg := corrCfg(duration)
 		cfg.Workers = w
-		got, err := CorrelateFlows(flows, cfg, observe)
+		got, err := CorrelateFlows(context.Background(), flows, cfg, observe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func BenchmarkCorrelateFlowsScore(b *testing.B) {
 	observe, _ := shiftedFlows(flows, duration)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := CorrelateFlows(flows, corrCfg(duration), observe); err != nil {
+		if _, err := CorrelateFlows(context.Background(), flows, corrCfg(duration), observe); err != nil {
 			b.Fatal(err)
 		}
 	}

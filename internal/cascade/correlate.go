@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -58,8 +59,9 @@ type Result struct {
 // through the whole route over (0, cfg.Duration] into a per-worker slab
 // (netem.Collect), which counts the entry arrivals into the flow's entry
 // row as a side effect; once the route's observation is complete its hop
-// counters are read. Exit flow f's true entry flow is flow f.
-func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
+// counters are read. Exit flow f's true entry flow is flow f. ctx stops
+// the attack between flows, as in CorrelateFlows.
+func Correlate(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("cascade: nil engine")
 	}
@@ -67,7 +69,7 @@ func Correlate(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	hopStats := make([][]HopStats, flows)
 	exitCounts := make([]int, flows)
 	exits := make([][]float64, par.Workers(cfg.Workers)) // reusable per-worker exit-time slabs
-	corr, err := adversary.CorrelateFlows(flows, cfg, func(worker, f int, entry []float64) (adversary.FlowObs, error) {
+	corr, err := adversary.CorrelateFlows(ctx, flows, cfg, func(worker, f int, entry []float64) (adversary.FlowObs, error) {
 		route, err := e.Route(f)
 		if err != nil {
 			return adversary.FlowObs{}, err

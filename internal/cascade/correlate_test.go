@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func TestCorrelateIdentityRoutes(t *testing.T) {
 	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
 		return patternTimes(bins, func(b int) int { return 3 + (b+2*f)%7 })
 	}, nil)
-	res, err := Correlate(e, corrCfg(bins))
+	res, err := Correlate(context.Background(), e, corrCfg(bins))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestCorrelateFlatRoutes(t *testing.T) {
 	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
 		return patternTimes(bins, func(int) int { return 5 })
 	}, nil)
-	res, err := Correlate(e, corrCfg(bins))
+	res, err := Correlate(context.Background(), e, corrCfg(bins))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCorrelateHopAccounting(t *testing.T) {
 	}, func(f int) []HopProbe {
 		return []HopProbe{mk("CIT", 1000, 750), mk("MIX", 1000, 0)}
 	})
-	res, err := Correlate(e, corrCfg(bins))
+	res, err := Correlate(context.Background(), e, corrCfg(bins))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestCorrelateHopAccounting(t *testing.T) {
 	}, func(f int) []HopProbe {
 		return []HopProbe{mk("CIT", 1000, 750)}
 	})
-	if _, err := Correlate(bad, corrCfg(bins)); err == nil || !strings.Contains(err.Error(), "hops") {
+	if _, err := Correlate(context.Background(), bad, corrCfg(bins)); err == nil || !strings.Contains(err.Error(), "hops") {
 		t.Errorf("hop-count mismatch not rejected: %v", err)
 	}
 }
@@ -155,13 +156,13 @@ func TestCorrelateValidation(t *testing.T) {
 	e := syntheticEngine(t, 2, 0, func(f int) []float64 {
 		return patternTimes(4, func(int) int { return 3 })
 	}, nil)
-	if _, err := Correlate(nil, corrCfg(10)); err == nil {
+	if _, err := Correlate(context.Background(), nil, corrCfg(10)); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := Correlate(e, corrCfg(0)); err == nil {
+	if _, err := Correlate(context.Background(), e, corrCfg(0)); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := Correlate(e, corrCfg(1.5)); err == nil {
+	if _, err := Correlate(context.Background(), e, corrCfg(1.5)); err == nil {
 		t.Error("single rate window accepted")
 	}
 	for _, cfg := range []adversary.CorrConfig{
@@ -169,7 +170,7 @@ func TestCorrelateValidation(t *testing.T) {
 		{Duration: 4, FeatureWindow: 1},
 		{Duration: 4, FeatureWindow: 200, Extractors: []adversary.Extractor{{Feature: analytic.FeatureMean}}},
 	} {
-		if _, err := Correlate(e, cfg); err == nil || !strings.HasPrefix(err.Error(), "cascade: ") {
+		if _, err := Correlate(context.Background(), e, cfg); err == nil || !strings.HasPrefix(err.Error(), "cascade: ") {
 			t.Errorf("zero or tiny feature window or unpaired extractor: got %v, want a cascade error", err)
 		}
 	}
@@ -180,7 +181,7 @@ func TestCorrelateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Correlate(blind, corrCfg(4)); err == nil {
+	if _, err := Correlate(context.Background(), blind, corrCfg(4)); err == nil {
 		t.Error("entry-less route accepted")
 	}
 }

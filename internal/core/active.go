@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -319,7 +320,7 @@ func (c ActiveDetectConfig) validate(flows int) error {
 // matched-filter detection at the exit tap. Results are identical at
 // any opts.Workers width; flows are the unit of parallelism. Run calls it
 // on the spec Build validated and the defaults-applied config.
-func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig, opts RunOptions) (*active.Result, error) {
+func (s *System) activeDetection(ctx context.Context, spec ActiveSpec, cfg ActiveDetectConfig, opts RunOptions) (*active.Result, error) {
 	if spec.Raw {
 		cfg.Features = nil
 	}
@@ -327,7 +328,7 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig, opts R
 	// Off-line phase: per-class exit feature densities from phantom
 	// flows, which reuse the population protocol's phantom index block —
 	// a disjoint flow range of the active domain real flows never reach.
-	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
+	classifiers, exts, err := s.trainExitClassifiers(ctx, cfg.Features,
 		cfg.TrainWindows, cfg.FeatureWindow, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			fl, err := s.activeFlow(spec, class,
@@ -351,7 +352,7 @@ func (s *System) activeDetection(spec ActiveSpec, cfg ActiveDetectConfig, opts R
 	if err != nil {
 		return nil, err
 	}
-	return active.Detect(eng, adversary.CorrConfig{
+	return active.Detect(ctx, eng, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,

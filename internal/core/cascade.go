@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -274,7 +275,7 @@ func (c CascadeCorrConfig) validate(flows int) error {
 // correlation plus exit class posteriors. Results are identical at any
 // opts.Workers width; flows are the unit of parallelism. Run calls it on
 // the spec Build validated and the defaults-applied config.
-func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig, opts RunOptions) (*cascade.Result, error) {
+func (s *System) cascadeCorrelation(ctx context.Context, spec CascadeSpec, cfg CascadeCorrConfig, opts RunOptions) (*cascade.Result, error) {
 	if len(spec.Hops) == 0 {
 		cfg.Features = nil
 	}
@@ -282,7 +283,7 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig, opt
 	// Off-line phase: per-class exit feature densities from phantom
 	// flows, which reuse the population protocol's phantom index block —
 	// a disjoint flow range of the cascade domain real flows never reach.
-	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
+	classifiers, exts, err := s.trainExitClassifiers(ctx, cfg.Features,
 		cfg.TrainWindows, cfg.FeatureWindow, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			route, err := s.buildRoute(spec, class,
@@ -300,7 +301,7 @@ func (s *System) cascadeCorrelation(spec CascadeSpec, cfg CascadeCorrConfig, opt
 	if err != nil {
 		return nil, err
 	}
-	return cascade.Correlate(eng, adversary.CorrConfig{
+	return cascade.Correlate(ctx, eng, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		FeatureWindow: cfg.FeatureWindow,
 		Classifiers:   classifiers,

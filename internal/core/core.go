@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -691,7 +692,7 @@ func validateAttackSet(cfg AttackConfig, features []analytic.Feature) error {
 // ablation-windowing experiment quantifies the residual protocol gap
 // against the session scenario's continuous-stream sessions, which implement
 // the paper's consecutive-window observation directly.
-func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature, opts RunOptions) ([]*AttackResult, error) {
+func (s *System) attackSet(ctx context.Context, cfg AttackConfig, features []analytic.Feature, opts RunOptions) ([]*AttackResult, error) {
 	cfg = cfg.withDefaults()
 	if err := validateAttackSet(cfg, features); err != nil {
 		return nil, err
@@ -704,6 +705,9 @@ func (s *System) attackSet(cfg AttackConfig, features []analytic.Feature, opts R
 	labels := s.Labels()
 	factory := func(class int, base uint64) adversary.SourceFactory {
 		return func(w int) (adversary.PIATSource, error) {
+			if err := context.Cause(ctx); err != nil {
+				return nil, err
+			}
 			return s.PIATSource(class, windowStreamID(base, w))
 		}
 	}
@@ -919,7 +923,7 @@ func (s *System) detectionAt(sigmaT float64, attack AttackConfig, opts RunOption
 	if err != nil {
 		return 0, err
 	}
-	set, err := sys.attackSet(attack, []analytic.Feature{attack.Feature}, opts)
+	set, err := sys.attackSet(context.Background(), attack, []analytic.Feature{attack.Feature}, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -941,7 +945,7 @@ const defaultFeatureWindow = 200
 // to one value per feature, then train one KDE classifier per feature.
 // The returned extractors parallel the classifiers; both are nil when
 // features is empty.
-func (s *System) trainExitClassifiers(features []analytic.Feature, trainWindows, featureWindow, workers int,
+func (s *System) trainExitClassifiers(ctx context.Context, features []analytic.Feature, trainWindows, featureWindow, workers int,
 	source func(class, w int) (adversary.PIATSource, error)) ([]*bayes.Classifier, []adversary.Extractor, error) {
 	if len(features) == 0 {
 		return nil, nil, nil
@@ -954,7 +958,12 @@ func (s *System) trainExitClassifiers(features []analytic.Feature, trainWindows,
 	labels := s.Labels()
 	trainMats := make([][][]float64, m)
 	for c := 0; c < m; c++ {
-		factory := func(w int) (adversary.PIATSource, error) { return source(c, w) }
+		factory := func(w int) (adversary.PIATSource, error) {
+			if err := context.Cause(ctx); err != nil {
+				return nil, err
+			}
+			return source(c, w)
+		}
 		mat, err := adversary.FeatureMatrix(factory, exts,
 			trainWindows, featureWindow, workers)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -430,11 +431,11 @@ func phantomFlowIndex(class, trainWindows, w int) int {
 // correlation plus class posteriors. Results are identical at any
 // opts.Workers width; users are the unit of parallelism. Run calls it on
 // the spec Build validated and the defaults-applied config.
-func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig, opts RunOptions) (*adversary.Correlation, error) {
+func (s *System) flowCorrelation(ctx context.Context, spec PopulationSpec, cfg FlowCorrConfig, opts RunOptions) (*adversary.Correlation, error) {
 	cum := s.classCum()
 
 	// Off-line phase: per-class feature densities from phantom flows.
-	classifiers, exts, err := s.trainExitClassifiers(cfg.Features,
+	classifiers, exts, err := s.trainExitClassifiers(ctx, cfg.Features,
 		cfg.TrainWindows, defaultFeatureWindow, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			phantom := phantomFlowIndex(class, cfg.TrainWindows, w)
@@ -461,7 +462,7 @@ func (s *System) flowCorrelation(spec PopulationSpec, cfg FlowCorrConfig, opts R
 	// Run-time phase: observe every user's flow and correlate, pulling
 	// each exit into its worker's reusable slab.
 	exits := make([][]float64, par.Workers(opts.Workers))
-	res, err := adversary.CorrelateFlows(spec.Users, adversary.CorrConfig{
+	res, err := adversary.CorrelateFlows(ctx, spec.Users, adversary.CorrConfig{
 		Duration:      cfg.Duration,
 		FeatureWindow: defaultFeatureWindow,
 		Classifiers:   classifiers,

@@ -132,10 +132,15 @@ type Result struct {
 // is reusable: each Run call executes a fresh simulation (determinism
 // makes two identical Runs produce identical results).
 type Scenario interface {
-	// Run executes the scenario. The context is consulted at phase
-	// boundaries — between training and evaluation, and (for the round-
-	// based disclosure protocol) between estimator checkpoints — so
-	// cancellation interrupts long runs without tearing mid-phase state.
+	// Run executes the scenario. It checks ctx before it starts, then
+	// once per unit of the protocol's parallel loop: each attack-set
+	// window and each session (training and evaluation alike), each
+	// phantom training window and each observed flow of the flow,
+	// cascade and active attacks, and every CheckEvery rounds of
+	// disclosure. No check sits inside a per-packet loop, so a stop waits
+	// for the units in flight, and a finished result never depends on
+	// the checks. When ctx is done, Run returns context.Cause(ctx) and
+	// no result.
 	Run(ctx context.Context, opts RunOptions) (*Result, error)
 }
 
@@ -248,52 +253,43 @@ func (sc *scenario) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
+	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res, err := sc.run(ctx, opts)
+	// A stop surfaces as the bare cause, however deep the check that
+	// saw it, and a run that ends after its context is done returns no
+	// result.
+	if cause := context.Cause(ctx); cause != nil {
+		return nil, cause
+	}
+	return res, err
+}
+
+// run dispatches on the spec type; Run owns the context checks around it.
+func (sc *scenario) run(ctx context.Context, opts RunOptions) (*Result, error) {
+	var (
+		res = &Result{}
+		err error
+	)
 	switch sp := sc.spec.(type) {
 	case AttackSetSpec:
-		r, err := sc.sys.attackSet(sp.Attack, sp.Features, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.AttackSet = r
+		res.AttackSet, err = sc.sys.attackSet(ctx, sp.Attack, sp.Features, opts)
 	case SessionAttackSpec:
-		r, err := sc.sys.sessionAttack(sp.Session, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Session = r
+		res.Session, err = sc.sys.sessionAttack(ctx, sp.Session, opts)
 	case DisclosureSpec:
-		r, err := sc.runDisclosure(ctx, sp, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Disclosure = r
+		res.Disclosure, err = sc.runDisclosure(ctx, sp, opts)
 	case FlowCorrelationSpec:
-		cfg := sp.Corr.withDefaults()
-		r, err := sc.sys.flowCorrelation(sp.Population, cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.FlowCorr = r
+		res.FlowCorr, err = sc.sys.flowCorrelation(ctx, sp.Population, sp.Corr.withDefaults(), opts)
 	case CascadeCorrelationSpec:
-		cfg := sp.Corr.withDefaults()
-		r, err := sc.sys.cascadeCorrelation(sp.Cascade, cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Cascade = r
+		res.Cascade, err = sc.sys.cascadeCorrelation(ctx, sp.Cascade, sp.Corr.withDefaults(), opts)
 	case ActiveDetectionSpec:
-		cfg := sp.Detect.withDefaults()
-		r, err := sc.sys.activeDetection(sp.Active, cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Active = r
+		res.Active, err = sc.sys.activeDetection(ctx, sp.Active, sp.Detect.withDefaults(), opts)
 	default:
 		return nil, fmt.Errorf("core: unknown scenario spec type %T", sc.spec)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -325,7 +321,7 @@ func (sc *scenario) runDisclosure(ctx context.Context, sp DisclosureSpec, opts R
 		return nil, err
 	}
 	for !run.Done() {
-		if err := ctx.Err(); err != nil {
+		if err := context.Cause(ctx); err != nil {
 			run.Stop()
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -242,5 +243,79 @@ func TestScenarioContextCancel(t *testing.T) {
 	cancel()
 	if _, err := sc.Run(ctx, RunOptions{Workers: 1}); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestScenarioStopReturnsCause: for every spec type, a context cancelled
+// with a cause before Run, or one whose 50 ms deadline passes mid-run,
+// makes Run return that cause and no result. Each spec runs for 0.4 s or
+// more at two workers uncancelled (on a 2-core Xeon), so the deadline
+// falls inside the protocol's parallel loop, where Run checks its
+// context once per window, session, flow or CheckEvery rounds. The
+// cascade is a two-hop route (one VIT and one CIT hop, 8 flows,
+// Duration 6000) whose flows are the longest units here. A stop may wait
+// for the units in flight, one 6000 s flow per worker (about 0.1 s, or
+// 1 s under -race), so each stopped run must return within stopBound.
+func TestScenarioStopReturnsCause(t *testing.T) {
+	const (
+		deadline  = 50 * time.Millisecond
+		stopBound = 2 * time.Second
+	)
+	sys := scenarioSystem(t)
+	specs := []struct {
+		name string
+		spec Spec
+	}{
+		{"attack-set", AttackSetSpec{
+			Attack:   AttackConfig{TrainWindows: 8000, EvalWindows: 8000},
+			Features: []analytic.Feature{analytic.FeatureMean},
+		}},
+		{"session", SessionAttackSpec{Session: SessionAttackConfig{
+			Feature: analytic.FeatureMean, TrainWindows: 400, EvalSessions: 800, MaxWindows: 40,
+		}}},
+		{"disclosure", DisclosureSpec{
+			Population: PopulationSpec{Users: 20_000, Recipients: 1000, CoverRate: 1},
+			Disclosure: population.DisclosureConfig{Batch: 256, MaxRounds: 20_000, CheckEvery: 4},
+		}},
+		{"flow", FlowCorrelationSpec{
+			Population: PopulationSpec{Users: 64, Recipients: 40},
+			Corr:       FlowCorrConfig{Duration: 4000},
+		}},
+		{"cascade", CascadeCorrelationSpec{
+			Cascade: CascadeSpec{Flows: 8, Hops: []CascadeHop{{Policy: CascadeVIT, SigmaT: 1e-3}, {Policy: CascadeCIT}}},
+			Corr:    CascadeCorrConfig{Duration: 6000},
+		}},
+		{"active", ActiveDetectionSpec{
+			Active: ActiveSpec{Flows: 32, Mode: active.ModeChaff, Amplitude: 20},
+			Detect: ActiveDetectConfig{Duration: 8000},
+		}},
+	}
+	for _, tc := range specs {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := sys.Build(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string, ctx context.Context, cause error) {
+				t.Helper()
+				start := time.Now()
+				res, err := sc.Run(ctx, RunOptions{Workers: 2})
+				if took := time.Since(start); took > stopBound {
+					t.Errorf("%s: Run returned after %v, want within %v", when, took, stopBound)
+				}
+				if res != nil || err != cause {
+					t.Errorf("%s: Run returned (%v, %v), want (nil, %v)", when, res, err, cause)
+				}
+			}
+			cause := errors.New("stopped before the run")
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(cause)
+			check("cancelled", ctx, cause)
+
+			cause = errors.New("deadline passed mid-run")
+			ctx, stop := context.WithTimeoutCause(context.Background(), deadline, cause)
+			defer stop()
+			check("deadline", ctx, cause)
+		})
 	}
 }

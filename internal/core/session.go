@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -183,8 +184,11 @@ func sessionID(base uint64, s int) uint64 {
 
 // trainSessionSource opens, warms and returns the continuous stream of
 // one training session.
-func (s *System) trainSessionSource(class int) adversary.SourceFactory {
+func (s *System) trainSessionSource(ctx context.Context, class int) adversary.SourceFactory {
 	return func(i int) (adversary.PIATSource, error) {
+		if err := context.Cause(ctx); err != nil {
+			return nil, err
+		}
 		sess, err := s.NewSession(class, sessionID(sessionTrainBase, i))
 		if err != nil {
 			return nil, err
@@ -221,8 +225,10 @@ type SessionAttacker struct {
 // continuous sessions (warm-up included, parallel across sessions) and
 // the class-conditional feature densities are fitted, on up to
 // opts.Workers goroutines. Only the training-phase fields of cfg are
-// consumed; pass the evaluation knobs to Evaluate.
-func (s *System) TrainSessionAttack(cfg SessionAttackConfig, opts RunOptions) (*SessionAttacker, error) {
+// consumed; pass the evaluation knobs to Evaluate. ctx is checked before
+// each training session; once it is done, training fails with its
+// cause.
+func (s *System) TrainSessionAttack(ctx context.Context, cfg SessionAttackConfig, opts RunOptions) (*SessionAttacker, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateTrainPhase(); err != nil {
 		return nil, err
@@ -237,7 +243,7 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig, opts RunOptions) (*
 	mats := make([][][]float64, m)
 	for c := 0; c < m; c++ {
 		mat, err := adversary.SessionFeatureMatrix(
-			s.trainSessionSource(c), exts,
+			s.trainSessionSource(ctx, c), exts,
 			cfg.TrainSessions, wps, cfg.WindowSize, opts.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
@@ -257,8 +263,10 @@ func (s *System) TrainSessionAttack(cfg SessionAttackConfig, opts RunOptions) (*
 // statistics. The evaluation knobs (EvalSessions, MaxWindows,
 // Confidence) come from cfg; the training-phase fields are those the
 // attacker was trained with. Sessions run on up to opts.Workers
-// goroutines, and results are identical for any worker count.
-func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig, opts RunOptions) (*SessionAttackResult, error) {
+// goroutines, and results are identical for any worker count. ctx is
+// checked before each session; once it is done, Evaluate fails with its
+// cause.
+func (a *SessionAttacker) Evaluate(ctx context.Context, cfg SessionAttackConfig, opts RunOptions) (*SessionAttackResult, error) {
 	eval := a.cfg
 	cfg = cfg.withDefaults()
 	eval.EvalSessions = cfg.EvalSessions
@@ -308,6 +316,9 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig, opts RunOptions) (*S
 		outs[i] = make([]float64, 1)
 	}
 	err := par.MapWorker(total, workers, func(worker, i int) error {
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
 		class, si := i/cfg.EvalSessions, i%cfg.EvalSessions
 		sess, err := s.NewSession(class, sessionID(sessionEvalBase, si))
 		if err != nil {
@@ -390,7 +401,7 @@ func (a *SessionAttacker) Evaluate(cfg SessionAttackConfig, opts RunOptions) (*S
 // class, sessionID) and run on up to opts.Workers goroutines; results are
 // identical for any worker count. Use the two phases separately to
 // evaluate one training under several run-time knobs.
-func (s *System) sessionAttack(cfg SessionAttackConfig, opts RunOptions) (*SessionAttackResult, error) {
+func (s *System) sessionAttack(ctx context.Context, cfg SessionAttackConfig, opts RunOptions) (*SessionAttackResult, error) {
 	cfg = cfg.withDefaults()
 	// Fail fast on run-time misconfiguration before paying for training.
 	if err := cfg.validateEvalPhase(); err != nil {
@@ -402,9 +413,9 @@ func (s *System) sessionAttack(cfg SessionAttackConfig, opts RunOptions) (*Sessi
 		return nil, fmt.Errorf("core: confidence %v does not exceed the equal class prior 1/%d",
 			cfg.Confidence, m)
 	}
-	att, err := s.TrainSessionAttack(cfg, opts)
+	att, err := s.TrainSessionAttack(ctx, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	return att.Evaluate(cfg, opts)
+	return att.Evaluate(ctx, cfg, opts)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -284,11 +285,11 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := out.Session
-	att, err := sys.TrainSessionAttack(cfg, RunOptions{})
+	att, err := sys.TrainSessionAttack(context.Background(), cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := att.Evaluate(cfg, RunOptions{})
+	got, err := att.Evaluate(context.Background(), cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 
 	// Full-budget pass: no session decides early, every session observes
 	// exactly MaxWindows windows.
-	full, err := att.Evaluate(SessionAttackConfig{
+	full, err := att.Evaluate(context.Background(), SessionAttackConfig{
 		EvalSessions: 10,
 		MaxWindows:   4,
 		Confidence:   1,
@@ -320,7 +321,7 @@ func TestTrainSessionAttackReuse(t *testing.T) {
 		t.Errorf("full-budget detection = %v, want > 0.9", full.DetectionRate)
 	}
 	// Evaluate validates its run-time knobs.
-	if _, err := att.Evaluate(SessionAttackConfig{Confidence: 1.01}, RunOptions{}); err == nil {
+	if _, err := att.Evaluate(context.Background(), SessionAttackConfig{Confidence: 1.01}, RunOptions{}); err == nil {
 		t.Error("confidence above 1 accepted")
 	}
 }
@@ -367,7 +368,7 @@ func TestEvaluateRejectsPriorLevelConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, err := sys.TrainSessionAttack(SessionAttackConfig{
+	att, err := sys.TrainSessionAttack(context.Background(), SessionAttackConfig{
 		Feature:       analytic.FeatureEntropy,
 		WindowSize:    300,
 		TrainSessions: 2,
@@ -377,7 +378,7 @@ func TestEvaluateRejectsPriorLevelConfidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{0.3, 0.5} {
-		if _, err := att.Evaluate(SessionAttackConfig{
+		if _, err := att.Evaluate(context.Background(), SessionAttackConfig{
 			EvalSessions: 2, MaxWindows: 2, Confidence: c,
 		}, RunOptions{}); err == nil {
 			t.Errorf("confidence %v (<= equal prior 0.5) accepted", c)
@@ -392,7 +393,7 @@ func TestEvaluateRejectsNonPositiveBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, err := sys.TrainSessionAttack(SessionAttackConfig{
+	att, err := sys.TrainSessionAttack(context.Background(), SessionAttackConfig{
 		Feature:       analytic.FeatureVariance,
 		WindowSize:    300,
 		TrainSessions: 2,
@@ -401,10 +402,10 @@ func TestEvaluateRejectsNonPositiveBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: -1, MaxWindows: 2}, RunOptions{}); err == nil {
+	if _, err := att.Evaluate(context.Background(), SessionAttackConfig{EvalSessions: -1, MaxWindows: 2}, RunOptions{}); err == nil {
 		t.Error("negative EvalSessions accepted")
 	}
-	if _, err := att.Evaluate(SessionAttackConfig{EvalSessions: 2, MaxWindows: -1}, RunOptions{}); err == nil {
+	if _, err := att.Evaluate(context.Background(), SessionAttackConfig{EvalSessions: 2, MaxWindows: -1}, RunOptions{}); err == nil {
 		t.Error("negative MaxWindows accepted")
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,10 +27,13 @@ import (
 // cells; because rows never depend on execution history, a resumed
 // table is byte-identical to an uninterrupted one, no matter where the
 // previous run died or how many workers either run used. CI enforces
-// this by killing a run mid-flight (ErrKilled via killAfter), resuming
-// it, and diffing the output against the golden table. Only fig4a,
-// fig4b, multirate and ablation-training are plain runners: their rows
-// share one measurement, so they are not cells.
+// this by killing a run mid-flight (killAfter cancels the sweep's
+// context with ErrKilled), resuming it, and diffing the output against
+// the golden table. A kill and a caller's cancellation are one stop
+// path: either cause ends the sweep, and the finished cells stay in the
+// checkpoint. Only fig4a, fig4b, multirate and ablation-training are
+// plain runners: their rows share one measurement, so they are not
+// cells.
 
 // cellExperiment describes one sweep runner: a fixed column set, a
 // cell count, a per-cell row function, and the trailing notes.
@@ -49,7 +53,7 @@ type cellExperiment struct {
 // entry is also in the plain registry (registerCells adds both).
 var cellRegistry = map[string]*cellExperiment{}
 
-// registerCells adds a cell experiment under id: Run(id, o) executes it
+// registerCells adds a cell experiment under id: Run executes it
 // without checkpointing, RunCheckpointed adds persistence.
 func registerCells(id string, ce *cellExperiment) {
 	cellRegistry[id] = ce
@@ -65,9 +69,10 @@ func Checkpointable(id string) bool {
 	return ok
 }
 
-// ErrKilled is returned by RunCheckpointed when a killAfter budget
-// expires: the run stopped mid-flight after persisting its progress, as
-// a real crash would have. The checkpoint file is valid and resumable.
+// ErrKilled is the cause RunCheckpointed stops with when a killAfter
+// budget expires: the run stopped mid-flight after persisting its
+// progress, as a real crash would have. The checkpoint file is valid and
+// resumable.
 var ErrKilled = errors.New("experiment: run killed after checkpoint budget (simulated crash)")
 
 // maxCheckpointCells bounds the sweep size a checkpoint file may claim,
@@ -171,11 +176,12 @@ func (c *Checkpoint) save(path string) error {
 
 // RunCheckpointed executes a cell experiment with progress persisted to
 // path after every finished cell: if path holds a matching checkpoint,
-// only the missing cells run. killAfter > 0 aborts the run with
+// only the missing cells run. killAfter > 0 stops the run with
 // ErrKilled once that many cells finished in *this* invocation — the
-// crash-injection hook the kill-and-resume tests use. The finished
-// table is byte-identical to Run(id, o) regardless of interruptions.
-func RunCheckpointed(id string, o Options, path string, killAfter int) (*Table, error) {
+// crash-injection hook the kill-and-resume tests use; a done ctx stops
+// it with context.Cause(ctx). The finished table is byte-identical to
+// Run's regardless of interruptions.
+func RunCheckpointed(ctx context.Context, id string, o Options, path string, killAfter int) (*Table, error) {
 	ce, ok := cellRegistry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiment: %s does not support checkpointing", id)
@@ -183,10 +189,14 @@ func RunCheckpointed(id string, o Options, path string, killAfter int) (*Table, 
 	if path == "" {
 		return nil, errors.New("experiment: checkpoint path must be non-empty")
 	}
+	o.ctx = ctx
 	return runCells(id, ce, o, path, killAfter)
 }
 
 // runCells executes a cell experiment, optionally persisting progress.
+// It checks the context before it starts each cell, and reaching
+// killAfter cancels the sweep's context with ErrKilled, so cells in
+// flight stop at their next check. A stop returns the cause.
 func runCells(id string, ce *cellExperiment, o Options, path string, killAfter int) (*Table, error) {
 	o = o.withDefaults()
 	n := ce.ncells(o)
@@ -224,17 +234,23 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 	// Announce only the cells left to run: a resumed sweep's progress
 	// gauge starts where the crashed run stopped.
 	obs.AddCells(len(todo))
+	ctx, cancel := context.WithCancelCause(o.context())
+	defer cancel(nil)
 	// Every cell runs at the nested budget, split over the full sweep,
 	// not the remainder, so a resumed run schedules exactly like a fresh
 	// one (results are identical either way; this only keeps the
 	// performance predictable).
 	cellOpts := o
 	cellOpts.Workers = o.nestedWorkers(n)
+	cellOpts.ctx = ctx
 	var (
 		mu        sync.Mutex
 		completed int
 	)
 	err := par.Map(len(todo), o.workers(), func(k int) error {
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
 		i := todo[k]
 		row, err := ce.run(cellOpts, i)
 		if err != nil {
@@ -261,10 +277,13 @@ func runCells(id string, ce *cellExperiment, o Options, path string, killAfter i
 			}
 		}
 		if killAfter > 0 && completed >= killAfter {
-			return ErrKilled
+			cancel(ErrKilled)
 		}
 		return nil
 	})
+	if cause := context.Cause(ctx); cause != nil {
+		return nil, cause
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"linkpad/internal/xrand"
@@ -47,10 +49,10 @@ func TestCheckpointable(t *testing.T) {
 			t.Errorf("%s: Checkpointable = %v, want %v", id, Checkpointable(id), !plain[id])
 		}
 	}
-	if _, err := RunCheckpointed("fig4b", fastOpts, "x.json", 0); err == nil {
+	if _, err := RunCheckpointed(context.Background(), "fig4b", fastOpts, "x.json", 0); err == nil {
 		t.Error("RunCheckpointed should reject a non-cell experiment")
 	}
-	if _, err := RunCheckpointed("ext-disclosure", fastOpts, "", 0); err == nil {
+	if _, err := RunCheckpointed(context.Background(), "ext-disclosure", fastOpts, "", 0); err == nil {
 		t.Error("RunCheckpointed should reject an empty path")
 	}
 }
@@ -153,6 +155,60 @@ func TestRunCellsKillAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(tableBytes(t, again), want) {
 		t.Fatal("re-running a completed checkpoint changed the table")
+	}
+}
+
+// TestRunCellsCancelAndResume: a sweep whose context is cancelled
+// mid-run stops with the cause, keeps the cells it finished in the
+// checkpoint, and once resumed yields the uninterrupted table.
+func TestRunCellsCancelAndResume(t *testing.T) {
+	o := Options{Scale: 1, Seed: 11, Workers: 2}
+	plain, err := runCells("fake", fakeCells, o, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tableBytes(t, plain)
+
+	cause := errors.New("stopped mid-sweep")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	var started atomic.Int32
+	stopping := *fakeCells
+	stopping.run = func(o Options, cell int) ([]float64, error) {
+		if started.Add(1) == 4 {
+			cancel(cause)
+		}
+		return fakeCells.run(o, cell)
+	}
+	path := filepath.Join(t.TempDir(), "cp.json")
+	stopped := o
+	stopped.ctx = ctx
+	if _, err := runCells("fake", &stopping, stopped, path, 0); err != cause {
+		t.Fatalf("cancelled sweep returned %v, want its cause", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no checkpoint persisted before the stop: %v", err)
+	}
+	cp, err := ParseCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, d := range cp.Done {
+		if d {
+			done++
+		}
+	}
+	if done == 0 || done == cp.Cells {
+		t.Fatalf("checkpoint records %d of %d cells done, want a partial sweep", done, cp.Cells)
+	}
+	tbl, err := runCells("fake", fakeCells, o, path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tableBytes(t, tbl), want) {
+		t.Fatal("resumed table differs from the uninterrupted run")
 	}
 }
 

@@ -19,6 +19,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -40,6 +41,20 @@ type Options struct {
 	// sweep point — and every Monte Carlo trial within a point — derives
 	// its randomness from its own seed.
 	Workers int
+
+	// ctx stops the run: Run and RunCheckpointed set it, runCells
+	// derives each sweep's from it, and runScenario hands it to every
+	// Scenario.Run, so the cell bodies need no context parameter of
+	// their own. It never changes a finished row.
+	ctx context.Context
+}
+
+// context returns the run's context, Background when none was set.
+func (o Options) context() context.Context {
+	if o.ctx == nil {
+		return context.Background()
+	}
+	return o.ctx
 }
 
 // withDefaults fills zero fields.
@@ -191,12 +206,18 @@ func Names() []string {
 	return out
 }
 
-// Run executes the experiment with the given ID.
-func Run(id string, o Options) (*Table, error) {
+// Run executes the experiment with the given ID. When ctx is done
+// before the table is, Run returns context.Cause(ctx) and no table.
+func Run(ctx context.Context, id string, o Options) (*Table, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, errors.New("experiment: unknown id " + id +
 			" (known: " + strings.Join(Names(), ", ") + ")")
 	}
-	return r(o.withDefaults())
+	o.ctx = ctx
+	t, err := r(o.withDefaults())
+	if cause := context.Cause(ctx); cause != nil {
+		return nil, cause
+	}
+	return t, err
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"strings"
@@ -20,7 +21,7 @@ func runTable(t *testing.T, id string) *Table {
 // runTableWith is runTable at the given options.
 func runTableWith(t *testing.T, id string, o Options) *Table {
 	t.Helper()
-	tbl, err := Run(id, o)
+	tbl, err := Run(context.Background(), id, o)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -106,7 +107,7 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("registry has %v, want %v", names, want)
 		}
 	}
-	if _, err := Run("nope", fastOpts); err == nil {
+	if _, err := Run(context.Background(), "nope", fastOpts); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
@@ -582,13 +583,13 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	for _, id := range []string{"fig6", "fig4b", "ext-online", "ext-active",
 		"ablation-watermark-defenses"} {
-		ref, err := Run(id, Options{Scale: 0.12, Seed: 5, Workers: 1})
+		ref, err := Run(context.Background(), id, Options{Scale: 0.12, Seed: 5, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		refText := render(ref)
 		for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-			got, err := Run(id, Options{Scale: 0.12, Seed: 5, Workers: workers})
+			got, err := Run(context.Background(), id, Options{Scale: 0.12, Seed: 5, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestObsInvisibleAndWorkerInvariant(t *testing.T) {
 				obs.SetEnabled(false)
 				obs.Reset()
 			})
-			tbl, err := Run(id, opts)
+			tbl, err := Run(context.Background(), id, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +52,7 @@ func TestObsInvisibleAndWorkerInvariant(t *testing.T) {
 				obs.Reset()
 				o := opts
 				o.Workers = workers
-				tbl, err := Run(id, o)
+				tbl, err := Run(context.Background(), id, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +93,7 @@ func TestObsDisabledCountsNothing(t *testing.T) {
 	obs.SetEnabled(false)
 	obs.Reset()
 	t.Cleanup(obs.Reset)
-	if _, err := Run("fig4b", Options{Scale: 0.05, Seed: 3}); err != nil {
+	if _, err := Run(context.Background(), "fig4b", Options{Scale: 0.05, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if snap := obs.Snapshot(); snap != ([obs.NumCounters]uint64{}) {

@@ -108,7 +108,7 @@ var ablationWindowingCells = &cellExperiment{
 		// anytime columns come from the confidence the online adversary
 		// would actually use.
 		run := core.RunOptions{Workers: o.Workers}
-		att, err := sys.TrainSessionAttack(core.SessionAttackConfig{
+		att, err := sys.TrainSessionAttack(o.context(), core.SessionAttackConfig{
 			Feature:       analytic.FeatureEntropy,
 			WindowSize:    n,
 			TrainSessions: 8,
@@ -117,7 +117,7 @@ var ablationWindowingCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		stream, err := att.Evaluate(core.SessionAttackConfig{
+		stream, err := att.Evaluate(o.context(), core.SessionAttackConfig{
 			EvalSessions: evalSessions,
 			MaxWindows:   windowingMaxWindows,
 			Confidence:   1,
@@ -125,7 +125,7 @@ var ablationWindowingCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		anytime, err := att.Evaluate(core.SessionAttackConfig{
+		anytime, err := att.Evaluate(o.context(), core.SessionAttackConfig{
 			EvalSessions: evalSessions,
 			MaxWindows:   windowingMaxWindows,
 			Confidence:   0.99,

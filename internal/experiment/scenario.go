@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-
 	"linkpad/internal/active"
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
@@ -20,13 +18,14 @@ import (
 // once, on Run, from Options.Workers — a cell's nested budget, or the
 // runner's whole budget outside a sweep.
 
-// runScenario builds and executes one spec at o's worker width.
+// runScenario builds and executes one spec at o's worker width, under
+// o's context.
 func runScenario(o Options, sys *core.System, spec core.Spec) (*core.Result, error) {
 	sc, err := sys.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	return sc.Run(context.Background(), core.RunOptions{Workers: o.Workers})
+	return sc.Run(o.context(), core.RunOptions{Workers: o.Workers})
 }
 
 func runAttackSet(o Options, sys *core.System, cfg core.AttackConfig, features []analytic.Feature) ([]*core.AttackResult, error) {

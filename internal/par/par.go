@@ -29,9 +29,12 @@ func Workers(requested int) int {
 }
 
 // Map executes fn(i) for every i in [0, n) on up to `workers` goroutines
-// and returns the first error encountered (by claim order). Each index
-// must write only its own result slot, so results are identical for any
-// worker count.
+// and returns the error of the lowest failing index. Indices are claimed
+// in order and none is claimed after a failure, so every index below a
+// failing one has run: where fn fails deterministically, the error is
+// the same at any worker count and on every run. Each index must write
+// only its own result slot, so results are identical for any worker
+// count.
 func Map(n, workers int, fn func(i int) error) error {
 	return MapWorker(n, workers, func(_, i int) error { return fn(i) })
 }
@@ -53,26 +56,27 @@ func MapWorker(n, workers int, fn func(worker, i int) error) error {
 		return nil
 	}
 	var (
-		wg       sync.WaitGroup
-		next     int
-		mu       sync.Mutex
-		firstErr error
+		wg     sync.WaitGroup
+		next   int
+		mu     sync.Mutex
+		errIdx = n
+		err    error
 	)
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if firstErr != nil || next >= n {
+		if errIdx < n || next >= n {
 			return 0, false
 		}
 		i := next
 		next++
 		return i, true
 	}
-	fail := func(err error) {
+	fail := func(i int, e error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
+		if i < errIdx {
+			errIdx, err = i, e
 		}
 	}
 	wg.Add(workers)
@@ -84,13 +88,13 @@ func MapWorker(n, workers int, fn func(worker, i int) error) error {
 				if !ok {
 					return
 				}
-				if err := fn(worker, i); err != nil {
-					fail(err)
+				if e := fn(worker, i); e != nil {
+					fail(i, e)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	return firstErr
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapVisitsEveryIndexOnce(t *testing.T) {
@@ -67,5 +68,27 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := Workers(-2); got < 1 {
 		t.Errorf("Workers(-2) = %d", got)
+	}
+}
+
+// TestMapReturnsLowestFailingIndex: index 1 fails before index 0 does,
+// at two workers, and index 0's error is the one returned.
+func TestMapReturnsLowestFailingIndex(t *testing.T) {
+	err0, err1 := errors.New("index 0"), errors.New("index 1")
+	for range 20 {
+		failed1 := make(chan struct{})
+		err := Map(2, 2, func(i int) error {
+			if i == 1 {
+				defer close(failed1)
+				return err1
+			}
+			<-failed1
+			// Let index 1's failure be recorded first.
+			time.Sleep(2 * time.Millisecond)
+			return err0
+		})
+		if err != err0 {
+			t.Fatalf("Map returned %v, want the lowest failing index's %v", err, err0)
+		}
 	}
 }

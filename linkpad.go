@@ -37,6 +37,8 @@
 package linkpad
 
 import (
+	"context"
+
 	"linkpad/internal/active"
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
@@ -317,9 +319,10 @@ type (
 )
 
 // RunExperiment regenerates one of the paper's figures by ID (e.g.
-// "fig4b"); see ExperimentNames for the full set.
-func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
-	return experiment.Run(id, o)
+// "fig4b"); see ExperimentNames for the full set. A done ctx stops the
+// run with context.Cause(ctx).
+func RunExperiment(ctx context.Context, id string, o ExperimentOptions) (*ExperimentTable, error) {
+	return experiment.Run(ctx, id, o)
 }
 
 // ExperimentNames lists every reproducible figure and extension study.

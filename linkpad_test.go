@@ -67,14 +67,14 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(names) < 10 {
 		t.Fatalf("only %d experiments registered", len(names))
 	}
-	tbl, err := linkpad.RunExperiment("fig5b", linkpad.ExperimentOptions{Scale: 0.2, Seed: 3})
+	tbl, err := linkpad.RunExperiment(context.Background(), "fig5b", linkpad.ExperimentOptions{Scale: 0.2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) == 0 {
 		t.Error("empty table from facade")
 	}
-	if _, err := linkpad.RunExperiment("not-a-figure", linkpad.ExperimentOptions{}); err == nil {
+	if _, err := linkpad.RunExperiment(context.Background(), "not-a-figure", linkpad.ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
