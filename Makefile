@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet fmt test race bench bench-json bench-compare bench-gate \
 	bench-selftest bench-digests profile staticcheck docs golden golden-check resume-check \
-	scale-smoke scale trace-smoke report fuzz examples ci clean
+	scale-smoke scale trace-smoke report fuzz examples size ci clean
 
 all: vet build test
 
@@ -237,8 +237,14 @@ examples:
 	GOMAXPROCS=1 $(GO) test -count=1 -run '^Example' .
 	GOMAXPROCS=3 $(GO) test -count=1 -run '^Example' .
 
+# Code size by ROADMAP's count: tracked Go lines outside bench/, non-test
+# and test. CI's test job prints both, so each change's log carries them.
+size:
+	@echo "non-test Go lines outside bench/: $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/: $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test.go$$' | xargs cat | wc -l)"
+
 # Everything the CI workflow runs, reproducible locally in one command.
-ci: vet fmt build test examples race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke fuzz
+ci: vet fmt build test examples size race bench-selftest bench-digests staticcheck docs golden-check resume-check scale-smoke trace-smoke fuzz
 
 clean:
 	rm -f linkpad.test cpu.prof mem.prof report.json

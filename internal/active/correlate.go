@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/cascade"
 	"linkpad/internal/netem"
 	"linkpad/internal/par"
+	"linkpad/internal/stats"
 )
 
 // Matched-filter detection (correlate.go): the adversary reduces each
@@ -128,32 +128,21 @@ func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, 
 	if !(cfg.Duration > 0) {
 		return nil, errors.New("active: observation duration must be positive")
 	}
-	flows := e.flows
-	workers := min(par.Workers(cfg.Workers), flows)
-	exitClasses, err := adversary.NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
-	if err != nil {
-		return nil, fmt.Errorf("active: %w", err)
-	}
 	slots := int(cfg.Duration/e.period + 1e-9)
 	if slots < 8 {
 		return nil, errors.New("active: need at least eight whole slots over the duration")
 	}
 
+	flows := e.flows
 	obs := make([]flowObs, flows)
-	classes := make([]int, flows)
-	posts := make([][]float64, flows) // exit class log posteriors
 	hopStats := make([][]cascade.HopStats, flows)
-	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
-	err = par.MapWorker(flows, workers, func(worker, f int) error {
-		if err := context.Cause(ctx); err != nil {
-			return err
-		}
+	exits := make([][]float64, par.Workers(cfg.Workers)) // reusable per-worker exit-time slabs
+	set, err := adversary.ObserveFlows(ctx, flows, cfg, func(worker, f int) (adversary.FlowObs, error) {
 		flow, err := e.Flow(f)
 		if err != nil {
-			return fmt.Errorf("active: flow %d: %w", f, err)
+			return adversary.FlowObs{}, err
 		}
 		o := &obs[f]
-		classes[f] = flow.Class
 		o.key = flow.Key
 		if flow.Start > 0 {
 			o.k0 = int(flow.Start/e.period) + 1
@@ -178,28 +167,22 @@ func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, 
 		if flow.Inject != nil {
 			o.inject = flow.Inject()
 		}
-		hopStats[f] = make([]cascade.HopStats, len(flow.Hops))
-		for h, probe := range flow.Hops {
-			hopStats[f][h] = probe()
-		}
-		if posts[f], err = exitClasses.LogPosts(worker, buf); err != nil {
-			return fmt.Errorf("active: flow %d: %w", f, err)
-		}
-		return nil
+		hopStats[f] = cascade.ReadHops(flow.Hops)
+		return adversary.FlowObs{Class: flow.Class, Exit: buf}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("active: %w", err)
 	}
 
-	score := scoreMatrix(obs, e.decoys, slots, workers)
-	sum, err := adversary.SummarizeMatch(score, flows, posts, classes)
+	score := scoreMatrix(obs, e.decoys, slots, set.Workers)
+	sum, anon, err := set.Match(score)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Flows: flows, Hops: e.hops, Mode: e.mode.String(), Slots: slots, ZTrue: make([]float64, flows),
 		MatchAccuracy: sum.Accuracy, MeanRank: sum.MeanRank, ClassAccuracy: sum.ClassAccuracy,
-		DegreeOfAnonymity: adversary.MeanAnonymity(score, flows),
+		DegreeOfAnonymity: anon,
 	}
 	detected := 0
 	var zSum float64
@@ -257,7 +240,7 @@ func scoreMatrix(obs []flowObs, decoys []*Key, slots, workers int) []float64 {
 				for d := range rs {
 					rs[d] = adversary.CenteredCorr(chipRow(flows+d), o.channel(ch, slots), chipSS[flows+d], o.ss[ch])
 				}
-				mu[ch], sigma[ch] = meanStd(rs)
+				mu[ch], sigma[ch] = stats.Mean(rs), stats.StdDev(rs)
 			}
 			for u := range flows {
 				best := 0.0
@@ -400,22 +383,4 @@ func fillChips(dst []float64, key *Key, k0 int) {
 	for j := range dst {
 		dst[j] = key.Chip(k0 + j)
 	}
-}
-
-// meanStd returns the sample mean and standard deviation of xs.
-func meanStd(xs []float64) (mean, std float64) {
-	n := float64(len(xs))
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= n
-	var s2 float64
-	for _, x := range xs {
-		d := x - mean
-		s2 += d * d
-	}
-	if len(xs) > 1 {
-		std = math.Sqrt(s2 / (n - 1))
-	}
-	return mean, std
 }

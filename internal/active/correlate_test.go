@@ -14,6 +14,7 @@ import (
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
 	"linkpad/internal/par"
+	"linkpad/internal/stats"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
 )
@@ -278,7 +279,8 @@ func TestDetectAllocDiscipline(t *testing.T) {
 	countSS := adversary.Center(counts, counts)
 	if n := testing.AllocsPerRun(20, func() {
 		adversary.CenteredCorr(chipVec, counts, chipSS, countSS)
-		meanStd(counts)
+		stats.Mean(counts)
+		stats.StdDev(counts)
 	}); n > 0 {
 		t.Errorf("scoring loop allocates %v per pair, want 0", n)
 	}
@@ -384,7 +386,7 @@ func TestDetectMatchesSequentialOracle(t *testing.T) {
 // detectSequential is Detect as it stood before scoring went parallel on
 // centered vectors: every (key, exit, channel) pair refills its chip
 // vector and runs the two-pass Pearson coefficient, one exit flow after
-// another. It is kept verbatim as the bit-identity oracle for Detect.
+// another. It is kept as the bit-identity oracle for Detect.
 func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	if e == nil {
 		return nil, errors.New("active: nil engine")
@@ -478,7 +480,7 @@ func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 				}
 				decoyR[d] = r
 			}
-			mu[ch], sigma[ch] = meanStd(decoyR)
+			mu[ch], sigma[ch] = stats.Mean(decoyR), stats.StdDev(decoyR)
 		}
 		for u := 0; u < flows; u++ {
 			fillChips(chipVec, obs[u].key, o.k0)

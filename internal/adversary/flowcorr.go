@@ -92,17 +92,75 @@ type Correlation struct {
 	DegreeOfAnonymity float64
 }
 
-// CorrelateFlows runs the attack over flows flows: observe each one (in
-// parallel, flows as the unit of parallelism), reduce each side to its
-// throughput fingerprint and the exit's class posteriors, score every
-// (entry, exit) pair, and match greedily. observe(worker, f, entry)
-// returns flow f's observation, and its entry tap counts every arrival
-// into the zeroed fingerprint row entry with CountRate; the exit slice
-// is reduced before observe runs again on the same worker, so it may
-// reuse per-worker buffers. Exit flow f's true entry flow is flow f; the
-// scores never read that identity, only the observations. ctx is
-// checked before each flow is observed; once it is done, the attack
-// fails with its cause.
+// FlowSet is what the per-flow observation loop (ObserveFlows) hands a
+// flow attack's scoring step.
+type FlowSet struct {
+	// Workers is the loop's width: cfg.Workers bounded by the flow count.
+	Workers int
+	// Classes holds each flow's true rate class.
+	Classes []int
+	// Posts holds each exit's class log posteriors (nil entries without
+	// classifiers).
+	Posts [][]float64
+}
+
+// ObserveFlows is the per-flow loop of the flow attacks, CorrelateFlows
+// and the active watermark's Detect: observe each of flows flows in
+// parallel, flows as the unit of parallelism, and reduce each exit to
+// its class log posteriors under cfg's classifiers (ExitClasses).
+// observe(worker, f) returns flow f's observation; the exit slice is
+// reduced before observe runs again on the same worker, so it may reuse
+// per-worker buffers. ctx is checked before each flow is observed; once
+// it is done, the loop fails with its cause.
+func ObserveFlows(ctx context.Context, flows int, cfg CorrConfig, observe func(worker, f int) (FlowObs, error)) (*FlowSet, error) {
+	workers := min(par.Workers(cfg.Workers), flows)
+	exitClasses, err := NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
+	if err != nil {
+		return nil, err
+	}
+	set := &FlowSet{Workers: workers, Classes: make([]int, flows), Posts: make([][]float64, flows)}
+	err = par.MapWorker(flows, workers, func(worker, f int) error {
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
+		o, err := observe(worker, f)
+		if err == nil {
+			set.Posts[f], err = exitClasses.LogPosts(worker, o.Exit)
+		}
+		if err != nil {
+			return fmt.Errorf("adversary: flow %d: %w", f, err)
+		}
+		set.Classes[f] = o.Class
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
+// Match resolves the flows×flows score matrix over the set: the greedy
+// matching's summary (SummarizeMatch) and the mean degree of anonymity
+// (MeanAnonymity).
+func (set *FlowSet) Match(score []float64) (MatchSummary, float64, error) {
+	n := len(set.Classes)
+	sum, err := SummarizeMatch(score, n, set.Posts, set.Classes)
+	if err != nil {
+		return MatchSummary{}, 0, err
+	}
+	return sum, MeanAnonymity(score, n), nil
+}
+
+// CorrelateFlows runs the attack over flows flows: observe each one
+// (ObserveFlows), reduce each side to its throughput fingerprint and the
+// exit's class posteriors, score every (entry, exit) pair, and match
+// greedily. observe(worker, f, entry) returns flow f's observation, and
+// its entry tap counts every arrival into the zeroed fingerprint row
+// entry with CountRate; the exit slice is reduced before observe runs
+// again on the same worker, so it may reuse per-worker buffers. Exit
+// flow f's true entry flow is flow f; the scores never read that
+// identity, only the observations. ctx is checked before each flow is
+// observed; once it is done, the attack fails with its cause.
 func CorrelateFlows(ctx context.Context, flows int, cfg CorrConfig, observe func(worker, f int, entry []float64) (FlowObs, error)) (*Correlation, error) {
 	if observe == nil {
 		return nil, errors.New("adversary: nil flow observer")
@@ -112,11 +170,6 @@ func CorrelateFlows(ctx context.Context, flows int, cfg CorrConfig, observe func
 	}
 	if !(cfg.Duration > 0) {
 		return nil, errors.New("adversary: observation duration must be positive")
-	}
-	workers := min(par.Workers(cfg.Workers), flows)
-	exitClasses, err := NewExitClasses(cfg.Classifiers, cfg.Extractors, cfg.FeatureWindow, workers)
-	if err != nil {
-		return nil, err
 	}
 	// Floor with an epsilon so a float-noisy integral ratio (60*0.7/1 =
 	// 41.99999...) keeps its last window instead of silently dropping the
@@ -134,26 +187,17 @@ func CorrelateFlows(ctx context.Context, flows int, cfg CorrConfig, observe func
 	row := func(slab []float64, f int) []float64 { return slab[f*bins : (f+1)*bins] }
 	ssEntry := make([]float64, flows)
 	ssExit := make([]float64, flows)
-	classes := make([]int, flows)
-	posts := make([][]float64, flows) // exit class log posteriors
-	err = par.MapWorker(flows, workers, func(worker, f int) error {
-		if err := context.Cause(ctx); err != nil {
-			return err
-		}
+	set, err := ObserveFlows(ctx, flows, cfg, func(worker, f int) (FlowObs, error) {
 		o, err := observe(worker, f, row(entry, f))
-		if err == nil {
-			posts[f], err = exitClasses.LogPosts(worker, o.Exit)
-		}
 		if err != nil {
-			return fmt.Errorf("adversary: flow %d: %w", f, err)
+			return o, err
 		}
 		for _, t := range o.Exit {
 			CountRate(row(exit, f), t)
 		}
 		ssEntry[f] = Center(row(entry, f), row(entry, f))
 		ssExit[f] = Center(row(exit, f), row(exit, f))
-		classes[f] = o.Class
-		return nil
+		return o, nil
 	})
 	if err != nil {
 		return nil, err
@@ -164,12 +208,12 @@ func CorrelateFlows(ctx context.Context, flows int, cfg CorrConfig, observe func
 	// posterior for the entry flow's class.
 	score := make([]float64, flows*flows)
 	corrDiag := make([]float64, flows)
-	_ = par.Map(flows, workers, func(f int) error { // scoring cannot fail
+	_ = par.Map(flows, set.Workers, func(f int) error { // scoring cannot fail
 		for u := 0; u < flows; u++ {
 			corr := CenteredCorr(row(entry, u), row(exit, f), ssEntry[u], ssExit[f])
 			v := corrWeight * corr
-			if posts[f] != nil {
-				v += posts[f][classes[u]]
+			if set.Posts[f] != nil {
+				v += set.Posts[f][set.Classes[u]]
 			}
 			score[u*flows+f] = v
 			if u == f {
@@ -182,13 +226,13 @@ func CorrelateFlows(ctx context.Context, flows int, cfg CorrConfig, observe func
 	for _, c := range corrDiag {
 		corrTrue += c
 	}
-	sum, err := SummarizeMatch(score, flows, posts, classes)
+	sum, anon, err := set.Match(score)
 	if err != nil {
 		return nil, err
 	}
 	return &Correlation{
 		Flows: flows, Accuracy: sum.Accuracy, ClassAccuracy: sum.ClassAccuracy, MeanRank: sum.MeanRank,
 		MeanCorrTrue:      corrTrue / float64(flows),
-		DegreeOfAnonymity: MeanAnonymity(score, flows),
+		DegreeOfAnonymity: anon,
 	}, nil
 }

@@ -10,12 +10,6 @@ type BatchDensity interface {
 	PDFBatch(xs, out []float64) []float64
 }
 
-// LogDensity is a density exposing log evaluation; used by the batched
-// log-posterior path to avoid underflow far in the tails.
-type LogDensity interface {
-	LogPDF(x float64) float64
-}
-
 // pdfBatch evaluates class i's density over xs into out, using the batch
 // fast path when the density supports it.
 func (c *Classifier) pdfBatch(i int, xs, out []float64) []float64 {
@@ -69,8 +63,7 @@ func (c *Classifier) ClassifyBatch(s []float64, out []int) []int {
 // (grown if needed) and returns it. It works in log space with a
 // log-sum-exp normalization, so feature values deep in every class's tail
 // (where linear densities underflow to zero) still yield finite,
-// correctly normalized log posteriors whenever the densities expose
-// LogPDF. If the value has zero density under every class, the log
+// correctly normalized log posteriors. If the value has zero density under every class, the log
 // priors are returned. With a reused buffer, per-observation scoring
 // loops — the population flow-correlation attack evaluates one posterior
 // row per (user, flow) pair — stay allocation-free.
@@ -80,13 +73,7 @@ func (c *Classifier) LogPosteriorsInto(s float64, out []float64) []float64 {
 	}
 	lp := out[:len(c.classes)]
 	for i, cl := range c.classes {
-		var ld float64
-		if l, ok := cl.Density.(LogDensity); ok {
-			ld = l.LogPDF(s)
-		} else {
-			ld = math.Log(cl.Density.PDF(s))
-		}
-		lp[i] = math.Log(cl.Prior) + ld
+		lp[i] = math.Log(cl.Prior) + cl.Density.LogPDF(s)
 	}
 	z := logSumExp(lp)
 	if math.IsInf(z, -1) {

@@ -25,9 +25,12 @@ import (
 	"linkpad/internal/stats"
 )
 
-// Density is a one-dimensional probability density.
+// Density is a one-dimensional probability density. LogPDF is its log,
+// evaluated directly so the log-posterior paths stay finite far in the
+// tails, where PDF underflows to zero.
 type Density interface {
 	PDF(x float64) float64
+	LogPDF(x float64) float64
 }
 
 // Class is one hypothesis: a payload traffic rate with its prior
@@ -122,6 +125,34 @@ func (c *Classifier) DetectionRate(lo, hi float64, n int) (float64, error) {
 // run-time classification costs O(1) per density query instead of a
 // kernel sum.
 func TrainKDE(labels []string, features [][]float64, priors []float64) (*Classifier, error) {
+	return train(labels, features, priors, func(xs []float64) (Density, error) {
+		k, err := kde.New(xs)
+		if err != nil {
+			return nil, err
+		}
+		return k.Grid(), nil
+	})
+}
+
+// TrainGaussian fits a parametric normal density per class instead of a
+// KDE — the ablation baseline for the paper's KDE choice.
+func TrainGaussian(labels []string, features [][]float64, priors []float64) (*Classifier, error) {
+	return train(labels, features, priors, func(xs []float64) (Density, error) {
+		if len(xs) < 2 {
+			return nil, errors.New("need at least two samples")
+		}
+		sd := stats.StdDev(xs)
+		if !(sd > 0) {
+			return nil, errors.New("zero feature spread")
+		}
+		return dist.Normal{Mu: stats.Mean(xs), Sigma: sd}, nil
+	})
+}
+
+// train builds a classifier from one density per class, fit to that
+// class's feature samples, with the given priors (nil means equal
+// priors).
+func train(labels []string, features [][]float64, priors []float64, fit func(xs []float64) (Density, error)) (*Classifier, error) {
 	if len(labels) != len(features) {
 		return nil, errors.New("bayes: labels/features length mismatch")
 	}
@@ -130,7 +161,7 @@ func TrainKDE(labels []string, features [][]float64, priors []float64) (*Classif
 	}
 	classes := make([]Class, len(labels))
 	for i := range labels {
-		k, err := kde.New(features[i])
+		d, err := fit(features[i])
 		if err != nil {
 			return nil, fmt.Errorf("bayes: class %q: %w", labels[i], err)
 		}
@@ -138,38 +169,7 @@ func TrainKDE(labels []string, features [][]float64, priors []float64) (*Classif
 		if priors != nil {
 			p = priors[i]
 		}
-		classes[i] = Class{Label: labels[i], Prior: p, Density: k.Grid()}
-	}
-	return New(classes...)
-}
-
-// TrainGaussian fits a parametric normal density per class instead of a
-// KDE — the ablation baseline for the paper's KDE choice.
-func TrainGaussian(labels []string, features [][]float64, priors []float64) (*Classifier, error) {
-	if len(labels) != len(features) {
-		return nil, errors.New("bayes: labels/features length mismatch")
-	}
-	if priors != nil && len(priors) != len(labels) {
-		return nil, errors.New("bayes: labels/priors length mismatch")
-	}
-	classes := make([]Class, len(labels))
-	for i := range labels {
-		if len(features[i]) < 2 {
-			return nil, fmt.Errorf("bayes: class %q: need at least two samples", labels[i])
-		}
-		sd := stats.StdDev(features[i])
-		if !(sd > 0) {
-			return nil, fmt.Errorf("bayes: class %q: zero feature spread", labels[i])
-		}
-		p := 1.0 / float64(len(labels))
-		if priors != nil {
-			p = priors[i]
-		}
-		classes[i] = Class{
-			Label:   labels[i],
-			Prior:   p,
-			Density: dist.Normal{Mu: stats.Mean(features[i]), Sigma: sd},
-		}
+		classes[i] = Class{Label: labels[i], Prior: p, Density: d}
 	}
 	return New(classes...)
 }

@@ -74,12 +74,7 @@ func (s *Sequential) Observe(x float64) (window int) {
 	best := math.Inf(-1)
 	bestScore := math.Inf(-1)
 	for i, cl := range s.cls.classes {
-		var ld float64
-		if l, ok := cl.Density.(LogDensity); ok {
-			ld = l.LogPDF(x)
-		} else {
-			ld = math.Log(cl.Density.PDF(x))
-		}
+		ld := cl.Density.LogPDF(x)
 		lds[i] = ld
 		if ld > best {
 			best = ld

@@ -63,6 +63,15 @@ type HopStats struct {
 // flow.
 type HopProbe func() HopStats
 
+// ReadHops reads each probe's current HopStats, entry hop first.
+func ReadHops(probes []HopProbe) []HopStats {
+	stats := make([]HopStats, len(probes))
+	for h, probe := range probes {
+		stats[h] = probe()
+	}
+	return stats
+}
+
 // Recorder is the entry tap: the first hop's ArrivalTap calls Record
 // with every payload arrival as the route is pulled, and Record counts it
 // into Row, the flow's entry fingerprint, which Correlate attaches before

@@ -84,10 +84,7 @@ func Correlate(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Resul
 		// telemetry shard: publish the chain's counters (nil-safe).
 		route.Probe.Flush()
 		exitCounts[f] = len(buf)
-		hopStats[f] = make([]HopStats, len(route.Hops))
-		for h, probe := range route.Hops {
-			hopStats[f][h] = probe()
-		}
+		hopStats[f] = ReadHops(route.Hops)
 		return adversary.FlowObs{Class: route.Class, Exit: buf}, nil
 	})
 	if err != nil {

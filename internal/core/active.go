@@ -328,8 +328,8 @@ func (s *System) activeDetection(ctx context.Context, spec ActiveSpec, cfg Activ
 	// Off-line phase: per-class exit feature densities from phantom
 	// flows, which reuse the population protocol's phantom index block —
 	// a disjoint flow range of the active domain real flows never reach.
-	classifiers, exts, err := s.trainExitClassifiers(ctx, cfg.Features,
-		cfg.TrainWindows, cfg.FeatureWindow, opts.Workers,
+	corr, err := s.trainExitClassifiers(ctx, cfg.Features,
+		cfg.TrainWindows, cfg.FeatureWindow, cfg.Duration, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			fl, err := s.activeFlow(spec, class,
 				phantomFlowIndex(class, cfg.TrainWindows, w), false)
@@ -352,11 +352,5 @@ func (s *System) activeDetection(ctx context.Context, spec ActiveSpec, cfg Activ
 	if err != nil {
 		return nil, err
 	}
-	return active.Detect(ctx, eng, adversary.CorrConfig{
-		Duration:      cfg.Duration,
-		FeatureWindow: cfg.FeatureWindow,
-		Classifiers:   classifiers,
-		Extractors:    exts,
-		Workers:       opts.Workers,
-	})
+	return active.Detect(ctx, eng, corr)
 }

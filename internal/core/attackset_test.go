@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"strings"
@@ -113,12 +114,12 @@ func TestRunAttackSetValidation(t *testing.T) {
 	}
 	// CalibrateVIT reaches the attack set without Build; it must reject
 	// the same configuration with the same error.
-	if _, err := sys.CalibrateVIT(0.8, cfg, RunOptions{}); err == nil || err.Error() != buildErr.Error() {
+	if _, err := sys.CalibrateVIT(context.Background(), 0.8, cfg, RunOptions{}); err == nil || err.Error() != buildErr.Error() {
 		t.Errorf("CalibrateVIT error %v, want Build's %v", err, buildErr)
 	}
 	// Nor does it skip the finite rule.
 	cfg = AttackConfig{Feature: analytic.FeatureEntropy, EntropyBinWidth: math.NaN()}
-	if _, err := sys.CalibrateVIT(0.8, cfg, RunOptions{}); err == nil || !strings.Contains(err.Error(), "EntropyBinWidth") {
+	if _, err := sys.CalibrateVIT(context.Background(), 0.8, cfg, RunOptions{}); err == nil || !strings.Contains(err.Error(), "EntropyBinWidth") {
 		t.Errorf("CalibrateVIT error %v, want one naming EntropyBinWidth", err)
 	}
 }

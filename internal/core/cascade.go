@@ -283,8 +283,8 @@ func (s *System) cascadeCorrelation(ctx context.Context, spec CascadeSpec, cfg C
 	// Off-line phase: per-class exit feature densities from phantom
 	// flows, which reuse the population protocol's phantom index block —
 	// a disjoint flow range of the cascade domain real flows never reach.
-	classifiers, exts, err := s.trainExitClassifiers(ctx, cfg.Features,
-		cfg.TrainWindows, cfg.FeatureWindow, opts.Workers,
+	corr, err := s.trainExitClassifiers(ctx, cfg.Features,
+		cfg.TrainWindows, cfg.FeatureWindow, cfg.Duration, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			route, err := s.buildRoute(spec, class,
 				phantomFlowIndex(class, cfg.TrainWindows, w), false)
@@ -301,11 +301,5 @@ func (s *System) cascadeCorrelation(ctx context.Context, spec CascadeSpec, cfg C
 	if err != nil {
 		return nil, err
 	}
-	return cascade.Correlate(ctx, eng, adversary.CorrConfig{
-		Duration:      cfg.Duration,
-		FeatureWindow: cfg.FeatureWindow,
-		Classifiers:   classifiers,
-		Extractors:    exts,
-		Workers:       opts.Workers,
-	})
+	return cascade.Correlate(ctx, eng, corr)
 }

@@ -860,8 +860,10 @@ func (s *System) DesignVIT(f analytic.Feature, target float64, n int) (float64, 
 // configures the simulated adversary (its Feature and WindowSize define
 // the threat), and every attack runs at the opts.Workers width. The
 // returned σ_T satisfies the target up to the Monte Carlo resolution of
-// the attack configuration. Two-class systems only.
-func (s *System) CalibrateVIT(target float64, attack AttackConfig, opts RunOptions) (float64, error) {
+// the attack configuration. Two-class systems only. ctx reaches every
+// attack set the search runs; once it is done, the calibration fails
+// with an error wrapping its cause.
+func (s *System) CalibrateVIT(ctx context.Context, target float64, attack AttackConfig, opts RunOptions) (float64, error) {
 	if !(target > 0.5 && target < 1) {
 		return 0, errors.New("core: target detection rate must be in (0.5, 1)")
 	}
@@ -874,7 +876,7 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig, opts RunOptio
 		// Analytics say CIT is already safe; verify empirically and be
 		// done, otherwise fall through to the search from a small seed
 		// value.
-		v, err := s.detectionAt(0, attack, opts)
+		v, err := s.detectionAt(ctx, 0, attack, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -884,14 +886,14 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig, opts RunOptio
 		base = s.cfg.Tau * 1e-4
 	}
 	lo, hi := 0.0, base
-	v, err := s.detectionAt(hi, attack, opts)
+	v, err := s.detectionAt(ctx, hi, attack, opts)
 	if err != nil {
 		return 0, err
 	}
 	for i := 0; v > target && i < 12; i++ {
 		lo = hi
 		hi *= 2
-		v, err = s.detectionAt(hi, attack, opts)
+		v, err = s.detectionAt(ctx, hi, attack, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -901,7 +903,7 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig, opts RunOptio
 	}
 	for i := 0; i < 8; i++ {
 		mid := (lo + hi) / 2
-		v, err = s.detectionAt(mid, attack, opts)
+		v, err = s.detectionAt(ctx, mid, attack, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -916,14 +918,14 @@ func (s *System) CalibrateVIT(target float64, attack AttackConfig, opts RunOptio
 
 // detectionAt measures the attack's detection rate against this system
 // with SigmaT overridden.
-func (s *System) detectionAt(sigmaT float64, attack AttackConfig, opts RunOptions) (float64, error) {
+func (s *System) detectionAt(ctx context.Context, sigmaT float64, attack AttackConfig, opts RunOptions) (float64, error) {
 	cfg := s.cfg
 	cfg.SigmaT = sigmaT
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		return 0, err
 	}
-	set, err := sys.attackSet(context.Background(), attack, []analytic.Feature{attack.Feature}, opts)
+	set, err := sys.attackSet(ctx, attack, []analytic.Feature{attack.Feature}, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -943,12 +945,14 @@ const defaultFeatureWindow = 200
 // training observes cover traffic, batching and re-padding exactly as
 // run time does without sharing realizations with the observed flows —
 // to one value per feature, then train one KDE classifier per feature.
-// The returned extractors parallel the classifiers; both are nil when
-// features is empty.
-func (s *System) trainExitClassifiers(ctx context.Context, features []analytic.Feature, trainWindows, featureWindow, workers int,
-	source func(class, w int) (adversary.PIATSource, error)) ([]*bayes.Classifier, []adversary.Extractor, error) {
+// It returns the run-time attack configuration: duration, the feature
+// window, workers, and the classifiers with the extractors that
+// parallel them (both nil when features is empty).
+func (s *System) trainExitClassifiers(ctx context.Context, features []analytic.Feature, trainWindows, featureWindow int, duration float64, workers int,
+	source func(class, w int) (adversary.PIATSource, error)) (adversary.CorrConfig, error) {
+	corr := adversary.CorrConfig{Duration: duration, FeatureWindow: featureWindow, Workers: workers}
 	if len(features) == 0 {
-		return nil, nil, nil
+		return corr, nil
 	}
 	exts := make([]adversary.Extractor, len(features))
 	for i, f := range features {
@@ -967,13 +971,14 @@ func (s *System) trainExitClassifiers(ctx context.Context, features []analytic.F
 		mat, err := adversary.FeatureMatrix(factory, exts,
 			trainWindows, featureWindow, workers)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
+			return corr, fmt.Errorf("core: training class %q: %w", labels[c], err)
 		}
 		trainMats[c] = mat
 	}
 	classifiers, err := adversary.Fit(labels, trainMats, false)
 	if err != nil {
-		return nil, nil, err
+		return corr, err
 	}
-	return classifiers, exts, nil
+	corr.Classifiers, corr.Extractors = classifiers, exts
+	return corr, nil
 }

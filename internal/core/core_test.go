@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -367,7 +368,7 @@ func TestCalibrateVITRoundTrip(t *testing.T) {
 		TrainWindows: 100,
 		EvalWindows:  100,
 	}
-	sigmaT, err := s.CalibrateVIT(0.6, attack, RunOptions{})
+	sigmaT, err := s.CalibrateVIT(context.Background(), 0.6, attack, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +391,18 @@ func TestCalibrateVITRoundTrip(t *testing.T) {
 
 func TestCalibrateVITErrors(t *testing.T) {
 	s := labSystem(t, nil)
-	if _, err := s.CalibrateVIT(0.5, AttackConfig{}, RunOptions{}); err == nil {
+	if _, err := s.CalibrateVIT(context.Background(), 0.5, AttackConfig{}, RunOptions{}); err == nil {
 		t.Error("target 0.5 should fail")
 	}
-	if _, err := s.CalibrateVIT(1.0, AttackConfig{}, RunOptions{}); err == nil {
+	if _, err := s.CalibrateVIT(context.Background(), 1.0, AttackConfig{}, RunOptions{}); err == nil {
 		t.Error("target 1.0 should fail")
+	}
+	// A done context stops the search at its first attack set.
+	cause := errors.New("calibration stopped")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := s.CalibrateVIT(ctx, 0.6, AttackConfig{}, RunOptions{}); !errors.Is(err, cause) {
+		t.Errorf("cancelled calibration returned %v, want its cause", err)
 	}
 }
 

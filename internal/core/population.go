@@ -435,8 +435,8 @@ func (s *System) flowCorrelation(ctx context.Context, spec PopulationSpec, cfg F
 	cum := s.classCum()
 
 	// Off-line phase: per-class feature densities from phantom flows.
-	classifiers, exts, err := s.trainExitClassifiers(ctx, cfg.Features,
-		cfg.TrainWindows, defaultFeatureWindow, opts.Workers,
+	corr, err := s.trainExitClassifiers(ctx, cfg.Features,
+		cfg.TrainWindows, defaultFeatureWindow, cfg.Duration, opts.Workers,
 		func(class, w int) (adversary.PIATSource, error) {
 			phantom := phantomFlowIndex(class, cfg.TrainWindows, w)
 			master := xrand.New(s.streamSeed(class,
@@ -462,13 +462,7 @@ func (s *System) flowCorrelation(ctx context.Context, spec PopulationSpec, cfg F
 	// Run-time phase: observe every user's flow and correlate, pulling
 	// each exit into its worker's reusable slab.
 	exits := make([][]float64, par.Workers(opts.Workers))
-	res, err := adversary.CorrelateFlows(ctx, spec.Users, adversary.CorrConfig{
-		Duration:      cfg.Duration,
-		FeatureWindow: defaultFeatureWindow,
-		Classifiers:   classifiers,
-		Extractors:    exts,
-		Workers:       opts.Workers,
-	}, func(worker, u int, entry []float64) (adversary.FlowObs, error) {
+	res, err := adversary.CorrelateFlows(ctx, spec.Users, corr, func(worker, u int, entry []float64) (adversary.FlowObs, error) {
 		class := classOf(u, spec.Users, cum)
 		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
 		presence, err := s.presenceSchedule(spec, class, u)

@@ -117,38 +117,8 @@ var extSDAArmsRaceCells = &cellExperiment{
 // ceiling scale-disclosure gates in CI (make scale-smoke runs both).
 // Like scale-disclosure, disclosed_frac 0 at scale is the expected
 // (negative) reading; the cells gate throughput and memory.
-var scaleSDALSCells = &cellExperiment{
-	title: "Least-squares SDA at scale: million-user populations under the sparse LS accumulators",
-	columns: []string{"users", "cover", "rounds", "batch",
-		"disclosed_frac", "mean_anonymity"},
-	ncells: func(Options) int { return len(scaleDisclosureCovers) },
-	run: func(o Options, cell int) ([]float64, error) {
-		sys, err := core.NewSystem(labConfig(o))
-		if err != nil {
-			return nil, err
-		}
-		n := scaleUsers(o)
-		cover := scaleDisclosureCovers[cell]
-		res, err := runDisclosure(o, sys, core.PopulationSpec{
-			Users:      n,
-			Recipients: 10_000,
-			CoverRate:  cover,
-		}, population.DisclosureConfig{
-			Batch:      scaleDisclosureBatch,
-			Estimator:  population.EstimatorLeastSquares,
-			MaxRounds:  scaleDisclosureRounds,
-			CheckEvery: 16,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return []float64{float64(n), cover, float64(res.Rounds),
-			scaleDisclosureBatch, res.DisclosedFrac, res.MeanAnonymity}, nil
-	},
-	notes: func(o Options, t *Table) {
-		t.Notef("population %d users (1e6 x scale, floor 1e4), 10000 recipients, batch %d, %d rounds, least-squares estimator",
-			scaleUsers(o), scaleDisclosureBatch, scaleDisclosureRounds)
-		t.Notef("same geometry as scale-disclosure: the pair prices the LS accumulators (Saa/Sab/Sbb + sparse Say/Sby) at scale")
-		t.Notef("disclosed_frac 0 at large N is the expected reading; the cells gate engine+estimator throughput and memory")
-	},
-}
+var scaleSDALSCells = scaleCells(
+	"Least-squares SDA at scale: million-user populations under the sparse LS accumulators",
+	population.EstimatorLeastSquares, ", least-squares estimator",
+	"same geometry as scale-disclosure: the pair prices the LS accumulators (Saa/Sab/Sbb + sparse Say/Sby) at scale",
+	"disclosed_frac 0 at large N is the expected reading; the cells gate engine+estimator throughput and memory")

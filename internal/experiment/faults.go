@@ -217,17 +217,12 @@ var ablationChurnCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		var roundsWith float64
-		for _, tg := range res.Targets {
-			roundsWith += float64(tg.RoundsWith)
-		}
-		roundsWith /= float64(len(res.Targets))
 		awareCode := 0.0
 		if aware {
 			awareCode = 1
 		}
 		return []float64{frac, awareCode, res.DisclosedFrac, res.MeanRounds,
-			roundsWith, res.MeanAnonymity}, nil
+			meanRoundsWith(res), res.MeanAnonymity}, nil
 	},
 	notes: func(o Options, t *Table) {
 		t.Notef("24 users, 60 recipients, cover rate 1, batch 8, budget %d rounds; undisclosed targets censor mean_rounds", disclosureRounds(o))

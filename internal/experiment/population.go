@@ -65,13 +65,8 @@ var extDisclosureCells = &cellExperiment{
 		if err != nil {
 			return nil, err
 		}
-		var roundsWith float64
-		for _, tg := range res.Targets {
-			roundsWith += float64(tg.RoundsWith)
-		}
-		roundsWith /= float64(len(res.Targets))
 		return []float64{float64(n), cover, res.DisclosedFrac, res.MeanRounds,
-			roundsWith, res.MeanAnonymity}, nil
+			meanRoundsWith(res), res.MeanAnonymity}, nil
 	},
 	notes: func(o Options, t *Table) {
 		t.Notef("batch 8, 60 recipients, 3 contacts/user at weight 0.7, 8 targets spread over the population")
@@ -79,6 +74,16 @@ var extDisclosureCells = &cellExperiment{
 		t.Notef("cover = dummy rate as a multiple of the user's payload rate; dummies go to uniform recipients")
 		t.Notef("mean_anonymity: normalized entropy of the adversary's final recipient estimate (1 = uniform)")
 	},
+}
+
+// meanRoundsWith averages RoundsWith, the rounds carrying signal, over
+// the result's targets.
+func meanRoundsWith(res *population.DisclosureResult) float64 {
+	var sum float64
+	for _, tg := range res.Targets {
+		sum += float64(tg.RoundsWith)
+	}
+	return sum / float64(len(res.Targets))
 }
 
 // populationPaddingPolicies is the ablation-population-padding sweep

@@ -49,38 +49,52 @@ const (
 // width (the scale-smoke CI job diffs -workers 1 against -workers 4).
 // Registered as a cell experiment, so -checkpoint/-checkpoint-kill
 // cover the sharded engine state at scale too.
-var scaleDisclosureCells = &cellExperiment{
-	title: "Population engine at scale: million-user statistical disclosure rounds",
-	columns: []string{"users", "cover", "rounds", "batch",
-		"disclosed_frac", "mean_anonymity"},
-	ncells: func(Options) int { return len(scaleDisclosureCovers) },
-	run: func(o Options, cell int) ([]float64, error) {
-		sys, err := core.NewSystem(labConfig(o))
-		if err != nil {
-			return nil, err
-		}
-		n := scaleUsers(o)
-		cover := scaleDisclosureCovers[cell]
-		res, err := runDisclosure(o, sys, core.PopulationSpec{
-			Users:      n,
-			Recipients: 10_000,
-			CoverRate:  cover,
-		}, population.DisclosureConfig{
-			Batch:      scaleDisclosureBatch,
-			MaxRounds:  scaleDisclosureRounds,
-			CheckEvery: 16,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return []float64{float64(n), cover, float64(res.Rounds),
-			scaleDisclosureBatch, res.DisclosedFrac, res.MeanAnonymity}, nil
-	},
-	notes: func(o Options, t *Table) {
-		t.Notef("population %d users (1e6 x scale, floor 1e4), 10000 recipients, batch %d, %d rounds",
-			scaleUsers(o), scaleDisclosureBatch, scaleDisclosureRounds)
-		t.Notef("cover = dummy rate as a multiple of the user's payload rate; dummies go to uniform recipients")
-		t.Notef("at this batch/budget the SDA has no per-target signal at large N: disclosed_frac 0 and")
-		t.Notef("near-uniform anonymity are the expected reading; the cells gate engine throughput and memory")
-	},
+var scaleDisclosureCells = scaleCells(
+	"Population engine at scale: million-user statistical disclosure rounds",
+	population.EstimatorClassic, "",
+	"cover = dummy rate as a multiple of the user's payload rate; dummies go to uniform recipients",
+	"at this batch/budget the SDA has no per-target signal at large N: disclosed_frac 0 and",
+	"near-uniform anonymity are the expected reading; the cells gate engine throughput and memory")
+
+// scaleCells builds a million-user disclosure sweep over
+// scaleDisclosureCovers at the scale geometry, attacked with estimator
+// est. The first note states the geometry, ending in estNote; notes
+// follow it.
+func scaleCells(title string, est population.EstimatorKind, estNote string, notes ...string) *cellExperiment {
+	return &cellExperiment{
+		title: title,
+		columns: []string{"users", "cover", "rounds", "batch",
+			"disclosed_frac", "mean_anonymity"},
+		ncells: func(Options) int { return len(scaleDisclosureCovers) },
+		run: func(o Options, cell int) ([]float64, error) {
+			sys, err := core.NewSystem(labConfig(o))
+			if err != nil {
+				return nil, err
+			}
+			n := scaleUsers(o)
+			cover := scaleDisclosureCovers[cell]
+			res, err := runDisclosure(o, sys, core.PopulationSpec{
+				Users:      n,
+				Recipients: 10_000,
+				CoverRate:  cover,
+			}, population.DisclosureConfig{
+				Batch:      scaleDisclosureBatch,
+				Estimator:  est,
+				MaxRounds:  scaleDisclosureRounds,
+				CheckEvery: 16,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return []float64{float64(n), cover, float64(res.Rounds),
+				scaleDisclosureBatch, res.DisclosedFrac, res.MeanAnonymity}, nil
+		},
+		notes: func(o Options, t *Table) {
+			t.Notef("population %d users (1e6 x scale, floor 1e4), 10000 recipients, batch %d, %d rounds%s",
+				scaleUsers(o), scaleDisclosureBatch, scaleDisclosureRounds, estNote)
+			for _, n := range notes {
+				t.Notef("%s", n)
+			}
+		},
+	}
 }

@@ -142,7 +142,82 @@ func (c *geChain) lost(rng *xrand.Rand) bool {
 
 // heldPacket is one reordered packet waiting for release.
 type heldPacket struct {
-	remaining int // surviving packets still to pass before release
+	remaining int     // surviving packets still to pass before release
+	t         float64 // the packet's own time
+}
+
+// impairCore owns one impairment application's state: the profile, the
+// rng, the GE chain, the probe and the held packets. Both shapes, the
+// forward-path Impairer and the tap wrapper, run every packet through
+// its step, so they draw the same variates in the same order.
+type impairCore struct {
+	im    Impairment
+	rng   *xrand.Rand
+	ge    *geChain
+	held  []heldPacket
+	probe *obs.Shard
+}
+
+// newImpairCore builds the core for a validated, enabled profile.
+func newImpairCore(im *Impairment, rng *xrand.Rand, probe *obs.Shard) impairCore {
+	c := impairCore{im: *im, rng: rng, probe: probe}
+	if im.GE != nil {
+		c.ge = &geChain{g: *im.GE}
+	}
+	if im.ReorderDepth > 0 {
+		c.held = make([]heldPacket, 0, im.ReorderDepth)
+	}
+	return c
+}
+
+// step runs the packet at time t through the per-packet draw sequence
+// (GE transition+loss, i.i.d. loss, duplication, reorder trigger) and
+// appends its emissions to out: the packet and its duplicate at t, then
+// every held packet whose displacement is exhausted. A released packet
+// is emitted at t when ownTime is false (the forward path delays it
+// behind its successors) and at its own time when ownTime is true (a
+// tap records it late with its original timestamp).
+func (c *impairCore) step(t float64, ownTime bool, out []float64) []float64 {
+	if c.ge != nil && c.ge.lost(c.rng) {
+		c.probe.Inc(obs.NetemDrop)
+		return out
+	}
+	if c.im.LossProb > 0 && c.rng.Bernoulli(c.im.LossProb) {
+		c.probe.Inc(obs.NetemDrop)
+		return out
+	}
+	dup := c.im.DupProb > 0 && c.rng.Bernoulli(c.im.DupProb)
+	if dup {
+		c.probe.Inc(obs.NetemDup)
+	}
+	if c.im.ReorderProb > 0 && c.rng.Bernoulli(c.im.ReorderProb) && len(c.held) < cap(c.held) {
+		c.probe.Inc(obs.NetemReorder)
+		// Hold this packet back for ReorderDepth surviving packets. A
+		// duplicate of a held packet is held with it (the pair travels
+		// together).
+		c.held = append(c.held, heldPacket{remaining: c.im.ReorderDepth, t: t})
+		if dup {
+			c.held = append(c.held, heldPacket{remaining: c.im.ReorderDepth, t: t})
+		}
+		return out
+	}
+	out = append(out, t)
+	if dup {
+		out = append(out, t)
+	}
+	live := c.held[:0]
+	for _, h := range c.held {
+		h.remaining--
+		if h.remaining > 0 {
+			live = append(live, h)
+		} else if ownTime {
+			out = append(out, h.t)
+		} else {
+			out = append(out, t)
+		}
+	}
+	c.held = live
+	return out
 }
 
 // Impairer applies an Impairment to a forward-path TimeStream. Losses
@@ -153,14 +228,10 @@ type heldPacket struct {
 // are therefore non-decreasing, like every other network element's.
 type Impairer struct {
 	upstream feed
-	im       Impairment
-	rng      *xrand.Rand
-	ge       *geChain
-	held     []heldPacket
+	core     impairCore
 	q        []float64 // pending emissions, FIFO
 	qi       int
 	buf      []float64 // reusable upstream chunk
-	probe    *obs.Shard
 	one      [1]float64
 }
 
@@ -181,69 +252,13 @@ func NewImpairer(upstream TimeStream, im *Impairment, rng *xrand.Rand, probe *ob
 	if rng == nil {
 		return nil, errors.New("netem: nil rng")
 	}
-	p := &Impairer{upstream: newFeed(upstream), im: *im, rng: rng, probe: probe}
-	if im.GE != nil {
-		p.ge = &geChain{g: *im.GE}
-	}
-	if im.ReorderDepth > 0 {
-		p.held = make([]heldPacket, 0, im.ReorderDepth)
-	}
-	return p, nil
+	return &Impairer{upstream: newFeed(upstream), core: newImpairCore(im, rng, probe)}, nil
 }
 
 // Next returns the next impaired packet time: a one-packet NextBatch.
 func (p *Impairer) Next() float64 {
 	p.NextBatch(p.one[:])
 	return p.one[0]
-}
-
-// process runs one upstream packet through the impairment's per-packet
-// draw sequence (GE transition+loss, i.i.d. loss, duplication, reorder
-// trigger), appending every resulting emission to the pending queue.
-func (p *Impairer) process(t float64) {
-	if p.ge != nil && p.ge.lost(p.rng) {
-		p.probe.Inc(obs.NetemDrop)
-		return
-	}
-	if p.im.LossProb > 0 && p.rng.Bernoulli(p.im.LossProb) {
-		p.probe.Inc(obs.NetemDrop)
-		return
-	}
-	dup := p.im.DupProb > 0 && p.rng.Bernoulli(p.im.DupProb)
-	if dup {
-		p.probe.Inc(obs.NetemDup)
-	}
-	if p.im.ReorderProb > 0 && p.rng.Bernoulli(p.im.ReorderProb) && len(p.held) < cap(p.held) {
-		p.probe.Inc(obs.NetemReorder)
-		// Hold this packet back; it re-emerges at the timestamp of the
-		// ReorderDepth-th surviving packet after it. A duplicate of a
-		// held packet is held with it (the pair travels together).
-		n := 1
-		if dup {
-			n = 2
-		}
-		for i := 0; i < n; i++ {
-			p.held = append(p.held, heldPacket{remaining: p.im.ReorderDepth})
-		}
-		return
-	}
-	// This packet survives in place: emit it (and its duplicate), then
-	// release any held packets whose displacement is exhausted, at this
-	// packet's timestamp.
-	p.q = append(p.q, t)
-	if dup {
-		p.q = append(p.q, t)
-	}
-	live := p.held[:0]
-	for _, h := range p.held {
-		h.remaining--
-		if h.remaining <= 0 {
-			p.q = append(p.q, t)
-		} else {
-			live = append(live, h)
-		}
-	}
-	p.held = live
 }
 
 // drain moves pending emissions into dst[out:], returning the new out.
@@ -275,7 +290,7 @@ func (p *Impairer) NextBatch(dst []float64) {
 		chunk := p.buf[:need]
 		p.upstream.fill(chunk)
 		for _, t := range chunk {
-			p.process(t)
+			p.q = p.core.step(t, false, p.q)
 		}
 		out = p.drain(dst, out)
 	}
@@ -305,56 +320,12 @@ func (im *Impairment) WrapRecordObs(record func(float64), rng *xrand.Rand, probe
 	if rng == nil {
 		return nil, errors.New("netem: nil rng")
 	}
-	var ge *geChain
-	if im.GE != nil {
-		ge = &geChain{g: *im.GE}
-	}
-	type heldObs struct {
-		remaining int
-		t         float64
-	}
-	var held []heldObs
-	if im.ReorderDepth > 0 {
-		held = make([]heldObs, 0, im.ReorderDepth)
-	}
-	cfg := *im
+	c := newImpairCore(im, rng, probe)
+	var out []float64
 	return func(t float64) {
-		if ge != nil && ge.lost(rng) {
-			probe.Inc(obs.NetemDrop)
-			return
+		out = c.step(t, true, out[:0])
+		for _, x := range out {
+			record(x)
 		}
-		if cfg.LossProb > 0 && rng.Bernoulli(cfg.LossProb) {
-			probe.Inc(obs.NetemDrop)
-			return
-		}
-		dup := cfg.DupProb > 0 && rng.Bernoulli(cfg.DupProb)
-		if dup {
-			probe.Inc(obs.NetemDup)
-		}
-		if cfg.ReorderProb > 0 && rng.Bernoulli(cfg.ReorderProb) && len(held) < cap(held) {
-			probe.Inc(obs.NetemReorder)
-			n := 1
-			if dup {
-				n = 2
-			}
-			for i := 0; i < n; i++ {
-				held = append(held, heldObs{remaining: cfg.ReorderDepth, t: t})
-			}
-			return
-		}
-		record(t)
-		if dup {
-			record(t)
-		}
-		live := held[:0]
-		for _, h := range held {
-			h.remaining--
-			if h.remaining <= 0 {
-				record(h.t)
-			} else {
-				live = append(live, h)
-			}
-		}
-		held = live
 	}, nil
 }

@@ -341,3 +341,55 @@ func FuzzParseImpairment(f *testing.F) {
 		}
 	})
 }
+
+// TestImpairShapesAgree: the forward-path Impairer and the tap wrapper
+// draw the same variates in the same order, so at one seed they drop,
+// duplicate and hold the same packet indices. The tap records each
+// emission at its packet's own time, the stream at the time of the
+// packet in place when it is emitted; entry k of the stream is
+// therefore the running maximum of the tap's first k+1 entries.
+func TestImpairShapesAgree(t *testing.T) {
+	im := &Impairment{
+		GE:       &GilbertElliott{PGoodBad: 0.05, PBadGood: 0.4, LossBad: 0.5},
+		LossProb: 0.05, DupProb: 0.1, ReorderProb: 0.15, ReorderDepth: 3,
+	}
+	const n, seed = 4000, 42
+	up := periodicTimes(n+1024, 1) // packet i has time i+1
+	var tap []float64
+	record, err := im.WrapRecordObs(func(x float64) { tap = append(tap, x) }, xrand.New(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range up[:n] {
+		record(x)
+	}
+	p, err := NewImpairer(NewSliceStream(up), im, xrand.New(seed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make([]float64, len(tap))
+	p.NextBatch(stream)
+
+	seen := make(map[float64]int, len(tap))
+	held := 0
+	top := 0.0
+	for k, x := range tap {
+		seen[x]++
+		if x < top {
+			held++
+		}
+		top = math.Max(top, x)
+		if stream[k] != top {
+			t.Fatalf("emission %d: stream time %v, tap running max %v (tap entry %v)", k, stream[k], top, x)
+		}
+	}
+	dups := 0
+	for _, c := range seen {
+		if c == 2 {
+			dups++
+		}
+	}
+	if dropped := n - len(seen); dropped == 0 || dups == 0 || held == 0 {
+		t.Fatalf("profile exercised too little: %d dropped, %d duplicated, %d held", dropped, dups, held)
+	}
+}

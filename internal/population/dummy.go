@@ -140,24 +140,30 @@ func (d *disclosure) suspects(t *targetState) []int32 {
 		if v <= 0 {
 			continue
 		}
-		if len(idx) == k && v <= val[k-1] {
-			continue
-		}
-		j := len(idx)
-		if j < k {
-			idx = append(idx, 0)
-			val = append(val, 0)
-		} else {
-			j--
-		}
-		for j > 0 && v > val[j-1] {
-			idx[j], val[j] = idx[j-1], val[j-1]
-			j--
-		}
-		idx[j], val[j] = i, v
+		idx, val = insertTopK(idx, val, k, i, v)
 	}
 	t.sus = idx
 	return t.sus
+}
+
+// insertTopK offers index i with value v to the k-best list (idx, val),
+// kept in descending value. An offer enters only when it beats the
+// current k-th value, so among equal values the first offered stays:
+// offered in ascending index order, ties go to the lower index.
+func insertTopK(idx []int32, val []float64, k int, i int32, v float64) ([]int32, []float64) {
+	j := len(idx)
+	if j < k {
+		idx, val = append(idx, 0), append(val, 0)
+	} else if v <= val[k-1] {
+		return idx, val
+	} else {
+		j--
+	}
+	for ; j > 0 && v > val[j-1]; j-- {
+		idx[j], val[j] = idx[j-1], val[j-1]
+	}
+	idx[j], val[j] = i, v
+	return idx, val
 }
 
 // containsSorted reports whether x occurs in the ascending slice s.

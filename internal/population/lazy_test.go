@@ -406,10 +406,7 @@ func BenchmarkDisclosureObserve(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				d, err := newDisclosure(e, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				d := newDisclosure(e, cfg)
 				b.StartTimer()
 				for r := range rs {
 					d.observe(&rs[r])

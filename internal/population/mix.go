@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"linkpad/internal/obs"
 	"linkpad/internal/xrand"
 )
 
@@ -27,7 +26,7 @@ import (
 //     so round sizes float with the arrival rate.
 //
 // Streaming contract: a policy pulls events one at a time from the
-// engine's k-way shard reduction (popEvent) and never looks ahead more
+// engine's k-way shard reduction (nextEvent) and never looks ahead more
 // than one event, so million-user populations stream through any policy
 // exactly as they do through the threshold path — the engine's slab
 // generation, lazy materialization and refill cadence are untouched.
@@ -176,28 +175,15 @@ type poolMix struct {
 
 func (m *poolMix) NextRound(r *Round) error {
 	e := m.eng
-	r.Users = r.Users[:0]
-	r.Rcpts = r.Rcpts[:0]
-	r.Dummy = r.Dummy[:0]
-	r.Times = r.Times[:0]
+	r.reset()
 	for {
 		// Gather the next batch of new arrivals into the pool.
-		got := 0
-		for got < m.batch {
-			ev, ok := e.popEvent()
-			if !ok {
-				if err := e.refill(); err != nil {
-					return err
-				}
-				continue
-			}
-			if ev.dummy {
-				e.probe.Inc(obs.TrafficCover)
-			} else {
-				e.probe.Inc(obs.PopulationMessage)
+		for got := 0; got < m.batch; got++ {
+			ev, err := e.nextEvent()
+			if err != nil {
+				return err
 			}
 			m.pool = append(m.pool, ev)
-			got++
 			r.Flush = ev.t // the trigger arrival is the flush instant
 		}
 		// Flush: each pooled message independently stays with probability
@@ -210,16 +196,11 @@ func (m *poolMix) NextRound(r *Round) error {
 				kept = append(kept, ev)
 				continue
 			}
-			r.Users = append(r.Users, ev.user)
-			r.Rcpts = append(r.Rcpts, ev.rcpt)
-			r.Dummy = append(r.Dummy, ev.dummy)
-			r.Times = append(r.Times, ev.t)
+			r.add(ev)
 		}
 		m.pool = kept
 		if len(r.Users) > 0 {
-			e.rounds++
-			e.probe.Inc(obs.PopulationRound)
-			e.probe.Flush()
+			e.emitRound()
 			return nil
 		}
 		// Everything stayed behind: no observable flush. Gather another
@@ -241,27 +222,15 @@ type timedMix struct {
 
 func (m *timedMix) NextRound(r *Round) error {
 	e := m.eng
-	r.Users = r.Users[:0]
-	r.Rcpts = r.Rcpts[:0]
-	r.Dummy = r.Dummy[:0]
-	r.Times = r.Times[:0]
+	r.reset()
 	for {
 		var ev event
 		if m.peeked {
 			ev, m.peeked = m.peek, false
 		} else {
-			var ok bool
-			ev, ok = e.popEvent()
-			if !ok {
-				if err := e.refill(); err != nil {
-					return err
-				}
-				continue
-			}
-			if ev.dummy {
-				e.probe.Inc(obs.TrafficCover)
-			} else {
-				e.probe.Inc(obs.PopulationMessage)
+			var err error
+			if ev, err = e.nextEvent(); err != nil {
+				return err
 			}
 		}
 		if m.nextFlush == 0 {
@@ -275,18 +244,13 @@ func (m *timedMix) NextRound(r *Round) error {
 				m.peek, m.peeked = ev, true
 				r.Flush = m.nextFlush
 				m.nextFlush += m.period
-				e.rounds++
-				e.probe.Inc(obs.PopulationRound)
-				e.probe.Flush()
+				e.emitRound()
 				return nil
 			}
 			// The window (and possibly many after it) was empty: no
 			// observable flush. Skip to the window containing the event.
 			m.nextFlush = (math.Floor(ev.t/m.period) + 1) * m.period
 		}
-		r.Users = append(r.Users, ev.user)
-		r.Rcpts = append(r.Rcpts, ev.rcpt)
-		r.Dummy = append(r.Dummy, ev.dummy)
-		r.Times = append(r.Times, ev.t)
+		r.add(ev)
 	}
 }

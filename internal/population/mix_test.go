@@ -25,12 +25,9 @@ func drainRaw(t *testing.T, e *Engine, n int) []mixEvent {
 	t.Helper()
 	out := make([]mixEvent, 0, n)
 	for len(out) < n {
-		ev, ok := e.popEvent()
-		if !ok {
-			if err := e.refill(); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		ev, err := e.nextEvent()
+		if err != nil {
+			t.Fatal(err)
 		}
 		out = append(out, mixEvent{t: ev.t, user: ev.user, rcpt: ev.rcpt, dummy: ev.dummy})
 	}

@@ -300,10 +300,7 @@ func TestPipelinedRoundLoopAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetWorkers(2)
-	d, err := newDisclosure(e, DisclosureConfig{Batch: 8, Targets: []int{0, 5, 10}}.withDefaults(len(users)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDisclosure(e, DisclosureConfig{Batch: 8, Targets: []int{0, 5, 10}}.withDefaults(len(users)))
 	var r Round
 	round := func() {
 		if err := e.NextRound(8, &r); err != nil {

@@ -877,16 +877,18 @@ func (e *Engine) buildHeap() {
 	}
 }
 
-// popEvent emits the next event of the merged stream from the k-way
-// shard reduction. ok is false when the current slab is exhausted and the
-// caller must refill.
-func (e *Engine) popEvent() (ev event, ok bool) {
-	if len(e.heap) == 0 {
-		return event{}, false
+// nextEvent emits the next event of the merged stream from the k-way
+// shard reduction, refilling the slab whenever it runs dry, and counts
+// it as a message or as cover.
+func (e *Engine) nextEvent() (event, error) {
+	for len(e.heap) == 0 {
+		if err := e.refill(); err != nil {
+			return event{}, err
+		}
 	}
 	top := &e.heap[0]
 	s := &e.shards[top.sh]
-	ev = s.buf[s.pos]
+	ev := s.buf[s.pos]
 	s.pos++
 	if s.pos < len(s.buf) {
 		next := &s.buf[s.pos]
@@ -899,7 +901,37 @@ func (e *Engine) popEvent() (ev event, ok bool) {
 	if len(e.heap) > 0 {
 		e.siftDown(0)
 	}
-	return ev, true
+	if ev.dummy {
+		e.probe.Inc(obs.TrafficCover)
+	} else {
+		e.probe.Inc(obs.PopulationMessage)
+	}
+	return ev, nil
+}
+
+// emitRound counts one emitted round. Round boundaries are the engine's
+// natural flush points: coarse enough to stay off the per-event path,
+// fine enough for live reads.
+func (e *Engine) emitRound() {
+	e.rounds++
+	e.probe.Inc(obs.PopulationRound)
+	e.probe.Flush()
+}
+
+// reset empties the round, keeping its slices' storage.
+func (r *Round) reset() {
+	r.Users = r.Users[:0]
+	r.Rcpts = r.Rcpts[:0]
+	r.Dummy = r.Dummy[:0]
+	r.Times = r.Times[:0]
+}
+
+// add appends one event to the round.
+func (r *Round) add(ev event) {
+	r.Users = append(r.Users, ev.user)
+	r.Rcpts = append(r.Rcpts, ev.rcpt)
+	r.Dummy = append(r.Dummy, ev.dummy)
+	r.Times = append(r.Times, ev.t)
 }
 
 // NextRound emits the next mix round: the next `batch` messages of the
@@ -910,33 +942,15 @@ func (e *Engine) NextRound(batch int, r *Round) error {
 	if batch < 1 {
 		return errors.New("population: round batch must be at least 1")
 	}
-	r.Users = r.Users[:0]
-	r.Rcpts = r.Rcpts[:0]
-	r.Dummy = r.Dummy[:0]
-	r.Times = r.Times[:0]
+	r.reset()
 	for len(r.Users) < batch {
-		ev, ok := e.popEvent()
-		if !ok {
-			if err := e.refill(); err != nil {
-				return err
-			}
-			continue
+		ev, err := e.nextEvent()
+		if err != nil {
+			return err
 		}
-		if ev.dummy {
-			e.probe.Inc(obs.TrafficCover)
-		} else {
-			e.probe.Inc(obs.PopulationMessage)
-		}
-		r.Users = append(r.Users, ev.user)
-		r.Rcpts = append(r.Rcpts, ev.rcpt)
-		r.Dummy = append(r.Dummy, ev.dummy)
-		r.Times = append(r.Times, ev.t)
+		r.add(ev)
 		r.Flush = ev.t
 	}
-	e.rounds++
-	e.probe.Inc(obs.PopulationRound)
-	// Round boundaries are the engine's natural flush points: coarse
-	// enough to stay off the per-event path, fine enough for live reads.
-	e.probe.Flush()
+	e.emitRound()
 	return nil
 }

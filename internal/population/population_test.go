@@ -230,10 +230,7 @@ func TestRoundLoopAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.SetWorkers(1)
-			d, err := newDisclosure(e, tc.cfg.withDefaults(len(users)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := newDisclosure(e, tc.cfg.withDefaults(len(users)))
 			var r Round
 			round := func() {
 				if err := e.NextRound(8, &r); err != nil {

@@ -130,8 +130,8 @@ func (c DisclosureConfig) withDefaults(users int) DisclosureConfig {
 
 // Validate checks the configuration's shape for a users-sized population
 // without an engine — the scenario layer's Build-time validation. It
-// never panics, whatever the field values. StartDisclosure re-checks
-// everything it needs against the live engine.
+// never panics, whatever the field values. StartDisclosure runs it
+// against the engine's population size.
 func (c DisclosureConfig) Validate(users int) error {
 	c = c.withDefaults(users)
 	if c.Batch < 1 || c.MaxRounds < 1 || c.CheckEvery < 1 {
@@ -252,10 +252,10 @@ type disclosure struct {
 	readyDue func(worker, i int) error
 }
 
-// newDisclosure validates cfg and sizes the estimators. It materializes
-// the target users (the adversary knows who it is watching); everyone
-// else stays cold until they send.
-func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
+// newDisclosure sizes the estimators for a validated, defaults-applied
+// cfg. It materializes the target users (the adversary knows who it is
+// watching); everyone else stays cold until they send.
+func newDisclosure(e *Engine, cfg DisclosureConfig) *disclosure {
 	d := &disclosure{
 		eng:       e,
 		cfg:       cfg,
@@ -275,12 +275,6 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 	}
 	maxK := 0
 	for i, u := range cfg.Targets {
-		if u < 0 || u >= e.n {
-			return nil, fmt.Errorf("population: target user %d out of range", u)
-		}
-		if d.targetIdx[u] >= 0 {
-			return nil, fmt.Errorf("population: duplicate target user %d", u)
-		}
 		d.targetIdx[u] = int32(i)
 		cs := e.ContactsOf(u)
 		sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
@@ -308,7 +302,7 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) (*disclosure, error) {
 		d.targets[d.due[i]].est.ready(&d.scratch[worker])
 		return nil
 	}
-	return d, nil
+	return d
 }
 
 // observe folds one round into every target's estimator. The round's
@@ -408,23 +402,7 @@ func (d *disclosure) topK(t *targetState, k int) []int32 {
 			i = sup[si]
 			si++
 		}
-		v := t.est.estimateAt(i)
-		// Find the insertion point among the current k best.
-		if len(idx) == k && v <= val[k-1] {
-			continue
-		}
-		j := len(idx)
-		if j < k {
-			idx = append(idx, 0)
-			val = append(val, 0)
-		} else {
-			j--
-		}
-		for j > 0 && v > val[j-1] {
-			idx[j], val[j] = idx[j-1], val[j-1]
-			j--
-		}
-		idx[j], val[j] = i, v
+		idx, val = insertTopK(idx, val, k, i, t.est.estimateAt(i))
 	}
 	d.topIdx, d.topVal = idx, val
 	return idx
@@ -494,25 +472,18 @@ type DisclosureRun struct {
 	r        Round
 }
 
-// StartDisclosure validates cfg against the engine and prepares a
+// StartDisclosure validates cfg against the engine's population and
+// prepares a
 // disclosure run. The run consumes the engine; build a fresh
 // engine per run.
 func (e *Engine) StartDisclosure(cfg DisclosureConfig) (*DisclosureRun, error) {
-	cfg = cfg.withDefaults(e.n)
-	if cfg.Batch < 1 || cfg.MaxRounds < 1 || cfg.CheckEvery < 1 {
-		return nil, errors.New("population: disclosure parameters must be positive")
-	}
-	if !validEstimator(cfg.Estimator) {
-		return nil, fmt.Errorf("population: unknown estimator kind %d", int(cfg.Estimator))
-	}
-	if !validDummyPolicy(cfg.Dummies) {
-		return nil, fmt.Errorf("population: unknown dummy policy %d", int(cfg.Dummies))
-	}
-	e.SetWorkers(par.Workers(cfg.Workers))
-	d, err := newDisclosure(e, cfg)
-	if err != nil {
+	if err := cfg.Validate(e.n); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults(e.n)
+	e.SetWorkers(par.Workers(cfg.Workers))
+	d := newDisclosure(e, cfg)
+	var err error
 	d.mix, err = e.NewMix(cfg.Mix, cfg.Batch)
 	if err != nil {
 		return nil, err

@@ -90,21 +90,45 @@ func TestDisclosureCoverResists(t *testing.T) {
 	}
 }
 
+// TestDisclosureValidation: Validate and StartDisclosure refuse every
+// bad configuration with the same error, because StartDisclosure runs
+// Validate against the engine's population.
 func TestDisclosureValidation(t *testing.T) {
 	users, recipients := testUsers(t, 8, false)
-	e, err := NewEngine(users, recipients)
-	if err != nil {
-		t.Fatal(err)
+	bad := []struct {
+		name string
+		cfg  DisclosureConfig
+	}{
+		{"target out of range", DisclosureConfig{Targets: []int{99}}},
+		{"negative target", DisclosureConfig{Targets: []int{-1}}},
+		{"duplicate target", DisclosureConfig{Targets: []int{1, 1}}},
+		{"negative batch", DisclosureConfig{Batch: -1}},
+		{"negative budget", DisclosureConfig{MaxRounds: -1}},
+		{"negative checkpoint", DisclosureConfig{CheckEvery: -1}},
+		{"negative workers", DisclosureConfig{Workers: -1}},
+		{"unknown estimator", DisclosureConfig{Estimator: EstimatorKind(99)}},
+		{"unknown dummy policy", DisclosureConfig{Dummies: DummyPolicy(99)}},
+		{"unknown mix", DisclosureConfig{Mix: MixSpec{Kind: MixKind(9)}}},
+		{"seeded threshold mix", DisclosureConfig{Mix: MixSpec{Seed: 1}}},
 	}
-	if _, err := runDisclosure(e, DisclosureConfig{Targets: []int{99}}); err == nil {
-		t.Error("out-of-range target should fail")
-	}
-	e2, _ := NewEngine(users, recipients)
-	if _, err := runDisclosure(e2, DisclosureConfig{Targets: []int{1, 1}}); err == nil {
-		t.Error("duplicate target should fail")
-	}
-	e3, _ := NewEngine(users, recipients)
-	if _, err := runDisclosure(e3, DisclosureConfig{Batch: -1}); err == nil {
-		t.Error("negative batch should fail")
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(users, recipients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verr := tc.cfg.Validate(len(users))
+			if verr == nil {
+				t.Fatal("Validate accepted the config")
+			}
+			run, serr := e.StartDisclosure(tc.cfg)
+			if serr == nil {
+				run.Stop()
+				t.Fatalf("StartDisclosure accepted the config Validate refuses with %q", verr)
+			}
+			if serr.Error() != verr.Error() {
+				t.Errorf("StartDisclosure error %q, Validate error %q", serr, verr)
+			}
+		})
 	}
 }
