@@ -41,8 +41,6 @@ import (
 	"errors"
 
 	"linkpad/internal/cascade"
-	"linkpad/internal/netem"
-	"linkpad/internal/obs"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
 )
@@ -277,18 +275,16 @@ func (c *ChaffSource) Rate() float64 { return c.rate * c.key.OnFraction() }
 func (c *ChaffSource) Stats() InjectStats { return c.stats }
 
 // Flow is one watermarked flow as the active adversary observes it: the
-// exit stream past the countermeasure and the exit tap, the flow's own
-// watermark key, the observation start time (0 except for warmed
-// continuous sessions), and the injection/overhead probes. Like every
+// route past the countermeasure and the exit tap (cascade.Route, with no
+// entry recorder: the attacker injects at the entry but matches by key),
+// the flow's own watermark key, the observation start time (0 except
+// for warmed continuous sessions), and the injection probe. Like every
 // observation protocol it is a stateful stream: one pass per flow,
 // build a fresh flow per run; it is not safe for concurrent use.
 type Flow struct {
-	// Class is the flow's ground-truth payload-rate class.
-	Class int
+	cascade.Route
 	// Key is the watermark key the attacker injected into this flow.
 	Key *Key
-	// Exit is the padded departure stream at the exit tap.
-	Exit netem.TimeStream
 	// Start is the observation start time: packets at or before Start
 	// were consumed as warm-up and the detector must not assume it saw
 	// them. Zero for fresh (replica-style) flows.
@@ -296,13 +292,6 @@ type Flow struct {
 	// Inject reads the attacker's injection counters; nil for phantom
 	// training flows, which carry no watermark.
 	Inject func() InjectStats
-	// Hops holds one overhead probe per padding hop, entry hop first
-	// (empty for unpadded flows).
-	Hops []cascade.HopProbe
-	// Probe is the flow's telemetry shard (nil when collection is
-	// disabled); the goroutine pulling Exit owns it and flushes it when
-	// the flow's observation finishes.
-	Probe *obs.Shard
 }
 
 // FlowBuilder produces flow f's watermarked observation. Implementations

@@ -7,7 +7,6 @@ import (
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/cascade"
-	"linkpad/internal/netem"
 	"linkpad/internal/par"
 	"linkpad/internal/stats"
 )
@@ -74,15 +73,9 @@ type Result struct {
 	// MeanAddedDelay is the mean injected delay per payload packet in
 	// seconds (0 in chaff mode).
 	MeanAddedDelay float64
-	// HopPPS is each hop's mean emitted packet rate per flow, entry hop
-	// first; HopDummyFrac is each hop's dummy fraction.
-	HopPPS       []float64
-	HopDummyFrac []float64
-	// RoutePPS sums HopPPS — the defense's bandwidth per flow. For
-	// unpadded flows it is the exit stream's observed rate.
-	RoutePPS float64
-	// DummyFrac is the whole route's dummy fraction.
-	DummyFrac float64
+	// HopOverhead prices the defense: per-hop emitted rate and dummy
+	// fraction, the total rate per flow and its dummy fraction.
+	cascade.HopOverhead
 }
 
 // Channels is the number of matched-filter channels (count, variance,
@@ -96,14 +89,11 @@ const threshold = 3
 // flowObs is the reduced observation of one flow: centered per-slot
 // channel vectors plus the bookkeeping the sequential reduction needs.
 type flowObs struct {
-	key       *Key
-	k0        int               // first whole slot of the observation window
-	start     float64           // absolute start of the observation window
-	end       float64           // absolute end of the observation window
-	stats     []float64         // [Channels][slots] flattened, centered
-	ss        [Channels]float64 // each channel's sum of squares
-	inject    InjectStats
-	exitCount int
+	key    *Key
+	k0     int               // first whole slot of the observation window
+	stats  []float64         // [Channels][slots] flattened, centered
+	ss     [Channels]float64 // each channel's sum of squares
+	inject InjectStats
 }
 
 // channel returns the obs's centered per-slot vector for channel ch.
@@ -135,8 +125,7 @@ func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, 
 
 	flows := e.flows
 	obs := make([]flowObs, flows)
-	hopStats := make([][]cascade.HopStats, flows)
-	exits := make([][]float64, par.Workers(cfg.Workers)) // reusable per-worker exit-time slabs
+	pull := cascade.NewPull(flows, cfg.Workers)
 	set, err := adversary.ObserveFlows(ctx, flows, cfg, func(worker, f int) (adversary.FlowObs, error) {
 		flow, err := e.Flow(f)
 		if err != nil {
@@ -147,17 +136,10 @@ func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, 
 		if flow.Start > 0 {
 			o.k0 = int(flow.Start/e.period) + 1
 		}
+		// Observe whole slots only, dropping the partial-slot head after a
+		// warm-up.
 		start := float64(o.k0) * e.period
-		o.start = start
-		o.end = start + float64(slots)*e.period
-		// Pull the exit stream through the whole chain into the worker's
-		// reusable slab, dropping the partial-slot head after a warm-up.
-		buf := netem.Collect(exits[worker][:0], flow.Exit, start, o.end)
-		exits[worker] = buf
-		// The flow's observation is complete and this worker owns its
-		// telemetry shard: publish the chain's counters (nil-safe).
-		flow.Probe.Flush()
-		o.exitCount = len(buf)
+		buf := pull.Exit(worker, f, &flow.Route, start, start+float64(slots)*e.period)
 		o.stats = make([]float64, Channels*slots)
 		slotStats(buf, start, e.period, slots,
 			o.channel(0, slots), o.channel(1, slots), o.channel(2, slots))
@@ -167,7 +149,6 @@ func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, 
 		if flow.Inject != nil {
 			o.inject = flow.Inject()
 		}
-		hopStats[f] = cascade.ReadHops(flow.Hops)
 		return adversary.FlowObs{Class: flow.Class, Exit: buf}, nil
 	})
 	if err != nil {
@@ -196,7 +177,7 @@ func Detect(ctx context.Context, e *Engine, cfg adversary.CorrConfig) (*Result, 
 	}
 	res.DetectionRate = float64(detected) / float64(flows)
 	res.MeanZ = zSum / float64(flows)
-	if err := reduceOverhead(res, obs, hopStats, e.hops); err != nil {
+	if err := reduceOverhead(res, obs, pull.Flows, e.hops); err != nil {
 		return nil, fmt.Errorf("active: %w", err)
 	}
 	return res, nil
@@ -279,13 +260,13 @@ func groupByK0(obs []flowObs) [][]int {
 }
 
 // reduceOverhead accounts the injection cost and the defense's bandwidth
-// in flow order. Hop and injection counters cover each flow's whole
-// timeline [0, end] (warm-up included), so rates divide by the summed
-// end times, not the observation duration.
-func reduceOverhead(res *Result, obs []flowObs, hopStats [][]cascade.HopStats, hops int) error {
+// (cascade.ReduceHops) in flow order. Injection counters cover each
+// flow's whole timeline [0, End] (warm-up included), so the chaff rate
+// divides by the summed End times, not the observation duration.
+func reduceOverhead(res *Result, obs []flowObs, observed []cascade.Observed, hops int) error {
 	var endSum, chaffSum, delaySum, payloadSum float64
 	for f := range obs {
-		endSum += obs[f].end
+		endSum += observed[f].End
 		chaffSum += float64(obs[f].inject.Chaff)
 		delaySum += obs[f].inject.DelaySum
 		payloadSum += float64(obs[f].inject.Payload)
@@ -296,26 +277,9 @@ func reduceOverhead(res *Result, obs []flowObs, hopStats [][]cascade.HopStats, h
 	if payloadSum > 0 {
 		res.MeanAddedDelay = delaySum / payloadSum
 	}
-	ov, err := cascade.ReduceHops(hopStats, hops, endSum)
-	if err != nil {
-		return err
-	}
-	res.HopPPS, res.HopDummyFrac, res.RoutePPS, res.DummyFrac = ov.HopPPS, ov.HopDummyFrac, ov.RoutePPS, ov.DummyFrac
-	if hops == 0 {
-		// Unpadded flows: the exit counts cover only the observed window
-		// (start, end] — warm-up packets of a session scenario were
-		// discarded — so the rate averages over the window, not the
-		// whole timeline.
-		var exitAll, obsSum float64
-		for f := range obs {
-			exitAll += float64(obs[f].exitCount)
-			obsSum += obs[f].end - obs[f].start
-		}
-		if obsSum > 0 {
-			res.RoutePPS = exitAll / obsSum
-		}
-	}
-	return nil
+	var err error
+	res.HopOverhead, err = cascade.ReduceHops(observed, hops)
+	return err
 }
 
 // slotStats reduces an ascending timestamp slice to the three matched-

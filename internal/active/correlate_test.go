@@ -58,7 +58,7 @@ func chaffEngine(t *testing.T, flows int, amp float64) *Engine {
 			src = &merge
 			inject = func() InjectStats { return chaff.Stats() }
 		}
-		return &Flow{Key: key, Exit: &sourceStream{src: src}, Inject: inject}, nil
+		return &Flow{Route: cascade.Route{Exit: &sourceStream{src: src}}, Key: key, Inject: inject}, nil
 	}
 	e, err := NewEngine(flows, 0, ModeChaff, chips, period, decoys, build)
 	if err != nil {
@@ -227,8 +227,8 @@ func TestDetectSyntheticDelay(t *testing.T) {
 			return nil, err
 		}
 		return &Flow{
+			Route:  cascade.Route{Exit: &sourceStream{src: ds}},
 			Key:    key,
-			Exit:   &sourceStream{src: ds},
 			Inject: func() InjectStats { return ds.Stats() },
 		}, nil
 	}
@@ -408,7 +408,7 @@ func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	obs := make([]flowObs, flows)
 	classes := make([]int, flows)
 	posts := make([][]float64, flows) // exit class log posteriors
-	hopStats := make([][]cascade.HopStats, flows)
+	observed := make([]cascade.Observed, flows)
 	exits := make([][]float64, workers) // reusable per-worker exit-time slabs
 	err = par.MapWorker(flows, workers, func(worker, f int) error {
 		flow, err := e.Flow(f)
@@ -422,14 +422,13 @@ func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 			o.k0 = int(flow.Start/e.period) + 1
 		}
 		start := float64(o.k0) * e.period
-		o.start = start
-		o.end = start + float64(slots)*e.period
+		end := start + float64(slots)*e.period
 		// Pull the exit stream through the whole chain into the worker's
 		// reusable slab, dropping the partial-slot head after a warm-up.
 		buf := exits[worker][:0]
 		for {
 			t := flow.Exit.Next()
-			if t > o.end {
+			if t > end {
 				break
 			}
 			if t <= start {
@@ -441,16 +440,15 @@ func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 		// The flow's observation is complete and this worker owns its
 		// telemetry shard: publish the chain's counters (nil-safe).
 		flow.Probe.Flush()
-		o.exitCount = len(buf)
 		o.stats = make([]float64, Channels*slots)
 		slotStats(buf, start, e.period, slots,
 			o.channel(0, slots), o.channel(1, slots), o.channel(2, slots))
 		if flow.Inject != nil {
 			o.inject = flow.Inject()
 		}
-		hopStats[f] = make([]cascade.HopStats, len(flow.Hops))
+		observed[f] = cascade.Observed{Start: start, End: end, Exits: len(buf), Hops: make([]cascade.HopStats, len(flow.Hops))}
 		for h, probe := range flow.Hops {
-			hopStats[f][h] = probe()
+			observed[f].Hops[h] = probe()
 		}
 		if posts[f], err = exitClasses.LogPosts(worker, buf); err != nil {
 			return fmt.Errorf("active: flow %d: %w", f, err)
@@ -521,7 +519,7 @@ func detectSequential(e *Engine, cfg adversary.CorrConfig) (*Result, error) {
 	}
 	res.DetectionRate = float64(detected) / float64(flows)
 	res.MeanZ = zSum / float64(flows)
-	if err := reduceOverhead(res, obs, hopStats, e.hops); err != nil {
+	if err := reduceOverhead(res, obs, observed, e.hops); err != nil {
 		return nil, fmt.Errorf("active: %w", err)
 	}
 	return res, nil

@@ -63,25 +63,23 @@ type HopStats struct {
 // flow.
 type HopProbe func() HopStats
 
-// ReadHops reads each probe's current HopStats, entry hop first.
-func ReadHops(probes []HopProbe) []HopStats {
-	stats := make([]HopStats, len(probes))
-	for h, probe := range probes {
-		stats[h] = probe()
-	}
-	return stats
-}
-
 // Recorder is the entry tap: the first hop's ArrivalTap calls Record
-// with every payload arrival as the route is pulled, and Record counts it
-// into Row, the flow's entry fingerprint, which Correlate attaches before
-// the pull. A nil Row counts nothing.
+// with every payload arrival as the route is pulled, and Record counts
+// each arrival at or before End into Row, the flow's entry fingerprint.
+// CorrelateRoutes attaches both before the pull, End being the exit
+// pull's own window end, so an arrival past a non-integral duration
+// reaches neither side. A nil Row counts nothing.
 type Recorder struct {
 	Row []float64
+	End float64
 }
 
 // Record counts one arrival time into Row.
-func (r *Recorder) Record(t float64) { adversary.CountRate(r.Row, t) }
+func (r *Recorder) Record(t float64) {
+	if t <= r.End {
+		adversary.CountRate(r.Row, t)
+	}
+}
 
 // StreamSource adapts an upstream hop's departure TimeStream to the
 // traffic.Source contract the next hop's gateway consumes: Next returns
@@ -156,21 +154,22 @@ func (p *phasedPolicy) MaxInterval() float64 {
 	return p.offset + p.TimerPolicy.MaxInterval()
 }
 
-// Route is one flow's multi-hop observation as the end-to-end adversary
-// sees it: the exit stream (absolute departure times past the last hop's
-// padding, link, and the exit tap imperfections), the entry recorder
-// (counting ingress arrivals as Exit is pulled), and one
-// overhead probe per hop. Like the other observation protocols it is a
-// stateful stream: one pass per route, build a fresh route per run; it
-// is not safe for concurrent use.
+// Route is one flow as every flow attack observes it — a population
+// user's padded link, a multi-hop cascade route, or a watermarked flow
+// (active.Flow embeds it): the exit stream (absolute departure times
+// past the padding, link, and the exit tap imperfections), the entry
+// recorder (counting ingress arrivals as Exit is pulled), and one
+// overhead probe per padded hop. Like the other observation protocols it
+// is a stateful stream: one pass per route, build a fresh route per run;
+// it is not safe for concurrent use.
 type Route struct {
 	// Class is the flow's ground-truth payload-rate class (readable by
 	// the adversary from the unpadded entry side).
 	Class int
 	// Exit is the padded departure stream at the route's exit tap.
 	Exit netem.TimeStream
-	// Entry counts ingress arrivals; nil for phantom training routes,
-	// whose entry side the adversary does not observe.
+	// Entry counts ingress arrivals; nil for phantom training routes and
+	// watermarked flows, whose entry side the adversary does not observe.
 	Entry *Recorder
 	// Hops holds one overhead probe per hop, entry hop first.
 	Hops []HopProbe
@@ -178,17 +177,6 @@ type Route struct {
 	// disabled); the goroutine pulling Exit owns it and flushes it when
 	// the route's observation finishes.
 	Probe *obs.Shard
-}
-
-// NewRoute assembles a route observation.
-func NewRoute(class int, exit netem.TimeStream, entry *Recorder, hops []HopProbe) (*Route, error) {
-	if class < 0 {
-		return nil, errors.New("cascade: negative class")
-	}
-	if exit == nil {
-		return nil, errors.New("cascade: nil exit stream")
-	}
-	return &Route{Class: class, Exit: exit, Entry: entry, Hops: hops}, nil
 }
 
 // RouteBuilder produces flow f's route. Implementations must derive all

@@ -83,7 +83,7 @@ func TestPhasedPolicy(t *testing.T) {
 }
 
 func TestRecorder(t *testing.T) {
-	var r Recorder
+	r := Recorder{End: 3}
 	r.Record(1) // no row attached yet: counts nothing
 	r.Row = make([]float64, 3)
 	for _, x := range []float64{0.5, 1, 2.5, 2.9, 3, -1} {
@@ -93,11 +93,18 @@ func TestRecorder(t *testing.T) {
 	if want := []float64{1, 1, 2}; !reflect.DeepEqual(r.Row, want) {
 		t.Fatalf("row = %v, want %v", r.Row, want)
 	}
+	// An arrival past End counts nothing, even inside the row's last
+	// window.
+	r.End = 2.7
+	r.Record(2.8)
+	if want := []float64{1, 1, 2}; !reflect.DeepEqual(r.Row, want) {
+		t.Fatalf("arrival past End counted: row = %v, want %v", r.Row, want)
+	}
 }
 
 func TestEngineValidation(t *testing.T) {
 	build := func(int) (*Route, error) {
-		return NewRoute(0, netem.NewSliceStream(nil), &Recorder{}, nil)
+		return &Route{Exit: netem.NewSliceStream(nil), Entry: &Recorder{}}, nil
 	}
 	if _, err := NewEngine(1, 0, build); err == nil {
 		t.Error("one flow accepted")
@@ -120,11 +127,5 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := e.Route(4); err == nil {
 		t.Error("out-of-range flow accepted")
-	}
-	if _, err := NewRoute(-1, netem.NewSliceStream(nil), nil, nil); err == nil {
-		t.Error("negative class accepted")
-	}
-	if _, err := NewRoute(0, nil, nil, nil); err == nil {
-		t.Error("nil exit accepted")
 	}
 }

@@ -3,12 +3,14 @@ package cascade
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/netem"
+	"linkpad/internal/obs"
 )
 
 // patternTimes emits a per-second event schedule over [0, bins): bin b
@@ -54,7 +56,7 @@ func syntheticEngine(t *testing.T, flows, hops int, times func(f int) []float64,
 		if probes != nil {
 			ps = probes(f)
 		}
-		return NewRoute(0, tapped{netem.NewSliceStream(times(f)), rec}, rec, ps)
+		return &Route{Exit: tapped{netem.NewSliceStream(times(f)), rec}, Entry: rec, Hops: ps}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +96,27 @@ func TestCorrelateIdentityRoutes(t *testing.T) {
 	want /= bins
 	if math.Abs(res.RoutePPS-want) > 0.5 {
 		t.Errorf("raw route pps %v, want ~%v", res.RoutePPS, want)
+	}
+}
+
+// The entry and exit fingerprints share one window: with a duration just
+// below an integer, the last rate window still ends at the integer, but
+// an arrival in (Duration, bins) is past the exit pull and must not
+// reach the entry row either, or identity routes would correlate below 1.
+func TestCorrelateEntryWindow(t *testing.T) {
+	const flows, bins = 3, 3
+	const duration = bins - 1e-10
+	e := syntheticEngine(t, flows, 0, func(f int) []float64 {
+		ts := patternTimes(bins, func(b int) int { return 1 + (b+f)%3 + b })
+		// One arrival in the gap, ahead of the sentinel.
+		return append(ts[:len(ts)-1], duration+5e-11, ts[len(ts)-1])
+	}, nil)
+	res, err := Correlate(context.Background(), e, corrCfg(duration))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MeanCorrTrue < 1-1e-12 || res.Accuracy != 1 {
+		t.Errorf("identity routes must correlate at 1 and match: corr %v, accuracy %v", res.MeanCorrTrue, res.Accuracy)
 	}
 }
 
@@ -176,12 +199,54 @@ func TestCorrelateValidation(t *testing.T) {
 	}
 	// Routes without an entry recorder cannot be correlated.
 	blind, err := NewEngine(2, 0, func(f int) (*Route, error) {
-		return NewRoute(0, netem.NewSliceStream(patternTimes(4, func(int) int { return 3 })), nil, nil)
+		return &Route{Exit: netem.NewSliceStream(patternTimes(4, func(int) int { return 3 }))}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Correlate(context.Background(), blind, corrCfg(4)); err == nil {
 		t.Error("entry-less route accepted")
+	}
+}
+
+// countingStream counts every pulled time into a telemetry shard, as a
+// chain's padding stage counts its emissions.
+type countingStream struct {
+	netem.TimeStream
+	sh *obs.Shard
+}
+
+func (s countingStream) Next() float64 {
+	s.sh.Inc(obs.GatewayPayload)
+	return s.TimeStream.Next()
+}
+
+// Pull.Exit is the one exit pull: it keeps the times in (from, to],
+// publishes the route's shard (including the one departure pulled past
+// to), reads every hop probe and records the flow's window.
+func TestPullExit(t *testing.T) {
+	obs.SetEnabled(true)
+	obs.Reset()
+	t.Cleanup(func() {
+		obs.SetEnabled(false)
+		obs.Reset()
+	})
+	sh := obs.NewShard()
+	r := &Route{
+		Exit:  countingStream{netem.NewSliceStream([]float64{0.5, 1, 1.5, 2, 2.5, 3}), sh},
+		Hops:  []HopProbe{func() HopStats { return HopStats{Policy: "CIT", Emitted: 7, Dummies: 2} }},
+		Probe: sh,
+	}
+	p := NewPull(3, 2)
+	got := p.Exit(1, 2, r, 0.5, 2)
+	if want := []float64{1, 1.5, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("exit times %v, want %v", got, want)
+	}
+	if n := obs.Snapshot()[obs.GatewayPayload]; n != 5 {
+		t.Errorf("published %d pulls, want 5 (the shard must be flushed after the pull)", n)
+	}
+	want := Observed{Start: 0.5, End: 2, Exits: 3, Hops: []HopStats{{Policy: "CIT", Emitted: 7, Dummies: 2}}}
+	if !reflect.DeepEqual(p.Flows[2], want) {
+		t.Errorf("observed %+v, want %+v", p.Flows[2], want)
 	}
 }

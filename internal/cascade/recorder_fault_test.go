@@ -17,7 +17,7 @@ import (
 func TestRecorderUnderImpairedTap(t *testing.T) {
 	const bins = 120 // whole seconds, past the ~100 s the stream spans
 	im := &netem.Impairment{DupProb: 0.1, ReorderProb: 0.2, ReorderDepth: 4}
-	rec := Recorder{Row: make([]float64, bins)}
+	rec := Recorder{Row: make([]float64, bins), End: bins}
 	var got []float64 // what reached the recorder, in arrival order
 	record, err := im.WrapRecordObs(func(x float64) {
 		got = append(got, x)
@@ -72,7 +72,7 @@ func TestRecorderUnderImpairedTap(t *testing.T) {
 	// same multiset sorted: the reduction sees through the reordering.
 	sorted := append([]float64(nil), got...)
 	sort.Float64s(sorted)
-	ordered := Recorder{Row: make([]float64, bins)}
+	ordered := Recorder{Row: make([]float64, bins), End: bins}
 	for _, x := range sorted {
 		ordered.Record(x)
 	}

@@ -6,10 +6,8 @@ import (
 	"fmt"
 
 	"linkpad/internal/active"
-	"linkpad/internal/adversary"
 	"linkpad/internal/analytic"
 	"linkpad/internal/cascade"
-	"linkpad/internal/netem"
 	"linkpad/internal/obs"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
@@ -178,7 +176,7 @@ func (s *System) activeFlow(spec ActiveSpec, class, flow int, watermarked bool) 
 		return nil, err
 	}
 	payload.Start(s.activeRand(spec.Protocol, class, flow, 0, activeRolePayload).Stream)
-	fl := &active.Flow{Class: class, Probe: obs.NewShard()}
+	fl := &active.Flow{Route: cascade.Route{Class: class, Probe: obs.NewShard()}}
 	var src traffic.Source = &payload
 	if watermarked {
 		key, err := active.NewKey(activeChips, activePeriod,
@@ -330,19 +328,12 @@ func (s *System) activeDetection(ctx context.Context, spec ActiveSpec, cfg Activ
 	// a disjoint flow range of the active domain real flows never reach.
 	corr, err := s.trainExitClassifiers(ctx, cfg.Features,
 		cfg.TrainWindows, cfg.FeatureWindow, cfg.Duration, opts.Workers,
-		func(class, w int) (adversary.PIATSource, error) {
-			fl, err := s.activeFlow(spec, class,
-				phantomFlowIndex(class, cfg.TrainWindows, w), false)
+		func(class, flow int) (*cascade.Route, float64, error) {
+			fl, err := s.activeFlow(spec, class, flow, false)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			d := netem.NewDiffer(fl.Exit, fl.Probe)
-			// Training windows start where run-time observation does:
-			// past the session scenario's warm-up span.
-			for fl.Start > 0 && d.Now() <= fl.Start {
-				d.Next()
-			}
-			return d, nil
+			return &fl.Route, fl.Start, nil
 		})
 	if err != nil {
 		return nil, err

@@ -156,12 +156,7 @@ func (s *System) buildRoute(spec CascadeSpec, class, flow int, withEntry bool) (
 	if err != nil {
 		return nil, err
 	}
-	route, err := cascade.NewRoute(class, exit, rec, probes)
-	if err != nil {
-		return nil, err
-	}
-	route.Probe = sh
-	return route, nil
+	return &cascade.Route{Class: class, Exit: exit, Entry: rec, Hops: probes, Probe: sh}, nil
 }
 
 // hopChain threads an arrival process through a sequence of re-padding
@@ -285,13 +280,9 @@ func (s *System) cascadeCorrelation(ctx context.Context, spec CascadeSpec, cfg C
 	// a disjoint flow range of the cascade domain real flows never reach.
 	corr, err := s.trainExitClassifiers(ctx, cfg.Features,
 		cfg.TrainWindows, cfg.FeatureWindow, cfg.Duration, opts.Workers,
-		func(class, w int) (adversary.PIATSource, error) {
-			route, err := s.buildRoute(spec, class,
-				phantomFlowIndex(class, cfg.TrainWindows, w), false)
-			if err != nil {
-				return nil, err
-			}
-			return netem.NewDiffer(route.Exit, route.Probe), nil
+		func(class, flow int) (*cascade.Route, float64, error) {
+			r, err := s.buildRoute(spec, class, flow, false)
+			return r, 0, err
 		})
 	if err != nil {
 		return nil, err

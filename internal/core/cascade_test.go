@@ -103,7 +103,7 @@ func TestCascadeRouteAllocFree(t *testing.T) {
 	}
 	// The entry recorder counts into a row spanning the whole pull (about
 	// 100 s at the 10 ms timer), as the correlator attaches one.
-	route.Entry.Row = make([]float64, 1000)
+	route.Entry.Row, route.Entry.End = make([]float64, 1000), 1000
 	for i := 0; i < 6000; i++ {
 		route.Exit.Next()
 	}

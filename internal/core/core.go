@@ -714,16 +714,10 @@ func (s *System) attackSet(ctx context.Context, cfg AttackConfig, features []ana
 
 	// Off-line training: one streaming pass per class over shared windows,
 	// then one fitted classifier per feature.
-	trainMats := make([][][]float64, m) // [class][feature][window]
-	for c := 0; c < m; c++ {
-		mat, err := adversary.FeatureMatrix(factory(c, trainStreamID), exts,
+	classifiers, err := s.fitClasses(cfg.GaussianFit, func(c int) ([][]float64, error) {
+		return adversary.FeatureMatrix(factory(c, trainStreamID), exts,
 			cfg.TrainWindows, cfg.WindowSize, opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
-		}
-		trainMats[c] = mat
-	}
-	classifiers, err := adversary.Fit(labels, trainMats, cfg.GaussianFit)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -938,18 +932,36 @@ func (s *System) detectionAt(ctx context.Context, sigmaT float64, attack AttackC
 // FeatureWindow zero.
 const defaultFeatureWindow = 200
 
+// fitClasses is the per-class training loop every attack shares: build
+// class c's matrix ([feature][window]) with mat(c), naming the class in
+// its error, then fit one classifier per feature (adversary.Fit).
+func (s *System) fitClasses(gaussian bool, mat func(c int) ([][]float64, error)) ([]*bayes.Classifier, error) {
+	labels := s.Labels()
+	mats := make([][][]float64, len(labels))
+	for c := range mats {
+		m, err := mat(c)
+		if err != nil {
+			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
+		}
+		mats[c] = m
+	}
+	return adversary.Fit(labels, mats, gaussian)
+}
+
 // trainExitClassifiers runs the shared off-line phase of the population,
 // cascade and active correlation attacks: per class, reduce trainWindows
-// phantom observations — source builds observation w of a class, a fresh
-// realization drawn from the protocol's disjoint phantom index block, so
-// training observes cover traffic, batching and re-padding exactly as
-// run time does without sharing realizations with the observed flows —
-// to one value per feature, then train one KDE classifier per feature.
-// It returns the run-time attack configuration: duration, the feature
-// window, workers, and the classifiers with the extractors that
-// parallel them (both nil when features is empty).
+// phantom observations to one value per feature, then train one KDE
+// classifier per feature. phantom builds a class's phantom flow — a
+// fresh realization at a flow index of the disjoint phantom block
+// (phantomFlowIndex), so training observes cover traffic, batching and
+// re-padding exactly as run time does without sharing realizations with
+// the observed flows — and the time run-time observation starts at; the
+// flow's exit PIATs past that start are the training window. It returns
+// the run-time attack configuration: duration, the feature window,
+// workers, and the classifiers with the extractors that parallel them
+// (both nil when features is empty).
 func (s *System) trainExitClassifiers(ctx context.Context, features []analytic.Feature, trainWindows, featureWindow int, duration float64, workers int,
-	source func(class, w int) (adversary.PIATSource, error)) (adversary.CorrConfig, error) {
+	phantom func(class, flow int) (*cascade.Route, float64, error)) (adversary.CorrConfig, error) {
 	corr := adversary.CorrConfig{Duration: duration, FeatureWindow: featureWindow, Workers: workers}
 	if len(features) == 0 {
 		return corr, nil
@@ -958,24 +970,22 @@ func (s *System) trainExitClassifiers(ctx context.Context, features []analytic.F
 	for i, f := range features {
 		exts[i] = adversary.Extractor{Feature: f}
 	}
-	m := len(s.cfg.Rates)
-	labels := s.Labels()
-	trainMats := make([][][]float64, m)
-	for c := 0; c < m; c++ {
-		factory := func(w int) (adversary.PIATSource, error) {
+	classifiers, err := s.fitClasses(false, func(c int) ([][]float64, error) {
+		return adversary.FeatureMatrix(func(w int) (adversary.PIATSource, error) {
 			if err := context.Cause(ctx); err != nil {
 				return nil, err
 			}
-			return source(c, w)
-		}
-		mat, err := adversary.FeatureMatrix(factory, exts,
-			trainWindows, featureWindow, workers)
-		if err != nil {
-			return corr, fmt.Errorf("core: training class %q: %w", labels[c], err)
-		}
-		trainMats[c] = mat
-	}
-	classifiers, err := adversary.Fit(labels, trainMats, false)
+			r, start, err := phantom(c, phantomFlowIndex(c, trainWindows, w))
+			if err != nil {
+				return nil, err
+			}
+			d := netem.NewDiffer(r.Exit, r.Probe)
+			for start > 0 && d.Now() <= start {
+				d.Next()
+			}
+			return d, nil
+		}, exts, trainWindows, featureWindow, workers)
+	})
 	if err != nil {
 		return corr, err
 	}

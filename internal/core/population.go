@@ -10,7 +10,6 @@ import (
 	"linkpad/internal/cascade"
 	"linkpad/internal/netem"
 	"linkpad/internal/obs"
-	"linkpad/internal/par"
 	"linkpad/internal/population"
 	"linkpad/internal/traffic"
 	"linkpad/internal/xrand"
@@ -338,16 +337,32 @@ func (l *rawLink) Next() float64 {
 	return l.now
 }
 
-// flowLink assembles one population user link: the user's merged
-// payload+cover stream entering the system's padding policy and the
-// shared observation chain (padStream), with an optional ingress tap
-// observing the merged arrivals before the padding. Under churn the
-// user's presence schedule gates both sides: offline periods generate no
-// ingress arrivals (the sender is away) and emit no egress packets (the
-// padded link itself is down, so even timer-driven dummies stop). All
-// randomness comes from master, so a link is deterministic from its
-// stream seed; the presence schedule rides its own role stream.
-func (s *System) flowLink(spec PopulationSpec, class int, raw bool, presence *traffic.OnOffSchedule, master *xrand.Rand, tap func(t float64), sh *obs.Shard) (netem.TimeStream, error) {
+// flowRoute assembles user u's population link as a route: the user's
+// merged payload+cover stream entering the system's padding policy and
+// the shared observation chain (padStream). withEntry attaches the
+// adversary's entry recorder to the ingress tap, which observes the
+// merged arrivals before the padding; an impaired tap (EntryTapImpair)
+// observes them through per-flow loss/dup/reordering on the user's
+// popRoleTap stream. Under churn the user's presence schedule gates both
+// sides: offline periods generate no ingress arrivals (the sender is
+// away) and emit no egress packets (the padded link itself is down, so
+// even timer-driven dummies stop). All randomness comes from the user's
+// popRoleLink stream, so a link is deterministic from its identity; the
+// presence schedule rides its own role stream.
+func (s *System) flowRoute(spec PopulationSpec, class, u int, raw, withEntry bool) (*cascade.Route, error) {
+	master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
+	presence, err := s.presenceSchedule(spec, class, u)
+	if err != nil {
+		return nil, err
+	}
+	r := &cascade.Route{Class: class, Probe: obs.NewShard()}
+	var tap func(float64)
+	if withEntry {
+		r.Entry = &cascade.Recorder{}
+		if tap, err = s.entryTapWrap(r.Entry.Record, class, populationStreamID(u, popRoleTap), r.Probe); err != nil {
+			return nil, err
+		}
+	}
 	payload, err := s.payloadModel(class)
 	if err != nil {
 		return nil, err
@@ -369,17 +384,15 @@ func (s *System) flowLink(spec PopulationSpec, class int, raw bool, presence *tr
 			return nil, err
 		}
 	}
-	stream, _, err := s.padStream(src, raw, master, tap, sh)
-	if err != nil {
+	if r.Exit, _, err = s.padStream(src, raw, master, tap, r.Probe); err != nil {
 		return nil, err
 	}
 	if presence != nil {
-		stream, err = netem.NewGateStream(stream, presence)
-		if err != nil {
+		if r.Exit, err = netem.NewGateStream(r.Exit, presence); err != nil {
 			return nil, err
 		}
 	}
-	return stream, nil
+	return r, nil
 }
 
 // padStream routes an arbitrary arrival process through the system's
@@ -434,64 +447,23 @@ func phantomFlowIndex(class, trainWindows, w int) int {
 func (s *System) flowCorrelation(ctx context.Context, spec PopulationSpec, cfg FlowCorrConfig, opts RunOptions) (*adversary.Correlation, error) {
 	cum := s.classCum()
 
-	// Off-line phase: per-class feature densities from phantom flows.
+	// Off-line phase: per-class feature densities from phantom flows,
+	// which churn exactly as run-time flows do (their own presence
+	// realizations), so the classifiers are trained on the gap structure
+	// they will be asked to classify.
 	corr, err := s.trainExitClassifiers(ctx, cfg.Features,
 		cfg.TrainWindows, defaultFeatureWindow, cfg.Duration, opts.Workers,
-		func(class, w int) (adversary.PIATSource, error) {
-			phantom := phantomFlowIndex(class, cfg.TrainWindows, w)
-			master := xrand.New(s.streamSeed(class,
-				populationStreamID(phantom, popRoleLink)))
-			// Training flows churn exactly as run-time flows do (their own
-			// presence realizations), so the classifiers are trained on the
-			// gap structure they will be asked to classify.
-			presence, err := s.presenceSchedule(spec, class, phantom)
-			if err != nil {
-				return nil, err
-			}
-			sh := obs.NewShard()
-			link, err := s.flowLink(spec, class, cfg.Raw, presence, master, nil, sh)
-			if err != nil {
-				return nil, err
-			}
-			return netem.NewDiffer(link, sh), nil
+		func(class, flow int) (*cascade.Route, float64, error) {
+			r, err := s.flowRoute(spec, class, flow, cfg.Raw, false)
+			return r, 0, err
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	// Run-time phase: observe every user's flow and correlate, pulling
-	// each exit into its worker's reusable slab.
-	exits := make([][]float64, par.Workers(opts.Workers))
-	res, err := adversary.CorrelateFlows(ctx, spec.Users, corr, func(worker, u int, entry []float64) (adversary.FlowObs, error) {
-		class := classOf(u, spec.Users, cum)
-		master := xrand.New(s.streamSeed(class, populationStreamID(u, popRoleLink)))
-		presence, err := s.presenceSchedule(spec, class, u)
-		if err != nil {
-			return adversary.FlowObs{}, err
-		}
-		// The ingress tap counts the adversary's entry fingerprint (the
-		// guard keeps arrivals past a non-integral Duration out of the last
-		// window); an impaired tap (EntryTapImpair) observes it through
-		// per-flow loss/dup/reordering on the flow's popRoleTap stream.
-		tap := func(t float64) {
-			if t <= cfg.Duration {
-				adversary.CountRate(entry, t)
-			}
-		}
-		sh := obs.NewShard()
-		tap, err = s.entryTapWrap(tap, class, populationStreamID(u, popRoleTap), sh)
-		if err != nil {
-			return adversary.FlowObs{}, err
-		}
-		link, err := s.flowLink(spec, class, cfg.Raw, presence, master, tap, sh)
-		if err != nil {
-			return adversary.FlowObs{}, err
-		}
-		exits[worker] = netem.Collect(exits[worker][:0], link, 0, cfg.Duration)
-		// The flow is finished and this worker owns the shard: publish the
-		// chain's counters.
-		sh.Flush()
-		return adversary.FlowObs{Class: class, Exit: exits[worker]}, nil
+	// Run-time phase: observe every user's flow and correlate.
+	res, _, err := cascade.CorrelateRoutes(ctx, spec.Users, corr, func(u int) (*cascade.Route, error) {
+		return s.flowRoute(spec, classOf(u, spec.Users, cum), u, cfg.Raw, true)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

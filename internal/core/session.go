@@ -236,21 +236,12 @@ func (s *System) TrainSessionAttack(ctx context.Context, cfg SessionAttackConfig
 	if cfg.TrainSessions > cfg.TrainWindows {
 		cfg.TrainSessions = cfg.TrainWindows
 	}
-	m := len(s.cfg.Rates)
-	labels := s.Labels()
 	exts := []adversary.Extractor{{Feature: cfg.Feature}}
 	wps := (cfg.TrainWindows + cfg.TrainSessions - 1) / cfg.TrainSessions
-	mats := make([][][]float64, m)
-	for c := 0; c < m; c++ {
-		mat, err := adversary.SessionFeatureMatrix(
-			s.trainSessionSource(ctx, c), exts,
+	cls, err := s.fitClasses(false, func(c int) ([][]float64, error) {
+		return adversary.SessionFeatureMatrix(s.trainSessionSource(ctx, c), exts,
 			cfg.TrainSessions, wps, cfg.WindowSize, opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: training class %q: %w", labels[c], err)
-		}
-		mats[c] = mat
-	}
-	cls, err := adversary.Fit(labels, mats, false)
+	})
 	if err != nil {
 		return nil, err
 	}

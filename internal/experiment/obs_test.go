@@ -11,9 +11,11 @@ import (
 
 // obsProbeIDs are the experiments the telemetry invariants run over:
 // one replica-attack figure, one population sweep (a cell experiment),
-// and one cascade protocol — together they exercise the gateway, mix,
-// netem, population, adversary and experiment counter groups.
-var obsProbeIDs = []string{"fig4b", "ext-disclosure", "ext-cascade"}
+// and each flow protocol whose exits the shared pull flushes (cascade,
+// active watermark, population flow correlation) — together they
+// exercise the gateway, mix, netem, population, adversary and
+// experiment counter groups.
+var obsProbeIDs = []string{"fig4b", "ext-disclosure", "ext-cascade", "ext-active", "ablation-population-padding"}
 
 // renderText renders a table to its byte-exact text form.
 func renderText(t *testing.T, tbl *Table) []byte {
