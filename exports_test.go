@@ -34,9 +34,6 @@ var exportAllowlist = map[string]string{
 	"population.DummyPolicy.String":   "fmt.Stringer: printed with %s in mix validation errors",
 	"population.EstimatorKind.String": "fmt.Stringer: printed with %s in mix validation errors",
 	"population.MixKind.String":       "fmt.Stringer: printed with %s in mix validation errors",
-	"population.eventSorter.Len":      "sort.Interface, called by sort.Sort",
-	"population.eventSorter.Less":     "sort.Interface, called by sort.Sort",
-	"population.eventSorter.Swap":     "sort.Interface, called by sort.Sort",
 
 	// Needed by the tests of another package.
 	"bayes.Classifier.DetectionRate": "numeric eq. 7 integral the analytic tests check the closed forms against",

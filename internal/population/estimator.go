@@ -74,9 +74,10 @@ func validEstimator(k EstimatorKind) bool {
 // the shared harness (topK, anonymity, checkpoint) relies on:
 //
 //   - observe folds one round, given as its recipient histogram (the
-//     egress view); sent/cnt are the target's presence and send count
-//     in it (the ingress view). Rounds masked by the churn-aware filter
-//     never reach observe.
+//     egress view); cnt is the target's send count in it (the ingress
+//     view). It folds the histogram only when cnt > 0; the rest is read
+//     from the target's background, which the harness folds. Rounds
+//     masked by the churn-aware filter reach only the background's mask.
 //   - ready reports whether a pointwise estimate exists, caching
 //     whatever reciprocals estimateAt needs; it must be called before
 //     estimateAt and is idempotent between observes. sc is the calling
@@ -85,46 +86,88 @@ func validEstimator(k EstimatorKind) bool {
 //     strictly positive estimate; coordinates outside it evaluate to
 //     exactly 0.
 type estimator interface {
-	observe(h *rcptHist, sent bool, cnt int)
+	observe(h *rcptHist, cnt int)
 	ready(sc *mlScratch) bool
 	support() []int32
 	estimateAt(i int32) float64
 }
 
-// newEstimator builds the estimator for one target.
-func newEstimator(k EstimatorKind) estimator {
+// newEstimator builds the estimator for one target over its background.
+func newEstimator(k EstimatorKind, bg *background) estimator {
 	switch k {
 	case EstimatorLeastSquares:
-		return &lsEstimator{}
+		return &lsEstimator{bg: bg}
 	case EstimatorML:
-		return &mlEstimator{}
+		return &mlEstimator{bg: bg}
 	default:
-		return &classicEstimator{}
+		return &classicEstimator{bg: bg}
 	}
 }
 
-// classicEstimator is the original round-contrast estimator, extracted
-// verbatim from the pre-interface targetState: sparse conditional-sum
-// accumulators and the clamped difference of means. Every float
-// operation and its order are unchanged, so tables produced through the
-// interface are byte-identical to the pre-refactor ones.
-type classicEstimator struct {
-	sumWith    sparseVec
-	sumWithout sparseVec
-	nWith      int
-	nWithout   int
-	iw, iwo    float64 // 1/nWith, 1/nWithout, refreshed by ready
+// roundSum is a disclosure run's one background: every observed round's
+// histogram summed once, whatever the target count, each weighted by its
+// message count n when byN (least squares reads Σ(n−a)·y), else by 1.
+type roundSum struct {
+	sparseVec
+	byN bool
 }
 
-func (c *classicEstimator) observe(h *rcptHist, sent bool, _ int) {
-	dst := &c.sumWithout
-	if sent {
-		dst = &c.sumWith
+// add folds one round's histogram into dst with the sum's weight.
+func (s *roundSum) add(dst *sparseVec, h *rcptHist) {
+	w := 1.0
+	if s.byN {
+		w = float64(h.n)
+	}
+	dst.fold(h.idx, h.cnt, w)
+}
+
+// background is one target's view of the shared sum: less its masked
+// rounds (under ChurnAware, those it was offline in), it is the sum over
+// the rounds the target's estimator observed. Every value is an
+// integer-valued float64; the largest, Σn·y, is at most rounds·n², about
+// 4·10⁹ at n = 1024 and 4000 rounds, far below 2^53. So each difference
+// an estimator takes of it is exact and equals, bit for bit, the sum a
+// per-target accumulator would have folded. Only observe folds the
+// shared sum, never while a parallel ML refresh reads it.
+type background struct {
+	sum    *roundSum
+	masked sparseVec
+}
+
+func (b *background) mask(h *rcptHist) { b.sum.add(&b.masked, h) }
+
+func (b *background) at(i int32) float64 { return b.sum.get(i) - b.masked.get(i) }
+
+// set replaces dst with the background, dropping zero coordinates, so
+// that dst's support is what the unmasked rounds delivered to.
+func (b *background) set(dst *sparseVec) {
+	dst.idx, dst.val = dst.idx[:0], dst.val[:0]
+	for j, i := range b.sum.idx {
+		if v := b.sum.val[j] - b.masked.get(i); v != 0 {
+			dst.idx = append(dst.idx, i)
+			dst.val = append(dst.val, v)
+		}
+	}
+}
+
+// classicEstimator is the original round-contrast estimator: the sum of
+// the rounds the target sent in, the background for the others, and the
+// clamped difference of means.
+type classicEstimator struct {
+	bg       *background
+	sumWith  sparseVec
+	nWith    int
+	nWithout int
+	iw, iwo  float64 // 1/nWith, 1/nWithout, refreshed by ready
+}
+
+func (c *classicEstimator) observe(h *rcptHist, cnt int) {
+	if cnt > 0 {
+		c.sumWith.fold(h.idx, h.cnt, 1)
 		c.nWith++
 	} else {
 		c.nWithout++
 	}
-	dst.fold(h.idx, h.cnt, 1)
 }
 
 func (c *classicEstimator) ready(*mlScratch) bool {
@@ -139,10 +182,12 @@ func (c *classicEstimator) support() []int32 { return c.sumWith.idx }
 
 // estimateAt evaluates the clamped difference of conditional egress
 // means at coordinate i — the exact float expression the dense
-// estimator computed per entry. Coordinates outside sumWith's support
-// evaluate to exactly 0 (the difference is ≤ 0 there and clamps).
+// estimator computed per entry, the without-sum read as background less
+// sumWith. Coordinates outside sumWith's support evaluate to exactly 0
+// (the difference is ≤ 0 there and clamps).
 func (c *classicEstimator) estimateAt(i int32) float64 {
-	v := c.sumWith.get(i)*c.iw - c.sumWithout.get(i)*c.iwo
+	w := c.sumWith.get(i)
+	v := w*c.iw - (c.bg.at(i)-w)*c.iwo
 	if v < 0 {
 		v = 0
 	}
@@ -157,21 +202,22 @@ func (c *classicEstimator) estimateAt(i int32) float64 {
 //	[Saa Sab] [p[r]]   [Say[r]]
 //	[Sab Sbb] [q[r]] = [Sby[r]]
 //
-// per recipient. The three scalar moments are shared across recipients;
-// the two right-hand-side vectors accumulate sparsely: Say[r] gains a_i
-// per delivery to r (only in rounds the target sent, so its support —
-// the only place a positive estimate can live — stays as small as the
-// classic estimator's), Sby[r] gains b_i per delivery. A round folds in
-// as a_i·c and b_i·c for a recipient delivered c times. All accumulator
-// values are integer-valued float64s, exact below 2^53, so the sparse
-// accumulation agrees bit-for-bit with a dense mirror.
+// per recipient. The three scalar moments are shared across recipients.
+// Say accumulates sparsely: Say[r] gains a_i per delivery to r, only in
+// rounds the target sent, so its support — the only place a positive
+// estimate can live — stays as small as the classic estimator's. Sby[r]
+// gains b_i = n_i − a_i per delivery, so it is the background's Σn·y
+// less Say and needs no accumulator of its own. All values are
+// integer-valued float64s, exact below 2^53, so the sparse accumulation
+// agrees bit-for-bit with a dense mirror.
 type lsEstimator struct {
+	bg            *background // weighted by n
 	saa, sab, sbb float64
-	say, sby      sparseVec
+	say           sparseVec
 	inv           float64 // 1/det, refreshed by ready
 }
 
-func (l *lsEstimator) observe(h *rcptHist, _ bool, cnt int) {
+func (l *lsEstimator) observe(h *rcptHist, cnt int) {
 	a := float64(cnt)
 	b := float64(h.n - cnt)
 	l.saa += a * a
@@ -179,9 +225,6 @@ func (l *lsEstimator) observe(h *rcptHist, _ bool, cnt int) {
 	l.sbb += b * b
 	if a > 0 {
 		l.say.fold(h.idx, h.cnt, a)
-	}
-	if b > 0 {
-		l.sby.fold(h.idx, h.cnt, b)
 	}
 }
 
@@ -204,7 +247,8 @@ func (l *lsEstimator) support() []int32 { return l.say.idx }
 // det > 0, and Sab, Sby are non-negative), so every positive estimate
 // lies inside say's support.
 func (l *lsEstimator) estimateAt(i int32) float64 {
-	v := (l.sbb*l.say.get(i) - l.sab*l.sby.get(i)) * l.inv
+	say := l.say.get(i)
+	v := (l.sbb*say - l.sab*(l.bg.at(i)-say)) * l.inv
 	if v < 0 {
 		v = 0
 	}
@@ -217,14 +261,14 @@ func (l *lsEstimator) estimateAt(i int32) float64 {
 // sufficient statistics, not of the CheckEvery schedule.
 const mlEMIters = 12
 
-// mlGroup is one (a, n) equivalence class of observed rounds: c rounds
-// in which the target sent a of the n messages, with their summed
-// egress counts. Grouping is exact — the mixture model's per-message
-// posterior depends on a round only through (a, n) — so the EM estimate
-// from the groups equals the EM estimate from the full round list.
+// mlGroup is one (a, n) equivalence class of observed rounds, a > 0:
+// the rounds in which the target sent a of the n messages, with their
+// summed egress counts. Grouping is exact — the mixture model's
+// per-message posterior depends on a round only through (a, n) — so the
+// EM estimate from the groups equals the EM estimate from the full
+// round list.
 type mlGroup struct {
 	a, n int32
-	c    float64
 	y    sparseVec
 }
 
@@ -234,17 +278,16 @@ type mlGroup struct {
 // refreshed lazily at checkpoint boundaries, in the calling worker's
 // mlScratch, so a target holds no refresh scratch.
 //
-// observe keeps q's and p's EM initializers as running counts (allCnt
-// over every round, withCnt over the rounds the target sent in). The
-// counts are integer-valued float64s, so their sums are exact in any
+// p's EM initializer is a running count, withCnt, over the rounds the
+// target sent in; q's, the count over every round, is the background.
+// The counts are integer-valued float64s, so their sums are exact in any
 // order and equal, bit for bit, a sum over the groups.
 type mlEstimator struct {
-	groups   []mlGroup // ascending by (a, n)
-	nWith    int
+	bg       *background
+	groups   []mlGroup // ascending by (a, n), a > 0; none until the target sends
 	nWithout int
 	dirty    bool
-	allCnt   sparseVec // Σy over all groups: q's EM initializer
-	withCnt  sparseVec // Σy over groups with a > 0: p's EM initializer
+	withCnt  sparseVec // Σy over the groups: p's EM initializer
 	p        sparseVec // target estimate over the with-round support
 	q        sparseVec // background estimate over the full support
 }
@@ -264,7 +307,7 @@ type mlScratch struct {
 	off    []int32   // CSR offsets, one per q slot plus one
 	fill   []int32   // CSR fill cursors, one per q slot
 	ent    []mlEntry // CSR entries
-	no     []float64 // per q slot: Σy over the a = 0 groups
+	no     []float64 // per q slot: Σy over the a = 0 rounds
 	tp, tq []float64 // M-step accumulators aligned with p.idx / q.idx
 }
 
@@ -287,16 +330,10 @@ func (m *mlEstimator) group(a, n int32) *mlGroup {
 	return &m.groups[lo]
 }
 
-func (m *mlEstimator) observe(h *rcptHist, sent bool, cnt int) {
-	g := m.group(int32(cnt), int32(h.n))
-	g.c++
-	g.y.fold(h.idx, h.cnt, 1)
-	m.allCnt.fold(h.idx, h.cnt, 1)
+func (m *mlEstimator) observe(h *rcptHist, cnt int) {
 	if cnt > 0 {
+		m.group(int32(cnt), int32(h.n)).y.fold(h.idx, h.cnt, 1)
 		m.withCnt.fold(h.idx, h.cnt, 1)
-	}
-	if sent {
-		m.nWith++
 	} else {
 		m.nWithout++
 	}
@@ -304,7 +341,7 @@ func (m *mlEstimator) observe(h *rcptHist, sent bool, cnt int) {
 }
 
 func (m *mlEstimator) ready(sc *mlScratch) bool {
-	if m.nWith == 0 || m.nWithout == 0 {
+	if len(m.groups) == 0 || m.nWithout == 0 {
 		return false
 	}
 	if m.dirty {
@@ -315,8 +352,8 @@ func (m *mlEstimator) ready(sc *mlScratch) bool {
 }
 
 // refresh recomputes the EM estimate from the grouped statistics:
-// initialize p from the with-round deliveries and q from all
-// deliveries, then run mlEMIters E+M sweeps. Initializing q from every
+// initialize p from the with-round deliveries and q from all (the
+// background), then run mlEMIters E+M sweeps. Initializing q from every
 // round keeps q positive on the whole observed support, so every
 // E-step denominator a·p[r] + b·q[r] is positive wherever y[r] > 0.
 //
@@ -329,14 +366,15 @@ func (m *mlEstimator) ready(sc *mlScratch) bool {
 // search-per-entry E-step (the oracle in estimator_ref_test.go) bit for
 // bit.
 //
-// The a = 0 groups (rounds the target did not send in) sort first and
-// leave the CSR: their den = b·q[r] is positive exactly when q[r] > 0,
-// and then w = 0·p[r]/den is exactly +0, so each adds y to tq[r] and +0
-// to tp[r]. Their integer sum, allCnt − withCnt, is exact in any order,
-// so tq[r] starts from it whenever q[r] > 0.
+// The a = 0 rounds have no group: their den = b·q[r] is positive
+// exactly when q[r] > 0, and then w = 0·p[r]/den is exactly +0, so each
+// adds y to tq[r] and +0 to tp[r]. Their integer sum, the background
+// less withCnt, is exact in any order, so tq[r] starts from it whenever
+// q[r] > 0.
 func (m *mlEstimator) refresh(sc *mlScratch) {
 	m.p.setPairs(m.withCnt.idx, m.withCnt.val)
-	m.q.setPairs(m.allCnt.idx, m.allCnt.val)
+	m.bg.set(&m.q)
+	sc.no = append(sc.no[:0], m.q.val...) // the counts, before q normalizes
 	normalizeVec(&m.p)
 	normalizeVec(&m.q)
 	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
@@ -391,10 +429,10 @@ func (m *mlEstimator) refresh(sc *mlScratch) {
 	}
 }
 
-// transpose fills sc for one refresh: the CSR of the a > 0 entries by q
+// transpose fills sc for one refresh: the CSR of the group entries by q
 // slot (counted, prefix-summed, then filled group by group, so each
 // slot's entries come out in ascending group order), the folded a = 0
-// counts, and the M-step accumulators.
+// counts (sc.no holds q's on entry), and the M-step accumulators.
 func (m *mlEstimator) transpose(sc *mlScratch) {
 	nq := len(m.q.idx)
 	// The slot map spans q's largest recipient, so it stays within the
@@ -404,12 +442,10 @@ func (m *mlEstimator) transpose(sc *mlScratch) {
 	for k, r := range m.q.idx {
 		sc.qs[r] = int32(k)
 	}
-	first := sort.Search(len(m.groups), func(i int) bool { return m.groups[i].a > 0 })
-	withRounds := m.groups[first:]
 	sc.off = grow(sc.off, nq+1)
 	clear(sc.off)
-	for gi := range withRounds {
-		for _, r := range withRounds[gi].y.idx {
+	for gi := range m.groups {
+		for _, r := range m.groups[gi].y.idx {
 			sc.off[sc.qs[r]+1]++
 		}
 	}
@@ -419,8 +455,8 @@ func (m *mlEstimator) transpose(sc *mlScratch) {
 	sc.fill = grow(sc.fill, nq)
 	copy(sc.fill, sc.off)
 	sc.ent = grow(sc.ent, int(sc.off[nq]))
-	for gi := range withRounds {
-		g := &withRounds[gi]
+	for gi := range m.groups {
+		g := &m.groups[gi]
 		a, b := float64(g.a), float64(g.n-g.a)
 		for k, r := range g.y.idx {
 			s := sc.qs[r]
@@ -430,8 +466,6 @@ func (m *mlEstimator) transpose(sc *mlScratch) {
 	}
 	// Every count is an integer-valued float64 below 2^53, so the
 	// difference is exact and equals the ascending a = 0 sum.
-	sc.no = grow(sc.no, nq)
-	copy(sc.no, m.allCnt.val)
 	for j, r := range m.withCnt.idx {
 		sc.no[sc.qs[r]] -= m.withCnt.val[j]
 	}

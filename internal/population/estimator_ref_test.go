@@ -41,22 +41,39 @@ func collectTargetRounds(t *testing.T, e *Engine, target int32, batch, rounds in
 	return out
 }
 
+// fedTarget is one target's estimator over a background sum of its own,
+// fed recorded rounds as disclosure.observe feeds a target that is never
+// masked.
+type fedTarget struct {
+	sum roundSum
+	bg  background
+	est estimator
+	h   rcptHist
+}
+
+func newFedTarget(k EstimatorKind) *fedTarget {
+	f := &fedTarget{sum: roundSum{byN: k == EstimatorLeastSquares}}
+	f.bg.sum = &f.sum
+	f.est = newEstimator(k, &f.bg)
+	return f
+}
+
+// observe folds one recorded round into the background and the
+// estimator.
+func (f *fedTarget) observe(rec recordedRound) {
+	f.h.build(rec.rcpts)
+	f.sum.add(&f.sum.sparseVec, &f.h)
+	f.est.observe(&f.h, rec.cnt)
+}
+
 // feedEstimator folds the recorded rounds into a fresh estimator of the
 // given kind, exactly as disclosure.observe would.
 func feedEstimator(k EstimatorKind, rounds []recordedRound) estimator {
-	est := newEstimator(k)
-	var h rcptHist
+	f := newFedTarget(k)
 	for _, rec := range rounds {
-		observeRecorded(est, &h, rec)
+		f.observe(rec)
 	}
-	return est
-}
-
-// observeRecorded folds one recorded round into est through the
-// histogram scratch h, as disclosure.observe does.
-func observeRecorded(est estimator, h *rcptHist, rec recordedRound) {
-	h.build(rec.rcpts)
-	est.observe(h, rec.cnt > 0, rec.cnt)
+	return f.est
 }
 
 // solve2x2Gauss solves [saa sab; sab sbb]·[p;q] = [say;sby] by Gaussian
@@ -338,10 +355,11 @@ func TestMLRefreshMatchesExhaustivePosteriorEM(t *testing.T) {
 	}
 }
 
-// TestMLGroupingIsExact: folding rounds in a different order produces
-// the same grouped sufficient statistics, and the (a, n) group list
-// stays sorted with exact counts — the grouping loses nothing the
-// mixture likelihood depends on.
+// TestMLGroupingIsExact: the estimator's statistics equal those grouped
+// straight from the recorded round list, whichever order the rounds
+// fold in. The (a, n) groups with a > 0 stay sorted with exact summed
+// counts, withCnt is their total, and the background is Σy over every
+// round — the grouping loses nothing the mixture likelihood depends on.
 func TestMLGroupingIsExact(t *testing.T) {
 	const n, recipients, batch, rounds = 16, 40, 8, 250
 	e, err := NewEngine(refUsers(t, n, recipients, true, false), recipients)
@@ -350,66 +368,111 @@ func TestMLGroupingIsExact(t *testing.T) {
 	}
 	e.SetWorkers(1)
 	recs := collectTargetRounds(t, e, 5, batch, rounds)
-	fwd := feedEstimator(EstimatorML, recs).(*mlEstimator)
-	rev := newEstimator(EstimatorML).(*mlEstimator)
-	var h rcptHist
-	for i := len(recs) - 1; i >= 0; i-- {
-		observeRecorded(rev, &h, recs[i])
+	want := groupRounds(recs)
+	fwd := newFedTarget(EstimatorML)
+	rev := newFedTarget(EstimatorML)
+	for i := range recs {
+		fwd.observe(recs[i])
+		rev.observe(recs[len(recs)-1-i])
 	}
-	if len(fwd.groups) != len(rev.groups) {
-		t.Fatalf("group counts differ: %d forward vs %d reversed", len(fwd.groups), len(rev.groups))
-	}
-	var totalRounds float64
-	for gi := range fwd.groups {
-		a, b := &fwd.groups[gi], &rev.groups[gi]
-		if a.a != b.a || a.n != b.n || a.c != b.c {
-			t.Fatalf("group %d keys differ: (%d,%d,%v) vs (%d,%d,%v)", gi, a.a, a.n, a.c, b.a, b.n, b.c)
-		}
-		if a.y.nnz() != b.y.nnz() {
-			t.Fatalf("group %d y supports differ: %d vs %d", gi, a.y.nnz(), b.y.nnz())
-		}
-		if gi > 0 {
-			prev := &fwd.groups[gi-1]
-			if prev.a > a.a || (prev.a == a.a && prev.n >= a.n) {
-				t.Fatalf("groups not ascending at %d", gi)
+	var wantWith, wantAll sparseVec
+	var with []refGroup
+	var total float64
+	for _, g := range want {
+		for k, r := range g.y.idx {
+			wantAll.add(r, g.y.val[k])
+			if g.a > 0 {
+				wantWith.add(r, g.y.val[k])
 			}
 		}
-		for k, idx := range a.y.idx {
-			if got := b.y.get(idx); got != a.y.val[k] {
-				t.Fatalf("group %d y[%d] differs: %v vs %v", gi, idx, a.y.val[k], got)
+		if g.a > 0 {
+			with = append(with, g)
+		}
+		total += g.c
+	}
+	if total != float64(rounds) {
+		t.Fatalf("the reference groups account for %v rounds, want %d", total, rounds)
+	}
+	for name, f := range map[string]*fedTarget{"forward": fwd, "reversed": rev} {
+		m := f.est.(*mlEstimator)
+		if len(m.groups) != len(with) {
+			t.Fatalf("%s: %d groups, the round list has %d with a > 0", name, len(m.groups), len(with))
+		}
+		for gi := range m.groups {
+			g, w := &m.groups[gi], &with[gi]
+			if g.a != w.a || g.n != w.n {
+				t.Fatalf("%s: group %d is (%d,%d), want (%d,%d)", name, gi, g.a, g.n, w.a, w.n)
+			}
+			if !sameBits(&g.y, &w.y) {
+				t.Fatalf("%s: group (%d,%d) y differs from the round list's", name, g.a, g.n)
 			}
 		}
-		totalRounds += a.c
-	}
-	if totalRounds != float64(rounds) {
-		t.Fatalf("groups account for %v rounds, want %d", totalRounds, rounds)
+		if !sameBits(&m.withCnt, &wantWith) {
+			t.Fatalf("%s: withCnt differs from the round list's with-round sum", name)
+		}
+		var all sparseVec
+		f.bg.set(&all)
+		if !sameBits(&all, &wantAll) {
+			t.Fatalf("%s: background differs from the round list's sum", name)
+		}
 	}
 }
 
+// refGroup is one (a, n) group of recorded rounds, a = 0 included: c
+// rounds and their summed egress counts.
+type refGroup struct {
+	a, n int32
+	c    float64
+	y    sparseVec
+}
+
+// groupRounds groups recorded rounds by (a, n), ascending, with a
+// search-and-insert per delivery — the oracle's statistics, built from
+// the round list alone.
+func groupRounds(recs []recordedRound) []refGroup {
+	var gs []refGroup
+	for _, rec := range recs {
+		a, n := int32(rec.cnt), int32(len(rec.rcpts))
+		k := 0
+		for k < len(gs) && (gs[k].a < a || (gs[k].a == a && gs[k].n < n)) {
+			k++
+		}
+		if k == len(gs) || gs[k].a != a || gs[k].n != n {
+			gs = append(gs, refGroup{})
+			copy(gs[k+1:], gs[k:])
+			gs[k] = refGroup{a: a, n: n}
+		}
+		gs[k].c++
+		for _, r := range rec.rcpts {
+			gs[k].y.add(r, 1)
+		}
+	}
+	return gs
+}
+
 // refreshSearchReference is the ML refresh before the running counts
-// and the recipient-major E-step, kept as the oracle: it rebuilds p's
-// and q's initializers from the groups with a search-and-insert per
-// entry, and its E-step runs group-major, binary-searching p and q for
-// every entry of every sweep. Only its M-step accumulators live in sc.
-// Run it on an estimator holding a copy of the groups (cloneGroups).
-func refreshSearchReference(m *mlEstimator, sc *mlScratch) {
-	m.p.idx, m.p.val = m.p.idx[:0], m.p.val[:0]
-	m.q.idx, m.q.val = m.q.idx[:0], m.q.val[:0]
-	for gi := range m.groups {
-		g := &m.groups[gi]
+// and the recipient-major E-step, kept as the oracle. It runs on groups
+// built from the recorded rounds (groupRounds, a = 0 groups included),
+// rebuilds p's and q's initializers from them with a search-and-insert
+// per entry, and runs its E-step group-major, binary-searching p and q
+// for every entry of every sweep. Only its M-step accumulators live in
+// sc.
+func refreshSearchReference(groups []refGroup, sc *mlScratch) (p, q sparseVec) {
+	for gi := range groups {
+		g := &groups[gi]
 		for k, r := range g.y.idx {
-			m.q.add(r, g.y.val[k])
+			q.add(r, g.y.val[k])
 			if g.a > 0 {
-				m.p.add(r, g.y.val[k])
+				p.add(r, g.y.val[k])
 			}
 		}
 	}
-	normalizeVec(&m.p)
-	normalizeVec(&m.q)
-	if len(m.p.idx) == 0 || len(m.q.idx) == 0 {
-		return
+	normalizeVec(&p)
+	normalizeVec(&q)
+	if len(p.idx) == 0 || len(q.idx) == 0 {
+		return p, q
 	}
-	tp, tq := grow(sc.tp, len(m.p.idx)), grow(sc.tq, len(m.q.idx))
+	tp, tq := grow(sc.tp, len(p.idx)), grow(sc.tq, len(q.idx))
 	sc.tp, sc.tq = tp, tq
 	for iter := 0; iter < mlEMIters; iter++ {
 		for i := range tp {
@@ -418,18 +481,18 @@ func refreshSearchReference(m *mlEstimator, sc *mlScratch) {
 		for i := range tq {
 			tq[i] = 0
 		}
-		for gi := range m.groups {
-			g := &m.groups[gi]
+		for gi := range groups {
+			g := &groups[gi]
 			a, b := float64(g.a), float64(g.n-g.a)
 			for k, r := range g.y.idx {
 				y := g.y.val[k]
-				qi, _ := m.q.find(r) // q spans the full support
+				qi, _ := q.find(r) // q spans the full support
 				var pv float64
-				pi, pok := m.p.find(r)
+				pi, pok := p.find(r)
 				if pok {
-					pv = m.p.val[pi]
+					pv = p.val[pi]
 				}
-				den := a*pv + b*m.q.val[qi]
+				den := a*pv + b*q.val[qi]
 				if den <= 0 {
 					continue
 				}
@@ -451,26 +514,16 @@ func refreshSearchReference(m *mlEstimator, sc *mlScratch) {
 		}
 		if sp > 0 {
 			for i := range tp {
-				m.p.val[i] = tp[i] / sp
+				p.val[i] = tp[i] / sp
 			}
 		}
 		if sq > 0 {
 			for i := range tq {
-				m.q.val[i] = tq[i] / sq
+				q.val[i] = tq[i] / sq
 			}
 		}
 	}
-}
-
-// cloneGroups deep-copies ML groups, so the reference cannot touch the
-// estimator under test.
-func cloneGroups(gs []mlGroup) []mlGroup {
-	out := make([]mlGroup, len(gs))
-	for i, g := range gs {
-		out[i] = mlGroup{a: g.a, n: g.n, c: g.c}
-		out[i].y.setPairs(g.y.idx, g.y.val)
-	}
-	return out
+	return p, q
 }
 
 // sameBits reports whether two sparse vectors have equal supports and
@@ -546,15 +599,14 @@ func TestMLRefreshMatchesSearchReference(t *testing.T) {
 			if tc.varyN && len(sizes) < 2 {
 				t.Fatalf("every round has the same size; the test needs varying n")
 			}
-			m := newEstimator(EstimatorML).(*mlEstimator)
-			var h rcptHist
+			f := newFedTarget(EstimatorML)
+			m := f.est.(*mlEstimator)
 			var sc, refSc mlScratch
 			for i, rec := range recs {
-				observeRecorded(m, &h, rec)
+				f.observe(rec)
 				m.refresh(&sc)
-				ref := &mlEstimator{groups: cloneGroups(m.groups)}
-				refreshSearchReference(ref, &refSc)
-				if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
+				p, q := refreshSearchReference(groupRounds(recs[:i+1]), &refSc)
+				if !sameBits(&m.p, &p) || !sameBits(&m.q, &q) {
 					t.Fatalf("round %d: refresh differs from the search reference", i+1)
 				}
 			}
@@ -565,11 +617,10 @@ func TestMLRefreshMatchesSearchReference(t *testing.T) {
 		if !m.ready(&mlScratch{}) {
 			t.Fatal("ML estimator not ready after the hand-built rounds")
 		}
-		ref := &mlEstimator{groups: cloneGroups(m.groups)}
-		refreshSearchReference(ref, &mlScratch{})
-		if !sameBits(&m.p, &ref.p) || !sameBits(&m.q, &ref.q) {
+		p, q := refreshSearchReference(groupRounds(mlEdgeRounds), &mlScratch{})
+		if !sameBits(&m.p, &p) || !sameBits(&m.q, &q) {
 			t.Fatalf("refresh differs from the search reference:\np %v q %v\nreference p %v q %v",
-				m.p, m.q, ref.p, ref.q)
+				m.p, m.q, p, q)
 		}
 		if _, ok := m.p.find(5); ok {
 			t.Error("recipient 5 is in p's support; the case needs it outside")
@@ -614,11 +665,8 @@ var mlEdgeRounds = []recordedRound{
 // reference.
 func BenchmarkMLRefresh(b *testing.B) {
 	for _, spec := range []MixSpec{{Kind: MixTimed}, {Kind: MixPool}} {
-		m := newEstimator(EstimatorML).(*mlEstimator)
-		var h rcptHist
-		for _, rec := range collectMixRounds(b, spec, 3, 240) {
-			observeRecorded(m, &h, rec)
-		}
+		recs := collectMixRounds(b, spec, 3, 240)
+		m := feedEstimator(EstimatorML, recs).(*mlEstimator)
 		b.Run(spec.Kind.String()+"/recipient-major", func(b *testing.B) {
 			var sc mlScratch
 			m.refresh(&sc) // grow the scratch before timing
@@ -629,13 +677,13 @@ func BenchmarkMLRefresh(b *testing.B) {
 			}
 		})
 		b.Run(spec.Kind.String()+"/search-reference", func(b *testing.B) {
-			ref := &mlEstimator{groups: cloneGroups(m.groups)}
+			groups := groupRounds(recs)
 			var sc mlScratch
-			refreshSearchReference(ref, &sc) // grow the scratch before timing
+			refreshSearchReference(groups, &sc) // grow the scratch before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				refreshSearchReference(ref, &sc)
+				refreshSearchReference(groups, &sc)
 			}
 		})
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // lazy_test.go: the sharded lazy engine's equivalence properties. The
-// k-way shard reduction must replay the eager engine's merge order
+// sorted slabs must replay the eager engine's (time, user) order
 // exactly, at any shard size and any worker count; and lazy
 // materialization must leave never-sending users cold.
 
@@ -388,10 +388,11 @@ func BenchmarkLazyEngineInit(b *testing.B) {
 }
 
 // BenchmarkDisclosureObserve times disclosure.observe, the sequential
-// fold of each round into every target's estimator, from fresh
-// estimators over 64 rounds shaped like population-scale cells: 8
-// targets, 10,000 recipients, batch 1024. ns/round is the per-round
-// cost, accumulator growth included.
+// fold of each round into the shared background and into the
+// estimators of the targets that sent in it, from fresh estimators over
+// 64 rounds shaped like population-scale cells: 8 targets, 10,000
+// recipients, batch 1024. ns/round is the per-round cost, accumulator
+// growth included.
 func BenchmarkDisclosureObserve(b *testing.B) {
 	const n, recipients, batch, rounds = 10_000, 10_000, 1024, 64
 	e, err := NewLazyEngine(n, recipients, refBuilder(b, recipients, true, false))

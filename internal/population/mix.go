@@ -26,7 +26,7 @@ import (
 //     so round sizes float with the arrival rate.
 //
 // Streaming contract: a policy pulls events one at a time from the
-// engine's k-way shard reduction (nextEvent) and never looks ahead more
+// engine's time-sorted slab (nextEvent) and never looks ahead more
 // than one event, so million-user populations stream through any policy
 // exactly as they do through the threshold path — the engine's slab
 // generation, lazy materialization and refill cadence are untouched.

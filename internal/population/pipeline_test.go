@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -54,6 +55,71 @@ func checkBlockMins(t *testing.T, e *Engine) {
 			bi := sh*e.blocksPerShard + (b-lo)/blockSize
 			if got := e.blockMin[bi]; got != want {
 				t.Fatalf("shard %d block at user %d: minimum %v, want %v", sh, b, got, want)
+			}
+		}
+	}
+}
+
+// TestSlabOrder: every generated slab is the shards' events in
+// ascending (time, user) order, equal to a concatenate-and-stable-sort
+// of what the shards generated, at shard sizes 7, 37 and 1024 and one
+// and two workers; and the engine's event stream, read across refills,
+// is ascending too. The tied population's CBR payload and cover share a
+// phase, so every arrival ties and users of one rate share every
+// instant: crowded buckets, and at equal (time, user) the payload must
+// come first.
+func TestSlabOrder(t *testing.T) {
+	const n, recipients, slabs = 150, 40, 30
+	for _, pop := range []struct {
+		name  string
+		build funcBuilder
+	}{
+		{"poisson", refBuilder(t, recipients, true, false)},
+		{"tied", tiedBuilder(t, recipients)},
+	} {
+		for _, shardSize := range []int{7, 37, 1024} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/shard=%d/workers=%d", pop.name, shardSize, workers), func(t *testing.T) {
+					newEng := func() *Engine {
+						e, err := newLazyEngine(n, recipients, shardSize, pop.build)
+						if err != nil {
+							t.Fatal(err)
+						}
+						e.SetWorkers(workers)
+						return e
+					}
+					e := newEng()
+					events := 0
+					for s := 0; s < slabs; s++ {
+						if err := e.generate(); err != nil {
+							t.Fatal(err)
+						}
+						var want []event
+						for i := range e.gens {
+							want = append(want, e.gens[i].buf...)
+						}
+						slices.SortStableFunc(want, cmpEvent)
+						if !slices.Equal(e.next, want) {
+							t.Fatalf("slab %d is not the stable (time, user) sort of the shards' events", s)
+						}
+						events += len(want)
+					}
+					stream := newEng()
+					var prev event
+					for k := 0; k < events; k++ {
+						ev, err := stream.nextEvent()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if k > 0 {
+							if c := cmpEvent(prev, ev); c > 0 || (c == 0 && !(!prev.dummy && ev.dummy)) {
+								t.Fatalf("event %d %+v follows %+v: want ascending (time, user), payload before a tied cover", k, ev, prev)
+							}
+						}
+						prev = ev
+					}
+					stream.join()
+				})
 			}
 		}
 	}
@@ -332,10 +398,10 @@ func TestPipelinedRoundLoopAllocs(t *testing.T) {
 }
 
 // BenchmarkEngineRounds times the round stream alone — generation, the
-// k-way merge and the round cut — over 1e5 users with cover, from a
+// slab sort and the round cut — over 1e5 users with cover, from a
 // fresh engine through 64 rounds of 1024 messages (16 slabs), at one
 // worker and at two, where the next slab generates while the current
-// one is merged. The engine's init pass is excluded; the join of the
+// one is consumed. The engine's init pass is excluded; the join of the
 // slab generated ahead is included, as a run must join before it
 // returns. ns/round is the per-round cost.
 func BenchmarkEngineRounds(b *testing.B) {

@@ -24,11 +24,11 @@
 //
 // Scale architecture (million-user populations): users are partitioned
 // into fixed cache-sized shards. Each generation slab extends every
-// shard's event horizon in parallel and sorts the shard's events by
-// (time, user); the global round stream is then a streaming k-way
-// reduction — an index min-heap over the shard frontiers — that replays
-// exactly the total (time, user) order the previous concat-and-sort
-// merge produced. Users are materialized lazily: a cold user holds only
+// shard's event horizon in parallel, and the same goroutine then places
+// all the shards' events into one slab in (time, user) order: a
+// counting sort into equal-width time buckets, then a stable sort of
+// each bucket. The round stream reads that slab in turn, with no merge
+// across shards. Users are materialized lazily: a cold user holds only
 // its cursor (pending arrival time and origin, and its arena slot, 16
 // bytes), which the init pass fills from the pure per-user Builder's
 // Frontier without building the user, and its full state is built by
@@ -44,17 +44,17 @@
 // refill touches only the users that are due:
 // a per-block minimum of the frontier lets it skip every 16-user block
 // with nothing before the new horizon. With more than one worker the
-// next slab generates in the background while the current one is
-// merged (see refill). The round loop is allocation-free in steady
+// next slab generates (and sorts) in the background while the current
+// one is consumed (see refill). The round loop is allocation-free in steady
 // state.
 package population
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"linkpad/internal/obs"
 	"linkpad/internal/par"
@@ -199,18 +199,14 @@ type event struct {
 	dummy bool
 }
 
-// eventSorter orders events by time, tie-breaking by user index so the
-// merge is deterministic even in the (measure-zero) case of equal
-// timestamps. Held by value on each shard so sorting allocates nothing.
-type eventSorter struct{ ev []event }
-
-func (s *eventSorter) Len() int      { return len(s.ev) }
-func (s *eventSorter) Swap(i, j int) { s.ev[i], s.ev[j] = s.ev[j], s.ev[i] }
-func (s *eventSorter) Less(i, j int) bool {
-	if s.ev[i].t != s.ev[j].t {
-		return s.ev[i].t < s.ev[j].t
+// cmpEvent orders events by time, tie-breaking by user index so the
+// stream is deterministic even in the (measure-zero) case of equal
+// timestamps.
+func cmpEvent(a, b event) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
 	}
-	return s.ev[i].user < s.ev[j].user
+	return cmp.Compare(a.user, b.user)
 }
 
 // slot is one warm user's state in its shard's arena: the merged stream
@@ -319,26 +315,15 @@ type cursor struct {
 	cover bool
 }
 
-// shard is one contiguous user range's merge cursor: its slab of events,
-// sorted by (t, user), and the position of the next one to merge.
-type shard struct {
-	buf []event
-	pos int
-}
-
-// shardGen is one shard's generation state: the slab being generated
-// (spare, and active, its count of users that emitted at least one
-// event), a reusable sorter, so a refill allocates nothing beyond
-// amortized buffer growth, and the arena of the shard's warm users. A
-// refill swaps spare with the shard's merged buf. Generation writes only
-// shardGen and the merge only shard, and the two live in separate
-// arrays, so a pipelined engine generates the next slab while the
-// current one is merged without either goroutine writing a cache line
-// the other reads.
+// shardGen is one shard's generation state: the events of the slab being
+// generated (buf, and active, its count of users that emitted at least
+// one event), and the arena of the shard's warm users. Only generation
+// touches it, so a pipelined engine generates the next slab while the
+// current one is consumed without either goroutine writing what the
+// other reads.
 type shardGen struct {
-	spare  []event
+	buf    []event
 	active int
-	sorter eventSorter
 	warm   warmArena
 }
 
@@ -390,12 +375,17 @@ type Engine struct {
 	slabLen   float64
 	slabEnd   float64 // horizon of the newest generated slab
 	shardSize int
-	shards    []shard
 	gens      []shardGen
-	heap      []head // the non-empty shards, min-heap by head event (t, user)
+
+	// slab holds the current slab's events in (t, user) order, pos the
+	// next to emit; generation fills next (starts is its bucket
+	// scratch), and a refill swaps it in.
+	slab, next []event
+	pos        int
+	starts     []int
 
 	// Pipelining (more than one worker): ahead is true while a slab
-	// generated beyond the merged one is waiting to be consumed, running
+	// generated beyond the current one is waiting to be consumed, running
 	// while its generation is still in flight on a background goroutine,
 	// which sends its result on done. join stores that result in genErr;
 	// the refill that consumes the slab reports it.
@@ -408,7 +398,7 @@ type Engine struct {
 }
 
 // targetSlabEvents sizes generation slabs: each parallel fan-out should
-// produce about this many events so the merge cost amortizes.
+// produce about this many events so its cost amortizes.
 const targetSlabEvents = 4096
 
 // defaultShardSize is the user count per generation shard: small enough
@@ -691,26 +681,19 @@ func (e *Engine) SetWorkers(w int) {
 	e.workers = w
 }
 
-// refill advances the merge to the next slab. Generation extends every
-// shard's users' private event streams up to the next horizon in
-// parallel and sorts each shard's slab by (time, user); the global merge
-// then streams from the shard frontiers through an index min-heap. Each
+// refill advances the stream to the next slab (see generate). Each
 // user's events are a pure function of its own streams and shards are
-// disjoint user ranges, so the reduction's total order — ascending
-// (time, user) — is identical at any worker count and identical to the
-// previous concat-and-global-sort merge.
+// disjoint user ranges, so the slab's (time, user) order is identical
+// at any worker count.
 //
-// With one worker a refill generates the slab and merges it. With more,
-// it joins the slab generating in the background (the first refill
-// generates its slab in the foreground), swaps it in, and starts
-// generating the next slab in the background before the merge begins.
+// With one worker a refill generates the slab and swaps it in. With
+// more, it joins the slab generating in the background (the first
+// refill generates its slab in the foreground), swaps it in, and starts
+// generating the next slab in the background before the stream goes on.
 // Since every slab's events are the same whenever they are generated,
 // the round stream is unchanged; a slab generated but never consumed
 // adds no counters and reports no error.
 func (e *Engine) refill() error {
-	if e.shards == nil {
-		e.shards = make([]shard, e.numShards())
-	}
 	if e.ahead {
 		e.join()
 		if e.genErr != nil {
@@ -720,15 +703,13 @@ func (e *Engine) refill() error {
 		return err
 	}
 	e.ahead = false
-	// Counted in the sequential reduction (never the parallel fan-out):
-	// a user is active in a generation slab if it produced events.
-	for i := range e.shards {
-		s, g := &e.shards[i], &e.gens[i]
-		s.buf, g.spare = g.spare, s.buf
-		s.pos = 0
-		e.probe.Add(obs.PopulationActiveUser, uint64(g.active))
+	e.slab, e.next = e.next, e.slab
+	e.pos = 0
+	// Counted on the consuming side, never in generation: a user is
+	// active in a generation slab if it produced events.
+	for i := range e.gens {
+		e.probe.Add(obs.PopulationActiveUser, uint64(e.gens[i].active))
 	}
-	e.buildHeap()
 	if par.Workers(e.workers) > 1 {
 		e.ahead, e.running = true, true
 		go e.generateAhead()
@@ -736,12 +717,70 @@ func (e *Engine) refill() error {
 	return nil
 }
 
-// generate extends every shard's spare slab to the next horizon.
+// generate fills next with the slab up to the next horizon: every
+// shard's events in parallel, then one sort of them all.
 func (e *Engine) generate() error {
+	lo := e.slabEnd
 	e.slabEnd += e.slabLen
-	return par.MapWorker(len(e.gens), e.workers, func(_, sh int) error {
+	err := par.MapWorker(len(e.gens), e.workers, func(_, sh int) error {
 		return e.genShard(sh)
 	})
+	if err != nil {
+		return err
+	}
+	e.sortSlab(lo, e.slabEnd)
+	return nil
+}
+
+// sortSlab places every shard's generated events into next in ascending
+// (time, user) order: a counting sort into as many equal-width time
+// buckets over [lo, hi) as there are events, then a stable sort of each
+// bucket. The scatter keeps shard order and generation order, so one
+// user's events at one time keep the order its merge gave them (payload
+// first), and a crowded bucket (CBR users sharing a phase) costs a stable
+// sort, not a quadratic one.
+func (e *Engine) sortSlab(lo, hi float64) {
+	total := 0
+	for i := range e.gens {
+		total += len(e.gens[i].buf)
+	}
+	nb := max(total, 1)
+	scale := float64(nb) / (hi - lo)
+	// starts[b+1] counts bucket b; the prefix sum turns starts[b] into
+	// bucket b's first position, and the scatter then advances it to
+	// bucket b's end.
+	starts := grow(e.starts, nb+1)
+	clear(starts)
+	for i := range e.gens {
+		for k := range e.gens[i].buf {
+			starts[bucketOf(e.gens[i].buf[k].t, lo, scale, nb)+1]++
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		starts[b] += starts[b-1]
+	}
+	next := grow(e.next, total)
+	for i := range e.gens {
+		for _, ev := range e.gens[i].buf {
+			b := bucketOf(ev.t, lo, scale, nb)
+			next[starts[b]] = ev
+			starts[b]++
+		}
+	}
+	from := 0
+	for _, to := range starts[:nb] {
+		if to-from > 1 {
+			slices.SortStableFunc(next[from:to], cmpEvent)
+		}
+		from = to
+	}
+	e.starts, e.next = starts, next
+}
+
+// bucketOf returns t's bucket, clamped so that it stays monotone in t
+// wherever rounding lands.
+func bucketOf(t, lo, scale float64, nb int) int {
+	return min(max(int((t-lo)*scale), 0), nb-1)
 }
 
 // generateAhead is the background goroutine of a pipelined refill.
@@ -758,7 +797,8 @@ func (e *Engine) join() {
 	}
 }
 
-// genShard generates shard sh's spare slab up to the current horizon.
+// genShard generates shard sh's events up to the current horizon, in
+// ascending user order and each user's in time order.
 // It visits only the blocks whose minimum frontier lies before the
 // horizon and, within such a block, every due user in ascending order,
 // as a scan of all users would, recording the block's new minimum as it
@@ -768,7 +808,7 @@ func (e *Engine) genShard(sh int) error {
 	a := &g.warm
 	end := e.slabEnd
 	lo, hi := e.shardRange(sh)
-	buf := g.spare[:0]
+	buf := g.buf[:0]
 	active := 0
 	for b := lo; b < hi; b += blockSize {
 		bmin := &e.blockMin[sh*e.blocksPerShard+(b-lo)/blockSize]
@@ -815,92 +855,20 @@ func (e *Engine) genShard(sh int) error {
 		}
 		*bmin = m
 	}
-	g.spare, g.active = buf, active
-	g.sorter.ev = buf
-	sort.Sort(&g.sorter)
+	g.buf, g.active = buf, active
 	return nil
 }
 
-// head is a merge-heap entry: a shard and the (time, user) key of its
-// head event. Keeping the key in the entry lets the heap compare without
-// reading the shards' buffers.
-type head struct {
-	t    float64
-	user int32
-	sh   int32
-}
-
-// before orders two heads by (time, user). Shards are disjoint ascending
-// user ranges, so this tie-break matches the sort comparator's, and no
-// two heads compare equal.
-func (a *head) before(b *head) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.user < b.user
-}
-
-// siftDown restores the merge heap below position i.
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	x := h[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r].before(&h[l]) {
-			m = r
-		}
-		if !h[m].before(&x) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = x
-}
-
-// buildHeap (re)establishes the merge heap over the non-empty shards.
-func (e *Engine) buildHeap() {
-	e.heap = e.heap[:0]
-	for i := range e.shards {
-		if s := &e.shards[i]; s.pos < len(s.buf) {
-			ev := &s.buf[s.pos]
-			e.heap = append(e.heap, head{t: ev.t, user: ev.user, sh: int32(i)})
-		}
-	}
-	for i := len(e.heap)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// nextEvent emits the next event of the merged stream from the k-way
-// shard reduction, refilling the slab whenever it runs dry, and counts
-// it as a message or as cover.
+// nextEvent emits the next event of the merged stream, refilling the
+// slab whenever it runs dry, and counts it as a message or as cover.
 func (e *Engine) nextEvent() (event, error) {
-	for len(e.heap) == 0 {
+	for e.pos >= len(e.slab) {
 		if err := e.refill(); err != nil {
 			return event{}, err
 		}
 	}
-	top := &e.heap[0]
-	s := &e.shards[top.sh]
-	ev := s.buf[s.pos]
-	s.pos++
-	if s.pos < len(s.buf) {
-		next := &s.buf[s.pos]
-		top.t, top.user = next.t, next.user
-	} else {
-		last := len(e.heap) - 1
-		e.heap[0] = e.heap[last]
-		e.heap = e.heap[:last]
-	}
-	if len(e.heap) > 0 {
-		e.siftDown(0)
-	}
+	ev := e.slab[e.pos]
+	e.pos++
 	if ev.dummy {
 		e.probe.Inc(obs.TrafficCover)
 	} else {

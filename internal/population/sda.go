@@ -32,13 +32,14 @@ import (
 // the recipients actually delivered in its observed rounds, never a
 // dense length-R vector, so estimator memory scales with observed
 // support rather than with the recipient space. A round reaches them as
-// one sorted recipient histogram (rcptHist), which each accumulator
-// folds in a single merge pass (sparseVec.fold). Every quantity the
-// attack reports — the estimate, the top-k contact test, the entropy —
-// is computed from the sparse accumulators bit-identically to the dense
-// formulation (absent coordinates are exactly zero, and zero
-// coordinates are exact no-ops in every sum); sda_ref_test.go checks
-// this against dense reference implementations.
+// one sorted recipient histogram (rcptHist), folded in one merge pass
+// (sparseVec.fold) into the run's shared background (roundSum), and
+// into a target's own sums only in rounds it sent or was masked in.
+// Every quantity the attack reports — the estimate, the top-k contact
+// test, the entropy — is computed from the sparse accumulators
+// bit-identically to the dense formulation (absent coordinates are
+// exactly zero, and zero coordinates are exact no-ops in every sum);
+// sda_ref_test.go checks this against dense reference implementations.
 
 // DisclosureConfig parameterizes one statistical-disclosure run.
 type DisclosureConfig struct {
@@ -204,9 +205,9 @@ type targetState struct {
 	user       int32
 	contacts   []int32 // sorted ascending, the set to identify
 	presence   *traffic.OnOffSchedule
+	bg         background // the est's view of the shared background
 	est        estimator
 	roundsWith int
-	masked     int // rounds skipped because the target was offline
 	streak     int
 	disclosed  bool
 	rounds     int
@@ -214,7 +215,6 @@ type targetState struct {
 	sus        []int32 // adaptive-dummy suspect scratch, refreshed per round
 	susFresh   bool
 	due        bool // per-round scratch: the target has a dummy in the round
-	sent       bool // per-round scratch
 	cnt        int  // per-round scratch: the target's send count
 }
 
@@ -246,6 +246,7 @@ type disclosure struct {
 	susVal    []float64   // suspect-selection scratch (adaptive dummies)
 	due       []int32     // targets of the current parallel phase
 	hist      rcptHist    // the current round's recipient histogram
+	sum       roundSum    // the background: every observed round
 	scratch   []mlScratch // one ML refresh scratch per worker
 	// readyDue is the parallel phase's body, built once so that a phase
 	// run inline (one worker) allocates nothing.
@@ -264,6 +265,7 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) *disclosure {
 		targets:   make([]targetState, len(cfg.Targets)),
 		targetIdx: make([]int32, e.n),
 		due:       make([]int32, 0, len(cfg.Targets)),
+		sum:       roundSum{byN: cfg.Estimator == EstimatorLeastSquares},
 	}
 	if cfg.Estimator == EstimatorML {
 		// Only ML's ready() (an EM refresh) costs more than a goroutine;
@@ -281,11 +283,8 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) *disclosure {
 		if len(cs) > maxK {
 			maxK = len(cs)
 		}
-		d.targets[i] = targetState{
-			user:     int32(u),
-			contacts: cs,
-			est:      newEstimator(cfg.Estimator),
-		}
+		d.targets[i] = targetState{user: int32(u), contacts: cs, bg: background{sum: &d.sum}}
+		d.targets[i].est = newEstimator(cfg.Estimator, &d.targets[i].bg)
 		if cfg.ChurnAware {
 			d.targets[i].presence = e.PresenceOf(u)
 		}
@@ -306,32 +305,31 @@ func newDisclosure(e *Engine, cfg DisclosureConfig) *disclosure {
 }
 
 // observe folds one round into every target's estimator. The round's
-// recipients are sorted once into an ascending histogram, which every
-// estimator merges into its sparse accumulators in one pass. A
-// churn-aware run skips rounds in which the target was offline at the
-// flush instant — see DisclosureConfig.ChurnAware. Allocation-free once
-// the estimators' supports saturate.
+// recipients are sorted once into an ascending histogram, which folds
+// into the shared background and into the estimators of the targets
+// that sent. A churn-aware run masks a round in which a target was
+// offline at the flush instant (DisclosureConfig.ChurnAware) out of its
+// background. Allocation-free once the supports saturate.
 func (d *disclosure) observe(r *Round) {
 	d.hist.build(r.Rcpts)
+	d.sum.add(&d.sum.sparseVec, &d.hist)
 	for i := range d.targets {
-		d.targets[i].sent = false
 		d.targets[i].cnt = 0
 	}
 	for _, u := range r.Users {
 		if ti := d.targetIdx[u]; ti >= 0 {
-			d.targets[ti].sent = true
 			d.targets[ti].cnt++
 		}
 	}
 	for i := range d.targets {
 		t := &d.targets[i]
-		if t.sent {
+		if t.cnt > 0 {
 			t.roundsWith++
 		} else if t.presence != nil && !t.presence.UpAt(r.Flush) {
-			t.masked++
+			t.bg.mask(&d.hist)
 			continue
 		}
-		t.est.observe(&d.hist, t.sent, t.cnt)
+		t.est.observe(&d.hist, t.cnt)
 	}
 }
 

@@ -3,6 +3,7 @@ package population
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"linkpad/internal/traffic"
@@ -351,4 +352,130 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMaskedRoundsMatchOracles: a churn-aware run folds each round into
+// the shared background once and each target's masked rounds into its
+// own masked sum, which its estimator subtracts. Every estimator must
+// then equal its oracle fed only the target's unmasked rounds: the dense
+// classic and least-squares mirrors at every recipient, bit for bit,
+// and the search-per-entry ML refresh (refreshSearchReference), p and q
+// bit for bit. The rounds come from the production round loop, with the
+// two-worker checkpoint's parallel ML refresh between them.
+func TestMaskedRoundsMatchOracles(t *testing.T) {
+	const n, recipients, rounds, checkEvery = 24, 80, 300, 25
+	for _, k := range []EstimatorKind{EstimatorClassic, EstimatorLeastSquares, EstimatorML} {
+		t.Run(k.String(), func(t *testing.T) {
+			e, err := NewEngine(refUsers(t, n, recipients, true, true), recipients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := e.StartDisclosure(DisclosureConfig{
+				Batch: 8, Estimator: k, ChurnAware: true, Workers: 2, MaxRounds: rounds, CheckEvery: checkEvery,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer run.Stop()
+			d := run.d
+			presence := make([]*traffic.OnOffSchedule, len(d.targets))
+			for i := range d.targets {
+				presence[i] = e.PresenceOf(int(d.targets[i].user))
+			}
+			// unmasked[i] is target i's oracle input.
+			unmasked := make([][]recordedRound, len(d.targets))
+			masked := make([]int, len(d.targets))
+			var r Round
+			for round := 1; round <= rounds; round++ {
+				if err := d.mix.NextRound(&r); err != nil {
+					t.Fatal(err)
+				}
+				d.applyDummies(&r)
+				for i := range d.targets {
+					rec := recordedRound{rcpts: slices.Clone(r.Rcpts)}
+					for _, u := range r.Users {
+						if u == d.targets[i].user {
+							rec.cnt++
+						}
+					}
+					if rec.cnt == 0 && !presence[i].UpAt(r.Flush) {
+						masked[i]++
+						continue
+					}
+					unmasked[i] = append(unmasked[i], rec)
+				}
+				d.observe(&r)
+				if round%checkEvery == 0 {
+					d.checkpoint(round)
+				}
+			}
+			for i := range d.targets {
+				tg := &d.targets[i]
+				if masked[i] == 0 {
+					t.Fatalf("target %d: no round masked; the case needs some", i)
+				}
+				var sc mlScratch
+				if !tg.est.ready(&sc) {
+					t.Fatalf("target %d: estimator not ready", i)
+				}
+				switch est := tg.est.(type) {
+				case *mlEstimator:
+					p, q := refreshSearchReference(groupRounds(unmasked[i]), &mlScratch{})
+					if !sameBits(&est.p, &p) || !sameBits(&est.q, &q) {
+						t.Fatalf("target %d: ML estimate differs from the oracle fed only its unmasked rounds", i)
+					}
+				default:
+					want := denseEstimate(k, recipients, unmasked[i])
+					for r := range want {
+						if got := est.estimateAt(int32(r)); got != want[r] {
+							t.Fatalf("target %d recipient %d: %v estimate %v, oracle fed only unmasked rounds %v", i, r, k, got, want[r])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// denseEstimate is the dense classic or least-squares estimate over the
+// recorded rounds: the accumulators of the pre-sparse estimators, in
+// the same float operations.
+func denseEstimate(k EstimatorKind, recipients int, recs []recordedRound) []float64 {
+	with := make([]float64, recipients)
+	without := make([]float64, recipients)
+	var nWith, nWithout int
+	var saa, sab, sbb float64
+	for _, rec := range recs {
+		a := float64(rec.cnt)
+		b := float64(len(rec.rcpts) - rec.cnt)
+		saa += a * a
+		sab += a * b
+		sbb += b * b
+		if rec.cnt > 0 {
+			nWith++
+		} else {
+			nWithout++
+		}
+		for _, rc := range rec.rcpts {
+			if k == EstimatorLeastSquares {
+				with[rc] += a
+				without[rc] += b
+			} else if rec.cnt > 0 {
+				with[rc]++
+			} else {
+				without[rc]++
+			}
+		}
+	}
+	est := make([]float64, recipients)
+	for i := range est {
+		var v float64
+		if k == EstimatorLeastSquares {
+			v = (sbb*with[i] - sab*without[i]) * (1 / (saa*sbb - sab*sab))
+		} else {
+			v = with[i]*(1/float64(nWith)) - without[i]*(1/float64(nWithout))
+		}
+		est[i] = max(v, 0)
+	}
+	return est
 }
